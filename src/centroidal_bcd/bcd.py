@@ -27,7 +27,7 @@ import numpy as np
 from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_iterate, \
     nominal_footholds
 from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
-    extract_force_iterate, force_original_cost
+    extract_force_iterate, force_original_cost, stack_vectors
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, \
     verify_trajectory
 from .qp.admm import AdmmSolver
@@ -142,9 +142,6 @@ class TrajectoryResult:
         force = sum(r.force_qp_time for r in self.records) + self.final_record.force_qp_time
         return force / total if total > 0 else float("nan")
 
-    def trajectory(self) -> list[tuple[CentroidalState, Mapping[str, EffectorContact]]]:
-        return list(zip(self.states, self.contacts))
-
 
 def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
     """Squared norm of the stacked lever-arm change divided by the horizon."""
@@ -175,13 +172,6 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
             )
         traj.append((state, contacts))
     return traj
-
-
-def _stack_ells(ells: Mapping, plan: ContactPlan) -> np.ndarray:
-    pairs = plan.active_pairs()
-    if not pairs:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(ells[pair], dtype=float) for pair in pairs])
 
 
 def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
@@ -283,8 +273,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         contact_iterate = extract_contact_iterate(contact_sol, qp_c.layout, plan)
         L_contact = min(L_contact * settings.alpha, L_PROX_CAP)
 
-        eps_value = consensus_metric(_stack_ells(contact_iterate.ells, plan),
-                                     _stack_ells(ell, plan), plan.horizon)
+        pairs = plan.active_pairs()
+        eps_value = consensus_metric(stack_vectors(contact_iterate.ells[p] for p in pairs),
+                                     stack_vectors(ell[p] for p in pairs), plan.horizon)
         record = BcdIterationRecord(
             iteration=k, force_qp_time=force_time, contact_qp_time=contact_time,
             eps_f_value=eps_value,

@@ -16,7 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .scenarios import ScenarioError, emit_scenario, materialize, parse_scenario
 from .trajectory_io import TrajectoryFormatError, read_trajectory_csv, \
     write_convergence_json, write_timing_csv, write_trajectory_csv
 
-__all__ = ["CliConfig", "run_solve", "run_verify", "run_bench", "run_gait", "main"]
+__all__ = ["run_solve", "run_verify", "run_bench", "run_gait", "main"]
 
 log = logging.getLogger("centroidal_bcd.cli")
 
@@ -39,29 +39,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_FORMAT = 64
 
 
-@dataclass
-class CliConfig:
-    """Parsed command-line options shared by the subcommands."""
-
-    subcommand: str
-    scenario: Path | None = None
-    out: Path | None = None
-    trajectory: Path | None = None
-    eps_f: float | None = None
-    L0: float | None = None
-    alpha: float | None = None
-    max_iters: int | None = None
-    tol: float = 1e-5
-    horizons: tuple[int, ...] = ()
-    seed: int = 0
-    verbose: bool = False
-    kind: str | None = None
-    horizon: int | None = None
-    dt: float | None = None
-    params: dict = field(default_factory=dict)
-
-
-def _apply_overrides(settings: BcdSettings, cfg: CliConfig) -> BcdSettings:
+def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSettings:
     updates = {}
     if cfg.eps_f is not None:
         updates["eps_f"] = cfg.eps_f
@@ -75,7 +53,7 @@ def _apply_overrides(settings: BcdSettings, cfg: CliConfig) -> BcdSettings:
     return replace(settings, **updates) if updates else settings
 
 
-def _load(cfg: CliConfig):
+def _load(cfg: argparse.Namespace):
     text = cfg.scenario.read_bytes()
     sf = parse_scenario(text)
     plan, refs, settings, weights = materialize(sf)
@@ -99,7 +77,7 @@ def _summary_lines(name: str, result, tol: float) -> list[str]:
     return lines
 
 
-def run_solve(cfg: CliConfig) -> int:
+def run_solve(cfg: argparse.Namespace) -> int:
     try:
         sf, plan, refs, settings, weights = _load(cfg)
     except (ScenarioError, OSError) as exc:
@@ -134,7 +112,7 @@ def run_solve(cfg: CliConfig) -> int:
     return EXIT_OK if result.residuals.feasible else EXIT_INFEASIBLE
 
 
-def run_verify(cfg: CliConfig) -> int:
+def run_verify(cfg: argparse.Namespace) -> int:
     try:
         _, plan, _, _, _ = _load(cfg)
     except (ScenarioError, OSError) as exc:
@@ -155,7 +133,7 @@ def run_verify(cfg: CliConfig) -> int:
     return EXIT_OK if report.feasible else 1
 
 
-def run_bench(cfg: CliConfig) -> int:
+def run_bench(cfg: argparse.Namespace) -> int:
     try:
         sf, *_ = (parse_scenario(cfg.scenario.read_bytes()),)
     except (ScenarioError, OSError) as exc:
@@ -194,8 +172,8 @@ def run_bench(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def run_gait(cfg: CliConfig) -> int:
-    params = dict(cfg.params)
+def run_gait(cfg: argparse.Namespace) -> int:
+    params = dict(cfg.param)
     if cfg.horizon is not None:
         params["N"] = cfg.horizon
     if cfg.dt is not None:
@@ -225,6 +203,10 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
+def _parse_horizons(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centroidal-bcd",
@@ -250,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trajectory CSV (default: <out>/trajectory.csv)")
     p_bench = sub.add_parser("bench", help="horizon scaling benchmark")
     common(p_bench)
-    p_bench.add_argument("--horizons", type=str, default="",
+    p_bench.add_argument("--horizons", type=_parse_horizons, default=(),
                          help="comma-separated horizon lengths")
     p_gait = sub.add_parser("gait", help="generate a gait scenario document")
     common(p_gait, scenario_required=False)
@@ -262,31 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    horizons = tuple(int(x) for x in getattr(ns, "horizons", "").split(",") if x)
-    return CliConfig(
-        subcommand=ns.subcommand,
-        scenario=getattr(ns, "scenario", None),
-        out=ns.out,
-        trajectory=getattr(ns, "trajectory", None),
-        eps_f=ns.eps_f,
-        L0=ns.L0,
-        alpha=ns.alpha,
-        max_iters=ns.max_iters,
-        tol=ns.tol,
-        horizons=horizons,
-        seed=ns.seed,
-        verbose=ns.verbose,
-        kind=getattr(ns, "kind", None),
-        horizon=getattr(ns, "horizon", None),
-        dt=getattr(ns, "dt", None),
-        params=dict(getattr(ns, "param", [])),
-    )
-
-
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if cfg.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     runners = {"solve": run_solve, "verify": run_verify, "bench": run_bench, "gait": run_gait}

@@ -20,8 +20,10 @@ over (r, l, k, p, z) is again one convex QP:
     center-of-pressure penalties, and proximal pulls of h toward the force
     solve and of p toward the previous contact solve.
 
-As with the force side, the sparsity pattern depends only on the plan: the
-fixed force values fill dedicated skew slots that exist even when zero.
+As on the force side, the structure depends only on the plan and is built
+once per plan: the fixed forces fill dedicated skew slots that exist even
+when zero, and each build copies the cached structure and fills in the force,
+torque, reference and proximal values with numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .force_qp import CostWeights, QpNotSolved
+from .force_qp import SKEW_IJ, CostWeights, QpNotSolved, com_rows, extract_states, \
+    per_plan, recursion_rows, skew_entries, stack_states, stack_vectors, state_columns, \
+    zmp_rows
 from .model import CentroidalState, ContactPlan
-from .qp.problem import QpSolution, SparseQP, TripletPattern, VariableLayout
+from .qp.problem import QpSolution, RowBuilder, SparseQP, TripletPattern, VariableLayout, \
+    diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -117,150 +122,123 @@ def _contact_layout(plan: ContactPlan) -> VariableLayout:
     return VariableLayout(n=col, entries=tuple(entries), _lookup=shared)
 
 
-def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
-    plan = inputs.plan
-    N, dt, m = plan.horizon, plan.dt, plan.mass
-    w = inputs.weights
+@dataclass(frozen=True)
+class _Structure:
+    """Plan-only part of the Contact-QP. Per-pair arrays follow
+    ``plan.active_pairs()``; per-flat-pair arrays its flat-foot subset."""
+
+    layout: VariableLayout
+    pattern: TripletPattern
+    a_data: np.ndarray        # constant entries; the skew slots hold zero
+    lo: np.ndarray            # k rows hold only the initial state's term
+    hi: np.ndarray
+    state_cols: np.ndarray    # (N, 9)
+    pairs: tuple[tuple[int, str], ...]
+    r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
+    p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on p
+    p_cols: np.ndarray        # (pairs, 3) foothold columns, shared within a phase
+    flat: np.ndarray          # (flat pairs,) indices into pairs
+    z_rotation: np.ndarray    # (flat pairs, 2, 3) R^{xy} columns as rows
+    z_pos: np.ndarray         # (flat pairs, 6) A.data positions of dt skew(f) R^{xy}
+    k_rows: np.ndarray        # (flat pairs, 3) angular momentum rows
+    z_cols: np.ndarray        # columns of every center-of-pressure offset
+
+
+@per_plan
+def _structure(plan: ContactPlan) -> _Structure:
     layout = _contact_layout(plan)
-    n = layout.n
-    p_nom = nominal_footholds(plan, inputs.references)
-
-    p_rows, p_cols, p_vals = [], [], []
-    q = np.zeros(n)
-    a_rows, a_cols, a_vals = [], [], []
-    lo, hi = [], []
-    row = 0
-
-    def add_diag(r0, c0, value, size=3):
-        for i in range(size):
-            a_rows.append(r0 + i)
-            a_cols.append(c0 + i)
-            a_vals.append(value)
-
-    def add_skew_slots(r0, c0, f, scale):
-        # scale * skew(f): all six off-diagonal slots stay structural.
-        fx, fy, fz = f
-        for (i, j, v) in ((0, 1, -fz), (0, 2, fy), (1, 0, fz),
-                          (1, 2, -fx), (2, 0, -fy), (2, 1, fx)):
-            a_rows.append(r0 + i)
-            a_cols.append(c0 + j)
-            a_vals.append(scale * v)
-
-    h0 = plan.h0
-    seen_phase: set[tuple[int, str]] = set()
-    for t in range(N):
-        r_t = layout.span("r", t).start
-        l_t = layout.span("l", t).start
-        k_t = layout.span("k", t).start
+    cols = state_columns(layout)
+    rb = RowBuilder()
+    r_skew, p_skew, p_cols, flat, z_rotation, z_slots, k_rows = ([] for _ in range(7))
+    for t in range(plan.horizon):
         contacts = plan.active_contacts(t)
-
-        # r_t - r_{t-1} - (dt/m) l_t = [r_init at t=0]
-        add_diag(row, r_t, 1.0)
-        add_diag(row, l_t, -dt / m)
-        if t > 0:
-            add_diag(row, layout.span("r", t - 1).start, -1.0)
-            rhs_r = np.zeros(3)
-        else:
-            rhs_r = h0.r
-        lo.extend(rhs_r)
-        hi.extend(rhs_r)
-        row += 3
-
+        com_rows(rb, plan, cols, t)
         # k_t - k_{t-1} - dt sum_e [skew(f) r_t - skew(f) p_e - skew(f) R z]
-        #   = dt sum_e tau_fixed [+ k_init at t=0]
-        add_diag(row, k_t, 1.0)
-        rhs_k = np.zeros(3)
+        #   = dt sum_e tau_fixed. The skew slots stay structural so the pattern
+        # does not depend on the forces.
+        row = recursion_rows(rb, plan, cols, t, "k", np.zeros(3))
         for ph in contacts:
             e = ph.end_effector_id
-            f = np.asarray(inputs.f_fixed[(t, e)], dtype=float)
-            add_skew_slots(row, r_t, f, -dt)
-            add_skew_slots(row, layout.span("p", t, e).start, f, dt)
+            p0 = layout.span("p", t, e).start
+            r_skew.append(rb.slots(row, cols[t, 0], SKEW_IJ))
+            p_skew.append(rb.slots(row, p0, SKEW_IJ))
+            p_cols.append(range(p0, p0 + 3))
             if ph.flat_foot:
                 # - skew(f) R^{xy} z, a dense 3x2 block.
-                M = dt * (_skew_np(f) @ ph.rotation[:, :2])
-                z0 = layout.span("z", t, e).start
-                for i in range(3):
-                    for j in range(2):
-                        a_rows.append(row + i)
-                        a_cols.append(z0 + j)
-                        a_vals.append(M[i, j])
-                if inputs.tau_fixed is not None and (t, e) in inputs.tau_fixed:
-                    rhs_k = rhs_k + dt * np.asarray(inputs.tau_fixed[(t, e)], dtype=float)
-        if t > 0:
-            add_diag(row, layout.span("k", t - 1).start, -1.0)
-        else:
-            rhs_k = rhs_k + h0.k
-        lo.extend(rhs_k)
-        hi.extend(rhs_k)
-        row += 3
-
+                flat.append(len(p_cols) - 1)
+                z_rotation.append(ph.rotation[:, :2].T)
+                z_slots.append(rb.slots(row, layout.span("z", t, e).start,
+                                        tuple(np.ndindex(3, 2))))
+                k_rows.append(range(row, row + 3))
         for ph in contacts:
             e = ph.end_effector_id
             p0 = layout.span("p", t, e).start
             # Per-axis kinematic box |p - r_t| <= L_max.
-            add_diag(row, p0, 1.0)
-            add_diag(row, r_t, -1.0)
-            lo.extend([-plan.kinematic_limit] * 3)
-            hi.extend([plan.kinematic_limit] * 3)
-            row += 3
+            row = rb.rows(np.full(3, -plan.kinematic_limit), plan.kinematic_limit)
+            rb.diag(row, p0, 1.0)
+            rb.diag(row, cols[t, 0], -1.0)
             if ph.flat_foot:
-                z0 = layout.span("z", t, e).start
-                zlo, zhi = ph.zmp_lo_hi()
-                add_diag(row, z0, 1.0, size=2)
-                lo.extend(zlo)
-                hi.extend(zhi)
-                row += 2
-            if (ph.t_start, e) not in seen_phase:
-                seen_phase.add((ph.t_start, e))
+                zmp_rows(rb, ph, layout.span("z", t, e).start)
+            if t == ph.t_start:
                 S = ph.surface
-                for i in range(S.A.shape[0]):
-                    for j in range(3):
-                        a_rows.append(row)
-                        a_cols.append(p0 + j)
-                        a_vals.append(S.A[i, j])
-                    lo.append(-np.inf)
-                    hi.append(S.b[i])
-                    row += 1
+                rb.block(rb.rows(np.full(S.b.size, -np.inf), S.b), p0, S.A)
+    pattern, a_data, lo, hi = rb.build(layout.n)
 
-        # Diagonal cost blocks for this timestep. No tracking term here: the
-        # state is anchored through the proximal pull toward the force solve.
-        wh = w.running_h
-        h_kin = inputs.references.h_kin[t].stacked()
-        reg = np.concatenate([inputs.h_reg[t].r, np.asarray(inputs.l_reg[t], dtype=float),
-                              inputs.h_reg[t].k])
-        for i in range(9):
-            p_rows.append(r_t + i)
-            p_cols.append(r_t + i)
-            p_vals.append(2.0 * wh[i] + inputs.l_prox)
-        q[r_t:r_t + 9] += -2.0 * wh * h_kin - inputs.l_prox * reg
-        for ph in contacts:
-            e = ph.end_effector_id
-            p0 = layout.span("p", t, e).start
-            p_prox = inputs.l_prox if inputs.p_reg is not None else 0.0
-            for i in range(3):
-                p_rows.append(p0 + i)
-                p_cols.append(p0 + i)
-                p_vals.append(2.0 * w.foothold + p_prox)
-            q[p0:p0 + 3] += -2.0 * w.foothold * p_nom[(t, e)]
-            if inputs.p_reg is not None:
-                q[p0:p0 + 3] += -p_prox * np.asarray(inputs.p_reg[(t, e)], dtype=float)
-            if ph.flat_foot:
-                z0 = layout.span("z", t, e).start
-                for i in range(2):
-                    p_rows.append(z0 + i)
-                    p_cols.append(z0 + i)
-                    p_vals.append(2.0 * w.zmp)
+    def positions(slots):
+        return pattern.positions(np.array(slots, dtype=np.int64).reshape(-1, 6))
 
-    m_c = row
-    P = TripletPattern(p_rows, p_cols, (n, n)).assemble(p_vals)
-    A = TripletPattern(a_rows, a_cols, (m_c, n)).assemble(a_vals)
-    return SparseQP(n=n, m_c=m_c, P=P, q=q, A=A,
-                    lo=np.array(lo), hi=np.array(hi), layout=layout)
+    return _Structure(
+        layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
+        pairs=tuple(plan.active_pairs()), r_skew_pos=positions(r_skew),
+        p_skew_pos=positions(p_skew), p_cols=np.array(p_cols, dtype=np.int64).reshape(-1, 3),
+        flat=np.array(flat, dtype=np.int64),
+        z_rotation=np.array(z_rotation, dtype=float).reshape(-1, 2, 3),
+        z_pos=positions(z_slots), k_rows=np.array(k_rows, dtype=np.int64).reshape(-1, 3),
+        z_cols=layout.columns("z"))
 
 
-def _skew_np(v):
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
+    plan = inputs.plan
+    s = _structure(plan)
+    w, layout, dt = inputs.weights, s.layout, plan.dt
+    f = stack_vectors(inputs.f_fixed[pair] for pair in s.pairs)
+    a_data = s.a_data.copy()
+    skew_f = dt * skew_entries(f)
+    # Several contacts at one timestep share the r_t slots: accumulate.
+    np.add.at(a_data, s.r_skew_pos, -skew_f)
+    a_data[s.p_skew_pos] = skew_f
+    # skew(f) R^{xy} column j is f x R[:, j].
+    z_block = np.cross(f[s.flat, None, :], s.z_rotation)
+    a_data[s.z_pos] = dt * z_block.transpose(0, 2, 1).reshape(-1, 6)
+    # Flat feet without a fixed torque contribute none.
+    tau_fixed = inputs.tau_fixed or {}
+    tau = dt * stack_vectors(tau_fixed.get(s.pairs[i], np.zeros(3)) for i in s.flat)
+    lo, hi = s.lo.copy(), s.hi.copy()
+    np.add.at(lo, s.k_rows, tau)
+    np.add.at(hi, s.k_rows, tau)
+
+    # No tracking term here: the state is anchored through the proximal pull
+    # toward the force solve.
+    p_prox = inputs.l_prox if inputs.p_reg is not None else 0.0
+    d = np.zeros(layout.n)
+    d[s.z_cols] = 2.0 * w.zmp
+    np.add.at(d, s.p_cols, 2.0 * w.foothold + p_prox)
+    d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
+    reg = stack_states(inputs.h_reg)
+    reg[:, 3:6] = stack_vectors(inputs.l_reg)
+    q = np.zeros(layout.n)
+    q[s.state_cols] = (-2.0 * w.running_h * stack_states(inputs.references.h_kin)
+                       - inputs.l_prox * reg)
+    p_nom = nominal_footholds(plan, inputs.references)
+    q_p = [-2.0 * w.foothold * stack_vectors(p_nom[pair] for pair in s.pairs)]
+    if inputs.p_reg is not None:
+        q_p.append(-p_prox * stack_vectors(inputs.p_reg[pair] for pair in s.pairs))
+    # A phase's foothold gathers one term per covered timestep, summed in
+    # timestep order with the nominal pull before the proximal one.
+    q_p = np.stack(q_p, axis=1)
+    np.add.at(q, np.broadcast_to(s.p_cols[:, None, :], q_p.shape), q_p)
+    return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
+                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -272,20 +250,12 @@ class ContactIterate:
     zmps: Mapping[tuple[int, str], np.ndarray]
     ells: Mapping[tuple[int, str], np.ndarray]
 
-    def stacked_ells(self, plan: ContactPlan) -> np.ndarray:
-        return np.concatenate([self.ells[pair] for pair in plan.active_pairs()]) \
-            if plan.active_pairs() else np.zeros(0)
-
 
 def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
                             plan: ContactPlan) -> ContactIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    states = []
-    for t in range(plan.horizon):
-        h = np.concatenate([sol.x[layout.span("r", t)], sol.x[layout.span("l", t)],
-                            sol.x[layout.span("k", t)]])
-        states.append(CentroidalState.from_stacked(h))
+    states = extract_states(sol.x, layout)
     footholds, zmps, ells = {}, {}, {}
     for t in range(plan.horizon):
         for ph in plan.active_contacts(t):
@@ -298,4 +268,4 @@ def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
                 zmps[(t, e)] = z
                 ell = ell + ph.rotation[:, :2] @ z
             ells[(t, e)] = ell
-    return ContactIterate(states=tuple(states), footholds=footholds, zmps=zmps, ells=ells)
+    return ContactIterate(states=states, footholds=footholds, zmps=zmps, ells=ells)

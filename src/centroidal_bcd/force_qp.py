@@ -12,20 +12,25 @@ the whole trajectory problem over (h, f, tau, z) is one convex QP:
   - diagonal quadratic cost: running penalties, reference tracking, and the
     proximal pull toward the previous contact solve's momentum trajectory.
 
-The sparsity pattern depends only on the contact plan, never on the fixed
-lever-arm values, so consecutive outer iterations can update solver values in
-place.
+The layout, sparsity pattern, constant entries and bounds depend only on the
+contact plan, so they are built once per plan; each build copies them and
+fills in the lever-arm, foothold and cost values with numpy. The helpers both
+trajectory QPs share (state columns, recursion and center-of-pressure rows,
+state extraction) live here too.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .model import CentroidalState, ContactPlan
-from .qp.problem import QpSolution, SparseQP, TripletPattern, VariableLayout
+from .qp.problem import QpSolution, RowBuilder, SparseQP, TripletPattern, VariableLayout, \
+    diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -88,6 +93,13 @@ class CostWeights:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} weight must be nonnegative")
 
+    def state(self, references: ReferenceSet) -> np.ndarray:
+        """(N, 9) weights on each state's deviation from its reference:
+        tracking, plus ``terminal`` on the last timestep, plus ``running_h``."""
+        W = np.array([references.weight_at(t, self.tracking) for t in range(len(references))])
+        W[-1] += self.terminal
+        return W + self.running_h
+
 
 @dataclass(frozen=True)
 class ForceQpInputs:
@@ -127,6 +139,79 @@ class ForceQpInputs:
                     f"(missing {sorted(missing)!r}, extra {sorted(extra)!r})")
 
 
+# Off-diagonal (i, j) entries of a 3x3 cross-product matrix, and the sign and
+# component of v giving skew(v)[i, j] for each.
+SKEW_IJ = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_SKEW_COMPONENT = np.array([2, 1, 2, 0, 1, 0])
+
+
+def skew_entries(V: np.ndarray) -> np.ndarray:
+    """(k, 6) values of skew(v) at ``SKEW_IJ`` for each row v of ``V``."""
+    return _SKEW_SIGN * V[:, _SKEW_COMPONENT]
+
+
+def per_plan(build):
+    """Cache ``build(plan)`` for as long as the plan lives. Plans hash by
+    identity; the cached value must not refer back to its plan."""
+    cache = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(plan: ContactPlan):
+        if plan not in cache:
+            cache[plan] = build(plan)
+        return cache[plan]
+
+    return cached
+
+
+def stack_vectors(vectors, width: int = 3) -> np.ndarray:
+    """(k, width) float array, one row per vector."""
+    return np.array(list(vectors), dtype=float).reshape(-1, width)
+
+
+def stack_states(states) -> np.ndarray:
+    """(N, 9) stacked (r, l, k) of a state sequence."""
+    return stack_vectors((s.stacked() for s in states), width=9)
+
+
+def state_columns(layout: VariableLayout) -> np.ndarray:
+    """(N, 9) columns of the state at each timestep. Both trajectory layouts
+    place (r, l, k) of one timestep in nine consecutive columns."""
+    return layout.columns("r")[::3, None] + np.arange(9)
+
+
+def extract_states(x: np.ndarray, layout: VariableLayout) -> tuple[CentroidalState, ...]:
+    return tuple(CentroidalState.from_stacked(h) for h in x[state_columns(layout)])
+
+
+def recursion_rows(rb: RowBuilder, plan: ContactPlan, cols: np.ndarray, t: int,
+                   quantity: str, rhs: np.ndarray) -> int:
+    """Open the rows x_t - x_{t-1} (+ terms placed by the caller) = rhs of the
+    state quantity "r", "l" or "k", with x_{-1} the plan's initial state
+    moved to the right-hand side. Returns the first row."""
+    c = 3 * "rlk".index(quantity)
+    if t == 0:
+        rhs = rhs + plan.h0.stacked()[c:c + 3]
+    row = rb.rows(rhs, rhs)
+    rb.diag(row, cols[t, c], 1.0)
+    if t > 0:
+        rb.diag(row, cols[t - 1, c], -1.0)
+    return row
+
+
+def com_rows(rb: RowBuilder, plan: ContactPlan, cols: np.ndarray, t: int) -> None:
+    """CoM recursion r_t - r_{t-1} - (dt/m) l_t = 0."""
+    row = recursion_rows(rb, plan, cols, t, "r", np.zeros(3))
+    rb.diag(row, cols[t, 3], -plan.dt / plan.mass)
+
+
+def zmp_rows(rb: RowBuilder, phase, z0: int) -> None:
+    """Center-of-pressure box of a flat-foot contact."""
+    zlo, zhi = phase.zmp_lo_hi()
+    rb.diag(rb.rows(zlo, zhi), z0, 1.0, size=2)
+
+
 def _force_layout(plan: ContactPlan) -> VariableLayout:
     entries = []
     col = 0
@@ -146,161 +231,92 @@ def _force_layout(plan: ContactPlan) -> VariableLayout:
     return VariableLayout(n=col, entries=tuple(entries))
 
 
-def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
-    plan = inputs.plan
+@dataclass(frozen=True)
+class _Structure:
+    """Plan-only part of the Force-QP. Per-pair arrays follow
+    ``plan.active_pairs()``."""
+
+    layout: VariableLayout
+    pattern: TripletPattern
+    a_data: np.ndarray        # constant entries; the skew slots hold zero
+    lo: np.ndarray            # kinematic rows hold -L and +L; builds add p_fixed
+    hi: np.ndarray
+    state_cols: np.ndarray    # (N, 9)
+    pairs: tuple[tuple[int, str], ...]
+    skew_pos: np.ndarray      # (pairs, 6) A.data positions of -dt skew(ell)
+    kin_rows: np.ndarray      # (pairs, 3)
+    weight_kind: np.ndarray   # (n,) scalar cost weight per column: 1 f, 2 tau, 3 z, 0 none
+
+
+@per_plan
+def _structure(plan: ContactPlan) -> _Structure:
     N, dt, m = plan.horizon, plan.dt, plan.mass
-    w = inputs.weights
     layout = _force_layout(plan)
-    n = layout.n
-
-    p_rows, p_cols, p_vals = [], [], []
-    a_rows, a_cols, a_vals = [], [], []
-    q = np.zeros(n)
-    lo, hi = [], []
-    row = 0
-
-    def add_block(r0, c0, M):
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                a_rows.append(r0 + i)
-                a_cols.append(c0 + j)
-                a_vals.append(M[i, j])
-
-    def add_diag(r0, c0, value, size=3):
-        for i in range(size):
-            a_rows.append(r0 + i)
-            a_cols.append(c0 + i)
-            a_vals.append(value)
-
-    h0 = plan.h0
+    cols = state_columns(layout)
+    rb = RowBuilder()
+    skew_slots, kin_rows = [], []
     for t in range(N):
-        r_t = layout.span("r", t).start
-        l_t = layout.span("l", t).start
-        k_t = layout.span("k", t).start
         contacts = plan.active_contacts(t)
-
-        # r_t - r_{t-1} - (dt/m) l_t = [r_init at t=0]
-        add_diag(row, r_t, 1.0)
-        add_diag(row, l_t, -dt / m)
-        if t > 0:
-            add_diag(row, layout.span("r", t - 1).start, -1.0)
-            rhs_r = np.zeros(3)
-        else:
-            rhs_r = h0.r
-        lo.extend(rhs_r)
-        hi.extend(rhs_r)
-        row += 3
-
-        # l_t - l_{t-1} - dt sum_e f = m g dt [+ l_init at t=0]
-        add_diag(row, l_t, 1.0)
+        com_rows(rb, plan, cols, t)
+        # l_t - l_{t-1} - dt sum_e f = m g dt
+        row = recursion_rows(rb, plan, cols, t, "l", m * plan.gravity * dt)
         for ph in contacts:
-            add_diag(row, layout.span("f", t, ph.end_effector_id).start, -dt)
-        rhs_l = m * plan.gravity * dt
-        if t > 0:
-            add_diag(row, layout.span("l", t - 1).start, -1.0)
-        else:
-            rhs_l = rhs_l + h0.l
-        lo.extend(rhs_l)
-        hi.extend(rhs_l)
-        row += 3
-
-        # k_t - k_{t-1} - dt sum_e (ell x f + tau) = [k_init at t=0]
-        add_diag(row, k_t, 1.0)
+            rb.diag(row, layout.span("f", t, ph.end_effector_id).start, -dt)
+        # k_t - k_{t-1} - dt sum_e (ell x f + tau) = 0. The coefficient on f
+        # is -dt skew(ell); its six off-diagonal slots stay structural so the
+        # pattern does not depend on the lever arms.
+        row = recursion_rows(rb, plan, cols, t, "k", np.zeros(3))
         for ph in contacts:
             e = ph.end_effector_id
-            ell = np.asarray(inputs.ell_fixed[(t, e)], dtype=float)
-            lx, ly, lz = ell
-            f0 = layout.span("f", t, e).start
-            # Coefficient on f is -dt * skew(ell); all six off-diagonal slots
-            # are kept even when zero so the pattern is invariant across
-            # outer iterations.
-            for (i, j, v) in ((0, 1, lz), (0, 2, -ly), (1, 0, -lz),
-                              (1, 2, lx), (2, 0, ly), (2, 1, -lx)):
-                a_rows.append(row + i)
-                a_cols.append(f0 + j)
-                a_vals.append(dt * v)
+            skew_slots.append(rb.slots(row, layout.span("f", t, e).start, SKEW_IJ))
             if ph.flat_foot:
-                add_diag(row, layout.span("tau", t, e).start, -dt)
-        if t > 0:
-            add_diag(row, layout.span("k", t - 1).start, -1.0)
-            rhs_k = np.zeros(3)
-        else:
-            rhs_k = h0.k
-        lo.extend(rhs_k)
-        hi.extend(rhs_k)
-        row += 3
-
+                rb.diag(row, layout.span("tau", t, e).start, -dt)
         for ph in contacts:
             e = ph.end_effector_id
             f0 = layout.span("f", t, e).start
-            R = ph.rotation
-            mu = ph.friction_coeff
+            R, mu = ph.rotation, ph.friction_coeff
             rx, ry, rz = R[:, 0], R[:, 1], R[:, 2]
             # Friction pyramid in the contact frame.
-            for axis in (rx, ry):
-                add_block(row, f0, (axis - mu * rz).reshape(1, 3))
-                lo.append(-np.inf)
-                hi.append(0.0)
-                row += 1
-                add_block(row, f0, (axis + mu * rz).reshape(1, 3))
-                lo.append(0.0)
-                hi.append(np.inf)
-                row += 1
-            add_block(row, f0, rz.reshape(1, 3))
-            lo.append(0.0)
-            hi.append(np.inf)
-            row += 1
+            row = rb.rows([-np.inf, 0.0, -np.inf, 0.0, 0.0], [0.0, np.inf, 0.0, np.inf, np.inf])
+            rb.block(row, f0, [rx - mu * rz, rx + mu * rz, ry - mu * rz, ry + mu * rz, rz])
             # Per-axis kinematic box |p_fixed - r| <= L_max.
-            p_fix = np.asarray(inputs.p_fixed[(t, e)], dtype=float)
-            add_diag(row, r_t, 1.0)
-            lo.extend(p_fix - plan.kinematic_limit)
-            hi.extend(p_fix + plan.kinematic_limit)
-            row += 3
+            row = rb.rows(np.full(3, -plan.kinematic_limit), plan.kinematic_limit)
+            rb.diag(row, cols[t, 0], 1.0)
+            kin_rows.append(range(row, row + 3))
             if ph.flat_foot:
-                z0 = layout.span("z", t, e).start
-                zlo, zhi = ph.zmp_lo_hi()
-                add_diag(row, z0, 1.0, size=2)
-                lo.extend(zlo)
-                hi.extend(zhi)
-                row += 2
+                zmp_rows(rb, ph, layout.span("z", t, e).start)
+    pattern, a_data, lo, hi = rb.build(layout.n)
+    weight_kind = np.zeros(layout.n, dtype=np.int64)
+    for kind, quantity in enumerate(("f", "tau", "z"), start=1):
+        weight_kind[layout.columns(quantity)] = kind
+    return _Structure(
+        layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
+        pairs=tuple(plan.active_pairs()),
+        skew_pos=pattern.positions(np.array(skew_slots, dtype=np.int64).reshape(-1, 6)),
+        kin_rows=np.array(kin_rows, dtype=np.int64).reshape(-1, 3), weight_kind=weight_kind)
 
-        # Diagonal cost blocks for this timestep.
-        track = inputs.references.weight_at(t, w.tracking).copy()
-        if t == N - 1:
-            track = track + w.terminal
-        wh = track + w.running_h
-        h_kin = inputs.references.h_kin[t].stacked()
-        for i in range(9):
-            p_rows.append(r_t + i)
-            p_cols.append(r_t + i)
-            p_vals.append(2.0 * wh[i] + inputs.l_prox)
-        q[r_t:r_t + 9] += -2.0 * wh * h_kin
-        if inputs.h_reg is not None and inputs.l_prox > 0.0:
-            q[r_t:r_t + 9] += -inputs.l_prox * inputs.h_reg[t].stacked()
-        for ph in contacts:
-            e = ph.end_effector_id
-            f0 = layout.span("f", t, e).start
-            for i in range(3):
-                p_rows.append(f0 + i)
-                p_cols.append(f0 + i)
-                p_vals.append(2.0 * w.force)
-            if ph.flat_foot:
-                tau0 = layout.span("tau", t, e).start
-                z0 = layout.span("z", t, e).start
-                for i in range(3):
-                    p_rows.append(tau0 + i)
-                    p_cols.append(tau0 + i)
-                    p_vals.append(2.0 * w.torque)
-                for i in range(2):
-                    p_rows.append(z0 + i)
-                    p_cols.append(z0 + i)
-                    p_vals.append(2.0 * w.zmp)
 
-    m_c = row
-    P = TripletPattern(p_rows, p_cols, (n, n)).assemble(p_vals)
-    A = TripletPattern(a_rows, a_cols, (m_c, n)).assemble(a_vals)
-    return SparseQP(n=n, m_c=m_c, P=P, q=q, A=A,
-                    lo=np.array(lo), hi=np.array(hi), layout=layout)
+def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
+    s = _structure(inputs.plan)
+    w, layout = inputs.weights, s.layout
+    ell = stack_vectors(inputs.ell_fixed[pair] for pair in s.pairs)
+    a_data = s.a_data.copy()
+    a_data[s.skew_pos] = -inputs.plan.dt * skew_entries(ell)
+    p_fixed = stack_vectors(inputs.p_fixed[pair] for pair in s.pairs)
+    lo, hi = s.lo.copy(), s.hi.copy()
+    lo[s.kin_rows] += p_fixed
+    hi[s.kin_rows] += p_fixed
+
+    W = w.state(inputs.references)
+    d = 2.0 * np.array([0.0, w.force, w.torque, w.zmp])[s.weight_kind]
+    d[s.state_cols] = 2.0 * W + inputs.l_prox
+    q_state = -2.0 * W * stack_states(inputs.references.h_kin)
+    if inputs.h_reg is not None and inputs.l_prox > 0.0:
+        q_state = q_state - inputs.l_prox * stack_states(inputs.h_reg)
+    q = np.zeros(layout.n)
+    q[s.state_cols] = q_state
+    return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
+                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -312,42 +328,24 @@ class ForceIterate:
     torques: Mapping[tuple[int, str], np.ndarray]
     zmps: Mapping[tuple[int, str], np.ndarray]
 
-    def momentum_trajectory(self) -> np.ndarray:
-        return np.array([s.stacked() for s in self.states])
-
 
 def extract_force_iterate(sol: QpSolution, layout: VariableLayout) -> ForceIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    states = []
-    forces, torques, zmps = {}, {}, {}
-    t = 0
-    while layout.has("r", t):
-        h = np.concatenate([sol.x[layout.span("r", t)], sol.x[layout.span("l", t)],
-                            sol.x[layout.span("k", t)]])
-        states.append(CentroidalState.from_stacked(h))
-        t += 1
-    for quantity, tt, eff, start, stop in layout.entries:
-        if quantity == "f":
-            forces[(tt, eff)] = sol.x[start:stop].copy()
-        elif quantity == "tau":
-            torques[(tt, eff)] = sol.x[start:stop].copy()
-        elif quantity == "z":
-            zmps[(tt, eff)] = sol.x[start:stop].copy()
-    return ForceIterate(states=tuple(states), forces=forces, torques=torques, zmps=zmps)
+    parts = {"f": {}, "tau": {}, "z": {}}
+    for quantity, t, eff, start, stop in layout.entries:
+        if quantity in parts:
+            parts[quantity][(t, eff)] = sol.x[start:stop].copy()
+    return ForceIterate(states=extract_states(sol.x, layout), forces=parts["f"],
+                        torques=parts["tau"], zmps=parts["z"])
 
 
 def force_original_cost(iterate: ForceIterate, references: ReferenceSet,
                         weights: CostWeights, plan: ContactPlan) -> float:
     """Running plus tracking cost of a force iterate, without proximal terms."""
     total = 0.0
-    N = plan.horizon
-    for t, state in enumerate(iterate.states):
-        track = references.weight_at(t, weights.tracking).copy()
-        if t == N - 1:
-            track = track + weights.terminal
-        wh = track + weights.running_h
-        dh = state.stacked() - references.h_kin[t].stacked()
+    for state, h_kin, wh in zip(iterate.states, references.h_kin, weights.state(references)):
+        dh = state.stacked() - h_kin.stacked()
         total += float(dh @ (wh * dh))
     for f in iterate.forces.values():
         total += weights.force * float(f @ f)

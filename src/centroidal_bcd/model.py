@@ -202,21 +202,21 @@ class ContactPhase:
                 raise ValueError(
                     f"foothold hint for {self.end_effector_id} lies outside its surface")
 
-    def active_at(self, t: int) -> bool:
-        return self.t_start <= t < self.t_end
-
     def zmp_lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
         (xlo, xhi), (ylo, yhi) = self.zmp_bounds
         return np.array([xlo, ylo]), np.array([xhi, yhi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactPlan:
     """Contact schedule plus the physical constants of one optimization problem.
 
     ``horizon`` timesteps of length ``dt``; end-effector activity is defined by
     ``phases``. ``nominal_offsets`` are per-effector foot positions relative to
     the CoM, used for reference generation and lever-arm initialization.
+
+    Plans compare and hash by identity, so structures derived from one plan
+    can be cached against it.
     """
 
     effector_ids: tuple[str, ...]
@@ -253,32 +253,32 @@ class ContactPlan:
                     f"phase window [{ph.t_start}, {ph.t_end}) outside horizon {self.horizon}")
             if ph.end_effector_id not in offsets:
                 raise ValueError(f"no nominal offset for effector {ph.end_effector_id!r}")
-        for e in known:
-            windows = sorted((p.t_start, p.t_end) for p in self.phases
-                             if p.end_effector_id == e)
-            for (s0, e0), (s1, _) in zip(windows, windows[1:]):
-                if s1 < e0:
-                    raise ValueError(
-                        f"effector {e!r} has overlapping phases at timesteps [{s1}, {e0})")
+        active = [[] for _ in range(self.horizon)]
+        for e in self.effector_ids:
+            windows = sorted((p for p in self.phases if p.end_effector_id == e),
+                             key=lambda p: p.t_start)
+            for a, b in zip(windows, windows[1:]):
+                if b.t_start < a.t_end:
+                    raise ValueError(f"effector {e!r} has overlapping phases at timesteps "
+                                     f"[{b.t_start}, {a.t_end})")
+            for ph in windows:
+                for t in range(ph.t_start, ph.t_end):
+                    active[t].append(ph)
+        object.__setattr__(self, "_active", {t: tuple(a) for t, a in enumerate(active)})
 
     @property
     def n_effectors(self) -> int:
         return len(self.effector_ids)
 
     def phase_at(self, t: int, effector: str) -> ContactPhase | None:
-        for ph in self.phases:
-            if ph.end_effector_id == effector and ph.active_at(t):
+        for ph in self._active.get(t, ()):
+            if ph.end_effector_id == effector:
                 return ph
         return None
 
     def active_contacts(self, t: int) -> list[ContactPhase]:
         """Phases active at timestep t, in declared effector order."""
-        out = []
-        for e in self.effector_ids:
-            ph = self.phase_at(t, e)
-            if ph is not None:
-                out.append(ph)
-        return out
+        return list(self._active.get(t, ()))
 
     def active_pairs(self) -> list[tuple[int, str]]:
         """All (t, effector) pairs with an active contact, t-major order."""

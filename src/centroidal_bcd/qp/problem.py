@@ -22,7 +22,9 @@ __all__ = [
     "VariableLayout",
     "SolverSettings",
     "QpSolution",
+    "RowBuilder",
     "TripletPattern",
+    "diagonal",
     "pattern_hash",
 ]
 
@@ -76,8 +78,75 @@ class TripletPattern:
             raise ValueError(f"expected {self.n_slots} slot values, got {values.shape}")
         data = np.zeros(self.nnz)
         np.add.at(data, self._slot_to_pos, values)
+        return self.matrix(data)
+
+    def positions(self, slots) -> np.ndarray:
+        """Positions in the assembled ``data`` array of the given slots."""
+        return self._slot_to_pos[slots]
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix of this pattern holding ``data`` (not copied)."""
         return sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
+
+
+class RowBuilder:
+    """Constraint rows of a fixed sparsity pattern, placed block by block.
+
+    ``rows`` opens rows with their bounds and returns the first row index;
+    ``diag``, ``block`` and ``slots`` place entries in opened rows. Entries on
+    the same (row, column) accumulate, and zeros stay structural. ``slots``
+    reserves zero entries for values that change between instances and
+    returns their slot indices, which ``TripletPattern.positions`` maps into
+    the assembled ``data`` array.
+    """
+
+    def __init__(self):
+        self._rows, self._cols, self._vals, self._lo, self._hi = [], [], [], [], []
+
+    def rows(self, lo, hi) -> int:
+        """Open one row per entry of ``lo``; a scalar ``hi`` bounds them all."""
+        r0 = len(self._lo)
+        self._lo.extend(lo)
+        self._hi.extend(hi if np.ndim(hi) else [hi] * (len(self._lo) - r0))
+        return r0
+
+    def diag(self, r0: int, c0: int, value: float, size: int = 3) -> None:
+        self._place([r0 + k for k in range(size)], [c0 + k for k in range(size)],
+                    [value] * size)
+
+    def block(self, r0: int, c0: int, M) -> None:
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        h, w = M.shape
+        self._place([r0 + i for i in range(h) for _ in range(w)],
+                    [c0 + j for _ in range(h) for j in range(w)], M.ravel().tolist())
+
+    def slots(self, r0: int, c0: int, ij) -> range:
+        return self._place([r0 + i for i, _ in ij], [c0 + j for _, j in ij], [0.0] * len(ij))
+
+    def _place(self, rows, cols, vals) -> range:
+        start = len(self._rows)
+        self._rows.extend(rows)
+        self._cols.extend(cols)
+        self._vals.extend(vals)
+        return range(start, len(self._rows))
+
+    def build(self, n: int) -> tuple[TripletPattern, np.ndarray, np.ndarray, np.ndarray]:
+        """The pattern over ``n`` columns, its assembled ``data`` (reserved
+        slots zero), and the lower and upper row bounds, all read-only:
+        instances fill copies of them."""
+        pattern = TripletPattern(self._rows, self._cols, (len(self._lo), n))
+        arrays = (pattern.assemble(self._vals).data, np.array(self._lo, dtype=float),
+                  np.array(self._hi, dtype=float))
+        for a in arrays:
+            a.setflags(write=False)
+        return (pattern, *arrays)
+
+
+def diagonal(d: np.ndarray) -> sp.csc_matrix:
+    """Diagonal CSC matrix storing every diagonal entry, zeros included."""
+    k = np.arange(d.size + 1, dtype=np.int32)
+    return sp.csc_matrix((d, k[:-1], k), shape=(d.size, d.size))
 
 
 def pattern_hash(M: sp.spmatrix) -> int:
@@ -127,6 +196,11 @@ class VariableLayout:
 
     def has(self, quantity: str, t: int, effector: str | None = None) -> bool:
         return (quantity, t, effector) in self._lookup
+
+    def columns(self, quantity: str) -> np.ndarray:
+        """Columns of every entry of ``quantity``, in entry order."""
+        return np.array([c for q, _, _, start, stop in self.entries if q == quantity
+                         for c in range(start, stop)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,34 @@ def monopod_plan(N=5, mass=2.0, mu=0.8, L_max=0.4) -> ContactPlan:
     return ContactPlan(effector_ids=("FOOT",), phases=tuple(phases), horizon=N, dt=0.02,
                        mass=mass, h0=CentroidalState(r0, np.zeros(3), np.zeros(3)),
                        kinematic_limit=L_max, nominal_offsets=offsets)
+
+
+def _tilt(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def flat_foot_plan(N=8) -> ContactPlan:
+    """Two flat feet on tilted contact frames (one lifting off and landing
+    again) plus a point contact that joins late."""
+    zmp = ((-0.05, 0.05), (-0.03, 0.03))
+    feet = {"FL": [(0, 4, 0.2), (6, N, -0.1)], "FR": [(0, N, 0.15)]}
+    phases = [ContactPhase(e, t0, t1, flat_patch(*QUAD_OFFSETS[e][:2]), rotation=_tilt(a),
+                           flat_foot=True, zmp_bounds=zmp,
+                           foothold_hint=np.array([*QUAD_OFFSETS[e][:2], 0.0]))
+              for e, windows in feet.items() for t0, t1, a in windows]
+    off = QUAD_OFFSETS["HL"]
+    phases.append(ContactPhase("HL", 2, N, flat_patch(off[0], off[1]),
+                               foothold_hint=np.array([off[0], off[1], 0.0])))
+    offsets = {e: QUAD_OFFSETS[e] for e in ("FL", "FR", "HL")}
+    return ContactPlan(effector_ids=tuple(offsets), phases=tuple(phases), horizon=N, dt=0.01,
+                       mass=2.5, h0=CentroidalState((0.0, 0.0, 0.22), (0.0, 0.0, 0.0),
+                                                    (0.0, 0.01, 0.0)),
+                       kinematic_limit=0.35, nominal_offsets=offsets)
+
+
+def qp_arrays(qp) -> list[np.ndarray]:
+    """Copies of every array of an assembled QP: P and A (indptr, indices,
+    data), q, lo and hi."""
+    return [np.array(a) for a in (qp.P.indptr, qp.P.indices, qp.P.data, qp.A.indptr,
+                                  qp.A.indices, qp.A.data, qp.q, qp.lo, qp.hi)]

@@ -11,7 +11,9 @@ from centroidal_bcd.bcd import (
 from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, \
     verify_trajectory
-from centroidal_bcd.qp import SolverSettings
+from centroidal_bcd.gaits import make_gait
+from centroidal_bcd.qp import SolverSettings, VariableLayout
+from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_patch, hover_plan, hover_references
 
@@ -135,3 +137,20 @@ def test_settings_validation():
         BcdSettings(eps_f=-1e-9)
     with pytest.raises(ValueError, match="proximal"):
         BcdSettings(L0_force=-1.0)
+
+
+def test_each_block_builds_one_layout_per_optimize(monkeypatch):
+    # A block's structure, layout included, depends only on the plan: one
+    # optimize() builds it once per block, however many QPs it assembles.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    constructed = []
+    real_post_init = VariableLayout.__post_init__
+
+    def counting_post_init(self):
+        constructed.append(self.n)
+        real_post_init(self)
+
+    monkeypatch.setattr(VariableLayout, "__post_init__", counting_post_init)
+    result = optimize(plan, refs, settings, weights)
+    assert len(result.records) >= 2  # at least three force and two contact builds
+    assert len(constructed) == 2

@@ -16,7 +16,7 @@ from centroidal_bcd.qp import SolverSettings, VariableLayout, pattern_hash, setu
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
-from conftest import hover_plan, hover_references, monopod_plan
+from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, qp_arrays
 
 vec3 = st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=3)
 
@@ -205,3 +205,63 @@ def test_missing_force_rejected():
     partial = {pair: np.zeros(3) for pair in plan.active_pairs()[:-1]}
     with pytest.raises(ValueError, match="active"):
         _contact_inputs(plan, refs, partial, tuple(refs.h_kin))
+
+
+def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
+    # Angular momentum rows carry ell x f + tau with ell = p - r + R^{xy} z.
+    plan = flat_foot_plan()
+    refs = hover_references(plan)
+    rng = np.random.default_rng(6)
+    f0 = {pair: np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)])
+          for pair in plan.active_pairs()}
+    flat = [pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot]
+    tau = {pair: rng.normal(0, 0.05, size=3) for pair in flat[1:]}
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0,
+                                          tau_fixed=tau))
+    sol = setup(qp, validate=False).solve()
+    assert sol.solved
+    it = extract_contact_iterate(sol, qp.layout, plan)
+    assert set(it.zmps) == set(flat)
+    assert max(np.max(np.abs(z)) for z in it.zmps.values()) > 1e-4
+    prev_k = plan.h0.k
+    for t in range(plan.horizon):
+        kappa = np.zeros(3)
+        for ph in plan.active_contacts(t):
+            pair = (t, ph.end_effector_id)
+            ell = it.footholds[pair] - it.states[t].r
+            if ph.flat_foot:
+                ell = ell + ph.rotation[:, :2] @ it.zmps[pair]
+            assert np.allclose(ell, it.ells[pair])
+            kappa += np.cross(ell, f0[pair]) + tau.get(pair, np.zeros(3))
+        assert np.max(np.abs(it.states[t].k - (prev_k + kappa * plan.dt))) < 1e-7
+        prev_k = it.states[t].k
+
+
+def test_cached_structure_keeps_builds_independent():
+    # The plan-only structure is cached; each build must still return its own
+    # arrays, determined by its own inputs alone.
+    plan_a, plan_b = flat_foot_plan(), hover_plan(N=4)
+    refs_a, refs_b = hover_references(plan_a), hover_references(plan_b)
+    pairs = plan_a.active_pairs()
+    flat = [pair for pair in pairs if plan_a.phase_at(*pair).flat_foot]
+    x = _contact_inputs(plan_a, refs_a, {pair: np.array([0.1, -0.2, 6.0]) for pair in pairs},
+                        tuple(refs_a.h_kin), l_prox=10.0,
+                        tau_fixed={pair: np.array([0.01, 0.0, -0.02]) for pair in flat})
+    rng = np.random.default_rng(7)
+    y = _contact_inputs(plan_a, refs_a, {pair: rng.normal(size=3) for pair in pairs},
+                        tuple(refs_a.h_kin), l_prox=30.0,
+                        p_reg=nominal_footholds(plan_a, refs_a),
+                        tau_fixed={pair: rng.normal(size=3) for pair in flat})
+    first = build_contact_qp(x)
+    expected = qp_arrays(first)
+    first.A.data[:] = 7.0
+    first.lo[:] = -7.0
+    second = build_contact_qp(y)
+    assert not np.array_equal(second.A.data, expected[5])
+    assert not np.array_equal(second.lo, expected[7])
+    second.A.data[:] = 5.0
+    second.lo[:] = -5.0
+    f_b = {pair: np.zeros(3) for pair in plan_b.active_pairs()}
+    build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, tuple(refs_b.h_kin)))
+    for got, want in zip(qp_arrays(build_contact_qp(x)), expected):
+        assert np.array_equal(got, want)

@@ -1,6 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import centroidal_bcd.force_qp as force_qp_module
+
+from centroidal_bcd.bcd import force_trajectory
 from centroidal_bcd.force_qp import (
     CostWeights,
     ForceQpInputs,
@@ -9,11 +15,11 @@ from centroidal_bcd.force_qp import (
     extract_force_iterate,
     force_original_cost,
 )
-from centroidal_bcd.model import CentroidalState
+from centroidal_bcd.model import CentroidalState, verify_trajectory
 from centroidal_bcd.qp import QpSolution, SolverSettings, pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
 
-from conftest import hover_plan, hover_references, monopod_plan
+from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, qp_arrays
 
 
 def _nominal_geometry(plan, refs):
@@ -193,3 +199,52 @@ def test_original_cost_matches_quadratic_objective_when_unregularized():
         const += float(h_kin @ ((track + w.running_h) * h_kin))
     assert force_original_cost(it, refs, w, plan) == pytest.approx(
         sol.objective + const, abs=1e-6)
+
+
+def test_flat_feet_carry_torques_and_centers_of_pressure():
+    plan = flat_foot_plan()
+    refs = hover_references(plan)
+    ell, p = _nominal_geometry(plan, refs)
+    qp = build_force_qp(_inputs(plan, refs))
+    sol = setup(qp, validate=False).solve()
+    assert sol.solved
+    it = extract_force_iterate(sol, qp.layout)
+    flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}
+    assert set(it.torques) == set(it.zmps) == flat
+    report = verify_trajectory(force_trajectory(it, ell, p, plan), plan, tol=1e-6)
+    assert report.feasible, report.as_dict()
+
+
+def test_cached_structure_keeps_builds_independent():
+    # The plan-only structure is cached; each build must still return its own
+    # arrays, determined by its own inputs alone.
+    plan_a, plan_b = flat_foot_plan(), hover_plan(N=4)
+    refs_a = hover_references(plan_a)
+    x = _inputs(plan_a, refs_a)
+    rng = np.random.default_rng(4)
+    y = ForceQpInputs(plan=plan_a,
+                      ell_fixed={k: v + rng.normal(scale=0.05, size=3)
+                                 for k, v in x.ell_fixed.items()},
+                      p_fixed={k: v + 0.01 for k, v in x.p_fixed.items()},
+                      references=refs_a, h_reg=tuple(refs_a.h_kin), l_prox=3.0)
+    first = build_force_qp(x)
+    expected = qp_arrays(first)
+    first.A.data[:] = 7.0
+    first.lo[:] = -7.0
+    second = build_force_qp(y)
+    assert not np.array_equal(second.A.data, expected[5])
+    second.A.data[:] = 5.0
+    second.lo[:] = -5.0
+    build_force_qp(_inputs(plan_b, hover_references(plan_b)))
+    for got, want in zip(qp_arrays(build_force_qp(x)), expected):
+        assert np.array_equal(got, want)
+
+
+def test_cached_structure_is_released_with_its_plan():
+    plan = hover_plan(N=3)
+    structure = weakref.ref(force_qp_module._structure(plan))
+    build_force_qp(_inputs(plan, hover_references(plan)))
+    assert structure() is force_qp_module._structure(plan)  # built once
+    del plan
+    gc.collect()
+    assert structure() is None

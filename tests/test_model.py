@@ -14,6 +14,9 @@ from centroidal_bcd.model import (
     verify_trajectory,
 )
 
+from centroidal_bcd.gaits import shipped_scenarios
+from centroidal_bcd.scenarios import materialize
+
 from conftest import QUAD_OFFSETS, flat_patch, hover_plan
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)
@@ -182,3 +185,25 @@ def test_centroidal_state_requires_finite_components():
     h = CentroidalState((1, 2, 3), (4, 5, 6), (7, 8, 9))
     assert np.array_equal(h.stacked(), np.arange(1.0, 10.0))
     assert np.array_equal(CentroidalState.from_stacked(h.stacked()).r, h.r)
+
+
+def test_active_contacts_match_a_scan_of_the_phases():
+    # The per-timestep active sets are computed once per plan; they must agree
+    # with a direct scan of the phases, also one step outside the horizon.
+    for name, doc in shipped_scenarios().items():
+        plan = materialize(doc)[0]
+        for t in range(-1, plan.horizon + 1):
+            scan = {e: [ph for ph in plan.phases if ph.end_effector_id == e
+                        and ph.t_start <= t < ph.t_end] for e in plan.effector_ids}
+            expected = [ph for e in plan.effector_ids for ph in scan[e]]
+            got = plan.active_contacts(t)
+            assert len(got) == len(expected) and all(
+                a is b for a, b in zip(got, expected)), (name, t)
+            for e in plan.effector_ids:
+                assert plan.phase_at(t, e) is (scan[e][0] if scan[e] else None), (name, t, e)
+
+
+def test_contact_plans_compare_by_identity():
+    a, b = hover_plan(N=4), hover_plan(N=4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
