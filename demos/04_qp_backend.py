@@ -2,7 +2,7 @@
 
 A random strictly convex QP is solved by the operator-splitting backend and
 cross-checked against the dense active-set reference; then the handle is
-reused: a cost-vector update keeps the cached KKT factorization, a matrix
+reused: a cost-vector update keeps the cached factorization, a matrix
 update refactorizes exactly once, and warm starting finishes within one
 termination-check window.
 """

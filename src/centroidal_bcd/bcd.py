@@ -182,8 +182,10 @@ def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
         handle = AdmmSolver(qp, settings, validate=False)
         warm = None
     else:
+        # Builders keep one pattern per plan, so the raw value arrays line up
+        # with the handle's pattern without a per-call comparison.
         handle.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
-                             new_P_values=qp.P, new_A_values=qp.A)
+                             new_P_values=qp.P.data, new_A_values=qp.A.data)
         warm = handle.warm_start_point()
     sol = handle.solve(warm_start=warm)
     if sol.status == "max_iter":

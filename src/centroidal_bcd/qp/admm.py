@@ -1,21 +1,24 @@
 """Operator-splitting (ADMM) solver for sparse QPs with factorization caching.
 
 Solves the canonical problem of :mod:`centroidal_bcd.qp.problem` by iterating
-the standard splitting
+the standard splitting (OSQP, Stellato et al. 2020)
 
-    (P + sigma I) x~ + A' nu = sigma x - q,   A x~ - nu / rho = z - y / rho
+    (P + sigma I + A' R A) x~ = sigma x - q + A' (R z - y),   z~ = A x~
     x+ = alpha x~ + (1 - alpha) x
     z+ = clamp(alpha z~ + (1 - alpha) z + y / rho, lo, hi)
     y+ = rho (alpha z~ + (1 - alpha) z + y / rho - z+)
 
-over a cached LU factorization of the KKT matrix
-[[P + sigma I, A'], [A, -diag(1/rho)]]. With sigma > 0 and rho > 0 this matrix
-is symmetric quasi-definite, so every symmetric ordering of it has a stable
-factorization with diagonal pivots (Vanderbei 1995). The LU therefore uses a
-symmetric minimum-degree ordering of A + A' and no off-diagonal pivoting, as
-OSQP does; this fills far less than an unsymmetric column ordering with
-threshold pivoting. Value-only updates of q and the bounds reuse the
-factorization; updates touching P or A values trigger exactly one
+with R = diag(rho). This is the quasi-definite KKT system
+[[P + sigma I, A'], [A, -R^-1]] with its multiplier block eliminated: the
+reduced matrix S = P + sigma I + A' R A is symmetric positive definite for
+sigma > 0 and rho > 0, so it has a Cholesky factor. Its sparsity pattern is
+fixed per handle; a reverse Cuthill-McKee ordering of that pattern, computed
+once at setup, turns S into a band matrix, which is factored and back-solved
+with LAPACK's banded Cholesky routines. The force QP is local in time (every
+constraint row couples at most two consecutive timesteps), so its band stays
+narrow however long the horizon; the contact QP's phase footholds couple
+whole phases and widen its band. Value-only updates of q and the bounds
+reuse the factorization; updates touching P or A values trigger exactly one
 refactorization. Optional Ruiz equilibration and a post-solve polish step
 (reduced KKT solve on the detected active set) sharpen the returned solution.
 """
@@ -28,12 +31,15 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
 __all__ = ["AdmmSolver", "setup"]
 
-_SIGMA = 1e-6          # primal regularization in the KKT matrix
+_SIGMA = 1e-6          # primal regularization of the reduced matrix
 _RHO_START = 0.1       # initial penalty
 _RHO_EQ_FACTOR = 1e3   # stiffer penalty on equality rows
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
@@ -64,8 +70,26 @@ def _entry_cols(M: sp.csc_matrix) -> np.ndarray:
     return np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a flat float array; NaN or inf raise, naming ``name``."""
+    v = np.array(values, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} holds non-finite values")
+    return v
+
+
+def _bound(values, name: str) -> np.ndarray:
+    """Row bounds as a flat float array with infinities clipped to the
+    sentinel; NaN raises, naming ``name``."""
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if np.any(np.isnan(v)):
+        raise ValueError(f"{name} holds NaN")
+    return np.clip(v, -INFTY, INFTY)
+
+
 class AdmmSolver:
-    """Solver handle owning the scaled problem data and KKT factorization.
+    """Solver handle owning the scaled problem data and the banded Cholesky
+    factor of the reduced KKT matrix.
 
     Single-threaded per handle: do not solve and update one handle
     concurrently. Distinct handles are independent.
@@ -82,13 +106,16 @@ class AdmmSolver:
         self.m = qp.m_c
         self._P = qp.P.tocsc(copy=True)
         self._A = qp.A.tocsc(copy=True)
-        self._q = np.array(qp.q, dtype=float)
-        self._lo = np.clip(np.asarray(qp.lo, dtype=float), -INFTY, INFTY)
-        self._hi = np.clip(np.asarray(qp.hi, dtype=float), -INFTY, INFTY)
+        _finite(self._P.data, "P")
+        _finite(self._A.data, "A")
+        self._q = _finite(qp.q, "q")
+        self._lo = _bound(qp.lo, "lo")
+        self._hi = _bound(qp.hi, "hi")
         self._P_cols = _entry_cols(self._P)
         self._A_cols = _entry_cols(self._A)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
+        self._order_reduced_matrix()
         self._scale()
         self._rho_base = _RHO_START
         self._build_rho()
@@ -135,11 +162,12 @@ class AdmmSolver:
         self._As = self._A.copy()
         if self.m:
             self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
+        self._AsT = self._As.T
         self._qs = c * d * self._q
         self._los = e * self._lo
         self._his = e * self._hi
 
-    # -- KKT factorization -----------------------------------------------
+    # -- penalty and reduced-matrix factorization ----------------------------
 
     def _build_rho(self) -> None:
         is_eq = (self._hi - self._lo) < 1e-14
@@ -150,35 +178,61 @@ class AdmmSolver:
         self._rho = rho
         self._rho_inv = 1.0 / rho if self.m else np.zeros(0)
 
+    def _order_reduced_matrix(self) -> None:
+        """Fix the band layout of S = P + sigma I + A' R A. Its pattern
+        depends only on the patterns of P and A, so one reverse Cuthill-McKee
+        ordering serves every refactorization of this handle."""
+        P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+                for M in (self._P, self._A))
+        pattern = (P + A.T @ A + sp.eye(self.n)).tocsr()
+        # Native index width: gathers with int32 indices cost twice as much.
+        self._perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        self._iperm = np.empty_like(self._perm)
+        self._iperm[self._perm] = np.arange(self.n)
+        coo = pattern.tocoo()
+        self.half_bandwidth = int(np.max(self._iperm[coo.row] - self._iperm[coo.col],
+                                         initial=0))
+
     def _factorize(self) -> None:
-        n, m = self.n, self.m
-        upper_left = self._Ps + _SIGMA * sp.eye(n, format="csc")
-        if m:
-            kkt = sp.bmat([[upper_left, self._As.T],
-                           [self._As, -sp.diags(self._rho_inv)]], format="csc")
+        """Assemble S in the RCM order as a lower band and factor it."""
+        if self.m:
+            S = (self._Ps + self._AsT @ (sp.diags(self._rho) @ self._As)).tocsc()
         else:
-            kkt = upper_left.tocsc()
+            S = self._Ps.copy()
+        S.sum_duplicates()
+        i, j = self._iperm[S.indices], self._iperm[_entry_cols(S)]
+        lower = i >= j
+        band = np.zeros((self.half_bandwidth + 1, self.n))
+        band[i[lower] - j[lower], j[lower]] = S.data[lower]
+        band[0] += _SIGMA
         try:
-            # Symmetric ordering, diagonal pivots: safe because the KKT
-            # matrix is quasi-definite (see the module docstring).
-            self._lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise ValueError(f"KKT factorization failed (rank-deficient pattern?): {exc}") from exc
+            self._chol = cholesky_banded(band, overwrite_ab=True, lower=True)
+        except LinAlgError as exc:
+            raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
         self.kkt_refactorizations += 1
+
+    def _solve_reduced(self, rhs: np.ndarray) -> np.ndarray:
+        """S^-1 rhs through the cached banded factor."""
+        sol, info = dpbtrs(self._chol, rhs[self._perm], lower=1)
+        if info:
+            raise ValueError(f"banded back-solve failed (LAPACK info {info})")
+        return sol[self._iperm]
 
     # -- value updates ----------------------------------------------------
 
     @staticmethod
     def _extract_values(new_values, reference: sp.csc_matrix, name: str) -> np.ndarray:
+        """Values of ``new_values`` in the order of ``reference.data``. A
+        sparse matrix must repeat the setup pattern; a raw array is taken as
+        the ``data`` of that pattern."""
         if sp.issparse(new_values):
             M = new_values.tocsc()
             if (M.shape != reference.shape
                     or not np.array_equal(M.indptr, reference.indptr)
                     or not np.array_equal(M.indices, reference.indices)):
                 raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
-            return np.asarray(M.data, dtype=float)
-        data = np.asarray(new_values, dtype=float).ravel()
+            new_values = M.data
+        data = _finite(new_values, name)
         if data.shape != reference.data.shape:
             raise ValueError(f"{name} has {data.size} values, pattern holds {reference.nnz}")
         return data
@@ -188,7 +242,10 @@ class AdmmSolver:
         """Replace problem values without touching the sparsity pattern.
 
         q/lo/hi updates keep the cached factorization; P or A value updates
-        refactorize once, immediately.
+        refactorize once, immediately. Matrix values come as sparse matrices
+        of the setup pattern or as raw ``data`` arrays of it. Non-finite
+        matrix or q values and NaN bounds raise ``ValueError``; infinite
+        bounds are legal.
         """
         needs_refactor = False
         if new_P_values is not None:
@@ -198,14 +255,14 @@ class AdmmSolver:
             self._A.data = self._extract_values(new_A_values, self._A, "A")
             needs_refactor = True
         if new_q is not None:
-            q = np.asarray(new_q, dtype=float).reshape(-1)
+            q = _finite(new_q, "q")
             if q.shape != (self.n,):
                 raise ValueError("q length mismatch")
             self._q = q
         if new_lo is not None:
-            self._lo = np.clip(np.asarray(new_lo, dtype=float).reshape(-1), -INFTY, INFTY)
+            self._lo = _bound(new_lo, "lo")
         if new_hi is not None:
-            self._hi = np.clip(np.asarray(new_hi, dtype=float).reshape(-1), -INFTY, INFTY)
+            self._hi = _bound(new_hi, "hi")
         if self._lo.shape != (self.m,) or self._hi.shape != (self.m,):
             raise ValueError("bound length mismatch")
         if np.any(self._lo > self._hi):
@@ -229,7 +286,7 @@ class AdmmSolver:
         unscaled problem so that a solved status certifies true residuals."""
         Ax = self._As @ x
         rp = Ax - z
-        rd = self._Ps @ x + self._qs + (self._As.T @ y if self.m else 0.0)
+        rd = self._Ps @ x + self._qs + (self._AsT @ y if self.m else 0.0)
         e_inv = 1.0 / self._e if self.m else self._e
         d_inv = 1.0 / self._d
         pri = float(np.max(np.abs(e_inv * rp), initial=0.0))
@@ -237,7 +294,7 @@ class AdmmSolver:
         pri_norm = max(float(np.max(np.abs(e_inv * Ax), initial=0.0)),
                        float(np.max(np.abs(e_inv * z), initial=0.0)))
         dua_norm = max(float(np.max(np.abs(d_inv * (self._Ps @ x)), initial=0.0)),
-                       float(np.max(np.abs(d_inv * (self._As.T @ y)), initial=0.0))
+                       float(np.max(np.abs(d_inv * (self._AsT @ y)), initial=0.0))
                        if self.m else 0.0,
                        float(np.max(np.abs(d_inv * self._qs), initial=0.0))) / self._c
         return pri, dua, pri_norm, dua_norm
@@ -305,18 +362,18 @@ class AdmmSolver:
         rho, rho_inv = self._rho, self._rho_inv
         status = "max_iter"
         iterations = st.max_iterations
-        rhs = np.empty(n + m)
         for it in range(1, st.max_iterations + 1):
             x_prev, y_prev = x, y
-            rhs[:n] = _SIGMA * x - self._qs
-            rhs[n:] = z - rho_inv * y
-            sol = self._lu.solve(rhs)
-            x_tilde = sol[:n]
-            z_tilde = z + rho_inv * (sol[n:] - y) if m else np.zeros(0)
+            rhs = _SIGMA * x - self._qs
+            if m:
+                rhs += self._AsT @ (rho * z - y)
+            x_tilde = self._solve_reduced(rhs)
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
             if m:
+                z_tilde = self._As @ x_tilde
                 zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + rho_inv * y
-                z = np.clip(zc, self._los, self._his)
+                # Same as np.clip, without its per-call dispatch overhead.
+                z = np.minimum(np.maximum(zc, self._los), self._his)
                 y = rho * (zc - z)
             if it % st.check_termination_every == 0 or it == st.max_iterations:
                 pri, dua, pri_norm, dua_norm = self._residuals(x, y, z)
@@ -404,5 +461,5 @@ class AdmmSolver:
 
 def setup(qp: SparseQP, settings: SolverSettings | None = None,
           validate: bool | None = None) -> AdmmSolver:
-    """Create a solver handle with a cached KKT factorization for ``qp``."""
+    """Create a solver handle with a cached factorization for ``qp``."""
     return AdmmSolver(qp, settings, validate=validate)

@@ -15,9 +15,11 @@ from centroidal_bcd.force_qp import (
     extract_force_iterate,
     force_original_cost,
 )
+from centroidal_bcd.gaits import shipped_scenarios
 from centroidal_bcd.model import CentroidalState, verify_trajectory
-from centroidal_bcd.qp import QpSolution, SolverSettings, pattern_hash, setup
+from centroidal_bcd.qp import AdmmSolver, QpSolution, SolverSettings, pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
+from centroidal_bcd.scenarios import materialize
 
 from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, qp_arrays
 
@@ -147,6 +149,16 @@ def test_block_banded_rows_touch_adjacent_timesteps_only():
         row_step[r] = entry_step[A.row == r].max()
     for pos in range(A.nnz):
         assert entry_step[pos] in (row_step[A.row[pos]], row_step[A.row[pos]] - 1)
+
+
+def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
+    # Rows couple steps t-1 and t only, so the ADMM step matrix
+    # P + sigma I + A' R A has a narrow band after reordering whatever the
+    # horizon; a layout that breaks time locality widens it.
+    for kind, doc in shipped_scenarios().items():
+        plan, refs, _, weights = materialize(doc)
+        qp = build_force_qp(_inputs(plan, refs, weights))
+        assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
 
 
 def test_proximal_weight_pulls_monotonically_toward_target():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,12 @@ from centroidal_bcd.qp import (
     pattern_hash,
     setup,
 )
+from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
+from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
+from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
+from centroidal_bcd.qp.admm import _ALPHA, _RHO_MAX, _RHO_MIN, _RHO_START, _SIGMA
+from centroidal_bcd.scenarios import materialize
 
 
 def _qp(P, q, A=None, lo=None, hi=None):
@@ -120,6 +127,9 @@ def test_update_matrix_values_refactorizes_once():
     newP.data = newP.data * 1.5
     h.update_values(new_P_values=newP)
     assert h.kkt_refactorizations == base + 1
+    # Raw data arrays of the setup pattern, as the BCD driver passes them.
+    h.update_values(new_P_values=qp.P.data, new_A_values=qp.A.data * 2.0)
+    assert h.kkt_refactorizations == base + 2
 
 
 def test_update_rejects_pattern_mismatch():
@@ -131,6 +141,84 @@ def test_update_rejects_pattern_mismatch():
         h.update_values(new_P_values=other)
     with pytest.raises(ValueError, match="values"):
         h.update_values(new_A_values=np.zeros(qp.A.nnz + 1))
+
+
+@pytest.mark.parametrize("field", ["P", "A", "q", "lo", "hi"])
+def test_non_finite_data_is_named_not_solved(field):
+    # A NaN used to come back as a false infeasibility certificate.
+    qp, _ = _random_qp(np.random.default_rng(10), n=8, m=9, one_sided=0.0)
+    values = {"P": qp.P.copy(), "A": qp.A.copy(), "q": qp.q.copy(), "lo": qp.lo.copy(),
+              "hi": qp.hi.copy()}
+    raw = values[field].data if field in ("P", "A") else values[field]
+    update = {"P": "new_P_values", "A": "new_A_values", "q": "new_q", "lo": "new_lo",
+              "hi": "new_hi"}[field]
+    raw[0] = np.nan
+    with pytest.raises(ValueError, match=f"^{field} "):
+        setup(replace(qp, **values), validate=False)
+    h = setup(qp, validate=False)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        h.update_values(**{update: values[field]})
+    raw[0] = -np.inf if field == "lo" else np.inf
+    if field in ("lo", "hi"):
+        h.update_values(**{update: values[field]})  # infinite bounds stay legal
+        assert h.solve().solved
+    else:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            h.update_values(**{update: values[field]})
+
+
+@pytest.fixture(scope="module")
+def trot_qps():
+    """Force and contact QPs of a trot at nominal geometry."""
+    plan, refs, _, weights = materialize(make_gait("trot", N=60))
+    p = nominal_footholds(plan, refs)
+    ell = {(t, e): p[(t, e)] - refs.h_kin[t].r for t, e in plan.active_pairs()}
+    force = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
+                                         references=refs, weights=weights))
+    rng = np.random.default_rng(12)
+    f = {pair: np.array([0.0, 0.0, 0.5 * plan.mass * 9.81]) + rng.normal(size=3)
+         for pair in plan.active_pairs()}
+    h_reg = tuple(refs.h_kin)
+    contact = build_contact_qp(ContactQpInputs(
+        plan=plan, f_fixed=f, l_reg=tuple(s.l for s in h_reg), h_reg=h_reg,
+        references=refs, weights=weights, l_prox=100.0))
+    return {"force": force, "contact": contact}
+
+
+@pytest.mark.parametrize("rho_base", [_RHO_MIN, _RHO_START, _RHO_MAX])
+@pytest.mark.parametrize("name", ["random", "force", "contact"])
+def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_base):
+    if name == "random":  # dense, non-diagonal P
+        qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    else:
+        qp = trot_qps[name]
+    h = setup(qp, SolverSettings(adaptive_penalty=False, polish=False), validate=False)
+    h._rho_base = rho_base
+    h._build_rho()
+    h._factorize()
+    rng = np.random.default_rng(14)
+    x0, y0 = rng.normal(size=qp.n), rng.normal(size=qp.m_c)
+    step = h.solve(warm_start=(x0, y0), max_iterations=1)
+
+    # The same step through the full KKT system, in the handle's scaled
+    # coordinates (the warm start maps into them as solve() does).
+    Ps, As, rho = h._Ps.toarray(), h._As.toarray(), h._rho
+    x, y = x0 / h._d, -h._c * y0 / h._e
+    z = As @ x
+    kkt = np.block([[Ps + _SIGMA * np.eye(qp.n), As.T], [As, -np.diag(1.0 / rho)]])
+    sol = np.linalg.solve(kkt, np.concatenate([_SIGMA * x - h._qs, z - y / rho]))
+    x_tilde, z_tilde = sol[:qp.n], z + (sol[qp.n:] - y) / rho
+    zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho
+    z_next = np.clip(zc, h._los, h._his)
+    x_next = h._d * (_ALPHA * x_tilde + (1.0 - _ALPHA) * x)
+    y_next = -h._e * rho * (zc - z_next) / h._c
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+    assert step.iterations == 1
+    assert rel(step.x, x_next) < 1e-8
+    assert rel(step.y, y_next) < 1e-8
 
 
 def test_equality_constrained_matches_dense_kkt():
