@@ -264,9 +264,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
 
         t0 = time.perf_counter()
         qp_c = build_contact_qp(ContactQpInputs(
-            plan=plan, f_fixed=force_iterate.forces,
-            l_reg=tuple(s.l for s in force_iterate.states),
-            h_reg=force_iterate.states, references=references, weights=weights,
+            plan=plan, f_fixed=force_iterate.forces, h_reg=force_iterate.states,
+            references=references, weights=weights,
             p_reg=p_reg, tau_fixed=force_iterate.torques, l_prox=L_contact))
         contact_handle, contact_sol = _solve_block(contact_handle, qp_c,
                                                    settings.solver, "contact", k)

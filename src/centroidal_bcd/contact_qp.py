@@ -55,14 +55,13 @@ class ContactQpInputs:
     """Data defining one Contact-QP instance.
 
     ``f_fixed`` (and ``tau_fixed`` for flat feet) come from the force solve of
-    the same outer iteration; ``l_reg`` and ``h_reg`` are its momentum
-    trajectory, ``p_reg`` the previous contact solve's footholds (absent on
+    the same outer iteration; ``h_reg`` is its state trajectory (momentum
+    included), ``p_reg`` the previous contact solve's footholds (absent on
     the first outer iteration).
     """
 
     plan: ContactPlan
     f_fixed: Mapping[tuple[int, str], np.ndarray]
-    l_reg: tuple[np.ndarray, ...]
     h_reg: tuple[CentroidalState, ...]
     references: ReferenceSet
     weights: CostWeights = field(default_factory=CostWeights)
@@ -74,7 +73,7 @@ class ContactQpInputs:
         if self.l_prox < 0.0:
             raise ValueError("proximal weight must be nonnegative")
         N = self.plan.horizon
-        if len(self.h_reg) != N or len(self.l_reg) != N or len(self.references) != N:
+        if len(self.h_reg) != N or len(self.references) != N:
             raise ValueError("regularization targets and references must cover the horizon")
         active = set(self.plan.active_pairs())
         if set(self.f_fixed.keys()) != active:
@@ -225,7 +224,6 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     np.add.at(d, s.p_cols, 2.0 * w.foothold + p_prox)
     d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
     reg = stack_states(inputs.h_reg)
-    reg[:, 3:6] = stack_vectors(inputs.l_reg)
     q = np.zeros(layout.n)
     q[s.state_cols] = (-2.0 * w.running_h * stack_states(inputs.references.h_kin)
                        - inputs.l_prox * reg)

@@ -8,19 +8,23 @@ the standard splitting (OSQP, Stellato et al. 2020)
     z+ = clamp(alpha z~ + (1 - alpha) z + y / rho, lo, hi)
     y+ = rho (alpha z~ + (1 - alpha) z + y / rho - z+)
 
-with R = diag(rho). This is the quasi-definite KKT system
-[[P + sigma I, A'], [A, -R^-1]] with its multiplier block eliminated: the
-reduced matrix S = P + sigma I + A' R A is symmetric positive definite for
-sigma > 0 and rho > 0, so it has a Cholesky factor. Its sparsity pattern is
-fixed per handle; a reverse Cuthill-McKee ordering of that pattern, computed
-once at setup, turns S into a band matrix, which is factored and back-solved
-with LAPACK's banded Cholesky routines. The force QP is local in time (every
-constraint row couples at most two consecutive timesteps), so its band stays
-narrow however long the horizon; the contact QP's phase footholds couple
-whole phases and widen its band. Value-only updates of q and the bounds
-reuse the factorization; updates touching P or A values trigger exactly one
-refactorization. Optional Ruiz equilibration and a post-solve polish step
-(reduced KKT solve on the detected active set) sharpen the returned solution.
+with R = diag(rho), on Ruiz-equilibrated data with an adaptive penalty. This
+is the quasi-definite KKT system [[P + sigma I, A'], [A, -R^-1]] with its
+multiplier block eliminated: the reduced matrix S = P + sigma I + A' R A is
+symmetric positive definite for sigma > 0 and rho > 0, so it has a Cholesky
+factor. Its sparsity pattern is fixed per handle; a reverse Cuthill-McKee
+ordering of that pattern, computed once at setup, turns S into a band matrix,
+which is factored and back-solved with LAPACK's banded Cholesky routines. The
+force QP is local in time (every constraint row couples at most two
+consecutive timesteps), so its band stays narrow however long the horizon;
+the contact QP's phase footholds couple whole phases and widen its band.
+Value-only updates of q and the bounds reuse the factorization; updates
+touching P or A values trigger exactly one refactorization.
+
+Every solved call is polished on the detected active set: the
+delta-regularized active-set KKT system, multipliers eliminated the same way,
+has a pattern inside that of S, so the same band routine factors it, and
+iterative refinement against the unregularized system sharpens the result.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -45,6 +48,9 @@ _RHO_EQ_FACTOR = 1e3   # stiffer penalty on equality rows
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_ADAPT_THRESHOLD = 5.0
 _ALPHA = 1.6           # over-relaxation
+_CHECK_TERMINATION_EVERY = 50
+_EPS_PRIM_INF = 1e-6   # infeasibility certificate tolerances
+_EPS_DUAL_INF = 1e-6
 _RUIZ_ITERATIONS = 10
 _POLISH_DELTA = 1e-7
 _POLISH_REFINE_STEPS = 3
@@ -130,27 +136,26 @@ class AdmmSolver:
         self._d = np.ones(n)
         self._e = np.ones(m)
         self._c = 1.0
-        if self.settings.scaled_termination:
-            Pb = self._P.copy()
-            Ab = self._A.copy()
-            qb = self._q.copy()
-            for _ in range(_RUIZ_ITERATIONS):
-                col_norm = np.maximum(_colmax_abs(Pb), _colmax_abs(Ab))
-                dx = _guarded_inv_sqrt(col_norm)
-                dy = _guarded_inv_sqrt(_rowmax_abs(Ab)) if m else np.ones(0)
-                Dx = sp.diags(dx)
-                Pb = (Dx @ Pb @ Dx).tocsc()
-                qb = dx * qb
-                if m:
-                    Ab = (sp.diags(dy) @ Ab @ Dx).tocsc()
-                self._d *= dx
-                self._e *= dy
-                cost_norm = max(float(np.mean(_colmax_abs(Pb))),
-                                float(np.max(np.abs(qb), initial=0.0)))
-                gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
-                Pb = Pb * gamma
-                qb = qb * gamma
-                self._c *= gamma
+        Pb = self._P.copy()
+        Ab = self._A.copy()
+        qb = self._q.copy()
+        for _ in range(_RUIZ_ITERATIONS):
+            col_norm = np.maximum(_colmax_abs(Pb), _colmax_abs(Ab))
+            dx = _guarded_inv_sqrt(col_norm)
+            dy = _guarded_inv_sqrt(_rowmax_abs(Ab)) if m else np.ones(0)
+            Dx = sp.diags(dx)
+            Pb = (Dx @ Pb @ Dx).tocsc()
+            qb = dx * qb
+            if m:
+                Ab = (sp.diags(dy) @ Ab @ Dx).tocsc()
+            self._d *= dx
+            self._e *= dy
+            cost_norm = max(float(np.mean(_colmax_abs(Pb))),
+                            float(np.max(np.abs(qb), initial=0.0)))
+            gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
+            Pb = Pb * gamma
+            qb = qb * gamma
+            self._c *= gamma
         self._refresh_scaled_values()
 
     def _refresh_scaled_values(self) -> None:
@@ -193,30 +198,32 @@ class AdmmSolver:
         self.half_bandwidth = int(np.max(self._iperm[coo.row] - self._iperm[coo.col],
                                          initial=0))
 
-    def _factorize(self) -> None:
-        """Assemble S in the RCM order as a lower band and factor it."""
-        if self.m:
-            S = (self._Ps + self._AsT @ (sp.diags(self._rho) @ self._As)).tocsc()
-        else:
-            S = self._Ps.copy()
+    def _band_factor(self, P, A, w: np.ndarray, shift: float) -> np.ndarray:
+        """Banded Cholesky factor of P + shift I + A' diag(w) A, assembled in
+        the handle's RCM order; P and A carry the setup patterns."""
+        S = (P + A.T @ (sp.diags(w) @ A)).tocsc()
         S.sum_duplicates()
         i, j = self._iperm[S.indices], self._iperm[_entry_cols(S)]
         lower = i >= j
         band = np.zeros((self.half_bandwidth + 1, self.n))
         band[i[lower] - j[lower], j[lower]] = S.data[lower]
-        band[0] += _SIGMA
+        band[0] += shift
         try:
-            self._chol = cholesky_banded(band, overwrite_ab=True, lower=True)
+            return cholesky_banded(band, overwrite_ab=True, lower=True)
         except LinAlgError as exc:
             raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
-        self.kkt_refactorizations += 1
 
-    def _solve_reduced(self, rhs: np.ndarray) -> np.ndarray:
-        """S^-1 rhs through the cached banded factor."""
-        sol, info = dpbtrs(self._chol, rhs[self._perm], lower=1)
+    def _band_solve(self, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve with a factor of :meth:`_band_factor`."""
+        sol, info = dpbtrs(chol, rhs[self._perm], lower=1)
         if info:
             raise ValueError(f"banded back-solve failed (LAPACK info {info})")
         return sol[self._iperm]
+
+    def _factorize(self) -> None:
+        """Refactor the ADMM step's S = P + sigma I + A' R A (scaled data)."""
+        self._chol = self._band_factor(self._Ps, self._As, self._rho, _SIGMA)
+        self.kkt_refactorizations += 1
 
     # -- value updates ----------------------------------------------------
 
@@ -300,7 +307,7 @@ class AdmmSolver:
         return pri, dua, pri_norm, dua_norm
 
     def _is_primal_infeasible(self, dy_scaled) -> bool:
-        eps = self.settings.eps_prim_inf
+        eps = _EPS_PRIM_INF
         dy = self._e * dy_scaled / self._c
         norm = float(np.max(np.abs(dy), initial=0.0))
         if norm <= eps:
@@ -317,7 +324,7 @@ class AdmmSolver:
         return float(np.max(np.abs(self._A.T @ v), initial=0.0)) < eps
 
     def _is_dual_infeasible(self, dx_scaled) -> bool:
-        eps = self.settings.eps_dual_inf
+        eps = _EPS_DUAL_INF
         dx = self._d * dx_scaled
         norm = float(np.max(np.abs(dx), initial=0.0))
         if norm <= eps:
@@ -367,7 +374,7 @@ class AdmmSolver:
             rhs = _SIGMA * x - self._qs
             if m:
                 rhs += self._AsT @ (rho * z - y)
-            x_tilde = self._solve_reduced(rhs)
+            x_tilde = self._band_solve(self._chol, rhs)
             x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
             if m:
                 z_tilde = self._As @ x_tilde
@@ -375,7 +382,7 @@ class AdmmSolver:
                 # Same as np.clip, without its per-call dispatch overhead.
                 z = np.minimum(np.maximum(zc, self._los), self._his)
                 y = rho * (zc - z)
-            if it % st.check_termination_every == 0 or it == st.max_iterations:
+            if it % _CHECK_TERMINATION_EVERY == 0 or it == st.max_iterations:
                 pri, dua, pri_norm, dua_norm = self._residuals(x, y, z)
                 if (pri <= st.eps_abs + st.eps_rel * pri_norm
                         and dua <= st.eps_abs + st.eps_rel * dua_norm):
@@ -387,15 +394,15 @@ class AdmmSolver:
                 if self._is_dual_infeasible(x - x_prev):
                     status, iterations = "dual_infeasible", it
                     break
-                if st.adaptive_penalty and m:
+                if m:
                     self._maybe_adapt_rho(pri, dua, pri_norm, dua_norm)
                     rho, rho_inv = self._rho, self._rho_inv
         x_out = self._d * x
         y_int = self._e * y / self._c if m else np.zeros(0)
         polished = False
         if status == "solved":
-            if st.polish and m:
-                x_out, y_int, polished = self._polish(x_out, y_int, z / self._e if m else z)
+            if m:
+                x_out, y_int, polished = self._polish(x_out, y_int, z / self._e)
             self._last_x, self._last_y = x_out.copy(), -y_int
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
@@ -418,32 +425,27 @@ class AdmmSolver:
     def _polish(self, x, y_int, z):
         """Solve the reduced KKT system on the detected active set; keep the
         result only when it does not degrade the unscaled residuals."""
-        n = self.n
         eq = (self._hi - self._lo) < 1e-12
         low = (z - self._lo < -y_int) & ~eq
         upp = (self._hi - z < y_int) & ~eq
-        act = np.flatnonzero(eq | low | upp)
-        bounds = np.where(eq | low, self._lo, self._hi)[act]
-        A_csr = self._A.tocsr()
-        Ared = A_csr[act]
-        n_act = act.size
-        kred = sp.bmat([[self._P + _POLISH_DELTA * sp.eye(n), Ared.T],
-                        [Ared, -_POLISH_DELTA * sp.eye(n_act)]], format="csc") \
-            if n_act else (self._P + _POLISH_DELTA * sp.eye(n, format="csc")).tocsc()
+        act = eq | low | upp
+        b = np.where(eq | low, self._lo, self._hi)
+        # Multipliers eliminated: x solves (P + delta I + A_r' A_r / delta) x
+        # = -q + A_r' b / delta, and nu = (A_r x - b) / delta.
+        w = np.where(act, 1.0 / _POLISH_DELTA, 0.0)
         try:
-            lu = spla.splu(kred)
-        except RuntimeError:
+            chol = self._band_factor(self._P, self._A, w, _POLISH_DELTA)
+        except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1
-        rhs = np.concatenate([-self._q, bounds])
-        sol = lu.solve(rhs)
-        if _POLISH_REFINE_STEPS and n_act:
-            k_exact = sp.bmat([[self._P, Ared.T], [Ared, None]], format="csc")
-            for _ in range(_POLISH_REFINE_STEPS):
-                sol = sol + lu.solve(rhs - k_exact @ sol)
-        x_pol = sol[:n]
-        y_pol = np.zeros(self.m)
-        y_pol[act] = sol[n:]
+        # Refinement from zero: the first step is the regularized solve itself.
+        x_pol, y_pol = np.zeros(self.n), np.zeros(self.m)
+        for _ in range(1 + _POLISH_REFINE_STEPS):
+            r_x = -self._q - self._P @ x_pol - self._A.T @ y_pol
+            r_y = w * (b - self._A @ x_pol)
+            dx = self._band_solve(chol, r_x + self._A.T @ r_y)
+            x_pol = x_pol + dx
+            y_pol = y_pol + w * (self._A @ dx) - r_y
         z_pol = self._A @ x_pol
         pri_pol = float(np.max(np.maximum(self._lo - z_pol, z_pol - self._hi), initial=0.0))
         dua_pol = float(np.max(np.abs(self._P @ x_pol + self._q + self._A.T @ y_pol),

@@ -194,9 +194,6 @@ class VariableLayout:
             raise KeyError(f"no variable ({quantity}, t={t}, effector={effector})") from None
         return slice(start, stop)
 
-    def has(self, quantity: str, t: int, effector: str | None = None) -> bool:
-        return (quantity, t, effector) in self._lookup
-
     def columns(self, quantity: str) -> np.ndarray:
         """Columns of every entry of ``quantity``, in entry order."""
         return np.array([c for q, _, _, start, stop in self.entries if q == quantity
@@ -246,37 +243,26 @@ class SparseQP:
             if w[0] < -psd_tol:
                 raise ValueError(f"P has negative eigenvalue {w[0]:.3e}")
 
-    def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.P @ x) + self.q @ x)
-
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Operator-splitting solver settings; defaults match the reference
-    configuration used for both trajectory QPs.
+    """Operator-splitting solver tolerances and iteration budget; defaults
+    match the reference configuration used for both trajectory QPs.
 
-    ``scaled_termination`` enables Ruiz equilibration of the problem data;
-    termination itself is always evaluated on unscaled residuals so that a
-    solved status certifies the true constraint violations.
+    Termination is evaluated on unscaled residuals, so a solved status
+    certifies the true constraint violations.
     """
 
     eps_abs: float = 1e-7
     eps_rel: float = 1e-7
-    eps_prim_inf: float = 1e-6
-    eps_dual_inf: float = 1e-6
-    polish: bool = True
-    scaled_termination: bool = True
-    adaptive_penalty: bool = True
-    check_termination_every: int = 50
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel", "eps_prim_inf", "eps_dual_inf"):
+        for name in ("eps_abs", "eps_rel"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.check_termination_every < 1 or self.max_iterations < 1:
-            raise ValueError("iteration settings must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

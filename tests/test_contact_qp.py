@@ -29,8 +29,7 @@ def _zero_weights(**kw):
 
 
 def _contact_inputs(plan, refs, f_fixed, h_reg, weights=None, **kw):
-    return ContactQpInputs(plan=plan, f_fixed=f_fixed,
-                           l_reg=tuple(s.l for s in h_reg), h_reg=tuple(h_reg),
+    return ContactQpInputs(plan=plan, f_fixed=f_fixed, h_reg=tuple(h_reg),
                            references=refs, weights=weights or CostWeights(), **kw)
 
 

@@ -18,7 +18,8 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.admm import _ALPHA, _RHO_MAX, _RHO_MIN, _RHO_START, _SIGMA
+from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, _RHO_MAX, \
+    _RHO_MIN, _RHO_START, _SIGMA
 from centroidal_bcd.scenarios import materialize
 
 
@@ -103,7 +104,7 @@ def test_warm_start_previous_solution_converges_fast():
     assert first.solved
     again = h.solve(warm_start=(first.x, first.y))
     assert again.solved
-    assert again.iterations <= h.settings.check_termination_every
+    assert again.iterations <= _CHECK_TERMINATION_EVERY
 
 
 def test_update_q_reuses_factorization():
@@ -180,8 +181,7 @@ def trot_qps():
          for pair in plan.active_pairs()}
     h_reg = tuple(refs.h_kin)
     contact = build_contact_qp(ContactQpInputs(
-        plan=plan, f_fixed=f, l_reg=tuple(s.l for s in h_reg), h_reg=h_reg,
-        references=refs, weights=weights, l_prox=100.0))
+        plan=plan, f_fixed=f, h_reg=h_reg, references=refs, weights=weights, l_prox=100.0))
     return {"force": force, "contact": contact}
 
 
@@ -192,17 +192,18 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, SolverSettings(adaptive_penalty=False, polish=False), validate=False)
+    h = setup(qp, validate=False)
     h._rho_base = rho_base
     h._build_rho()
     h._factorize()
+    rho = h._rho  # the termination check after the step may adapt it
     rng = np.random.default_rng(14)
     x0, y0 = rng.normal(size=qp.n), rng.normal(size=qp.m_c)
     step = h.solve(warm_start=(x0, y0), max_iterations=1)
 
     # The same step through the full KKT system, in the handle's scaled
     # coordinates (the warm start maps into them as solve() does).
-    Ps, As, rho = h._Ps.toarray(), h._As.toarray(), h._rho
+    Ps, As = h._Ps.toarray(), h._As.toarray()
     x, y = x0 / h._d, -h._c * y0 / h._e
     z = As @ x
     kkt = np.block([[Ps + _SIGMA * np.eye(qp.n), As.T], [As, -np.diag(1.0 / rho)]])
@@ -219,6 +220,47 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
     assert step.iterations == 1
     assert rel(step.x, x_next) < 1e-8
     assert rel(step.y, y_next) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["random", "force"])
+def test_polish_lands_on_the_active_set_solution(trot_qps, name):
+    if name == "random":
+        qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    else:
+        qp = trot_qps[name]
+    h = setup(qp, validate=False)
+    sol = h.solve()
+    assert sol.solved and sol.polished
+    assert h.polish_factorizations == 1
+    pri, dua, comp = kkt_residuals(qp, sol.x, sol.y)
+    assert max(pri, dua) <= 1e-9
+    # On an equality row the product is |y| times that row's primal residual.
+    assert comp <= 1e-9 * max(1.0, np.abs(sol.y).max())
+    # The polish factor is local: it neither counts as nor replaces the
+    # cached ADMM factor, so a q-only update still refactorizes nothing.
+    base = h.kkt_refactorizations
+    h.update_values(new_q=0.5 * qp.q)
+    again = h.solve(warm_start=h.warm_start_point())
+    assert again.solved
+    assert h.kkt_refactorizations == base
+    assert h.polish_factorizations == 2
+
+
+def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
+    qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    h = setup(qp, validate=False)
+    band_factor = h._band_factor
+
+    def fail_polish(P, A, w, shift):
+        if shift == _POLISH_DELTA:
+            raise ValueError("reduced KKT matrix is not positive definite")
+        return band_factor(P, A, w, shift)
+
+    monkeypatch.setattr(h, "_band_factor", fail_polish)
+    sol = h.solve()
+    assert sol.solved and not sol.polished
+    assert h.polish_factorizations == 0
+    assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished ADMM point
 
 
 def test_equality_constrained_matches_dense_kkt():
@@ -267,8 +309,7 @@ def test_dual_infeasible_certificate():
 def test_max_iter_is_reported_not_silent():
     rng = np.random.default_rng(8)
     qp, _ = _random_qp(rng, n=20, m=30)
-    h = setup(qp, SolverSettings(check_termination_every=50, max_iterations=1),
-              validate=False)
+    h = setup(qp, SolverSettings(max_iterations=1), validate=False)
     sol = h.solve()
     assert sol.status == "max_iter"
 

@@ -216,3 +216,13 @@ def test_weight_and_bcd_overrides_flow_through():
     with pytest.raises(ScenarioError, match="weights"):
         materialize(ScenarioFile.from_mapping({**sf.to_mapping(),
                                                "weights": {"bogus": 1.0}}))
+
+
+@pytest.mark.parametrize("solver", [{"polish": False}, {"check_termination_every": 10}])
+def test_removed_solver_settings_are_rejected(solver):
+    # The solver exposes only eps_abs, eps_rel and max_iterations.
+    sf = make_gait("stand", N=20)
+    doc = {**sf.to_mapping(), "bcd": {"solver": solver}}
+    with pytest.raises(ScenarioError) as info:
+        materialize(ScenarioFile.from_mapping(doc))
+    assert info.value.path == "bcd"
