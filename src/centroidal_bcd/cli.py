@@ -135,7 +135,7 @@ def run_verify(cfg: argparse.Namespace) -> int:
 
 def run_bench(cfg: argparse.Namespace) -> int:
     try:
-        sf, *_ = (parse_scenario(cfg.scenario.read_bytes()),)
+        sf = parse_scenario(cfg.scenario.read_bytes())
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR

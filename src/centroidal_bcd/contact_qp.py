@@ -136,8 +136,9 @@ class _Structure:
     r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
     p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on p
     p_cols: np.ndarray        # (pairs, 3) foothold columns, shared within a phase
+    pair_t: np.ndarray        # (pairs,) timestep of each pair
     flat: np.ndarray          # (flat pairs,) indices into pairs
-    z_rotation: np.ndarray    # (flat pairs, 2, 3) R^{xy} columns as rows
+    z_rotation: np.ndarray    # (flat pairs, 3, 2) R^{xy}
     z_pos: np.ndarray         # (flat pairs, 6) A.data positions of dt skew(f) R^{xy}
     k_rows: np.ndarray        # (flat pairs, 3) angular momentum rows
     z_cols: np.ndarray        # columns of every center-of-pressure offset
@@ -165,7 +166,7 @@ def _structure(plan: ContactPlan) -> _Structure:
             if ph.flat_foot:
                 # - skew(f) R^{xy} z, a dense 3x2 block.
                 flat.append(len(p_cols) - 1)
-                z_rotation.append(ph.rotation[:, :2].T)
+                z_rotation.append(ph.rotation[:, :2])
                 z_slots.append(rb.slots(row, layout.span("z", t, e).start,
                                         tuple(np.ndindex(3, 2))))
                 k_rows.append(range(row, row + 3))
@@ -182,16 +183,18 @@ def _structure(plan: ContactPlan) -> _Structure:
                 S = ph.surface
                 rb.block(rb.rows(np.full(S.b.size, -np.inf), S.b), p0, S.A)
     pattern, a_data, lo, hi = rb.build(layout.n)
+    pairs = plan.active_pairs()
 
     def positions(slots):
         return pattern.positions(np.array(slots, dtype=np.int64).reshape(-1, 6))
 
     return _Structure(
         layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
-        pairs=tuple(plan.active_pairs()), r_skew_pos=positions(r_skew),
-        p_skew_pos=positions(p_skew), p_cols=np.array(p_cols, dtype=np.int64).reshape(-1, 3),
+        pairs=tuple(pairs), pair_t=np.array([t for t, _ in pairs], dtype=np.int64),
+        r_skew_pos=positions(r_skew), p_skew_pos=positions(p_skew),
+        p_cols=np.array(p_cols, dtype=np.int64).reshape(-1, 3),
         flat=np.array(flat, dtype=np.int64),
-        z_rotation=np.array(z_rotation, dtype=float).reshape(-1, 2, 3),
+        z_rotation=np.array(z_rotation, dtype=float).reshape(-1, 3, 2),
         z_pos=positions(z_slots), k_rows=np.array(k_rows, dtype=np.int64).reshape(-1, 3),
         z_cols=layout.columns("z"))
 
@@ -207,7 +210,7 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     np.add.at(a_data, s.r_skew_pos, -skew_f)
     a_data[s.p_skew_pos] = skew_f
     # skew(f) R^{xy} column j is f x R[:, j].
-    z_block = np.cross(f[s.flat, None, :], s.z_rotation)
+    z_block = np.cross(f[s.flat, None, :], s.z_rotation.transpose(0, 2, 1))
     a_data[s.z_pos] = dt * z_block.transpose(0, 2, 1).reshape(-1, 6)
     # Flat feet without a fixed torque contribute none.
     tau_fixed = inputs.tau_fixed or {}
@@ -253,17 +256,12 @@ def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
                             plan: ContactPlan) -> ContactIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
+    s = _structure(plan)
     states = extract_states(sol.x, layout)
-    footholds, zmps, ells = {}, {}, {}
-    for t in range(plan.horizon):
-        for ph in plan.active_contacts(t):
-            e = ph.end_effector_id
-            p = sol.x[layout.span("p", t, e)].copy()
-            footholds[(t, e)] = p
-            ell = p - states[t].r
-            if ph.flat_foot:
-                z = sol.x[layout.span("z", t, e)].copy()
-                zmps[(t, e)] = z
-                ell = ell + ph.rotation[:, :2] @ z
-            ells[(t, e)] = ell
-    return ContactIterate(states=states, footholds=footholds, zmps=zmps, ells=ells)
+    p = sol.x[s.p_cols]
+    z = sol.x[s.z_cols].reshape(-1, 2)
+    ell = p - sol.x[s.state_cols[s.pair_t, 0:3]]
+    ell[s.flat] = ell[s.flat] + (s.z_rotation @ z[:, :, None])[..., 0]
+    return ContactIterate(states=states, footholds=dict(zip(s.pairs, p)),
+                          zmps=dict(zip((s.pairs[i] for i in s.flat), z)),
+                          ells=dict(zip(s.pairs, ell)))

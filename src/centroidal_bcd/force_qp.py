@@ -332,10 +332,9 @@ class ForceIterate:
 def extract_force_iterate(sol: QpSolution, layout: VariableLayout) -> ForceIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    parts = {"f": {}, "tau": {}, "z": {}}
-    for quantity, t, eff, start, stop in layout.entries:
-        if quantity in parts:
-            parts[quantity][(t, eff)] = sol.x[start:stop].copy()
+    parts = {quantity: dict(zip(layout.keys(quantity),
+                                sol.x[layout.columns(quantity)].reshape(-1, width)))
+             for quantity, width in (("f", 3), ("tau", 3), ("z", 2))}
     return ForceIterate(states=extract_states(sol.x, layout), forces=parts["f"],
                         torques=parts["tau"], zmps=parts["z"])
 

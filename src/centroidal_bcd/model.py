@@ -193,12 +193,19 @@ class ContactPhase:
             (xlo, xhi), (ylo, yhi) = self.zmp_bounds
             if xlo > xhi or ylo > yhi:
                 raise ValueError(f"zmp bounds inverted: {self.zmp_bounds}")
-        if self.surface.is_empty():
+        hint = self.foothold_hint
+        if hint is not None:
+            hint = np.asarray(hint, dtype=float).reshape(-1)
+        hint_inside = (hint is not None and hint.shape == (3,) and bool(np.all(np.isfinite(hint)))
+                       and self.surface.violation(hint) <= 1e-9)
+        # A hint inside the surface witnesses that it is non-empty; only
+        # surfaces without one need the LP.
+        if not hint_inside and self.surface.is_empty():
             raise ValueError(f"surface polytope for {self.end_effector_id} is empty")
-        if self.foothold_hint is not None:
-            hint = _as_vector(self.foothold_hint, 3, "foothold_hint")
-            object.__setattr__(self, "foothold_hint", hint)
-            if self.surface.violation(hint) > 1e-9:
+        if hint is not None:
+            object.__setattr__(self, "foothold_hint",
+                               _as_vector(self.foothold_hint, 3, "foothold_hint"))
+            if not hint_inside:
                 raise ValueError(
                     f"foothold hint for {self.end_effector_id} lies outside its surface")
 
@@ -312,19 +319,78 @@ class EffectorContact:
         if self.tau is not None:
             object.__setattr__(self, "tau", _as_vector(self.tau, 3, "tau"))
 
-    def lever_arm(self, r: np.ndarray, rotation: np.ndarray | None = None) -> np.ndarray:
-        if self.ell is not None:
-            return self.ell
-        ell = self.p - np.asarray(r, dtype=float)
-        if self.z is not None:
-            R = np.eye(3) if rotation is None else rotation
-            ell = ell + R[:, :2] @ self.z
-        return ell
-
 
 # Active contacts at one timestep, keyed by end-effector id. Inactive
 # end-effectors carry no entry.
 TimestepContacts = Mapping[str, EffectorContact]
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """Contact data of a run of timesteps as arrays, one row per (timestep,
+    effector) pair: timestep-major, and within a timestep in the order its
+    contacts mapping lists them. Rows of absent lever arms, offsets and
+    torques hold NaN."""
+
+    t: np.ndarray     # (pairs,) timestep index within the run
+    f: np.ndarray     # (pairs, 3)
+    p: np.ndarray
+    ell: np.ndarray
+    z: np.ndarray     # (pairs, 2)
+    tau: np.ndarray
+    R: np.ndarray     # (pairs, 3, 3) contact rotation, identity if unknown
+
+    @staticmethod
+    def gather(rows) -> "_Pairs":
+        """From (timestep index, EffectorContact, rotation or None) rows in
+        timestep order."""
+        contacts = [c for _, c, _ in rows]
+
+        def stack(name, width):
+            absent = np.full(width, np.nan)
+            return np.array([absent if getattr(c, name) is None else getattr(c, name)
+                             for c in contacts]).reshape(-1, width)
+
+        eye = np.eye(3)
+        return _Pairs(t=np.array([t for t, _, _ in rows], dtype=np.intp),
+                      f=stack("f", 3), p=stack("p", 3), ell=stack("ell", 3),
+                      z=stack("z", 2), tau=stack("tau", 3),
+                      R=np.array([eye if R is None else R for *_, R in rows]).reshape(-1, 3, 3))
+
+    def given(self, name: str) -> np.ndarray:
+        """Mask of the pairs that carry ``name`` ("ell", "z" or "tau")."""
+        return ~np.isnan(getattr(self, name)[:, 0])
+
+    def offsets(self, mask: np.ndarray) -> np.ndarray:
+        """R^{xy} z of the masked pairs."""
+        return (self.R[mask, :, :2] @ self.z[mask, :, None])[..., 0]
+
+
+def _step(prev: np.ndarray, pairs: _Pairs, plan: ContactPlan) -> np.ndarray:
+    """Stacked (r, l, k) after one dynamics step from each row of ``prev``
+    (timesteps, 9) under the contacts in ``pairs``; see ``integrate_step``.
+    Contacts of one timestep are summed in their listed order."""
+    m, dt, g = plan.mass, plan.dt, plan.gravity
+    # slots[j]: the pairs that are the j-th contact of their timestep.
+    rank = np.arange(pairs.t.size) - np.searchsorted(pairs.t, pairs.t)
+    slots = [np.flatnonzero(rank == j) for j in range(rank.max(initial=-1) + 1)]
+    f_total = np.zeros((prev.shape[0], 3))
+    for idx in slots:
+        f_total[pairs.t[idx]] += pairs.f[idx]
+    l_new = prev[:, 3:6] + m * g * dt + f_total * dt
+    r_new = prev[:, 0:3] + l_new * dt / m
+    ell = pairs.ell.copy()
+    derived = ~pairs.given("ell")
+    ell[derived] = pairs.p[derived] - r_new[pairs.t[derived]]
+    offset = derived & pairs.given("z")
+    ell[offset] = ell[offset] + pairs.offsets(offset)
+    kappa = np.cross(ell, pairs.f)
+    torque = pairs.given("tau")
+    kappa[torque] = kappa[torque] + pairs.tau[torque]
+    k_new = prev[:, 6:9].copy()
+    for idx in slots:
+        k_new[pairs.t[idx]] += kappa[idx] * dt
+    return np.hstack([r_new, l_new, k_new])
 
 
 def integrate_step(h_prev: CentroidalState, contacts: TimestepContacts,
@@ -336,23 +402,12 @@ def integrate_step(h_prev: CentroidalState, contacts: TimestepContacts,
     kappa = ell x f + tau. Rotations for the z offsets are looked up from the
     plan when ``t`` is given.
     """
-    m, dt, g = plan.mass, plan.dt, plan.gravity
-    f_total = np.zeros(3)
+    rows = []
     for eff, c in contacts.items():
-        f_total = f_total + c.f
-    l_new = h_prev.l + m * g * dt + f_total * dt
-    r_new = h_prev.r + l_new * dt / m
-    k_new = np.array(h_prev.k)
-    for eff, c in contacts.items():
-        rotation = None
-        if t is not None:
-            ph = plan.phase_at(t, eff)
-            rotation = ph.rotation if ph is not None else None
-        kappa = np.cross(c.lever_arm(r_new, rotation), c.f)
-        if c.tau is not None:
-            kappa = kappa + c.tau
-        k_new = k_new + kappa * dt
-    return CentroidalState(r_new, l_new, k_new)
+        ph = plan.phase_at(t, eff) if t is not None else None
+        rows.append((0, c, ph.rotation if ph is not None else None))
+    return CentroidalState.from_stacked(_step(h_prev.stacked()[None], _Pairs.gather(rows),
+                                              plan)[0])
 
 
 @dataclass(frozen=True)
@@ -398,11 +453,6 @@ class ResidualReport:
         }
 
 
-def _friction_violation(f: np.ndarray, R: np.ndarray, mu: float) -> float:
-    fc = R.T @ f
-    return max(abs(fc[0]) - mu * fc[2], abs(fc[1]) - mu * fc[2], -fc[2])
-
-
 def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
                       plan: ContactPlan, tol: float = 1e-5) -> ResidualReport:
     """Certify a candidate trajectory against the plan's constraints.
@@ -414,33 +464,45 @@ def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
     """
     if len(traj) != plan.horizon:
         raise ValueError(f"trajectory length {len(traj)} != plan horizon {plan.horizon}")
-    res_dyn = res_fric = res_kin = res_surf = res_zmp = res_ell = 0.0
-    prev = plan.h0
-    for t, (state, contacts) in enumerate(traj):
+    rows, groups = [], {}
+    for t, (_, contacts) in enumerate(traj):
         active = {ph.end_effector_id: ph for ph in plan.active_contacts(t)}
         if set(contacts.keys()) != set(active.keys()):
             raise ValueError(
                 f"timestep {t}: trajectory contacts {sorted(contacts)} do not match "
                 f"plan activity {sorted(active)}")
-        predicted = integrate_step(prev, contacts, plan, t=t)
-        res_dyn = max(res_dyn, float(np.max(np.abs(predicted.stacked() - state.stacked()))))
         for eff, c in contacts.items():
             ph = active[eff]
-            res_fric = max(res_fric, _friction_violation(c.f, ph.rotation, ph.friction_coeff))
-            res_kin = max(res_kin,
-                          float(np.max(np.abs(c.p - state.r)) - plan.kinematic_limit))
-            res_surf = max(res_surf, ph.surface.violation(c.p))
-            if ph.flat_foot and c.z is not None:
-                zlo, zhi = ph.zmp_lo_hi()
-                res_zmp = max(res_zmp, float(np.max(np.maximum(zlo - c.z, c.z - zhi))))
-            if c.ell is not None:
-                geom = c.p - state.r
-                if c.z is not None:
-                    geom = geom + ph.rotation[:, :2] @ c.z
-                res_ell = max(res_ell, float(np.max(np.abs(c.ell - geom))))
-        prev = state
-    return ResidualReport(dynamics=float(res_dyn), friction=float(max(res_fric, 0.0)),
-                          kinematic=float(max(res_kin, 0.0)),
-                          surface=float(max(res_surf, 0.0)),
-                          zmp=float(max(res_zmp, 0.0)),
-                          lever_consistency=float(res_ell), tol=tol)
+            groups.setdefault(id(ph), (ph, []))[1].append(len(rows))
+            rows.append((t, c, ph.rotation))
+    pairs = _Pairs.gather(rows)
+    states = np.array([s.stacked() for s, _ in traj])
+    prev = np.vstack([plan.h0.stacked(), states[:-1]])
+    res_dyn = float(np.max(np.abs(_step(prev, pairs, plan) - states)))
+
+    # Per-phase data: surfaces and center-of-pressure bounds, one batch each.
+    mu = np.empty(len(rows))
+    res_surf = res_zmp = 0.0
+    for ph, idx in groups.values():
+        mu[idx] = ph.friction_coeff
+        S = ph.surface
+        res_surf = max(res_surf, float(np.max((S.A @ pairs.p[idx, :, None])[..., 0] - S.b)))
+        z = pairs.z[idx][pairs.given("z")[idx]]
+        if ph.flat_foot and z.size:
+            zlo, zhi = ph.zmp_lo_hi()
+            res_zmp = max(res_zmp, float(np.max(np.maximum(zlo - z, z - zhi))))
+    # Friction pyramid in the contact frame.
+    fc = (pairs.R.transpose(0, 2, 1) @ pairs.f[:, :, None])[..., 0]
+    res_fric = np.max(np.maximum(np.maximum(np.abs(fc[:, 0]) - mu * fc[:, 2],
+                                            np.abs(fc[:, 1]) - mu * fc[:, 2]), -fc[:, 2]),
+                      initial=0.0)
+    r = states[pairs.t, 0:3]
+    res_kin = np.max(np.max(np.abs(pairs.p - r), axis=1, initial=0.0) - plan.kinematic_limit,
+                     initial=0.0)
+    geom = pairs.p - r
+    offset = pairs.given("z")
+    geom[offset] = geom[offset] + pairs.offsets(offset)
+    gap = np.abs(pairs.ell - geom)[pairs.given("ell")]
+    return ResidualReport(dynamics=res_dyn, friction=float(res_fric), kinematic=float(res_kin),
+                          surface=res_surf, zmp=res_zmp,
+                          lever_consistency=float(np.max(gap, initial=0.0)), tol=tol)

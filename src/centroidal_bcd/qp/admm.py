@@ -21,6 +21,11 @@ the contact QP's phase footholds couple whole phases and widen its band.
 Value-only updates of q and the bounds reuse the factorization; updates
 touching P or A values trigger exactly one refactorization.
 
+The Ruiz equilibration runs once per handle, directly on the stored entries
+of P and A: column and row maxima are segment reductions over the entry
+arrays, and each round multiplies the entries by their row and column
+factors, so no scaled matrix is assembled.
+
 Every solved call is polished on the detected active set: the
 delta-regularized active-set KKT system, multipliers eliminated the same way,
 has a pattern inside that of S, so the same band routine factors it, and
@@ -56,14 +61,14 @@ _POLISH_DELTA = 1e-7
 _POLISH_REFINE_STEPS = 3
 
 
-def _colmax_abs(M: sp.csc_matrix) -> np.ndarray:
-    out = np.asarray(abs(M).max(axis=0).todense()).ravel() if M.nnz else np.zeros(M.shape[1])
-    return out if out.size == M.shape[1] else np.zeros(M.shape[1])
-
-
-def _rowmax_abs(M: sp.csc_matrix) -> np.ndarray:
-    out = np.asarray(abs(M).max(axis=1).todense()).ravel() if M.nnz else np.zeros(M.shape[0])
-    return out if out.size == M.shape[0] else np.zeros(M.shape[0])
+def _group_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Largest of ``values[indptr[i]:indptr[i + 1]]`` for every group i; 0
+    for an empty group. ``values`` are nonnegative."""
+    out = np.zeros(indptr.size - 1)
+    nonempty = indptr[1:] > indptr[:-1]
+    if values.size:
+        out[nonempty] = np.maximum.reduceat(values, indptr[:-1][nonempty])
+    return out
 
 
 def _guarded_inv_sqrt(norms: np.ndarray) -> np.ndarray:
@@ -132,28 +137,34 @@ class AdmmSolver:
     # -- problem scaling -------------------------------------------------
 
     def _scale(self) -> None:
-        n, m = self.n, self.m
-        self._d = np.ones(n)
-        self._e = np.ones(m)
+        """Ruiz equilibration, computed on the stored entries of P and A.
+
+        Each round scales the columns by the largest entries of [P; A], the
+        rows by the largest entries of A, then the cost by its magnitude.
+        """
+        P, A = self._P, self._A
+        # A's entries grouped by row, for the row maxima.
+        by_row = np.argsort(A.indices, kind="stable")
+        row_ptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(A.indices, minlength=self.m), out=row_ptr[1:])
+        self._d = np.ones(self.n)
+        self._e = np.ones(self.m)
         self._c = 1.0
-        Pb = self._P.copy()
-        Ab = self._A.copy()
-        qb = self._q.copy()
+        p, a, qb = P.data.copy(), A.data.copy(), self._q.copy()
         for _ in range(_RUIZ_ITERATIONS):
-            col_norm = np.maximum(_colmax_abs(Pb), _colmax_abs(Ab))
-            dx = _guarded_inv_sqrt(col_norm)
-            dy = _guarded_inv_sqrt(_rowmax_abs(Ab)) if m else np.ones(0)
-            Dx = sp.diags(dx)
-            Pb = (Dx @ Pb @ Dx).tocsc()
+            abs_a = np.abs(a)
+            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), P.indptr),
+                                              _group_max(abs_a, A.indptr)))
+            dy = _guarded_inv_sqrt(_group_max(abs_a[by_row], row_ptr))
+            p = dx[P.indices] * p * dx[self._P_cols]
             qb = dx * qb
-            if m:
-                Ab = (sp.diags(dy) @ Ab @ Dx).tocsc()
+            a = dy[A.indices] * a * dx[self._A_cols]
             self._d *= dx
             self._e *= dy
-            cost_norm = max(float(np.mean(_colmax_abs(Pb))),
+            cost_norm = max(float(np.mean(_group_max(np.abs(p), P.indptr))),
                             float(np.max(np.abs(qb), initial=0.0)))
             gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
-            Pb = Pb * gamma
+            p = p * gamma
             qb = qb * gamma
             self._c *= gamma
         self._refresh_scaled_values()

@@ -155,6 +155,10 @@ def pattern_hash(M: sp.spmatrix) -> int:
     return hash((M.shape, M.indptr.tobytes(), M.indices.tobytes()))
 
 
+_NO_COLUMNS = np.zeros(0, dtype=np.int64)
+_NO_COLUMNS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class VariableLayout:
     """Maps (quantity, timestep, end-effector) to a column range.
@@ -169,15 +173,20 @@ class VariableLayout:
     n: int
     entries: tuple[tuple[str, int, str | None, int, int], ...]
     _lookup: dict = field(repr=False, default_factory=dict)
+    # quantity -> ((t, effector) of each entry, columns of every entry)
+    _groups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lookup = {}
+        lookup, groups = {}, {}
         covered = np.zeros(self.n, dtype=bool)
         for quantity, t, eff, start, stop in self.entries:
             if np.any(covered[start:stop]):
                 raise ValueError(f"layout ranges overlap at ({quantity}, {t}, {eff})")
             covered[start:stop] = True
             lookup.setdefault((quantity, t, eff), (start, stop))
+            keys, cols = groups.setdefault(quantity, ([], []))
+            keys.append((t, eff))
+            cols.extend(range(start, stop))
         if not np.all(covered):
             raise ValueError("layout ranges do not cover [0, n)")
         ranges = {(start, stop) for *_, start, stop in self.entries}
@@ -186,6 +195,11 @@ class VariableLayout:
             if rng not in ranges or lookup.setdefault(key, rng) != rng:
                 raise ValueError(f"shared key {key} does not resolve to an entry range")
         object.__setattr__(self, "_lookup", lookup)
+        for quantity, (keys, cols) in groups.items():
+            cols = np.array(cols, dtype=np.int64)
+            cols.setflags(write=False)
+            groups[quantity] = (tuple(keys), cols)
+        object.__setattr__(self, "_groups", groups)
 
     def span(self, quantity: str, t: int, effector: str | None = None) -> slice:
         try:
@@ -195,9 +209,13 @@ class VariableLayout:
         return slice(start, stop)
 
     def columns(self, quantity: str) -> np.ndarray:
-        """Columns of every entry of ``quantity``, in entry order."""
-        return np.array([c for q, _, _, start, stop in self.entries if q == quantity
-                         for c in range(start, stop)], dtype=np.int64)
+        """Columns of every entry of ``quantity``, in entry order (read-only)."""
+        return self._groups.get(quantity, ((), _NO_COLUMNS))[1]
+
+    def keys(self, quantity: str) -> tuple[tuple[int, str | None], ...]:
+        """(timestep, end-effector) of every entry of ``quantity``, in entry
+        order."""
+        return self._groups.get(quantity, ((), _NO_COLUMNS))[0]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# libyaml's C loader and dumper when PyYAML was built with it: they read and
+# write the same documents as the pure-Python classes, several times faster.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ScenarioError(ValueError):
     """Scenario document rejected; message carries the offending field path."""
@@ -261,7 +266,7 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError("$", f"not valid YAML: {exc}") from None
     return ScenarioFile.from_mapping(doc)
@@ -273,4 +278,4 @@ def load_scenario(text: bytes | str) -> tuple[ContactPlan, ReferenceSet, BcdSett
 
 
 def emit_scenario(sf: ScenarioFile) -> bytes:
-    return yaml.safe_dump(sf.to_mapping(), sort_keys=False).encode("utf-8")
+    return yaml.dump(sf.to_mapping(), Dumper=_Dumper, sort_keys=False).encode("utf-8")

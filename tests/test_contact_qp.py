@@ -12,7 +12,7 @@ from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, build_force_qp, 
     extract_force_iterate
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, integrate_step, skew
-from centroidal_bcd.qp import SolverSettings, VariableLayout, pattern_hash, setup
+from centroidal_bcd.qp import QpSolution, SolverSettings, VariableLayout, pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
@@ -117,6 +117,53 @@ def test_hover_lever_arms_match_nominal_offsets():
     cit = extract_contact_iterate(setup(cqp, validate=False).solve(), cqp.layout, plan)
     for (t, e), ell in cit.ells.items():
         assert np.max(np.abs(ell - plan.nominal_offsets[e])) < 1e-3
+
+
+def _assert_same_entries(got, expected):
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+def test_extraction_gathers_what_a_per_entry_scan_reads():
+    # Random solution vectors: extraction is pure indexing, so every value
+    # must equal the per-(t, effector) slice bit for bit, in the same order.
+    plan = flat_foot_plan()
+    cases = [(plan, hover_references(plan)), materialize(make_gait("walk"))[:2]]
+    rng = np.random.default_rng(8)
+    for plan, refs in cases:
+        p_nom = nominal_footholds(plan, refs)
+        ell = {(t, e): p_nom[(t, e)] - refs.h_kin[t].r for t, e in plan.active_pairs()}
+        fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p_nom,
+                                           references=refs))
+        x = rng.normal(size=fqp.n)
+        fit = extract_force_iterate(QpSolution(x, np.zeros(fqp.m_c), "solved", 0.0, 0, 0.0),
+                                    fqp.layout)
+        parts = {"f": {}, "tau": {}, "z": {}}
+        for quantity, t, e, start, stop in fqp.layout.entries:
+            if quantity in parts:
+                parts[quantity][(t, e)] = x[start:stop].copy()
+        _assert_same_entries(fit.forces, parts["f"])
+        _assert_same_entries(fit.torques, parts["tau"])
+        _assert_same_entries(fit.zmps, parts["z"])
+
+        cqp = build_contact_qp(_contact_inputs(plan, refs, fit.forces, fit.states,
+                                               tau_fixed=fit.torques, l_prox=100.0))
+        x = rng.normal(size=cqp.n)
+        cit = extract_contact_iterate(QpSolution(x, np.zeros(cqp.m_c), "solved", 0.0, 0, 0.0),
+                                      cqp.layout, plan)
+        footholds, zmps, ells = {}, {}, {}
+        for t, e in plan.active_pairs():
+            ph = plan.phase_at(t, e)
+            footholds[(t, e)] = x[cqp.layout.span("p", t, e)].copy()
+            ells[(t, e)] = footholds[(t, e)] - cit.states[t].r
+            if ph.flat_foot:
+                zmps[(t, e)] = x[cqp.layout.span("z", t, e)].copy()
+                ells[(t, e)] = ells[(t, e)] + ph.rotation[:, :2] @ zmps[(t, e)]
+        _assert_same_entries(cit.footholds, footholds)
+        _assert_same_entries(cit.zmps, zmps)
+        _assert_same_entries(cit.ells, ells)
+        assert any(ph.flat_foot for ph in plan.phases) == bool(zmps)
 
 
 @given(vec3, vec3, vec3, vec3)

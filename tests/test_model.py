@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,10 +16,11 @@ from centroidal_bcd.model import (
     verify_trajectory,
 )
 
+from centroidal_bcd.bcd import force_trajectory, optimize
 from centroidal_bcd.gaits import shipped_scenarios
 from centroidal_bcd.scenarios import materialize
 
-from conftest import QUAD_OFFSETS, flat_patch, hover_plan
+from conftest import QUAD_OFFSETS, flat_foot_plan, flat_patch, hover_plan
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)
 
@@ -207,3 +210,176 @@ def test_contact_plans_compare_by_identity():
     a, b = hover_plan(N=4), hover_plan(N=4)
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+# -- vectorized verification against per-step references ----------------------
+
+RESIDUALS = ("dynamics", "friction", "kinematic", "surface", "zmp", "lever_consistency")
+
+
+def _scalar_step(h_prev, contacts, plan, t):
+    """Stacked state after one step, summed contact by contact."""
+    m, dt, g = plan.mass, plan.dt, plan.gravity
+    f_total = np.zeros(3)
+    for c in contacts.values():
+        f_total = f_total + c.f
+    l_new = h_prev.l + m * g * dt + f_total * dt
+    r_new = h_prev.r + l_new * dt / m
+    k_new = np.array(h_prev.k)
+    for eff, c in contacts.items():
+        ell = c.ell
+        if ell is None:
+            ell = c.p - r_new
+            if c.z is not None:
+                ell = ell + plan.phase_at(t, eff).rotation[:, :2] @ c.z
+        kappa = np.cross(ell, c.f)
+        if c.tau is not None:
+            kappa = kappa + c.tau
+        k_new = k_new + kappa * dt
+    return np.concatenate([r_new, l_new, k_new])
+
+
+def _verify_per_step(traj, plan) -> dict:
+    """verify_trajectory's residuals, one timestep and one contact at a time."""
+    res = dict.fromkeys(RESIDUALS, 0.0)
+    prev = plan.h0
+    for t, (state, contacts) in enumerate(traj):
+        predicted = integrate_step(prev, contacts, plan, t=t)
+        res["dynamics"] = max(res["dynamics"],
+                              float(np.max(np.abs(predicted.stacked() - state.stacked()))))
+        for eff, c in contacts.items():
+            ph = plan.phase_at(t, eff)
+            fc, mu = ph.rotation.T @ c.f, ph.friction_coeff
+            res["friction"] = max(res["friction"], abs(fc[0]) - mu * fc[2],
+                                  abs(fc[1]) - mu * fc[2], -fc[2])
+            res["kinematic"] = max(res["kinematic"], float(np.max(np.abs(c.p - state.r)))
+                                   - plan.kinematic_limit)
+            res["surface"] = max(res["surface"], ph.surface.violation(c.p))
+            if ph.flat_foot and c.z is not None:
+                zlo, zhi = ph.zmp_lo_hi()
+                res["zmp"] = max(res["zmp"], float(np.max(np.maximum(zlo - c.z, c.z - zhi))))
+            if c.ell is not None:
+                geom = c.p - state.r
+                if c.z is not None:
+                    geom = geom + ph.rotation[:, :2] @ c.z
+                res["lever_consistency"] = max(res["lever_consistency"],
+                                               float(np.max(np.abs(c.ell - geom))))
+        prev = state
+    return res
+
+
+def _assert_verify_matches_reference(traj, plan):
+    report = verify_trajectory(traj, plan)
+    expected = _verify_per_step(traj, plan)
+    for name in RESIDUALS:
+        assert float(getattr(report, name)).hex() == float(expected[name]).hex(), name
+    return report
+
+
+def _without_levers(traj):
+    return [(s, {e: replace(c, ell=None) for e, c in cs.items()}) for s, cs in traj]
+
+
+@pytest.fixture(scope="module")
+def shipped_results():
+    out = {}
+    for name, doc in shipped_scenarios().items():
+        plan, refs, settings, weights = materialize(doc)
+        out[name] = plan, optimize(plan, refs, settings, weights, keep_force_iterates=True)
+    return out
+
+
+def test_verify_matches_per_step_reference_on_shipped_results(shipped_results):
+    for name, (plan, result) in shipped_results.items():
+        traj = list(zip(result.states, result.contacts))
+        report = _assert_verify_matches_reference(traj, plan)
+        assert float(report.dynamics).hex() == float(result.residuals.dynamics).hex(), name
+        _assert_verify_matches_reference(_without_levers(traj), plan)
+        for iterate, ell, p in result.force_iterates:
+            _assert_verify_matches_reference(force_trajectory(iterate, ell, p, plan), plan)
+
+
+def _flat_foot_trajectory(plan, lever: bool, seed: int = 4):
+    """Replayed trajectory with random forces, offsets and torques; lever
+    arms given (from the previous CoM) or derived."""
+    rng = np.random.default_rng(seed)
+    traj, h = [], plan.h0
+    for t in range(plan.horizon):
+        contacts = {}
+        for ph in plan.active_contacts(t):
+            fz = rng.uniform(3.0, 9.0)
+            f = ph.rotation @ np.array([0.3 * fz * rng.uniform(-1, 1),
+                                        0.3 * fz * rng.uniform(-1, 1), fz])
+            z = rng.uniform(-0.03, 0.03, size=2) if ph.flat_foot else None
+            tau = rng.normal(scale=0.05, size=3) if ph.flat_foot else None
+            p = ph.foothold_hint
+            contacts[ph.end_effector_id] = EffectorContact(
+                f=f, p=p, ell=p - h.r if lever else None, z=z, tau=tau)
+        h = integrate_step(h, contacts, plan, t=t)
+        traj.append((h, contacts))
+    return traj
+
+
+def test_integrate_step_matches_scalar_step(shipped_results):
+    plans = [(plan, _without_levers(zip(result.states, result.contacts)))
+             for plan, result in shipped_results.values()]
+    plan = flat_foot_plan()
+    plans += [(plan, _flat_foot_trajectory(plan, lever=False))]
+    for plan, traj in plans:
+        prev = plan.h0
+        for t, (state, contacts) in enumerate(traj):
+            step = integrate_step(prev, contacts, plan, t=t).stacked()
+            assert step.tobytes() == _scalar_step(prev, contacts, plan, t).tobytes()
+            prev = state
+
+
+def test_verify_matches_per_step_reference_with_offsets_and_torques():
+    plan = flat_foot_plan()
+    for lever in (True, False):
+        traj = _flat_foot_trajectory(plan, lever)
+        report = _assert_verify_matches_reference(traj, plan)
+        assert report.feasible
+    # One perturbation per residual family, each of which must register.
+    traj = _flat_foot_trajectory(plan, lever=True)
+    t = 3
+    state, contacts = traj[t]
+    c = contacts["FL"]
+    R = plan.phase_at(t, "FL").rotation
+    perturbed = {
+        "dynamics": (replace(state, l=state.l + 1e-3), contacts),
+        "friction": (state, {**contacts, "FL": replace(c, f=c.f + R @ [20.0, 0.0, 0.0])}),
+        "kinematic": (state, {**contacts, "FL": replace(c, p=c.p + [1.0, 0.0, 0.0])}),
+        "surface": (state, {**contacts, "FL": replace(c, p=c.p + [0.0, 0.0, 1e-2])}),
+        "zmp": (state, {**contacts, "FL": replace(c, z=[0.2, 0.0])}),
+        "lever_consistency": (state, {**contacts, "FL": replace(c, ell=c.ell + 1e-2)}),
+    }
+    for family, step in perturbed.items():
+        report = _assert_verify_matches_reference(traj[:t] + [step] + traj[t + 1:], plan)
+        assert getattr(report, family) > 1e-3, family
+
+
+def test_verify_mismatch_messages():
+    plan = hover_plan(N=3)
+    with pytest.raises(ValueError, match=r"^trajectory length 0 != plan horizon 3$"):
+        verify_trajectory([], plan)
+    bad = [(plan.h0, {}) for _ in range(3)]
+    with pytest.raises(ValueError, match=r"^timestep 0: trajectory contacts \[\] do not match "
+                                         r"plan activity \['FL', 'FR', 'HL', 'HR'\]$"):
+        verify_trajectory(bad, plan)
+
+
+def test_inside_hint_skips_the_emptiness_lp(monkeypatch):
+    calls = []
+    is_empty = Polytope.is_empty
+    monkeypatch.setattr(Polytope, "is_empty", lambda self: calls.append(1) or is_empty(self))
+    surf = flat_patch(0, 0)
+    ContactPhase("F", 0, 5, surf, foothold_hint=(0.1, 0.0, 0.0))
+    assert calls == []
+    ContactPhase("F", 0, 5, surf)
+    assert len(calls) == 1
+    # A hint outside the surface proves nothing; an empty surface still
+    # reports "empty" before the hint is blamed.
+    empty = Polytope(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.array([-1.0, -1.0]))
+    with pytest.raises(ValueError, match="empty"):
+        ContactPhase("F", 0, 5, empty, foothold_hint=(0.0, 0.0, 0.0))
+    assert len(calls) == 2

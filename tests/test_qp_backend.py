@@ -19,7 +19,8 @@ from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
 from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, _RHO_MAX, \
-    _RHO_MIN, _RHO_START, _SIGMA
+    _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
+from centroidal_bcd.qp.problem import diagonal
 from centroidal_bcd.scenarios import materialize
 
 
@@ -183,6 +184,58 @@ def trot_qps():
     contact = build_contact_qp(ContactQpInputs(
         plan=plan, f_fixed=f, h_reg=h_reg, references=refs, weights=weights, l_prox=100.0))
     return {"force": force, "contact": contact}
+
+
+def _ruiz_reference(qp):
+    """Ruiz equilibration with sparse matrix products: the handle's scaling
+    must reproduce it bit for bit, since ADMM iteration counts are chaotic in
+    the scaled data."""
+
+    def colmax(M):
+        return np.asarray(abs(M).max(axis=0).todense()).ravel() if M.nnz else np.zeros(M.shape[1])
+
+    def rowmax(M):
+        return np.asarray(abs(M).max(axis=1).todense()).ravel() if M.nnz else np.zeros(M.shape[0])
+
+    P, A, q = qp.P.tocsc(), qp.A.tocsc(), np.array(qp.q, dtype=float)
+    d, e, c = np.ones(qp.n), np.ones(qp.m_c), 1.0
+    for _ in range(_RUIZ_ITERATIONS):
+        dx = _guarded_inv_sqrt(np.maximum(colmax(P), colmax(A)))
+        dy = _guarded_inv_sqrt(rowmax(A)) if qp.m_c else np.ones(0)
+        Dx = sp.diags(dx)
+        P = (Dx @ P @ Dx).tocsc()
+        q = dx * q
+        if qp.m_c:
+            A = (sp.diags(dy) @ A @ Dx).tocsc()
+        d *= dx
+        e *= dy
+        cost_norm = max(float(np.mean(colmax(P))), float(np.max(np.abs(q), initial=0.0)))
+        gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
+        P = P * gamma
+        q = q * gamma
+        c *= gamma
+    return d, e, c
+
+
+def _guarded_scaling_qp():
+    """Column 2 is empty in A and stores only an explicit zero in P; row 1 of
+    A is empty. Both take the guarded inverse."""
+    A = sp.csc_matrix(np.array([[1e3, -2.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0],
+                                [0.0, 3e-3, 0.0, -7.0]]))
+    return SparseQP(n=4, m_c=3, P=diagonal(np.array([2.0, 1e-4, 0.0, 5e2])),
+                    q=np.array([1.0, -3.0, 0.0, 2e2]), A=A, lo=-np.ones(3), hi=np.ones(3))
+
+
+def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
+    rng = np.random.default_rng(5)
+    qps = [_random_qp(rng)[0] for _ in range(5)]
+    qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp()]
+    for qp in qps:
+        h = AdmmSolver(qp, validate=False)
+        d, e, c = _ruiz_reference(qp)
+        assert h._d.tobytes() == d.tobytes()
+        assert h._e.tobytes() == e.tobytes()
+        assert h._c == c
 
 
 @pytest.mark.parametrize("rho_base", [_RHO_MIN, _RHO_START, _RHO_MAX])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import yaml
 
 from centroidal_bcd.bcd import BcdSettings, optimize
+from centroidal_bcd.model import Polytope
 from centroidal_bcd.gaits import (
     GAIT_KINDS,
     make_gait,
@@ -84,6 +86,28 @@ def test_schema_version_and_missing_fields():
 def test_round_trip_all_shipped_scenarios():
     for name, sf in shipped_scenarios().items():
         assert parse_scenario(emit_scenario(sf)) == sf, name
+
+
+@pytest.mark.parametrize("kind", GAIT_KINDS)
+def test_libyaml_reads_and_writes_what_the_python_yaml_classes_do(kind):
+    sf = make_gait(kind)
+    text = yaml.safe_dump(sf.to_mapping(), sort_keys=False)
+    assert emit_scenario(sf) == text.encode("utf-8")
+    assert parse_scenario(text) == ScenarioFile.from_mapping(yaml.safe_load(text))
+
+
+def test_malformed_yaml_is_a_scenario_error():
+    for text in (b"{unbalanced", b"a: [1, 2\nb: 3", b"key: value\n  bad indent: 1\n"):
+        with pytest.raises(ScenarioError, match="YAML"):
+            parse_scenario(text)
+
+
+def test_hinted_phases_need_no_emptiness_lp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Polytope, "is_empty", lambda self: calls.append(self) or False)
+    for sf in shipped_scenarios().values():
+        materialize(sf)
+    assert calls == []
 
 
 def test_shipped_suite_covers_required_kinds():
