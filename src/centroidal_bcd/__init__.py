@@ -15,6 +15,7 @@ from .model import (
     EffectorContact,
     Polytope,
     ResidualReport,
+    Trajectory,
     integrate_step,
     polygon_to_halfspaces,
     skew,

@@ -20,15 +20,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_iterate, \
     nominal_footholds
 from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
-    extract_force_iterate, force_original_cost, stack_vectors
-from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, \
+    extract_force_iterate, force_original_cost
+from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
     verify_trajectory
 from .qp.admm import AdmmSolver
 from .qp.problem import SolverSettings
@@ -115,16 +115,24 @@ class BcdIterationRecord:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Final trajectories plus the convergence trace of the outer loop."""
+    """Final trajectory plus the convergence trace of the outer loop;
+    ``states`` and ``contacts`` are the trajectory's object views."""
 
-    states: tuple[CentroidalState, ...]
-    contacts: tuple[Mapping[str, EffectorContact], ...]
+    trajectory: Trajectory
     records: tuple[BcdIterationRecord, ...]
     final_record: BcdIterationRecord
     converged: bool
     residuals: ResidualReport
     setup_time: float = 0.0
     force_iterates: tuple | None = None
+
+    @property
+    def states(self) -> Sequence[CentroidalState]:
+        return self.trajectory.states
+
+    @property
+    def contacts(self) -> Sequence[Mapping[str, EffectorContact]]:
+        return self.trajectory.contacts
 
     @property
     def eps_trace(self) -> list[float]:
@@ -155,23 +163,14 @@ def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
     return float(d @ d) / horizon
 
 
-def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan):
-    """Assemble (state, contacts) pairs from a force iterate and the lever
-    geometry it was solved against, suitable for verify_trajectory."""
-    traj = []
-    for t, state in enumerate(iterate.states):
-        contacts = {}
-        for ph in plan.active_contacts(t):
-            e = ph.end_effector_id
-            contacts[e] = EffectorContact(
-                f=iterate.forces[(t, e)],
-                p=p_fixed[(t, e)],
-                ell=ell_fixed[(t, e)],
-                z=iterate.zmps.get((t, e)),
-                tau=iterate.torques.get((t, e)),
-            )
-        traj.append((state, contacts))
-    return traj
+def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan) -> Trajectory:
+    """The trajectory of a force iterate with the lever geometry it was
+    solved against ((pairs, 3) arrays or (t, effector) mappings), ready for
+    verify_trajectory."""
+    table = plan.pair_table
+    return Trajectory(plan, h=iterate.h, f=iterate.f, p=p_fixed, ell=ell_fixed,
+                      z=table.scatter(iterate.z, table.flat),
+                      tau=table.scatter(iterate.tau, table.flat))
 
 
 def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
@@ -220,8 +219,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     # CoM reference. The first force solve runs without momentum
     # regularization since no contact solve has happened yet.
     p_fixed = nominal_footholds(plan, references)
-    ell = {(t, e): p_fixed[(t, e)] - references.h_kin[t].r
-           for (t, e) in plan.active_pairs()}
+    ell = p_fixed - references.stacked[plan.pair_table.t, 0:3]
     h_reg = None
     p_reg = None
     L_force = settings.L0_force
@@ -249,7 +247,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         setup_time += time.perf_counter() - t0 - sol.solve_time
         iterate = extract_force_iterate(sol, qp.layout)
         if kept is not None:
-            kept.append((iterate, dict(ell), dict(p_fixed)))
+            kept.append((iterate, ell, p_fixed))
         return iterate, sol, sol.solve_time
 
     k = 0
@@ -264,9 +262,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
 
         t0 = time.perf_counter()
         qp_c = build_contact_qp(ContactQpInputs(
-            plan=plan, f_fixed=force_iterate.forces, h_reg=force_iterate.states,
+            plan=plan, f_fixed=force_iterate.f, h_reg=force_iterate.h,
             references=references, weights=weights,
-            p_reg=p_reg, tau_fixed=force_iterate.torques, l_prox=L_contact))
+            p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=L_contact))
         contact_handle, contact_sol = _solve_block(contact_handle, qp_c,
                                                    settings.solver, "contact", k)
         contact_time = contact_sol.solve_time
@@ -274,9 +272,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         contact_iterate = extract_contact_iterate(contact_sol, qp_c.layout, plan)
         L_contact = min(L_contact * settings.alpha, L_PROX_CAP)
 
-        pairs = plan.active_pairs()
-        eps_value = consensus_metric(stack_vectors(contact_iterate.ells[p] for p in pairs),
-                                     stack_vectors(ell[p] for p in pairs), plan.horizon)
+        eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
         record = BcdIterationRecord(
             iteration=k, force_qp_time=force_time, contact_qp_time=contact_time,
             eps_f_value=eps_value,
@@ -289,10 +285,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         if on_iteration is not None:
             on_iteration(record)
 
-        ell = dict(contact_iterate.ells)
-        p_fixed = dict(contact_iterate.footholds)
-        h_reg = contact_iterate.states
-        p_reg = dict(contact_iterate.footholds)
+        ell = contact_iterate.ell
+        p_fixed = p_reg = contact_iterate.p
+        h_reg = contact_iterate.h
         if eps_value <= settings.eps_f:
             converged = True
             break
@@ -314,8 +309,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     traj = force_trajectory(final_iterate, ell, p_fixed, plan)
     residuals = verify_trajectory(traj, plan, tol=residual_tol)
     return TrajectoryResult(
-        states=tuple(s for s, _ in traj),
-        contacts=tuple(c for _, c in traj),
+        trajectory=traj,
         records=tuple(records),
         final_record=final_record,
         converged=converged,

@@ -21,9 +21,10 @@ over (r, l, k, p, z) is again one convex QP:
     solve and of p toward the previous contact solve.
 
 As on the force side, the structure depends only on the plan and is built
-once per plan: the fixed forces fill dedicated skew slots that exist even
-when zero, and each build copies the cached structure and fills in the force,
-torque, reference and proximal values with numpy.
+once per plan with array arithmetic: the fixed forces fill dedicated skew
+slots that exist even when zero, and each build copies the cached structure
+and fills in the force, torque, reference and proximal values with numpy.
+Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .force_qp import SKEW_IJ, CostWeights, QpNotSolved, com_rows, extract_states, \
-    per_plan, recursion_rows, skew_entries, stack_states, stack_vectors, state_columns, \
-    zmp_rows
-from .model import CentroidalState, ContactPlan
-from .qp.problem import QpSolution, RowBuilder, SparseQP, TripletPattern, VariableLayout, \
-    diagonal
+from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
+    recursion_rows, skew_entries, state_layout, timestep_blocks, zmp_rows
+from .model import CentroidalState, ContactPlan, state_array
+from .qp.problem import Block, QpSolution, SparseQP, TripletPattern, VariableLayout, diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -57,68 +56,49 @@ class ContactQpInputs:
     ``f_fixed`` (and ``tau_fixed`` for flat feet) come from the force solve of
     the same outer iteration; ``h_reg`` is its state trajectory (momentum
     included), ``p_reg`` the previous contact solve's footholds (absent on
-    the first outer iteration).
+    the first outer iteration). Each is stored as a validated array (see
+    ``PairTable.rows``); ``tau_fixed`` has one row per flat-foot pair, zero
+    for pairs a mapping omits.
     """
 
     plan: ContactPlan
-    f_fixed: Mapping[tuple[int, str], np.ndarray]
-    h_reg: tuple[CentroidalState, ...]
+    f_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
+    h_reg: np.ndarray | tuple[CentroidalState, ...]
     references: ReferenceSet
     weights: CostWeights = field(default_factory=CostWeights)
-    p_reg: Mapping[tuple[int, str], np.ndarray] | None = None
-    tau_fixed: Mapping[tuple[int, str], np.ndarray] | None = None
+    p_reg: np.ndarray | Mapping[tuple[int, str], np.ndarray] | None = None
+    tau_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray] | None = None
     l_prox: float = 0.0
 
     def __post_init__(self):
         if self.l_prox < 0.0:
             raise ValueError("proximal weight must be nonnegative")
-        N = self.plan.horizon
-        if len(self.h_reg) != N or len(self.references) != N:
-            raise ValueError("regularization targets and references must cover the horizon")
-        active = set(self.plan.active_pairs())
-        if set(self.f_fixed.keys()) != active:
-            raise ValueError("f_fixed must cover exactly the active (t, effector) pairs")
+        if len(self.references) != self.plan.horizon:
+            raise ValueError("references must cover the horizon")
+        table = self.plan.pair_table
+        object.__setattr__(self, "h_reg", state_array(self.h_reg, self.plan.horizon, "h_reg"))
+        object.__setattr__(self, "f_fixed", table.rows(self.f_fixed, "f_fixed"))
+        if self.p_reg is not None:
+            object.__setattr__(self, "p_reg", table.rows(self.p_reg, "p_reg"))
+        object.__setattr__(self, "tau_fixed", table.rows(
+            {} if self.tau_fixed is None else self.tau_fixed, "tau_fixed", fill=0.0,
+            flat_only=True))
 
 
-def nominal_footholds(plan: ContactPlan, references: ReferenceSet) -> dict[tuple[int, str], np.ndarray]:
-    """Per-phase nominal foothold targets, replicated over the phase's
-    timesteps. A phase's explicit hint wins; otherwise the phase-mean of
-    reference CoM plus nominal offset."""
-    out: dict[tuple[int, str], np.ndarray] = {}
-    for ph in plan.phases:
-        e = ph.end_effector_id
+def nominal_footholds(plan: ContactPlan, references: ReferenceSet) -> np.ndarray:
+    """(pairs, 3) nominal foothold target of each active pair, in
+    ``plan.active_pairs()`` order: its phase's explicit hint, or else the
+    phase-mean of reference CoM plus nominal offset."""
+    target = np.empty((len(plan.phases), 3))
+    r = references.stacked[:, 0:3]
+    for j, ph in enumerate(plan.phases):
         if ph.foothold_hint is not None:
-            target = np.asarray(ph.foothold_hint, dtype=float)
+            target[j] = ph.foothold_hint
         else:
-            acc = np.zeros(3)
-            for t in range(ph.t_start, ph.t_end):
-                acc += references.h_kin[t].r + plan.nominal_offsets[e]
-            target = acc / (ph.t_end - ph.t_start)
-        for t in range(ph.t_start, ph.t_end):
-            out[(t, e)] = target
-    return out
-
-
-def _contact_layout(plan: ContactPlan) -> VariableLayout:
-    entries = []
-    shared: dict[tuple[str, int, str], tuple[int, int]] = {}
-    col = 0
-    for t in range(plan.horizon):
-        for quantity in ("r", "l", "k"):
-            entries.append((quantity, t, None, col, col + 3))
-            col += 3
-        for ph in plan.active_contacts(t):
-            e = ph.end_effector_id
-            if t == ph.t_start:
-                # One foothold per phase, resolved from every covered timestep.
-                entries.append(("p", t, e, col, col + 3))
-                for t_later in range(t + 1, ph.t_end):
-                    shared[("p", t_later, e)] = (col, col + 3)
-                col += 3
-            if ph.flat_foot:
-                entries.append(("z", t, e, col, col + 2))
-                col += 2
-    return VariableLayout(n=col, entries=tuple(entries), _lookup=shared)
+            # A sequential sum from zero; np.sum would pair the terms differently.
+            steps = r[ph.t_start:ph.t_end] + plan.nominal_offsets[ph.end_effector_id]
+            target[j] = np.cumsum(np.vstack([np.zeros(3), steps]), axis=0)[-1] / len(steps)
+    return target[plan.pair_table.phase]
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,6 @@ class _Structure:
     lo: np.ndarray            # k rows hold only the initial state's term
     hi: np.ndarray
     state_cols: np.ndarray    # (N, 9)
-    pairs: tuple[tuple[int, str], ...]
     r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
     p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on p
     p_cols: np.ndarray        # (pairs, 3) foothold columns, shared within a phase
@@ -141,69 +120,73 @@ class _Structure:
     z_rotation: np.ndarray    # (flat pairs, 3, 2) R^{xy}
     z_pos: np.ndarray         # (flat pairs, 6) A.data positions of dt skew(f) R^{xy}
     k_rows: np.ndarray        # (flat pairs, 3) angular momentum rows
-    z_cols: np.ndarray        # columns of every center-of-pressure offset
+    z_cols: np.ndarray        # (flat pairs, 2) center-of-pressure columns
+
+
+# Entries of a dense 3x2 block in row-major order.
+_BLOCK32_I, _BLOCK32_J = np.divmod(np.arange(6), 2)
 
 
 @per_plan
 def _structure(plan: ContactPlan) -> _Structure:
-    layout = _contact_layout(plan)
-    cols = state_columns(layout)
-    rb = RowBuilder()
-    r_skew, p_skew, p_cols, flat, z_rotation, z_slots, k_rows = ([] for _ in range(7))
-    for t in range(plan.horizon):
-        contacts = plan.active_contacts(t)
-        com_rows(rb, plan, cols, t)
-        # k_t - k_{t-1} - dt sum_e [skew(f) r_t - skew(f) p_e - skew(f) R z]
-        #   = dt sum_e tau_fixed. The skew slots stay structural so the pattern
-        # does not depend on the forces.
-        row = recursion_rows(rb, plan, cols, t, "k", np.zeros(3))
-        for ph in contacts:
-            e = ph.end_effector_id
-            p0 = layout.span("p", t, e).start
-            r_skew.append(rb.slots(row, cols[t, 0], SKEW_IJ))
-            p_skew.append(rb.slots(row, p0, SKEW_IJ))
-            p_cols.append(range(p0, p0 + 3))
-            if ph.flat_foot:
-                # - skew(f) R^{xy} z, a dense 3x2 block.
-                flat.append(len(p_cols) - 1)
-                z_rotation.append(ph.rotation[:, :2])
-                z_slots.append(rb.slots(row, layout.span("z", t, e).start,
-                                        tuple(np.ndindex(3, 2))))
-                k_rows.append(range(row, row + 3))
-        for ph in contacts:
-            e = ph.end_effector_id
-            p0 = layout.span("p", t, e).start
-            # Per-axis kinematic box |p - r_t| <= L_max.
-            row = rb.rows(np.full(3, -plan.kinematic_limit), plan.kinematic_limit)
-            rb.diag(row, p0, 1.0)
-            rb.diag(row, cols[t, 0], -1.0)
-            if ph.flat_foot:
-                zmp_rows(rb, ph, layout.span("z", t, e).start)
-            if t == ph.t_start:
-                S = ph.surface
-                rb.block(rb.rows(np.full(S.b.size, -np.inf), S.b), p0, S.A)
-    pattern, a_data, lo, hi = rb.build(layout.n)
-    pairs = plan.active_pairs()
-
-    def positions(slots):
-        return pattern.positions(np.array(slots, dtype=np.int64).reshape(-1, 6))
-
+    table = plan.pair_table
+    t, flat, first = table.t, table.flat, table.first
+    # Columns: (r, l, k) of each timestep, then per pair its phase's foothold
+    # (at the phase's first timestep only) and z for flat feet.
+    t_col, pair_col, n = timestep_blocks(table, 9, 3 * first + 2 * flat)
+    cols = t_col[:, None] + np.arange(9)
+    phase_p = np.empty(len(plan.phases), dtype=np.int64)
+    phase_p[table.phase[first]] = pair_col[first]
+    p_col = phase_p[table.phase]
+    p_cols = p_col[:, None] + np.arange(3)
+    z_cols = (pair_col + 3 * first)[flat, None] + np.arange(2)
+    # One foothold per phase, resolved from every covered timestep.
+    layout = state_layout(table, t_col, n, p=Block(table.keys, p_col, 3),
+                          z=Block(table.flat_keys, z_cols[:, 0], 2))
+    # Rows: the r and k recursions of each timestep, then per pair the
+    # kinematic box, the center-of-pressure box and, at the phase's first
+    # timestep, the surface.
+    surfaces = [plan.phases[j].surface for j in table.phase[first]]
+    m_surf = np.zeros(t.size, dtype=np.int64)
+    m_surf[first] = [S.b.size for S in surfaces]
+    t_row, pair_row, m_c = timestep_blocks(table, 6, 3 + 2 * flat + m_surf)
+    e = Entries(m_c)
+    com_rows(e, plan, cols, t_row)
+    # k_t - k_{t-1} - dt sum_e [skew(f) r_t - skew(f) p_e - skew(f) R z]
+    #   = dt sum_e tau_fixed. The skew slots stay structural so the pattern
+    # does not depend on the forces.
+    k_rows = recursion_rows(e, plan, cols, t_row + 3, "k", np.zeros(3))[t]
+    r_skew = e.add(k_rows[:, SKEW_I], cols[t][:, SKEW_J])
+    p_skew = e.add(k_rows[:, SKEW_I], p_cols[:, SKEW_J])
+    # - skew(f) R^{xy} z, a dense 3x2 block.
+    z_slots = e.add(k_rows[flat][:, _BLOCK32_I], z_cols[:, _BLOCK32_J])
+    # Per-axis kinematic box |p - r_t| <= L_max.
+    kin_rows = pair_row[:, None] + np.arange(3)
+    e.add(kin_rows, p_cols, 1.0)
+    e.add(kin_rows, cols[t, 0:3], -1.0)
+    e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
+    zmp_rows(e, plan, pair_row[flat, None] + 3 + np.arange(2), z_cols)
+    if surfaces:
+        count = m_surf[first]
+        surf_rows = np.repeat(pair_row[first] + 3 + 2 * flat[first] - np.cumsum(count) + count,
+                              count) + np.arange(count.sum())
+        e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0),
+              np.concatenate([S.A for S in surfaces]))
+        e.lo[surf_rows], e.hi[surf_rows] = -np.inf, np.concatenate([S.b for S in surfaces])
+    pattern, a_data, lo, hi = e.build(n)
     return _Structure(
         layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
-        pairs=tuple(pairs), pair_t=np.array([t for t, _ in pairs], dtype=np.int64),
-        r_skew_pos=positions(r_skew), p_skew_pos=positions(p_skew),
-        p_cols=np.array(p_cols, dtype=np.int64).reshape(-1, 3),
-        flat=np.array(flat, dtype=np.int64),
-        z_rotation=np.array(z_rotation, dtype=float).reshape(-1, 3, 2),
-        z_pos=positions(z_slots), k_rows=np.array(k_rows, dtype=np.int64).reshape(-1, 3),
-        z_cols=layout.columns("z"))
+        r_skew_pos=pattern.positions(r_skew), p_skew_pos=pattern.positions(p_skew),
+        p_cols=p_cols, pair_t=t, flat=np.flatnonzero(flat),
+        z_rotation=table.rotation[flat][:, :, :2], z_pos=pattern.positions(z_slots),
+        k_rows=k_rows[flat], z_cols=z_cols)
 
 
 def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     plan = inputs.plan
     s = _structure(plan)
     w, layout, dt = inputs.weights, s.layout, plan.dt
-    f = stack_vectors(inputs.f_fixed[pair] for pair in s.pairs)
+    f = inputs.f_fixed
     a_data = s.a_data.copy()
     skew_f = dt * skew_entries(f)
     # Several contacts at one timestep share the r_t slots: accumulate.
@@ -212,9 +195,7 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     # skew(f) R^{xy} column j is f x R[:, j].
     z_block = np.cross(f[s.flat, None, :], s.z_rotation.transpose(0, 2, 1))
     a_data[s.z_pos] = dt * z_block.transpose(0, 2, 1).reshape(-1, 6)
-    # Flat feet without a fixed torque contribute none.
-    tau_fixed = inputs.tau_fixed or {}
-    tau = dt * stack_vectors(tau_fixed.get(s.pairs[i], np.zeros(3)) for i in s.flat)
+    tau = dt * inputs.tau_fixed
     lo, hi = s.lo.copy(), s.hi.copy()
     np.add.at(lo, s.k_rows, tau)
     np.add.at(hi, s.k_rows, tau)
@@ -226,14 +207,12 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     d[s.z_cols] = 2.0 * w.zmp
     np.add.at(d, s.p_cols, 2.0 * w.foothold + p_prox)
     d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
-    reg = stack_states(inputs.h_reg)
     q = np.zeros(layout.n)
-    q[s.state_cols] = (-2.0 * w.running_h * stack_states(inputs.references.h_kin)
-                       - inputs.l_prox * reg)
-    p_nom = nominal_footholds(plan, inputs.references)
-    q_p = [-2.0 * w.foothold * stack_vectors(p_nom[pair] for pair in s.pairs)]
+    q[s.state_cols] = (-2.0 * w.running_h * inputs.references.stacked
+                       - inputs.l_prox * inputs.h_reg)
+    q_p = [-2.0 * w.foothold * nominal_footholds(plan, inputs.references)]
     if inputs.p_reg is not None:
-        q_p.append(-p_prox * stack_vectors(inputs.p_reg[pair] for pair in s.pairs))
+        q_p.append(-p_prox * inputs.p_reg)
     # A phase's foothold gathers one term per covered timestep, summed in
     # timestep order with the nominal pull before the proximal one.
     q_p = np.stack(q_p, axis=1)
@@ -244,12 +223,14 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
 
 @dataclass(frozen=True)
 class ContactIterate:
-    """Solution of one Contact-QP: geometry trajectory plus recovered lever arms."""
+    """Solution of one Contact-QP: states ``h`` (N, 9), footholds ``p`` and
+    recovered lever arms ``ell`` per active pair, center-of-pressure offsets
+    ``z`` per flat-foot pair."""
 
-    states: tuple[CentroidalState, ...]
-    footholds: Mapping[tuple[int, str], np.ndarray]
-    zmps: Mapping[tuple[int, str], np.ndarray]
-    ells: Mapping[tuple[int, str], np.ndarray]
+    h: np.ndarray
+    p: np.ndarray
+    z: np.ndarray
+    ell: np.ndarray
 
 
 def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
@@ -257,11 +238,8 @@ def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
     if not sol.solved:
         raise QpNotSolved(sol.status)
     s = _structure(plan)
-    states = extract_states(sol.x, layout)
     p = sol.x[s.p_cols]
-    z = sol.x[s.z_cols].reshape(-1, 2)
+    z = sol.x[s.z_cols]
     ell = p - sol.x[s.state_cols[s.pair_t, 0:3]]
     ell[s.flat] = ell[s.flat] + (s.z_rotation @ z[:, :, None])[..., 0]
-    return ContactIterate(states=states, footholds=dict(zip(s.pairs, p)),
-                          zmps=dict(zip((s.pairs[i] for i in s.flat), z)),
-                          ells=dict(zip(s.pairs, ell)))
+    return ContactIterate(h=sol.x[s.state_cols], p=p, z=z, ell=ell)

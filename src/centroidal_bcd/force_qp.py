@@ -13,10 +13,12 @@ the whole trajectory problem over (h, f, tau, z) is one convex QP:
     proximal pull toward the previous contact solve's momentum trajectory.
 
 The layout, sparsity pattern, constant entries and bounds depend only on the
-contact plan, so they are built once per plan; each build copies them and
-fills in the lever-arm, foothold and cost values with numpy. The helpers both
-trajectory QPs share (state columns, recursion and center-of-pressure rows,
-state extraction) live here too.
+contact plan, so they are built once per plan, with array arithmetic over the
+timesteps and the plan's active pairs; each build copies them and fills in
+the lever-arm, foothold and cost values with numpy. Inputs and iterates are
+arrays with one row per active pair in ``plan.active_pairs()`` order, and an
+(N, 9) state array. The helpers both trajectory QPs share (column and row
+offsets, recursion and center-of-pressure rows) live here too.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import CentroidalState, ContactPlan
-from .qp.problem import QpSolution, RowBuilder, SparseQP, TripletPattern, VariableLayout, \
-    diagonal
+from .model import CentroidalState, ContactPlan, PairTable, state_array
+from .qp.problem import Block, QpSolution, SparseQP, TripletPattern, VariableLayout, diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -96,7 +97,8 @@ class CostWeights:
     def state(self, references: ReferenceSet) -> np.ndarray:
         """(N, 9) weights on each state's deviation from its reference:
         tracking, plus ``terminal`` on the last timestep, plus ``running_h``."""
-        W = np.array([references.weight_at(t, self.tracking) for t in range(len(references))])
+        W = np.tile(self.tracking, (len(references), 1)) \
+            if references.tracking_weights is None else np.array(references.tracking_weights)
         W[-1] += self.terminal
         return W + self.running_h
 
@@ -106,17 +108,17 @@ class ForceQpInputs:
     """Data defining one Force-QP instance.
 
     ``ell_fixed`` and ``p_fixed`` come from the previous contact solve (or the
-    nominal initialization) and must cover exactly the plan's active (t,
-    effector) pairs. ``h_reg`` is the proximal target; it is absent on the
-    first outer iteration, where ``l_prox`` must be zero.
+    nominal initialization) and ``h_reg`` is the proximal target, absent on
+    the first outer iteration, where ``l_prox`` must be zero. Each is stored
+    as a validated array (see ``PairTable.rows``).
     """
 
     plan: ContactPlan
-    ell_fixed: Mapping[tuple[int, str], np.ndarray]
-    p_fixed: Mapping[tuple[int, str], np.ndarray]
+    ell_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
+    p_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
     references: ReferenceSet
     weights: CostWeights = field(default_factory=CostWeights)
-    h_reg: tuple[CentroidalState, ...] | None = None
+    h_reg: np.ndarray | tuple[CentroidalState, ...] | None = None
     l_prox: float = 0.0
 
     def __post_init__(self):
@@ -126,28 +128,23 @@ class ForceQpInputs:
             raise ValueError("proximal weight set but no regularization target")
         if len(self.references) != self.plan.horizon:
             raise ValueError("references must cover the horizon")
-        if self.h_reg is not None and len(self.h_reg) != self.plan.horizon:
-            raise ValueError("h_reg must cover the horizon")
-        active = set(self.plan.active_pairs())
+        if self.h_reg is not None:
+            object.__setattr__(self, "h_reg", state_array(self.h_reg, self.plan.horizon, "h_reg"))
         for name in ("ell_fixed", "p_fixed"):
-            keys = set(getattr(self, name).keys())
-            if keys != active:
-                missing = active - keys
-                extra = keys - active
-                raise ValueError(
-                    f"{name} must cover exactly the active pairs "
-                    f"(missing {sorted(missing)!r}, extra {sorted(extra)!r})")
+            object.__setattr__(self, name, self.plan.pair_table.rows(getattr(self, name), name))
 
 
 # Off-diagonal (i, j) entries of a 3x3 cross-product matrix, and the sign and
 # component of v giving skew(v)[i, j] for each.
-SKEW_IJ = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+SKEW_I = np.array([0, 0, 1, 1, 2, 2])
+SKEW_J = np.array([1, 2, 0, 2, 0, 1])
 _SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 _SKEW_COMPONENT = np.array([2, 1, 2, 0, 1, 0])
 
 
 def skew_entries(V: np.ndarray) -> np.ndarray:
-    """(k, 6) values of skew(v) at ``SKEW_IJ`` for each row v of ``V``."""
+    """(k, 6) values of skew(v) at (``SKEW_I``, ``SKEW_J``) for each row v of
+    ``V``."""
     return _SKEW_SIGN * V[:, _SKEW_COMPONENT]
 
 
@@ -165,70 +162,88 @@ def per_plan(build):
     return cached
 
 
-def stack_vectors(vectors, width: int = 3) -> np.ndarray:
-    """(k, width) float array, one row per vector."""
-    return np.array(list(vectors), dtype=float).reshape(-1, width)
-
-
-def stack_states(states) -> np.ndarray:
-    """(N, 9) stacked (r, l, k) of a state sequence."""
-    return stack_vectors((s.stacked() for s in states), width=9)
-
-
 def state_columns(layout: VariableLayout) -> np.ndarray:
     """(N, 9) columns of the state at each timestep. Both trajectory layouts
     place (r, l, k) of one timestep in nine consecutive columns."""
-    return layout.columns("r")[::3, None] + np.arange(9)
+    return layout.blocks["r"].start[:, None] + np.arange(9)
 
 
-def extract_states(x: np.ndarray, layout: VariableLayout) -> tuple[CentroidalState, ...]:
-    return tuple(CentroidalState.from_stacked(h) for h in x[state_columns(layout)])
+def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.ndarray, int]:
+    """First index of every timestep and of every pair, and the total, when
+    each timestep holds ``head`` columns (or rows), then ``width[i]`` for each
+    of its pairs i, as both trajectory QPs order them."""
+    before = np.concatenate([[0], np.cumsum(np.broadcast_to(width, table.t.shape))])
+    N = table.start.size - 1
+    return (head * np.arange(N) + before[table.start[:-1]], head * (table.t + 1) + before[:-1],
+            head * N + int(before[-1]))
 
 
-def recursion_rows(rb: RowBuilder, plan: ContactPlan, cols: np.ndarray, t: int,
-                   quantity: str, rhs: np.ndarray) -> int:
-    """Open the rows x_t - x_{t-1} (+ terms placed by the caller) = rhs of the
-    state quantity "r", "l" or "k", with x_{-1} the plan's initial state
-    moved to the right-hand side. Returns the first row."""
+def state_layout(table: PairTable, t_col: np.ndarray, n: int, **pair_blocks) -> VariableLayout:
+    """Layout with (r, l, k) of timestep t from ``t_col[t]`` plus the given
+    per-pair blocks."""
+    keys = tuple((t, None) for t in range(t_col.size))
+    return VariableLayout(n=n, blocks={"r": Block(keys, t_col, 3), "l": Block(keys, t_col + 3, 3),
+                                       "k": Block(keys, t_col + 6, 3), **pair_blocks})
+
+
+class Entries:
+    """Constraint rows of a fixed sparsity pattern, placed as arrays; ``lo``
+    and ``hi`` are the row bounds. Entries on the same (row, column)
+    accumulate, and zeros stay structural."""
+
+    def __init__(self, m: int):
+        self.lo, self.hi, self._parts = np.full(m, np.nan), np.full(m, np.nan), []
+
+    def add(self, rows, cols, vals=0.0) -> np.ndarray:
+        """Place entries (rows, columns and values broadcast together) and
+        return their slots, which ``TripletPattern.positions`` maps into the
+        assembled ``data`` array."""
+        rows, cols, vals = np.broadcast_arrays(rows, cols, np.asarray(vals, dtype=float))
+        start = sum(part[0].size for part in self._parts)
+        self._parts.append((rows.reshape(-1), cols.reshape(-1), vals.reshape(-1)))
+        return start + np.arange(rows.size).reshape(rows.shape)
+
+    def build(self, n: int) -> tuple[TripletPattern, np.ndarray, np.ndarray, np.ndarray]:
+        """The pattern over ``n`` columns, its assembled ``data`` (reserved
+        slots zero) and the row bounds, read-only: builds fill copies."""
+        rows, cols, vals = map(np.concatenate, zip(*self._parts))
+        pattern = TripletPattern(rows, cols, (self.lo.size, n))
+        arrays = (pattern.assemble(vals).data, self.lo, self.hi)
+        for a in arrays:
+            a.setflags(write=False)
+        return (pattern, *arrays)
+
+
+def recursion_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray,
+                   quantity: str, rhs) -> np.ndarray:
+    """Rows x_t - x_{t-1} (+ terms placed by the caller) = rhs of the state
+    quantity "r", "l" or "k" from row ``row[t]`` of every timestep, with
+    x_{-1} the plan's initial state moved to the right-hand side. Returns
+    the (N, 3) rows."""
     c = 3 * "rlk".index(quantity)
-    if t == 0:
-        rhs = rhs + plan.h0.stacked()[c:c + 3]
-    row = rb.rows(rhs, rhs)
-    rb.diag(row, cols[t, c], 1.0)
-    if t > 0:
-        rb.diag(row, cols[t - 1, c], -1.0)
-    return row
+    rows, x = row[:, None] + np.arange(3), cols[:, c:c + 3]
+    e.add(rows, x, 1.0)
+    e.add(rows[1:], x[:-1], -1.0)
+    rhs = np.tile(rhs, (row.size, 1))
+    rhs[0] = rhs[0] + plan.h0.stacked()[c:c + 3]
+    e.lo[rows] = e.hi[rows] = rhs
+    return rows
 
 
-def com_rows(rb: RowBuilder, plan: ContactPlan, cols: np.ndarray, t: int) -> None:
+def com_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray) -> None:
     """CoM recursion r_t - r_{t-1} - (dt/m) l_t = 0."""
-    row = recursion_rows(rb, plan, cols, t, "r", np.zeros(3))
-    rb.diag(row, cols[t, 3], -plan.dt / plan.mass)
+    rows = recursion_rows(e, plan, cols, row, "r", np.zeros(3))
+    e.add(rows, cols[:, 3:6], -plan.dt / plan.mass)
 
 
-def zmp_rows(rb: RowBuilder, phase, z0: int) -> None:
-    """Center-of-pressure box of a flat-foot contact."""
-    zlo, zhi = phase.zmp_lo_hi()
-    rb.diag(rb.rows(zlo, zhi), z0, 1.0, size=2)
-
-
-def _force_layout(plan: ContactPlan) -> VariableLayout:
-    entries = []
-    col = 0
-    for t in range(plan.horizon):
-        for quantity in ("r", "l", "k"):
-            entries.append((quantity, t, None, col, col + 3))
-            col += 3
-        for ph in plan.active_contacts(t):
-            e = ph.end_effector_id
-            entries.append(("f", t, e, col, col + 3))
-            col += 3
-            if ph.flat_foot:
-                entries.append(("tau", t, e, col, col + 3))
-                col += 3
-                entries.append(("z", t, e, col, col + 2))
-                col += 2
-    return VariableLayout(n=col, entries=tuple(entries))
+def zmp_rows(e: Entries, plan: ContactPlan, rows: np.ndarray, z_cols: np.ndarray) -> None:
+    """Center-of-pressure boxes of the flat-foot pairs: (flat pairs, 2) rows
+    and columns."""
+    table = plan.pair_table
+    box = np.array([ph.zmp_lo_hi() if ph.flat_foot else np.zeros((2, 2))
+                    for ph in plan.phases]).reshape(-1, 2, 2)[table.phase[table.flat]]
+    e.add(rows, z_cols, 1.0)
+    e.lo[rows], e.hi[rows] = box[:, 0], box[:, 1]
 
 
 @dataclass(frozen=True)
@@ -242,7 +257,6 @@ class _Structure:
     lo: np.ndarray            # kinematic rows hold -L and +L; builds add p_fixed
     hi: np.ndarray
     state_cols: np.ndarray    # (N, 9)
-    pairs: tuple[tuple[int, str], ...]
     skew_pos: np.ndarray      # (pairs, 6) A.data positions of -dt skew(ell)
     kin_rows: np.ndarray      # (pairs, 3)
     weight_kind: np.ndarray   # (n,) scalar cost weight per column: 1 f, 2 tau, 3 z, 0 none
@@ -250,106 +264,115 @@ class _Structure:
 
 @per_plan
 def _structure(plan: ContactPlan) -> _Structure:
-    N, dt, m = plan.horizon, plan.dt, plan.mass
-    layout = _force_layout(plan)
-    cols = state_columns(layout)
-    rb = RowBuilder()
-    skew_slots, kin_rows = [], []
-    for t in range(N):
-        contacts = plan.active_contacts(t)
-        com_rows(rb, plan, cols, t)
-        # l_t - l_{t-1} - dt sum_e f = m g dt
-        row = recursion_rows(rb, plan, cols, t, "l", m * plan.gravity * dt)
-        for ph in contacts:
-            rb.diag(row, layout.span("f", t, ph.end_effector_id).start, -dt)
-        # k_t - k_{t-1} - dt sum_e (ell x f + tau) = 0. The coefficient on f
-        # is -dt skew(ell); its six off-diagonal slots stay structural so the
-        # pattern does not depend on the lever arms.
-        row = recursion_rows(rb, plan, cols, t, "k", np.zeros(3))
-        for ph in contacts:
-            e = ph.end_effector_id
-            skew_slots.append(rb.slots(row, layout.span("f", t, e).start, SKEW_IJ))
-            if ph.flat_foot:
-                rb.diag(row, layout.span("tau", t, e).start, -dt)
-        for ph in contacts:
-            e = ph.end_effector_id
-            f0 = layout.span("f", t, e).start
-            R, mu = ph.rotation, ph.friction_coeff
-            rx, ry, rz = R[:, 0], R[:, 1], R[:, 2]
-            # Friction pyramid in the contact frame.
-            row = rb.rows([-np.inf, 0.0, -np.inf, 0.0, 0.0], [0.0, np.inf, 0.0, np.inf, np.inf])
-            rb.block(row, f0, [rx - mu * rz, rx + mu * rz, ry - mu * rz, ry + mu * rz, rz])
-            # Per-axis kinematic box |p_fixed - r| <= L_max.
-            row = rb.rows(np.full(3, -plan.kinematic_limit), plan.kinematic_limit)
-            rb.diag(row, cols[t, 0], 1.0)
-            kin_rows.append(range(row, row + 3))
-            if ph.flat_foot:
-                zmp_rows(rb, ph, layout.span("z", t, e).start)
-    pattern, a_data, lo, hi = rb.build(layout.n)
-    weight_kind = np.zeros(layout.n, dtype=np.int64)
-    for kind, quantity in enumerate(("f", "tau", "z"), start=1):
-        weight_kind[layout.columns(quantity)] = kind
-    return _Structure(
-        layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
-        pairs=tuple(plan.active_pairs()),
-        skew_pos=pattern.positions(np.array(skew_slots, dtype=np.int64).reshape(-1, 6)),
-        kin_rows=np.array(kin_rows, dtype=np.int64).reshape(-1, 3), weight_kind=weight_kind)
+    table, dt, m = plan.pair_table, plan.dt, plan.mass
+    t, flat = table.t, table.flat
+    # Columns: (r, l, k) of each timestep, then per pair f, plus tau and z
+    # for flat feet.
+    t_col, pair_col, n = timestep_blocks(table, 9, 3 + 5 * flat)
+    cols = t_col[:, None] + np.arange(9)
+    f_cols = pair_col[:, None] + np.arange(3)
+    tau_cols = f_cols[flat] + 3
+    z_cols = pair_col[flat, None] + 6 + np.arange(2)
+    layout = state_layout(table, t_col, n, f=Block(table.keys, pair_col, 3),
+                          tau=Block(table.flat_keys, tau_cols[:, 0], 3),
+                          z=Block(table.flat_keys, z_cols[:, 0], 2))
+    # Rows: the r, l and k recursions of each timestep, then per pair the
+    # friction pyramid, the kinematic box and the center-of-pressure box.
+    t_row, pair_row, m_c = timestep_blocks(table, 9, 8 + 2 * flat)
+    e = Entries(m_c)
+    com_rows(e, plan, cols, t_row)
+    # l_t - l_{t-1} - dt sum_e f = m g dt
+    l_rows = recursion_rows(e, plan, cols, t_row + 3, "l", m * plan.gravity * dt)
+    e.add(l_rows[t], f_cols, -dt)
+    # k_t - k_{t-1} - dt sum_e (ell x f + tau) = 0. The coefficient on f is
+    # -dt skew(ell); its six off-diagonal slots stay structural so the
+    # pattern does not depend on the lever arms.
+    k_rows = recursion_rows(e, plan, cols, t_row + 6, "k", np.zeros(3))
+    skew_slots = e.add(k_rows[t][:, SKEW_I], f_cols[:, SKEW_J])
+    e.add(k_rows[t[flat]], tau_cols, -dt)
+    # Friction pyramid in the contact frame.
+    rx, ry, rz = (table.rotation[:, :, j] for j in range(3))
+    mu_rz = table.friction[:, None] * rz
+    friction = pair_row[:, None] + np.arange(5)
+    e.add(friction[:, :, None], f_cols[:, None, :],
+          np.stack([rx - mu_rz, rx + mu_rz, ry - mu_rz, ry + mu_rz, rz], axis=1))
+    e.lo[friction] = [-np.inf, 0.0, -np.inf, 0.0, 0.0]
+    e.hi[friction] = [0.0, np.inf, 0.0, np.inf, np.inf]
+    # Per-axis kinematic box |p_fixed - r| <= L_max.
+    kin_rows = pair_row[:, None] + 5 + np.arange(3)
+    e.add(kin_rows, cols[t, 0:3], 1.0)
+    e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
+    zmp_rows(e, plan, pair_row[flat, None] + 8 + np.arange(2), z_cols)
+    pattern, a_data, lo, hi = e.build(n)
+    weight_kind = np.zeros(n, dtype=np.int64)
+    for kind, quantity_cols in enumerate((f_cols, tau_cols, z_cols), start=1):
+        weight_kind[quantity_cols] = kind
+    return _Structure(layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi,
+                      state_cols=cols, skew_pos=pattern.positions(skew_slots),
+                      kin_rows=kin_rows, weight_kind=weight_kind)
 
 
 def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     s = _structure(inputs.plan)
     w, layout = inputs.weights, s.layout
-    ell = stack_vectors(inputs.ell_fixed[pair] for pair in s.pairs)
     a_data = s.a_data.copy()
-    a_data[s.skew_pos] = -inputs.plan.dt * skew_entries(ell)
-    p_fixed = stack_vectors(inputs.p_fixed[pair] for pair in s.pairs)
+    a_data[s.skew_pos] = -inputs.plan.dt * skew_entries(inputs.ell_fixed)
     lo, hi = s.lo.copy(), s.hi.copy()
-    lo[s.kin_rows] += p_fixed
-    hi[s.kin_rows] += p_fixed
+    lo[s.kin_rows] += inputs.p_fixed
+    hi[s.kin_rows] += inputs.p_fixed
 
     W = w.state(inputs.references)
     d = 2.0 * np.array([0.0, w.force, w.torque, w.zmp])[s.weight_kind]
     d[s.state_cols] = 2.0 * W + inputs.l_prox
-    q_state = -2.0 * W * stack_states(inputs.references.h_kin)
+    q_state = -2.0 * W * inputs.references.stacked
     if inputs.h_reg is not None and inputs.l_prox > 0.0:
-        q_state = q_state - inputs.l_prox * stack_states(inputs.h_reg)
+        q_state = q_state - inputs.l_prox * inputs.h_reg
     q = np.zeros(layout.n)
     q[s.state_cols] = q_state
     return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
                     A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForceIterate:
-    """Solution of one Force-QP scattered back to trajectory quantities."""
+    """Solution of one Force-QP: states ``h`` (N, 9), forces ``f`` per active
+    pair, torques ``tau`` and center-of-pressure offsets ``z`` per flat-foot
+    pair. ``states`` views ``h`` as objects, built when first read."""
 
-    states: tuple[CentroidalState, ...]
-    forces: Mapping[tuple[int, str], np.ndarray]
-    torques: Mapping[tuple[int, str], np.ndarray]
-    zmps: Mapping[tuple[int, str], np.ndarray]
+    h: np.ndarray
+    f: np.ndarray
+    tau: np.ndarray
+    z: np.ndarray
+
+    @functools.cached_property
+    def states(self) -> tuple[CentroidalState, ...]:
+        return tuple(CentroidalState.from_stacked(h) for h in self.h)
 
 
 def extract_force_iterate(sol: QpSolution, layout: VariableLayout) -> ForceIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    parts = {quantity: dict(zip(layout.keys(quantity),
-                                sol.x[layout.columns(quantity)].reshape(-1, width)))
-             for quantity, width in (("f", 3), ("tau", 3), ("z", 2))}
-    return ForceIterate(states=extract_states(sol.x, layout), forces=parts["f"],
-                        torques=parts["tau"], zmps=parts["z"])
+    x = sol.x
+    return ForceIterate(h=x[state_columns(layout)], f=x[layout.columns("f")].reshape(-1, 3),
+                        tau=x[layout.columns("tau")].reshape(-1, 3),
+                        z=x[layout.columns("z")].reshape(-1, 2))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i of every row pair, each by the same dot product as a_i @ b_i."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
 
 
 def force_original_cost(iterate: ForceIterate, references: ReferenceSet,
                         weights: CostWeights, plan: ContactPlan) -> float:
-    """Running plus tracking cost of a force iterate, without proximal terms."""
+    """Running plus tracking cost of a force iterate, without proximal terms.
+    The terms are summed one at a time: states, forces, torques, offsets."""
+    dh = iterate.h - references.stacked
+    terms = np.concatenate([_row_dots(dh, weights.state(references) * dh),
+                            weights.force * _row_dots(iterate.f, iterate.f),
+                            weights.torque * _row_dots(iterate.tau, iterate.tau),
+                            weights.zmp * _row_dots(iterate.z, iterate.z)])
     total = 0.0
-    for state, h_kin, wh in zip(iterate.states, references.h_kin, weights.state(references)):
-        dh = state.stacked() - h_kin.stacked()
-        total += float(dh @ (wh * dh))
-    for f in iterate.forces.values():
-        total += weights.force * float(f @ f)
-    for tau in iterate.torques.values():
-        total += weights.torque * float(tau @ tau)
-    for z in iterate.zmps.values():
-        total += weights.zmp * float(z @ z)
+    for term in terms.tolist():
+        total += term
     return total

@@ -11,14 +11,22 @@ foot (expressed in the contact frame, first two columns of R), and R the
 contact-frame rotation. A contact with ``flat_foot=False`` is a point contact:
 z and tau are removed and ell = p - r.
 
-Everything in this module is immutable value data and pure functions.
+Everything in this module is immutable value data and pure functions. A
+plan's active (timestep, effector) pairs are laid out once, as the arrays of
+its ``PairTable``; a ``Trajectory`` carries an (N, 9) state array and
+(pairs, k) contact arrays in that order from the QP solutions through
+verification and the CSV files, and builds per-timestep ``CentroidalState``
+and ``EffectorContact`` objects only when a consumer reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +35,10 @@ __all__ = [
     "ContactPhase",
     "ContactPlan",
     "EffectorContact",
+    "PairTable",
     "TimestepContacts",
+    "Trajectory",
+    "state_array",
     "Polytope",
     "ResidualReport",
     "skew",
@@ -260,37 +271,114 @@ class ContactPlan:
                     f"phase window [{ph.t_start}, {ph.t_end}) outside horizon {self.horizon}")
             if ph.end_effector_id not in offsets:
                 raise ValueError(f"no nominal offset for effector {ph.end_effector_id!r}")
-        active = [[] for _ in range(self.horizon)]
-        for e in self.effector_ids:
-            windows = sorted((p for p in self.phases if p.end_effector_id == e),
-                             key=lambda p: p.t_start)
-            for a, b in zip(windows, windows[1:]):
-                if b.t_start < a.t_end:
-                    raise ValueError(f"effector {e!r} has overlapping phases at timesteps "
-                                     f"[{b.t_start}, {a.t_end})")
-            for ph in windows:
-                for t in range(ph.t_start, ph.t_end):
-                    active[t].append(ph)
-        object.__setattr__(self, "_active", {t: tuple(a) for t, a in enumerate(active)})
+        table = PairTable.of(self)
+        # Overlapping phases of one effector repeat a (t, effector) pair.
+        repeated = np.flatnonzero((np.diff(table.t) == 0) & (np.diff(table.effector) == 0))
+        if repeated.size:
+            t, e = table.keys[repeated[0]]
+            raise ValueError(f"effector {e!r} has overlapping phases at timestep {t}")
+        object.__setattr__(self, "pair_table", table)
 
     @property
     def n_effectors(self) -> int:
         return len(self.effector_ids)
 
     def phase_at(self, t: int, effector: str) -> ContactPhase | None:
-        for ph in self._active.get(t, ()):
+        for ph in self.active_contacts(t):
             if ph.end_effector_id == effector:
                 return ph
         return None
 
     def active_contacts(self, t: int) -> list[ContactPhase]:
         """Phases active at timestep t, in declared effector order."""
-        return list(self._active.get(t, ()))
+        if not 0 <= t < self.horizon:
+            return []
+        table = self.pair_table
+        return [self.phases[j] for j in table.phase[table.start[t]:table.start[t + 1]]]
 
     def active_pairs(self) -> list[tuple[int, str]]:
         """All (t, effector) pairs with an active contact, t-major order."""
-        return [(t, ph.end_effector_id)
-                for t in range(self.horizon) for ph in self.active_contacts(t)]
+        return list(self.pair_table.keys)
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """A plan's active (timestep, effector) pairs as arrays, t-major and in
+    declared effector order within a timestep: the row order of every
+    per-pair array in this package."""
+
+    keys: tuple[tuple[int, str], ...]
+    t: np.ndarray          # (pairs,) timestep
+    start: np.ndarray      # (N + 1,) the pairs of timestep t are start[t]:start[t + 1]
+    effector: np.ndarray   # (pairs,) index into plan.effector_ids
+    phase: np.ndarray      # (pairs,) index into plan.phases
+    first: np.ndarray      # (pairs,) bool: the first timestep of its phase
+    flat: np.ndarray       # (pairs,) bool: a flat-foot phase
+    rotation: np.ndarray   # (pairs, 3, 3) contact frame
+    friction: np.ndarray   # (pairs,) friction coefficient
+
+    @staticmethod
+    def of(plan: "ContactPlan") -> "PairTable":
+        phases = plan.phases
+        rank = {e: i for i, e in enumerate(plan.effector_ids)}
+        t0 = np.array([ph.t_start for ph in phases], dtype=np.intp)
+        length = np.array([ph.t_end for ph in phases], dtype=np.intp) - t0
+        phase = np.repeat(np.arange(len(phases)), length)
+        t = t0[phase] + np.arange(phase.size) - np.repeat(np.cumsum(length) - length, length)
+        effector = np.array([rank[ph.end_effector_id] for ph in phases], dtype=np.intp)[phase]
+        order = np.lexsort((effector, t))
+        t, phase, effector = t[order], phase[order], effector[order]
+        table = PairTable(
+            keys=tuple(zip(t.tolist(), [plan.effector_ids[i] for i in effector.tolist()])),
+            t=t, start=np.searchsorted(t, np.arange(plan.horizon + 1)), effector=effector,
+            phase=phase, first=t == t0[phase],
+            flat=np.array([ph.flat_foot for ph in phases], dtype=bool)[phase],
+            rotation=np.array([ph.rotation for ph in phases]).reshape(-1, 3, 3)[phase],
+            friction=np.array([ph.friction_coeff for ph in phases], dtype=float)[phase])
+        for a in vars(table).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def flat_keys(self) -> tuple[tuple[int, str], ...]:
+        """Keys of the flat-foot pairs, in pair order."""
+        return tuple(compress(self.keys, self.flat))
+
+    def rows(self, values, name: str, width: int = 3, fill=None, flat_only: bool = False,
+             optional: bool = False) -> np.ndarray:
+        """(pairs, width) read-only array of ``values``, validated once: an
+        array in pair order, or a mapping keyed by (timestep, effector) that
+        covers exactly the active pairs (with ``fill``, omitted pairs take
+        that value). With ``flat_only`` only the flat-foot pairs count; with
+        ``optional``, NaN rows mark absent values and None means all absent.
+        """
+        keys = self.flat_keys if flat_only else self.keys
+        if values is None:
+            values = np.full((len(keys), width), np.nan)
+        elif isinstance(values, Mapping):
+            expected, given = set(keys), set(values)
+            if given - expected or (fill is None and expected - given):
+                raise ValueError(
+                    f"{name} must cover exactly the active pairs "
+                    f"(missing {sorted(expected - given)!r}, extra {sorted(given - expected)!r})")
+            default = np.full(width, np.nan if fill is None else fill)
+            values = [values.get(key, default) for key in keys]
+        a = np.array(values, dtype=float)
+        if a.size == 0:
+            a = a.reshape(0, width)
+        if a.shape != (len(keys), width):
+            raise ValueError(f"{name} must have shape ({len(keys)}, {width}), got {a.shape}")
+        if not np.all(np.isfinite(a).all(axis=1) | (optional & np.isnan(a).all(axis=1))):
+            raise ValueError(f"{name} must be finite" + (", or NaN if absent" * optional))
+        a.setflags(write=False)
+        return a
+
+    def scatter(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Pair-sized rows holding ``values`` at ``mask`` and NaN elsewhere."""
+        out = np.full((self.t.size, values.shape[1]), np.nan)
+        out[mask] = values
+        return out
 
 
 @dataclass(frozen=True)
@@ -325,71 +413,49 @@ class EffectorContact:
 TimestepContacts = Mapping[str, EffectorContact]
 
 
-@dataclass(frozen=True)
-class _Pairs:
-    """Contact data of a run of timesteps as arrays, one row per (timestep,
-    effector) pair: timestep-major, and within a timestep in the order its
-    contacts mapping lists them. Rows of absent lever arms, offsets and
-    torques hold NaN."""
-
-    t: np.ndarray     # (pairs,) timestep index within the run
-    f: np.ndarray     # (pairs, 3)
-    p: np.ndarray
-    ell: np.ndarray
-    z: np.ndarray     # (pairs, 2)
-    tau: np.ndarray
-    R: np.ndarray     # (pairs, 3, 3) contact rotation, identity if unknown
-
-    @staticmethod
-    def gather(rows) -> "_Pairs":
-        """From (timestep index, EffectorContact, rotation or None) rows in
-        timestep order."""
-        contacts = [c for _, c, _ in rows]
-
-        def stack(name, width):
-            absent = np.full(width, np.nan)
-            return np.array([absent if getattr(c, name) is None else getattr(c, name)
-                             for c in contacts]).reshape(-1, width)
-
-        eye = np.eye(3)
-        return _Pairs(t=np.array([t for t, _, _ in rows], dtype=np.intp),
-                      f=stack("f", 3), p=stack("p", 3), ell=stack("ell", 3),
-                      z=stack("z", 2), tau=stack("tau", 3),
-                      R=np.array([eye if R is None else R for *_, R in rows]).reshape(-1, 3, 3))
-
-    def given(self, name: str) -> np.ndarray:
-        """Mask of the pairs that carry ``name`` ("ell", "z" or "tau")."""
-        return ~np.isnan(getattr(self, name)[:, 0])
-
-    def offsets(self, mask: np.ndarray) -> np.ndarray:
-        """R^{xy} z of the masked pairs."""
-        return (self.R[mask, :, :2] @ self.z[mask, :, None])[..., 0]
+# EffectorContact fields and their widths, in the order the arrays go.
+_CONTACT_FIELDS = (("f", 3), ("p", 3), ("ell", 3), ("z", 2), ("tau", 3))
 
 
-def _step(prev: np.ndarray, pairs: _Pairs, plan: ContactPlan) -> np.ndarray:
+def _rows(contacts, name: str, width: int) -> np.ndarray:
+    """(len(contacts), width) rows of one EffectorContact field; NaN where
+    absent."""
+    absent = np.full(width, np.nan)
+    return np.array([absent if getattr(c, name) is None else getattr(c, name)
+                     for c in contacts]).reshape(-1, width)
+
+
+def _lever_geometry(p, r, z, R) -> np.ndarray:
+    """p - r + R^{xy} z of every row; rows without an offset (NaN z) use
+    p - r."""
+    geom = p - r
+    offset = ~np.isnan(z[:, 0])
+    geom[offset] = geom[offset] + (R[offset, :, :2] @ z[offset, :, None])[..., 0]
+    return geom
+
+
+def _step(prev: np.ndarray, plan: ContactPlan, t: np.ndarray, R: np.ndarray, f, p, ell, z,
+          tau) -> np.ndarray:
     """Stacked (r, l, k) after one dynamics step from each row of ``prev``
-    (timesteps, 9) under the contacts in ``pairs``; see ``integrate_step``.
-    Contacts of one timestep are summed in their listed order."""
+    (timesteps, 9), see ``integrate_step``, under contact rows at timestep
+    indices ``t`` (sorted) with rotations ``R``. Contacts of one timestep are
+    summed in row order; an absent (NaN) lever arm is derived from r_t."""
     m, dt, g = plan.mass, plan.dt, plan.gravity
-    # slots[j]: the pairs that are the j-th contact of their timestep.
-    rank = np.arange(pairs.t.size) - np.searchsorted(pairs.t, pairs.t)
+    # slots[j]: the rows that are the j-th contact of their timestep.
+    rank = np.arange(t.size) - np.searchsorted(t, t)
     slots = [np.flatnonzero(rank == j) for j in range(rank.max(initial=-1) + 1)]
     f_total = np.zeros((prev.shape[0], 3))
     for idx in slots:
-        f_total[pairs.t[idx]] += pairs.f[idx]
+        f_total[t[idx]] += f[idx]
     l_new = prev[:, 3:6] + m * g * dt + f_total * dt
     r_new = prev[:, 0:3] + l_new * dt / m
-    ell = pairs.ell.copy()
-    derived = ~pairs.given("ell")
-    ell[derived] = pairs.p[derived] - r_new[pairs.t[derived]]
-    offset = derived & pairs.given("z")
-    ell[offset] = ell[offset] + pairs.offsets(offset)
-    kappa = np.cross(ell, pairs.f)
-    torque = pairs.given("tau")
-    kappa[torque] = kappa[torque] + pairs.tau[torque]
+    ell = np.where(np.isnan(ell[:, :1]), _lever_geometry(p, r_new[t], z, R), ell)
+    kappa = np.cross(ell, f)
+    torque = ~np.isnan(tau[:, 0])
+    kappa[torque] = kappa[torque] + tau[torque]
     k_new = prev[:, 6:9].copy()
     for idx in slots:
-        k_new[pairs.t[idx]] += kappa[idx] * dt
+        k_new[t[idx]] += kappa[idx] * dt
     return np.hstack([r_new, l_new, k_new])
 
 
@@ -402,12 +468,11 @@ def integrate_step(h_prev: CentroidalState, contacts: TimestepContacts,
     kappa = ell x f + tau. Rotations for the z offsets are looked up from the
     plan when ``t`` is given.
     """
-    rows = []
-    for eff, c in contacts.items():
-        ph = plan.phase_at(t, eff) if t is not None else None
-        rows.append((0, c, ph.rotation if ph is not None else None))
-    return CentroidalState.from_stacked(_step(h_prev.stacked()[None], _Pairs.gather(rows),
-                                              plan)[0])
+    phases = [plan.phase_at(t, eff) if t is not None else None for eff in contacts]
+    R = np.array([np.eye(3) if ph is None else ph.rotation for ph in phases]).reshape(-1, 3, 3)
+    h = _step(h_prev.stacked()[None], plan, np.zeros(len(phases), dtype=np.intp), R,
+              *(_rows(contacts.values(), name, width) for name, width in _CONTACT_FIELDS))
+    return CentroidalState.from_stacked(h[0])
 
 
 @dataclass(frozen=True)
@@ -453,56 +518,157 @@ class ResidualReport:
         }
 
 
+def state_array(states, horizon: int, name: str) -> np.ndarray:
+    """(N, 9) read-only stacked (r, l, k), validated: an array as it is, or
+    a sequence of CentroidalState stacked."""
+    if not isinstance(states, np.ndarray):
+        states = [s.stacked() for s in states]
+    h = np.array(states, dtype=float)
+    if h.shape != (horizon, 9):
+        raise ValueError(f"{name} must cover the horizon: shape ({horizon}, 9), got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"{name} must be finite")
+    h.setflags(write=False)
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A candidate trajectory of one plan as arrays, validated once, here.
+
+    ``h`` holds the post-step (r, l, k) of every timestep, the contact arrays
+    one row per active pair in ``plan.active_pairs()`` order. NaN rows of
+    ``ell``, ``z`` and ``tau`` are absent: such a lever arm is derived as
+    p - r + R^{xy} z, such an offset or torque contributes nothing.
+    Iterating yields (CentroidalState, {effector: EffectorContact}) per
+    timestep, ``states`` and ``contacts`` being its two columns; these
+    objects are built when first read.
+    """
+
+    plan: ContactPlan
+    h: np.ndarray                    # (N, 9)
+    f: np.ndarray                    # (pairs, 3)
+    p: np.ndarray                    # (pairs, 3)
+    ell: np.ndarray | None = None    # (pairs, 3)
+    z: np.ndarray | None = None      # (pairs, 2)
+    tau: np.ndarray | None = None    # (pairs, 3)
+
+    def __post_init__(self):
+        table = self.plan.pair_table
+        object.__setattr__(self, "h", state_array(self.h, self.plan.horizon, "states"))
+        for name, width in _CONTACT_FIELDS:
+            object.__setattr__(self, name, table.rows(getattr(self, name), name, width,
+                                                      optional=name not in ("f", "p")))
+
+    @staticmethod
+    def from_pairs(plan: ContactPlan,
+                   traj: Sequence[tuple[CentroidalState, TimestepContacts]]) -> "Trajectory":
+        """Gather (state, contacts) pairs, one per timestep, into arrays.
+        Raises on length mismatch or when the contacts at some timestep
+        disagree with the plan's activity pattern."""
+        if len(traj) != plan.horizon:
+            raise ValueError(f"trajectory length {len(traj)} != plan horizon {plan.horizon}")
+        table, rows = plan.pair_table, []
+        for t, (_, contacts) in enumerate(traj):
+            active = [plan.effector_ids[i]
+                      for i in table.effector[table.start[t]:table.start[t + 1]]]
+            if set(contacts.keys()) != set(active):
+                raise ValueError(
+                    f"timestep {t}: trajectory contacts {sorted(contacts)} do not match "
+                    f"plan activity {sorted(active)}")
+            rows += [contacts[e] for e in active]
+        return Trajectory(plan, [s for s, _ in traj],
+                          *(_rows(rows, name, width) for name, width in _CONTACT_FIELDS))
+
+    def given(self, name: str) -> np.ndarray:
+        """Mask of the pairs that carry ``name`` ("ell", "z" or "tau")."""
+        return ~np.isnan(getattr(self, name)[:, 0])
+
+    def lever_geometry(self) -> np.ndarray:
+        """p - r + R^{xy} z of every pair, r the stored CoM of its timestep
+        (pairs without an offset use p - r)."""
+        table = self.plan.pair_table
+        return _lever_geometry(self.p, self.h[table.t, 0:3], self.z, table.rotation)
+
+    @functools.cached_property
+    def _objects(self) -> tuple[tuple[CentroidalState, ...], tuple[dict, ...]]:
+        table, ids = self.plan.pair_table, self.plan.effector_ids
+
+        def row(a, i):
+            return None if np.isnan(a[i, 0]) else a[i]
+
+        contacts = tuple(
+            {ids[table.effector[i]]: EffectorContact(
+                f=self.f[i], p=self.p[i], ell=row(self.ell, i), z=row(self.z, i),
+                tau=row(self.tau, i)) for i in range(table.start[t], table.start[t + 1])}
+            for t in range(self.plan.horizon))
+        return tuple(CentroidalState.from_stacked(h) for h in self.h), contacts
+
+    @property
+    def states(self) -> Sequence[CentroidalState]:
+        return _Column(self, 0)
+
+    @property
+    def contacts(self) -> Sequence[TimestepContacts]:
+        return _Column(self, 1)
+
+    def __len__(self) -> int:
+        return self.plan.horizon
+
+    def __iter__(self):
+        return zip(*self._objects)
+
+
+class _Column(Sequence):
+    """The states or the contact mappings of a trajectory, built on first
+    read. ``trajectory`` gives writers the arrays behind them."""
+
+    def __init__(self, trajectory: Trajectory, index: int):
+        self.trajectory, self._index = trajectory, index
+
+    def __len__(self) -> int:
+        return len(self.trajectory)
+
+    def __getitem__(self, t):
+        return self.trajectory._objects[self._index][t]
+
+
 def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
                       plan: ContactPlan, tol: float = 1e-5) -> ResidualReport:
     """Certify a candidate trajectory against the plan's constraints.
 
-    ``traj`` holds one (state, contacts) pair per timestep; states are the
-    post-step values, the initial state comes from the plan. Raises on length
-    mismatch or when the contacts at some timestep disagree with the plan's
-    activity pattern.
+    ``traj`` is a ``Trajectory`` of this plan, checked on its arrays as they
+    are, or one (state, contacts) pair per timestep, gathered into one first
+    (see ``Trajectory.from_pairs``). States are the post-step values; the
+    initial state comes from the plan.
     """
-    if len(traj) != plan.horizon:
-        raise ValueError(f"trajectory length {len(traj)} != plan horizon {plan.horizon}")
-    rows, groups = [], {}
-    for t, (_, contacts) in enumerate(traj):
-        active = {ph.end_effector_id: ph for ph in plan.active_contacts(t)}
-        if set(contacts.keys()) != set(active.keys()):
-            raise ValueError(
-                f"timestep {t}: trajectory contacts {sorted(contacts)} do not match "
-                f"plan activity {sorted(active)}")
-        for eff, c in contacts.items():
-            ph = active[eff]
-            groups.setdefault(id(ph), (ph, []))[1].append(len(rows))
-            rows.append((t, c, ph.rotation))
-    pairs = _Pairs.gather(rows)
-    states = np.array([s.stacked() for s, _ in traj])
+    if not (isinstance(traj, Trajectory) and traj.plan is plan):
+        traj = Trajectory.from_pairs(plan, traj)
+    table, states = plan.pair_table, traj.h
     prev = np.vstack([plan.h0.stacked(), states[:-1]])
-    res_dyn = float(np.max(np.abs(_step(prev, pairs, plan) - states)))
+    res_dyn = float(np.max(np.abs(_step(prev, plan, table.t, table.rotation, traj.f, traj.p,
+                                        traj.ell, traj.z, traj.tau) - states)))
 
     # Per-phase data: surfaces and center-of-pressure bounds, one batch each.
-    mu = np.empty(len(rows))
+    order = np.argsort(table.phase, kind="stable")
+    bounds = np.searchsorted(table.phase[order], np.arange(len(plan.phases) + 1))
     res_surf = res_zmp = 0.0
-    for ph, idx in groups.values():
-        mu[idx] = ph.friction_coeff
+    for ph, idx in zip(plan.phases, np.split(order, bounds[1:-1])):
         S = ph.surface
-        res_surf = max(res_surf, float(np.max((S.A @ pairs.p[idx, :, None])[..., 0] - S.b)))
-        z = pairs.z[idx][pairs.given("z")[idx]]
+        res_surf = max(res_surf, float(np.max((S.A @ traj.p[idx, :, None])[..., 0] - S.b)))
+        z = traj.z[idx][traj.given("z")[idx]]
         if ph.flat_foot and z.size:
             zlo, zhi = ph.zmp_lo_hi()
             res_zmp = max(res_zmp, float(np.max(np.maximum(zlo - z, z - zhi))))
     # Friction pyramid in the contact frame.
-    fc = (pairs.R.transpose(0, 2, 1) @ pairs.f[:, :, None])[..., 0]
+    fc = (table.rotation.transpose(0, 2, 1) @ traj.f[:, :, None])[..., 0]
+    mu = table.friction
     res_fric = np.max(np.maximum(np.maximum(np.abs(fc[:, 0]) - mu * fc[:, 2],
                                             np.abs(fc[:, 1]) - mu * fc[:, 2]), -fc[:, 2]),
                       initial=0.0)
-    r = states[pairs.t, 0:3]
-    res_kin = np.max(np.max(np.abs(pairs.p - r), axis=1, initial=0.0) - plan.kinematic_limit,
-                     initial=0.0)
-    geom = pairs.p - r
-    offset = pairs.given("z")
-    geom[offset] = geom[offset] + pairs.offsets(offset)
-    gap = np.abs(pairs.ell - geom)[pairs.given("ell")]
+    res_kin = np.max(np.max(np.abs(traj.p - states[table.t, 0:3]), axis=1, initial=0.0)
+                     - plan.kinematic_limit, initial=0.0)
+    gap = np.abs(traj.ell - traj.lever_geometry())[traj.given("ell")]
     return ResidualReport(dynamics=res_dyn, friction=float(res_fric), kinematic=float(res_kin),
                           surface=res_surf, zmp=res_zmp,
                           lever_consistency=float(np.max(gap, initial=0.0)), tol=tol)

@@ -12,17 +12,20 @@ factorization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "INFTY",
     "SparseQP",
+    "Block",
     "VariableLayout",
     "SolverSettings",
     "QpSolution",
-    "RowBuilder",
     "TripletPattern",
     "diagonal",
     "pattern_hash",
@@ -90,59 +93,6 @@ class TripletPattern:
                              shape=self.shape)
 
 
-class RowBuilder:
-    """Constraint rows of a fixed sparsity pattern, placed block by block.
-
-    ``rows`` opens rows with their bounds and returns the first row index;
-    ``diag``, ``block`` and ``slots`` place entries in opened rows. Entries on
-    the same (row, column) accumulate, and zeros stay structural. ``slots``
-    reserves zero entries for values that change between instances and
-    returns their slot indices, which ``TripletPattern.positions`` maps into
-    the assembled ``data`` array.
-    """
-
-    def __init__(self):
-        self._rows, self._cols, self._vals, self._lo, self._hi = [], [], [], [], []
-
-    def rows(self, lo, hi) -> int:
-        """Open one row per entry of ``lo``; a scalar ``hi`` bounds them all."""
-        r0 = len(self._lo)
-        self._lo.extend(lo)
-        self._hi.extend(hi if np.ndim(hi) else [hi] * (len(self._lo) - r0))
-        return r0
-
-    def diag(self, r0: int, c0: int, value: float, size: int = 3) -> None:
-        self._place([r0 + k for k in range(size)], [c0 + k for k in range(size)],
-                    [value] * size)
-
-    def block(self, r0: int, c0: int, M) -> None:
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        h, w = M.shape
-        self._place([r0 + i for i in range(h) for _ in range(w)],
-                    [c0 + j for _ in range(h) for j in range(w)], M.ravel().tolist())
-
-    def slots(self, r0: int, c0: int, ij) -> range:
-        return self._place([r0 + i for i, _ in ij], [c0 + j for _, j in ij], [0.0] * len(ij))
-
-    def _place(self, rows, cols, vals) -> range:
-        start = len(self._rows)
-        self._rows.extend(rows)
-        self._cols.extend(cols)
-        self._vals.extend(vals)
-        return range(start, len(self._rows))
-
-    def build(self, n: int) -> tuple[TripletPattern, np.ndarray, np.ndarray, np.ndarray]:
-        """The pattern over ``n`` columns, its assembled ``data`` (reserved
-        slots zero), and the lower and upper row bounds, all read-only:
-        instances fill copies of them."""
-        pattern = TripletPattern(self._rows, self._cols, (len(self._lo), n))
-        arrays = (pattern.assemble(self._vals).data, np.array(self._lo, dtype=float),
-                  np.array(self._hi, dtype=float))
-        for a in arrays:
-            a.setflags(write=False)
-        return (pattern, *arrays)
-
-
 def diagonal(d: np.ndarray) -> sp.csc_matrix:
     """Diagonal CSC matrix storing every diagonal entry, zeros included."""
     k = np.arange(d.size + 1, dtype=np.int32)
@@ -159,47 +109,51 @@ _NO_COLUMNS = np.zeros(0, dtype=np.int64)
 _NO_COLUMNS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class VariableLayout:
-    """Maps (quantity, timestep, end-effector) to a column range.
+class Block(NamedTuple):
+    """One quantity of a layout: its (timestep, end-effector) keys, the first
+    column of each key's range, and the width shared by those ranges."""
 
-    ``entries`` lists each distinct range once; ranges are disjoint and cover
-    [0, n). Quantities sharing one variable across several timesteps (phase
-    footholds) pass their extra keys in ``_lookup``, each mapped to the
-    (start, stop) of one of the ``entries``, and resolve through ``span`` for
-    any timestep they cover.
-    """
+    keys: tuple[tuple[int, str | None], ...]
+    start: np.ndarray
+    width: int
+
+
+@dataclass(frozen=True, eq=False)
+class VariableLayout:
+    """Maps (quantity, timestep, end-effector) to a column range, one
+    ``Block`` per quantity. The distinct ranges must be disjoint and cover
+    [0, n). Keys sharing one variable (a phase foothold) repeat its start:
+    the first of them owns the range."""
 
     n: int
-    entries: tuple[tuple[str, int, str | None, int, int], ...]
-    _lookup: dict = field(repr=False, default_factory=dict)
-    # quantity -> ((t, effector) of each entry, columns of every entry)
-    _groups: dict = field(init=False, repr=False, compare=False)
+    blocks: Mapping[str, Block]
+    # quantity -> (keys of the owned ranges, their columns), in key order
+    _owned: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        lookup, groups = {}, {}
-        covered = np.zeros(self.n, dtype=bool)
-        for quantity, t, eff, start, stop in self.entries:
-            if np.any(covered[start:stop]):
-                raise ValueError(f"layout ranges overlap at ({quantity}, {t}, {eff})")
-            covered[start:stop] = True
-            lookup.setdefault((quantity, t, eff), (start, stop))
-            keys, cols = groups.setdefault(quantity, ([], []))
-            keys.append((t, eff))
-            cols.extend(range(start, stop))
-        if not np.all(covered):
-            raise ValueError("layout ranges do not cover [0, n)")
-        ranges = {(start, stop) for *_, start, stop in self.entries}
-        for key, rng in self._lookup.items():
-            rng = tuple(rng)
-            if rng not in ranges or lookup.setdefault(key, rng) != rng:
-                raise ValueError(f"shared key {key} does not resolve to an entry range")
-        object.__setattr__(self, "_lookup", lookup)
-        for quantity, (keys, cols) in groups.items():
-            cols = np.array(cols, dtype=np.int64)
+        owned = {}
+        for quantity, (keys, start, width) in self.blocks.items():
+            if len(set(keys)) != len(keys) or len(keys) != len(start):
+                raise ValueError(f"{quantity}: need one start per key, and no duplicate keys")
+            owner = np.sort(np.unique(start, return_index=True)[1])
+            cols = (np.asarray(start, dtype=np.int64)[owner, None] + np.arange(width)).reshape(-1)
             cols.setflags(write=False)
-            groups[quantity] = (tuple(keys), cols)
-        object.__setattr__(self, "_groups", groups)
+            owned[quantity] = (tuple(keys[i] for i in owner), cols)
+        every = np.concatenate([_NO_COLUMNS] + [cols for _, cols in owned.values()])
+        if every.size and (every.min() < 0 or every.max() >= self.n):
+            raise ValueError(f"layout ranges leave [0, {self.n})")
+        counts = np.bincount(every, minlength=self.n)
+        if np.any(counts > 1):
+            raise ValueError(f"layout ranges overlap at column {int(np.argmax(counts > 1))}")
+        if not np.all(counts):
+            raise ValueError("layout ranges do not cover [0, n)")
+        object.__setattr__(self, "_owned", owned)
+
+    @functools.cached_property
+    def _lookup(self) -> dict:
+        return {(quantity, *key): (start, start + width)
+                for quantity, (keys, starts, width) in self.blocks.items()
+                for key, start in zip(keys, np.asarray(starts).tolist())}
 
     def span(self, quantity: str, t: int, effector: str | None = None) -> slice:
         try:
@@ -209,13 +163,14 @@ class VariableLayout:
         return slice(start, stop)
 
     def columns(self, quantity: str) -> np.ndarray:
-        """Columns of every entry of ``quantity``, in entry order (read-only)."""
-        return self._groups.get(quantity, ((), _NO_COLUMNS))[1]
+        """Columns of every owned range of ``quantity``, in key order
+        (read-only)."""
+        return self._owned.get(quantity, ((), _NO_COLUMNS))[1]
 
     def keys(self, quantity: str) -> tuple[tuple[int, str | None], ...]:
-        """(timestep, end-effector) of every entry of ``quantity``, in entry
-        order."""
-        return self._groups.get(quantity, ((), _NO_COLUMNS))[0]
+        """(timestep, end-effector) of every owned range of ``quantity``, in
+        key order."""
+        return self._owned.get(quantity, ((), _NO_COLUMNS))[0]
 
 
 @dataclass(frozen=True)

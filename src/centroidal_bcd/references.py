@@ -8,6 +8,7 @@ tracking during flight phases).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ class ReferenceSet:
 
     def __len__(self) -> int:
         return len(self.h_kin)
+
+    @functools.cached_property
+    def stacked(self) -> np.ndarray:
+        """(N, 9) stacked (r, l, k) of every target (read-only)."""
+        h = np.array([s.stacked() for s in self.h_kin], dtype=float).reshape(-1, 9)
+        h.setflags(write=False)
+        return h
 
     def weight_at(self, t: int, default: np.ndarray) -> np.ndarray:
         if self.tracking_weights is None:

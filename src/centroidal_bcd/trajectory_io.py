@@ -6,6 +6,9 @@ center-of-pressure columns for effectors with flat-foot phases). Inactive
 effectors carry zeros; activity is defined by the contact plan, which is
 required again when reading.
 
+Both directions work on the arrays of a ``model.Trajectory``, placed into or
+read out of one (N, columns) table.
+
 The convergence report JSON deliberately carries no timing fields so that
 repeated runs with identical inputs produce byte-identical files; timings go
 to their own CSV.
@@ -20,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bcd import TrajectoryResult
-from .model import CentroidalState, ContactPlan, EffectorContact
+from .model import CentroidalState, ContactPlan, EffectorContact, Trajectory
 
 __all__ = [
     "TrajectoryFormatError",
@@ -56,33 +59,44 @@ def trajectory_header(plan: ContactPlan) -> list[str]:
     return header
 
 
+def _pair_columns(plan: ContactPlan, header: list[str]) -> np.ndarray:
+    """Table column of each active pair's f, p, ell, tau and z values
+    (pairs, 14); -1 where its effector has no tau and z columns."""
+    ids = plan.effector_ids
+    base = np.array([header.index(f"f_{e}_x") for e in ids])[plan.pair_table.effector, None]
+    width = np.array([14 if f"z_{e}_x" in header else 9 for e in ids])[plan.pair_table.effector]
+    return np.where(np.arange(14) < width[:, None], base + np.arange(14), -1)
+
+
 def write_trajectory_csv(stream, states: Sequence[CentroidalState],
                          contacts: Sequence[Mapping[str, EffectorContact]],
                          plan: ContactPlan) -> None:
+    """Write one row per timestep from the arrays of the ``Trajectory`` that
+    ``states`` and ``contacts`` view, or from per-timestep objects. A missing
+    lever arm is written as the model derives it, p - r + R^{xy} z; a
+    missing torque or offset as zeros."""
+    traj = getattr(states, "trajectory", None)
+    if traj is None or getattr(contacts, "trajectory", None) is not traj or traj.plan is not plan:
+        traj = Trajectory.from_pairs(plan, list(zip(states, contacts)))
+    header = trajectory_header(plan)
+    cols = _pair_columns(plan, header)
+    at = cols >= 0
+    ell = np.where(np.isnan(traj.ell), traj.lever_geometry(), traj.ell)
+    data = np.nan_to_num(np.hstack([traj.f, traj.p, ell, traj.tau, traj.z]), nan=0.0)
+    values = np.zeros((plan.horizon, len(header)))
+    values[:, 1:10] = traj.h
+    values[np.broadcast_to(plan.pair_table.t[:, None], cols.shape)[at], cols[at]] = data[at]
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(trajectory_header(plan))
-    flat = _flat_foot_effectors(plan)
-    for t, (state, cs) in enumerate(zip(states, contacts)):
-        row: list = [t]
-        row += [repr(float(v)) for v in state.stacked()]
-        for e in plan.effector_ids:
-            c = cs.get(e)
-            f = c.f if c else np.zeros(3)
-            p = c.p if c else np.zeros(3)
-            ell = c.ell if c is not None and c.ell is not None else \
-                (p - state.r if c else np.zeros(3))
-            vals = list(f) + list(p) + list(ell)
-            if e in flat:
-                tau = c.tau if c is not None and c.tau is not None else np.zeros(3)
-                z = c.z if c is not None and c.z is not None else np.zeros(2)
-                vals += list(tau) + list(z)
-            row += [repr(float(v)) for v in vals]
-        writer.writerow(row)
+    writer.writerow(header)
+    for t, row in enumerate(values[:, 1:].tolist()):
+        writer.writerow([t, *map(repr, row)])
 
 
-def read_trajectory_csv(stream, plan: ContactPlan):
-    """Parse a trajectory CSV back into (state, contacts) pairs, using the
-    plan to decide which effectors are active at each timestep."""
+def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
+    """Parse a trajectory CSV into a ``Trajectory`` of the plan, which
+    decides the active effectors; iterating it yields (state, contacts)
+    pairs. A malformed file, including a non-zero value in a column of an
+    effector out of contact, raises ``TrajectoryFormatError``."""
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -93,35 +107,41 @@ def read_trajectory_csv(stream, plan: ContactPlan):
         raise TrajectoryFormatError(
             f"header mismatch: expected {len(expected)} columns for this plan, "
             f"got {len(header)} ({header[:4]}...)")
-    flat = _flat_foot_effectors(plan)
-    traj = []
-    for t, row in enumerate(reader):
+    rows = list(reader)
+    values = np.empty((len(rows), len(expected)))
+    for t, row in enumerate(rows):
         if len(row) != len(expected):
             raise TrajectoryFormatError(f"row {t}: expected {len(expected)} fields, got {len(row)}")
         try:
-            vals = [float(x) for x in row]
+            values[t] = [float(x) for x in row]
         except ValueError as exc:
             raise TrajectoryFormatError(f"row {t}: {exc}") from None
-        if int(vals[0]) != t:
-            raise TrajectoryFormatError(f"row {t}: timestep column says {vals[0]}")
-        state = CentroidalState.from_stacked(vals[1:10])
-        idx = 10
-        contacts = {}
-        for e in plan.effector_ids:
-            width = 9 + (5 if e in flat else 0)
-            chunk = vals[idx:idx + width]
-            idx += width
-            if plan.phase_at(t, e) is None:
-                continue
-            kwargs = {}
-            if e in flat:
-                kwargs = {"tau": chunk[9:12], "z": chunk[12:14]}
-            contacts[e] = EffectorContact(f=chunk[0:3], p=chunk[3:6], ell=chunk[6:9], **kwargs)
-        traj.append((state, contacts))
-    if len(traj) != plan.horizon:
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, col = bad[0]
+        raise TrajectoryFormatError(f"row {t}: {expected[col]} is {values[t, col]!r}")
+    bad = np.flatnonzero(np.trunc(values[:, 0]) != np.arange(len(rows)))
+    if bad.size:
+        raise TrajectoryFormatError(f"row {bad[0]}: timestep column says {values[bad[0], 0]}")
+    if len(rows) != plan.horizon:
         raise TrajectoryFormatError(
-            f"trajectory has {len(traj)} timesteps, plan horizon is {plan.horizon}")
-    return traj
+            f"trajectory has {len(rows)} timesteps, plan horizon is {plan.horizon}")
+    cols = _pair_columns(plan, expected)
+    at = np.broadcast_to(plan.pair_table.t[:, None], cols.shape)[cols >= 0], cols[cols >= 0]
+    data = np.full(cols.shape, np.nan)
+    data[cols >= 0] = values[at]
+    # The columns of an effector that is not in contact hold zeros.
+    idle = np.ones(values.shape, dtype=bool)
+    idle[:, :10] = False
+    idle[at] = False
+    bad = np.argwhere(idle & (values != 0.0))
+    if bad.size:
+        t, col = bad[0]
+        raise TrajectoryFormatError(
+            f"row {t}: {expected[col]} is {values[t, col]!r}, but that effector is not in "
+            f"contact")
+    f, p, ell, tau, z = np.split(data, [3, 6, 9, 12], axis=1)
+    return Trajectory(plan, values[:, 1:10], f, p, ell, z, tau)
 
 
 def convergence_report(result: TrajectoryResult, scenario_name: str = "") -> dict:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, Polytope
+from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, EffectorContact, \
+    Polytope, integrate_step
 from centroidal_bcd.references import ReferenceSet
 
 QUAD_OFFSETS = {
@@ -73,6 +74,27 @@ def flat_foot_plan(N=8) -> ContactPlan:
                        mass=2.5, h0=CentroidalState((0.0, 0.0, 0.22), (0.0, 0.0, 0.0),
                                                     (0.0, 0.01, 0.0)),
                        kinematic_limit=0.35, nominal_offsets=offsets)
+
+
+def flat_foot_replay(plan: ContactPlan, lever: bool, seed: int = 4) -> list:
+    """Replayed trajectory with random forces, offsets and torques; lever
+    arms given (from the previous CoM) or derived."""
+    rng = np.random.default_rng(seed)
+    traj, h = [], plan.h0
+    for t in range(plan.horizon):
+        contacts = {}
+        for ph in plan.active_contacts(t):
+            fz = rng.uniform(3.0, 9.0)
+            f = ph.rotation @ np.array([0.3 * fz * rng.uniform(-1, 1),
+                                        0.3 * fz * rng.uniform(-1, 1), fz])
+            z = rng.uniform(-0.03, 0.03, size=2) if ph.flat_foot else None
+            tau = rng.normal(scale=0.05, size=3) if ph.flat_foot else None
+            p = ph.foothold_hint
+            contacts[ph.end_effector_id] = EffectorContact(
+                f=f, p=p, ell=p - h.r if lever else None, z=z, tau=tau)
+        h = integrate_step(h, contacts, plan, t=t)
+        traj.append((h, contacts))
+    return traj
 
 
 def qp_arrays(qp) -> list[np.ndarray]:

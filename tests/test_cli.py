@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import centroidal_bcd.cli as cli_module
 from centroidal_bcd.cli import main
+from centroidal_bcd.model import CentroidalState, EffectorContact
+from centroidal_bcd.scenarios import load_scenario
 
 EXIT_FORMAT = 64
 
@@ -120,3 +123,61 @@ def test_bench_single_horizon_reports_na(tmp_path, trot_scenario, capsys):
 def test_gait_rejects_bad_params(tmp_path):
     assert main(["gait", "--kind", "walk", "--out", str(tmp_path / "w.scn"),
                  "--param", "stride=2.0"]) == 1
+
+
+@pytest.fixture(scope="module")
+def jump_scenario(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scn") / "jump.scn"
+    assert main(["gait", "--kind", "jump_in_place", "--out", str(path)]) == 0
+    return path
+
+
+def test_verify_rejects_force_on_a_foot_in_the_air(jump_scenario, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", str(jump_scenario), "--out", str(out)]) == 0
+    t = 60
+    assert load_scenario(jump_scenario.read_bytes())[0].phase_at(t, "FL") is None  # flight
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    col = lines[0].split(",").index("f_FL_z")
+    fields = lines[t + 1].split(",")
+    fields[col] = "500.0"
+    lines[t + 1] = ",".join(fields)
+    bad = tmp_path / "airborne.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(jump_scenario), str(bad)]) == EXIT_FORMAT
+    assert "f_FL_z" in capsys.readouterr().err
+
+
+def test_solve_and_verify_build_no_per_timestep_objects(tmp_path, monkeypatch):
+    # The trajectory travels as arrays from the QP solutions to the CSV and
+    # back into verification: the only states built are the scenario's own
+    # (initial state and references), and no contact objects at all.
+    scn, out = tmp_path / "twist.scn", tmp_path / "run"
+    assert main(["gait", "--kind", "jump_twist", "--out", str(scn)]) == 0
+    built, materializing = {"CentroidalState": 0, "EffectorContact": 0}, []
+    real_materialize = cli_module.materialize
+
+    def count(cls):
+        real_post_init = cls.__post_init__
+
+        def counting_post_init(self):
+            if not materializing:
+                built[cls.__name__] += 1
+            real_post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+
+    def materialize(sf):
+        materializing.append(sf)
+        try:
+            return real_materialize(sf)
+        finally:
+            materializing.pop()
+
+    count(CentroidalState)
+    count(EffectorContact)
+    monkeypatch.setattr(cli_module, "materialize", materialize)
+    assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert built == {"CentroidalState": 0, "EffectorContact": 0}

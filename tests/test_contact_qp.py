@@ -29,7 +29,7 @@ def _zero_weights(**kw):
 
 
 def _contact_inputs(plan, refs, f_fixed, h_reg, weights=None, **kw):
-    return ContactQpInputs(plan=plan, f_fixed=f_fixed, h_reg=tuple(h_reg),
+    return ContactQpInputs(plan=plan, f_fixed=f_fixed, h_reg=h_reg,
                            references=refs, weights=weights or CostWeights(), **kw)
 
 
@@ -42,9 +42,9 @@ def test_zero_forces_keep_angular_momentum_and_nominal_footholds():
     sol = setup(qp, validate=False).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
-    for state in it.states:
-        assert np.max(np.abs(state.k - plan.h0.k)) < 1e-9
-    for (t, e), p in it.footholds.items():
+    for k in it.h[:, 6:9]:
+        assert np.max(np.abs(k - plan.h0.k)) < 1e-9
+    for (t, e), p in zip(plan.active_pairs(), it.p):
         hint = plan.phase_at(t, e).foothold_hint
         assert np.max(np.abs(p - hint)) < 1e-6
 
@@ -68,7 +68,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     sol = setup(qp, validate=False).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
-    d_x = (it.states[0].r - it.footholds[(0, "FOOT")])[0]
+    d_x = (it.h[0, 0:3] - it.p[0])[0]
 
     # Oracle: J(a, b) = (L/2) ((c(a+b) - K)^2 + a^2 + (a/dt)^2) + w_p b^2 with
     # c = dt * fz, a the CoM shift, b the negative foothold shift, k free.
@@ -86,7 +86,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
         plan, ReferenceSet(h_reg2), f0, h_reg2,
         weights=_zero_weights(foothold=1e-6), l_prox=1e6))
     it2 = extract_contact_iterate(setup(qp2, validate=False).solve(), qp2.layout, plan)
-    d2 = (it2.states[0].r - it2.footholds[(0, "FOOT")])[0]
+    d2 = (it2.h[0, 0:3] - it2.p[0])[0]
     assert d2 == pytest.approx(K2 / (dt * fz), abs=1e-3)
 
 
@@ -97,8 +97,8 @@ def test_point_contact_lever_is_foot_minus_com():
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
     sol = setup(qp, validate=False).solve()
     it = extract_contact_iterate(sol, qp.layout, plan)
-    for (t, e), ell in it.ells.items():
-        assert np.allclose(ell, it.footholds[(t, e)] - it.states[t].r)
+    for t, ell, p in zip(plan.pair_table.t, it.ell, it.p):
+        assert np.allclose(ell, p - it.h[t, 0:3])
 
 
 def test_hover_lever_arms_match_nominal_offsets():
@@ -106,16 +106,14 @@ def test_hover_lever_arms_match_nominal_offsets():
     # arms recover the nominal stance offsets.
     plan = hover_plan(N=8)
     refs = hover_references(plan)
-    pairs = plan.active_pairs()
     geometry = nominal_footholds(plan, refs)
-    ell0 = {pair: geometry[pair] - refs.h_kin[pair[0]].r for pair in pairs}
+    ell0 = geometry - refs.stacked[plan.pair_table.t, 0:3]
     fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell0, p_fixed=geometry,
                                        references=refs))
     fit = extract_force_iterate(setup(fqp, validate=False).solve(), fqp.layout)
-    cqp = build_contact_qp(_contact_inputs(plan, refs, fit.forces, fit.states,
-                                           l_prox=100.0))
+    cqp = build_contact_qp(_contact_inputs(plan, refs, fit.f, fit.h, l_prox=100.0))
     cit = extract_contact_iterate(setup(cqp, validate=False).solve(), cqp.layout, plan)
-    for (t, e), ell in cit.ells.items():
+    for (t, e), ell in zip(plan.active_pairs(), cit.ell):
         assert np.max(np.abs(ell - plan.nominal_offsets[e])) < 1e-3
 
 
@@ -133,22 +131,23 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
     rng = np.random.default_rng(8)
     for plan, refs in cases:
         p_nom = nominal_footholds(plan, refs)
-        ell = {(t, e): p_nom[(t, e)] - refs.h_kin[t].r for t, e in plan.active_pairs()}
+        ell = p_nom - refs.stacked[plan.pair_table.t, 0:3]
         fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p_nom,
                                            references=refs))
         x = rng.normal(size=fqp.n)
         fit = extract_force_iterate(QpSolution(x, np.zeros(fqp.m_c), "solved", 0.0, 0, 0.0),
                                     fqp.layout)
         parts = {"f": {}, "tau": {}, "z": {}}
-        for quantity, t, e, start, stop in fqp.layout.entries:
-            if quantity in parts:
-                parts[quantity][(t, e)] = x[start:stop].copy()
-        _assert_same_entries(fit.forces, parts["f"])
-        _assert_same_entries(fit.torques, parts["tau"])
-        _assert_same_entries(fit.zmps, parts["z"])
+        for quantity, entries in parts.items():
+            for t, e in fqp.layout.keys(quantity):
+                entries[(t, e)] = x[fqp.layout.span(quantity, t, e)].copy()
+        pairs, flat = plan.active_pairs(), plan.pair_table.flat_keys
+        _assert_same_entries(dict(zip(pairs, fit.f)), parts["f"])
+        _assert_same_entries(dict(zip(flat, fit.tau)), parts["tau"])
+        _assert_same_entries(dict(zip(flat, fit.z)), parts["z"])
 
-        cqp = build_contact_qp(_contact_inputs(plan, refs, fit.forces, fit.states,
-                                               tau_fixed=fit.torques, l_prox=100.0))
+        cqp = build_contact_qp(_contact_inputs(plan, refs, fit.f, fit.h, tau_fixed=fit.tau,
+                                               l_prox=100.0))
         x = rng.normal(size=cqp.n)
         cit = extract_contact_iterate(QpSolution(x, np.zeros(cqp.m_c), "solved", 0.0, 0, 0.0),
                                       cqp.layout, plan)
@@ -156,13 +155,13 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
         for t, e in plan.active_pairs():
             ph = plan.phase_at(t, e)
             footholds[(t, e)] = x[cqp.layout.span("p", t, e)].copy()
-            ells[(t, e)] = footholds[(t, e)] - cit.states[t].r
+            ells[(t, e)] = footholds[(t, e)] - cit.h[t, 0:3]
             if ph.flat_foot:
                 zmps[(t, e)] = x[cqp.layout.span("z", t, e)].copy()
                 ells[(t, e)] = ells[(t, e)] + ph.rotation[:, :2] @ zmps[(t, e)]
-        _assert_same_entries(cit.footholds, footholds)
-        _assert_same_entries(cit.zmps, zmps)
-        _assert_same_entries(cit.ells, ells)
+        _assert_same_entries(dict(zip(pairs, cit.p)), footholds)
+        _assert_same_entries(dict(zip(flat, cit.z)), zmps)
+        _assert_same_entries(dict(zip(pairs, cit.ell)), ells)
         assert any(ph.flat_foot for ph in plan.phases) == bool(zmps)
 
 
@@ -187,15 +186,16 @@ def test_extracted_momentum_satisfies_transitions():
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0))
     sol = setup(qp, validate=False).solve()
     it = extract_contact_iterate(sol, qp.layout, plan)
+    footholds = dict(zip(plan.active_pairs(), it.p))
     prev_k = plan.h0.k
     for t in range(plan.horizon):
         kappa = np.zeros(3)
         for ph in plan.active_contacts(t):
             e = ph.end_effector_id
-            kappa += np.cross(f0[(t, e)], it.states[t].r - it.footholds[(t, e)])
+            kappa += np.cross(f0[(t, e)], it.h[t, 0:3] - footholds[(t, e)])
         expected = prev_k + kappa * plan.dt
-        assert np.max(np.abs(it.states[t].k - expected)) < 1e-7
-        prev_k = it.states[t].k
+        assert np.max(np.abs(it.h[t, 6:9] - expected)) < 1e-7
+        prev_k = it.h[t, 6:9]
 
 
 def test_footholds_constant_within_phase_and_inside_surface():
@@ -204,8 +204,9 @@ def test_footholds_constant_within_phase_and_inside_surface():
     f0 = {pair: np.array([0.1, -0.2, 6.0]) for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
     it = extract_contact_iterate(setup(qp, validate=False).solve(), qp.layout, plan)
+    footholds = dict(zip(plan.active_pairs(), it.p))
     for e in plan.effector_ids:
-        ps = [it.footholds[(t, e)] for t in range(plan.horizon)]
+        ps = [footholds[(t, e)] for t in range(plan.horizon)]
         for p in ps[1:]:
             assert np.array_equal(p, ps[0])  # one shared variable per phase
         ph = plan.phase_at(0, e)
@@ -267,20 +268,22 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
     sol = setup(qp, validate=False).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
-    assert set(it.zmps) == set(flat)
-    assert max(np.max(np.abs(z)) for z in it.zmps.values()) > 1e-4
+    assert list(plan.pair_table.flat_keys) == flat and len(it.z) == len(flat)
+    assert np.max(np.abs(it.z)) > 1e-4
+    footholds, ells = (dict(zip(plan.active_pairs(), a)) for a in (it.p, it.ell))
+    zmps = dict(zip(flat, it.z))
     prev_k = plan.h0.k
     for t in range(plan.horizon):
         kappa = np.zeros(3)
         for ph in plan.active_contacts(t):
             pair = (t, ph.end_effector_id)
-            ell = it.footholds[pair] - it.states[t].r
+            ell = footholds[pair] - it.h[t, 0:3]
             if ph.flat_foot:
-                ell = ell + ph.rotation[:, :2] @ it.zmps[pair]
-            assert np.allclose(ell, it.ells[pair])
+                ell = ell + ph.rotation[:, :2] @ zmps[pair]
+            assert np.allclose(ell, ells[pair])
             kappa += np.cross(ell, f0[pair]) + tau.get(pair, np.zeros(3))
-        assert np.max(np.abs(it.states[t].k - (prev_k + kappa * plan.dt))) < 1e-7
-        prev_k = it.states[t].k
+        assert np.max(np.abs(it.h[t, 6:9] - (prev_k + kappa * plan.dt))) < 1e-7
+        prev_k = it.h[t, 6:9]
 
 
 def test_cached_structure_keeps_builds_independent():

@@ -65,12 +65,13 @@ def test_hover_equilibrium_force_distribution():
     sol = setup(qp, SolverSettings(), validate=False).solve()
     assert sol.solved
     it = extract_force_iterate(sol, qp.layout)
+    forces = dict(zip(plan.active_pairs(), it.f))
     mg = plan.mass * 9.81
     for t in range(plan.horizon):
-        total = sum(it.forces[(t, e)][2] for e in plan.effector_ids)
+        total = sum(forces[(t, e)][2] for e in plan.effector_ids)
         assert total == pytest.approx(mg, abs=1e-6)
         for e in plan.effector_ids:
-            assert it.forces[(t, e)][2] == pytest.approx(mg / 4, abs=1e-4)
+            assert forces[(t, e)][2] == pytest.approx(mg / 4, abs=1e-4)
         assert np.max(np.abs(it.states[t].l)) < 1e-6
 
 
@@ -101,8 +102,8 @@ def test_extraction_round_trip_is_bijective():
         rebuilt[qp.layout.span("r", t)] = it.states[t].r
         rebuilt[qp.layout.span("l", t)] = it.states[t].l
         rebuilt[qp.layout.span("k", t)] = it.states[t].k
-        for e in plan.effector_ids:
-            rebuilt[qp.layout.span("f", t, e)] = it.forces[(t, e)]
+    for (t, e), f in zip(plan.active_pairs(), it.f):
+        rebuilt[qp.layout.span("f", t, e)] = f
     assert np.array_equal(rebuilt, x)
 
 
@@ -222,7 +223,8 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     assert sol.solved
     it = extract_force_iterate(sol, qp.layout)
     flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}
-    assert set(it.torques) == set(it.zmps) == flat
+    assert set(plan.pair_table.flat_keys) == flat
+    assert it.tau.shape == (len(flat), 3) and it.z.shape == (len(flat), 2)
     report = verify_trajectory(force_trajectory(it, ell, p, plan), plan, tol=1e-6)
     assert report.feasible, report.as_dict()
 
@@ -235,9 +237,8 @@ def test_cached_structure_keeps_builds_independent():
     x = _inputs(plan_a, refs_a)
     rng = np.random.default_rng(4)
     y = ForceQpInputs(plan=plan_a,
-                      ell_fixed={k: v + rng.normal(scale=0.05, size=3)
-                                 for k, v in x.ell_fixed.items()},
-                      p_fixed={k: v + 0.01 for k, v in x.p_fixed.items()},
+                      ell_fixed=x.ell_fixed + rng.normal(scale=0.05, size=x.ell_fixed.shape),
+                      p_fixed=x.p_fixed + 0.01,
                       references=refs_a, h_reg=tuple(refs_a.h_kin), l_prox=3.0)
     first = build_force_qp(x)
     expected = qp_arrays(first)

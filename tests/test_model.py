@@ -20,7 +20,7 @@ from centroidal_bcd.bcd import force_trajectory, optimize
 from centroidal_bcd.gaits import shipped_scenarios
 from centroidal_bcd.scenarios import materialize
 
-from conftest import QUAD_OFFSETS, flat_foot_plan, flat_patch, hover_plan
+from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)
 
@@ -299,32 +299,11 @@ def test_verify_matches_per_step_reference_on_shipped_results(shipped_results):
             _assert_verify_matches_reference(force_trajectory(iterate, ell, p, plan), plan)
 
 
-def _flat_foot_trajectory(plan, lever: bool, seed: int = 4):
-    """Replayed trajectory with random forces, offsets and torques; lever
-    arms given (from the previous CoM) or derived."""
-    rng = np.random.default_rng(seed)
-    traj, h = [], plan.h0
-    for t in range(plan.horizon):
-        contacts = {}
-        for ph in plan.active_contacts(t):
-            fz = rng.uniform(3.0, 9.0)
-            f = ph.rotation @ np.array([0.3 * fz * rng.uniform(-1, 1),
-                                        0.3 * fz * rng.uniform(-1, 1), fz])
-            z = rng.uniform(-0.03, 0.03, size=2) if ph.flat_foot else None
-            tau = rng.normal(scale=0.05, size=3) if ph.flat_foot else None
-            p = ph.foothold_hint
-            contacts[ph.end_effector_id] = EffectorContact(
-                f=f, p=p, ell=p - h.r if lever else None, z=z, tau=tau)
-        h = integrate_step(h, contacts, plan, t=t)
-        traj.append((h, contacts))
-    return traj
-
-
 def test_integrate_step_matches_scalar_step(shipped_results):
     plans = [(plan, _without_levers(zip(result.states, result.contacts)))
              for plan, result in shipped_results.values()]
     plan = flat_foot_plan()
-    plans += [(plan, _flat_foot_trajectory(plan, lever=False))]
+    plans += [(plan, flat_foot_replay(plan, lever=False))]
     for plan, traj in plans:
         prev = plan.h0
         for t, (state, contacts) in enumerate(traj):
@@ -336,11 +315,11 @@ def test_integrate_step_matches_scalar_step(shipped_results):
 def test_verify_matches_per_step_reference_with_offsets_and_torques():
     plan = flat_foot_plan()
     for lever in (True, False):
-        traj = _flat_foot_trajectory(plan, lever)
+        traj = flat_foot_replay(plan, lever)
         report = _assert_verify_matches_reference(traj, plan)
         assert report.feasible
     # One perturbation per residual family, each of which must register.
-    traj = _flat_foot_trajectory(plan, lever=True)
+    traj = flat_foot_replay(plan, lever=True)
     t = 3
     state, contacts = traj[t]
     c = contacts["FL"]

@@ -20,7 +20,7 @@ from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
 from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, _RHO_MAX, \
     _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
-from centroidal_bcd.qp.problem import diagonal
+from centroidal_bcd.qp.problem import Block, diagonal
 from centroidal_bcd.scenarios import materialize
 
 
@@ -174,7 +174,7 @@ def trot_qps():
     """Force and contact QPs of a trot at nominal geometry."""
     plan, refs, _, weights = materialize(make_gait("trot", N=60))
     p = nominal_footholds(plan, refs)
-    ell = {(t, e): p[(t, e)] - refs.h_kin[t].r for t, e in plan.active_pairs()}
+    ell = p - refs.stacked[plan.pair_table.t, 0:3]
     force = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
                                          references=refs, weights=weights))
     rng = np.random.default_rng(12)
@@ -384,19 +384,23 @@ def test_triplet_pattern_sums_duplicates_and_keeps_zeros():
 
 
 def test_variable_layout_contracts():
-    layout = VariableLayout(n=5, entries=(("r", 0, None, 0, 3), ("f", 0, "FL", 3, 5)))
+    r = Block(((0, None),), [0], 3)
+    layout = VariableLayout(n=5, blocks={"r": r, "f": Block(((0, "FL"),), [3], 2)})
     assert layout.span("r", 0) == slice(0, 3)
     assert layout.span("f", 0, "FL") == slice(3, 5)
     with pytest.raises(KeyError):
         layout.span("f", 1, "FL")
     with pytest.raises(ValueError, match="overlap"):
-        VariableLayout(n=4, entries=(("r", 0, None, 0, 3), ("f", 0, "FL", 2, 4)))
+        VariableLayout(n=4, blocks={"r": r, "f": Block(((0, "FL"),), [2], 2)})
     with pytest.raises(ValueError, match="cover"):
-        VariableLayout(n=6, entries=(("r", 0, None, 0, 3),))
-    entries = (("r", 0, None, 0, 3), ("p", 0, "FL", 3, 5))
-    shared = VariableLayout(n=5, entries=entries, _lookup={("p", 1, "FL"): (3, 5)})
+        VariableLayout(n=6, blocks={"r": r})
+    # A shared variable: a later key with an owned start resolves to that range.
+    shared = VariableLayout(n=5, blocks={"r": r, "p": Block(((0, "FL"), (1, "FL")), [3, 3], 2)})
     assert shared.span("p", 1, "FL") == shared.span("p", 0, "FL") == slice(3, 5)
-    for bad in ({("p", 1, "FL"): (3, 6)}, {("p", 1, "FL"): (4, 5)},
-                {("r", 0, None): (3, 5)}):
-        with pytest.raises(ValueError, match="entry range"):
-            VariableLayout(n=5, entries=entries, _lookup=bad)
+    assert shared.keys("p") == ((0, "FL"),)
+    assert shared.columns("p").tolist() == [3, 4]
+    for n, bad, match in ((6, Block(((0, "FL"), (1, "FL")), [3, 4], 2), "overlap"),
+                          (5, Block(((0, "FL"),), [4], 2), "leave"),
+                          (5, Block(((0, "FL"), (0, "FL")), [3, 3], 2), "duplicate")):
+        with pytest.raises(ValueError, match=match):
+            VariableLayout(n=n, blocks={"r": r, "p": bad})
