@@ -24,7 +24,7 @@ import numpy as np
 from .bcd import BcdSettings, BlockSolveError, optimize
 from .gaits import GAIT_KINDS, make_gait
 from .model import verify_trajectory
-from .scenarios import ScenarioError, emit_scenario, materialize, parse_scenario
+from .scenarios import ScenarioError, build_plan, emit_scenario, materialize, parse_scenario
 from .trajectory_io import TrajectoryFormatError, read_trajectory_csv, \
     write_convergence_json, write_timing_csv, write_trajectory_csv
 
@@ -114,7 +114,7 @@ def run_solve(cfg: argparse.Namespace) -> int:
 
 def run_verify(cfg: argparse.Namespace) -> int:
     try:
-        _, plan, _, _, _ = _load(cfg)
+        plan = build_plan(parse_scenario(cfg.scenario.read_bytes()))
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR

@@ -13,12 +13,18 @@ over (r, l, k, p, z) is again one convex QP:
     transition rows: l stays free and is only pulled proximally toward the
     force solve's momentum, which lets the CoM trade position against
     momentum when shaping kappa.
-  - one foothold variable per contact phase (constancy by construction),
-    constrained to the phase's surface polytope and to the per-axis kinematic
-    box around the CoM at every covered timestep;
+  - one foothold variable p per contact phase, constrained to the phase's
+    surface polytope. Every later timestep of the phase holds its own copy,
+    tied to the previous timestep's copy (or to p) by equality rows, so the
+    foothold stays constant while every row couples timesteps t-1 and t only
+    and the ADMM step matrix stays narrowly banded. Each timestep's
+    kinematic box around the CoM and its angular momentum row use that
+    timestep's copy;
   - diagonal quadratic cost: foothold pull toward nominal placements,
     center-of-pressure penalties, and proximal pulls of h toward the force
-    solve and of p toward the previous contact solve.
+    solve and of the footholds toward the previous contact solve. The
+    foothold terms of a timestep sit on its copy, which on the feasible set
+    gives the phase foothold the same cost as one shared variable.
 
 As on the force side, the structure depends only on the plan and is built
 once per plan with array arithmetic: the fixed forces fill dedicated skew
@@ -30,6 +36,7 @@ Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -113,8 +120,9 @@ class _Structure:
     hi: np.ndarray
     state_cols: np.ndarray    # (N, 9)
     r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
-    p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on p
-    p_cols: np.ndarray        # (pairs, 3) foothold columns, shared within a phase
+    p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on the copy
+    p_cols: np.ndarray        # (pairs, 3) phase foothold columns, shared within a phase
+    copy_cols: np.ndarray     # (pairs, 3) the pair's own foothold copy (p at a phase start)
     pair_t: np.ndarray        # (pairs,) timestep of each pair
     flat: np.ndarray          # (flat pairs,) indices into pairs
     z_rotation: np.ndarray    # (flat pairs, 3, 2) R^{xy}
@@ -131,25 +139,30 @@ _BLOCK32_I, _BLOCK32_J = np.divmod(np.arange(6), 2)
 def _structure(plan: ContactPlan) -> _Structure:
     table = plan.pair_table
     t, flat, first = table.t, table.flat, table.first
-    # Columns: (r, l, k) of each timestep, then per pair its phase's foothold
-    # (at the phase's first timestep only) and z for flat feet.
-    t_col, pair_col, n = timestep_blocks(table, 9, 3 * first + 2 * flat)
+    later = ~first
+    # Columns: (r, l, k) of each timestep, then per pair a foothold copy and
+    # z for flat feet. At a phase's first timestep the copy is the phase
+    # foothold p itself.
+    t_col, pair_col, n = timestep_blocks(table, 9, 3 + 2 * flat)
     cols = t_col[:, None] + np.arange(9)
+    copy_cols = pair_col[:, None] + np.arange(3)
     phase_p = np.empty(len(plan.phases), dtype=np.int64)
     phase_p[table.phase[first]] = pair_col[first]
     p_col = phase_p[table.phase]
     p_cols = p_col[:, None] + np.arange(3)
-    z_cols = (pair_col + 3 * first)[flat, None] + np.arange(2)
-    # One foothold per phase, resolved from every covered timestep.
+    z_cols = (pair_col + 3)[flat, None] + np.arange(2)
+    # One foothold per phase, resolved from every covered timestep; the later
+    # timesteps' copies are variables of their own.
     layout = state_layout(table, t_col, n, p=Block(table.keys, p_col, 3),
+                          p_copy=Block(tuple(compress(table.keys, later)), pair_col[later], 3),
                           z=Block(table.flat_keys, z_cols[:, 0], 2))
     # Rows: the r and k recursions of each timestep, then per pair the
     # kinematic box, the center-of-pressure box and, at the phase's first
-    # timestep, the surface.
+    # timestep, the surface, or later, the tie to the previous copy.
     surfaces = [plan.phases[j].surface for j in table.phase[first]]
-    m_surf = np.zeros(t.size, dtype=np.int64)
-    m_surf[first] = [S.b.size for S in surfaces]
-    t_row, pair_row, m_c = timestep_blocks(table, 6, 3 + 2 * flat + m_surf)
+    tail = np.full(t.size, 3, dtype=np.int64)
+    tail[first] = [S.b.size for S in surfaces]
+    t_row, pair_row, m_c = timestep_blocks(table, 6, 3 + 2 * flat + tail)
     e = Entries(m_c)
     com_rows(e, plan, cols, t_row)
     # k_t - k_{t-1} - dt sum_e [skew(f) r_t - skew(f) p_e - skew(f) R z]
@@ -157,27 +170,36 @@ def _structure(plan: ContactPlan) -> _Structure:
     # does not depend on the forces.
     k_rows = recursion_rows(e, plan, cols, t_row + 3, "k", np.zeros(3))[t]
     r_skew = e.add(k_rows[:, SKEW_I], cols[t][:, SKEW_J])
-    p_skew = e.add(k_rows[:, SKEW_I], p_cols[:, SKEW_J])
+    p_skew = e.add(k_rows[:, SKEW_I], copy_cols[:, SKEW_J])
     # - skew(f) R^{xy} z, a dense 3x2 block.
     z_slots = e.add(k_rows[flat][:, _BLOCK32_I], z_cols[:, _BLOCK32_J])
     # Per-axis kinematic box |p - r_t| <= L_max.
     kin_rows = pair_row[:, None] + np.arange(3)
-    e.add(kin_rows, p_cols, 1.0)
+    e.add(kin_rows, copy_cols, 1.0)
     e.add(kin_rows, cols[t, 0:3], -1.0)
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
     zmp_rows(e, plan, pair_row[flat, None] + 3 + np.arange(2), z_cols)
+    tail_row = pair_row + 3 + 2 * flat
     if surfaces:
-        count = m_surf[first]
-        surf_rows = np.repeat(pair_row[first] + 3 + 2 * flat[first] - np.cumsum(count) + count,
-                              count) + np.arange(count.sum())
+        count = tail[first]
+        surf_rows = np.repeat(tail_row[first] - np.cumsum(count) + count, count) \
+            + np.arange(count.sum())
         e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0),
               np.concatenate([S.A for S in surfaces]))
         e.lo[surf_rows], e.hi[surf_rows] = -np.inf, np.concatenate([S.b for S in surfaces])
+    # Copy ties: each later copy equals its phase's copy one timestep earlier.
+    by_phase = np.lexsort((t, table.phase))
+    previous = np.empty_like(by_phase)
+    previous[by_phase[1:]] = by_phase[:-1]
+    tie_rows = tail_row[later, None] + np.arange(3)
+    e.add(tie_rows, copy_cols[later], 1.0)
+    e.add(tie_rows, copy_cols[previous[later]], -1.0)
+    e.lo[tie_rows] = e.hi[tie_rows] = 0.0
     pattern, a_data, lo, hi = e.build(n)
     return _Structure(
         layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
         r_skew_pos=pattern.positions(r_skew), p_skew_pos=pattern.positions(p_skew),
-        p_cols=p_cols, pair_t=t, flat=np.flatnonzero(flat),
+        p_cols=p_cols, copy_cols=copy_cols, pair_t=t, flat=np.flatnonzero(flat),
         z_rotation=table.rotation[flat][:, :, :2], z_pos=pattern.positions(z_slots),
         k_rows=k_rows[flat], z_cols=z_cols)
 
@@ -201,22 +223,19 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     np.add.at(hi, s.k_rows, tau)
 
     # No tracking term here: the state is anchored through the proximal pull
-    # toward the force solve.
+    # toward the force solve. Each timestep's foothold terms sit on its own
+    # copy; the ties make the sum over a phase's copies the phase's cost.
     p_prox = inputs.l_prox if inputs.p_reg is not None else 0.0
     d = np.zeros(layout.n)
     d[s.z_cols] = 2.0 * w.zmp
-    np.add.at(d, s.p_cols, 2.0 * w.foothold + p_prox)
+    d[s.copy_cols] = 2.0 * w.foothold + p_prox
     d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
     q = np.zeros(layout.n)
     q[s.state_cols] = (-2.0 * w.running_h * inputs.references.stacked
                        - inputs.l_prox * inputs.h_reg)
-    q_p = [-2.0 * w.foothold * nominal_footholds(plan, inputs.references)]
+    q[s.copy_cols] = -2.0 * w.foothold * nominal_footholds(plan, inputs.references)
     if inputs.p_reg is not None:
-        q_p.append(-p_prox * inputs.p_reg)
-    # A phase's foothold gathers one term per covered timestep, summed in
-    # timestep order with the nominal pull before the proximal one.
-    q_p = np.stack(q_p, axis=1)
-    np.add.at(q, np.broadcast_to(s.p_cols[:, None, :], q_p.shape), q_p)
+        q[s.copy_cols] -= p_prox * inputs.p_reg
     return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
                     A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
 

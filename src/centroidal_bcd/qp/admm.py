@@ -14,12 +14,14 @@ multiplier block eliminated: the reduced matrix S = P + sigma I + A' R A is
 symmetric positive definite for sigma > 0 and rho > 0, so it has a Cholesky
 factor. Its sparsity pattern is fixed per handle; a reverse Cuthill-McKee
 ordering of that pattern, computed once at setup, turns S into a band matrix,
-which is factored and back-solved with LAPACK's banded Cholesky routines. The
-force QP is local in time (every constraint row couples at most two
-consecutive timesteps), so its band stays narrow however long the horizon;
-the contact QP's phase footholds couple whole phases and widen its band.
-Value-only updates of q and the bounds reuse the factorization; updates
-touching P or A values trigger exactly one refactorization.
+which is factored with LAPACK's banded Cholesky routine. Each factorization
+also stores its transpose reversed end to end, again a lower band, so a
+back-solve is two forward BLAS band sweeps (``dtbsv``) instead of a forward
+and a transposed one. Both trajectory QPs are local in time (every
+constraint row couples at most two consecutive timesteps), so their bands
+stay narrow however long the horizon. Value-only updates of q and the bounds
+reuse the factorization; updates touching P or A values trigger exactly one
+refactorization.
 
 The Ruiz equilibration runs once per handle, directly on the stored entries
 of P and A: column and row maxima are segment reductions over the entry
@@ -40,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.blas import dtbsv
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
@@ -209,27 +211,37 @@ class AdmmSolver:
         self.half_bandwidth = int(np.max(self._iperm[coo.row] - self._iperm[coo.col],
                                          initial=0))
 
-    def _band_factor(self, P, A, w: np.ndarray, shift: float) -> np.ndarray:
-        """Banded Cholesky factor of P + shift I + A' diag(w) A, assembled in
-        the handle's RCM order; P and A carry the setup patterns."""
+    def _band_factor(self, P, A, w: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+        """Banded Cholesky factor L of P + shift I + A' diag(w) A, assembled
+        in the handle's RCM order; P and A carry the setup patterns. Returns
+        L and J L' J (J reverses the order), both as LAPACK lower bands, so
+        both triangular sweeps of a solve run non-transposed."""
         S = (P + A.T @ (sp.diags(w) @ A)).tocsc()
         S.sum_duplicates()
         i, j = self._iperm[S.indices], self._iperm[_entry_cols(S)]
         lower = i >= j
-        band = np.zeros((self.half_bandwidth + 1, self.n))
+        band = np.zeros((self.half_bandwidth + 1, self.n), order="F")
         band[i[lower] - j[lower], j[lower]] = S.data[lower]
         band[0] += shift
         try:
-            return cholesky_banded(band, overwrite_ab=True, lower=True)
+            L = cholesky_banded(band, overwrite_ab=True, lower=True)
         except LinAlgError as exc:
             raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
+        # (J L' J)[j + d, j] = L[n - 1 - j, n - 1 - j - d]: row d of the band
+        # reversed over its n - d entries.
+        reversed_t = np.zeros_like(L)
+        for d in range(self.half_bandwidth + 1):
+            reversed_t[d, :self.n - d] = L[d, self.n - d - 1::-1]
+        return L, reversed_t
 
-    def _band_solve(self, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor of :meth:`_band_factor`."""
-        sol, info = dpbtrs(chol, rhs[self._perm], lower=1)
-        if info:
-            raise ValueError(f"banded back-solve failed (LAPACK info {info})")
-        return sol[self._iperm]
+    def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """Solve with a factor of :meth:`_band_factor`: L y = b forward, then
+        (J L' J)(J x) = J y forward; the negative stride reads and writes the
+        second sweep's vector in reverse, so x comes out in place."""
+        L, reversed_t = factor
+        y = dtbsv(self.half_bandwidth, L, rhs[self._perm], lower=1, overwrite_x=1)
+        x = dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
+        return x[self._iperm]
 
     def _factorize(self) -> None:
         """Refactor the ADMM step's S = P + sigma I + A' R A (scaled data)."""

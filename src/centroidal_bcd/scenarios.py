@@ -34,6 +34,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "emit_scenario",
+    "build_plan",
     "materialize",
 ]
 
@@ -162,8 +163,10 @@ def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray
     return out
 
 
-def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSettings, CostWeights]:
-    """Turn a validated document into the numerical problem description."""
+def build_plan(sf: ScenarioFile) -> ContactPlan:
+    """The contact plan of a validated document: robot, horizon, initial
+    state and contact phases, without the references, weights or solver
+    settings."""
     robot = sf.robot
     for key in ("mass", "nominal_offsets", "L_max"):
         if key not in robot:
@@ -223,7 +226,13 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
             gravity=_vec(sf.gravity, "gravity"))
     except ValueError as exc:
         raise ScenarioError("contacts", str(exc)) from None
+    return plan
 
+
+def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSettings, CostWeights]:
+    """Turn a validated document into the numerical problem description."""
+    plan = build_plan(sf)
+    N, dt = plan.horizon, plan.dt
     refs = sf.references
     r_ref = _interpolate_waypoints(refs.get("com_waypoints"), N, 3, "references.com_waypoints")
     if "momentum_waypoints" in refs and refs["momentum_waypoints"]:

@@ -120,7 +120,7 @@ def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
     if bad.size:
         t, col = bad[0]
         raise TrajectoryFormatError(f"row {t}: {expected[col]} is {values[t, col]!r}")
-    bad = np.flatnonzero(np.trunc(values[:, 0]) != np.arange(len(rows)))
+    bad = np.flatnonzero(values[:, 0] != np.arange(len(rows)))
     if bad.size:
         raise TrajectoryFormatError(f"row {bad[0]}: timestep column says {values[bad[0], 0]}")
     if len(rows) != plan.horizon:

@@ -6,6 +6,7 @@ import pytest
 import centroidal_bcd.cli as cli_module
 from centroidal_bcd.cli import main
 from centroidal_bcd.model import CentroidalState, EffectorContact
+from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import load_scenario
 
 EXIT_FORMAT = 64
@@ -156,7 +157,6 @@ def test_solve_and_verify_build_no_per_timestep_objects(tmp_path, monkeypatch):
     scn, out = tmp_path / "twist.scn", tmp_path / "run"
     assert main(["gait", "--kind", "jump_twist", "--out", str(scn)]) == 0
     built, materializing = {"CentroidalState": 0, "EffectorContact": 0}, []
-    real_materialize = cli_module.materialize
 
     def count(cls):
         real_post_init = cls.__post_init__
@@ -168,16 +168,58 @@ def test_solve_and_verify_build_no_per_timestep_objects(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counting_post_init)
 
-    def materialize(sf):
-        materializing.append(sf)
-        try:
-            return real_materialize(sf)
-        finally:
-            materializing.pop()
+    def scenario_own(real):
+        def build(sf):
+            materializing.append(sf)
+            try:
+                return real(sf)
+            finally:
+                materializing.pop()
+        return build
 
     count(CentroidalState)
     count(EffectorContact)
-    monkeypatch.setattr(cli_module, "materialize", materialize)
+    monkeypatch.setattr(cli_module, "materialize", scenario_own(cli_module.materialize))
+    monkeypatch.setattr(cli_module, "build_plan", scenario_own(cli_module.build_plan))
     assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
     assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 0
     assert built == {"CentroidalState": 0, "EffectorContact": 0}
+
+
+@pytest.fixture(scope="module")
+def solved_twist(tmp_path_factory):
+    scn, out = tmp_path_factory.mktemp("scn") / "twist.scn", tmp_path_factory.mktemp("run")
+    assert main(["gait", "--kind", "jump_twist", "--out", str(scn)]) == 0
+    assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
+    return scn, out / "trajectory.csv"
+
+
+def test_verify_rejects_a_fractional_timestep(solved_twist, tmp_path, capsys):
+    scn, csv = solved_twist
+    lines = csv.read_text().splitlines()
+    fields = lines[3 + 1].split(",")
+    assert fields[0] == "3"
+    fields[0] = "3.9"
+    lines[3 + 1] = ",".join(fields)
+    bad = tmp_path / "fractional.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scn), str(bad)]) == EXIT_FORMAT
+    assert "timestep column says 3.9" in capsys.readouterr().err
+
+
+def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
+    # verify reads the contact plan; the reference states are never needed.
+    scn, csv = solved_twist
+    built = []
+    real_post_init = ReferenceSet.__post_init__
+
+    def counting_post_init(self):
+        built.append(len(self.h_kin))
+        real_post_init(self)
+
+    monkeypatch.setattr(ReferenceSet, "__post_init__", counting_post_init)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scn), str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    assert built == []

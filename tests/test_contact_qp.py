@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import centroidal_bcd.bcd as bcd_module
 from centroidal_bcd.contact_qp import (
+    _structure,
     ContactQpInputs,
     build_contact_qp,
     extract_contact_iterate,
@@ -10,9 +12,10 @@ from centroidal_bcd.contact_qp import (
 )
 from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, build_force_qp, \
     extract_force_iterate
-from centroidal_bcd.gaits import make_gait
+from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, integrate_step, skew
-from centroidal_bcd.qp import QpSolution, SolverSettings, VariableLayout, pattern_hash, setup
+from centroidal_bcd.qp import AdmmSolver, QpSolution, SolverSettings, VariableLayout, \
+    pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
@@ -213,6 +216,29 @@ def test_footholds_constant_within_phase_and_inside_surface():
         assert ph.surface.violation(ps[0]) <= 1e-7
 
 
+def test_phase_foothold_balances_every_timesteps_pulls():
+    # With zero forces the footholds only meet their cost, surface and box.
+    # Each timestep pulls its copy toward the nominal placement and toward
+    # the previous solve's foothold of that timestep; tied together, the
+    # phase foothold minimizes the sum of those pulls.
+    plan = hover_plan(N=6)
+    refs = hover_references(plan)
+    f0 = np.zeros((len(plan.active_pairs()), 3))
+    w_p, prox = 1.0, 3.0
+    nominal = nominal_footholds(plan, refs)
+    rng = np.random.default_rng(9)
+    p_reg = nominal + np.column_stack([rng.normal(0.0, 0.02, size=(len(nominal), 2)),
+                                       np.zeros(len(nominal))])
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked,
+                                          _zero_weights(foothold=w_p), l_prox=prox,
+                                          p_reg=p_reg))
+    it = extract_contact_iterate(setup(qp, validate=False).solve(), qp.layout, plan)
+    phase = plan.pair_table.phase
+    for j in range(len(plan.phases)):
+        pulls = (2.0 * w_p * nominal[phase == j] + prox * p_reg[phase == j]) / (2.0 * w_p + prox)
+        assert np.max(np.abs(it.p[phase == j] - pulls.mean(axis=0))) < 1e-6
+
+
 def test_pattern_stable_under_different_forces():
     plan = hover_plan(N=5)
     refs = hover_references(plan)
@@ -314,3 +340,37 @@ def test_cached_structure_keeps_builds_independent():
     build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, tuple(refs_b.h_kin)))
     for got, want in zip(qp_arrays(build_contact_qp(x)), expected):
         assert np.array_equal(got, want)
+
+
+def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
+    # Each foothold copy couples timesteps t-1 and t only, so the ADMM step
+    # matrix keeps a narrow band; a variable shared by a whole phase widens it
+    # to the phase length.
+    for kind, doc in shipped_scenarios().items():
+        plan, refs, _, weights = materialize(doc)
+        f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
+                                              l_prox=100.0))
+        assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
+
+
+def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(monkeypatch):
+    # Extraction reads the phase foothold; the copies the kinematic and
+    # momentum rows see must agree with it wherever the solver stops.
+    solutions = []
+    real_extract = bcd_module.extract_contact_iterate
+
+    def grab(sol, layout, plan):
+        solutions.append((sol, plan))
+        return real_extract(sol, layout, plan)
+
+    monkeypatch.setattr(bcd_module, "extract_contact_iterate", grab)
+    for kind, doc in shipped_scenarios().items():
+        plan, refs, settings, weights = materialize(doc)
+        bcd_module.optimize(plan, refs, settings, weights)
+    assert len(solutions) >= len(shipped_scenarios())
+    for sol, plan in solutions:
+        s = _structure(plan)
+        later = ~plan.pair_table.first
+        assert not np.any(np.isin(s.copy_cols[later], s.p_cols))
+        assert np.max(np.abs(sol.x[s.copy_cols] - sol.x[s.p_cols])) <= 1e-8

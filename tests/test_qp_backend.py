@@ -275,6 +275,23 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
     assert rel(step.y, y_next) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["random", "force", "contact"])
+def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
+    # Both triangular sweeps run forward, the second on the reversed factor;
+    # together they must solve the ADMM step's reduced system.
+    if name == "random":  # dense, non-diagonal P
+        qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    else:
+        qp = trot_qps[name]
+    h = setup(qp, validate=False)
+    As = h._As.toarray()
+    S = h._Ps.toarray() + _SIGMA * np.eye(qp.n) + As.T @ (h._rho[:, None] * As)
+    rhs = np.random.default_rng(15).normal(size=qp.n)
+    expected = np.linalg.solve(S, rhs)
+    got = h._band_solve(h._chol, rhs)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("name", ["random", "force"])
 def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     if name == "random":
