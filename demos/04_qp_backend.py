@@ -38,10 +38,12 @@ before = handle.kkt_refactorizations
 handle.update_values(new_q=0.5 * q)
 sol2 = handle.solve(warm_start=(sol.x, sol.y))
 print(f"\ncost-only update: solved in {sol2.iterations} iterations, "
-      f"refactorizations {handle.kkt_refactorizations - before} (cached factor reused)")
+      f"refactorizations {handle.kkt_refactorizations - before} "
+      f"(its {sol2.rho_updates} penalty updates; the update itself reuses the cached factor)")
 
 newP = qp.P.copy()
 newP.data = newP.data * 2.0
+before = handle.kkt_refactorizations
 handle.update_values(new_P_values=newP)
 print(f"matrix update: refactorizations {handle.kkt_refactorizations - before} "
       f"(exactly one for the new values)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -100,6 +100,9 @@ class BcdIterationRecord:
     # first iteration, which has no contact solve to regularize toward).
     force_prox_weight: float = 0.0
     contact_prox_weight: float = 0.0
+    # Penalty updates (each one refactorization) of each block's ADMM solve.
+    force_rho_updates: int = 0
+    contact_rho_updates: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -110,6 +113,8 @@ class BcdIterationRecord:
             "contact_solver_iterations": self.contact_solver_iterations,
             "force_prox_weight": self.force_prox_weight,
             "contact_prox_weight": self.contact_prox_weight,
+            "force_rho_updates": self.force_rho_updates,
+            "contact_rho_updates": self.contact_rho_updates,
         }
 
 
@@ -176,7 +181,8 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
 def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
                  block: str, iteration: int):
     """Set up or value-update the block's solver handle, then solve with the
-    retry-once policy on iteration exhaustion."""
+    retry-once policy on iteration exhaustion; the penalty updates of both
+    calls count."""
     if handle is None:
         handle = AdmmSolver(qp, settings, validate=False)
         warm = None
@@ -190,8 +196,9 @@ def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
     if sol.status == "max_iter":
         log.warning("%s QP hit the iteration cap at outer iteration %d; retrying with 10x",
                     block, iteration)
-        sol = handle.solve(warm_start=(sol.x, sol.y),
-                           max_iterations=10 * settings.max_iterations)
+        retry = handle.solve(warm_start=(sol.x, sol.y),
+                             max_iterations=10 * settings.max_iterations)
+        sol = replace(retry, rho_updates=sol.rho_updates + retry.rho_updates)
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
     return handle, sol
@@ -280,7 +287,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             force_solver_iterations=force_sol.iterations,
             contact_solver_iterations=contact_sol.iterations,
             force_prox_weight=L_force_used,
-            contact_prox_weight=L_contact_used)
+            contact_prox_weight=L_contact_used,
+            force_rho_updates=force_sol.rho_updates,
+            contact_rho_updates=contact_sol.rho_updates)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -302,7 +311,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         iteration=k + 1, force_qp_time=final_time, contact_qp_time=0.0,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
-        force_solver_iterations=final_sol.iterations, contact_solver_iterations=0)
+        force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
+        force_rho_updates=final_sol.rho_updates)
     if on_iteration is not None:
         on_iteration(final_record)
 

@@ -89,7 +89,8 @@ def run_solve(cfg: argparse.Namespace) -> int:
     def progress(record):
         if cfg.verbose:
             print(f"[iteration {record.iteration}] eps_f={record.eps_f_value:.3e} "
-                  f"cost={record.original_cost:.6f}")
+                  f"cost={record.original_cost:.6f} "
+                  f"rho_updates={record.force_rho_updates}+{record.contact_rho_updates}")
 
     try:
         result = optimize(plan, refs, settings, weights, on_iteration=progress,

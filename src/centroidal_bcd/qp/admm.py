@@ -19,9 +19,24 @@ also stores its transpose reversed end to end, again a lower band, so a
 back-solve is two forward BLAS band sweeps (``dtbsv``) instead of a forward
 and a transposed one. Both trajectory QPs are local in time (every
 constraint row couples at most two consecutive timesteps), so their bands
-stay narrow however long the horizon. Value-only updates of q and the bounds
-reuse the factorization; updates touching P or A values trigger exactly one
+stay narrow however long the horizon.
+
+The band is assembled through a map built once per handle from the patterns
+of P and A and the RCM order. Every lower-band entry of A' W A is a sum of
+products A_ik A_ij over the rows i that hold both columns, so the map lists
+each such pair of A entries (one orientation, lower triangle) with its row
+and its slot in the Fortran-ordered band, together with P's lower entries.
+The pair products are refreshed only when P or A values change; a
+factorization is then one weighted ``bincount`` into the band, the shift on
+its diagonal, ``cholesky_banded`` and one gather for the reversed
+transpose. The ADMM step, the penalty updates and the polish all factor
+through it. Value-only updates of q and the bounds reuse the
+factorization; updates touching P or A values trigger exactly one
 refactorization.
+
+Since a refactorization costs about ten iterations, the penalty adapts at
+every termination check where the primal/dual balance ratio leaves
+[1/2, 2] (OSQP's default band is [1/5, 5]).
 
 The Ruiz equilibration runs once per handle, directly on the stored entries
 of P and A: column and row maxima are segment reductions over the entry
@@ -30,8 +45,10 @@ factors, so no scaled matrix is assembled.
 
 Every solved call is polished on the detected active set: the
 delta-regularized active-set KKT system, multipliers eliminated the same way,
-has a pattern inside that of S, so the same band routine factors it, and
+has a pattern inside that of S, so the same band map assembles it, and
 iterative refinement against the unregularized system sharpens the result.
+The polished point is kept only if its residuals do not grow and every
+multiplier pushes from the bound its row is held at.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ _SIGMA = 1e-6          # primal regularization of the reduced matrix
 _RHO_START = 0.1       # initial penalty
 _RHO_EQ_FACTOR = 1e3   # stiffer penalty on equality rows
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
-_RHO_ADAPT_THRESHOLD = 5.0
+_RHO_ADAPT_THRESHOLD = 2.0
 _ALPHA = 1.6           # over-relaxation
 _CHECK_TERMINATION_EVERY = 50
 _EPS_PRIM_INF = 1e-6   # infeasibility certificate tolerances
@@ -83,6 +100,15 @@ def _entry_cols(M: sp.csc_matrix) -> np.ndarray:
     return np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
 
 
+def _entries_by_row(M: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of a CSC matrix's stored entries grouped by row (stable),
+    and the start of each row's group (with the total as a last element)."""
+    order = np.argsort(M.indices, kind="stable")
+    row_ptr = np.zeros(M.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(M.indices, minlength=M.shape[0]), out=row_ptr[1:])
+    return order, row_ptr
+
+
 def _finite(values, name: str) -> np.ndarray:
     """``values`` as a flat float array; NaN or inf raise, naming ``name``."""
     v = np.array(values, dtype=float).reshape(-1)
@@ -98,6 +124,64 @@ def _bound(values, name: str) -> np.ndarray:
     if np.any(np.isnan(v)):
         raise ValueError(f"{name} holds NaN")
     return np.clip(v, -INFTY, INFTY)
+
+
+class _BandMap:
+    """Where every term of P + shift I + A' diag(w) A lands in the lower band
+    of a fixed symmetric ordering, for fixed patterns of P and A.
+
+    A term is the product of two stored values of ``[A.data, P.data, 1]``,
+    weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
+    i of A (in the lower-triangle orientation only) with weight w_i, a lower
+    entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
+    weight shift. The band is LAPACK lower storage in Fortran order, so band
+    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j.
+    """
+
+    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, iperm: np.ndarray,
+                 half_bandwidth: int):
+        n, m, width = P.shape[1], A.shape[0], half_bandwidth + 1
+        self.n, self.band_size = n, n * width
+        # A's entries grouped by row; each entry pairs with every entry of
+        # its row (itself included), the lower orientation kept.
+        by_row, row_ptr = _entries_by_row(A)
+        rows = A.indices[by_row].astype(np.intp)
+        cols = iperm[_entry_cols(A)[by_row]]
+        reps = np.diff(row_ptr)[rows]
+        a = np.repeat(np.arange(rows.size), reps)
+        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
+        lower = cols[a] >= cols[b]
+        a, b = a[lower], b[lower]
+        p_rows, p_cols = iperm[P.indices], iperm[_entry_cols(P)]
+        p_lower = np.flatnonzero(p_rows >= p_cols)
+        # Indices into [A.data, P.data, 1] and [w, 1, shift].
+        one, diagonal = A.nnz + P.nnz, np.arange(n)
+        self.left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
+        self.right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
+        self.weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
+        i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
+        j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
+        self.slot = j * width + (i - j)
+        # (J L' J)[d, k] = L[d, n - 1 - d - k] for k < n - d; the padding
+        # beyond, never read by BLAS, keeps its own slot.
+        d, k = np.divmod(np.arange(self.band_size), n)
+        source = np.where(k < n - d, n - 1 - d - k, k)
+        self.reverse = (source * width + d).reshape(width, n).T.reshape(-1)
+        # Half-width gather indices: the map is most of a handle's memory,
+        # and these gathers run per value update or cost little per factor.
+        self.left, self.right, self.reverse = (
+            v.astype(np.int32) for v in (self.left, self.right, self.reverse))
+
+    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
+        """Unweighted term values for the given values of the two patterns."""
+        values = np.concatenate([A_data, P_data, [1.0]])
+        return values[self.left] * values[self.right]
+
+    def band(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
+        """The lower band of P + shift I + A' diag(w) A, Fortran-ordered."""
+        weighted = terms * np.concatenate([w, [1.0, shift]])[self.weight]
+        band = np.bincount(self.slot, weighted, minlength=self.band_size)
+        return band.reshape(self.n, -1).T
 
 
 class AdmmSolver:
@@ -130,6 +214,8 @@ class AdmmSolver:
         self.polish_factorizations = 0
         self._order_reduced_matrix()
         self._scale()
+        self._refresh_scaled_matrices()
+        self._refresh_scaled_vectors()
         self._rho_base = _RHO_START
         self._build_rho()
         self._factorize()
@@ -146,9 +232,7 @@ class AdmmSolver:
         """
         P, A = self._P, self._A
         # A's entries grouped by row, for the row maxima.
-        by_row = np.argsort(A.indices, kind="stable")
-        row_ptr = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(A.indices, minlength=self.m), out=row_ptr[1:])
+        by_row, row_ptr = _entries_by_row(A)
         self._d = np.ones(self.n)
         self._e = np.ones(self.m)
         self._c = 1.0
@@ -169,11 +253,10 @@ class AdmmSolver:
             p = p * gamma
             qb = qb * gamma
             self._c *= gamma
-        self._refresh_scaled_values()
 
-    def _refresh_scaled_values(self) -> None:
-        """Recompute scaled problem data from the unscaled data and the fixed
-        equilibration computed at setup."""
+    def _refresh_scaled_matrices(self) -> None:
+        """Scale P and A with the fixed equilibration computed at setup, and
+        refresh the band map's terms of both the scaled and unscaled data."""
         d, e, c = self._d, self._e, self._c
         self._Ps = self._P.copy()
         self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
@@ -181,6 +264,12 @@ class AdmmSolver:
         if self.m:
             self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
         self._AsT = self._As.T
+        self._terms = self._map.terms(self._P.data, self._A.data)
+        self._terms_s = self._map.terms(self._Ps.data, self._As.data)
+
+    def _refresh_scaled_vectors(self) -> None:
+        """Scale q and the bounds with the fixed equilibration."""
+        d, e, c = self._d, self._e, self._c
         self._qs = c * d * self._q
         self._los = e * self._lo
         self._his = e * self._hi
@@ -210,28 +299,20 @@ class AdmmSolver:
         coo = pattern.tocoo()
         self.half_bandwidth = int(np.max(self._iperm[coo.row] - self._iperm[coo.col],
                                          initial=0))
+        self._map = _BandMap(self._P, self._A, self._iperm, self.half_bandwidth)
 
-    def _band_factor(self, P, A, w: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
-        """Banded Cholesky factor L of P + shift I + A' diag(w) A, assembled
-        in the handle's RCM order; P and A carry the setup patterns. Returns
+    def _band_factor(self, terms: np.ndarray, w: np.ndarray,
+                     shift: float) -> tuple[np.ndarray, np.ndarray]:
+        """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
+        band map's ``terms`` of P and A, in the handle's RCM order. Returns
         L and J L' J (J reverses the order), both as LAPACK lower bands, so
         both triangular sweeps of a solve run non-transposed."""
-        S = (P + A.T @ (sp.diags(w) @ A)).tocsc()
-        S.sum_duplicates()
-        i, j = self._iperm[S.indices], self._iperm[_entry_cols(S)]
-        lower = i >= j
-        band = np.zeros((self.half_bandwidth + 1, self.n), order="F")
-        band[i[lower] - j[lower], j[lower]] = S.data[lower]
-        band[0] += shift
+        band = self._map.band(terms, w, shift)
         try:
-            L = cholesky_banded(band, overwrite_ab=True, lower=True)
+            L = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
-        # (J L' J)[j + d, j] = L[n - 1 - j, n - 1 - j - d]: row d of the band
-        # reversed over its n - d entries.
-        reversed_t = np.zeros_like(L)
-        for d in range(self.half_bandwidth + 1):
-            reversed_t[d, :self.n - d] = L[d, self.n - d - 1::-1]
+        reversed_t = L.T.reshape(-1)[self._map.reverse].reshape(self.n, -1).T
         return L, reversed_t
 
     def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -245,7 +326,7 @@ class AdmmSolver:
 
     def _factorize(self) -> None:
         """Refactor the ADMM step's S = P + sigma I + A' R A (scaled data)."""
-        self._chol = self._band_factor(self._Ps, self._As, self._rho, _SIGMA)
+        self._chol = self._band_factor(self._terms_s, self._rho, _SIGMA)
         self.kkt_refactorizations += 1
 
     # -- value updates ----------------------------------------------------
@@ -297,8 +378,9 @@ class AdmmSolver:
             raise ValueError("bound length mismatch")
         if np.any(self._lo > self._hi):
             raise ValueError("lo > hi after update")
-        self._refresh_scaled_values()
+        self._refresh_scaled_vectors()
         if needs_refactor:
+            self._refresh_scaled_matrices()
             self._build_rho()
             self._factorize()
 
@@ -390,6 +472,7 @@ class AdmmSolver:
             z = np.zeros(m)
             y = np.zeros(m)
         rho, rho_inv = self._rho, self._rho_inv
+        rho_updates = 0
         status = "max_iter"
         iterations = st.max_iterations
         for it in range(1, st.max_iterations + 1):
@@ -417,9 +500,9 @@ class AdmmSolver:
                 if self._is_dual_infeasible(x - x_prev):
                     status, iterations = "dual_infeasible", it
                     break
-                if m:
-                    self._maybe_adapt_rho(pri, dua, pri_norm, dua_norm)
+                if m and self._maybe_adapt_rho(pri, dua, pri_norm, dua_norm):
                     rho, rho_inv = self._rho, self._rho_inv
+                    rho_updates += 1
         x_out = self._d * x
         y_int = self._e * y / self._c if m else np.zeros(0)
         polished = False
@@ -430,24 +513,29 @@ class AdmmSolver:
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
-                          polished=polished)
+                          polished=polished, rho_updates=rho_updates)
 
-    def _maybe_adapt_rho(self, pri, dua, pri_norm, dua_norm) -> None:
+    def _maybe_adapt_rho(self, pri, dua, pri_norm, dua_norm) -> bool:
+        """Rescale the penalty by the primal/dual balance ratio, and
+        refactorize, when that ratio leaves the adaptation band."""
         num = pri / max(pri_norm, 1e-12)
         den = dua / max(dua_norm, 1e-12)
         if den <= 0.0 or num <= 0.0:
-            return
+            return False
         ratio = np.sqrt(num / den)
-        if ratio > _RHO_ADAPT_THRESHOLD or ratio < 1.0 / _RHO_ADAPT_THRESHOLD:
-            self._rho_base = float(np.clip(self._rho_base * ratio, _RHO_MIN, _RHO_MAX))
-            self._build_rho()
-            self._factorize()
+        if 1.0 / _RHO_ADAPT_THRESHOLD <= ratio <= _RHO_ADAPT_THRESHOLD:
+            return False
+        self._rho_base = float(np.clip(self._rho_base * ratio, _RHO_MIN, _RHO_MAX))
+        self._build_rho()
+        self._factorize()
+        return True
 
     # -- polish ------------------------------------------------------------
 
     def _polish(self, x, y_int, z):
         """Solve the reduced KKT system on the detected active set; keep the
-        result only when it does not degrade the unscaled residuals."""
+        result only when it does not degrade the unscaled residuals and its
+        multipliers have the signs of the bounds they hold."""
         eq = (self._hi - self._lo) < 1e-12
         low = (z - self._lo < -y_int) & ~eq
         upp = (self._hi - z < y_int) & ~eq
@@ -457,7 +545,7 @@ class AdmmSolver:
         # = -q + A_r' b / delta, and nu = (A_r x - b) / delta.
         w = np.where(act, 1.0 / _POLISH_DELTA, 0.0)
         try:
-            chol = self._band_factor(self._P, self._A, w, _POLISH_DELTA)
+            chol = self._band_factor(self._terms, w, _POLISH_DELTA)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1
@@ -476,10 +564,18 @@ class AdmmSolver:
         z_cur = self._A @ x
         pri_cur = float(np.max(np.maximum(self._lo - z_cur, z_cur - self._hi), initial=0.0))
         dua_cur = float(np.max(np.abs(self._P @ x + self._q + self._A.T @ y_int), initial=0.0))
+        # A row held at its lower bound needs y <= 0 here, one at its upper
+        # bound y >= 0; a wrong sign beyond the tolerance means the detected
+        # active set is not the solution's.
+        wrong_sign = float(np.max(np.where(low, y_pol, 0.0) - np.where(upp, y_pol, 0.0),
+                                  initial=0.0))
+        sign_tol = self.settings.eps_abs + self.settings.eps_rel * float(
+            np.max(np.abs(y_pol), initial=0.0))
         # Both residuals must improve (or stay at noise level); comparing them
         # jointly would let a mis-detected active set through whenever the
         # other residual is large.
-        if pri_pol <= max(pri_cur, 1e-10) and dua_pol <= max(dua_cur, 1e-10):
+        if (pri_pol <= max(pri_cur, 1e-10) and dua_pol <= max(dua_cur, 1e-10)
+                and wrong_sign <= sign_tol):
             return x_pol, y_pol, True
         return x, y_int, False
 

@@ -241,7 +241,9 @@ class SolverSettings:
 @dataclass(frozen=True)
 class QpSolution:
     """Solver output. Duals follow the convention P x + q = A' y, so rows at
-    their lower bound carry y >= 0 and rows at their upper bound y <= 0."""
+    their lower bound carry y >= 0 and rows at their upper bound y <= 0.
+    ``rho_updates`` counts the penalty updates of this call, each of which
+    refactorized the step matrix once."""
 
     x: np.ndarray
     y: np.ndarray
@@ -250,6 +252,7 @@ class QpSolution:
     iterations: int
     solve_time: float
     polished: bool = False
+    rho_updates: int = 0
 
     @property
     def solved(self) -> bool:
@@ -258,16 +261,18 @@ class QpSolution:
 
 def kkt_residuals(qp: SparseQP, x, y) -> tuple[float, float, float]:
     """(primal, dual, complementarity) infinity-norm residuals of a candidate
-    primal/dual pair under the QpSolution dual convention."""
+    primal/dual pair under the QpSolution dual convention.
+
+    The complementarity term is |y_i| times the distance of row i from the
+    bound its multiplier pushes from (y > 0: lo, y < 0: hi); where that bound
+    is infinite, the multiplier has the wrong sign and counts as |y_i|.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ax = qp.A @ x
     primal = float(np.max(np.maximum(qp.lo - ax, ax - qp.hi), initial=0.0))
     dual = float(np.max(np.abs(qp.P @ x + qp.q - qp.A.T @ y), initial=0.0))
-    comp = 0.0
-    for i in range(qp.m_c):
-        if y[i] > 0.0 and np.isfinite(qp.lo[i]):
-            comp = max(comp, y[i] * abs(ax[i] - qp.lo[i]))
-        elif y[i] < 0.0 and np.isfinite(qp.hi[i]):
-            comp = max(comp, -y[i] * abs(ax[i] - qp.hi[i]))
+    bound = np.where(y > 0.0, qp.lo, qp.hi)
+    gap = np.where(np.isfinite(bound), np.abs(ax - bound), 1.0)
+    comp = float(np.max(np.abs(y) * gap, initial=0.0))
     return primal, dual, comp

@@ -12,7 +12,7 @@ from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, \
     verify_trajectory
 from centroidal_bcd.gaits import make_gait
-from centroidal_bcd.qp import SolverSettings, VariableLayout
+from centroidal_bcd.qp import AdmmSolver, SolverSettings, VariableLayout
 from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_patch, hover_plan, hover_references
@@ -154,3 +154,23 @@ def test_each_block_builds_one_layout_per_optimize(monkeypatch):
     result = optimize(plan, refs, settings, weights)
     assert len(result.records) >= 2  # at least three force and two contact builds
     assert len(constructed) == 2
+
+
+def test_records_carry_each_blocks_rho_updates(monkeypatch):
+    # Every ADMM solve's penalty updates land in the record of its block and
+    # outer iteration, in call order: force, contact, ..., final force.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    counts = []
+    real_solve = AdmmSolver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        counts.append(sol.rho_updates)
+        return sol
+
+    monkeypatch.setattr(AdmmSolver, "solve", counting_solve)
+    result = optimize(plan, refs, settings, weights)
+    recorded = [n for r in result.records for n in (r.force_rho_updates, r.contact_rho_updates)]
+    assert counts == recorded + [result.final_record.force_rho_updates]
+    assert sum(counts) > 0
+    assert result.records[0].as_dict()["force_rho_updates"] == counts[0]

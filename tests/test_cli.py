@@ -223,3 +223,16 @@ def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
     assert main(["verify", "--scenario", str(scn), str(csv)]) == 0
     assert json.loads(capsys.readouterr().out)["feasible"] is True
     assert built == []
+
+
+def test_verbose_progress_reports_each_blocks_rho_updates(trot_scenario, tmp_path, capsys):
+    code = main(["solve", "--scenario", str(trot_scenario), "--out", str(tmp_path), "--verbose"])
+    assert code == 0
+    progress = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[iteration ")]
+    report = json.loads((tmp_path / "convergence.json").read_text())
+    records = report["records"] + [report["final_record"]]
+    assert len(progress) == len(records)
+    for line, record in zip(progress, records):
+        assert line.endswith(f"rho_updates={record['force_rho_updates']}"
+                             f"+{record['contact_rho_updates']}")

@@ -14,13 +14,14 @@ from centroidal_bcd.qp import (
     pattern_hash,
     setup,
 )
+from centroidal_bcd.bcd import optimize
 from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
-from centroidal_bcd.gaits import make_gait
+from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
 from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, _RHO_MAX, \
     _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
-from centroidal_bcd.qp.problem import Block, diagonal
+from centroidal_bcd.qp.problem import INFTY, Block, diagonal
 from centroidal_bcd.scenarios import materialize
 
 
@@ -275,6 +276,64 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
     assert rel(step.y, y_next) < 1e-8
 
 
+def _dense_from_band(h, band):
+    """The symmetric matrix held in a lower band in the handle's RCM order,
+    in the problem's own order."""
+    n = h.n
+    S = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        k = np.arange(n - d)
+        S[k + d, k] = band[d, :n - d]
+    S = S + np.tril(S, -1).T
+    return S[np.ix_(h._iperm, h._iperm)]
+
+
+def _assert_map_matches_sparse_products(h, P, A, terms, w, shift):
+    expected = (P + A.T @ sp.diags(w) @ A).toarray() + shift * np.eye(h.n)
+    got = _dense_from_band(h, h._map.band(terms, w, shift))
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _no_constraint_qp():
+    return SparseQP(n=3, m_c=0, P=sp.csc_matrix(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                                          [0.0, 0.0, 3.0]])),
+                    q=np.ones(3), A=sp.csc_matrix((0, 3)), lo=np.zeros(0), hi=np.zeros(0))
+
+
+def test_band_map_matches_sparse_product_assembly(trot_qps):
+    rng = np.random.default_rng(16)
+    qps = [_random_qp(rng)[0] for _ in range(5)]
+    # Guarded-scaling QP: an empty A row, and a column that only P holds.
+    qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp(), _no_constraint_qp()]
+    for qp in qps:
+        h = AdmmSolver(qp, validate=False)
+        m = qp.m_c
+        # The ADMM step's matrix on scaled data, at the handle's penalty and
+        # at a random one.
+        for w in (h._rho, rng.uniform(1e-3, 1e3, size=m)):
+            _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, w, _SIGMA)
+        # The polish matrix on unscaled data: weight 1/delta on a random
+        # active set, 0 elsewhere.
+        w = np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0)
+        _assert_map_matches_sparse_products(h, qp.P, qp.A, h._terms, w, _POLISH_DELTA)
+        # Value updates refresh the terms of both.
+        h.update_values(new_P_values=2.0 * qp.P.data, new_A_values=-0.5 * qp.A.data)
+        P2, A2 = qp.P.copy(), qp.A.copy()
+        P2.data, A2.data = 2.0 * qp.P.data, -0.5 * qp.A.data
+        _assert_map_matches_sparse_products(h, P2, A2, h._terms, np.ones(m), 1.0)
+        _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, h._rho, _SIGMA)
+
+
+def test_rho_updates_count_the_refactorizations_of_each_call(trot_qps):
+    h = setup(trot_qps["force"], validate=False)
+    first = h.solve()
+    assert first.solved and first.rho_updates > 0
+    assert h.kkt_refactorizations == 1 + first.rho_updates
+    base = h.kkt_refactorizations
+    again = h.solve(warm_start=h.warm_start_point())
+    assert h.kkt_refactorizations == base + again.rho_updates
+
+
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
 def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     # Both triangular sweeps run forward, the second on the reversed factor;
@@ -307,12 +366,13 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     # On an equality row the product is |y| times that row's primal residual.
     assert comp <= 1e-9 * max(1.0, np.abs(sol.y).max())
     # The polish factor is local: it neither counts as nor replaces the
-    # cached ADMM factor, so a q-only update still refactorizes nothing.
+    # cached ADMM factor, so neither the q-only update nor the polish
+    # refactorizes; the re-solve's own penalty updates are all there is.
     base = h.kkt_refactorizations
     h.update_values(new_q=0.5 * qp.q)
     again = h.solve(warm_start=h.warm_start_point())
     assert again.solved
-    assert h.kkt_refactorizations == base
+    assert h.kkt_refactorizations == base + again.rho_updates
     assert h.polish_factorizations == 2
 
 
@@ -321,16 +381,37 @@ def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     h = setup(qp, validate=False)
     band_factor = h._band_factor
 
-    def fail_polish(P, A, w, shift):
+    def fail_polish(terms, w, shift):
         if shift == _POLISH_DELTA:
             raise ValueError("reduced KKT matrix is not positive definite")
-        return band_factor(P, A, w, shift)
+        return band_factor(terms, w, shift)
 
     monkeypatch.setattr(h, "_band_factor", fail_polish)
     sol = h.solve()
     assert sol.solved and not sol.polished
     assert h.polish_factorizations == 0
     assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished ADMM point
+
+
+def test_accepted_polish_keeps_multiplier_signs_on_bound(monkeypatch):
+    # On bound the polish used to accept multipliers pushing from an
+    # infinite bound, up to 2.07e-3 against max|y| = 3.14e3.
+    checked = []
+    real_solve = AdmmSolver.solve
+
+    def checking_solve(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        if sol.polished:
+            wrong = np.maximum(np.where(self._lo <= -INFTY, sol.y, 0.0),
+                               np.where(self._hi >= INFTY, -sol.y, 0.0))
+            tol = self.settings.eps_abs + self.settings.eps_rel * np.abs(sol.y).max()
+            checked.append((wrong.max(), tol))
+        return sol
+
+    monkeypatch.setattr(AdmmSolver, "solve", checking_solve)
+    optimize(*materialize(shipped_scenarios()["bound"]))
+    assert checked
+    assert all(wrong <= tol for wrong, tol in checked), checked
 
 
 def test_equality_constrained_matches_dense_kkt():
@@ -360,6 +441,18 @@ def test_kkt_residuals_within_ten_tolerances():
         assert pri <= 10 * st.eps_abs + 1e-12
         assert dua <= 10 * st.eps_abs * max(1.0, np.abs(qp.q).max())
         assert comp <= 1e-6
+
+
+@pytest.mark.parametrize("lo, hi, y", [(-np.inf, 1.0, 0.5), (-1.0, np.inf, -0.5)])
+def test_kkt_residuals_report_a_multiplier_against_an_infinite_bound(lo, hi, y):
+    # One row, x at its finite bound: the multiplier's sign decides whether
+    # the pair is a KKT point. q makes P x + q = A' y hold exactly.
+    x = hi if np.isfinite(hi) else lo
+    P = np.array([[1.0]])
+    qp = _qp(P, [-y - x], [[1.0]], [lo], [hi])
+    assert kkt_residuals(qp, [x], [-y]) == (0.0, 0.0, 0.0)
+    qp = _qp(P, [y - x], [[1.0]], [lo], [hi])
+    assert kkt_residuals(qp, [x], [y]) == (0.0, 0.0, abs(y))
 
 
 def test_primal_infeasible_certificate():
