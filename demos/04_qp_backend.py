@@ -2,9 +2,12 @@
 
 A random strictly convex QP is solved by the operator-splitting backend and
 cross-checked against the dense active-set reference; then the handle is
-reused: a cost-vector update keeps the cached factorization, a matrix
-update refactorizes exactly once, and warm starting finishes within one
-termination-check window.
+reused: a cost-vector update keeps the cached factorization and a matrix
+update refactorizes exactly once. Both re-solves start warm from the
+previous solution, and the demo prints the iterations each takes next to
+the cold solve's. Termination is checked every 50 iterations, so the counts
+move in steps of 50: here the cost-only re-solve takes 100 against the cold
+solve's 150, and the re-solve after the matrix update 150.
 """
 
 import numpy as np
@@ -37,7 +40,8 @@ print(f"KKT residuals (primal, dual, complementarity): "
 before = handle.kkt_refactorizations
 handle.update_values(new_q=0.5 * q)
 sol2 = handle.solve(warm_start=(sol.x, sol.y))
-print(f"\ncost-only update: solved in {sol2.iterations} iterations, "
+print(f"\ncost-only update: warm re-solve in {sol2.iterations} iterations "
+      f"(cold solve: {sol.iterations}), "
       f"refactorizations {handle.kkt_refactorizations - before} "
       f"(its {sol2.rho_updates} penalty updates; the update itself reuses the cached factor)")
 
@@ -48,4 +52,4 @@ handle.update_values(new_P_values=newP)
 print(f"matrix update: refactorizations {handle.kkt_refactorizations - before} "
       f"(exactly one for the new values)")
 sol3 = handle.solve(warm_start=handle.warm_start_point())
-print(f"re-solve after matrix update: {sol3.status} in {sol3.iterations} iterations")
+print(f"warm re-solve after matrix update: {sol3.status} in {sol3.iterations} iterations")

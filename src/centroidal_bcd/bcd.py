@@ -103,6 +103,12 @@ class BcdIterationRecord:
     # Penalty updates (each one refactorization) of each block's ADMM solve.
     force_rho_updates: int = 0
     contact_rho_updates: int = 0
+    # Unscaled primal and dual residuals of each block's last ADMM
+    # termination check.
+    force_primal_residual: float = 0.0
+    force_dual_residual: float = 0.0
+    contact_primal_residual: float = 0.0
+    contact_dual_residual: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -115,6 +121,10 @@ class BcdIterationRecord:
             "contact_prox_weight": self.contact_prox_weight,
             "force_rho_updates": self.force_rho_updates,
             "contact_rho_updates": self.contact_rho_updates,
+            "force_primal_residual": self.force_primal_residual,
+            "force_dual_residual": self.force_dual_residual,
+            "contact_primal_residual": self.contact_primal_residual,
+            "contact_dual_residual": self.contact_dual_residual,
         }
 
 
@@ -289,7 +299,11 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             force_prox_weight=L_force_used,
             contact_prox_weight=L_contact_used,
             force_rho_updates=force_sol.rho_updates,
-            contact_rho_updates=contact_sol.rho_updates)
+            contact_rho_updates=contact_sol.rho_updates,
+            force_primal_residual=force_sol.primal_residual,
+            force_dual_residual=force_sol.dual_residual,
+            contact_primal_residual=contact_sol.primal_residual,
+            contact_dual_residual=contact_sol.dual_residual)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -312,7 +326,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
         force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
-        force_rho_updates=final_sol.rho_updates)
+        force_rho_updates=final_sol.rho_updates,
+        force_primal_residual=final_sol.primal_residual,
+        force_dual_residual=final_sol.dual_residual)
     if on_iteration is not None:
         on_iteration(final_record)
 

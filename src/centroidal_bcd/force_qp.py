@@ -169,12 +169,17 @@ def state_columns(layout: VariableLayout) -> np.ndarray:
 
 
 def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.ndarray, int]:
-    """First index of every timestep and of every pair, and the total, when
-    each timestep holds ``head`` columns (or rows), then ``width[i]`` for each
-    of its pairs i, as both trajectory QPs order them."""
+    """First index of every timestep's head block and of every pair, and the
+    total, when each timestep holds ``width[i]`` columns (or rows) for each of
+    its pairs i, then ``head`` of its own, as both trajectory QPs order them.
+
+    Pairs first: the recursion rows of timestep t then touch one contiguous
+    run of columns, the state of t - 1, the pairs of t and the state of t, so
+    the reduced ADMM matrix of either QP has a half-bandwidth of 24 in this
+    order."""
     before = np.concatenate([[0], np.cumsum(np.broadcast_to(width, table.t.shape))])
     N = table.start.size - 1
-    return (head * np.arange(N) + before[table.start[:-1]], head * (table.t + 1) + before[:-1],
+    return (head * np.arange(N) + before[table.start[1:]], head * table.t + before[:-1],
             head * N + int(before[-1]))
 
 

@@ -12,17 +12,28 @@ with R = diag(rho), on Ruiz-equilibrated data with an adaptive penalty. This
 is the quasi-definite KKT system [[P + sigma I, A'], [A, -R^-1]] with its
 multiplier block eliminated: the reduced matrix S = P + sigma I + A' R A is
 symmetric positive definite for sigma > 0 and rho > 0, so it has a Cholesky
-factor. Its sparsity pattern is fixed per handle; a reverse Cuthill-McKee
-ordering of that pattern, computed once at setup, turns S into a band matrix,
-which is factored with LAPACK's banded Cholesky routine. Each factorization
-also stores its transpose reversed end to end, again a lower band, so a
-back-solve is two forward BLAS band sweeps (``dtbsv``) instead of a forward
-and a transposed one. Both trajectory QPs are local in time (every
-constraint row couples at most two consecutive timesteps), so their bands
-stay narrow however long the horizon.
+factor. Its sparsity pattern is fixed per handle, so one symmetric ordering,
+chosen at setup, turns S into a band matrix, which is factored with LAPACK's
+banded Cholesky routine. The ordering is whichever of reverse Cuthill-McKee
+and the problem's own column order gives the narrower band (RCM on a tie):
+both trajectory QPs are local in time (every constraint row couples at most
+two consecutive timesteps) and their builders lay each timestep's pairs out
+before its state, which bands both at 24 however long the horizon, where
+RCM gets 34-38 on the force QP. Each factorization also stores its
+transpose reversed end to end, again a lower band, so a back-solve is two
+forward BLAS band sweeps (``dtbsv``) instead of a forward and a transposed
+one.
+
+The iteration runs in band order: on every P/A value update the handle
+stores a copy of the scaled A with its columns in band order, and the
+scaled q in band order, so x stays in band order through the loop, both
+sweeps run on the right-hand side itself, and x is unpermuted only at
+termination checks and at exit. The other vectors (the right-hand side,
+rho z - y, the pre-projection vector, z and y) are updated in place in work
+arrays allocated once per call, with the same formulas in the same order.
 
 The band is assembled through a map built once per handle from the patterns
-of P and A and the RCM order. Every lower-band entry of A' W A is a sum of
+of P and A and the band order. Every lower-band entry of A' W A is a sum of
 products A_ik A_ij over the rows i that hold both columns, so the map lists
 each such pair of A entries (one orientation, lower triangle) with its row
 and its slot in the Fortran-ordered band, together with P's lower entries.
@@ -264,6 +275,10 @@ class AdmmSolver:
         if self.m:
             self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
         self._AsT = self._As.T
+        # The ADMM loop's copy: columns in band order.
+        self._As_band = sp.csc_matrix(
+            (self._As.data[self._band_entries], self._A.indices[self._band_entries],
+             self._band_indptr), shape=self._A.shape)
         self._terms = self._map.terms(self._P.data, self._A.data)
         self._terms_s = self._map.terms(self._Ps.data, self._As.data)
 
@@ -271,6 +286,7 @@ class AdmmSolver:
         """Scale q and the bounds with the fixed equilibration."""
         d, e, c = self._d, self._e, self._c
         self._qs = c * d * self._q
+        self._qs_band = self._qs[self._perm]
         self._los = e * self._lo
         self._his = e * self._hi
 
@@ -287,24 +303,37 @@ class AdmmSolver:
 
     def _order_reduced_matrix(self) -> None:
         """Fix the band layout of S = P + sigma I + A' R A. Its pattern
-        depends only on the patterns of P and A, so one reverse Cuthill-McKee
-        ordering serves every refactorization of this handle."""
+        depends only on the patterns of P and A, so one ordering serves every
+        refactorization of this handle: reverse Cuthill-McKee, or the
+        problem's own column order where that bands S more narrowly (the
+        trajectory builders lay columns out in time, which RCM does not
+        recover)."""
         P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
                 for M in (self._P, self._A))
         pattern = (P + A.T @ A + sp.eye(self.n)).tocsr()
         # Native index width: gathers with int32 indices cost twice as much.
-        self._perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        self._iperm = np.empty_like(self._perm)
-        self._iperm[self._perm] = np.arange(self.n)
+        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        iperm = np.empty_like(perm)
+        iperm[perm] = np.arange(self.n)
         coo = pattern.tocoo()
-        self.half_bandwidth = int(np.max(self._iperm[coo.row] - self._iperm[coo.col],
-                                         initial=0))
-        self._map = _BandMap(self._P, self._A, self._iperm, self.half_bandwidth)
+        half_bandwidth = int(np.max(iperm[coo.row] - iperm[coo.col], initial=0))
+        own = int(np.max(coo.row - coo.col, initial=0))
+        if own < half_bandwidth:
+            perm = iperm = np.arange(self.n)
+            half_bandwidth = own
+        self._perm, self._iperm, self.half_bandwidth = perm, iperm, half_bandwidth
+        self._map = _BandMap(self._P, self._A, iperm, half_bandwidth)
+        # A's entries in band column order: the loop's copy of A is gathered
+        # through these on every value update.
+        counts = np.diff(self._A.indptr)[perm]
+        self._band_indptr = np.concatenate([[0], np.cumsum(counts)])
+        self._band_entries = (np.repeat(self._A.indptr[perm] - self._band_indptr[:-1], counts)
+                              + np.arange(self._A.nnz))
 
     def _band_factor(self, terms: np.ndarray, w: np.ndarray,
                      shift: float) -> tuple[np.ndarray, np.ndarray]:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
-        band map's ``terms`` of P and A, in the handle's RCM order. Returns
+        band map's ``terms`` of P and A, in the handle's band order. Returns
         L and J L' J (J reverses the order), both as LAPACK lower bands, so
         both triangular sweeps of a solve run non-transposed."""
         band = self._map.band(terms, w, shift)
@@ -462,34 +491,61 @@ class AdmmSolver:
         if max_iterations is not None:
             st = replace(st, max_iterations=max_iterations)
         n, m = self.n, self.m
+        perm, iperm = self._perm, self._iperm
         if warm_start is not None:
             x0, y0 = warm_start
             x = np.asarray(x0, dtype=float) / self._d
             y = -self._c * np.asarray(y0, dtype=float) / self._e if m else np.zeros(0)
             z = self._As @ x if m else np.zeros(0)
+            x = x[perm]
         else:
             x = np.zeros(n)
             z = np.zeros(m)
             y = np.zeros(m)
-        rho, rho_inv = self._rho, self._rho_inv
+        # x stays in band order until the loop ends, so the two sweeps run on
+        # the right-hand side itself; the other vectors are updated in place.
+        As, AsT, qs, k = self._As_band, self._As_band.T, self._qs_band, self.half_bandwidth
+        rho, rho_inv, (L, reversed_t) = self._rho, self._rho_inv, self._chol
+        rhs, x_prev, y_prev = np.empty(n), np.empty(n), np.empty(m)
+        v, zc = np.empty(m), np.empty(m)
         rho_updates = 0
         status = "max_iter"
         iterations = st.max_iterations
         for it in range(1, st.max_iterations + 1):
-            x_prev, y_prev = x, y
-            rhs = _SIGMA * x - self._qs
+            check = it % _CHECK_TERMINATION_EVERY == 0 or it == st.max_iterations
+            if check:
+                np.copyto(x_prev, x)
+                np.copyto(y_prev, y)
+            # rhs = sigma x - q + A' (rho z - y)
+            np.multiply(x, _SIGMA, out=rhs)
+            rhs -= qs
             if m:
-                rhs += self._AsT @ (rho * z - y)
-            x_tilde = self._band_solve(self._chol, rhs)
-            x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
+                np.multiply(rho, z, out=v)
+                v -= y
+                rhs += AsT @ v
+            x_tilde = dtbsv(k, L, rhs, lower=1, overwrite_x=1)
+            x_tilde = dtbsv(k, reversed_t, x_tilde, incx=-1, lower=1, overwrite_x=1)
+            z_tilde = As @ x_tilde if m else None
+            # x = alpha x~ + (1 - alpha) x
+            x_tilde *= _ALPHA
+            x *= 1.0 - _ALPHA
+            x += x_tilde
             if m:
-                z_tilde = self._As @ x_tilde
-                zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + rho_inv * y
-                # Same as np.clip, without its per-call dispatch overhead.
-                z = np.minimum(np.maximum(zc, self._los), self._his)
-                y = rho * (zc - z)
-            if it % _CHECK_TERMINATION_EVERY == 0 or it == st.max_iterations:
-                pri, dua, pri_norm, dua_norm = self._residuals(x, y, z)
+                # zc = alpha z~ + (1 - alpha) z + y / rho, z = clamp(zc),
+                # y = rho (zc - z); np.minimum/np.maximum in place of np.clip,
+                # without its per-call dispatch overhead.
+                z_tilde *= _ALPHA
+                np.multiply(z, 1.0 - _ALPHA, out=zc)
+                zc += z_tilde
+                np.multiply(rho_inv, y, out=z_tilde)
+                zc += z_tilde
+                np.maximum(zc, self._los, out=z)
+                np.minimum(z, self._his, out=z)
+                np.subtract(zc, z, out=y)
+                y *= rho
+            if check:
+                x_check = x[iperm]
+                pri, dua, pri_norm, dua_norm = self._residuals(x_check, y, z)
                 if (pri <= st.eps_abs + st.eps_rel * pri_norm
                         and dua <= st.eps_abs + st.eps_rel * dua_norm):
                     status, iterations = "solved", it
@@ -497,13 +553,13 @@ class AdmmSolver:
                 if m and self._is_primal_infeasible(y - y_prev):
                     status, iterations = "primal_infeasible", it
                     break
-                if self._is_dual_infeasible(x - x_prev):
+                if self._is_dual_infeasible(x_check - x_prev[iperm]):
                     status, iterations = "dual_infeasible", it
                     break
                 if m and self._maybe_adapt_rho(pri, dua, pri_norm, dua_norm):
-                    rho, rho_inv = self._rho, self._rho_inv
+                    rho, rho_inv, (L, reversed_t) = self._rho, self._rho_inv, self._chol
                     rho_updates += 1
-        x_out = self._d * x
+        x_out = self._d * x[iperm]
         y_int = self._e * y / self._c if m else np.zeros(0)
         polished = False
         if status == "solved":
@@ -513,7 +569,8 @@ class AdmmSolver:
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
-                          polished=polished, rho_updates=rho_updates)
+                          polished=polished, rho_updates=rho_updates,
+                          primal_residual=pri, dual_residual=dua)
 
     def _maybe_adapt_rho(self, pri, dua, pri_norm, dua_norm) -> bool:
         """Rescale the penalty by the primal/dual balance ratio, and

@@ -243,7 +243,9 @@ class QpSolution:
     """Solver output. Duals follow the convention P x + q = A' y, so rows at
     their lower bound carry y >= 0 and rows at their upper bound y <= 0.
     ``rho_updates`` counts the penalty updates of this call, each of which
-    refactorized the step matrix once."""
+    refactorized the step matrix once. ``primal_residual`` and
+    ``dual_residual`` are the unscaled infinity-norm residuals of the
+    solver's last termination check, before any polish."""
 
     x: np.ndarray
     y: np.ndarray
@@ -253,6 +255,8 @@ class QpSolution:
     solve_time: float
     polished: bool = False
     rho_updates: int = 0
+    primal_residual: float = float("nan")
+    dual_residual: float = float("nan")
 
     @property
     def solved(self) -> bool:

@@ -174,3 +174,27 @@ def test_records_carry_each_blocks_rho_updates(monkeypatch):
     assert counts == recorded + [result.final_record.force_rho_updates]
     assert sum(counts) > 0
     assert result.records[0].as_dict()["force_rho_updates"] == counts[0]
+
+
+def test_records_carry_each_blocks_exit_residuals(monkeypatch):
+    # Each record carries the unscaled residuals of its block's last ADMM
+    # termination check, in call order like the penalty updates.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    residuals = []
+    real_solve = AdmmSolver.solve
+
+    def recording_solve(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        residuals.append((sol.primal_residual, sol.dual_residual))
+        return sol
+
+    monkeypatch.setattr(AdmmSolver, "solve", recording_solve)
+    result = optimize(plan, refs, settings, weights)
+    recorded = [pair for r in result.records
+                for pair in ((r.force_primal_residual, r.force_dual_residual),
+                             (r.contact_primal_residual, r.contact_dual_residual))]
+    final = result.final_record
+    assert residuals == recorded + [(final.force_primal_residual, final.force_dual_residual)]
+    assert all(0.0 < value < 1e-2 for pair in residuals for value in pair)
+    row = result.records[0].as_dict()
+    assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]

@@ -34,6 +34,10 @@ def test_solve_writes_all_outputs(solved):
     assert report["converged"] is True
     assert report["residuals"]["feasible"] is True
     assert "force_qp_time" not in json.dumps(report)  # timing lives in timing.csv
+    for record in report["records"]:
+        for block in ("force", "contact"):
+            assert record[f"{block}_primal_residual"] >= 0.0
+            assert record[f"{block}_dual_residual"] >= 0.0
 
 
 def test_verify_accepts_solve_output(trot_scenario, solved, capsys):

@@ -354,6 +354,16 @@ def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
         assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
 
 
+def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
+    docs = {**shipped_scenarios(), "trot N=600": make_gait("trot", N=600)}
+    for kind, doc in docs.items():
+        plan, refs, _, weights = materialize(doc)
+        f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
+                                              l_prox=100.0))
+        assert AdmmSolver(qp, validate=False).half_bandwidth <= 24, kind
+
+
 def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(monkeypatch):
     # Extraction reads the phase foothold; the copies the kinematic and
     # momentum rows see must agree with it wherever the solver stops.

@@ -15,7 +15,7 @@ from centroidal_bcd.force_qp import (
     extract_force_iterate,
     force_original_cost,
 )
-from centroidal_bcd.gaits import shipped_scenarios
+from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, verify_trajectory
 from centroidal_bcd.qp import AdmmSolver, QpSolution, SolverSettings, pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
@@ -48,11 +48,12 @@ def test_single_step_point_contact_dimensions():
     eq_rows = int(np.sum((qp.hi - qp.lo) < 1e-14))
     assert eq_rows == 9  # transitions
     # Friction pyramid: |fx|<=mu fz, |fy|<=mu fz unfold to four one-sided rows
-    # plus fz >= 0; the kinematic box is three two-sided rows.
-    assert qp.m_c == 9 + 5 + 3
-    finite_ineq_bounds = int(np.sum(np.isfinite(qp.lo[9:14])) + np.sum(np.isfinite(qp.hi[9:14])))
+    # plus fz >= 0; the kinematic box is three two-sided rows. The pair's rows
+    # come first, the timestep's transitions last.
+    assert qp.m_c == 5 + 3 + 9
+    finite_ineq_bounds = int(np.sum(np.isfinite(qp.lo[0:5])) + np.sum(np.isfinite(qp.hi[0:5])))
     assert finite_ineq_bounds == 5
-    kin = slice(14, 17)
+    kin = slice(5, 8)
     assert np.all(np.isfinite(qp.lo[kin])) and np.all(np.isfinite(qp.hi[kin]))
 
 
@@ -160,6 +161,18 @@ def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
         plan, refs, _, weights = materialize(doc)
         qp = build_force_qp(_inputs(plan, refs, weights))
         assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
+
+
+def test_reduced_matrix_bands_at_24_in_the_builders_order():
+    # Each timestep lays its pairs out before its state, so a pair's rows
+    # reach back to the previous state and forward to its own: the builder's
+    # order bands the step matrix at 24 whatever the horizon, where reverse
+    # Cuthill-McKee gets 34-38.
+    docs = {**shipped_scenarios(), "trot N=600": make_gait("trot", N=600)}
+    for kind, doc in docs.items():
+        plan, refs, _, weights = materialize(doc)
+        qp = build_force_qp(_inputs(plan, refs, weights))
+        assert AdmmSolver(qp, validate=False).half_bandwidth <= 24, kind
 
 
 def test_proximal_weight_pulls_monotonically_toward_target():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from centroidal_bcd.qp import (
     AdmmSolver,
@@ -277,8 +278,8 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
 
 
 def _dense_from_band(h, band):
-    """The symmetric matrix held in a lower band in the handle's RCM order,
-    in the problem's own order."""
+    """The symmetric matrix held in a lower band in the handle's band order
+    (RCM or the problem's own), in the problem's own order."""
     n = h.n
     S = np.zeros((n, n))
     for d in range(band.shape[0]):
@@ -349,6 +350,121 @@ def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     expected = np.linalg.solve(S, rhs)
     got = h._band_solve(h._chol, rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _half_bandwidth(qp, perm):
+    """Half-bandwidth of the pattern of P + A'A + I with its columns and
+    rows in the order ``perm``."""
+    S = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A) + sp.eye(qp.n)).tocoo()
+    iperm = np.argsort(perm)
+    return int(np.max(np.abs(iperm[S.row] - iperm[S.col])))
+
+
+def _rcm(qp):
+    S = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A) + sp.eye(qp.n)).tocsr()
+    return reverse_cuthill_mckee(S, symmetric_mode=True)
+
+
+def test_ordering_keeps_the_builders_order_where_it_bands_narrower():
+    # The trajectory builders lay columns out in time, pairs before states;
+    # RCM does not recover that order.
+    plan, refs, _, weights = materialize(shipped_scenarios()["trot"])
+    p = nominal_footholds(plan, refs)
+    qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3],
+                                      p_fixed=p, references=refs, weights=weights))
+    assert _half_bandwidth(qp, _rcm(qp)) == 34
+    h = setup(qp, validate=False)
+    assert h.half_bandwidth == 24
+    assert np.array_equal(h._perm, np.arange(qp.n))
+
+
+def test_ordering_falls_back_to_rcm_on_a_scrambled_band():
+    # A chain of rows coupling neighbouring columns, its columns shuffled:
+    # RCM finds the band again.
+    n, rng = 60, np.random.default_rng(21)
+    rows = np.repeat(np.arange(n - 1), 2)
+    cols = (rows + np.tile([0, 1], n - 1))
+    chain = sp.csc_matrix((rng.normal(size=rows.size), (rows, cols)), shape=(n - 1, n))
+    shuffled = chain[:, rng.permutation(n)]
+    qp = _qp(np.eye(n), rng.normal(size=n), shuffled.toarray(), -np.ones(n - 1), np.ones(n - 1))
+    h = setup(qp, validate=False)
+    assert _half_bandwidth(qp, np.arange(n)) > h.half_bandwidth == _half_bandwidth(qp, _rcm(qp))
+    assert not np.array_equal(h._perm, np.arange(n))
+    assert h.solve().solved
+
+
+def _unpermuted_loop(h, x, y, z, iterations, checks):
+    """The ADMM iteration of ``solve`` transcribed on the problem-order
+    scaled data, allocating a fresh vector for every update. Records
+    (x, y, z) at each termination check and applies its penalty rule."""
+    for it in range(1, iterations + 1):
+        x_prev, y_prev = x, y
+        rhs = _SIGMA * x - h._qs
+        rhs += h._AsT @ (h._rho * z - y)
+        x_tilde = h._band_solve(h._chol, rhs)
+        x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
+        z_tilde = h._As @ x_tilde
+        zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + h._rho_inv * y
+        z = np.minimum(np.maximum(zc, h._los), h._his)
+        y = h._rho * (zc - z)
+        if it % _CHECK_TERMINATION_EVERY == 0 or it == iterations:
+            checks.append((x, y, z))
+            pri, dua, pri_norm, dua_norm = h._residuals(x, y, z)
+            st = h.settings
+            assert not (pri <= st.eps_abs + st.eps_rel * pri_norm
+                        and dua <= st.eps_abs + st.eps_rel * dua_norm)
+            assert not h._is_primal_infeasible(y - y_prev)
+            assert not h._is_dual_infeasible(x - x_prev)
+            h._maybe_adapt_rho(pri, dua, pri_norm, dua_norm)
+
+
+@pytest.mark.parametrize("name", ["force", "contact"])  # builder's order, RCM
+def test_band_ordered_loop_matches_the_unpermuted_iteration(trot_qps, monkeypatch, name):
+    # solve() keeps x in band order and updates its vectors in place; over
+    # three termination checks, one of which adapts the penalty, its iterates
+    # must be those of the plain iteration. Tolerances out of reach keep all
+    # three checks unsolved.
+    qp = trot_qps[name]
+    settings = SolverSettings(eps_abs=1e-15, eps_rel=1e-15)
+    rng = np.random.default_rng(22)
+    start = (rng.normal(size=qp.n), rng.normal(size=qp.m_c))
+    h = setup(qp, settings, validate=False)
+    seen, penalties = [], []
+    residuals = h._residuals
+
+    def recording(x, y, z):
+        seen.append((x.copy(), y.copy(), z.copy()))
+        penalties.append(h._rho_base)
+        return residuals(x, y, z)
+
+    monkeypatch.setattr(h, "_residuals", recording)
+    sol = h.solve(warm_start=start, max_iterations=150)
+    assert sol.status == "max_iter" and sol.iterations == 150
+    assert penalties[1] != penalties[0]  # the first check adapted the penalty
+
+    ref = setup(qp, settings, validate=False)
+    x = start[0] / ref._d
+    expected = []
+    _unpermuted_loop(ref, x, -ref._c * start[1] / ref._e, ref._As @ x, 150, expected)
+    assert len(seen) == len(expected) == 3
+    for got, want in zip(seen, expected):
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solution_reports_the_last_checks_unscaled_residuals(trot_qps):
+    qp = trot_qps["force"]
+    sol = setup(qp, validate=False).solve(max_iterations=120)
+    assert sol.status == "max_iter"
+    # Unpolished: the dual residual is that of the returned pair, and the
+    # primal one (against the projected z) bounds its bound violation.
+    primal, dual, _ = kkt_residuals(qp, sol.x, sol.y)
+    assert sol.dual_residual == pytest.approx(dual, rel=1e-9)
+    assert sol.primal_residual >= primal * (1.0 - 1e-9) and sol.primal_residual > 0.0
+    # A solved call reports the check that passed, before the polish.
+    solved = setup(qp, validate=False).solve()
+    assert solved.solved and solved.polished
+    assert np.isfinite([solved.primal_residual, solved.dual_residual]).all()
 
 
 @pytest.mark.parametrize("name", ["random", "force"])
