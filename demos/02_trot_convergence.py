@@ -16,7 +16,8 @@ print(f"trot: N={plan.horizon}, dt={plan.dt}, "
 
 result = optimize(plan, references, settings, weights)
 
-print(f"\n{'iter':>4} {'eps_f':>12} {'original cost':>14} {'force iters':>12} {'contact iters':>14}")
+print(f"\n{'iter':>4} {'eps_f':>12} {'original cost':>14} {'force iters':>12} "
+      f"{'contact passes':>14}")
 for rec in result.records:
     print(f"{rec.iteration:>4} {rec.eps_f_value:>12.3e} {rec.original_cost:>14.6f} "
           f"{rec.force_solver_iterations:>12} {rec.contact_solver_iterations:>14}")

@@ -8,13 +8,25 @@ previous solution, and the demo prints the iterations each takes next to
 the cold solve's. Termination is checked every 50 iterations, so the counts
 move in steps of 50: here the cost-only re-solve takes 100 against the cold
 solve's 150, and the re-solve after the matrix update 150.
+
+Last, the contact QP of the trot's first outer iteration is solved both
+ways: by the direct active-set solve the contact block uses, which holds the
+equality rows (plane pins included) and factors once per pass, and by ADMM,
+which the contact block keeps as its fallback.
 """
+
+import time
 
 import numpy as np
 import scipy.sparse as sp
 
-from centroidal_bcd.qp import SolverSettings, SparseQP, kkt_residuals, setup
+from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
+from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp, extract_force_iterate
+from centroidal_bcd.gaits import shipped_scenarios
+from centroidal_bcd.qp import AdmmSolver, BandedActiveSetSolver, SolverSettings, SparseQP, \
+    kkt_residuals, setup
 from centroidal_bcd.qp.active_set import solve_active_set
+from centroidal_bcd.scenarios import materialize
 
 rng = np.random.default_rng(0)
 n, m = 25, 35
@@ -53,3 +65,28 @@ print(f"matrix update: refactorizations {handle.kkt_refactorizations - before} "
       f"(exactly one for the new values)")
 sol3 = handle.solve(warm_start=handle.warm_start_point())
 print(f"warm re-solve after matrix update: {sol3.status} in {sol3.iterations} iterations")
+
+plan, refs, settings, weights = materialize(shipped_scenarios()["trot"])
+p_nom = nominal_footholds(plan, refs)
+force_qp = build_force_qp(ForceQpInputs(
+    plan=plan, ell_fixed=p_nom - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p_nom,
+    references=refs, weights=weights))
+force = extract_force_iterate(setup(force_qp, validate=False).solve(), force_qp.layout)
+contact_qp = build_contact_qp(ContactQpInputs(
+    plan=plan, f_fixed=force.f, h_reg=force.h, references=refs, weights=weights,
+    tau_fixed=force.tau, l_prox=settings.L0_contact))
+print(f"\ntrot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
+      f"{int(np.sum(contact_qp.lo == contact_qp.hi))} of them equality rows")
+for name, solver in (("direct", BandedActiveSetSolver), ("ADMM", AdmmSolver)):
+    t0 = time.perf_counter()
+    handle = solver(contact_qp, validate=False)
+    setup_ms = (time.perf_counter() - t0) * 1e3
+    sol = handle.solve()
+    if solver is AdmmSolver:
+        work = (f"{sol.iterations} iterations, {handle.kkt_refactorizations} factorization(s); "
+                f"setup with Ruiz scaling")
+    else:
+        work = (f"{sol.iterations} active-set pass(es), {handle.factorizations} "
+                f"factorization(s); setup")
+    print(f"{name:>6}: {sol.status}, {work} {setup_ms:.1f} ms, "
+          f"solve {sol.solve_time * 1e3:.1f} ms, objective {sol.objective:.9f}")

@@ -31,6 +31,7 @@ from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, 
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
     verify_trajectory
 from .qp.admm import AdmmSolver
+from .qp.banded import BandedActiveSetSolver
 from .qp.problem import SolverSettings
 from .references import ReferenceSet
 
@@ -95,16 +96,22 @@ class BcdIterationRecord:
     eps_f_value: float
     original_cost: float
     force_solver_iterations: int
+    # Active-set passes of the contact block's direct solve, or the ADMM
+    # iterations of its fallback when ``contact_fallback`` is set.
     contact_solver_iterations: int
     # Proximal weights actually applied (the force weight is zero on the
     # first iteration, which has no contact solve to regularize toward).
     force_prox_weight: float = 0.0
     contact_prox_weight: float = 0.0
-    # Penalty updates (each one refactorization) of each block's ADMM solve.
+    # Penalty updates (each one refactorization) of each block's ADMM solve;
+    # the contact block runs ADMM only as a fallback.
     force_rho_updates: int = 0
     contact_rho_updates: int = 0
-    # Unscaled primal and dual residuals of each block's last ADMM
-    # termination check.
+    # Whether the contact block's direct solve was not accepted and ADMM
+    # solved the contact QP instead.
+    contact_fallback: bool = False
+    # Unscaled primal and dual residuals of each block's last termination
+    # check (the contact block's accepted active-set pass).
     force_primal_residual: float = 0.0
     force_dual_residual: float = 0.0
     contact_primal_residual: float = 0.0
@@ -121,6 +128,7 @@ class BcdIterationRecord:
             "contact_prox_weight": self.contact_prox_weight,
             "force_rho_updates": self.force_rho_updates,
             "contact_rho_updates": self.contact_rho_updates,
+            "contact_fallback": self.contact_fallback,
             "force_primal_residual": self.force_primal_residual,
             "force_dual_residual": self.force_dual_residual,
             "contact_primal_residual": self.contact_primal_residual,
@@ -214,6 +222,26 @@ def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
     return handle, sol
 
 
+def _solve_contact(direct: BandedActiveSetSolver | None, fallback: AdmmSolver | None, qp,
+                   settings: SolverSettings, iteration: int):
+    """Solve the contact QP directly; when the active-set solve is not
+    accepted, log why and solve it with ADMM instead, through a handle
+    created on the first fallback. Returns both handles, the solution
+    (timed over both attempts) and whether it fell back."""
+    if direct is None:
+        direct = BandedActiveSetSolver(qp, settings, validate=False)
+    else:
+        direct.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
+                             new_P_values=qp.P.data, new_A_values=qp.A.data)
+    sol = direct.solve()
+    if sol.solved:
+        return direct, fallback, sol, False
+    log.warning("contact QP direct solve not accepted at outer iteration %d (%s after %d "
+                "passes); falling back to ADMM", iteration, sol.status, sol.iterations)
+    fallback, admm = _solve_block(fallback, qp, settings, "contact", iteration)
+    return direct, fallback, replace(admm, solve_time=sol.solve_time + admm.solve_time), True
+
+
 def optimize(plan: ContactPlan, references: ReferenceSet,
              settings: BcdSettings | None = None,
              weights: CostWeights | None = None,
@@ -243,7 +271,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     L_contact = settings.L0_contact
 
     force_handle: AdmmSolver | None = None
-    contact_handle: AdmmSolver | None = None
+    contact_handle: BandedActiveSetSolver | None = None
+    contact_fallback_handle: AdmmSolver | None = None
     records: list[BcdIterationRecord] = []
     kept = [] if keep_force_iterates else None
     converged = False
@@ -282,8 +311,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             plan=plan, f_fixed=force_iterate.f, h_reg=force_iterate.h,
             references=references, weights=weights,
             p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=L_contact))
-        contact_handle, contact_sol = _solve_block(contact_handle, qp_c,
-                                                   settings.solver, "contact", k)
+        contact_handle, contact_fallback_handle, contact_sol, fell_back = _solve_contact(
+            contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
         contact_time = contact_sol.solve_time
         setup_time += time.perf_counter() - t0 - contact_time
         contact_iterate = extract_contact_iterate(contact_sol, qp_c.layout, plan)
@@ -300,6 +329,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             contact_prox_weight=L_contact_used,
             force_rho_updates=force_sol.rho_updates,
             contact_rho_updates=contact_sol.rho_updates,
+            contact_fallback=fell_back,
             force_primal_residual=force_sol.primal_residual,
             force_dual_residual=force_sol.dual_residual,
             contact_primal_residual=contact_sol.primal_residual,

@@ -14,10 +14,13 @@ over (r, l, k, p, z) is again one convex QP:
     force solve's momentum, which lets the CoM trade position against
     momentum when shaping kappa.
   - one foothold variable p per contact phase, constrained to the phase's
-    surface polytope. Every later timestep of the phase holds its own copy,
+    surface polytope. A plane the surface pins with two opposite half-spaces
+    (as ``polygon_to_halfspaces`` does) becomes one equality row: the pair
+    has an empty interior, and both of its rows active make the active set
+    rank-deficient. Every later timestep of the phase holds its own copy,
     tied to the previous timestep's copy (or to p) by equality rows, so the
     foothold stays constant while every row couples timesteps t-1 and t only
-    and the ADMM step matrix stays narrowly banded. Each timestep's
+    and the KKT matrix stays narrowly banded. Each timestep's
     kinematic box around the CoM and its angular momentum row use that
     timestep's copy;
   - diagonal quadratic cost: foothold pull toward nominal placements,
@@ -43,7 +46,7 @@ import numpy as np
 
 from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
     recursion_rows, skew_entries, state_layout, timestep_blocks, zmp_rows
-from .model import CentroidalState, ContactPlan, state_array
+from .model import CentroidalState, ContactPlan, Polytope, state_array
 from .qp.problem import Block, QpSolution, SparseQP, TripletPattern, VariableLayout, diagonal
 from .references import ReferenceSet
 
@@ -131,6 +134,22 @@ class _Structure:
     z_cols: np.ndarray        # (flat pairs, 2) center-of-pressure columns
 
 
+def _surface_rows(surface: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (A, lo, hi) of lo <= A p <= hi describing ``surface``. Each exact
+    opposite pair of halfspaces (A_j = -A_i and b_j = -b_i, i < j) becomes
+    the equality row A_i p = b_i in place of row i, and row j is dropped;
+    every other halfspace stays a row A_i p <= b_i. A slab (b_j != -b_i)
+    keeps both of its rows."""
+    A, b = surface.A, surface.b
+    opposite = np.all(A[:, None, :] == -A[None, :, :], axis=2) & (b[:, None] == -b[None, :])
+    keep, lo = np.ones(b.size, dtype=bool), np.full(b.size, -np.inf)
+    for i, j in zip(*np.nonzero(np.triu(opposite, 1))):
+        # Each row joins at most one pair.
+        if keep[i] and keep[j] and lo[i] == -np.inf:
+            keep[j], lo[i] = False, b[i]
+    return A[keep], lo[keep], b[keep]
+
+
 # Entries of a dense 3x2 block in row-major order.
 _BLOCK32_I, _BLOCK32_J = np.divmod(np.arange(6), 2)
 
@@ -159,9 +178,9 @@ def _structure(plan: ContactPlan) -> _Structure:
     # Rows: the r and k recursions of each timestep, then per pair the
     # kinematic box, the center-of-pressure box and, at the phase's first
     # timestep, the surface, or later, the tie to the previous copy.
-    surfaces = [plan.phases[j].surface for j in table.phase[first]]
+    surfaces = [_surface_rows(plan.phases[j].surface) for j in table.phase[first]]
     tail = np.full(t.size, 3, dtype=np.int64)
-    tail[first] = [S.b.size for S in surfaces]
+    tail[first] = [lo.size for _, lo, _ in surfaces]
     t_row, pair_row, m_c = timestep_blocks(table, 6, 3 + 2 * flat + tail)
     e = Entries(m_c)
     com_rows(e, plan, cols, t_row)
@@ -184,9 +203,9 @@ def _structure(plan: ContactPlan) -> _Structure:
         count = tail[first]
         surf_rows = np.repeat(tail_row[first] - np.cumsum(count) + count, count) \
             + np.arange(count.sum())
-        e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0),
-              np.concatenate([S.A for S in surfaces]))
-        e.lo[surf_rows], e.hi[surf_rows] = -np.inf, np.concatenate([S.b for S in surfaces])
+        surf_A, surf_lo, surf_hi = (np.concatenate(part) for part in zip(*surfaces))
+        e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0), surf_A)
+        e.lo[surf_rows], e.hi[surf_rows] = surf_lo, surf_hi
     # Copy ties: each later copy equals its phase's copy one timestep earlier.
     by_phase = np.lexsort((t, table.phase))
     previous = np.empty_like(by_phase)

@@ -1,6 +1,7 @@
 """Sparse QP canonical form and solvers."""
 
 from .admm import AdmmSolver, setup
+from .banded import BandedActiveSetSolver
 from .problem import (
     INFTY,
     QpSolution,
@@ -15,6 +16,7 @@ from .problem import (
 __all__ = [
     "INFTY",
     "AdmmSolver",
+    "BandedActiveSetSolver",
     "QpSolution",
     "SolverSettings",
     "SparseQP",

@@ -11,18 +11,12 @@ the standard splitting (OSQP, Stellato et al. 2020)
 with R = diag(rho), on Ruiz-equilibrated data with an adaptive penalty. This
 is the quasi-definite KKT system [[P + sigma I, A'], [A, -R^-1]] with its
 multiplier block eliminated: the reduced matrix S = P + sigma I + A' R A is
-symmetric positive definite for sigma > 0 and rho > 0, so it has a Cholesky
-factor. Its sparsity pattern is fixed per handle, so one symmetric ordering,
-chosen at setup, turns S into a band matrix, which is factored with LAPACK's
-banded Cholesky routine. The ordering is whichever of reverse Cuthill-McKee
-and the problem's own column order gives the narrower band (RCM on a tie):
-both trajectory QPs are local in time (every constraint row couples at most
-two consecutive timesteps) and their builders lay each timestep's pairs out
-before its state, which bands both at 24 however long the horizon, where
-RCM gets 34-38 on the force QP. Each factorization also stores its
-transpose reversed end to end, again a lower band, so a back-solve is two
-forward BLAS band sweeps (``dtbsv``) instead of a forward and a transposed
-one.
+symmetric positive definite for sigma > 0 and rho > 0. Its band ordering,
+band map and banded Cholesky factorization are those of
+:mod:`centroidal_bcd.qp.banded`: the ADMM step, the penalty updates and the
+polish all factor through it. Value-only updates of q and the bounds reuse
+the factorization; updates touching P or A values trigger exactly one
+refactorization.
 
 The iteration runs in band order: on every P/A value update the handle
 stores a copy of the scaled A with its columns in band order, and the
@@ -31,19 +25,6 @@ sweeps run on the right-hand side itself, and x is unpermuted only at
 termination checks and at exit. The other vectors (the right-hand side,
 rho z - y, the pre-projection vector, z and y) are updated in place in work
 arrays allocated once per call, with the same formulas in the same order.
-
-The band is assembled through a map built once per handle from the patterns
-of P and A and the band order. Every lower-band entry of A' W A is a sum of
-products A_ik A_ij over the rows i that hold both columns, so the map lists
-each such pair of A entries (one orientation, lower triangle) with its row
-and its slot in the Fortran-ordered band, together with P's lower entries.
-The pair products are refreshed only when P or A values change; a
-factorization is then one weighted ``bincount`` into the band, the shift on
-its diagonal, ``cholesky_banded`` and one gather for the reversed
-transpose. The ADMM step, the penalty updates and the polish all factor
-through it. Value-only updates of q and the bounds reuse the
-factorization; updates touching P or A values trigger exactly one
-refactorization.
 
 Since a refactorization costs about ten iterations, the penalty adapts at
 every termination check where the primal/dual balance ratio leaves
@@ -54,12 +35,16 @@ of P and A: column and row maxima are segment reductions over the entry
 arrays, and each round multiplies the entries by their row and column
 factors, so no scaled matrix is assembled.
 
-Every solved call is polished on the detected active set: the
-delta-regularized active-set KKT system, multipliers eliminated the same way,
-has a pattern inside that of S, so the same band map assembles it, and
-iterative refinement against the unregularized system sharpens the result.
-The polished point is kept only if its residuals do not grow and every
-multiplier pushes from the bound its row is held at.
+Every solved call is polished on the detected active set: the held-rows
+solve of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7 with three
+refinement steps, whose pattern lies inside that of S. The polished point is
+kept only if its residuals do not grow and every multiplier pushes from the
+bound its row is held at. (At delta = 1e-10 the first force polish of trot
+and bound is rejected.)
+
+The force QP is solved here. The contact QP goes to the direct solver of
+:mod:`~centroidal_bcd.qp.banded` and reaches this solver only as a
+fallback.
 """
 
 from __future__ import annotations
@@ -69,10 +54,9 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.blas import dtbsv
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .banded import _EQUALITY_GAP, BandedKkt, _entries_by_row
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
 __all__ = ["AdmmSolver", "setup"]
@@ -106,96 +90,7 @@ def _guarded_inv_sqrt(norms: np.ndarray) -> np.ndarray:
     return np.clip(1.0 / np.sqrt(safe), 1e-4, 1e4)
 
 
-def _entry_cols(M: sp.csc_matrix) -> np.ndarray:
-    """Column index of every stored entry of a CSC matrix."""
-    return np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-
-
-def _entries_by_row(M: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of a CSC matrix's stored entries grouped by row (stable),
-    and the start of each row's group (with the total as a last element)."""
-    order = np.argsort(M.indices, kind="stable")
-    row_ptr = np.zeros(M.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(M.indices, minlength=M.shape[0]), out=row_ptr[1:])
-    return order, row_ptr
-
-
-def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a flat float array; NaN or inf raise, naming ``name``."""
-    v = np.array(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} holds non-finite values")
-    return v
-
-
-def _bound(values, name: str) -> np.ndarray:
-    """Row bounds as a flat float array with infinities clipped to the
-    sentinel; NaN raises, naming ``name``."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if np.any(np.isnan(v)):
-        raise ValueError(f"{name} holds NaN")
-    return np.clip(v, -INFTY, INFTY)
-
-
-class _BandMap:
-    """Where every term of P + shift I + A' diag(w) A lands in the lower band
-    of a fixed symmetric ordering, for fixed patterns of P and A.
-
-    A term is the product of two stored values of ``[A.data, P.data, 1]``,
-    weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
-    i of A (in the lower-triangle orientation only) with weight w_i, a lower
-    entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
-    weight shift. The band is LAPACK lower storage in Fortran order, so band
-    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j.
-    """
-
-    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, iperm: np.ndarray,
-                 half_bandwidth: int):
-        n, m, width = P.shape[1], A.shape[0], half_bandwidth + 1
-        self.n, self.band_size = n, n * width
-        # A's entries grouped by row; each entry pairs with every entry of
-        # its row (itself included), the lower orientation kept.
-        by_row, row_ptr = _entries_by_row(A)
-        rows = A.indices[by_row].astype(np.intp)
-        cols = iperm[_entry_cols(A)[by_row]]
-        reps = np.diff(row_ptr)[rows]
-        a = np.repeat(np.arange(rows.size), reps)
-        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
-        lower = cols[a] >= cols[b]
-        a, b = a[lower], b[lower]
-        p_rows, p_cols = iperm[P.indices], iperm[_entry_cols(P)]
-        p_lower = np.flatnonzero(p_rows >= p_cols)
-        # Indices into [A.data, P.data, 1] and [w, 1, shift].
-        one, diagonal = A.nnz + P.nnz, np.arange(n)
-        self.left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
-        self.right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
-        self.weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
-        i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
-        j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
-        self.slot = j * width + (i - j)
-        # (J L' J)[d, k] = L[d, n - 1 - d - k] for k < n - d; the padding
-        # beyond, never read by BLAS, keeps its own slot.
-        d, k = np.divmod(np.arange(self.band_size), n)
-        source = np.where(k < n - d, n - 1 - d - k, k)
-        self.reverse = (source * width + d).reshape(width, n).T.reshape(-1)
-        # Half-width gather indices: the map is most of a handle's memory,
-        # and these gathers run per value update or cost little per factor.
-        self.left, self.right, self.reverse = (
-            v.astype(np.int32) for v in (self.left, self.right, self.reverse))
-
-    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
-        """Unweighted term values for the given values of the two patterns."""
-        values = np.concatenate([A_data, P_data, [1.0]])
-        return values[self.left] * values[self.right]
-
-    def band(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
-        """The lower band of P + shift I + A' diag(w) A, Fortran-ordered."""
-        weighted = terms * np.concatenate([w, [1.0, shift]])[self.weight]
-        band = np.bincount(self.slot, weighted, minlength=self.band_size)
-        return band.reshape(self.n, -1).T
-
-
-class AdmmSolver:
+class AdmmSolver(BandedKkt):
     """Solver handle owning the scaled problem data and the banded Cholesky
     factor of the reduced KKT matrix.
 
@@ -205,25 +100,15 @@ class AdmmSolver:
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
                  validate: bool | None = None):
-        self.settings = settings or SolverSettings()
-        if validate is None:
-            validate = qp.n <= 200
-        if validate:
-            qp.validate()
-        self.n = qp.n
-        self.m = qp.m_c
-        self._P = qp.P.tocsc(copy=True)
-        self._A = qp.A.tocsc(copy=True)
-        _finite(self._P.data, "P")
-        _finite(self._A.data, "A")
-        self._q = _finite(qp.q, "q")
-        self._lo = _bound(qp.lo, "lo")
-        self._hi = _bound(qp.hi, "hi")
-        self._P_cols = _entry_cols(self._P)
-        self._A_cols = _entry_cols(self._A)
+        super().__init__(qp, settings, validate)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
-        self._order_reduced_matrix()
+        # A's entries in band column order: the loop's copy of A is gathered
+        # through these on every value update.
+        counts = np.diff(self._A.indptr)[self._perm]
+        self._band_indptr = np.concatenate([[0], np.cumsum(counts)])
+        self._band_entries = (np.repeat(self._A.indptr[self._perm] - self._band_indptr[:-1],
+                                        counts) + np.arange(self._A.nnz))
         self._scale()
         self._refresh_scaled_matrices()
         self._refresh_scaled_vectors()
@@ -301,81 +186,12 @@ class AdmmSolver:
         self._rho = rho
         self._rho_inv = 1.0 / rho if self.m else np.zeros(0)
 
-    def _order_reduced_matrix(self) -> None:
-        """Fix the band layout of S = P + sigma I + A' R A. Its pattern
-        depends only on the patterns of P and A, so one ordering serves every
-        refactorization of this handle: reverse Cuthill-McKee, or the
-        problem's own column order where that bands S more narrowly (the
-        trajectory builders lay columns out in time, which RCM does not
-        recover)."""
-        P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-                for M in (self._P, self._A))
-        pattern = (P + A.T @ A + sp.eye(self.n)).tocsr()
-        # Native index width: gathers with int32 indices cost twice as much.
-        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        iperm = np.empty_like(perm)
-        iperm[perm] = np.arange(self.n)
-        coo = pattern.tocoo()
-        half_bandwidth = int(np.max(iperm[coo.row] - iperm[coo.col], initial=0))
-        own = int(np.max(coo.row - coo.col, initial=0))
-        if own < half_bandwidth:
-            perm = iperm = np.arange(self.n)
-            half_bandwidth = own
-        self._perm, self._iperm, self.half_bandwidth = perm, iperm, half_bandwidth
-        self._map = _BandMap(self._P, self._A, iperm, half_bandwidth)
-        # A's entries in band column order: the loop's copy of A is gathered
-        # through these on every value update.
-        counts = np.diff(self._A.indptr)[perm]
-        self._band_indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._band_entries = (np.repeat(self._A.indptr[perm] - self._band_indptr[:-1], counts)
-                              + np.arange(self._A.nnz))
-
-    def _band_factor(self, terms: np.ndarray, w: np.ndarray,
-                     shift: float) -> tuple[np.ndarray, np.ndarray]:
-        """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
-        band map's ``terms`` of P and A, in the handle's band order. Returns
-        L and J L' J (J reverses the order), both as LAPACK lower bands, so
-        both triangular sweeps of a solve run non-transposed."""
-        band = self._map.band(terms, w, shift)
-        try:
-            L = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
-        reversed_t = L.T.reshape(-1)[self._map.reverse].reshape(self.n, -1).T
-        return L, reversed_t
-
-    def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor of :meth:`_band_factor`: L y = b forward, then
-        (J L' J)(J x) = J y forward; the negative stride reads and writes the
-        second sweep's vector in reverse, so x comes out in place."""
-        L, reversed_t = factor
-        y = dtbsv(self.half_bandwidth, L, rhs[self._perm], lower=1, overwrite_x=1)
-        x = dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
-        return x[self._iperm]
-
     def _factorize(self) -> None:
         """Refactor the ADMM step's S = P + sigma I + A' R A (scaled data)."""
         self._chol = self._band_factor(self._terms_s, self._rho, _SIGMA)
         self.kkt_refactorizations += 1
 
     # -- value updates ----------------------------------------------------
-
-    @staticmethod
-    def _extract_values(new_values, reference: sp.csc_matrix, name: str) -> np.ndarray:
-        """Values of ``new_values`` in the order of ``reference.data``. A
-        sparse matrix must repeat the setup pattern; a raw array is taken as
-        the ``data`` of that pattern."""
-        if sp.issparse(new_values):
-            M = new_values.tocsc()
-            if (M.shape != reference.shape
-                    or not np.array_equal(M.indptr, reference.indptr)
-                    or not np.array_equal(M.indices, reference.indices)):
-                raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
-            new_values = M.data
-        data = _finite(new_values, name)
-        if data.shape != reference.data.shape:
-            raise ValueError(f"{name} has {data.size} values, pattern holds {reference.nnz}")
-        return data
 
     def update_values(self, new_q=None, new_lo=None, new_hi=None,
                       new_P_values=None, new_A_values=None) -> None:
@@ -387,26 +203,7 @@ class AdmmSolver:
         matrix or q values and NaN bounds raise ``ValueError``; infinite
         bounds are legal.
         """
-        needs_refactor = False
-        if new_P_values is not None:
-            self._P.data = self._extract_values(new_P_values, self._P, "P")
-            needs_refactor = True
-        if new_A_values is not None:
-            self._A.data = self._extract_values(new_A_values, self._A, "A")
-            needs_refactor = True
-        if new_q is not None:
-            q = _finite(new_q, "q")
-            if q.shape != (self.n,):
-                raise ValueError("q length mismatch")
-            self._q = q
-        if new_lo is not None:
-            self._lo = _bound(new_lo, "lo")
-        if new_hi is not None:
-            self._hi = _bound(new_hi, "hi")
-        if self._lo.shape != (self.m,) or self._hi.shape != (self.m,):
-            raise ValueError("bound length mismatch")
-        if np.any(self._lo > self._hi):
-            raise ValueError("lo > hi after update")
+        needs_refactor = self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values)
         self._refresh_scaled_vectors()
         if needs_refactor:
             self._refresh_scaled_matrices()
@@ -593,27 +390,16 @@ class AdmmSolver:
         """Solve the reduced KKT system on the detected active set; keep the
         result only when it does not degrade the unscaled residuals and its
         multipliers have the signs of the bounds they hold."""
-        eq = (self._hi - self._lo) < 1e-12
+        eq = (self._hi - self._lo) < _EQUALITY_GAP
         low = (z - self._lo < -y_int) & ~eq
         upp = (self._hi - z < y_int) & ~eq
         act = eq | low | upp
         b = np.where(eq | low, self._lo, self._hi)
-        # Multipliers eliminated: x solves (P + delta I + A_r' A_r / delta) x
-        # = -q + A_r' b / delta, and nu = (A_r x - b) / delta.
-        w = np.where(act, 1.0 / _POLISH_DELTA, 0.0)
         try:
-            chol = self._band_factor(self._terms, w, _POLISH_DELTA)
+            x_pol, y_pol = self._held_rows_solve(act, b, _POLISH_DELTA, _POLISH_REFINE_STEPS)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1
-        # Refinement from zero: the first step is the regularized solve itself.
-        x_pol, y_pol = np.zeros(self.n), np.zeros(self.m)
-        for _ in range(1 + _POLISH_REFINE_STEPS):
-            r_x = -self._q - self._P @ x_pol - self._A.T @ y_pol
-            r_y = w * (b - self._A @ x_pol)
-            dx = self._band_solve(chol, r_x + self._A.T @ r_y)
-            x_pol = x_pol + dx
-            y_pol = y_pol + w * (self._A @ dx) - r_y
         z_pol = self._A @ x_pol
         pri_pol = float(np.max(np.maximum(self._lo - z_pol, z_pol - self._hi), initial=0.0))
         dua_pol = float(np.max(np.abs(self._P @ x_pol + self._q + self._A.T @ y_pol),

@@ -1,0 +1,386 @@
+"""Banded KKT machinery shared by the QP solvers, and a direct active-set
+solver built on it.
+
+Both solvers factor matrices of the form P + shift I + A' diag(w) A: the
+quasi-definite KKT system [[P + shift I, A'], [A, -diag(1/w)]] with its
+multiplier block eliminated, symmetric positive definite for shift > 0 and
+w >= 0. Its pattern depends only on the patterns of P and A, so one
+symmetric ordering, chosen once per handle, turns it into a band matrix,
+which is factored with LAPACK's banded Cholesky routine. The ordering is
+whichever of reverse Cuthill-McKee and the problem's own column order gives
+the narrower band (RCM on a tie): both trajectory QPs are local in time
+(every constraint row couples at most two consecutive timesteps) and their
+builders lay each timestep's pairs out before its state, which bands both
+at 24 however long the horizon, where RCM gets 34-38 on the force QP. Each
+factorization also stores its transpose reversed end to end, again a lower
+band, so a back-solve is two forward BLAS band sweeps (``dtbsv``) instead of
+a forward and a transposed one.
+
+The band is assembled through a map built once per handle from the patterns
+of P and A and the band order. Every lower-band entry of A' W A is a sum of
+products A_ik A_ij over the rows i that hold both columns, so the map lists
+each such pair of A entries (one orientation, lower triangle) with its row
+and its slot in the Fortran-ordered band, together with P's lower entries.
+The pair products are refreshed only when P or A values change; a
+factorization is then one weighted ``bincount`` into the band, the shift on
+its diagonal, ``cholesky_banded`` and one gather for the reversed
+transpose.
+
+A set of rows held at given values (equality rows plus inequality rows held
+at one of their bounds) is solved as the delta-regularized KKT system with
+weight w = 1/delta on the held rows and 0 elsewhere, refined against the
+unregularized system (:meth:`BandedKkt._held_rows_solve`). The ADMM polish
+and the direct active-set solve both call it.
+
+:class:`BandedActiveSetSolver` is a primal active-set method on that solve
+(Nocedal and Wright, *Numerical Optimization*, section 16.5): each pass
+solves with the equality rows and the working set held, accepts when the
+unscaled residuals meet the solver tolerances and every multiplier pushes
+from the bound its row is held at, and otherwise adds the violated
+inequality rows and drops the rows whose multipliers have the wrong sign.
+Each solve starts from the previous accepted working set, as warm-started
+active-set methods do on sequences of related QPs (Ferreau et al., qpOASES,
+Math. Prog. Comp. 2014). It runs no scaling and keeps no factorization
+between passes. It suits QPs whose working set is small and changes little
+between solves, such as the contact QP, whose only active rows are its
+equality rows on the shipped scenarios; a solve that is not accepted within
+ten passes reports so, and the caller falls back to ADMM.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.blas import dtbsv
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .problem import INFTY, QpSolution, SolverSettings, SparseQP
+
+__all__ = ["BandedActiveSetSolver", "BandedKkt"]
+
+_EQUALITY_GAP = 1e-12   # rows with hi - lo below this are equality rows
+# Regularization of the direct solve's KKT system. Each refinement step
+# shrinks the held rows' residual by about delta / (delta + mu), mu the
+# smallest eigenvalue of A_h P^-1 A_h', which a large proximal weight in P
+# makes small: at 1e-10, three steps leave bound's third contact QP with
+# foothold copies 1.3e-8 apart; at 1e-11, 1.4e-11.
+_DIRECT_DELTA = 1e-11
+_DIRECT_REFINE_STEPS = 3
+_MAX_PASSES = 10
+
+
+def _entry_cols(M: sp.csc_matrix) -> np.ndarray:
+    """Column index of every stored entry of a CSC matrix."""
+    return np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+
+
+def _entries_by_row(M: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of a CSC matrix's stored entries grouped by row (stable),
+    and the start of each row's group (with the total as a last element)."""
+    order = np.argsort(M.indices, kind="stable")
+    row_ptr = np.zeros(M.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(M.indices, minlength=M.shape[0]), out=row_ptr[1:])
+    return order, row_ptr
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a flat float array; NaN or inf raise, naming ``name``."""
+    v = np.array(values, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} holds non-finite values")
+    return v
+
+
+def _bound(values, name: str) -> np.ndarray:
+    """Row bounds as a flat float array with infinities clipped to the
+    sentinel; NaN raises, naming ``name``."""
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if np.any(np.isnan(v)):
+        raise ValueError(f"{name} holds NaN")
+    return np.clip(v, -INFTY, INFTY)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+class _BandMap:
+    """Where every term of P + shift I + A' diag(w) A lands in the lower band
+    of a fixed symmetric ordering, for fixed patterns of P and A.
+
+    A term is the product of two stored values of ``[A.data, P.data, 1]``,
+    weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
+    i of A (in the lower-triangle orientation only) with weight w_i, a lower
+    entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
+    weight shift. The band is LAPACK lower storage in Fortran order, so band
+    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j.
+    """
+
+    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, iperm: np.ndarray,
+                 half_bandwidth: int):
+        n, m, width = P.shape[1], A.shape[0], half_bandwidth + 1
+        self.n, self.band_size = n, n * width
+        # A's entries grouped by row; each entry pairs with every entry of
+        # its row (itself included), the lower orientation kept.
+        by_row, row_ptr = _entries_by_row(A)
+        rows = A.indices[by_row].astype(np.intp)
+        cols = iperm[_entry_cols(A)[by_row]]
+        reps = np.diff(row_ptr)[rows]
+        a = np.repeat(np.arange(rows.size), reps)
+        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
+        lower = cols[a] >= cols[b]
+        a, b = a[lower], b[lower]
+        p_rows, p_cols = iperm[P.indices], iperm[_entry_cols(P)]
+        p_lower = np.flatnonzero(p_rows >= p_cols)
+        # Indices into [A.data, P.data, 1] and [w, 1, shift].
+        one, diagonal = A.nnz + P.nnz, np.arange(n)
+        self.left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
+        self.right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
+        self.weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
+        i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
+        j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
+        self.slot = j * width + (i - j)
+        # (J L' J)[d, k] = L[d, n - 1 - d - k] for k < n - d; the padding
+        # beyond, never read by BLAS, keeps its own slot. The gather through
+        # it runs on every factorization, so it keeps the native index width,
+        # at which it runs twice as fast as with int32 indices.
+        d, k = np.divmod(np.arange(self.band_size), n)
+        source = np.where(k < n - d, n - 1 - d - k, k)
+        self.reverse = (source * width + d).reshape(width, n).T.reshape(-1).astype(
+            np.intp, copy=False)
+        # Half-width term indices: the map is most of a handle's memory, and
+        # these gathers run only when P or A values change.
+        self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
+
+    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
+        """Unweighted term values for the given values of the two patterns."""
+        values = np.concatenate([A_data, P_data, [1.0]])
+        return values[self.left] * values[self.right]
+
+    def band(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
+        """The lower band of P + shift I + A' diag(w) A, Fortran-ordered."""
+        weighted = terms * np.concatenate([w, [1.0, shift]])[self.weight]
+        band = np.bincount(self.slot, weighted, minlength=self.band_size)
+        return band.reshape(self.n, -1).T
+
+
+class BandedKkt:
+    """One QP's unscaled data, the band ordering of its reduced KKT matrices
+    and their banded factorization.
+
+    Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
+    the ``QpSolution`` convention). Single-threaded per handle.
+    """
+
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
+                 validate: bool | None = None):
+        self.settings = settings or SolverSettings()
+        if validate is None:
+            validate = qp.n <= 200
+        if validate:
+            qp.validate()
+        self.n = qp.n
+        self.m = qp.m_c
+        self._P = qp.P.tocsc(copy=True)
+        self._A = qp.A.tocsc(copy=True)
+        _finite(self._P.data, "P")
+        _finite(self._A.data, "A")
+        self._q = _finite(qp.q, "q")
+        self._lo = _bound(qp.lo, "lo")
+        self._hi = _bound(qp.hi, "hi")
+        self._P_cols = _entry_cols(self._P)
+        self._A_cols = _entry_cols(self._A)
+        self._order_reduced_matrix()
+
+    def _order_reduced_matrix(self) -> None:
+        """Fix the band layout of P + shift I + A' W A. Its pattern depends
+        only on the patterns of P and A, so one ordering serves every
+        factorization of this handle: reverse Cuthill-McKee, or the problem's
+        own column order where that bands the matrix more narrowly (the
+        trajectory builders lay columns out in time, which RCM does not
+        recover)."""
+        P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+                for M in (self._P, self._A))
+        pattern = (P + A.T @ A + sp.eye(self.n)).tocsr()
+        # Native index width: gathers with int32 indices cost twice as much.
+        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        iperm = np.empty_like(perm)
+        iperm[perm] = np.arange(self.n)
+        coo = pattern.tocoo()
+        half_bandwidth = int(np.max(iperm[coo.row] - iperm[coo.col], initial=0))
+        own = int(np.max(coo.row - coo.col, initial=0))
+        if own < half_bandwidth:
+            perm = iperm = np.arange(self.n)
+            half_bandwidth = own
+        self._perm, self._iperm, self.half_bandwidth = perm, iperm, half_bandwidth
+        self._map = _BandMap(self._P, self._A, iperm, half_bandwidth)
+
+    def _band_factor(self, terms: np.ndarray, w: np.ndarray,
+                     shift: float) -> tuple[np.ndarray, np.ndarray]:
+        """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
+        band map's ``terms`` of P and A, in the handle's band order. Returns
+        L and J L' J (J reverses the order), both as LAPACK lower bands, so
+        both triangular sweeps of a solve run non-transposed."""
+        band = self._map.band(terms, w, shift)
+        try:
+            L = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
+        reversed_t = L.T.reshape(-1)[self._map.reverse].reshape(self.n, -1).T
+        return L, reversed_t
+
+    def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """Solve with a factor of :meth:`_band_factor`: L y = b forward, then
+        (J L' J)(J x) = J y forward; the negative stride reads and writes the
+        second sweep's vector in reverse, so x comes out in place."""
+        L, reversed_t = factor
+        y = dtbsv(self.half_bandwidth, L, rhs[self._perm], lower=1, overwrite_x=1)
+        x = dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
+        return x[self._iperm]
+
+    def _held_rows_solve(self, held: np.ndarray, b: np.ndarray, delta: float,
+                         steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) of the QP with the rows ``held`` pinned to ``b`` and the
+        other rows dropped, from one factorization of the delta-regularized
+        KKT system and ``steps`` refinement steps against the unregularized
+        one. With the multipliers eliminated, x solves
+        (P + delta I + A_h' A_h / delta) x = -q + A_h' b / delta, and
+        y_h = (A_h x - b) / delta; rows not held keep y = 0. Raises
+        ``ValueError`` when the matrix is not numerically positive
+        definite."""
+        w = np.where(held, 1.0 / delta, 0.0)
+        chol = self._band_factor(self._terms, w, delta)
+        # Refinement from zero: the first step is the regularized solve itself.
+        x, y = np.zeros(self.n), np.zeros(self.m)
+        for _ in range(1 + steps):
+            r_x = -self._q - self._P @ x - self._A.T @ y
+            r_y = w * (b - self._A @ x)
+            dx = self._band_solve(chol, r_x + self._A.T @ r_y)
+            x = x + dx
+            y = y + w * (self._A @ dx) - r_y
+        return x, y
+
+    # -- value updates ----------------------------------------------------
+
+    @staticmethod
+    def _extract_values(new_values, reference: sp.csc_matrix, name: str) -> np.ndarray:
+        """Values of ``new_values`` in the order of ``reference.data``. A
+        sparse matrix must repeat the setup pattern; a raw array is taken as
+        the ``data`` of that pattern."""
+        if sp.issparse(new_values):
+            M = new_values.tocsc()
+            if (M.shape != reference.shape
+                    or not np.array_equal(M.indptr, reference.indptr)
+                    or not np.array_equal(M.indices, reference.indices)):
+                raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
+            new_values = M.data
+        data = _finite(new_values, name)
+        if data.shape != reference.data.shape:
+            raise ValueError(f"{name} has {data.size} values, pattern holds {reference.nnz}")
+        return data
+
+    def _set_values(self, new_q=None, new_lo=None, new_hi=None, new_P_values=None,
+                    new_A_values=None) -> bool:
+        """Replace problem values without touching the sparsity pattern;
+        True when P or A values changed. Matrix values come as sparse
+        matrices of the setup pattern or as raw ``data`` arrays of it.
+        Non-finite matrix or q values and NaN bounds raise ``ValueError``;
+        infinite bounds are legal."""
+        matrices = False
+        if new_P_values is not None:
+            self._P.data = self._extract_values(new_P_values, self._P, "P")
+            matrices = True
+        if new_A_values is not None:
+            self._A.data = self._extract_values(new_A_values, self._A, "A")
+            matrices = True
+        if new_q is not None:
+            q = _finite(new_q, "q")
+            if q.shape != (self.n,):
+                raise ValueError("q length mismatch")
+            self._q = q
+        if new_lo is not None:
+            self._lo = _bound(new_lo, "lo")
+        if new_hi is not None:
+            self._hi = _bound(new_hi, "hi")
+        if self._lo.shape != (self.m,) or self._hi.shape != (self.m,):
+            raise ValueError("bound length mismatch")
+        if np.any(self._lo > self._hi):
+            raise ValueError("lo > hi after update")
+        return matrices
+
+
+class BandedActiveSetSolver(BandedKkt):
+    """Direct solver handle: a primal active-set method whose every pass is
+    one banded factorization of the held-rows KKT system.
+
+    ``working_set`` holds, per row, the bound an inequality row is held at
+    (-1 lo, +1 hi, 0 free); each solve starts from it and an accepted solve
+    leaves its own there. ``factorizations`` counts the passes that factored.
+    """
+
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
+                 validate: bool | None = None):
+        super().__init__(qp, settings, validate)
+        self._terms = self._map.terms(self._P.data, self._A.data)
+        self.working_set = np.zeros(self.m, dtype=np.int8)
+        self.factorizations = 0
+
+    def update_values(self, new_q=None, new_lo=None, new_hi=None,
+                      new_P_values=None, new_A_values=None) -> None:
+        """Replace problem values without touching the sparsity pattern (see
+        ``AdmmSolver.update_values``); nothing is factored until a solve."""
+        if self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values):
+            self._terms = self._map.terms(self._P.data, self._A.data)
+
+    def solve(self) -> QpSolution:
+        """Run active-set passes until one is accepted or ``_MAX_PASSES`` are
+        spent. The status is ``solved``, ``max_iter`` (pass cap),
+        ``stalled`` (a pass left the working set unchanged) or
+        ``not_positive_definite`` (a factorization failed); ``iterations``
+        counts the passes."""
+        t0 = time.perf_counter()
+        st = self.settings
+        P, A, q, lo, hi = self._P, self._A, self._q, self._lo, self._hi
+        eq = (hi - lo) < _EQUALITY_GAP
+        side = np.where(eq, 0, self.working_set).astype(np.int8)
+        x, y = np.zeros(self.n), np.zeros(self.m)
+        pri = dua = float("nan")
+        status, passes = "max_iter", 0
+        for passes in range(1, _MAX_PASSES + 1):
+            low, upp = side < 0, side > 0
+            try:
+                x, y = self._held_rows_solve(eq | low | upp, np.where(eq | low, lo, hi),
+                                             _DIRECT_DELTA, _DIRECT_REFINE_STEPS)
+            except ValueError:
+                status = "not_positive_definite"
+                break
+            self.factorizations += 1
+            Ax, Px, Aty = A @ x, P @ x, A.T @ y
+            z = np.minimum(np.maximum(Ax, lo), hi)
+            # ADMM's termination test, on the unscaled residuals.
+            pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
+            pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
+            dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
+            # A row held at its lower bound needs y <= 0 here, one at its
+            # upper bound y >= 0.
+            sign_tol = st.eps_abs + st.eps_rel * _max_abs(y)
+            wrong = (low & (y > sign_tol)) | (upp & (y < -sign_tol))
+            if pri <= pri_tol and dua <= dua_tol and not wrong.any():
+                status = "solved"
+                self.working_set = side
+                break
+            update = side.copy()
+            update[wrong] = 0
+            update[~eq & (lo - Ax > pri_tol)] = -1
+            update[~eq & (Ax - hi > pri_tol)] = 1
+            if np.array_equal(update, side):
+                status = "stalled"
+                break
+            side = update
+        objective = float(0.5 * x @ (P @ x) + q @ x)
+        return QpSolution(x=x, y=-y, status=status, objective=objective, iterations=passes,
+                          solve_time=time.perf_counter() - t0, primal_residual=pri,
+                          dual_residual=dua)

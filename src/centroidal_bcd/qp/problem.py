@@ -245,11 +245,14 @@ class QpSolution:
     ``rho_updates`` counts the penalty updates of this call, each of which
     refactorized the step matrix once. ``primal_residual`` and
     ``dual_residual`` are the unscaled infinity-norm residuals of the
-    solver's last termination check, before any polish."""
+    solver's last termination check, before any polish (for the direct
+    active-set solve, of its last pass)."""
 
     x: np.ndarray
     y: np.ndarray
-    status: str  # solved | max_iter | primal_infeasible | dual_infeasible
+    # solved | max_iter | primal_infeasible | dual_infeasible; the direct
+    # active-set solve may also report stalled | not_positive_definite.
+    status: str
     objective: float
     iterations: int
     solve_time: float

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.bcd import (
     BcdSettings,
     BlockSolveError,
@@ -12,7 +13,8 @@ from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, \
     verify_trajectory
 from centroidal_bcd.gaits import make_gait
-from centroidal_bcd.qp import AdmmSolver, SolverSettings, VariableLayout
+from centroidal_bcd.qp import AdmmSolver, BandedActiveSetSolver, SolverSettings, \
+    VariableLayout
 from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_patch, hover_plan, hover_references
@@ -156,39 +158,39 @@ def test_each_block_builds_one_layout_per_optimize(monkeypatch):
     assert len(constructed) == 2
 
 
+def _observe_block_solves(monkeypatch, field):
+    """Record ``field`` of every block solve's solution, in call order: the
+    force block's ADMM solves and the contact block's direct solves."""
+    seen = []
+    for solver in (AdmmSolver, BandedActiveSetSolver):
+        def observed(self, *args, _real=solver.solve, **kwargs):
+            sol = _real(self, *args, **kwargs)
+            seen.append(field(sol))
+            return sol
+
+        monkeypatch.setattr(solver, "solve", observed)
+    return seen
+
+
 def test_records_carry_each_blocks_rho_updates(monkeypatch):
-    # Every ADMM solve's penalty updates land in the record of its block and
-    # outer iteration, in call order: force, contact, ..., final force.
+    # Every solve's penalty updates land in the record of its block and
+    # outer iteration, in call order: force, contact, ..., final force. The
+    # contact block's direct solve has none.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
-    counts = []
-    real_solve = AdmmSolver.solve
-
-    def counting_solve(self, *args, **kwargs):
-        sol = real_solve(self, *args, **kwargs)
-        counts.append(sol.rho_updates)
-        return sol
-
-    monkeypatch.setattr(AdmmSolver, "solve", counting_solve)
+    counts = _observe_block_solves(monkeypatch, lambda sol: sol.rho_updates)
     result = optimize(plan, refs, settings, weights)
     recorded = [n for r in result.records for n in (r.force_rho_updates, r.contact_rho_updates)]
     assert counts == recorded + [result.final_record.force_rho_updates]
-    assert sum(counts) > 0
+    assert sum(counts) > 0 and counts[1::2] == [0] * len(result.records)
     assert result.records[0].as_dict()["force_rho_updates"] == counts[0]
 
 
 def test_records_carry_each_blocks_exit_residuals(monkeypatch):
-    # Each record carries the unscaled residuals of its block's last ADMM
+    # Each record carries the unscaled residuals of its block's last
     # termination check, in call order like the penalty updates.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
-    residuals = []
-    real_solve = AdmmSolver.solve
-
-    def recording_solve(self, *args, **kwargs):
-        sol = real_solve(self, *args, **kwargs)
-        residuals.append((sol.primal_residual, sol.dual_residual))
-        return sol
-
-    monkeypatch.setattr(AdmmSolver, "solve", recording_solve)
+    residuals = _observe_block_solves(
+        monkeypatch, lambda sol: (sol.primal_residual, sol.dual_residual))
     result = optimize(plan, refs, settings, weights)
     recorded = [pair for r in result.records
                 for pair in ((r.force_primal_residual, r.force_dual_residual),
@@ -198,3 +200,33 @@ def test_records_carry_each_blocks_exit_residuals(monkeypatch):
     assert all(0.0 < value < 1e-2 for pair in residuals for value in pair)
     row = result.records[0].as_dict()
     assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]
+
+
+def test_contact_block_falls_back_to_admm_when_the_direct_solve_is_not_accepted(
+        quad_hover, monkeypatch, caplog):
+    # With no active-set pass allowed the direct solve is never accepted:
+    # ADMM solves each contact QP through one handle, built on the first
+    # fallback, and every record counts the fallback and its iterations.
+    plan, refs = quad_hover
+    settings = BcdSettings(eps_f=0.0, max_outer_iterations=2)
+    direct = optimize(plan, refs, settings)
+    monkeypatch.setattr(banded_module, "_MAX_PASSES", 0)
+    built = []
+    real_init = AdmmSolver.__init__
+
+    def counting_init(self, qp, *args, **kwargs):
+        built.append(qp.n)
+        real_init(self, qp, *args, **kwargs)
+
+    monkeypatch.setattr(AdmmSolver, "__init__", counting_init)
+    with caplog.at_level("WARNING", logger="centroidal_bcd.bcd"):
+        result = optimize(plan, refs, settings)
+    assert len(built) == 2  # the force handle and the contact fallback's
+    assert [r.contact_fallback for r in result.records] == [True, True]
+    assert all(r.contact_solver_iterations >= 50 for r in result.records)
+    assert result.records[0].as_dict()["contact_fallback"] is True
+    assert not any(r.contact_fallback for r in direct.records)
+    assert sum("falling back to ADMM" in m for m in caplog.messages) == 2
+    assert result.residuals.feasible
+    # Both solvers land on the same contact solutions, to ADMM's tolerance.
+    assert np.max(np.abs(result.trajectory.h - direct.trajectory.h)) < 1e-6

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import centroidal_bcd.cli as cli_module
+import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.cli import main
 from centroidal_bcd.model import CentroidalState, EffectorContact
 from centroidal_bcd.references import ReferenceSet
@@ -229,14 +230,31 @@ def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
     assert built == []
 
 
-def test_verbose_progress_reports_each_blocks_rho_updates(trot_scenario, tmp_path, capsys):
-    code = main(["solve", "--scenario", str(trot_scenario), "--out", str(tmp_path), "--verbose"])
+def _verbose_progress_matches_records(scenario, out, capsys, fallback: bool):
+    code = main(["solve", "--scenario", str(scenario), "--out", str(out), "--verbose"])
     assert code == 0
     progress = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("[iteration ")]
-    report = json.loads((tmp_path / "convergence.json").read_text())
+    report = json.loads((out / "convergence.json").read_text())
     records = report["records"] + [report["final_record"]]
     assert len(progress) == len(records)
+    assert [r["contact_fallback"] for r in report["records"]] == [fallback] * len(report["records"])
     for line, record in zip(progress, records):
-        assert line.endswith(f"rho_updates={record['force_rho_updates']}"
-                             f"+{record['contact_rho_updates']}")
+        contact = (f"contact_fallback_iterations={record['contact_solver_iterations']}"
+                   if record["contact_fallback"] else
+                   f"contact_passes={record['contact_solver_iterations']}")
+        assert line.endswith(f"force_rho_updates={record['force_rho_updates']} {contact}")
+
+
+def test_verbose_progress_reports_each_blocks_rho_updates(trot_scenario, tmp_path, capsys):
+    # The force block's penalty updates, then the contact block's direct
+    # active-set passes.
+    _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=False)
+
+
+def test_verbose_progress_reports_the_contact_fallback(trot_scenario, tmp_path, capsys,
+                                                      monkeypatch):
+    # With no pass allowed the direct solve is never accepted, and the line
+    # reports the iterations of the ADMM fallback instead.
+    monkeypatch.setattr(banded_module, "_MAX_PASSES", 0)
+    _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 import centroidal_bcd.bcd as bcd_module
 from centroidal_bcd.contact_qp import (
     _structure,
+    _surface_rows,
     ContactQpInputs,
     build_contact_qp,
     extract_contact_iterate,
@@ -13,13 +16,16 @@ from centroidal_bcd.contact_qp import (
 from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, build_force_qp, \
     extract_force_iterate
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.model import CentroidalState, integrate_step, skew
-from centroidal_bcd.qp import AdmmSolver, QpSolution, SolverSettings, VariableLayout, \
-    pattern_hash, setup
+from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
+    polygon_to_halfspaces, skew
+from centroidal_bcd.qp import AdmmSolver, BandedActiveSetSolver, QpSolution, SolverSettings, \
+    VariableLayout, pattern_hash, setup
+from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
-from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, qp_arrays
+from conftest import flat_foot_plan, flat_patch, hover_plan, hover_references, monopod_plan, \
+    qp_arrays
 
 vec3 = st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=3)
 
@@ -364,23 +370,172 @@ def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
         assert AdmmSolver(qp, validate=False).half_bandwidth <= 24, kind
 
 
-def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(monkeypatch):
-    # Extraction reads the phase foothold; the copies the kinematic and
-    # momentum rows see must agree with it wherever the solver stops.
-    solutions = []
+@pytest.fixture(scope="module")
+def shipped_contact_solves():
+    """Every contact solve of the shipped suite: the plan, the QP, the
+    solution optimize() extracted, and the factorizations its direct solve
+    used; plus the QPs ADMM handles were built from and the results."""
+    solves, admm_qps, results = [], [], []
+    real_build = bcd_module.build_contact_qp
     real_extract = bcd_module.extract_contact_iterate
+    real_solve = BandedActiveSetSolver.solve
+    real_admm = AdmmSolver.__init__
 
-    def grab(sol, layout, plan):
-        solutions.append((sol, plan))
+    def build(inputs):
+        qp = real_build(inputs)
+        solves.append({"qp": qp})
+        return qp
+
+    def solve(self):
+        before = self.factorizations
+        sol = real_solve(self)
+        solves[-1]["factorizations"] = self.factorizations - before
+        return sol
+
+    def extract(sol, layout, plan):
+        solves[-1].update(sol=sol, plan=plan)
         return real_extract(sol, layout, plan)
 
-    monkeypatch.setattr(bcd_module, "extract_contact_iterate", grab)
-    for kind, doc in shipped_scenarios().items():
-        plan, refs, settings, weights = materialize(doc)
-        bcd_module.optimize(plan, refs, settings, weights)
-    assert len(solutions) >= len(shipped_scenarios())
-    for sol, plan in solutions:
+    def admm(self, qp, *args, **kwargs):
+        admm_qps.append(qp)
+        real_admm(self, qp, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bcd_module, "build_contact_qp", build)
+        mp.setattr(bcd_module, "extract_contact_iterate", extract)
+        mp.setattr(BandedActiveSetSolver, "solve", solve)
+        mp.setattr(AdmmSolver, "__init__", admm)
+        for kind, doc in shipped_scenarios().items():
+            plan, refs, settings, weights = materialize(doc)
+            results.append(bcd_module.optimize(plan, refs, settings, weights))
+    return solves, admm_qps, results
+
+
+def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(
+        shipped_contact_solves):
+    # Extraction reads the phase foothold; the copies the kinematic and
+    # momentum rows see must agree with it. The direct solve ties them to
+    # the precision of its refined equality rows.
+    solves, _, _ = shipped_contact_solves
+    assert len(solves) >= len(shipped_scenarios())
+    for solve in solves:
+        sol, plan = solve["sol"], solve["plan"]
         s = _structure(plan)
         later = ~plan.pair_table.first
         assert not np.any(np.isin(s.copy_cols[later], s.p_cols))
-        assert np.max(np.abs(sol.x[s.copy_cols] - sol.x[s.p_cols])) <= 1e-8
+        assert np.max(np.abs(sol.x[s.copy_cols] - sol.x[s.p_cols])) <= 1e-10
+
+
+def test_contact_block_solves_directly_on_the_shipped_suite(shipped_contact_solves):
+    # Every contact QP is accepted without falling back, in at most two
+    # factorizations; no ADMM handle, so no Ruiz scaling and no ADMM
+    # factorization, is ever built from a contact QP.
+    solves, admm_qps, results = shipped_contact_solves
+    assert all(solve["sol"].solved and 1 <= solve["factorizations"] <= 2 for solve in solves)
+    assert all(not r.contact_fallback for result in results for r in result.records)
+    assert len(admm_qps) == len(results)  # one force handle per optimize()
+    contact_qps = {id(solve["qp"]) for solve in solves}
+    assert not any(id(qp) in contact_qps for qp in admm_qps)
+
+
+def test_direct_contact_solve_matches_admm_on_the_shipped_suite(shipped_contact_solves):
+    # ADMM runs at 1e-9: at its default 1e-7 it stops with equality rows off
+    # by up to 1e-8, enough to lower the objective by up to 4.7e-8 relative.
+    solves, _, _ = shipped_contact_solves
+    eps_abs = SolverSettings().eps_abs
+    tight = SolverSettings(eps_abs=1e-9, eps_rel=1e-9)
+    for solve in solves:
+        qp, sol = solve["qp"], solve["sol"]
+        admm = setup(qp, tight, validate=False).solve()
+        assert admm.solved
+        assert sol.objective <= admm.objective + 1e-8 * abs(admm.objective)
+        ax = qp.A @ sol.x
+        inequality = qp.hi - qp.lo > 1e-12
+        violation = np.maximum(qp.lo - ax, ax - qp.hi)[inequality]
+        assert violation.max() <= eps_abs
+
+
+def _direct_and_oracle(qp):
+    h = BandedActiveSetSolver(qp, validate=False)
+    sol = h.solve()
+    assert sol.solved
+    x_ref, _, obj_ref = solve_active_set(qp)
+    return h, sol, x_ref, obj_ref
+
+
+def test_direct_contact_solve_matches_the_dense_active_set_oracle():
+    flat = flat_foot_plan()
+    trot = materialize(make_gait("trot", N=20))[:2]
+    for plan, refs in ((flat, hover_references(flat)), trot):
+        rng = np.random.default_rng(3)
+        f0 = np.column_stack([rng.normal(0.0, 1.0, size=(len(plan.active_pairs()), 2)),
+                              rng.uniform(4.0, 8.0, size=len(plan.active_pairs()))])
+        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+        _, sol, x_ref, obj_ref = _direct_and_oracle(qp)
+        assert np.max(np.abs(sol.x - x_ref)) <= 1e-8
+        assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
+
+
+def _kinematic_rows(qp, plan):
+    return np.flatnonzero((qp.lo == -plan.kinematic_limit) & (qp.hi == plan.kinematic_limit))
+
+
+def test_direct_solve_adds_the_violated_kinematic_rows():
+    # The hover footholds sit 0.22 m below the reference CoM, out of reach
+    # of a 0.2 m kinematic box: the first pass, on the equality rows alone,
+    # violates the vertical box rows, which the second pass holds.
+    plan = replace(hover_plan(N=4), kinematic_limit=0.2)
+    refs = hover_references(plan)
+    f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    h, sol, x_ref, _ = _direct_and_oracle(qp)
+    assert sol.iterations == h.factorizations == 2
+    held = np.flatnonzero(h.working_set)
+    assert held.size and np.isin(held, _kinematic_rows(qp, plan)).all()
+    assert np.max(np.abs(sol.x - x_ref)) <= 1e-8
+    # The next solve starts from that working set and is accepted at once.
+    assert h.solve().iterations == 1
+
+
+def test_direct_solve_drops_a_row_held_with_the_wrong_sign():
+    # Holding a kinematic row at its upper bound pulls the foothold away
+    # from where it rests; its multiplier has the wrong sign, the second
+    # pass frees the row and lands on the solution.
+    plan = hover_plan(N=4)
+    refs = hover_references(plan)
+    f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    h = BandedActiveSetSolver(qp, validate=False)
+    h.working_set[_kinematic_rows(qp, plan)[0]] = 1
+    sol = h.solve()
+    assert sol.solved and sol.iterations == 2
+    assert not h.working_set.any()
+    clean = BandedActiveSetSolver(qp, validate=False).solve()
+    assert clean.iterations == 1
+    assert np.max(np.abs(sol.x - clean.x)) <= 1e-12
+
+
+def test_plane_pins_become_equality_rows():
+    plane = polygon_to_halfspaces([[0.0, 0.0, 0.1], [0.3, 0.0, 0.1], [0.3, 0.2, 0.1],
+                                   [0.0, 0.2, 0.1]])
+    A, lo, hi = _surface_rows(plane)
+    assert A.shape == (5, 3) and np.sum(lo == hi) == 1
+    assert lo[0] == hi[0] == plane.b[0] and np.array_equal(A[0], plane.A[0])
+    assert np.array_equal(A[1:], plane.A[2:]) and np.array_equal(hi[1:], plane.b[2:])
+    assert np.all(lo[1:] == -np.inf)
+    # A halfspace surface with an exact opposite pair merges it in place of
+    # its first row; one whose pair bounds a slab keeps both rows.
+    patch = flat_patch(0.1, -0.2, z=0.05)
+    A, lo, hi = _surface_rows(patch)
+    assert A.shape == (5, 3) and lo[0] == hi[0] == 0.05
+    assert np.array_equal(A[1:], patch.A[2:]) and np.all(lo[1:] == -np.inf)
+    slab = Polytope(patch.A, patch.b + np.array([0.01, 0, 0, 0, 0, 0]))
+    A, lo, hi = _surface_rows(slab)
+    assert np.array_equal(A, slab.A) and np.array_equal(hi, slab.b) and np.all(lo == -np.inf)
+    # In the assembled QP each phase's surface adds one equality row.
+    plan = hover_plan(N=3)
+    refs = hover_references(plan)
+    f0 = np.zeros((len(plan.active_pairs()), 3))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked))
+    ties = 3 * int(np.sum(~plan.pair_table.first))
+    assert np.sum(qp.lo == qp.hi) == 6 * plan.horizon + ties + len(plan.phases)
