@@ -198,9 +198,9 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
 
 def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
                  block: str, iteration: int):
-    """Set up or value-update the block's solver handle, then solve with the
-    retry-once policy on iteration exhaustion; the penalty updates of both
-    calls count."""
+    """Set up or value-update the block's solver handle and solve once; any
+    status but ``solved``, the iteration cap included, raises
+    ``BlockSolveError``."""
     if handle is None:
         handle = AdmmSolver(qp, settings, validate=False)
         warm = None
@@ -211,12 +211,6 @@ def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
                              new_P_values=qp.P.data, new_A_values=qp.A.data)
         warm = handle.warm_start_point()
     sol = handle.solve(warm_start=warm)
-    if sol.status == "max_iter":
-        log.warning("%s QP hit the iteration cap at outer iteration %d; retrying with 10x",
-                    block, iteration)
-        retry = handle.solve(warm_start=(sol.x, sol.y),
-                             max_iterations=10 * settings.max_iterations)
-        sol = replace(retry, rho_updates=sol.rho_updates + retry.rho_updates)
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
     return handle, sol

@@ -11,20 +11,17 @@ the standard splitting (OSQP, Stellato et al. 2020)
 with R = diag(rho), on Ruiz-equilibrated data with an adaptive penalty. This
 is the quasi-definite KKT system [[P + sigma I, A'], [A, -R^-1]] with its
 multiplier block eliminated: the reduced matrix S = P + sigma I + A' R A is
-symmetric positive definite for sigma > 0 and rho > 0. Its band ordering,
-band map and banded Cholesky factorization are those of
-:mod:`centroidal_bcd.qp.banded`: the ADMM step, the penalty updates and the
-polish all factor through it. Value-only updates of q and the bounds reuse
-the factorization; updates touching P or A values trigger exactly one
+symmetric positive definite for sigma > 0 and rho > 0. Its band map and
+banded Cholesky factorization, in the problem's own column order, are those
+of :mod:`centroidal_bcd.qp.banded`: the ADMM step, the penalty updates and
+the polish all factor through it. Value-only updates of q and the bounds
+reuse the factorization; updates touching P or A values trigger exactly one
 refactorization.
 
-The iteration runs in band order: on every P/A value update the handle
-stores a copy of the scaled A with its columns in band order, and the
-scaled q in band order, so x stays in band order through the loop, both
-sweeps run on the right-hand side itself, and x is unpermuted only at
-termination checks and at exit. The other vectors (the right-hand side,
-rho z - y, the pre-projection vector, z and y) are updated in place in work
-arrays allocated once per call, with the same formulas in the same order.
+Both sweeps of the back-solve run on the right-hand side itself, and the
+other vectors (x, rho z - y, the pre-projection vector, z and y) are updated
+in place in work arrays allocated once per call, with the same formulas in
+the same order as the plain iteration above.
 
 Since a refactorization costs about ten iterations, the penalty adapts at
 every termination check where the primal/dual balance ratio leaves
@@ -50,13 +47,11 @@ fallback.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 
-from .banded import _EQUALITY_GAP, BandedKkt, _entries_by_row
+from .banded import _EQUALITY_GAP, BandedKkt, _entries_by_row, _wrongly_signed
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
 __all__ = ["AdmmSolver", "setup"]
@@ -103,12 +98,6 @@ class AdmmSolver(BandedKkt):
         super().__init__(qp, settings, validate)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
-        # A's entries in band column order: the loop's copy of A is gathered
-        # through these on every value update.
-        counts = np.diff(self._A.indptr)[self._perm]
-        self._band_indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._band_entries = (np.repeat(self._A.indptr[self._perm] - self._band_indptr[:-1],
-                                        counts) + np.arange(self._A.nnz))
         self._scale()
         self._refresh_scaled_matrices()
         self._refresh_scaled_vectors()
@@ -160,10 +149,6 @@ class AdmmSolver(BandedKkt):
         if self.m:
             self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
         self._AsT = self._As.T
-        # The ADMM loop's copy: columns in band order.
-        self._As_band = sp.csc_matrix(
-            (self._As.data[self._band_entries], self._A.indices[self._band_entries],
-             self._band_indptr), shape=self._A.shape)
         self._terms = self._map.terms(self._P.data, self._A.data)
         self._terms_s = self._map.terms(self._Ps.data, self._As.data)
 
@@ -171,14 +156,13 @@ class AdmmSolver(BandedKkt):
         """Scale q and the bounds with the fixed equilibration."""
         d, e, c = self._d, self._e, self._c
         self._qs = c * d * self._q
-        self._qs_band = self._qs[self._perm]
         self._los = e * self._lo
         self._his = e * self._hi
 
     # -- penalty and reduced-matrix factorization ----------------------------
 
     def _build_rho(self) -> None:
-        is_eq = (self._hi - self._lo) < 1e-14
+        is_eq = (self._hi - self._lo) < _EQUALITY_GAP
         is_free = (self._lo <= -INFTY) & (self._hi >= INFTY)
         rho = np.full(self.m, self._rho_base)
         rho[is_eq] = np.clip(self._rho_base * _RHO_EQ_FACTOR, _RHO_MIN, _RHO_MAX)
@@ -274,34 +258,27 @@ class AdmmSolver(BandedKkt):
 
     # -- main solve --------------------------------------------------------
 
-    def solve(self, warm_start: tuple | None = None,
-              max_iterations: int | None = None) -> QpSolution:
-        """Run ADMM to the configured tolerances.
+    def solve(self, warm_start: tuple | None = None) -> QpSolution:
+        """Run ADMM to the configured tolerances within the configured
+        iteration budget.
 
         ``warm_start`` is an (x, y) pair in solution coordinates (the
-        QpSolution dual convention). ``max_iterations`` overrides the
-        configured budget for this call. Exhaustion of the budget is reported
+        QpSolution dual convention). Exhaustion of the budget is reported
         through ``status``, never as a silent success.
         """
         t0 = time.perf_counter()
         st = self.settings
-        if max_iterations is not None:
-            st = replace(st, max_iterations=max_iterations)
         n, m = self.n, self.m
-        perm, iperm = self._perm, self._iperm
         if warm_start is not None:
             x0, y0 = warm_start
             x = np.asarray(x0, dtype=float) / self._d
             y = -self._c * np.asarray(y0, dtype=float) / self._e if m else np.zeros(0)
             z = self._As @ x if m else np.zeros(0)
-            x = x[perm]
         else:
             x = np.zeros(n)
             z = np.zeros(m)
             y = np.zeros(m)
-        # x stays in band order until the loop ends, so the two sweeps run on
-        # the right-hand side itself; the other vectors are updated in place.
-        As, AsT, qs, k = self._As_band, self._As_band.T, self._qs_band, self.half_bandwidth
+        As, AsT, qs, k = self._As, self._AsT, self._qs, self.half_bandwidth
         rho, rho_inv, (L, reversed_t) = self._rho, self._rho_inv, self._chol
         rhs, x_prev, y_prev = np.empty(n), np.empty(n), np.empty(m)
         v, zc = np.empty(m), np.empty(m)
@@ -341,8 +318,7 @@ class AdmmSolver(BandedKkt):
                 np.subtract(zc, z, out=y)
                 y *= rho
             if check:
-                x_check = x[iperm]
-                pri, dua, pri_norm, dua_norm = self._residuals(x_check, y, z)
+                pri, dua, pri_norm, dua_norm = self._residuals(x, y, z)
                 if (pri <= st.eps_abs + st.eps_rel * pri_norm
                         and dua <= st.eps_abs + st.eps_rel * dua_norm):
                     status, iterations = "solved", it
@@ -350,13 +326,13 @@ class AdmmSolver(BandedKkt):
                 if m and self._is_primal_infeasible(y - y_prev):
                     status, iterations = "primal_infeasible", it
                     break
-                if self._is_dual_infeasible(x_check - x_prev[iperm]):
+                if self._is_dual_infeasible(x - x_prev):
                     status, iterations = "dual_infeasible", it
                     break
                 if m and self._maybe_adapt_rho(pri, dua, pri_norm, dua_norm):
                     rho, rho_inv, (L, reversed_t) = self._rho, self._rho_inv, self._chol
                     rho_updates += 1
-        x_out = self._d * x[iperm]
+        x_out = self._d * x
         y_int = self._e * y / self._c if m else np.zeros(0)
         polished = False
         if status == "solved":
@@ -407,18 +383,11 @@ class AdmmSolver(BandedKkt):
         z_cur = self._A @ x
         pri_cur = float(np.max(np.maximum(self._lo - z_cur, z_cur - self._hi), initial=0.0))
         dua_cur = float(np.max(np.abs(self._P @ x + self._q + self._A.T @ y_int), initial=0.0))
-        # A row held at its lower bound needs y <= 0 here, one at its upper
-        # bound y >= 0; a wrong sign beyond the tolerance means the detected
-        # active set is not the solution's.
-        wrong_sign = float(np.max(np.where(low, y_pol, 0.0) - np.where(upp, y_pol, 0.0),
-                                  initial=0.0))
-        sign_tol = self.settings.eps_abs + self.settings.eps_rel * float(
-            np.max(np.abs(y_pol), initial=0.0))
         # Both residuals must improve (or stay at noise level); comparing them
         # jointly would let a mis-detected active set through whenever the
         # other residual is large.
         if (pri_pol <= max(pri_cur, 1e-10) and dua_pol <= max(dua_cur, 1e-10)
-                and wrong_sign <= sign_tol):
+                and not _wrongly_signed(y_pol, low, upp, self.settings).any()):
             return x_pol, y_pol, True
         return x, y_int, False
 

@@ -4,27 +4,24 @@ solver built on it.
 Both solvers factor matrices of the form P + shift I + A' diag(w) A: the
 quasi-definite KKT system [[P + shift I, A'], [A, -diag(1/w)]] with its
 multiplier block eliminated, symmetric positive definite for shift > 0 and
-w >= 0. Its pattern depends only on the patterns of P and A, so one
-symmetric ordering, chosen once per handle, turns it into a band matrix,
-which is factored with LAPACK's banded Cholesky routine. The ordering is
-whichever of reverse Cuthill-McKee and the problem's own column order gives
-the narrower band (RCM on a tie): both trajectory QPs are local in time
+w >= 0. It is factored as a band matrix in the problem's own column order
+with LAPACK's banded Cholesky routine. Both trajectory QPs are local in time
 (every constraint row couples at most two consecutive timesteps) and their
-builders lay each timestep's pairs out before its state, which bands both
-at 24 however long the horizon, where RCM gets 34-38 on the force QP. Each
+builders lay each timestep's pairs out before its state, which bands both at
+24 however long the horizon; that stage-wise layout is the classic band
+structure of time-structured QPs (Rao, Wright and Rawlings, JOTA 1998). Each
 factorization also stores its transpose reversed end to end, again a lower
 band, so a back-solve is two forward BLAS band sweeps (``dtbsv``) instead of
 a forward and a transposed one.
 
 The band is assembled through a map built once per handle from the patterns
-of P and A and the band order. Every lower-band entry of A' W A is a sum of
-products A_ik A_ij over the rows i that hold both columns, so the map lists
-each such pair of A entries (one orientation, lower triangle) with its row
-and its slot in the Fortran-ordered band, together with P's lower entries.
-The pair products are refreshed only when P or A values change; a
-factorization is then one weighted ``bincount`` into the band, the shift on
-its diagonal, ``cholesky_banded`` and one gather for the reversed
-transpose.
+of P and A. Every lower-band entry of A' W A is a sum of products A_ik A_ij
+over the rows i that hold both columns, so the map lists each such pair of
+A entries (one orientation, lower triangle) with its row and its slot in the
+Fortran-ordered band, together with P's lower entries. The pair products
+are refreshed only when P or A values change; a factorization is then one
+weighted ``bincount`` into the band, the shift on its diagonal,
+``cholesky_banded`` and one gather for the reversed transpose.
 
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
@@ -55,7 +52,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.blas import dtbsv
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
@@ -107,33 +103,43 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v), initial=0.0))
 
 
+def _wrongly_signed(y: np.ndarray, low: np.ndarray, upp: np.ndarray,
+                    settings: SolverSettings) -> np.ndarray:
+    """Mask of the held rows whose multiplier pulls against their bound: in
+    the handles' sign convention a row held at its lower bound needs
+    y <= 0, one at its upper bound y >= 0, to within eps_abs + eps_rel
+    max |y|. A wrongly signed row means the held set is not the solution's
+    active set."""
+    tol = settings.eps_abs + settings.eps_rel * _max_abs(y)
+    return (low & (y > tol)) | (upp & (y < -tol))
+
+
 class _BandMap:
-    """Where every term of P + shift I + A' diag(w) A lands in the lower band
-    of a fixed symmetric ordering, for fixed patterns of P and A.
+    """Where every term of P + shift I + A' diag(w) A lands in its lower
+    band, for fixed patterns of P and A, in the problem's own column order.
 
     A term is the product of two stored values of ``[A.data, P.data, 1]``,
     weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
     i of A (in the lower-triangle orientation only) with weight w_i, a lower
     entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
     weight shift. The band is LAPACK lower storage in Fortran order, so band
-    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j.
+    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j, the
+    half-bandwidth being the largest i - j among the terms.
     """
 
-    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, iperm: np.ndarray,
-                 half_bandwidth: int):
-        n, m, width = P.shape[1], A.shape[0], half_bandwidth + 1
-        self.n, self.band_size = n, n * width
+    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix):
+        n, m = P.shape[1], A.shape[0]
         # A's entries grouped by row; each entry pairs with every entry of
         # its row (itself included), the lower orientation kept.
         by_row, row_ptr = _entries_by_row(A)
         rows = A.indices[by_row].astype(np.intp)
-        cols = iperm[_entry_cols(A)[by_row]]
+        cols = _entry_cols(A)[by_row]
         reps = np.diff(row_ptr)[rows]
         a = np.repeat(np.arange(rows.size), reps)
         b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
         lower = cols[a] >= cols[b]
         a, b = a[lower], b[lower]
-        p_rows, p_cols = iperm[P.indices], iperm[_entry_cols(P)]
+        p_rows, p_cols = P.indices, _entry_cols(P)
         p_lower = np.flatnonzero(p_rows >= p_cols)
         # Indices into [A.data, P.data, 1] and [w, 1, shift].
         one, diagonal = A.nnz + P.nnz, np.arange(n)
@@ -142,6 +148,9 @@ class _BandMap:
         self.weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
         i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
         j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
+        self.half_bandwidth = int(np.max(i - j, initial=0))
+        width = self.half_bandwidth + 1
+        self.n, self.band_size = n, n * width
         self.slot = j * width + (i - j)
         # (J L' J)[d, k] = L[d, n - 1 - d - k] for k < n - d; the padding
         # beyond, never read by BLAS, keeps its own slot. The gather through
@@ -168,8 +177,8 @@ class _BandMap:
 
 
 class BandedKkt:
-    """One QP's unscaled data, the band ordering of its reduced KKT matrices
-    and their banded factorization.
+    """One QP's unscaled data, the band map of its reduced KKT matrices and
+    their banded factorization.
 
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
     the ``QpSolution`` convention). Single-threaded per handle.
@@ -193,35 +202,13 @@ class BandedKkt:
         self._hi = _bound(qp.hi, "hi")
         self._P_cols = _entry_cols(self._P)
         self._A_cols = _entry_cols(self._A)
-        self._order_reduced_matrix()
-
-    def _order_reduced_matrix(self) -> None:
-        """Fix the band layout of P + shift I + A' W A. Its pattern depends
-        only on the patterns of P and A, so one ordering serves every
-        factorization of this handle: reverse Cuthill-McKee, or the problem's
-        own column order where that bands the matrix more narrowly (the
-        trajectory builders lay columns out in time, which RCM does not
-        recover)."""
-        P, A = (sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-                for M in (self._P, self._A))
-        pattern = (P + A.T @ A + sp.eye(self.n)).tocsr()
-        # Native index width: gathers with int32 indices cost twice as much.
-        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        iperm = np.empty_like(perm)
-        iperm[perm] = np.arange(self.n)
-        coo = pattern.tocoo()
-        half_bandwidth = int(np.max(iperm[coo.row] - iperm[coo.col], initial=0))
-        own = int(np.max(coo.row - coo.col, initial=0))
-        if own < half_bandwidth:
-            perm = iperm = np.arange(self.n)
-            half_bandwidth = own
-        self._perm, self._iperm, self.half_bandwidth = perm, iperm, half_bandwidth
-        self._map = _BandMap(self._P, self._A, iperm, half_bandwidth)
+        self._map = _BandMap(self._P, self._A)
+        self.half_bandwidth = self._map.half_bandwidth
 
     def _band_factor(self, terms: np.ndarray, w: np.ndarray,
                      shift: float) -> tuple[np.ndarray, np.ndarray]:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
-        band map's ``terms`` of P and A, in the handle's band order. Returns
+        band map's ``terms`` of P and A. Returns
         L and J L' J (J reverses the order), both as LAPACK lower bands, so
         both triangular sweeps of a solve run non-transposed."""
         band = self._map.band(terms, w, shift)
@@ -235,11 +222,11 @@ class BandedKkt:
     def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
         """Solve with a factor of :meth:`_band_factor`: L y = b forward, then
         (J L' J)(J x) = J y forward; the negative stride reads and writes the
-        second sweep's vector in reverse, so x comes out in place."""
+        second sweep's vector in reverse, so x comes out in place. The
+        first sweep writes to a copy: ``rhs`` is left as it was."""
         L, reversed_t = factor
-        y = dtbsv(self.half_bandwidth, L, rhs[self._perm], lower=1, overwrite_x=1)
-        x = dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
-        return x[self._iperm]
+        y = dtbsv(self.half_bandwidth, L, rhs, lower=1)
+        return dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
 
     def _held_rows_solve(self, held: np.ndarray, b: np.ndarray, delta: float,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +351,7 @@ class BandedActiveSetSolver(BandedKkt):
             pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
             pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
             dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
-            # A row held at its lower bound needs y <= 0 here, one at its
-            # upper bound y >= 0.
-            sign_tol = st.eps_abs + st.eps_rel * _max_abs(y)
-            wrong = (low & (y > sign_tol)) | (upp & (y < -sign_tol))
+            wrong = _wrongly_signed(y, low, upp, st)
             if pri <= pri_tol and dua <= dua_tol and not wrong.any():
                 status = "solved"
                 self.working_set = side

@@ -124,6 +124,26 @@ def test_infeasible_block_is_identified():
     assert err.value.iteration == 1
 
 
+def test_block_at_its_iteration_cap_fails_after_one_solve(monkeypatch):
+    # Exhausting the configured budget is a named failure, not a cue for a
+    # longer solve: the worst case of a block is one budget.
+    plan, refs, _, weights = materialize(make_gait("walk"))
+    iterations = []
+    real_solve = AdmmSolver.solve
+
+    def counting(self, *args, **kwargs):
+        sol = real_solve(self, *args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(AdmmSolver, "solve", counting)
+    with pytest.raises(BlockSolveError) as err:
+        optimize(plan, refs, BcdSettings(solver=SolverSettings(max_iterations=100)),
+                 weights=weights)
+    assert (err.value.block, err.value.iteration, err.value.status) == ("force", 1, "max_iter")
+    assert iterations == [100]
+
+
 def test_progress_callback_receives_all_records(quad_hover):
     plan, refs = quad_hover
     seen = []

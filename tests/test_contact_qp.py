@@ -348,19 +348,10 @@ def test_cached_structure_keeps_builds_independent():
         assert np.array_equal(got, want)
 
 
-def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
-    # Each foothold copy couples timesteps t-1 and t only, so the ADMM step
-    # matrix keeps a narrow band; a variable shared by a whole phase widens it
-    # to the phase length.
-    for kind, doc in shipped_scenarios().items():
-        plan, refs, _, weights = materialize(doc)
-        f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
-                                              l_prox=100.0))
-        assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
-
-
 def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
+    # Each foothold copy couples timesteps t-1 and t only, so the ADMM step
+    # matrix keeps a narrow band in the builder's order; a variable shared by
+    # a whole phase widens it to the phase length.
     docs = {**shipped_scenarios(), "trot N=600": make_gait("trot", N=600)}
     for kind, doc in docs.items():
         plan, refs, _, weights = materialize(doc)

@@ -153,21 +153,13 @@ def test_block_banded_rows_touch_adjacent_timesteps_only():
         assert entry_step[pos] in (row_step[A.row[pos]], row_step[A.row[pos]] - 1)
 
 
-def test_reduced_matrix_stays_banded_on_every_shipped_scenario():
-    # Rows couple steps t-1 and t only, so the ADMM step matrix
-    # P + sigma I + A' R A has a narrow band after reordering whatever the
-    # horizon; a layout that breaks time locality widens it.
-    for kind, doc in shipped_scenarios().items():
-        plan, refs, _, weights = materialize(doc)
-        qp = build_force_qp(_inputs(plan, refs, weights))
-        assert AdmmSolver(qp, validate=False).half_bandwidth <= 40, kind
-
-
 def test_reduced_matrix_bands_at_24_in_the_builders_order():
-    # Each timestep lays its pairs out before its state, so a pair's rows
-    # reach back to the previous state and forward to its own: the builder's
-    # order bands the step matrix at 24 whatever the horizon, where reverse
-    # Cuthill-McKee gets 34-38.
+    # Rows couple steps t-1 and t only, so the ADMM step matrix
+    # P + sigma I + A' R A has a narrow band whatever the horizon; a layout
+    # that breaks time locality widens it. Each timestep lays its pairs out
+    # before its state, so a pair's rows reach back to the previous state and
+    # forward to its own: the builder's order bands the step matrix at 24,
+    # where reverse Cuthill-McKee gets 34-38.
     docs = {**shipped_scenarios(), "trot N=600": make_gait("trot", N=600)}
     for kind, doc in docs.items():
         plan, refs, _, weights = materialize(doc)

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from centroidal_bcd.qp import (
     AdmmSolver,
@@ -21,8 +20,9 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, _RHO_MAX, \
-    _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
+from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, \
+    _RHO_EQ_FACTOR, _RHO_MAX, _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
+from centroidal_bcd.qp.banded import _EQUALITY_GAP
 from centroidal_bcd.qp.problem import INFTY, Block, diagonal
 from centroidal_bcd.scenarios import materialize
 
@@ -248,14 +248,14 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, validate=False)
+    h = setup(qp, SolverSettings(max_iterations=1), validate=False)
     h._rho_base = rho_base
     h._build_rho()
     h._factorize()
     rho = h._rho  # the termination check after the step may adapt it
     rng = np.random.default_rng(14)
     x0, y0 = rng.normal(size=qp.n), rng.normal(size=qp.m_c)
-    step = h.solve(warm_start=(x0, y0), max_iterations=1)
+    step = h.solve(warm_start=(x0, y0))
 
     # The same step through the full KKT system, in the handle's scaled
     # coordinates (the warm start maps into them as solve() does).
@@ -279,15 +279,13 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_bas
 
 
 def _dense_from_band(h, band):
-    """The symmetric matrix held in a lower band in the handle's band order
-    (RCM or the problem's own), in the problem's own order."""
+    """The symmetric matrix held in a lower band."""
     n = h.n
     S = np.zeros((n, n))
     for d in range(band.shape[0]):
         k = np.arange(n - d)
         S[k + d, k] = band[d, :n - d]
-    S = S + np.tril(S, -1).T
-    return S[np.ix_(h._iperm, h._iperm)]
+    return S + np.tril(S, -1).T
 
 
 def _assert_map_matches_sparse_products(h, P, A, terms, w, shift):
@@ -302,14 +300,30 @@ def _no_constraint_qp():
                     q=np.ones(3), A=sp.csc_matrix((0, 3)), lo=np.zeros(0), hi=np.zeros(0))
 
 
+def _scrambled_chain_qp():
+    """A chain of rows coupling neighbouring columns, its columns shuffled:
+    in its own order it bands at 51 of 60."""
+    n, rng = 60, np.random.default_rng(21)
+    rows = np.repeat(np.arange(n - 1), 2)
+    cols = (rows + np.tile([0, 1], n - 1))
+    chain = sp.csc_matrix((rng.normal(size=rows.size), (rows, cols)), shape=(n - 1, n))
+    shuffled = chain[:, rng.permutation(n)]
+    return _qp(np.eye(n), rng.normal(size=n), shuffled.toarray(), -np.ones(n - 1),
+               np.ones(n - 1))
+
+
 def test_band_map_matches_sparse_product_assembly(trot_qps):
     rng = np.random.default_rng(16)
     qps = [_random_qp(rng)[0] for _ in range(5)]
     # Guarded-scaling QP: an empty A row, and a column that only P holds.
-    qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp(), _no_constraint_qp()]
+    chain = _scrambled_chain_qp()
+    qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp(), _no_constraint_qp(),
+            chain]
     for qp in qps:
         h = AdmmSolver(qp, validate=False)
         m = qp.m_c
+        pattern = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A)).tocoo()
+        assert h.half_bandwidth == max(pattern.row - pattern.col, default=0)
         # The ADMM step's matrix on scaled data, at the handle's penalty and
         # at a random one.
         for w in (h._rho, rng.uniform(1e-3, 1e3, size=m)):
@@ -324,6 +338,8 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
         P2.data, A2.data = 2.0 * qp.P.data, -0.5 * qp.A.data
         _assert_map_matches_sparse_products(h, P2, A2, h._terms, np.ones(m), 1.0)
         _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, h._rho, _SIGMA)
+    # The chain's shuffled band is factored as it is, and still solves.
+    assert setup(chain, validate=False).solve().solved
 
 
 def test_rho_updates_count_the_refactorizations_of_each_call(trot_qps):
@@ -353,50 +369,9 @@ def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def _half_bandwidth(qp, perm):
-    """Half-bandwidth of the pattern of P + A'A + I with its columns and
-    rows in the order ``perm``."""
-    S = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A) + sp.eye(qp.n)).tocoo()
-    iperm = np.argsort(perm)
-    return int(np.max(np.abs(iperm[S.row] - iperm[S.col])))
-
-
-def _rcm(qp):
-    S = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A) + sp.eye(qp.n)).tocsr()
-    return reverse_cuthill_mckee(S, symmetric_mode=True)
-
-
-def test_ordering_keeps_the_builders_order_where_it_bands_narrower():
-    # The trajectory builders lay columns out in time, pairs before states;
-    # RCM does not recover that order.
-    plan, refs, _, weights = materialize(shipped_scenarios()["trot"])
-    p = nominal_footholds(plan, refs)
-    qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3],
-                                      p_fixed=p, references=refs, weights=weights))
-    assert _half_bandwidth(qp, _rcm(qp)) == 34
-    h = setup(qp, validate=False)
-    assert h.half_bandwidth == 24
-    assert np.array_equal(h._perm, np.arange(qp.n))
-
-
-def test_ordering_falls_back_to_rcm_on_a_scrambled_band():
-    # A chain of rows coupling neighbouring columns, its columns shuffled:
-    # RCM finds the band again.
-    n, rng = 60, np.random.default_rng(21)
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = (rows + np.tile([0, 1], n - 1))
-    chain = sp.csc_matrix((rng.normal(size=rows.size), (rows, cols)), shape=(n - 1, n))
-    shuffled = chain[:, rng.permutation(n)]
-    qp = _qp(np.eye(n), rng.normal(size=n), shuffled.toarray(), -np.ones(n - 1), np.ones(n - 1))
-    h = setup(qp, validate=False)
-    assert _half_bandwidth(qp, np.arange(n)) > h.half_bandwidth == _half_bandwidth(qp, _rcm(qp))
-    assert not np.array_equal(h._perm, np.arange(n))
-    assert h.solve().solved
-
-
-def _unpermuted_loop(h, x, y, z, iterations, checks):
-    """The ADMM iteration of ``solve`` transcribed on the problem-order
-    scaled data, allocating a fresh vector for every update. Records
+def _allocating_loop(h, x, y, z, iterations, checks):
+    """The ADMM iteration of ``solve`` transcribed on the scaled data,
+    allocating a fresh vector for every update. Records
     (x, y, z) at each termination check and applies its penalty rule."""
     for it in range(1, iterations + 1):
         x_prev, y_prev = x, y
@@ -419,16 +394,16 @@ def _unpermuted_loop(h, x, y, z, iterations, checks):
             h._maybe_adapt_rho(pri, dua, pri_norm, dua_norm)
 
 
-@pytest.mark.parametrize("name", ["force", "contact"])  # builder's order, RCM
-def test_band_ordered_loop_matches_the_unpermuted_iteration(trot_qps, monkeypatch, name):
-    # solve() keeps x in band order and updates its vectors in place; over
-    # the termination checks of the window, one of which adapts the penalty,
-    # its iterates must be those of the plain iteration. Tolerances out of
-    # reach keep every check unsolved. From this start the contact QP first
-    # adapts its penalty at the fourth check.
+@pytest.mark.parametrize("name", ["force", "contact"])
+def test_in_place_loop_matches_the_allocating_iteration(trot_qps, monkeypatch, name):
+    # solve() updates its vectors in place; over the termination checks of
+    # the window, one of which adapts the penalty, its iterates must be those
+    # of the plain iteration. Tolerances out of reach keep every check
+    # unsolved. From this start the contact QP first adapts its penalty at
+    # the fourth check.
     iterations = {"force": 150, "contact": 250}[name]
     qp = trot_qps[name]
-    settings = SolverSettings(eps_abs=1e-15, eps_rel=1e-15)
+    settings = SolverSettings(eps_abs=1e-15, eps_rel=1e-15, max_iterations=iterations)
     rng = np.random.default_rng(22)
     start = (rng.normal(size=qp.n), rng.normal(size=qp.m_c))
     h = setup(qp, settings, validate=False)
@@ -441,14 +416,14 @@ def test_band_ordered_loop_matches_the_unpermuted_iteration(trot_qps, monkeypatc
         return residuals(x, y, z)
 
     monkeypatch.setattr(h, "_residuals", recording)
-    sol = h.solve(warm_start=start, max_iterations=iterations)
+    sol = h.solve(warm_start=start)
     assert sol.status == "max_iter" and sol.iterations == iterations
     assert penalties[-1] != penalties[0]  # a check before the last adapted the penalty
 
     ref = setup(qp, settings, validate=False)
     x = start[0] / ref._d
     expected = []
-    _unpermuted_loop(ref, x, -ref._c * start[1] / ref._e, ref._As @ x, iterations, expected)
+    _allocating_loop(ref, x, -ref._c * start[1] / ref._e, ref._As @ x, iterations, expected)
     assert len(seen) == len(expected) == iterations // _CHECK_TERMINATION_EVERY
     for got, want in zip(seen, expected):
         for a, b in zip(got, want):
@@ -457,7 +432,7 @@ def test_band_ordered_loop_matches_the_unpermuted_iteration(trot_qps, monkeypatc
 
 def test_solution_reports_the_last_checks_unscaled_residuals(trot_qps):
     qp = trot_qps["force"]
-    sol = setup(qp, validate=False).solve(max_iterations=120)
+    sol = setup(qp, SolverSettings(max_iterations=120), validate=False).solve()
     assert sol.status == "max_iter"
     # Unpolished: the dual residual is that of the returned pair, and the
     # primal one (against the projected z) bounds its bound violation.
@@ -606,6 +581,17 @@ def test_dual_infeasible_certificate():
     qp = _qp([[0.0]], [1.0])
     sol = setup(qp, validate=False).solve()
     assert sol.status == "dual_infeasible"
+
+
+def test_rows_below_the_equality_gap_get_the_equality_penalty():
+    # One equality test for the penalty, the polish and the direct solve: a
+    # row whose bounds differ by less than _EQUALITY_GAP is an equality row.
+    qp = _qp(np.eye(2), [1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [0.5, -1.0],
+             [0.5 + 1e-13, 1.0])
+    assert 0.0 < qp.hi[0] - qp.lo[0] < _EQUALITY_GAP
+    h = setup(qp, validate=False)
+    assert h._rho[0] == _RHO_START * _RHO_EQ_FACTOR
+    assert h._rho[1] == _RHO_START
 
 
 def test_max_iter_is_reported_not_silent():
