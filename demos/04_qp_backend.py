@@ -1,21 +1,15 @@
 """The sparse QP backend on its own.
 
-A random strictly convex QP is solved by the operator-splitting backend and
+A random strictly convex QP is solved by the interior-point backend and
 cross-checked against the dense active-set reference; then the handle is
-reused: a cost-vector update keeps the cached factorization and a matrix
-update refactorizes exactly once. Both re-solves start warm from the
-previous solution, and the demo prints the iterations each takes next to
-the cold solve's. Termination is checked every 50 iterations, so the counts
-move in steps of 50: here the cost-only re-solve takes 100 against the cold
-solve's 150, and the re-solve after the matrix update 150.
+reused: value updates factor nothing, and every re-solve factors the Newton
+matrix once per iteration, starting from the same point as the first solve.
 
 Last, the contact QP of the trot's first outer iteration is solved both
 ways: by the direct active-set solve the contact block uses, which holds the
-equality rows (plane pins included) and factors once per pass, and by ADMM,
-which the contact block keeps as its fallback.
+equality rows (plane pins included) and factors once per pass, and by the
+interior-point method, which the contact block keeps as its fallback.
 """
-
-import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +17,8 @@ import scipy.sparse as sp
 from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp, extract_force_iterate
 from centroidal_bcd.gaits import shipped_scenarios
-from centroidal_bcd.qp import AdmmSolver, BandedActiveSetSolver, SolverSettings, SparseQP, \
-    kkt_residuals, setup
+from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, \
+    SparseQP, kkt_residuals, setup
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
 
@@ -43,28 +37,24 @@ handle = setup(qp, SolverSettings())
 sol = handle.solve()
 x_ref, y_ref, obj_ref = solve_active_set(qp, x0=x_feas)
 
-print(f"status: {sol.status} in {sol.iterations} iterations (polished: {sol.polished})")
+print(f"status: {sol.status} in {sol.iterations} iterations, {sol.solve_time * 1e3:.1f} ms "
+      f"(polished: {sol.polished})")
 print(f"objective {sol.objective:.8f} vs active-set reference {obj_ref:.8f}")
 print(f"max primal gap to reference: {np.max(np.abs(sol.x - x_ref)):.2e}")
 print(f"KKT residuals (primal, dual, complementarity): "
       f"{', '.join(f'{r:.2e}' for r in kkt_residuals(qp, sol.x, sol.y))}")
 
-before = handle.kkt_refactorizations
-handle.update_values(new_q=0.5 * q)
-sol2 = handle.solve(warm_start=(sol.x, sol.y))
-print(f"\ncost-only update: warm re-solve in {sol2.iterations} iterations "
-      f"(cold solve: {sol.iterations}), "
-      f"refactorizations {handle.kkt_refactorizations - before} "
-      f"(its {sol2.rho_updates} penalty updates; the update itself reuses the cached factor)")
-
 newP = qp.P.copy()
 newP.data = newP.data * 2.0
-before = handle.kkt_refactorizations
-handle.update_values(new_P_values=newP)
-print(f"matrix update: refactorizations {handle.kkt_refactorizations - before} "
-      f"(exactly one for the new values)")
-sol3 = handle.solve(warm_start=handle.warm_start_point())
-print(f"warm re-solve after matrix update: {sol3.status} in {sol3.iterations} iterations")
+for label, update in (("cost-only update", {"new_q": 0.5 * q}),
+                      ("matrix update", {"new_P_values": newP})):
+    before = handle.kkt_refactorizations
+    handle.update_values(**update)
+    factored = handle.kkt_refactorizations - before
+    again = handle.solve()
+    print(f"{label}: {factored} factorizations; re-solve {again.status} in "
+          f"{again.iterations} iterations, {handle.kkt_refactorizations - before} "
+          f"factorizations")
 
 plan, refs, settings, weights = materialize(shipped_scenarios()["trot"])
 p_nom = nominal_footholds(plan, refs)
@@ -77,16 +67,12 @@ contact_qp = build_contact_qp(ContactQpInputs(
     tau_fixed=force.tau, l_prox=settings.L0_contact))
 print(f"\ntrot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
       f"{int(np.sum(contact_qp.lo == contact_qp.hi))} of them equality rows")
-for name, solver in (("direct", BandedActiveSetSolver), ("ADMM", AdmmSolver)):
-    t0 = time.perf_counter()
+for name, solver in (("direct", BandedActiveSetSolver), ("IPM", InteriorPointSolver)):
     handle = solver(contact_qp, validate=False)
-    setup_ms = (time.perf_counter() - t0) * 1e3
     sol = handle.solve()
-    if solver is AdmmSolver:
-        work = (f"{sol.iterations} iterations, {handle.kkt_refactorizations} factorization(s); "
-                f"setup with Ruiz scaling")
+    if solver is InteriorPointSolver:
+        work = f"{sol.iterations} iterations, {handle.kkt_refactorizations} factorizations"
     else:
-        work = (f"{sol.iterations} active-set pass(es), {handle.factorizations} "
-                f"factorization(s); setup")
-    print(f"{name:>6}: {sol.status}, {work} {setup_ms:.1f} ms, "
-          f"solve {sol.solve_time * 1e3:.1f} ms, objective {sol.objective:.9f}")
+        work = f"{sol.iterations} active-set pass(es), {handle.factorizations} factorization(s)"
+    print(f"{name:>6}: {sol.status}, {work}, solve {sol.solve_time * 1e3:.1f} ms, "
+          f"objective {sol.objective:.9f}")

@@ -13,6 +13,14 @@ returned profiles are dynamically consistent.
 Every force solve, including intermediate ones, yields a trajectory that is
 feasible with respect to its own fixed lever geometry, which is what makes
 the scheme usable anytime.
+
+The Force-QP is solved by the interior-point method of
+:mod:`~centroidal_bcd.qp.ipm`, the Contact-QP by the direct active-set solve
+of :mod:`~centroidal_bcd.qp.banded`, which falls back to the interior-point
+method when a solve is not accepted; each block keeps its handles for the
+whole run. A solve that ends in any status but ``solved``, its iteration
+budget included, raises ``BlockSolveError`` naming the block, the outer
+iteration and the status.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, 
     extract_force_iterate, force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
     verify_trajectory
-from .qp.admm import AdmmSolver
 from .qp.banded import BandedActiveSetSolver
+from .qp.ipm import InteriorPointSolver
 from .qp.problem import SolverSettings
 from .references import ReferenceSet
 
@@ -96,19 +104,16 @@ class BcdIterationRecord:
     eps_f_value: float
     original_cost: float
     force_solver_iterations: int
-    # Active-set passes of the contact block's direct solve, or the ADMM
-    # iterations of its fallback when ``contact_fallback`` is set.
+    # Active-set passes of the contact block's direct solve, or the
+    # interior-point iterations of its fallback when ``contact_fallback`` is
+    # set.
     contact_solver_iterations: int
     # Proximal weights actually applied (the force weight is zero on the
     # first iteration, which has no contact solve to regularize toward).
     force_prox_weight: float = 0.0
     contact_prox_weight: float = 0.0
-    # Penalty updates (each one refactorization) of each block's ADMM solve;
-    # the contact block runs ADMM only as a fallback.
-    force_rho_updates: int = 0
-    contact_rho_updates: int = 0
-    # Whether the contact block's direct solve was not accepted and ADMM
-    # solved the contact QP instead.
+    # Whether the contact block's direct solve was not accepted and the
+    # interior-point method solved the contact QP instead.
     contact_fallback: bool = False
     # Unscaled primal and dual residuals of each block's last termination
     # check (the contact block's accepted active-set pass).
@@ -126,8 +131,6 @@ class BcdIterationRecord:
             "contact_solver_iterations": self.contact_solver_iterations,
             "force_prox_weight": self.force_prox_weight,
             "contact_prox_weight": self.contact_prox_weight,
-            "force_rho_updates": self.force_rho_updates,
-            "contact_rho_updates": self.contact_rho_updates,
             "contact_fallback": self.contact_fallback,
             "force_primal_residual": self.force_primal_residual,
             "force_dual_residual": self.force_dual_residual,
@@ -196,32 +199,31 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
                       tau=table.scatter(iterate.tau, table.flat))
 
 
-def _solve_block(handle: AdmmSolver | None, qp, settings: SolverSettings,
+def _solve_block(handle: InteriorPointSolver | None, qp, settings: SolverSettings,
                  block: str, iteration: int):
     """Set up or value-update the block's solver handle and solve once; any
     status but ``solved``, the iteration cap included, raises
     ``BlockSolveError``."""
     if handle is None:
-        handle = AdmmSolver(qp, settings, validate=False)
-        warm = None
+        handle = InteriorPointSolver(qp, settings, validate=False)
     else:
         # Builders keep one pattern per plan, so the raw value arrays line up
         # with the handle's pattern without a per-call comparison.
         handle.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
                              new_P_values=qp.P.data, new_A_values=qp.A.data)
-        warm = handle.warm_start_point()
-    sol = handle.solve(warm_start=warm)
+    sol = handle.solve()
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
     return handle, sol
 
 
-def _solve_contact(direct: BandedActiveSetSolver | None, fallback: AdmmSolver | None, qp,
-                   settings: SolverSettings, iteration: int):
+def _solve_contact(direct: BandedActiveSetSolver | None,
+                   fallback: InteriorPointSolver | None, qp, settings: SolverSettings,
+                   iteration: int):
     """Solve the contact QP directly; when the active-set solve is not
-    accepted, log why and solve it with ADMM instead, through a handle
-    created on the first fallback. Returns both handles, the solution
-    (timed over both attempts) and whether it fell back."""
+    accepted, log why and solve it with the interior-point method instead,
+    through a handle created on the first fallback. Returns both handles,
+    the solution (timed over both attempts) and whether it fell back."""
     if direct is None:
         direct = BandedActiveSetSolver(qp, settings, validate=False)
     else:
@@ -231,9 +233,10 @@ def _solve_contact(direct: BandedActiveSetSolver | None, fallback: AdmmSolver | 
     if sol.solved:
         return direct, fallback, sol, False
     log.warning("contact QP direct solve not accepted at outer iteration %d (%s after %d "
-                "passes); falling back to ADMM", iteration, sol.status, sol.iterations)
-    fallback, admm = _solve_block(fallback, qp, settings, "contact", iteration)
-    return direct, fallback, replace(admm, solve_time=sol.solve_time + admm.solve_time), True
+                "passes); falling back to the interior-point method", iteration, sol.status,
+                sol.iterations)
+    fallback, ipm = _solve_block(fallback, qp, settings, "contact", iteration)
+    return direct, fallback, replace(ipm, solve_time=sol.solve_time + ipm.solve_time), True
 
 
 def optimize(plan: ContactPlan, references: ReferenceSet,
@@ -264,9 +267,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     L_force = settings.L0_force
     L_contact = settings.L0_contact
 
-    force_handle: AdmmSolver | None = None
+    force_handle: InteriorPointSolver | None = None
     contact_handle: BandedActiveSetSolver | None = None
-    contact_fallback_handle: AdmmSolver | None = None
+    contact_fallback_handle: InteriorPointSolver | None = None
     records: list[BcdIterationRecord] = []
     kept = [] if keep_force_iterates else None
     converged = False
@@ -321,8 +324,6 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             contact_solver_iterations=contact_sol.iterations,
             force_prox_weight=L_force_used,
             contact_prox_weight=L_contact_used,
-            force_rho_updates=force_sol.rho_updates,
-            contact_rho_updates=contact_sol.rho_updates,
             contact_fallback=fell_back,
             force_primal_residual=force_sol.primal_residual,
             force_dual_residual=force_sol.dual_residual,
@@ -350,7 +351,6 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
         force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
-        force_rho_updates=final_sol.rho_updates,
         force_primal_residual=final_sol.primal_residual,
         force_dual_residual=final_sol.dual_residual)
     if on_iteration is not None:

@@ -175,7 +175,7 @@ def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.
 
     Pairs first: the recursion rows of timestep t then touch one contiguous
     run of columns, the state of t - 1, the pairs of t and the state of t, so
-    the reduced ADMM matrix of either QP has a half-bandwidth of 24 in this
+    the reduced Newton matrix of either QP has a half-bandwidth of 24 in this
     order."""
     before = np.concatenate([[0], np.cumsum(np.broadcast_to(width, table.t.shape))])
     N = table.start.size - 1
@@ -283,7 +283,7 @@ def _structure(plan: ContactPlan) -> _Structure:
                           z=Block(table.flat_keys, z_cols[:, 0], 2))
     # Rows: the r, l and k recursions of each timestep, then per pair the
     # friction pyramid, the kinematic box and the center-of-pressure box.
-    t_row, pair_row, m_c = timestep_blocks(table, 9, 8 + 2 * flat)
+    t_row, pair_row, m_c = timestep_blocks(table, 9, 7 + 2 * flat)
     e = Entries(m_c)
     com_rows(e, plan, cols, t_row)
     # l_t - l_{t-1} - dt sum_e f = m g dt
@@ -295,19 +295,20 @@ def _structure(plan: ContactPlan) -> _Structure:
     k_rows = recursion_rows(e, plan, cols, t_row + 6, "k", np.zeros(3))
     skew_slots = e.add(k_rows[t][:, SKEW_I], f_cols[:, SKEW_J])
     e.add(k_rows[t[flat]], tau_cols, -dt)
-    # Friction pyramid in the contact frame.
+    # Friction pyramid in the contact frame. Its rows imply a nonnegative
+    # normal force, rows 1 and 2 summing to 2 mu rz.f >= 0 with mu > 0.
     rx, ry, rz = (table.rotation[:, :, j] for j in range(3))
     mu_rz = table.friction[:, None] * rz
-    friction = pair_row[:, None] + np.arange(5)
+    friction = pair_row[:, None] + np.arange(4)
     e.add(friction[:, :, None], f_cols[:, None, :],
-          np.stack([rx - mu_rz, rx + mu_rz, ry - mu_rz, ry + mu_rz, rz], axis=1))
-    e.lo[friction] = [-np.inf, 0.0, -np.inf, 0.0, 0.0]
-    e.hi[friction] = [0.0, np.inf, 0.0, np.inf, np.inf]
+          np.stack([rx - mu_rz, rx + mu_rz, ry - mu_rz, ry + mu_rz], axis=1))
+    e.lo[friction] = [-np.inf, 0.0, -np.inf, 0.0]
+    e.hi[friction] = [0.0, np.inf, 0.0, np.inf]
     # Per-axis kinematic box |p_fixed - r| <= L_max.
-    kin_rows = pair_row[:, None] + 5 + np.arange(3)
+    kin_rows = pair_row[:, None] + 4 + np.arange(3)
     e.add(kin_rows, cols[t, 0:3], 1.0)
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
-    zmp_rows(e, plan, pair_row[flat, None] + 8 + np.arange(2), z_cols)
+    zmp_rows(e, plan, pair_row[flat, None] + 7 + np.arange(2), z_cols)
     pattern, a_data, lo, hi = e.build(n)
     weight_kind = np.zeros(n, dtype=np.int64)
     for kind, quantity_cols in enumerate((f_cols, tau_cols, z_cols), start=1):

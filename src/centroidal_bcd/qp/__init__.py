@@ -1,7 +1,7 @@
 """Sparse QP canonical form and solvers."""
 
-from .admm import AdmmSolver, setup
 from .banded import BandedActiveSetSolver
+from .ipm import InteriorPointSolver, setup
 from .problem import (
     INFTY,
     QpSolution,
@@ -15,8 +15,8 @@ from .problem import (
 
 __all__ = [
     "INFTY",
-    "AdmmSolver",
     "BandedActiveSetSolver",
+    "InteriorPointSolver",
     "QpSolution",
     "SolverSettings",
     "SparseQP",

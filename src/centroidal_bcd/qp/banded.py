@@ -1,8 +1,10 @@
 """Banded KKT machinery shared by the QP solvers, and a direct active-set
 solver built on it.
 
-Both solvers factor matrices of the form P + shift I + A' diag(w) A: the
-quasi-definite KKT system [[P + shift I, A'], [A, -diag(1/w)]] with its
+Both solvers (this one and the interior-point method of
+:mod:`~centroidal_bcd.qp.ipm`) factor matrices of the form
+P + shift I + A' diag(w) A: the quasi-definite KKT system
+[[P + shift I, A'], [A, -diag(1/w)]] with its
 multiplier block eliminated, symmetric positive definite for shift > 0 and
 w >= 0. It is factored as a band matrix in the problem's own column order
 with LAPACK's banded Cholesky routine. Both trajectory QPs are local in time
@@ -26,8 +28,8 @@ weighted ``bincount`` into the band, the shift on its diagonal,
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
 weight w = 1/delta on the held rows and 0 elsewhere, refined against the
-unregularized system (:meth:`BandedKkt._held_rows_solve`). The ADMM polish
-and the direct active-set solve both call it.
+unregularized system (:meth:`BandedKkt._held_rows_solve`). The
+interior-point polish and the direct active-set solve both call it.
 
 :class:`BandedActiveSetSolver` is a primal active-set method on that solve
 (Nocedal and Wright, *Numerical Optimization*, section 16.5): each pass
@@ -41,7 +43,8 @@ Math. Prog. Comp. 2014). It runs no scaling and keeps no factorization
 between passes. It suits QPs whose working set is small and changes little
 between solves, such as the contact QP, whose only active rows are its
 equality rows on the shipped scenarios; a solve that is not accepted within
-ten passes reports so, and the caller falls back to ADMM.
+ten passes reports so, and the caller falls back to the interior-point
+method.
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ def _bound(values, name: str) -> np.ndarray:
 
 
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v), initial=0.0))
+    # The array method skips np.max's Python wrapper: half the time per call
+    # on the interior-point method's vectors.
+    return float(np.abs(v).max(initial=0.0))
 
 
 def _wrongly_signed(y: np.ndarray, low: np.ndarray, upp: np.ndarray,
@@ -203,6 +208,7 @@ class BandedKkt:
         self._P_cols = _entry_cols(self._P)
         self._A_cols = _entry_cols(self._A)
         self._map = _BandMap(self._P, self._A)
+        self._terms = self._map.terms(self._P.data, self._A.data)
         self.half_bandwidth = self._map.half_bandwidth
 
     def _band_factor(self, terms: np.ndarray, w: np.ndarray,
@@ -296,6 +302,8 @@ class BandedKkt:
             raise ValueError("bound length mismatch")
         if np.any(self._lo > self._hi):
             raise ValueError("lo > hi after update")
+        if matrices:
+            self._terms = self._map.terms(self._P.data, self._A.data)
         return matrices
 
 
@@ -311,16 +319,15 @@ class BandedActiveSetSolver(BandedKkt):
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
                  validate: bool | None = None):
         super().__init__(qp, settings, validate)
-        self._terms = self._map.terms(self._P.data, self._A.data)
         self.working_set = np.zeros(self.m, dtype=np.int8)
         self.factorizations = 0
 
     def update_values(self, new_q=None, new_lo=None, new_hi=None,
                       new_P_values=None, new_A_values=None) -> None:
         """Replace problem values without touching the sparsity pattern (see
-        ``AdmmSolver.update_values``); nothing is factored until a solve."""
-        if self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values):
-            self._terms = self._map.terms(self._P.data, self._A.data)
+        ``InteriorPointSolver.update_values``); nothing is factored until a
+        solve."""
+        self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values)
 
     def solve(self) -> QpSolution:
         """Run active-set passes until one is accepted or ``_MAX_PASSES`` are
@@ -347,7 +354,7 @@ class BandedActiveSetSolver(BandedKkt):
             self.factorizations += 1
             Ax, Px, Aty = A @ x, P @ x, A.T @ y
             z = np.minimum(np.maximum(Ax, lo), hi)
-            # ADMM's termination test, on the unscaled residuals.
+            # The unscaled primal and dual tests of the interior-point method.
             pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
             pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
             dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))

@@ -1,0 +1,351 @@
+"""Primal-dual interior-point solver for sparse QPs on banded KKT matrices.
+
+Solves the canonical problem of :mod:`centroidal_bcd.qp.problem` by
+Mehrotra's predictor-corrector method (Nocedal and Wright, *Numerical
+Optimization*, section 16.6). Every finite bound of an inequality row is one
+constraint g'x >= b with slack s >= 0 and multiplier lam >= 0 (g = a_i at a
+lower bound, -a_i at an upper one); equality rows A_e x = b_e keep free
+multipliers y_e. A step solves the primal-dual regularized Newton system
+(Friedlander and Orban, Math. Prog. Comp. 2012)
+
+    (P + delta I) dx + A_e' dy_e - G' dlam = -r_d
+    A_e dx - delta dy_e                   = -r_e
+    G dx + delta dlam - ds                = -r_g
+    S dlam + Lam ds                       = -r_c
+
+with delta = 1e-8. The regularization perturbs the Newton matrix, not the
+residuals, so a fixed point of the iteration is an exact KKT point. With the
+multipliers and slacks eliminated, dx solves
+
+    (P + delta I + A' diag(W) A) dx = -r_d - A' u,
+
+W = 1/delta on equality rows and lam / (s + delta lam) summed over each
+inequality row's bounds. That is the matrix :mod:`~centroidal_bcd.qp.banded`
+assembles and factors as a band; the predictor (r_c = s lam) and the
+corrector (r_c = s lam + ds_aff dlam_aff - sigma mu, sigma = (mu_aff / mu)^3)
+both solve with the one factor of their iteration, and a step goes 0.99 of
+the way to the boundary of s, lam >= 0.
+
+The data are Ruiz-equilibrated on the stored entries of P and A, anew after
+every matrix update: column and row maxima are segment reductions over the
+entry arrays, and each round multiplies the entries by their row and column
+factors, so no scaled matrix is assembled. The iteration starts from x = 0
+with every slack at that point's distance to its bound, floored at 1, and
+unit multipliers.
+
+A point is accepted on unscaled residuals: the primal and dual infinity
+norms against eps_abs + eps_rel times the norms of their terms, and the
+largest product of a multiplier with its bound distance against the smaller
+of those two tolerances. Diverging multipliers that certify A'v = 0 against
+bounds with a negative support function end the solve as
+``primal_infeasible``; a step that is a descent direction of zero curvature
+within the bounds' recession cone ends it as ``dual_infeasible``; a Newton
+matrix that fails to factor ends it as ``not_positive_definite``.
+
+Every solved call is polished on the detected active set: the held-rows
+solve of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7 with three
+refinement steps. The polished point is kept only if neither residual grows
+past the larger of its value and 1% of eps_abs, and every multiplier pushes
+from the bound its row is held at.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .banded import _EQUALITY_GAP, BandedKkt, _entries_by_row, _max_abs, _wrongly_signed
+from .problem import INFTY, QpSolution, SolverSettings, SparseQP
+
+__all__ = ["InteriorPointSolver", "setup"]
+
+_DELTA = 1e-8              # primal and dual regularization of the Newton matrix
+_TO_BOUNDARY = 0.99        # fraction of the step to the boundary of s, lam >= 0
+_EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerances
+_EPS_DUAL_INF = 1e-6
+_RUIZ_ITERATIONS = 10
+_POLISH_DELTA = 1e-7
+_POLISH_REFINE_STEPS = 3
+
+
+def _group_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Largest of ``values[indptr[i]:indptr[i + 1]]`` for every group i; 0
+    for an empty group. ``values`` are nonnegative."""
+    out = np.zeros(indptr.size - 1)
+    nonempty = indptr[1:] > indptr[:-1]
+    if values.size:
+        out[nonempty] = np.maximum.reduceat(values, indptr[:-1][nonempty])
+    return out
+
+
+def _guarded_inv_sqrt(norms: np.ndarray) -> np.ndarray:
+    safe = np.where(norms > 1e-8, norms, 1.0)
+    return np.clip(1.0 / np.sqrt(safe), 1e-4, 1e4)
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha <= 1 / _TO_BOUNDARY with v + alpha dv >= 0."""
+    shrinking = dv < 0.0
+    return float((-v[shrinking] / dv[shrinking]).min(initial=1.0 / _TO_BOUNDARY))
+
+
+class InteriorPointSolver(BandedKkt):
+    """Solver handle owning the scaled problem data; each iteration of a
+    solve factors the regularized Newton matrix once.
+
+    ``kkt_refactorizations`` counts those factorizations and
+    ``polish_factorizations`` the polish's. Single-threaded per handle: do
+    not solve and update one handle concurrently. Distinct handles are
+    independent.
+    """
+
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
+                 validate: bool | None = None):
+        super().__init__(qp, settings, validate)
+        self.kkt_refactorizations = 0
+        self.polish_factorizations = 0
+        self._refresh_scaled_matrices()
+        self._refresh_scaled_vectors()
+
+    def update_values(self, new_q=None, new_lo=None, new_hi=None,
+                      new_P_values=None, new_A_values=None) -> None:
+        """Replace problem values without touching the sparsity pattern;
+        nothing is factored until a solve. Matrix values come as sparse
+        matrices of the setup pattern or as raw ``data`` arrays of it.
+        Non-finite matrix or q values and NaN bounds raise ``ValueError``;
+        infinite bounds are legal."""
+        if self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values):
+            self._refresh_scaled_matrices()
+        self._refresh_scaled_vectors()
+
+    # -- problem scaling -------------------------------------------------
+
+    def _scale(self) -> None:
+        """Ruiz equilibration, computed on the stored entries of P and A.
+
+        Each round scales the columns by the largest entries of [P; A], the
+        rows by the largest entries of A, then the cost by its magnitude.
+        """
+        P, A = self._P, self._A
+        # A's entries grouped by row, for the row maxima.
+        by_row, row_ptr = _entries_by_row(A)
+        self._d = np.ones(self.n)
+        self._e = np.ones(self.m)
+        self._c = 1.0
+        p, a, qb = P.data.copy(), A.data.copy(), self._q.copy()
+        for _ in range(_RUIZ_ITERATIONS):
+            abs_a = np.abs(a)
+            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), P.indptr),
+                                              _group_max(abs_a, A.indptr)))
+            dy = _guarded_inv_sqrt(_group_max(abs_a[by_row], row_ptr))
+            p = dx[P.indices] * p * dx[self._P_cols]
+            qb = dx * qb
+            a = dy[A.indices] * a * dx[self._A_cols]
+            self._d *= dx
+            self._e *= dy
+            cost_norm = max(float(np.mean(_group_max(np.abs(p), P.indptr))),
+                            float(np.max(np.abs(qb), initial=0.0)))
+            gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
+            p = p * gamma
+            qb = qb * gamma
+            self._c *= gamma
+
+    def _refresh_scaled_matrices(self) -> None:
+        """Equilibrate P and A anew, and refresh the band map's terms of the
+        scaled data."""
+        self._scale()
+        d, e, c = self._d, self._e, self._c
+        self._Ps = self._P.copy()
+        self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
+        self._As = self._A.copy()
+        if self.m:
+            self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
+        self._AsT = self._As.T
+        self._terms_s = self._map.terms(self._Ps.data, self._As.data)
+
+    def _refresh_scaled_vectors(self) -> None:
+        """Scale q and the bounds, and sort the rows into equality rows and
+        the one-sided constraints g'x >= b of the finite inequality bounds."""
+        d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
+        self._qs = c * d * self._q
+        eq = (hi - lo) < _EQUALITY_GAP
+        low = np.flatnonzero(~eq & (lo > -INFTY))
+        upp = np.flatnonzero(~eq & (hi < INFTY))
+        self._eq = np.flatnonzero(eq)
+        self._b_eq = e[self._eq] * lo[self._eq]
+        self._rows = np.concatenate([low, upp])
+        self._sign = np.repeat([1.0, -1.0], [low.size, upp.size])
+        self._b = self._sign * e[self._rows] * np.concatenate([lo[low], hi[upp]])
+
+    # -- iteration ---------------------------------------------------------
+
+    def _row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row of A, the sum of ``values`` over its inequality bounds."""
+        # bincount returns integers when its weights are empty.
+        return np.bincount(self._rows, values, minlength=self.m).astype(float, copy=False)
+
+    def _newton(self, factor, W, s, lam, r_d, r_e, r_g, r_c):
+        """(dx, dy_e, dlam, ds) of the regularized Newton system with
+        complementarity residual ``r_c``, from the factor of its reduced
+        matrix; W holds each constraint's weight lam / (s + delta lam)."""
+        t = W * (r_g + r_c / lam)
+        u = self._row_sums(self._sign * t)
+        u[self._eq] = r_e / _DELTA
+        dx = self._band_solve(factor, -r_d - self._AsT @ u)
+        a_dx = self._As @ dx
+        dlam = -W * self._sign * a_dx[self._rows] - t
+        return dx, (a_dx[self._eq] + r_e) / _DELTA, dlam, -(r_c + s * dlam) / lam
+
+    def _direction(self, s, lam, r_d, r_e, r_g):
+        """Mehrotra's predictor-corrector direction (dx, dy_e, dlam, ds) from
+        one factorization of the reduced Newton matrix."""
+        W = lam / (s + _DELTA * lam)
+        w = self._row_sums(W)
+        w[self._eq] = 1.0 / _DELTA
+        factor = self._band_factor(self._terms_s, w, _DELTA)
+        self.kkt_refactorizations += 1
+        s_lam = s * lam
+        affine = self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam)
+        if not lam.size:
+            return affine
+        _, _, dlam, ds = affine
+        alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        mu = float(np.mean(s_lam))
+        sigma = (float((s + alpha * ds) @ (lam + alpha * dlam)) / lam.size / mu) ** 3
+        return self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam + ds * dlam - sigma * mu)
+
+    # -- certificates ------------------------------------------------------
+
+    def _is_primal_infeasible(self, y_scaled, aty_norm: float) -> bool:
+        """Whether v = y / |y| certifies infeasibility: A'v = 0 (``aty_norm``
+        is the unscaled |A'y|) and a negative support function of the
+        bounds at v."""
+        eps = _EPS_PRIM_INF
+        y = self._e * y_scaled / self._c
+        norm = _max_abs(y)
+        if norm <= eps or aty_norm >= eps * norm:
+            return False
+        v = y / norm
+        pos, neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
+        hi_inf = self._hi >= INFTY
+        lo_inf = self._lo <= -INFTY
+        if np.any(pos[hi_inf] > eps) or np.any(neg[lo_inf] < -eps):
+            return False
+        support = float(self._hi[~hi_inf] @ pos[~hi_inf] + self._lo[~lo_inf] @ neg[~lo_inf])
+        return support < -eps
+
+    def _is_dual_infeasible(self, dx_scaled) -> bool:
+        eps = _EPS_DUAL_INF
+        dx = self._d * dx_scaled
+        norm = _max_abs(dx)
+        if norm <= eps:
+            return False
+        v = dx / norm
+        if self._q @ v >= -eps or _max_abs(self._P @ v) >= eps:
+            return False
+        Av = self._A @ v
+        return not (np.any(Av[self._hi < INFTY] > eps) or np.any(Av[self._lo > -INFTY] < -eps))
+
+    # -- main solve --------------------------------------------------------
+
+    def solve(self) -> QpSolution:
+        """Run predictor-corrector iterations to the configured tolerances
+        within the configured iteration budget. ``iterations`` counts the
+        steps taken; exhaustion of the budget is reported through
+        ``status``, never as a silent success."""
+        t0 = time.perf_counter()
+        st = self.settings
+        rows, sign, eq = self._rows, self._sign, self._eq
+        e_inv, d_inv, c = 1.0 / self._e, 1.0 / self._d, self._c
+        # Start at x = 0 with every slack at its bound distance there,
+        # floored at 1, and unit multipliers.
+        x, y_eq = np.zeros(self.n), np.zeros(eq.size)
+        s, lam = np.maximum(-self._b, 1.0), np.ones(self._b.size)
+        status = "max_iter"
+        for iterations in range(st.max_iterations + 1):
+            # Row multipliers in the handle's P x + q + A' y = 0 convention:
+            # -lam at lower bounds, +lam at upper ones.
+            y = self._row_sums(-sign * lam)
+            y[eq] = y_eq
+            ax_s, px_s, aty_s = self._As @ x, self._Ps @ x, self._AsT @ y
+            r_d = px_s + self._qs + aty_s
+            r_e = ax_s[eq] - self._b_eq
+            gap = sign * ax_s[rows] - self._b
+            # Termination on the unscaled residuals.
+            ax = e_inv * ax_s
+            z = np.minimum(np.maximum(ax, self._lo), self._hi)
+            pri, dua = _max_abs(ax - z), _max_abs(d_inv * r_d) / c
+            aty = _max_abs(d_inv * aty_s) / c
+            pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(ax), _max_abs(z))
+            dua_tol = st.eps_abs + st.eps_rel * max(
+                _max_abs(d_inv * px_s) / c, aty, _max_abs(d_inv * self._qs) / c)
+            comp = _max_abs(lam * gap) / c
+            if pri <= pri_tol and dua <= dua_tol and comp <= min(pri_tol, dua_tol):
+                status = "solved"
+                break
+            if self._is_primal_infeasible(y, aty):
+                status = "primal_infeasible"
+                break
+            if iterations == st.max_iterations:
+                break
+            try:
+                dx, dy_eq, dlam, ds = self._direction(s, lam, r_d, r_e, gap - s)
+            except ValueError:
+                status = "not_positive_definite"
+                break
+            if self._is_dual_infeasible(dx):
+                status = "dual_infeasible"
+                break
+            alpha = _TO_BOUNDARY * min(_max_step(s, ds), _max_step(lam, dlam))
+            x += alpha * dx
+            y_eq += alpha * dy_eq
+            s += alpha * ds
+            lam += alpha * dlam
+        x_out = self._d * x
+        y_int = self._e * y / c
+        polished = False
+        if status == "solved" and self.m:
+            x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua)
+        objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
+        return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
+                          iterations=iterations, solve_time=time.perf_counter() - t0,
+                          polished=polished, primal_residual=pri, dual_residual=dua)
+
+    # -- polish ------------------------------------------------------------
+
+    def _polish(self, x, y_int, z, pri, dua):
+        """Solve the reduced KKT system on the detected active set; keep the
+        result only when it does not degrade the unscaled residuals ``pri``
+        and ``dua`` of (x, y_int) and its multipliers have the signs of the
+        bounds they hold."""
+        eq = (self._hi - self._lo) < _EQUALITY_GAP
+        low = (z - self._lo < -y_int) & ~eq
+        upp = (self._hi - z < y_int) & ~eq
+        act = eq | low | upp
+        b = np.where(eq | low, self._lo, self._hi)
+        try:
+            x_pol, y_pol = self._held_rows_solve(act, b, _POLISH_DELTA, _POLISH_REFINE_STEPS)
+        except ValueError:
+            return x, y_int, False
+        self.polish_factorizations += 1
+        z_pol = self._A @ x_pol
+        pri_pol = float(np.max(np.maximum(self._lo - z_pol, z_pol - self._hi), initial=0.0))
+        dua_pol = _max_abs(self._P @ x_pol + self._q + self._A.T @ y_pol)
+        # Both residuals must improve or stay below 1% of eps_abs; comparing
+        # them jointly would let a mis-detected active set through whenever
+        # the other residual is large. (Full Newton steps leave interior
+        # points with linear residuals near 1e-15, which the refined polish
+        # cannot match: trot's first force polish holds its equality rows to
+        # 2.4e-10.)
+        noise = 1e-2 * self.settings.eps_abs
+        if (pri_pol <= max(pri, noise) and dua_pol <= max(dua, noise)
+                and not _wrongly_signed(y_pol, low, upp, self.settings).any()):
+            return x_pol, y_pol, True
+        return x, y_int, False
+
+
+def setup(qp: SparseQP, settings: SolverSettings | None = None,
+          validate: bool | None = None) -> InteriorPointSolver:
+    """Create a solver handle for ``qp``."""
+    return InteriorPointSolver(qp, settings, validate=validate)

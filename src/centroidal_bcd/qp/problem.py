@@ -219,8 +219,9 @@ class SparseQP:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Operator-splitting solver tolerances and iteration budget; defaults
-    match the reference configuration used for both trajectory QPs.
+    """Solver tolerances and iteration budget; defaults match the reference
+    configuration used for both trajectory QPs. ``max_iterations`` caps the
+    interior-point iterations of one solve.
 
     Termination is evaluated on unscaled residuals, so a solved status
     certifies the true constraint violations.
@@ -228,7 +229,7 @@ class SolverSettings:
 
     eps_abs: float = 1e-7
     eps_rel: float = 1e-7
-    max_iterations: int = 100_000
+    max_iterations: int = 100
 
     def __post_init__(self):
         for name in ("eps_abs", "eps_rel"):
@@ -242,22 +243,20 @@ class SolverSettings:
 class QpSolution:
     """Solver output. Duals follow the convention P x + q = A' y, so rows at
     their lower bound carry y >= 0 and rows at their upper bound y <= 0.
-    ``rho_updates`` counts the penalty updates of this call, each of which
-    refactorized the step matrix once. ``primal_residual`` and
-    ``dual_residual`` are the unscaled infinity-norm residuals of the
-    solver's last termination check, before any polish (for the direct
-    active-set solve, of its last pass)."""
+    ``primal_residual`` and ``dual_residual`` are the unscaled
+    infinity-norm residuals of the solver's last termination check, before
+    any polish (for the direct active-set solve, of its last pass)."""
 
     x: np.ndarray
     y: np.ndarray
-    # solved | max_iter | primal_infeasible | dual_infeasible; the direct
-    # active-set solve may also report stalled | not_positive_definite.
+    # solved | max_iter | primal_infeasible | dual_infeasible |
+    # not_positive_definite; the direct active-set solve may also report
+    # stalled.
     status: str
     objective: float
     iterations: int
     solve_time: float
     polished: bool = False
-    rho_updates: int = 0
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
 

@@ -243,18 +243,17 @@ def _verbose_progress_matches_records(scenario, out, capsys, fallback: bool):
         contact = (f"contact_fallback_iterations={record['contact_solver_iterations']}"
                    if record["contact_fallback"] else
                    f"contact_passes={record['contact_solver_iterations']}")
-        assert line.endswith(f"force_rho_updates={record['force_rho_updates']} {contact}")
+        assert line.endswith(f"cost={record['original_cost']:.6f} {contact}")
 
 
-def test_verbose_progress_reports_each_blocks_rho_updates(trot_scenario, tmp_path, capsys):
-    # The force block's penalty updates, then the contact block's direct
-    # active-set passes.
+def test_verbose_progress_reports_the_contact_passes(trot_scenario, tmp_path, capsys):
+    # The contact block's direct active-set passes.
     _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=False)
 
 
 def test_verbose_progress_reports_the_contact_fallback(trot_scenario, tmp_path, capsys,
                                                       monkeypatch):
     # With no pass allowed the direct solve is never accepted, and the line
-    # reports the iterations of the ADMM fallback instead.
+    # reports the iterations of the interior-point fallback instead.
     monkeypatch.setattr(banded_module, "_MAX_PASSES", 0)
     _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=True)

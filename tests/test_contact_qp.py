@@ -18,8 +18,8 @@ from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, build_force_qp, 
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
     polygon_to_halfspaces, skew
-from centroidal_bcd.qp import AdmmSolver, BandedActiveSetSolver, QpSolution, SolverSettings, \
-    VariableLayout, pattern_hash, setup
+from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
+    SolverSettings, VariableLayout, pattern_hash, setup
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
@@ -349,7 +349,7 @@ def test_cached_structure_keeps_builds_independent():
 
 
 def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
-    # Each foothold copy couples timesteps t-1 and t only, so the ADMM step
+    # Each foothold copy couples timesteps t-1 and t only, so the Newton
     # matrix keeps a narrow band in the builder's order; a variable shared by
     # a whole phase widens it to the phase length.
     docs = {**shipped_scenarios(), "trot N=600": make_gait("trot", N=600)}
@@ -358,19 +358,20 @@ def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
         f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
         qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
                                               l_prox=100.0))
-        assert AdmmSolver(qp, validate=False).half_bandwidth <= 24, kind
+        assert InteriorPointSolver(qp, validate=False).half_bandwidth <= 24, kind
 
 
 @pytest.fixture(scope="module")
 def shipped_contact_solves():
     """Every contact solve of the shipped suite: the plan, the QP, the
     solution optimize() extracted, and the factorizations its direct solve
-    used; plus the QPs ADMM handles were built from and the results."""
-    solves, admm_qps, results = [], [], []
+    used; plus the QPs interior-point handles were built from and the
+    results."""
+    solves, ipm_qps, results = [], [], []
     real_build = bcd_module.build_contact_qp
     real_extract = bcd_module.extract_contact_iterate
     real_solve = BandedActiveSetSolver.solve
-    real_admm = AdmmSolver.__init__
+    real_ipm = InteriorPointSolver.__init__
 
     def build(inputs):
         qp = real_build(inputs)
@@ -387,19 +388,19 @@ def shipped_contact_solves():
         solves[-1].update(sol=sol, plan=plan)
         return real_extract(sol, layout, plan)
 
-    def admm(self, qp, *args, **kwargs):
-        admm_qps.append(qp)
-        real_admm(self, qp, *args, **kwargs)
+    def ipm(self, qp, *args, **kwargs):
+        ipm_qps.append(qp)
+        real_ipm(self, qp, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bcd_module, "build_contact_qp", build)
         mp.setattr(bcd_module, "extract_contact_iterate", extract)
         mp.setattr(BandedActiveSetSolver, "solve", solve)
-        mp.setattr(AdmmSolver, "__init__", admm)
+        mp.setattr(InteriorPointSolver, "__init__", ipm)
         for kind, doc in shipped_scenarios().items():
             plan, refs, settings, weights = materialize(doc)
             results.append(bcd_module.optimize(plan, refs, settings, weights))
-    return solves, admm_qps, results
+    return solves, ipm_qps, results
 
 
 def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(
@@ -419,27 +420,28 @@ def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(
 
 def test_contact_block_solves_directly_on_the_shipped_suite(shipped_contact_solves):
     # Every contact QP is accepted without falling back, in at most two
-    # factorizations; no ADMM handle, so no Ruiz scaling and no ADMM
-    # factorization, is ever built from a contact QP.
-    solves, admm_qps, results = shipped_contact_solves
+    # factorizations; no interior-point handle, so no Ruiz scaling and no
+    # Newton factorization, is ever built from a contact QP.
+    solves, ipm_qps, results = shipped_contact_solves
     assert all(solve["sol"].solved and 1 <= solve["factorizations"] <= 2 for solve in solves)
     assert all(not r.contact_fallback for result in results for r in result.records)
-    assert len(admm_qps) == len(results)  # one force handle per optimize()
+    assert len(ipm_qps) == len(results)  # one force handle per optimize()
     contact_qps = {id(solve["qp"]) for solve in solves}
-    assert not any(id(qp) in contact_qps for qp in admm_qps)
+    assert not any(id(qp) in contact_qps for qp in ipm_qps)
 
 
 def test_direct_contact_solve_matches_admm_on_the_shipped_suite(shipped_contact_solves):
-    # ADMM runs at 1e-9: at its default 1e-7 it stops with equality rows off
-    # by up to 1e-8, enough to lower the objective by up to 4.7e-8 relative.
+    # The reference is the interior-point method (which replaced ADMM) at
+    # 1e-9, as ADMM was: at 1e-7 ADMM stopped with equality rows off by up to
+    # 1e-8, enough to lower the objective by up to 4.7e-8 relative.
     solves, _, _ = shipped_contact_solves
     eps_abs = SolverSettings().eps_abs
     tight = SolverSettings(eps_abs=1e-9, eps_rel=1e-9)
     for solve in solves:
         qp, sol = solve["qp"], solve["sol"]
-        admm = setup(qp, tight, validate=False).solve()
-        assert admm.solved
-        assert sol.objective <= admm.objective + 1e-8 * abs(admm.objective)
+        ipm = setup(qp, tight, validate=False).solve()
+        assert ipm.solved
+        assert sol.objective <= ipm.objective + 1e-8 * abs(ipm.objective)
         ax = qp.A @ sol.x
         inequality = qp.hi - qp.lo > 1e-12
         violation = np.maximum(qp.lo - ax, ax - qp.hi)[inequality]

@@ -17,7 +17,7 @@ from centroidal_bcd.force_qp import (
 )
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, verify_trajectory
-from centroidal_bcd.qp import AdmmSolver, QpSolution, SolverSettings, pattern_hash, setup
+from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings, pattern_hash, setup
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
@@ -47,13 +47,13 @@ def test_single_step_point_contact_dimensions():
     assert qp.n == 12  # 9 state + 3 force
     eq_rows = int(np.sum((qp.hi - qp.lo) < 1e-14))
     assert eq_rows == 9  # transitions
-    # Friction pyramid: |fx|<=mu fz, |fy|<=mu fz unfold to four one-sided rows
-    # plus fz >= 0; the kinematic box is three two-sided rows. The pair's rows
-    # come first, the timestep's transitions last.
-    assert qp.m_c == 5 + 3 + 9
-    finite_ineq_bounds = int(np.sum(np.isfinite(qp.lo[0:5])) + np.sum(np.isfinite(qp.hi[0:5])))
-    assert finite_ineq_bounds == 5
-    kin = slice(5, 8)
+    # Friction pyramid: |fx|<=mu fz, |fy|<=mu fz unfold to four one-sided rows,
+    # which imply fz >= 0; the kinematic box is three two-sided rows. The
+    # pair's rows come first, the timestep's transitions last.
+    assert qp.m_c == 4 + 3 + 9
+    finite_ineq_bounds = int(np.sum(np.isfinite(qp.lo[0:4])) + np.sum(np.isfinite(qp.hi[0:4])))
+    assert finite_ineq_bounds == 4
+    kin = slice(4, 7)
     assert np.all(np.isfinite(qp.lo[kin])) and np.all(np.isfinite(qp.hi[kin]))
 
 
@@ -154,8 +154,8 @@ def test_block_banded_rows_touch_adjacent_timesteps_only():
 
 
 def test_reduced_matrix_bands_at_24_in_the_builders_order():
-    # Rows couple steps t-1 and t only, so the ADMM step matrix
-    # P + sigma I + A' R A has a narrow band whatever the horizon; a layout
+    # Rows couple steps t-1 and t only, so the Newton matrix
+    # P + delta I + A' W A has a narrow band whatever the horizon; a layout
     # that breaks time locality widens it. Each timestep lays its pairs out
     # before its state, so a pair's rows reach back to the previous state and
     # forward to its own: the builder's order bands the step matrix at 24,
@@ -164,7 +164,7 @@ def test_reduced_matrix_bands_at_24_in_the_builders_order():
     for kind, doc in docs.items():
         plan, refs, _, weights = materialize(doc)
         qp = build_force_qp(_inputs(plan, refs, weights))
-        assert AdmmSolver(qp, validate=False).half_bandwidth <= 24, kind
+        assert InteriorPointSolver(qp, validate=False).half_bandwidth <= 24, kind
 
 
 def test_proximal_weight_pulls_monotonically_toward_target():

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from centroidal_bcd.qp import (
-    AdmmSolver,
     BandedActiveSetSolver,
+    InteriorPointSolver,
     SolverSettings,
     SparseQP,
     TripletPattern,
@@ -20,9 +20,8 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.admm import _ALPHA, _CHECK_TERMINATION_EVERY, _POLISH_DELTA, \
-    _RHO_EQ_FACTOR, _RHO_MAX, _RHO_MIN, _RHO_START, _RUIZ_ITERATIONS, _SIGMA, _guarded_inv_sqrt
 from centroidal_bcd.qp.banded import _EQUALITY_GAP
+from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
 from centroidal_bcd.qp.problem import INFTY, Block, diagonal
 from centroidal_bcd.scenarios import materialize
 
@@ -100,41 +99,30 @@ def test_enumeration_agrees_with_iterative_active_set():
         assert obj_enum == pytest.approx(obj_as, abs=1e-10)
 
 
-def test_warm_start_previous_solution_converges_fast():
-    rng = np.random.default_rng(1)
-    qp, _ = _random_qp(rng, n=15, m=20)
-    h = setup(qp, validate=False)
-    first = h.solve()
-    assert first.solved
-    again = h.solve(warm_start=(first.x, first.y))
-    assert again.solved
-    assert again.iterations <= _CHECK_TERMINATION_EVERY
-
-
-def test_update_q_reuses_factorization():
-    rng = np.random.default_rng(2)
-    qp, _ = _random_qp(rng, n=10, m=12)
-    h = setup(qp, validate=False)
-    sol = h.solve()
-    base = h.kkt_refactorizations  # may include penalty adaptations of the first solve
-    h.update_values(new_q=qp.q * 0.5)
-    sol2 = h.solve(warm_start=(sol.x, sol.y))
-    assert sol2.solved
-    assert h.kkt_refactorizations == base  # no refactorization for a q-only update
-
-
-def test_update_matrix_values_refactorizes_once():
+def test_updates_factor_nothing_and_each_iteration_factors_once():
+    # Setup and value updates only store and scale data. A solve factors the
+    # Newton matrix once per iteration; the polish of each solved call is
+    # counted on its own.
     rng = np.random.default_rng(3)
     qp, _ = _random_qp(rng, n=10, m=12)
     h = setup(qp, validate=False)
-    base = h.kkt_refactorizations
+    assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
     newP = qp.P.copy()
     newP.data = newP.data * 1.5
+    h.update_values(new_q=qp.q * 0.5)
     h.update_values(new_P_values=newP)
-    assert h.kkt_refactorizations == base + 1
     # Raw data arrays of the setup pattern, as the BCD driver passes them.
     h.update_values(new_P_values=qp.P.data, new_A_values=qp.A.data * 2.0)
-    assert h.kkt_refactorizations == base + 2
+    assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
+    iterations = 0
+    for solves in (1, 2):
+        sol = h.solve()
+        assert sol.solved and sol.iterations > 0
+        iterations += sol.iterations
+        assert h.kkt_refactorizations == iterations
+        assert h.polish_factorizations == solves
+    h.update_values(new_q=qp.q)
+    assert h.kkt_refactorizations == iterations
 
 
 def test_update_rejects_pattern_mismatch():
@@ -191,8 +179,8 @@ def trot_qps():
 
 def _ruiz_reference(qp):
     """Ruiz equilibration with sparse matrix products: the handle's scaling
-    must reproduce it bit for bit, since ADMM iteration counts are chaotic in
-    the scaled data."""
+    must reproduce it bit for bit, since the iterates depend on the scaled
+    data."""
 
     def colmax(M):
         return np.asarray(abs(M).max(axis=0).todense()).ravel() if M.nnz else np.zeros(M.shape[1])
@@ -234,48 +222,72 @@ def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
     qps = [_random_qp(rng)[0] for _ in range(5)]
     qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp()]
     for qp in qps:
-        h = AdmmSolver(qp, validate=False)
+        h = InteriorPointSolver(qp, validate=False)
         d, e, c = _ruiz_reference(qp)
+        assert h._d.tobytes() == d.tobytes()
+        assert h._e.tobytes() == e.tobytes()
+        assert h._c == c
+        # A matrix update equilibrates the new values anew.
+        updated = replace(qp, P=qp.P * 3.0, A=qp.A * 0.25)
+        h.update_values(new_P_values=updated.P.data, new_A_values=updated.A.data)
+        d, e, c = _ruiz_reference(updated)
         assert h._d.tobytes() == d.tobytes()
         assert h._e.tobytes() == e.tobytes()
         assert h._c == c
 
 
-@pytest.mark.parametrize("rho_base", [_RHO_MIN, _RHO_START, _RHO_MAX])
+def _max_step(v, dv):
+    """Largest alpha <= 1 keeping v + alpha dv >= 0."""
+    ratios = [-vi / di for vi, di in zip(v, dv) if di < 0.0]
+    return min([1.0] + ratios)
+
+
+@pytest.mark.parametrize("mu", [1e-6, 0.1, 1e6])
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
-def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, rho_base):
+def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
+    # One predictor-corrector direction, from a point whose products s lam
+    # spread over four decades around mu, against dense solves of the full
+    # regularized KKT system in the handle's scaled coordinates. Its 1/delta
+    # weights leave the two solves of the force QP about 5e-8 apart.
     if name == "random":  # dense, non-diagonal P
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, SolverSettings(max_iterations=1), validate=False)
-    h._rho_base = rho_base
-    h._build_rho()
-    h._factorize()
-    rho = h._rho  # the termination check after the step may adapt it
+    h = setup(qp, validate=False)
     rng = np.random.default_rng(14)
-    x0, y0 = rng.normal(size=qp.n), rng.normal(size=qp.m_c)
-    step = h.solve(warm_start=(x0, y0))
+    eq, rows, sign, b = h._eq, h._rows, h._sign, h._b
+    n, n_eq, n_in = qp.n, eq.size, b.size
+    x, y_eq = rng.normal(size=n), rng.normal(size=n_eq)
+    s = np.sqrt(mu) * 10.0 ** rng.uniform(-1.0, 1.0, n_in)
+    lam = mu / s * 10.0 ** rng.uniform(-1.0, 1.0, n_in)
 
-    # The same step through the full KKT system, in the handle's scaled
-    # coordinates (the warm start maps into them as solve() does).
     Ps, As = h._Ps.toarray(), h._As.toarray()
-    x, y = x0 / h._d, -h._c * y0 / h._e
-    z = As @ x
-    kkt = np.block([[Ps + _SIGMA * np.eye(qp.n), As.T], [As, -np.diag(1.0 / rho)]])
-    sol = np.linalg.solve(kkt, np.concatenate([_SIGMA * x - h._qs, z - y / rho]))
-    x_tilde, z_tilde = sol[:qp.n], z + (sol[qp.n:] - y) / rho
-    zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + y / rho
-    z_next = np.clip(zc, h._los, h._his)
-    x_next = h._d * (_ALPHA * x_tilde + (1.0 - _ALPHA) * x)
-    y_next = -h._e * rho * (zc - z_next) / h._c
+    A_eq, G = As[eq], sign[:, None] * As[rows]
+    r_d = Ps @ x + h._qs + A_eq.T @ y_eq - G.T @ lam
+    r_e = A_eq @ x - h._b_eq
+    r_g = G @ x - b - s
+    before = h.kkt_refactorizations
+    got = h._direction(s, lam, r_d, r_e, r_g)
+    assert h.kkt_refactorizations == before + 1
 
-    def rel(a, b):
-        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+    Z = np.zeros
+    kkt = np.block([
+        [Ps + _DELTA * np.eye(n), A_eq.T, -G.T, Z((n, n_in))],
+        [A_eq, -_DELTA * np.eye(n_eq), Z((n_eq, 2 * n_in))],
+        [G, Z((n_in, n_eq)), _DELTA * np.eye(n_in), -np.eye(n_in)],
+        [Z((n_in, n + n_eq)), np.diag(s), np.diag(lam)]])
 
-    assert step.iterations == 1
-    assert rel(step.x, x_next) < 1e-8
-    assert rel(step.y, y_next) < 1e-8
+    def direction(r_c):
+        sol = np.linalg.solve(kkt, -np.concatenate([r_d, r_e, r_g, r_c]))
+        return np.split(sol, np.cumsum([n, n_eq, n_in]))
+
+    _, _, dlam, ds = direction(s * lam)
+    alpha = min(_max_step(s, ds), _max_step(lam, dlam))
+    mu_now = np.mean(s * lam)
+    sigma = (np.mean((s + alpha * ds) * (lam + alpha * dlam)) / mu_now) ** 3
+    want = direction(s * lam + ds * dlam - sigma * mu_now)
+    for a, b_ in zip(got, want):
+        assert np.linalg.norm(a - b_) <= 1e-6 * np.linalg.norm(b_)
 
 
 def _dense_from_band(h, band):
@@ -320,14 +332,14 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
     qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp(), _no_constraint_qp(),
             chain]
     for qp in qps:
-        h = AdmmSolver(qp, validate=False)
+        h = InteriorPointSolver(qp, validate=False)
         m = qp.m_c
         pattern = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A)).tocoo()
         assert h.half_bandwidth == max(pattern.row - pattern.col, default=0)
-        # The ADMM step's matrix on scaled data, at the handle's penalty and
-        # at a random one.
-        for w in (h._rho, rng.uniform(1e-3, 1e3, size=m)):
-            _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, w, _SIGMA)
+        # The Newton matrix on scaled data, at random weights and at the
+        # equality rows' 1/delta.
+        for w in (rng.uniform(1e-3, 1e3, size=m), np.full(m, 1.0 / _DELTA)):
+            _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, w, _DELTA)
         # The polish matrix on unscaled data: weight 1/delta on a random
         # active set, 0 elsewhere.
         w = np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0)
@@ -337,105 +349,37 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
         P2, A2 = qp.P.copy(), qp.A.copy()
         P2.data, A2.data = 2.0 * qp.P.data, -0.5 * qp.A.data
         _assert_map_matches_sparse_products(h, P2, A2, h._terms, np.ones(m), 1.0)
-        _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, h._rho, _SIGMA)
+        _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, np.ones(m), _DELTA)
     # The chain's shuffled band is factored as it is, and still solves.
     assert setup(chain, validate=False).solve().solved
-
-
-def test_rho_updates_count_the_refactorizations_of_each_call(trot_qps):
-    h = setup(trot_qps["force"], validate=False)
-    first = h.solve()
-    assert first.solved and first.rho_updates > 0
-    assert h.kkt_refactorizations == 1 + first.rho_updates
-    base = h.kkt_refactorizations
-    again = h.solve(warm_start=h.warm_start_point())
-    assert h.kkt_refactorizations == base + again.rho_updates
 
 
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
 def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     # Both triangular sweeps run forward, the second on the reversed factor;
-    # together they must solve the ADMM step's reduced system.
+    # together they must solve the reduced Newton system.
     if name == "random":  # dense, non-diagonal P
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
     h = setup(qp, validate=False)
+    rng = np.random.default_rng(15)
+    w = rng.uniform(1e-3, 1e3, size=qp.m_c)
     As = h._As.toarray()
-    S = h._Ps.toarray() + _SIGMA * np.eye(qp.n) + As.T @ (h._rho[:, None] * As)
-    rhs = np.random.default_rng(15).normal(size=qp.n)
+    S = h._Ps.toarray() + _DELTA * np.eye(qp.n) + As.T @ (w[:, None] * As)
+    rhs = rng.normal(size=qp.n)
     expected = np.linalg.solve(S, rhs)
-    got = h._band_solve(h._chol, rhs)
+    got = h._band_solve(h._band_factor(h._terms_s, w, _DELTA), rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
-
-
-def _allocating_loop(h, x, y, z, iterations, checks):
-    """The ADMM iteration of ``solve`` transcribed on the scaled data,
-    allocating a fresh vector for every update. Records
-    (x, y, z) at each termination check and applies its penalty rule."""
-    for it in range(1, iterations + 1):
-        x_prev, y_prev = x, y
-        rhs = _SIGMA * x - h._qs
-        rhs += h._AsT @ (h._rho * z - y)
-        x_tilde = h._band_solve(h._chol, rhs)
-        x = _ALPHA * x_tilde + (1.0 - _ALPHA) * x
-        z_tilde = h._As @ x_tilde
-        zc = _ALPHA * z_tilde + (1.0 - _ALPHA) * z + h._rho_inv * y
-        z = np.minimum(np.maximum(zc, h._los), h._his)
-        y = h._rho * (zc - z)
-        if it % _CHECK_TERMINATION_EVERY == 0 or it == iterations:
-            checks.append((x, y, z))
-            pri, dua, pri_norm, dua_norm = h._residuals(x, y, z)
-            st = h.settings
-            assert not (pri <= st.eps_abs + st.eps_rel * pri_norm
-                        and dua <= st.eps_abs + st.eps_rel * dua_norm)
-            assert not h._is_primal_infeasible(y - y_prev)
-            assert not h._is_dual_infeasible(x - x_prev)
-            h._maybe_adapt_rho(pri, dua, pri_norm, dua_norm)
-
-
-@pytest.mark.parametrize("name", ["force", "contact"])
-def test_in_place_loop_matches_the_allocating_iteration(trot_qps, monkeypatch, name):
-    # solve() updates its vectors in place; over the termination checks of
-    # the window, one of which adapts the penalty, its iterates must be those
-    # of the plain iteration. Tolerances out of reach keep every check
-    # unsolved. From this start the contact QP first adapts its penalty at
-    # the fourth check.
-    iterations = {"force": 150, "contact": 250}[name]
-    qp = trot_qps[name]
-    settings = SolverSettings(eps_abs=1e-15, eps_rel=1e-15, max_iterations=iterations)
-    rng = np.random.default_rng(22)
-    start = (rng.normal(size=qp.n), rng.normal(size=qp.m_c))
-    h = setup(qp, settings, validate=False)
-    seen, penalties = [], []
-    residuals = h._residuals
-
-    def recording(x, y, z):
-        seen.append((x.copy(), y.copy(), z.copy()))
-        penalties.append(h._rho_base)
-        return residuals(x, y, z)
-
-    monkeypatch.setattr(h, "_residuals", recording)
-    sol = h.solve(warm_start=start)
-    assert sol.status == "max_iter" and sol.iterations == iterations
-    assert penalties[-1] != penalties[0]  # a check before the last adapted the penalty
-
-    ref = setup(qp, settings, validate=False)
-    x = start[0] / ref._d
-    expected = []
-    _allocating_loop(ref, x, -ref._c * start[1] / ref._e, ref._As @ x, iterations, expected)
-    assert len(seen) == len(expected) == iterations // _CHECK_TERMINATION_EVERY
-    for got, want in zip(seen, expected):
-        for a, b in zip(got, want):
-            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_solution_reports_the_last_checks_unscaled_residuals(trot_qps):
     qp = trot_qps["force"]
-    sol = setup(qp, SolverSettings(max_iterations=120), validate=False).solve()
-    assert sol.status == "max_iter"
+    sol = setup(qp, SolverSettings(max_iterations=5), validate=False).solve()
+    assert sol.status == "max_iter" and sol.iterations == 5
     # Unpolished: the dual residual is that of the returned pair, and the
-    # primal one (against the projected z) bounds its bound violation.
+    # primal one (against the projection of A x on the bounds) is its bound
+    # violation.
     primal, dual, _ = kkt_residuals(qp, sol.x, sol.y)
     assert sol.dual_residual == pytest.approx(dual, rel=1e-9)
     assert sol.primal_residual >= primal * (1.0 - 1e-9) and sol.primal_residual > 0.0
@@ -459,14 +403,13 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     assert max(pri, dua) <= 1e-9
     # On an equality row the product is |y| times that row's primal residual.
     assert comp <= 1e-9 * max(1.0, np.abs(sol.y).max())
-    # The polish factor is local: it neither counts as nor replaces the
-    # cached ADMM factor, so neither the q-only update nor the polish
-    # refactorizes; the re-solve's own penalty updates are all there is.
+    # The polish factorization is counted on its own: the re-solve after a
+    # q-only update adds one Newton factorization per iteration.
     base = h.kkt_refactorizations
     h.update_values(new_q=0.5 * qp.q)
-    again = h.solve(warm_start=h.warm_start_point())
+    again = h.solve()
     assert again.solved
-    assert h.kkt_refactorizations == base + again.rho_updates
+    assert h.kkt_refactorizations == base + again.iterations
     assert h.polish_factorizations == 2
 
 
@@ -484,28 +427,42 @@ def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     sol = h.solve()
     assert sol.solved and not sol.polished
     assert h.polish_factorizations == 0
-    assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished ADMM point
+    assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished interior point
+
+
+def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
+    qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    h = setup(qp, validate=False)
+
+    def fail(terms, w, shift):
+        raise ValueError("reduced KKT matrix is not positive definite")
+
+    monkeypatch.setattr(h, "_band_factor", fail)
+    sol = h.solve()
+    assert (sol.status, sol.iterations, h.kkt_refactorizations) == ("not_positive_definite", 0, 0)
 
 
 def test_accepted_polish_keeps_multiplier_signs_on_bound(monkeypatch):
     # On bound the polish used to accept multipliers pushing from an
-    # infinite bound, up to 2.07e-3 against max|y| = 3.14e3.
+    # infinite bound, up to 2.07e-3 against max|y| = 3.14e3. Bound's force
+    # polishes are now all rejected, and the jump's accepted: every returned
+    # multiplier is checked, polished or not.
     checked = []
-    real_solve = AdmmSolver.solve
+    real_solve = InteriorPointSolver.solve
 
     def checking_solve(self, *args, **kwargs):
         sol = real_solve(self, *args, **kwargs)
-        if sol.polished:
-            wrong = np.maximum(np.where(self._lo <= -INFTY, sol.y, 0.0),
-                               np.where(self._hi >= INFTY, -sol.y, 0.0))
-            tol = self.settings.eps_abs + self.settings.eps_rel * np.abs(sol.y).max()
-            checked.append((wrong.max(), tol))
+        wrong = np.maximum(np.where(self._lo <= -INFTY, sol.y, 0.0),
+                           np.where(self._hi >= INFTY, -sol.y, 0.0))
+        tol = self.settings.eps_abs + self.settings.eps_rel * np.abs(sol.y).max()
+        checked.append((sol.polished, wrong.max(), tol))
         return sol
 
-    monkeypatch.setattr(AdmmSolver, "solve", checking_solve)
-    optimize(*materialize(shipped_scenarios()["bound"]))
-    assert checked
-    assert all(wrong <= tol for wrong, tol in checked), checked
+    monkeypatch.setattr(InteriorPointSolver, "solve", checking_solve)
+    for kind in ("bound", "jump_in_place"):
+        optimize(*materialize(shipped_scenarios()[kind]))
+    assert any(polished for polished, _, _ in checked)
+    assert all(wrong <= tol for _, wrong, tol in checked), checked
 
 
 def test_direct_solve_is_exact_when_accepted_and_says_so_when_not():
@@ -584,14 +541,25 @@ def test_dual_infeasible_certificate():
 
 
 def test_rows_below_the_equality_gap_get_the_equality_penalty():
-    # One equality test for the penalty, the polish and the direct solve: a
-    # row whose bounds differ by less than _EQUALITY_GAP is an equality row.
+    # One equality test for the Newton matrix, the polish and the direct
+    # solve: a row whose bounds differ by less than _EQUALITY_GAP is an
+    # equality row, weighted 1/delta in the Newton matrix, with no slacks.
     qp = _qp(np.eye(2), [1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [0.5, -1.0],
              [0.5 + 1e-13, 1.0])
     assert 0.0 < qp.hi[0] - qp.lo[0] < _EQUALITY_GAP
     h = setup(qp, validate=False)
-    assert h._rho[0] == _RHO_START * _RHO_EQ_FACTOR
-    assert h._rho[1] == _RHO_START
+    assert h._eq.tolist() == [0]
+    assert h._rows.tolist() == [1, 1]  # the lower and upper bound of row 1
+    factored = []
+    band_factor = h._band_factor
+
+    def recording(terms, w, shift):
+        factored.append(w.copy())
+        return band_factor(terms, w, shift)
+
+    h._band_factor = recording
+    assert h.solve().solved
+    assert all(w[0] == 1.0 / _DELTA and w[1] < 1.0 / _DELTA for w in factored[:-1])
 
 
 def test_max_iter_is_reported_not_silent():
