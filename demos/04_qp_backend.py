@@ -3,13 +3,16 @@
 A random strictly convex QP is solved by the interior-point backend and
 cross-checked against the dense active-set reference; then the handle is
 reused: value updates factor nothing, and every re-solve factors the Newton
-matrix once per iteration, starting from the same point as the first solve.
+matrix once per iteration, starting warm from the handle's last solution. A
+fresh handle of the updated QP starts cold, for comparison.
 
 Last, the contact QP of the trot's first outer iteration is solved both
 ways: by the direct active-set solve the contact block uses, which holds the
 equality rows (plane pins included) and factors once per pass, and by the
 interior-point method, which the contact block keeps as its fallback.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,15 +49,19 @@ print(f"KKT residuals (primal, dual, complementarity): "
 
 newP = qp.P.copy()
 newP.data = newP.data * 2.0
-for label, update in (("cost-only update", {"new_q": 0.5 * q}),
-                      ("matrix update", {"new_P_values": newP})):
+current = qp
+for label, update, values in (("cost-only update", {"new_q": 0.5 * q}, {"q": 0.5 * q}),
+                              ("matrix update", {"new_P_values": newP}, {"P": newP})):
     before = handle.kkt_refactorizations
     handle.update_values(**update)
     factored = handle.kkt_refactorizations - before
     again = handle.solve()
-    print(f"{label}: {factored} factorizations; re-solve {again.status} in "
-          f"{again.iterations} iterations, {handle.kkt_refactorizations - before} "
-          f"factorizations")
+    current = replace(current, **values)
+    cold = setup(current).solve()
+    print(f"{label}: {factored} factorizations; re-solve {again.status} "
+          f"({'warm' if again.warm_started else 'cold'}) in {again.iterations} iterations, "
+          f"{handle.kkt_refactorizations - before} factorizations; a fresh handle takes "
+          f"{cold.iterations} (cold), max |x gap| {np.max(np.abs(again.x - cold.x)):.1e}")
 
 plan, refs, settings, weights = materialize(shipped_scenarios()["trot"])
 p_nom = nominal_footholds(plan, refs)

@@ -121,6 +121,9 @@ class BcdIterationRecord:
     force_dual_residual: float = 0.0
     contact_primal_residual: float = 0.0
     contact_dual_residual: float = 0.0
+    # Whether the force solve started from the force handle's last solved
+    # iterate (every force solve after a run's first, unless one failed).
+    force_warm_started: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -136,6 +139,7 @@ class BcdIterationRecord:
             "force_dual_residual": self.force_dual_residual,
             "contact_primal_residual": self.contact_primal_residual,
             "contact_dual_residual": self.contact_dual_residual,
+            "force_warm_started": self.force_warm_started,
         }
 
 
@@ -328,7 +332,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             force_primal_residual=force_sol.primal_residual,
             force_dual_residual=force_sol.dual_residual,
             contact_primal_residual=contact_sol.primal_residual,
-            contact_dual_residual=contact_sol.dual_residual)
+            contact_dual_residual=contact_sol.dual_residual,
+            force_warm_started=force_sol.warm_started)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -352,7 +357,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
         force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
         force_primal_residual=final_sol.primal_residual,
-        force_dual_residual=final_sol.dual_residual)
+        force_dual_residual=final_sol.dual_residual,
+        force_warm_started=final_sol.warm_started)
     if on_iteration is not None:
         on_iteration(final_record)
 

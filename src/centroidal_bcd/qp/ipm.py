@@ -26,12 +26,21 @@ corrector (r_c = s lam + ds_aff dlam_aff - sigma mu, sigma = (mu_aff / mu)^3)
 both solve with the one factor of their iteration, and a step goes 0.99 of
 the way to the boundary of s, lam >= 0.
 
-The data are Ruiz-equilibrated on the stored entries of P and A, anew after
-every matrix update: column and row maxima are segment reductions over the
-entry arrays, and each round multiplies the entries by their row and column
-factors, so no scaled matrix is assembled. The iteration starts from x = 0
-with every slack at that point's distance to its bound, floored at 1, and
-unit multipliers.
+The data are Ruiz-equilibrated once per handle, on the stored entries of P
+and A at setup: column and row maxima are segment reductions over the entry
+arrays, and each round multiplies the entries by their row and column
+factors, so no scaled matrix is assembled. A value update applies the
+setup's factors to the new data and does not equilibrate again, so every
+solve of a handle iterates in the same scaled coordinates.
+
+A handle's first solve starts from x = 0 with every slack at that point's
+distance to its bound, floored at 1, and unit multipliers. Every later solve
+starts warm from the last solved call's scaled iterate (Yildirim and Wright,
+SIAM J. Optim. 2002): x and the equality multipliers as they were, the bound
+multipliers and the slacks (re-measured as G x - b on the new data) floored
+at 1e-2. A solve starts cold again after a call that did not end
+``solved``, and after a bound update that moves a row between the equality
+and inequality sets or changes which of its bounds are finite.
 
 A point is accepted on unscaled residuals: the primal and dual infinity
 norms against eps_abs + eps_rel times the norms of their terms, and the
@@ -39,8 +48,10 @@ largest product of a multiplier with its bound distance against the smaller
 of those two tolerances. Diverging multipliers that certify A'v = 0 against
 bounds with a negative support function end the solve as
 ``primal_infeasible``; a step that is a descent direction of zero curvature
-within the bounds' recession cone ends it as ``dual_infeasible``; a Newton
-matrix that fails to factor ends it as ``not_positive_definite``.
+within the bounds' recession cone ends it as ``dual_infeasible`` (the cone
+test reads the step's own A dx, so the curvature product P v runs only on a
+step that passes it); a Newton matrix that fails to factor ends it as
+``not_positive_definite``.
 
 Every solved call is polished on the detected active set: the held-rows
 solve of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7 with three
@@ -62,6 +73,7 @@ __all__ = ["InteriorPointSolver", "setup"]
 
 _DELTA = 1e-8              # primal and dual regularization of the Newton matrix
 _TO_BOUNDARY = 0.99        # fraction of the step to the boundary of s, lam >= 0
+_WARM_FLOOR = 1e-2         # floor of a warm start's slacks and multipliers (scaled)
 _EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerances
 _EPS_DUAL_INF = 1e-6
 _RUIZ_ITERATIONS = 10
@@ -105,16 +117,21 @@ class InteriorPointSolver(BandedKkt):
         super().__init__(qp, settings, validate)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
+        # Scaled (x, y_eq, lam) of the last solved call, where the next
+        # solve starts; None starts it cold.
+        self._last = None
+        self._scale()
         self._refresh_scaled_matrices()
         self._refresh_scaled_vectors()
 
     def update_values(self, new_q=None, new_lo=None, new_hi=None,
                       new_P_values=None, new_A_values=None) -> None:
         """Replace problem values without touching the sparsity pattern;
-        nothing is factored until a solve. Matrix values come as sparse
-        matrices of the setup pattern or as raw ``data`` arrays of it.
-        Non-finite matrix or q values and NaN bounds raise ``ValueError``;
-        infinite bounds are legal."""
+        nothing is factored until a solve, and the setup's equilibration
+        scales the new values. Matrix values come as sparse matrices of the
+        setup pattern or as raw ``data`` arrays of it. Non-finite matrix or
+        q values and NaN bounds raise ``ValueError``; infinite bounds are
+        legal."""
         if self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values):
             self._refresh_scaled_matrices()
         self._refresh_scaled_vectors()
@@ -122,7 +139,8 @@ class InteriorPointSolver(BandedKkt):
     # -- problem scaling -------------------------------------------------
 
     def _scale(self) -> None:
-        """Ruiz equilibration, computed on the stored entries of P and A.
+        """Ruiz equilibration, computed on the stored entries of P and A at
+        setup.
 
         Each round scales the columns by the largest entries of [P; A], the
         rows by the largest entries of A, then the cost by its magnitude.
@@ -152,9 +170,8 @@ class InteriorPointSolver(BandedKkt):
             self._c *= gamma
 
     def _refresh_scaled_matrices(self) -> None:
-        """Equilibrate P and A anew, and refresh the band map's terms of the
-        scaled data."""
-        self._scale()
+        """Scale P and A by the setup's factors, and refresh the band map's
+        terms of the scaled data."""
         d, e, c = self._d, self._e, self._c
         self._Ps = self._P.copy()
         self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
@@ -166,17 +183,24 @@ class InteriorPointSolver(BandedKkt):
 
     def _refresh_scaled_vectors(self) -> None:
         """Scale q and the bounds, and sort the rows into equality rows and
-        the one-sided constraints g'x >= b of the finite inequality bounds."""
+        the one-sided constraints g'x >= b of the finite inequality bounds.
+        A new partition drops the warm start, whose multipliers and slacks
+        belong to the old one."""
         d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
         self._qs = c * d * self._q
-        eq = (hi - lo) < _EQUALITY_GAP
-        low = np.flatnonzero(~eq & (lo > -INFTY))
-        upp = np.flatnonzero(~eq & (hi < INFTY))
-        self._eq = np.flatnonzero(eq)
-        self._b_eq = e[self._eq] * lo[self._eq]
-        self._rows = np.concatenate([low, upp])
-        self._sign = np.repeat([1.0, -1.0], [low.size, upp.size])
-        self._b = self._sign * e[self._rows] * np.concatenate([lo[low], hi[upp]])
+        is_eq = (hi - lo) < _EQUALITY_GAP
+        low = np.flatnonzero(~is_eq & (lo > -INFTY))
+        upp = np.flatnonzero(~is_eq & (hi < INFTY))
+        eq = np.flatnonzero(is_eq)
+        rows = np.concatenate([low, upp])
+        sign = np.repeat([1.0, -1.0], [low.size, upp.size])
+        if self._last is not None and not (np.array_equal(eq, self._eq)
+                                           and np.array_equal(rows, self._rows)
+                                           and np.array_equal(sign, self._sign)):
+            self._last = None
+        self._eq, self._rows, self._sign = eq, rows, sign
+        self._b_eq = e[eq] * lo[eq]
+        self._b = sign * e[rows] * np.concatenate([lo[low], hi[upp]])
 
     # -- iteration ---------------------------------------------------------
 
@@ -186,7 +210,7 @@ class InteriorPointSolver(BandedKkt):
         return np.bincount(self._rows, values, minlength=self.m).astype(float, copy=False)
 
     def _newton(self, factor, W, s, lam, r_d, r_e, r_g, r_c):
-        """(dx, dy_e, dlam, ds) of the regularized Newton system with
+        """(dx, dy_e, dlam, ds, A dx) of the regularized Newton system with
         complementarity residual ``r_c``, from the factor of its reduced
         matrix; W holds each constraint's weight lam / (s + delta lam)."""
         t = W * (r_g + r_c / lam)
@@ -195,11 +219,11 @@ class InteriorPointSolver(BandedKkt):
         dx = self._band_solve(factor, -r_d - self._AsT @ u)
         a_dx = self._As @ dx
         dlam = -W * self._sign * a_dx[self._rows] - t
-        return dx, (a_dx[self._eq] + r_e) / _DELTA, dlam, -(r_c + s * dlam) / lam
+        return dx, (a_dx[self._eq] + r_e) / _DELTA, dlam, -(r_c + s * dlam) / lam, a_dx
 
     def _direction(self, s, lam, r_d, r_e, r_g):
-        """Mehrotra's predictor-corrector direction (dx, dy_e, dlam, ds) from
-        one factorization of the reduced Newton matrix."""
+        """Mehrotra's predictor-corrector direction (dx, dy_e, dlam, ds), and
+        A dx, from one factorization of the reduced Newton matrix."""
         W = lam / (s + _DELTA * lam)
         w = self._row_sums(W)
         w[self._eq] = 1.0 / _DELTA
@@ -209,7 +233,7 @@ class InteriorPointSolver(BandedKkt):
         affine = self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam)
         if not lam.size:
             return affine
-        _, _, dlam, ds = affine
+        _, _, dlam, ds, _ = affine
         alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
         mu = float(np.mean(s_lam))
         sigma = (float((s + alpha * ds) @ (lam + alpha * dlam)) / lam.size / mu) ** 3
@@ -235,33 +259,48 @@ class InteriorPointSolver(BandedKkt):
         support = float(self._hi[~hi_inf] @ pos[~hi_inf] + self._lo[~lo_inf] @ neg[~lo_inf])
         return support < -eps
 
-    def _is_dual_infeasible(self, dx_scaled) -> bool:
+    def _is_dual_infeasible(self, dx_scaled, a_dx_scaled) -> bool:
+        """Whether v = dx / |dx| certifies unboundedness: q'v < 0, A v in the
+        recession cone of the bounds and P v = 0. A v comes from the step's
+        own scaled A dx, so the product P v runs only when the cheaper tests
+        pass."""
         eps = _EPS_DUAL_INF
         dx = self._d * dx_scaled
         norm = _max_abs(dx)
         if norm <= eps:
             return False
         v = dx / norm
-        if self._q @ v >= -eps or _max_abs(self._P @ v) >= eps:
+        if self._q @ v >= -eps:
             return False
-        Av = self._A @ v
-        return not (np.any(Av[self._hi < INFTY] > eps) or np.any(Av[self._lo > -INFTY] < -eps))
+        Av = a_dx_scaled / (self._e * norm)
+        if np.any(Av[self._hi < INFTY] > eps) or np.any(Av[self._lo > -INFTY] < -eps):
+            return False
+        return _max_abs(self._P @ v) < eps
 
     # -- main solve --------------------------------------------------------
 
     def solve(self) -> QpSolution:
         """Run predictor-corrector iterations to the configured tolerances
-        within the configured iteration budget. ``iterations`` counts the
+        within the configured iteration budget, starting from the last
+        solved call's iterate when there is one. ``iterations`` counts the
         steps taken; exhaustion of the budget is reported through
         ``status``, never as a silent success."""
         t0 = time.perf_counter()
         st = self.settings
         rows, sign, eq = self._rows, self._sign, self._eq
         e_inv, d_inv, c = 1.0 / self._e, 1.0 / self._d, self._c
-        # Start at x = 0 with every slack at its bound distance there,
-        # floored at 1, and unit multipliers.
-        x, y_eq = np.zeros(self.n), np.zeros(eq.size)
-        s, lam = np.maximum(-self._b, 1.0), np.ones(self._b.size)
+        warm = self._last is not None
+        if warm:
+            # The last solved iterate, with the slacks measured on the new
+            # data and both slacks and multipliers kept off their boundary.
+            x, y_eq = self._last[0].copy(), self._last[1].copy()
+            lam = np.maximum(self._last[2], _WARM_FLOOR)
+            s = np.maximum(sign * (self._As @ x)[rows] - self._b, _WARM_FLOOR)
+        else:
+            # x = 0 with every slack at its bound distance there, floored at
+            # 1, and unit multipliers.
+            x, y_eq = np.zeros(self.n), np.zeros(eq.size)
+            s, lam = np.maximum(-self._b, 1.0), np.ones(self._b.size)
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
             # Row multipliers in the handle's P x + q + A' y = 0 convention:
@@ -290,11 +329,11 @@ class InteriorPointSolver(BandedKkt):
             if iterations == st.max_iterations:
                 break
             try:
-                dx, dy_eq, dlam, ds = self._direction(s, lam, r_d, r_e, gap - s)
+                dx, dy_eq, dlam, ds, a_dx = self._direction(s, lam, r_d, r_e, gap - s)
             except ValueError:
                 status = "not_positive_definite"
                 break
-            if self._is_dual_infeasible(dx):
+            if self._is_dual_infeasible(dx, a_dx):
                 status = "dual_infeasible"
                 break
             alpha = _TO_BOUNDARY * min(_max_step(s, ds), _max_step(lam, dlam))
@@ -302,6 +341,7 @@ class InteriorPointSolver(BandedKkt):
             y_eq += alpha * dy_eq
             s += alpha * ds
             lam += alpha * dlam
+        self._last = (x, y_eq, lam) if status == "solved" else None
         x_out = self._d * x
         y_int = self._e * y / c
         polished = False
@@ -310,7 +350,8 @@ class InteriorPointSolver(BandedKkt):
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
-                          polished=polished, primal_residual=pri, dual_residual=dua)
+                          polished=polished, primal_residual=pri, dual_residual=dua,
+                          warm_started=warm)
 
     # -- polish ------------------------------------------------------------
 

@@ -245,7 +245,9 @@ class QpSolution:
     their lower bound carry y >= 0 and rows at their upper bound y <= 0.
     ``primal_residual`` and ``dual_residual`` are the unscaled
     infinity-norm residuals of the solver's last termination check, before
-    any polish (for the direct active-set solve, of its last pass)."""
+    any polish (for the direct active-set solve, of its last pass).
+    ``warm_started`` tells whether an interior-point solve started from its
+    handle's last solved iterate."""
 
     x: np.ndarray
     y: np.ndarray
@@ -259,6 +261,7 @@ class QpSolution:
     polished: bool = False
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
+    warm_started: bool = False
 
     @property
     def solved(self) -> bool:

@@ -174,7 +174,18 @@ def trot_qps():
     h_reg = tuple(refs.h_kin)
     contact = build_contact_qp(ContactQpInputs(
         plan=plan, f_fixed=f, h_reg=h_reg, references=refs, weights=weights, l_prox=100.0))
-    return {"force": force, "contact": contact}
+    # The same patterns with the values of a later outer iteration: moved
+    # lever arms and a momentum pull for the force QP, other forces and a
+    # stronger foothold pull for the contact QP.
+    force_next = build_force_qp(ForceQpInputs(
+        plan=plan, ell_fixed=ell + 0.01 * rng.normal(size=ell.shape), p_fixed=p,
+        references=refs, weights=weights, h_reg=h_reg, l_prox=100.0))
+    f_next = {pair: value + rng.normal(size=3) for pair, value in f.items()}
+    contact_next = build_contact_qp(ContactQpInputs(
+        plan=plan, f_fixed=f_next, h_reg=h_reg, references=refs, weights=weights,
+        p_reg=p, l_prox=1e4))
+    return {"force": force, "contact": contact, "force_next": force_next,
+            "contact_next": contact_next}
 
 
 def _ruiz_reference(qp):
@@ -227,13 +238,22 @@ def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
         assert h._d.tobytes() == d.tobytes()
         assert h._e.tobytes() == e.tobytes()
         assert h._c == c
-        # A matrix update equilibrates the new values anew.
-        updated = replace(qp, P=qp.P * 3.0, A=qp.A * 0.25)
-        h.update_values(new_P_values=updated.P.data, new_A_values=updated.A.data)
-        d, e, c = _ruiz_reference(updated)
+        # A value update keeps the setup's factors and applies them to the
+        # new data: every solve of a handle iterates in one scaling.
+        new = replace(qp, P=qp.P * 3.0, A=qp.A * 0.25, q=2.0 * qp.q - 1.0,
+                      lo=qp.lo - 0.5, hi=qp.hi + 0.5)
+        h.update_values(new_q=new.q, new_lo=new.lo, new_hi=new.hi,
+                        new_P_values=new.P.data, new_A_values=new.A.data)
         assert h._d.tobytes() == d.tobytes()
         assert h._e.tobytes() == e.tobytes()
         assert h._c == c
+        D, E = sp.diags(d), sp.diags(e)
+        tol = dict(rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(h._Ps.toarray(), (c * (D @ new.P @ D)).toarray(), **tol)
+        np.testing.assert_allclose(h._As.toarray(), (E @ new.A @ D).toarray(), **tol)
+        np.testing.assert_allclose(h._qs, c * d * new.q, **tol)
+        np.testing.assert_allclose(h._b, h._sign * e[h._rows] * np.where(
+            h._sign > 0, new.lo[h._rows], new.hi[h._rows]), **tol)
 
 
 def _max_step(v, dv):
@@ -413,6 +433,94 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     assert h.polish_factorizations == 2
 
 
+def _widened(qp):
+    """Bounds of ``qp`` with every finite inequality bound moved outward:
+    the same partition into equality rows and one- or two-sided rows."""
+    eq = (qp.hi - qp.lo) < _EQUALITY_GAP
+    lo = np.where(eq, qp.lo, qp.lo - 0.01 * (1.0 + np.abs(qp.lo)))
+    hi = np.where(eq, qp.hi, qp.hi + 0.01 * (1.0 + np.abs(qp.hi)))
+    return lo, hi
+
+
+@pytest.mark.parametrize("name", ["random", "force", "contact"])
+def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
+    # A q update, then new q, P and A values, then wider bounds; each is
+    # followed by a warm re-solve, which must land on a fresh handle's
+    # solution of the updated QP within criterion 5's 1e-6, on x and on the
+    # KKT residuals, relative to |x| where that exceeds 1 (the solver's own
+    # tests are relative). The force QP's P holds only 2e-9 on the forces,
+    # so how they split among the feet is not determined to 1e-6: a cold solve
+    # in the first handle's scaling splits them up to 0.4 away from a fresh
+    # handle, at the same objective to 1e-10. There x is compared on the
+    # momentum columns.
+    if name == "random":
+        rng = np.random.default_rng(17)
+        qps = []
+        for _ in range(5):
+            qp, _ = _random_qp(rng)
+            # A scaled by 0.9 keeps x0 / 0.9 feasible.
+            qps.append((qp, replace(qp, q=qp.q + rng.normal(size=qp.n), P=qp.P * 1.5,
+                                    A=qp.A * 0.9)))
+    else:
+        qps = [(trot_qps[name], trot_qps[f"{name}_next"])]
+    for qp, nxt in qps:
+        lo, hi = _widened(nxt)
+        determined = np.ones(qp.n, dtype=bool)
+        if name == "force":
+            determined[qp.layout.columns("f")] = False
+        h = setup(qp, validate=False)
+        first = h.solve()
+        assert first.solved and not first.warm_started
+        current = qp
+        for update, values in (
+                ({"new_q": 0.5 * qp.q}, {"q": 0.5 * qp.q}),
+                ({"new_q": nxt.q, "new_P_values": nxt.P.data, "new_A_values": nxt.A.data},
+                 {"q": nxt.q, "P": nxt.P, "A": nxt.A}),
+                ({"new_lo": lo, "new_hi": hi}, {"lo": lo, "hi": hi})):
+            h.update_values(**update)
+            current = replace(current, **values)
+            warm = h.solve()
+            fresh = setup(current, validate=False).solve()
+            assert warm.solved and warm.warm_started
+            assert fresh.solved and not fresh.warm_started
+            tol = 1e-6 * max(1.0, np.abs(fresh.x).max())
+            assert np.max(np.abs(warm.x - fresh.x)[determined]) <= tol
+            assert warm.objective == pytest.approx(fresh.objective, rel=1e-9)
+            assert max(kkt_residuals(current, warm.x, warm.y)) <= tol
+            assert max(kkt_residuals(current, fresh.x, fresh.y)) <= tol
+
+
+def test_a_solve_after_an_unsolved_call_starts_cold(trot_qps):
+    h = setup(trot_qps["force"], validate=False)
+    assert h.solve().solved
+    h.update_values(new_q=trot_qps["force_next"].q)
+    h.settings = SolverSettings(max_iterations=1)
+    capped = h.solve()
+    assert capped.status == "max_iter" and capped.warm_started
+    h.settings = SolverSettings()
+    cold = h.solve()
+    assert cold.solved and not cold.warm_started
+    assert h.solve().warm_started
+
+
+@pytest.mark.parametrize("change", ["equality row", "infinite side"])
+def test_a_bound_update_that_changes_the_row_partition_starts_cold(change):
+    qp, x0 = _random_qp(np.random.default_rng(19), n=12, m=15)
+    h = setup(qp, validate=False)
+    assert h.solve().solved
+    lo, hi = qp.lo.copy(), qp.hi.copy()
+    h.update_values(new_lo=lo - 0.1, new_hi=hi + 0.1)  # the same partition
+    assert h.solve().warm_started
+    row = int(np.flatnonzero(np.isfinite(lo))[0])
+    if change == "equality row":
+        lo[row] = hi[row] = (qp.A @ x0)[row]
+    else:
+        lo[row] = -np.inf
+    h.update_values(new_lo=lo, new_hi=hi)
+    sol = h.solve()
+    assert sol.solved and not sol.warm_started
+
+
 def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     h = setup(qp, validate=False)
@@ -538,6 +646,19 @@ def test_dual_infeasible_certificate():
     qp = _qp([[0.0]], [1.0])
     sol = setup(qp, validate=False).solve()
     assert sol.status == "dual_infeasible"
+
+
+@pytest.mark.parametrize("q, lo, hi, status", [
+    (-1.0, 1.0, np.inf, "dual_infeasible"),   # unbounded as x grows
+    (1.0, -np.inf, 5.0, "dual_infeasible"),   # unbounded as x falls
+    (-1.0, -np.inf, 5.0, "solved")])          # x grows until 100 x = 5
+def test_dual_infeasibility_reads_the_bounds_recession_cone(q, lo, hi, status):
+    # A linear cost on one variable whose one row 100 x is bounded on one
+    # side: the step's own A dx decides whether it leaves the bounds.
+    sol = setup(_qp([[0.0]], [q], [[100.0]], [lo], [hi]), validate=False).solve()
+    assert sol.status == status
+    if sol.solved:
+        assert sol.x[0] == pytest.approx(0.05, abs=1e-9)
 
 
 def test_rows_below_the_equality_gap_get_the_equality_penalty():
