@@ -1,10 +1,12 @@
 """The sparse QP backend on its own.
 
 A random strictly convex QP is solved by the interior-point backend and
-cross-checked against the dense active-set reference; then the handle is
-reused: value updates factor nothing, and every re-solve factors the Newton
-matrix once per iteration, starting warm from the handle's last solution. A
-fresh handle of the updated QP starts cold, for comparison.
+cross-checked against the dense active-set reference. Its first solve starts
+cold: the first iteration only moves the slacks and multipliers to
+Mehrotra's starting point. Then the handle is reused: value updates factor
+nothing, and every re-solve factors the Newton matrix once per iteration
+(and once more for the polish), starting warm from the handle's last
+solution. A fresh handle of the updated QP starts cold, for comparison.
 
 Last, the contact QP of the trot's first outer iteration is solved both
 ways: by the direct active-set solve the contact block uses, which holds the
@@ -40,7 +42,8 @@ handle = setup(qp, SolverSettings())
 sol = handle.solve()
 x_ref, y_ref, obj_ref = solve_active_set(qp, x0=x_feas)
 
-print(f"status: {sol.status} in {sol.iterations} iterations, {sol.solve_time * 1e3:.1f} ms "
+print(f"status: {sol.status} in {sol.iterations} iterations (cold, start step included), "
+      f"{sol.factorizations} factorizations, {sol.solve_time * 1e3:.1f} ms "
       f"(polished: {sol.polished})")
 print(f"objective {sol.objective:.8f} vs active-set reference {obj_ref:.8f}")
 print(f"max primal gap to reference: {np.max(np.abs(sol.x - x_ref)):.2e}")
@@ -52,15 +55,15 @@ newP.data = newP.data * 2.0
 current = qp
 for label, update, values in (("cost-only update", {"new_q": 0.5 * q}, {"q": 0.5 * q}),
                               ("matrix update", {"new_P_values": newP}, {"P": newP})):
-    before = handle.kkt_refactorizations
+    before = handle.kkt_refactorizations + handle.polish_factorizations
     handle.update_values(**update)
-    factored = handle.kkt_refactorizations - before
+    factored = handle.kkt_refactorizations + handle.polish_factorizations - before
     again = handle.solve()
     current = replace(current, **values)
     cold = setup(current).solve()
     print(f"{label}: {factored} factorizations; re-solve {again.status} "
           f"({'warm' if again.warm_started else 'cold'}) in {again.iterations} iterations, "
-          f"{handle.kkt_refactorizations - before} factorizations; a fresh handle takes "
+          f"{again.factorizations} factorizations; a fresh handle takes "
           f"{cold.iterations} (cold), max |x gap| {np.max(np.abs(again.x - cold.x)):.1e}")
 
 plan, refs, settings, weights = materialize(shipped_scenarios()["trot"])
@@ -68,18 +71,20 @@ p_nom = nominal_footholds(plan, refs)
 force_qp = build_force_qp(ForceQpInputs(
     plan=plan, ell_fixed=p_nom - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p_nom,
     references=refs, weights=weights))
-force = extract_force_iterate(setup(force_qp, validate=False).solve(), force_qp.layout)
+force_sol = setup(force_qp, validate=False).solve()
+print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "
+      f"{force_sol.iterations} iterations (Mehrotra's start step, then "
+      f"{force_sol.iterations - 1} predictor-corrector steps)")
+force = extract_force_iterate(force_sol, force_qp.layout)
 contact_qp = build_contact_qp(ContactQpInputs(
     plan=plan, f_fixed=force.f, h_reg=force.h, references=refs, weights=weights,
     tau_fixed=force.tau, l_prox=settings.L0_contact))
-print(f"\ntrot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
+print(f"trot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
       f"{int(np.sum(contact_qp.lo == contact_qp.hi))} of them equality rows")
 for name, solver in (("direct", BandedActiveSetSolver), ("IPM", InteriorPointSolver)):
     handle = solver(contact_qp, validate=False)
     sol = handle.solve()
-    if solver is InteriorPointSolver:
-        work = f"{sol.iterations} iterations, {handle.kkt_refactorizations} factorizations"
-    else:
-        work = f"{sol.iterations} active-set pass(es), {handle.factorizations} factorization(s)"
+    steps = "iterations" if solver is InteriorPointSolver else "active-set pass(es)"
+    work = f"{sol.iterations} {steps}, {sol.factorizations} factorization(s)"
     print(f"{name:>6}: {sol.status}, {work}, solve {sol.solve_time * 1e3:.1f} ms, "
           f"objective {sol.objective:.9f}")

@@ -124,6 +124,11 @@ class BcdIterationRecord:
     # Whether the force solve started from the force handle's last solved
     # iterate (every force solve after a run's first, unless one failed).
     force_warm_started: bool = False
+    # Matrices each block's solve factored: the force block's Newton and
+    # polish factorizations, the contact block's active-set passes plus its
+    # fallback's factorizations. Host-independent work counts.
+    force_factorizations: int = 0
+    contact_factorizations: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -140,6 +145,8 @@ class BcdIterationRecord:
             "contact_primal_residual": self.contact_primal_residual,
             "contact_dual_residual": self.contact_dual_residual,
             "force_warm_started": self.force_warm_started,
+            "force_factorizations": self.force_factorizations,
+            "contact_factorizations": self.contact_factorizations,
         }
 
 
@@ -240,7 +247,8 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
                 "passes); falling back to the interior-point method", iteration, sol.status,
                 sol.iterations)
     fallback, ipm = _solve_block(fallback, qp, settings, "contact", iteration)
-    return direct, fallback, replace(ipm, solve_time=sol.solve_time + ipm.solve_time), True
+    return direct, fallback, replace(ipm, solve_time=sol.solve_time + ipm.solve_time,
+                                     factorizations=sol.factorizations + ipm.factorizations), True
 
 
 def optimize(plan: ContactPlan, references: ReferenceSet,
@@ -333,7 +341,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             force_dual_residual=force_sol.dual_residual,
             contact_primal_residual=contact_sol.primal_residual,
             contact_dual_residual=contact_sol.dual_residual,
-            force_warm_started=force_sol.warm_started)
+            force_warm_started=force_sol.warm_started,
+            force_factorizations=force_sol.factorizations,
+            contact_factorizations=contact_sol.factorizations)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -358,7 +368,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
         force_primal_residual=final_sol.primal_residual,
         force_dual_residual=final_sol.dual_residual,
-        force_warm_started=final_sol.warm_started)
+        force_warm_started=final_sol.warm_started,
+        force_factorizations=final_sol.factorizations)
     if on_iteration is not None:
         on_iteration(final_record)
 

@@ -11,10 +11,9 @@ with LAPACK's banded Cholesky routine. Both trajectory QPs are local in time
 (every constraint row couples at most two consecutive timesteps) and their
 builders lay each timestep's pairs out before its state, which bands both at
 24 however long the horizon; that stage-wise layout is the classic band
-structure of time-structured QPs (Rao, Wright and Rawlings, JOTA 1998). Each
-factorization also stores its transpose reversed end to end, again a lower
-band, so a back-solve is two forward BLAS band sweeps (``dtbsv``) instead of
-a forward and a transposed one.
+structure of time-structured QPs (Rao, Wright and Rawlings, JOTA 1998). A
+back-solve is two BLAS band sweeps (``dtbsv``) on the factor L itself, a
+forward one with L and a backward one with L'.
 
 The band is assembled through a map built once per handle from the patterns
 of P and A. Every lower-band entry of A' W A is a sum of products A_ik A_ij
@@ -22,8 +21,8 @@ over the rows i that hold both columns, so the map lists each such pair of
 A entries (one orientation, lower triangle) with its row and its slot in the
 Fortran-ordered band, together with P's lower entries. The pair products
 are refreshed only when P or A values change; a factorization is then one
-weighted ``bincount`` into the band, the shift on its diagonal,
-``cholesky_banded`` and one gather for the reversed transpose.
+weighted ``bincount`` into the band, the shift on its diagonal and LAPACK's
+``dpbtrf``.
 
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
@@ -53,8 +52,8 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpbtrf
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
@@ -157,14 +156,6 @@ class _BandMap:
         width = self.half_bandwidth + 1
         self.n, self.band_size = n, n * width
         self.slot = j * width + (i - j)
-        # (J L' J)[d, k] = L[d, n - 1 - d - k] for k < n - d; the padding
-        # beyond, never read by BLAS, keeps its own slot. The gather through
-        # it runs on every factorization, so it keeps the native index width,
-        # at which it runs twice as fast as with int32 indices.
-        d, k = np.divmod(np.arange(self.band_size), n)
-        source = np.where(k < n - d, n - 1 - d - k, k)
-        self.reverse = (source * width + d).reshape(width, n).T.reshape(-1).astype(
-            np.intp, copy=False)
         # Half-width term indices: the map is most of a handle's memory, and
         # these gathers run only when P or A values change.
         self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
@@ -200,6 +191,10 @@ class BandedKkt:
         self.m = qp.m_c
         self._P = qp.P.tocsc(copy=True)
         self._A = qp.A.tocsc(copy=True)
+        # A' kept beside A (refreshed with its values): scipy builds a new
+        # matrix on every ``A.T``, which at trot N = 75 costs twice the
+        # product itself.
+        self._AT = self._A.T
         _finite(self._P.data, "P")
         _finite(self._A.data, "A")
         self._q = _finite(qp.q, "q")
@@ -211,28 +206,22 @@ class BandedKkt:
         self._terms = self._map.terms(self._P.data, self._A.data)
         self.half_bandwidth = self._map.half_bandwidth
 
-    def _band_factor(self, terms: np.ndarray, w: np.ndarray,
-                     shift: float) -> tuple[np.ndarray, np.ndarray]:
+    def _band_factor(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
-        band map's ``terms`` of P and A. Returns
-        L and J L' J (J reverses the order), both as LAPACK lower bands, so
-        both triangular sweeps of a solve run non-transposed."""
-        band = self._map.band(terms, w, shift)
-        try:
-            L = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise ValueError(f"reduced KKT matrix is not positive definite: {exc}") from exc
-        reversed_t = L.T.reshape(-1)[self._map.reverse].reshape(self.n, -1).T
-        return L, reversed_t
+        band map's ``terms`` of P and A, as a LAPACK lower band."""
+        # LAPACK's dpbtrf itself: scipy's cholesky_banded wrapper adds about
+        # 7 us of argument handling to each call.
+        L, info = dpbtrf(self._map.band(terms, w, shift), lower=1, overwrite_ab=1)
+        if info:
+            raise ValueError(f"reduced KKT matrix is not positive definite (dpbtrf info {info})")
+        return L
 
-    def _band_solve(self, factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor of :meth:`_band_factor`: L y = b forward, then
-        (J L' J)(J x) = J y forward; the negative stride reads and writes the
-        second sweep's vector in reverse, so x comes out in place. The
-        first sweep writes to a copy: ``rhs`` is left as it was."""
-        L, reversed_t = factor
+    def _band_solve(self, L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve with a factor of :meth:`_band_factor`: L y = b, then L' x = y
+        in place. The first sweep writes to a copy: ``rhs`` is left as it
+        was."""
         y = dtbsv(self.half_bandwidth, L, rhs, lower=1)
-        return dtbsv(self.half_bandwidth, reversed_t, y, incx=-1, lower=1, overwrite_x=1)
+        return dtbsv(self.half_bandwidth, L, y, lower=1, trans=1, overwrite_x=1)
 
     def _held_rows_solve(self, held: np.ndarray, b: np.ndarray, delta: float,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,13 +234,13 @@ class BandedKkt:
         ``ValueError`` when the matrix is not numerically positive
         definite."""
         w = np.where(held, 1.0 / delta, 0.0)
-        chol = self._band_factor(self._terms, w, delta)
+        L = self._band_factor(self._terms, w, delta)
         # Refinement from zero: the first step is the regularized solve itself.
         x, y = np.zeros(self.n), np.zeros(self.m)
         for _ in range(1 + steps):
-            r_x = -self._q - self._P @ x - self._A.T @ y
+            r_x = -self._q - self._P @ x - self._AT @ y
             r_y = w * (b - self._A @ x)
-            dx = self._band_solve(chol, r_x + self._A.T @ r_y)
+            dx = self._band_solve(L, r_x + self._AT @ r_y)
             x = x + dx
             y = y + w * (self._A @ dx) - r_y
         return x, y
@@ -288,6 +277,7 @@ class BandedKkt:
             matrices = True
         if new_A_values is not None:
             self._A.data = self._extract_values(new_A_values, self._A, "A")
+            self._AT = self._A.T
             matrices = True
         if new_q is not None:
             q = _finite(new_q, "q")
@@ -343,6 +333,7 @@ class BandedActiveSetSolver(BandedKkt):
         x, y = np.zeros(self.n), np.zeros(self.m)
         pri = dua = float("nan")
         status, passes = "max_iter", 0
+        factored_before = self.factorizations
         for passes in range(1, _MAX_PASSES + 1):
             low, upp = side < 0, side > 0
             try:
@@ -352,7 +343,7 @@ class BandedActiveSetSolver(BandedKkt):
                 status = "not_positive_definite"
                 break
             self.factorizations += 1
-            Ax, Px, Aty = A @ x, P @ x, A.T @ y
+            Ax, Px, Aty = A @ x, P @ x, self._AT @ y
             z = np.minimum(np.maximum(Ax, lo), hi)
             # The unscaled primal and dual tests of the interior-point method.
             pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
@@ -374,4 +365,4 @@ class BandedActiveSetSolver(BandedKkt):
         objective = float(0.5 * x @ (P @ x) + q @ x)
         return QpSolution(x=x, y=-y, status=status, objective=objective, iterations=passes,
                           solve_time=time.perf_counter() - t0, primal_residual=pri,
-                          dual_residual=dua)
+                          dual_residual=dua, factorizations=self.factorizations - factored_before)

@@ -33,14 +33,19 @@ factors, so no scaled matrix is assembled. A value update applies the
 setup's factors to the new data and does not equilibrate again, so every
 solve of a handle iterates in the same scaled coordinates.
 
-A handle's first solve starts from x = 0 with every slack at that point's
-distance to its bound, floored at 1, and unit multipliers. Every later solve
-starts warm from the last solved call's scaled iterate (Yildirim and Wright,
-SIAM J. Optim. 2002): x and the equality multipliers as they were, the bound
-multipliers and the slacks (re-measured as G x - b on the new data) floored
-at 1e-2. A solve starts cold again after a call that did not end
-``solved``, and after a bound update that moves a row between the equality
-and inequality sets or changes which of its bounds are finite.
+A handle's first solve starts from Mehrotra's heuristic (Nocedal and
+Wright, section 16.6): from x = 0 with every slack at that point's distance
+to its bound, floored at 1, and unit multipliers, its first iteration factors
+the Newton matrix, takes the affine-scaling direction, keeps x and the
+equality multipliers, and moves every slack and multiplier to the magnitude
+of the step's end, floored at 1. Every later solve starts warm from the last
+solved call's scaled iterate (Yildirim and Wright, SIAM J. Optim. 2002): x
+and the equality multipliers as they were, the bound multipliers and the
+slacks (re-measured as G x - b on the new data) floored at 1e-2. A solve
+starts cold again after a call that did not end ``solved``, and after a
+bound update that moves a row between the equality and inequality sets or
+changes which of its bounds are finite. A problem without inequality bounds
+has no slacks to place and skips the start step.
 
 A point is accepted on unscaled residuals: the primal and dual infinity
 norms against eps_abs + eps_rel times the norms of their terms, and the
@@ -221,9 +226,10 @@ class InteriorPointSolver(BandedKkt):
         dlam = -W * self._sign * a_dx[self._rows] - t
         return dx, (a_dx[self._eq] + r_e) / _DELTA, dlam, -(r_c + s * dlam) / lam, a_dx
 
-    def _direction(self, s, lam, r_d, r_e, r_g):
+    def _direction(self, s, lam, r_d, r_e, r_g, corrector=True):
         """Mehrotra's predictor-corrector direction (dx, dy_e, dlam, ds), and
-        A dx, from one factorization of the reduced Newton matrix."""
+        A dx, from one factorization of the reduced Newton matrix; without
+        ``corrector``, the affine-scaling (predictor) direction alone."""
         W = lam / (s + _DELTA * lam)
         w = self._row_sums(W)
         w[self._eq] = 1.0 / _DELTA
@@ -231,7 +237,7 @@ class InteriorPointSolver(BandedKkt):
         self.kkt_refactorizations += 1
         s_lam = s * lam
         affine = self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam)
-        if not lam.size:
+        if not (corrector and lam.size):
             return affine
         _, _, dlam, ds, _ = affine
         alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
@@ -283,12 +289,13 @@ class InteriorPointSolver(BandedKkt):
         """Run predictor-corrector iterations to the configured tolerances
         within the configured iteration budget, starting from the last
         solved call's iterate when there is one. ``iterations`` counts the
-        steps taken; exhaustion of the budget is reported through
-        ``status``, never as a silent success."""
+        steps taken, a cold solve's start step included; exhaustion of the
+        budget is reported through ``status``, never as a silent success."""
         t0 = time.perf_counter()
         st = self.settings
         rows, sign, eq = self._rows, self._sign, self._eq
         e_inv, d_inv, c = 1.0 / self._e, 1.0 / self._d, self._c
+        q_norm = _max_abs(d_inv * self._qs) / c
         warm = self._last is not None
         if warm:
             # The last solved iterate, with the slacks measured on the new
@@ -298,9 +305,12 @@ class InteriorPointSolver(BandedKkt):
             s = np.maximum(sign * (self._As @ x)[rows] - self._b, _WARM_FLOOR)
         else:
             # x = 0 with every slack at its bound distance there, floored at
-            # 1, and unit multipliers.
+            # 1, and unit multipliers; the start step moves the slacks and
+            # multipliers on from there.
             x, y_eq = np.zeros(self.n), np.zeros(eq.size)
             s, lam = np.maximum(-self._b, 1.0), np.ones(self._b.size)
+        start = not warm and lam.size > 0
+        factored_before = self.kkt_refactorizations + self.polish_factorizations
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
             # Row multipliers in the handle's P x + q + A' y = 0 convention:
@@ -317,8 +327,7 @@ class InteriorPointSolver(BandedKkt):
             pri, dua = _max_abs(ax - z), _max_abs(d_inv * r_d) / c
             aty = _max_abs(d_inv * aty_s) / c
             pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(ax), _max_abs(z))
-            dua_tol = st.eps_abs + st.eps_rel * max(
-                _max_abs(d_inv * px_s) / c, aty, _max_abs(d_inv * self._qs) / c)
+            dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(d_inv * px_s) / c, aty, q_norm)
             comp = _max_abs(lam * gap) / c
             if pri <= pri_tol and dua <= dua_tol and comp <= min(pri_tol, dua_tol):
                 status = "solved"
@@ -329,13 +338,22 @@ class InteriorPointSolver(BandedKkt):
             if iterations == st.max_iterations:
                 break
             try:
-                dx, dy_eq, dlam, ds, a_dx = self._direction(s, lam, r_d, r_e, gap - s)
+                dx, dy_eq, dlam, ds, a_dx = self._direction(s, lam, r_d, r_e, gap - s,
+                                                            corrector=not start)
             except ValueError:
                 status = "not_positive_definite"
                 break
             if self._is_dual_infeasible(dx, a_dx):
                 status = "dual_infeasible"
                 break
+            if start:
+                # Mehrotra's start: x and y_eq stay, and the slacks and
+                # multipliers take the magnitudes of their affine-scaling
+                # step's end, floored at 1.
+                s = np.maximum(np.abs(s + ds), 1.0)
+                lam = np.maximum(np.abs(lam + dlam), 1.0)
+                start = False
+                continue
             alpha = _TO_BOUNDARY * min(_max_step(s, ds), _max_step(lam, dlam))
             x += alpha * dx
             y_eq += alpha * dy_eq
@@ -348,10 +366,11 @@ class InteriorPointSolver(BandedKkt):
         if status == "solved" and self.m:
             x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua)
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
+        factorizations = self.kkt_refactorizations + self.polish_factorizations - factored_before
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
                           polished=polished, primal_residual=pri, dual_residual=dua,
-                          warm_started=warm)
+                          warm_started=warm, factorizations=factorizations)
 
     # -- polish ------------------------------------------------------------
 
@@ -372,7 +391,7 @@ class InteriorPointSolver(BandedKkt):
         self.polish_factorizations += 1
         z_pol = self._A @ x_pol
         pri_pol = float(np.max(np.maximum(self._lo - z_pol, z_pol - self._hi), initial=0.0))
-        dua_pol = _max_abs(self._P @ x_pol + self._q + self._A.T @ y_pol)
+        dua_pol = _max_abs(self._P @ x_pol + self._q + self._AT @ y_pol)
         # Both residuals must improve or stay below 1% of eps_abs; comparing
         # them jointly would let a mis-detected active set through whenever
         # the other residual is large. (Full Newton steps leave interior

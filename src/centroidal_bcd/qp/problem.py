@@ -247,7 +247,9 @@ class QpSolution:
     infinity-norm residuals of the solver's last termination check, before
     any polish (for the direct active-set solve, of its last pass).
     ``warm_started`` tells whether an interior-point solve started from its
-    handle's last solved iterate."""
+    handle's last solved iterate. ``factorizations`` counts the matrices
+    the solve factored: an interior-point solve's Newton and polish
+    factorizations, or the direct active-set solve's factored passes."""
 
     x: np.ndarray
     y: np.ndarray
@@ -262,6 +264,7 @@ class QpSolution:
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     warm_started: bool = False
+    factorizations: int = 0
 
     @property
     def solved(self) -> bool:

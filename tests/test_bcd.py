@@ -149,11 +149,11 @@ def test_block_at_its_iteration_cap_fails_after_one_solve(monkeypatch):
 
 def test_every_force_solve_takes_at_most_40_interior_point_iterations():
     # A work count that no host speed moves: the shipped suite, a long trot
-    # and the proximal-weight grid of acceptance criterion 2 take 8-22
-    # iterations on a run's first, cold force solve. Unit initial slacks
-    # instead of the bound distances at x = 0 take up to 35 on the shipped
-    # suite and 64 on the grid. Every later force solve starts warm from the
-    # one before and takes 4-12 (15-22 cold).
+    # and the proximal-weight grid of acceptance criterion 2 take 7-15
+    # iterations on a run's first, cold force solve, Mehrotra's start step
+    # included (13-14 on the N=300 runs; 8-21 from the bound distances at
+    # x = 0 without the start step). Every later force solve starts warm
+    # from the one before and takes 4-12.
     runs = {name: materialize(doc) for name, doc in shipped_scenarios().items()}
     runs["trot N=300"] = materialize(make_gait("trot", N=300))
     for kind in ("walk", "trot", "bound"):
@@ -161,7 +161,7 @@ def test_every_force_solve_takes_at_most_40_interior_point_iterations():
         for L0 in (1e2, 1e4, 1e6):
             runs[f"{kind} N=300 L0={L0:g}"] = (plan, refs, replace(
                 settings, L0_force=L0, L0_contact=L0, alpha=100.0, eps_f=1e-7), weights)
-    worst, worst_warm = {}, {}
+    worst, cold, worst_warm = {}, {}, {}
     for name, (plan, refs, settings, weights) in runs.items():
         result = optimize(plan, refs, settings, weights)
         worst[name] = max(r.force_solver_iterations
@@ -169,8 +169,10 @@ def test_every_force_solve_takes_at_most_40_interior_point_iterations():
         later = (*result.records[1:], result.final_record)
         assert all(r.force_warm_started for r in later), name
         assert not result.records[0].force_warm_started
+        cold[name] = result.records[0].force_solver_iterations
         worst_warm[name] = max(r.force_solver_iterations for r in later)
     assert max(worst.values()) <= 40, worst
+    assert max(cold.values()) <= 16, cold
     assert max(worst_warm.values()) <= 15, worst_warm
 
 
@@ -240,6 +242,26 @@ def test_records_carry_each_blocks_exit_residuals(monkeypatch):
     assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]
 
 
+def test_records_count_each_blocks_factorizations(monkeypatch):
+    # A host-independent work count: a force solve factors the Newton matrix
+    # once per iteration and its polish once; the contact block's direct
+    # solve factors once per active-set pass. convergence.json carries both.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    counts = _observe_block_solves(monkeypatch, lambda sol: sol.factorizations)
+    result = optimize(plan, refs, settings, weights)
+    final = result.final_record
+    recorded = [n for r in result.records
+                for n in (r.force_factorizations, r.contact_factorizations)]
+    assert counts == recorded + [final.force_factorizations]
+    for r in (*result.records, final):
+        assert r.force_factorizations == r.force_solver_iterations + 1
+    assert all(r.contact_factorizations == r.contact_solver_iterations
+               for r in result.records)
+    assert final.contact_factorizations == 0
+    row = final.as_dict()
+    assert (row["force_factorizations"], row["contact_factorizations"]) == (counts[-1], 0)
+
+
 def test_contact_block_falls_back_to_the_ipm_when_the_direct_solve_is_not_accepted(
         quad_hover, monkeypatch, caplog):
     # With no active-set pass allowed the direct solve is never accepted:
@@ -264,6 +286,9 @@ def test_contact_block_falls_back_to_the_ipm_when_the_direct_solve_is_not_accept
     assert [r.contact_fallback for r in result.records] == [True, True]
     cap = SolverSettings().max_iterations
     assert all(0 < r.contact_solver_iterations < cap for r in result.records)
+    # No pass factors; the fallback factors once per iteration and polish.
+    assert all(r.contact_factorizations == r.contact_solver_iterations + 1
+               for r in result.records)
     assert result.records[0].as_dict()["contact_fallback"] is True
     assert not any(r.contact_fallback for r in direct.records)
     assert sum("falling back to the interior-point method" in m

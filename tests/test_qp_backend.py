@@ -376,8 +376,8 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
 
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
 def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
-    # Both triangular sweeps run forward, the second on the reversed factor;
-    # together they must solve the reduced Newton system.
+    # A forward sweep with the factor and a transposed one with the same
+    # factor must together solve the reduced Newton system.
     if name == "random":  # dense, non-diagonal P
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
@@ -501,6 +501,62 @@ def test_a_solve_after_an_unsolved_call_starts_cold(trot_qps):
     cold = h.solve()
     assert cold.solved and not cold.warm_started
     assert h.solve().warm_started
+
+
+def _record_directions(monkeypatch, h):
+    """The (slacks, multipliers) every Newton direction of ``h`` starts from,
+    recorded as the solves run."""
+    points = []
+    direction = h._direction
+
+    def recording(s, lam, *args, **kwargs):
+        points.append((s.copy(), lam.copy()))
+        return direction(s, lam, *args, **kwargs)
+
+    monkeypatch.setattr(h, "_direction", recording)
+    return points
+
+
+def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, monkeypatch):
+    # The start step factors once and counts as an iteration, but moves
+    # neither x nor the equality multipliers from 0; it moves every slack and
+    # multiplier to at least 1.
+    qp = trot_qps["force"]
+    capped = setup(qp, SolverSettings(max_iterations=1), validate=False)
+    sol = capped.solve()
+    assert (sol.status, sol.iterations, capped.kkt_refactorizations) == ("max_iter", 1, 1)
+    assert sol.factorizations == 1
+    assert not sol.x.any() and not sol.y[qp.lo == qp.hi].any()
+    h = setup(qp, validate=False)
+    points = _record_directions(monkeypatch, h)
+    assert h.solve().solved
+    (s0, lam0), (s, lam) = points[:2]
+    assert s.min() >= 1.0 and lam.min() >= 1.0
+    assert not np.array_equal(s, s0) and not np.array_equal(lam, lam0)
+
+
+def test_a_solve_after_a_failed_call_takes_the_same_start(trot_qps, monkeypatch):
+    qp = trot_qps["force"]
+    fresh = setup(qp, validate=False)
+    fresh_points = _record_directions(monkeypatch, fresh)
+    expected = fresh.solve()
+    h = setup(qp, validate=False)
+    assert h.solve().solved
+    band_factor = h._band_factor
+
+    def fail(terms, w, shift):
+        raise ValueError("reduced KKT matrix is not positive definite")
+
+    h._band_factor = fail
+    assert h.solve().status == "not_positive_definite"
+    h._band_factor = band_factor
+    points = _record_directions(monkeypatch, h)
+    sol = h.solve()
+    assert sol.solved and not sol.warm_started and sol.iterations == expected.iterations
+    for (s, lam), (s_fresh, lam_fresh) in zip(points[:2], fresh_points[:2]):
+        assert np.array_equal(s, s_fresh) and np.array_equal(lam, lam_fresh)
+    assert min(s.min(), lam.min()) >= 1.0  # after the start step
+    assert np.array_equal(sol.x, expected.x)
 
 
 @pytest.mark.parametrize("change", ["equality row", "infinite side"])
