@@ -129,6 +129,10 @@ class BcdIterationRecord:
     # fallback's factorizations. Host-independent work counts.
     force_factorizations: int = 0
     contact_factorizations: int = 0
+    # Back-solves with those factors: two per interior-point iteration, and
+    # one plus the refinement steps per polish or active-set pass.
+    force_band_solves: int = 0
+    contact_band_solves: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -147,6 +151,8 @@ class BcdIterationRecord:
             "force_warm_started": self.force_warm_started,
             "force_factorizations": self.force_factorizations,
             "contact_factorizations": self.contact_factorizations,
+            "force_band_solves": self.force_band_solves,
+            "contact_band_solves": self.contact_band_solves,
         }
 
 
@@ -248,7 +254,8 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
                 sol.iterations)
     fallback, ipm = _solve_block(fallback, qp, settings, "contact", iteration)
     return direct, fallback, replace(ipm, solve_time=sol.solve_time + ipm.solve_time,
-                                     factorizations=sol.factorizations + ipm.factorizations), True
+                                     factorizations=sol.factorizations + ipm.factorizations,
+                                     band_solves=sol.band_solves + ipm.band_solves), True
 
 
 def optimize(plan: ContactPlan, references: ReferenceSet,
@@ -343,7 +350,9 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             contact_dual_residual=contact_sol.dual_residual,
             force_warm_started=force_sol.warm_started,
             force_factorizations=force_sol.factorizations,
-            contact_factorizations=contact_sol.factorizations)
+            contact_factorizations=contact_sol.factorizations,
+            force_band_solves=force_sol.band_solves,
+            contact_band_solves=contact_sol.band_solves)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -351,7 +360,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         ell = contact_iterate.ell
         p_fixed = p_reg = contact_iterate.p
         h_reg = contact_iterate.h
-        if eps_value <= settings.eps_f:
+        # eps_f = 0 never converges: it forces the iteration cap.
+        if settings.eps_f > 0.0 and eps_value <= settings.eps_f:
             converged = True
             break
 
@@ -369,7 +379,8 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         force_primal_residual=final_sol.primal_residual,
         force_dual_residual=final_sol.dual_residual,
         force_warm_started=final_sol.warm_started,
-        force_factorizations=final_sol.factorizations)
+        force_factorizations=final_sol.factorizations,
+        force_band_solves=final_sol.band_solves)
     if on_iteration is not None:
         on_iteration(final_record)
 

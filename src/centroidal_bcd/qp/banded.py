@@ -11,18 +11,24 @@ with LAPACK's banded Cholesky routine. Both trajectory QPs are local in time
 (every constraint row couples at most two consecutive timesteps) and their
 builders lay each timestep's pairs out before its state, which bands both at
 24 however long the horizon; that stage-wise layout is the classic band
-structure of time-structured QPs (Rao, Wright and Rawlings, JOTA 1998). A
-back-solve is two BLAS band sweeps (``dtbsv``) on the factor L itself, a
-forward one with L and a backward one with L'.
+structure of time-structured QPs (Rao, Wright and Rawlings, JOTA 1998). The
+band is held in LAPACK lower storage and factored as L L'; a back-solve is
+one ``dpbtrs`` call on the factor itself, a sweep with L and a transposed
+one with L'. (Upper storage would run both sweeps down the band's columns,
+but ``dpbtrf`` then feeds its rank-one updates strided vectors, which
+OpenBLAS sends through its threaded path: with two BLAS threads one
+factorization at n = 9,072 took 13-15 ms instead of 1.2 ms.)
 
 The band is assembled through a map built once per handle from the patterns
-of P and A. Every lower-band entry of A' W A is a sum of products A_ik A_ij
-over the rows i that hold both columns, so the map lists each such pair of
+of P and A. Every lower-band entry of A' W A is a sum of products A_ki A_kj
+over the rows k that hold both columns, so the map lists each such pair of
 A entries (one orientation, lower triangle) with its row and its slot in the
-Fortran-ordered band, together with P's lower entries. The pair products
-are refreshed only when P or A values change; a factorization is then one
-weighted ``bincount`` into the band, the shift on its diagonal and LAPACK's
-``dpbtrf``.
+Fortran-ordered band, together with P's lower entries and the diagonal.
+Listed row by row, then P, then the diagonal, the terms are already grouped
+by their weight in [w, 1, shift]: they are the ``data`` of a CSC matrix with
+one column per weight and one row per band slot. Its values are refreshed
+only when P or A values change; the band is then that matrix times the
+weights, one sparse product, and a factorization adds LAPACK's ``dpbtrf``.
 
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
@@ -52,8 +58,7 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
@@ -124,18 +129,24 @@ class _BandMap:
 
     A term is the product of two stored values of ``[A.data, P.data, 1]``,
     weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
-    i of A (in the lower-triangle orientation only) with weight w_i, a lower
+    k of A (in the lower-triangle orientation only) with weight w_k, a lower
     entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
     weight shift. The band is LAPACK lower storage in Fortran order, so band
     entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j, the
     half-bandwidth being the largest i - j among the terms.
+
+    The terms are listed by weight (A's rows in order, then P, then the
+    diagonal), which makes them the ``data`` of a CSC matrix with one column
+    per weight and one row per band slot: the band is that matrix times the
+    weights.
     """
 
-    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix):
+    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, by_row: np.ndarray,
+                 row_ptr: np.ndarray):
         n, m = P.shape[1], A.shape[0]
-        # A's entries grouped by row; each entry pairs with every entry of
-        # its row (itself included), the lower orientation kept.
-        by_row, row_ptr = _entries_by_row(A)
+        # A's entries grouped by row (``_entries_by_row(A)``); each entry
+        # pairs with every entry of its row (itself included), the lower
+        # orientation kept.
         rows = A.indices[by_row].astype(np.intp)
         cols = _entry_cols(A)[by_row]
         reps = np.diff(row_ptr)[rows]
@@ -145,30 +156,35 @@ class _BandMap:
         a, b = a[lower], b[lower]
         p_rows, p_cols = P.indices, _entry_cols(P)
         p_lower = np.flatnonzero(p_rows >= p_cols)
-        # Indices into [A.data, P.data, 1] and [w, 1, shift].
+        # Indices into [A.data, P.data, 1], and the column of each term's
+        # weight in [w, 1, shift]: nondecreasing, since the A pairs run
+        # through A's rows in order.
         one, diagonal = A.nnz + P.nnz, np.arange(n)
         self.left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
         self.right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
-        self.weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
+        weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
         i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
         j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
         self.half_bandwidth = int(np.max(i - j, initial=0))
         width = self.half_bandwidth + 1
-        self.n, self.band_size = n, n * width
-        self.slot = j * width + (i - j)
+        self.n, self.shape = n, (n * width, m + 2)
+        self.slot = (j * width + (i - j)).astype(np.int32)
+        self.indptr = np.zeros(m + 3, dtype=np.int32)
+        np.cumsum(np.bincount(weight, minlength=m + 2), out=self.indptr[1:])
         # Half-width term indices: the map is most of a handle's memory, and
         # these gathers run only when P or A values change.
         self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
 
-    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
-        """Unweighted term values for the given values of the two patterns."""
+    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> sp.csc_matrix:
+        """The term matrix for the given values of the two patterns: each
+        unweighted term in its band slot's row and its weight's column."""
         values = np.concatenate([A_data, P_data, [1.0]])
-        return values[self.left] * values[self.right]
+        return sp.csc_matrix((values[self.left] * values[self.right], self.slot, self.indptr),
+                             shape=self.shape)
 
-    def band(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
+    def band(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
         """The lower band of P + shift I + A' diag(w) A, Fortran-ordered."""
-        weighted = terms * np.concatenate([w, [1.0, shift]])[self.weight]
-        band = np.bincount(self.slot, weighted, minlength=self.band_size)
+        band = terms @ np.concatenate([w, [1.0, shift]])
         return band.reshape(self.n, -1).T
 
 
@@ -202,11 +218,15 @@ class BandedKkt:
         self._hi = _bound(qp.hi, "hi")
         self._P_cols = _entry_cols(self._P)
         self._A_cols = _entry_cols(self._A)
-        self._map = _BandMap(self._P, self._A)
+        # A's entries grouped by row, for the band map and the row maxima
+        # of the interior-point method's equilibration.
+        self._A_by_row = _entries_by_row(self._A)
+        self._map = _BandMap(self._P, self._A, *self._A_by_row)
         self._terms = self._map.terms(self._P.data, self._A.data)
         self.half_bandwidth = self._map.half_bandwidth
+        self.band_solves = 0
 
-    def _band_factor(self, terms: np.ndarray, w: np.ndarray, shift: float) -> np.ndarray:
+    def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
         band map's ``terms`` of P and A, as a LAPACK lower band."""
         # LAPACK's dpbtrf itself: scipy's cholesky_banded wrapper adds about
@@ -217,11 +237,11 @@ class BandedKkt:
         return L
 
     def _band_solve(self, L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor of :meth:`_band_factor`: L y = b, then L' x = y
-        in place. The first sweep writes to a copy: ``rhs`` is left as it
-        was."""
-        y = dtbsv(self.half_bandwidth, L, rhs, lower=1)
-        return dtbsv(self.half_bandwidth, L, y, lower=1, trans=1, overwrite_x=1)
+        """Solve with a factor of :meth:`_band_factor`, on a copy of ``rhs``:
+        LAPACK's ``dpbtrs`` sweeps L y = b, then L' x = y, the two ``dtbsv``
+        calls in one. ``band_solves`` counts the calls."""
+        self.band_solves += 1
+        return dpbtrs(L, rhs, lower=1)[0]
 
     def _held_rows_solve(self, held: np.ndarray, b: np.ndarray, delta: float,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +255,14 @@ class BandedKkt:
         definite."""
         w = np.where(held, 1.0 / delta, 0.0)
         L = self._band_factor(self._terms, w, delta)
-        # Refinement from zero: the first step is the regularized solve itself.
+        # Refinement from zero, whose residuals need no products: the first
+        # step is the regularized solve itself.
         x, y = np.zeros(self.n), np.zeros(self.m)
-        for _ in range(1 + steps):
-            r_x = -self._q - self._P @ x - self._AT @ y
-            r_y = w * (b - self._A @ x)
+        r_x, r_y = -self._q, w * b
+        for step in range(1 + steps):
+            if step:
+                r_x = -self._q - self._P @ x - self._AT @ y
+                r_y = w * (b - self._A @ x)
             dx = self._band_solve(L, r_x + self._AT @ r_y)
             x = x + dx
             y = y + w * (self._A @ dx) - r_y
@@ -333,7 +356,7 @@ class BandedActiveSetSolver(BandedKkt):
         x, y = np.zeros(self.n), np.zeros(self.m)
         pri = dua = float("nan")
         status, passes = "max_iter", 0
-        factored_before = self.factorizations
+        factored_before, solved_before = self.factorizations, self.band_solves
         for passes in range(1, _MAX_PASSES + 1):
             low, upp = side < 0, side > 0
             try:
@@ -365,4 +388,5 @@ class BandedActiveSetSolver(BandedKkt):
         objective = float(0.5 * x @ (P @ x) + q @ x)
         return QpSolution(x=x, y=-y, status=status, objective=objective, iterations=passes,
                           solve_time=time.perf_counter() - t0, primal_residual=pri,
-                          dual_residual=dua, factorizations=self.factorizations - factored_before)
+                          dual_residual=dua, factorizations=self.factorizations - factored_before,
+                          band_solves=self.band_solves - solved_before)

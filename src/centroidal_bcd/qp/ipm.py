@@ -26,6 +26,13 @@ corrector (r_c = s lam + ds_aff dlam_aff - sigma mu, sigma = (mu_aff / mu)^3)
 both solve with the one factor of their iteration, and a step goes 0.99 of
 the way to the boundary of s, lam >= 0.
 
+Past the factorization and its back-solves, an iteration's cost is mostly
+numpy and scipy call overhead, the same at every size, so the iteration is
+kept to few calls: the slacks and multipliers live in one array [s; lam],
+which one step length and one update serve; the step length divides without
+masks (:func:`_max_step`); each side's termination norms come from one
+reduction. Every one of these leaves the iterates bitwise as they were.
+
 The data are Ruiz-equilibrated once per handle, on the stored entries of P
 and A at setup: column and row maxima are segment reductions over the entry
 arrays, and each round multiplies the entries by their row and column
@@ -71,7 +78,7 @@ import time
 
 import numpy as np
 
-from .banded import _EQUALITY_GAP, BandedKkt, _entries_by_row, _max_abs, _wrongly_signed
+from .banded import _EQUALITY_GAP, BandedKkt, _max_abs, _wrongly_signed
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
 __all__ = ["InteriorPointSolver", "setup"]
@@ -86,13 +93,20 @@ _POLISH_DELTA = 1e-7
 _POLISH_REFINE_STEPS = 3
 
 
-def _group_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Largest of ``values[indptr[i]:indptr[i + 1]]`` for every group i; 0
-    for an empty group. ``values`` are nonnegative."""
-    out = np.zeros(indptr.size - 1)
+def _groups(indptr: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The groups ``[indptr[i], indptr[i + 1])`` for :func:`_group_max`:
+    their count, which are nonempty, and where those start."""
     nonempty = indptr[1:] > indptr[:-1]
+    return indptr.size - 1, nonempty, indptr[:-1][nonempty]
+
+
+def _group_max(values: np.ndarray, groups) -> np.ndarray:
+    """Largest of ``values`` over every group of :func:`_groups`; 0 for an
+    empty group. ``values`` are nonnegative."""
+    count, nonempty, starts = groups
+    out = np.zeros(count)
     if values.size:
-        out[nonempty] = np.maximum.reduceat(values, indptr[:-1][nonempty])
+        out[nonempty] = np.maximum.reduceat(values, starts)
     return out
 
 
@@ -101,10 +115,18 @@ def _guarded_inv_sqrt(norms: np.ndarray) -> np.ndarray:
     return np.clip(1.0 / np.sqrt(safe), 1e-4, 1e4)
 
 
+def _max_abs_rows(M: np.ndarray) -> np.ndarray:
+    """Largest magnitude in each row of ``M``; 0 for empty rows."""
+    return np.abs(M).max(axis=1, initial=0.0)
+
+
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha <= 1 / _TO_BOUNDARY with v + alpha dv >= 0."""
-    shrinking = dv < 0.0
-    return float((-v[shrinking] / dv[shrinking]).min(initial=1.0 / _TO_BOUNDARY))
+    """Largest alpha <= 1 / _TO_BOUNDARY with v + alpha dv >= 0, for v > 0.
+
+    No mask: an entry that shrinks by at least half of v gives its ratio
+    v / -dv as it is, and every other entry gives v / (v / 2) = 2, which
+    is past the cap (and past its own ratio, if it shrinks at all)."""
+    return float((v / np.maximum(-dv, 0.5 * v)).min(initial=1.0 / _TO_BOUNDARY))
 
 
 class InteriorPointSolver(BandedKkt):
@@ -151,23 +173,23 @@ class InteriorPointSolver(BandedKkt):
         rows by the largest entries of A, then the cost by its magnitude.
         """
         P, A = self._P, self._A
-        # A's entries grouped by row, for the row maxima.
-        by_row, row_ptr = _entries_by_row(A)
+        by_row, row_ptr = self._A_by_row
+        p_cols, a_cols, a_rows = _groups(P.indptr), _groups(A.indptr), _groups(row_ptr)
         self._d = np.ones(self.n)
         self._e = np.ones(self.m)
         self._c = 1.0
         p, a, qb = P.data.copy(), A.data.copy(), self._q.copy()
         for _ in range(_RUIZ_ITERATIONS):
             abs_a = np.abs(a)
-            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), P.indptr),
-                                              _group_max(abs_a, A.indptr)))
-            dy = _guarded_inv_sqrt(_group_max(abs_a[by_row], row_ptr))
+            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), p_cols),
+                                              _group_max(abs_a, a_cols)))
+            dy = _guarded_inv_sqrt(_group_max(abs_a[by_row], a_rows))
             p = dx[P.indices] * p * dx[self._P_cols]
             qb = dx * qb
             a = dy[A.indices] * a * dx[self._A_cols]
             self._d *= dx
             self._e *= dy
-            cost_norm = max(float(np.mean(_group_max(np.abs(p), P.indptr))),
+            cost_norm = max(float(np.mean(_group_max(np.abs(p), p_cols))),
                             float(np.max(np.abs(qb), initial=0.0)))
             gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
             p = p * gamma
@@ -193,6 +215,11 @@ class InteriorPointSolver(BandedKkt):
         belong to the old one."""
         d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
         self._qs = c * d * self._q
+        # The unscaled q'dx and A dx of a scaled step, for the
+        # dual-infeasibility test.
+        self._q_d = d * self._q
+        self._e_inv_hi = np.where(hi < INFTY, 1.0 / e, 0.0)
+        self._e_inv_lo = np.where(lo > -INFTY, 1.0 / e, 0.0)
         is_eq = (hi - lo) < _EQUALITY_GAP
         low = np.flatnonzero(~is_eq & (lo > -INFTY))
         upp = np.flatnonzero(~is_eq & (hi < INFTY))
@@ -214,36 +241,56 @@ class InteriorPointSolver(BandedKkt):
         # bincount returns integers when its weights are empty.
         return np.bincount(self._rows, values, minlength=self.m).astype(float, copy=False)
 
-    def _newton(self, factor, W, s, lam, r_d, r_e, r_g, r_c):
-        """(dx, dy_e, dlam, ds, A dx) of the regularized Newton system with
+    def _newton(self, factor, W, sign_W, v, neg_r_d, u_eq, r_g, r_c):
+        """(dx, dv, A dx) of the regularized Newton system with
         complementarity residual ``r_c``, from the factor of its reduced
-        matrix; W holds each constraint's weight lam / (s + delta lam)."""
+        matrix; v = [s; lam] and dv = [ds; dlam]. W holds each
+        constraint's weight lam / (s + delta lam), ``sign_W`` its product
+        with the constraint's sign; ``neg_r_d`` is -r_d and ``u_eq`` is
+        r_e / delta."""
+        p = W.size
+        s, lam = v[:p], v[p:]
         t = W * (r_g + r_c / lam)
         u = self._row_sums(self._sign * t)
-        u[self._eq] = r_e / _DELTA
-        dx = self._band_solve(factor, -r_d - self._AsT @ u)
+        u[self._eq] = u_eq
+        dx = self._band_solve(factor, neg_r_d - self._AsT @ u)
         a_dx = self._As @ dx
-        dlam = -W * self._sign * a_dx[self._rows] - t
-        return dx, (a_dx[self._eq] + r_e) / _DELTA, dlam, -(r_c + s * dlam) / lam, a_dx
+        dv = np.empty(2 * p)
+        ds, dlam = dv[:p], dv[p:]
+        np.multiply(sign_W, a_dx[self._rows], out=dlam)
+        np.add(dlam, t, out=dlam)
+        np.negative(dlam, out=dlam)
+        np.multiply(s, dlam, out=ds)
+        np.add(ds, r_c, out=ds)
+        np.divide(ds, lam, out=ds)
+        np.negative(ds, out=ds)
+        return dx, dv, a_dx
 
-    def _direction(self, s, lam, r_d, r_e, r_g, corrector=True):
-        """Mehrotra's predictor-corrector direction (dx, dy_e, dlam, ds), and
-        A dx, from one factorization of the reduced Newton matrix; without
-        ``corrector``, the affine-scaling (predictor) direction alone."""
+    def _direction(self, v, r_d, r_e, r_g, corrector=True):
+        """Mehrotra's predictor-corrector direction (dx, dy_e, dv), and A dx,
+        from one factorization of the reduced Newton matrix, where v and dv
+        stack the slacks over the multipliers; without ``corrector``, the
+        affine-scaling (predictor) direction alone."""
+        p = v.size // 2
+        s, lam = v[:p], v[p:]
         W = lam / (s + _DELTA * lam)
         w = self._row_sums(W)
         w[self._eq] = 1.0 / _DELTA
         factor = self._band_factor(self._terms_s, w, _DELTA)
         self.kkt_refactorizations += 1
-        s_lam = s * lam
-        affine = self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam)
-        if not (corrector and lam.size):
-            return affine
-        _, _, dlam, ds, _ = affine
-        alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
-        mu = float(np.mean(s_lam))
-        sigma = (float((s + alpha * ds) @ (lam + alpha * dlam)) / lam.size / mu) ** 3
-        return self._newton(factor, W, s, lam, r_d, r_e, r_g, s_lam + ds * dlam - sigma * mu)
+        # Shared by the predictor and the corrector.
+        sign_W, s_lam, neg_r_d, u_eq = self._sign * W, s * lam, -r_d, r_e / _DELTA
+        dx, dv, a_dx = self._newton(factor, W, sign_W, v, neg_r_d, u_eq, r_g, s_lam)
+        if corrector and p:
+            alpha = min(1.0, _max_step(v, dv))
+            mu = float(s_lam.sum()) / p
+            end = v + alpha * dv
+            sigma = (float(end[:p] @ end[p:]) / p / mu) ** 3
+            r_c = dv[:p] * dv[p:]
+            r_c += s_lam
+            r_c -= sigma * mu
+            dx, dv, a_dx = self._newton(factor, W, sign_W, v, neg_r_d, u_eq, r_g, r_c)
+        return dx, (a_dx[self._eq] + r_e) / _DELTA, dv, a_dx
 
     # -- certificates ------------------------------------------------------
 
@@ -252,11 +299,11 @@ class InteriorPointSolver(BandedKkt):
         is the unscaled |A'y|) and a negative support function of the
         bounds at v."""
         eps = _EPS_PRIM_INF
-        y = self._e * y_scaled / self._c
-        norm = _max_abs(y)
+        y = self._e * y_scaled
+        norm = _max_abs(y) / self._c
         if norm <= eps or aty_norm >= eps * norm:
             return False
-        v = y / norm
+        v = y / self._c / norm
         pos, neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
         hi_inf = self._hi >= INFTY
         lo_inf = self._lo <= -INFTY
@@ -271,17 +318,19 @@ class InteriorPointSolver(BandedKkt):
         own scaled A dx, so the product P v runs only when the cheaper tests
         pass."""
         eps = _EPS_DUAL_INF
+        q_dx = float(self._q_d @ dx_scaled)
+        if q_dx >= 0.0:
+            return False
         dx = self._d * dx_scaled
         norm = _max_abs(dx)
-        if norm <= eps:
+        if norm <= eps or q_dx / norm >= -eps:
             return False
-        v = dx / norm
-        if self._q @ v >= -eps:
+        # A v <= eps on rows with a finite upper bound, >= -eps on rows with
+        # a finite lower one: 1/e_i there, 0 elsewhere, unscales A dx.
+        if ((a_dx_scaled * self._e_inv_hi).max(initial=0.0) > eps * norm
+                or (a_dx_scaled * self._e_inv_lo).min(initial=0.0) < -eps * norm):
             return False
-        Av = a_dx_scaled / (self._e * norm)
-        if np.any(Av[self._hi < INFTY] > eps) or np.any(Av[self._lo > -INFTY] < -eps):
-            return False
-        return _max_abs(self._P @ v) < eps
+        return _max_abs(self._P @ (dx / norm)) < eps
 
     # -- main solve --------------------------------------------------------
 
@@ -296,23 +345,28 @@ class InteriorPointSolver(BandedKkt):
         rows, sign, eq = self._rows, self._sign, self._eq
         e_inv, d_inv, c = 1.0 / self._e, 1.0 / self._d, self._c
         q_norm = _max_abs(d_inv * self._qs) / c
+        p = self._b.size
         warm = self._last is not None
+        # The slacks and multipliers share one array v = [s; lam], so that
+        # one step length and one update serve both.
         if warm:
             # The last solved iterate, with the slacks measured on the new
             # data and both slacks and multipliers kept off their boundary.
             x, y_eq = self._last[0].copy(), self._last[1].copy()
-            lam = np.maximum(self._last[2], _WARM_FLOOR)
-            s = np.maximum(sign * (self._As @ x)[rows] - self._b, _WARM_FLOOR)
+            v = np.concatenate([sign * (self._As @ x)[rows] - self._b, self._last[2]])
+            np.maximum(v, _WARM_FLOOR, out=v)
         else:
             # x = 0 with every slack at its bound distance there, floored at
             # 1, and unit multipliers; the start step moves the slacks and
             # multipliers on from there.
             x, y_eq = np.zeros(self.n), np.zeros(eq.size)
-            s, lam = np.maximum(-self._b, 1.0), np.ones(self._b.size)
-        start = not warm and lam.size > 0
+            v = np.concatenate([np.maximum(-self._b, 1.0), np.ones(p)])
+        start = not warm and p > 0
         factored_before = self.kkt_refactorizations + self.polish_factorizations
+        solved_before = self.band_solves
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
+            s, lam = v[:p], v[p:]
             # Row multipliers in the handle's P x + q + A' y = 0 convention:
             # -lam at lower bounds, +lam at upper ones.
             y = self._row_sums(-sign * lam)
@@ -321,13 +375,14 @@ class InteriorPointSolver(BandedKkt):
             r_d = px_s + self._qs + aty_s
             r_e = ax_s[eq] - self._b_eq
             gap = sign * ax_s[rows] - self._b
-            # Termination on the unscaled residuals.
+            # Termination on the unscaled residuals; the norms of each side
+            # come from one reduction over its stacked vectors.
             ax = e_inv * ax_s
             z = np.minimum(np.maximum(ax, self._lo), self._hi)
-            pri, dua = _max_abs(ax - z), _max_abs(d_inv * r_d) / c
-            aty = _max_abs(d_inv * aty_s) / c
-            pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(ax), _max_abs(z))
-            dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(d_inv * px_s) / c, aty, q_norm)
+            pri, ax_norm, z_norm = _max_abs_rows(np.array([ax - z, ax, z])).tolist()
+            dua, aty, px = (_max_abs_rows(d_inv * np.array([r_d, aty_s, px_s])) / c).tolist()
+            pri_tol = st.eps_abs + st.eps_rel * max(ax_norm, z_norm)
+            dua_tol = st.eps_abs + st.eps_rel * max(px, aty, q_norm)
             comp = _max_abs(lam * gap) / c
             if pri <= pri_tol and dua <= dua_tol and comp <= min(pri_tol, dua_tol):
                 status = "solved"
@@ -338,8 +393,7 @@ class InteriorPointSolver(BandedKkt):
             if iterations == st.max_iterations:
                 break
             try:
-                dx, dy_eq, dlam, ds, a_dx = self._direction(s, lam, r_d, r_e, gap - s,
-                                                            corrector=not start)
+                dx, dy_eq, dv, a_dx = self._direction(v, r_d, r_e, gap - s, corrector=not start)
             except ValueError:
                 status = "not_positive_definite"
                 break
@@ -350,15 +404,15 @@ class InteriorPointSolver(BandedKkt):
                 # Mehrotra's start: x and y_eq stay, and the slacks and
                 # multipliers take the magnitudes of their affine-scaling
                 # step's end, floored at 1.
-                s = np.maximum(np.abs(s + ds), 1.0)
-                lam = np.maximum(np.abs(lam + dlam), 1.0)
+                v += dv
+                np.abs(v, out=v)
+                np.maximum(v, 1.0, out=v)
                 start = False
                 continue
-            alpha = _TO_BOUNDARY * min(_max_step(s, ds), _max_step(lam, dlam))
+            alpha = _TO_BOUNDARY * _max_step(v, dv)
             x += alpha * dx
             y_eq += alpha * dy_eq
-            s += alpha * ds
-            lam += alpha * dlam
+            v += alpha * dv
         self._last = (x, y_eq, lam) if status == "solved" else None
         x_out = self._d * x
         y_int = self._e * y / c
@@ -370,7 +424,8 @@ class InteriorPointSolver(BandedKkt):
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
                           polished=polished, primal_residual=pri, dual_residual=dua,
-                          warm_started=warm, factorizations=factorizations)
+                          warm_started=warm, factorizations=factorizations,
+                          band_solves=self.band_solves - solved_before)
 
     # -- polish ------------------------------------------------------------
 

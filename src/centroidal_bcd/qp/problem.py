@@ -65,10 +65,8 @@ class TripletPattern:
             self._slot_to_pos = np.empty(sr.size, dtype=np.int64)
             self._slot_to_pos[order] = entry_idx
             self.indices = sr[new_entry].astype(np.int32)
-            unique_cols = sc[new_entry]
             self.indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-            np.add.at(self.indptr, unique_cols + 1, 1)
-            self.indptr = np.cumsum(self.indptr).astype(np.int32)
+            np.cumsum(np.bincount(sc[new_entry], minlength=shape[1]), out=self.indptr[1:])
         else:
             self._slot_to_pos = np.zeros(0, dtype=np.int64)
             self.indices = np.zeros(0, dtype=np.int32)
@@ -249,7 +247,11 @@ class QpSolution:
     ``warm_started`` tells whether an interior-point solve started from its
     handle's last solved iterate. ``factorizations`` counts the matrices
     the solve factored: an interior-point solve's Newton and polish
-    factorizations, or the direct active-set solve's factored passes."""
+    factorizations, or the direct active-set solve's factored passes.
+    ``band_solves`` counts the back-solves with those factors: two per
+    interior-point iteration (predictor and corrector; one on the start
+    step), and one plus the refinement steps per polish or active-set
+    pass."""
 
     x: np.ndarray
     y: np.ndarray
@@ -265,6 +267,7 @@ class QpSolution:
     dual_residual: float = float("nan")
     warm_started: bool = False
     factorizations: int = 0
+    band_solves: int = 0
 
     @property
     def solved(self) -> bool:

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import centroidal_bcd.bcd as bcd_module
 import centroidal_bcd.qp.banded as banded_module
+import centroidal_bcd.qp.ipm as ipm_module
 from centroidal_bcd.bcd import (
     BcdSettings,
     BlockSolveError,
@@ -83,6 +85,19 @@ def test_forced_non_convergence_still_returns_final_solve(quad_hover):
     assert len(res.records) == 2
     assert res.residuals.feasible  # final force solve still applied
     assert res.final_record.contact_qp_time == 0.0
+
+
+def test_zero_eps_f_runs_to_the_cap_even_on_an_exact_consensus(quad_hover, monkeypatch):
+    # BcdSettings documents that eps_f = 0 forces the iteration cap: a
+    # consensus of exactly 0 must not end the loop.
+    plan, refs = quad_hover
+    monkeypatch.setattr(bcd_module, "consensus_metric", lambda *args: 0.0)
+    res = optimize(plan, refs, BcdSettings(eps_f=0.0, max_outer_iterations=3))
+    assert not res.converged
+    assert len(res.records) == 3
+    assert res.eps_trace == [0.0, 0.0, 0.0]
+    # A positive threshold still converges on it.
+    assert optimize(plan, refs, BcdSettings(eps_f=1e-12, max_outer_iterations=3)).converged
 
 
 def test_deterministic_records(quad_hover):
@@ -260,6 +275,26 @@ def test_records_count_each_blocks_factorizations(monkeypatch):
     assert final.contact_factorizations == 0
     row = final.as_dict()
     assert (row["force_factorizations"], row["contact_factorizations"]) == (counts[-1], 0)
+
+
+def test_records_count_each_blocks_band_solves(monkeypatch):
+    # Back-solves, counted where they run: an interior-point iteration
+    # back-solves twice (predictor and corrector; the cold start step once),
+    # and a polish or active-set pass once plus once per refinement step.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    counts = _observe_block_solves(monkeypatch, lambda sol: sol.band_solves)
+    result = optimize(plan, refs, settings, weights)
+    final = result.final_record
+    recorded = [n for r in result.records for n in (r.force_band_solves, r.contact_band_solves)]
+    assert counts == recorded + [final.force_band_solves]
+    polish, direct = 1 + ipm_module._POLISH_REFINE_STEPS, 1 + banded_module._DIRECT_REFINE_STEPS
+    for r in (*result.records, final):
+        start = 0 if r.force_warm_started else 1
+        assert r.force_band_solves == 2 * r.force_solver_iterations - start + polish
+    assert all(r.contact_band_solves == direct * r.contact_solver_iterations
+               for r in result.records)
+    row = final.as_dict()
+    assert (row["force_band_solves"], row["contact_band_solves"]) == (counts[-1], 0)
 
 
 def test_contact_block_falls_back_to_the_ipm_when_the_direct_solve_is_not_accepted(

@@ -40,7 +40,9 @@ def test_solve_writes_all_outputs(solved):
             assert record[f"{block}_primal_residual"] >= 0.0
             assert record[f"{block}_dual_residual"] >= 0.0
             assert record[f"{block}_factorizations"] >= 1
+            assert record[f"{block}_band_solves"] >= record[f"{block}_factorizations"]
     assert report["final_record"]["force_factorizations"] >= 1
+    assert report["final_record"]["force_band_solves"] >= 1
 
 
 def test_verify_accepts_solve_output(trot_scenario, solved, capsys):

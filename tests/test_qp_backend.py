@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, strategies as st
 
 from centroidal_bcd.qp import (
     BandedActiveSetSolver,
@@ -21,6 +22,7 @@ from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
 from centroidal_bcd.qp.banded import _EQUALITY_GAP
+from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
 from centroidal_bcd.qp.problem import INFTY, Block, diagonal
 from centroidal_bcd.scenarios import materialize
@@ -256,10 +258,37 @@ def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
             h._sign > 0, new.lo[h._rows], new.hi[h._rows]), **tol)
 
 
-def _max_step(v, dv):
-    """Largest alpha <= 1 keeping v + alpha dv >= 0."""
-    ratios = [-vi / di for vi, di in zip(v, dv) if di < 0.0]
-    return min([1.0] + ratios)
+def _max_step(v, dv, cap=1.0):
+    """Largest alpha <= cap keeping v + alpha dv >= 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = [float(-vi / di) for vi, di in zip(v, dv) if di < 0.0]
+    return min([cap] + ratios)
+
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_any_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def _steps(draw):
+    """(v > 0, dv): each dv entry arbitrary, a signed zero, or -f v with f
+    around the ratios the cap separates."""
+    v = draw(st.lists(_positive, max_size=12))
+    dv = [draw(st.one_of(_any_finite, st.sampled_from([0.0, -0.0]),
+                         st.floats(0.0, 4.0).map(lambda f, vi=vi: -f * vi)))
+          for vi in v]
+    return np.array(v, dtype=float), np.array(dv, dtype=float)
+
+
+@given(_steps())
+@example((np.array([1.0, 2.0, 1e-300]), np.array([0.0, 3.0, 1e300])))   # every dv >= 0
+@example((np.array([1.0, 1e-300]), np.array([-0.0, -0.0])))
+@example((np.array([1e-300, 2e-300, 1e-300]), np.array([-1e-300, -0.99e-300, -5e-301])))
+@example((np.array([1.0, 1.0]), np.array([-0.99, -1.0 / 0.99])))
+@example((np.zeros(0), np.zeros(0)))
+def test_mask_free_step_length_matches_the_masked_reference(step):
+    v, dv = step
+    assert ipm._max_step(v, dv) == _max_step(v, dv, cap=1.0 / ipm._TO_BOUNDARY)
 
 
 @pytest.mark.parametrize("mu", [1e-6, 0.1, 1e6])
@@ -287,7 +316,7 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
     r_e = A_eq @ x - h._b_eq
     r_g = G @ x - b - s
     before = h.kkt_refactorizations
-    got = h._direction(s, lam, r_d, r_e, r_g)
+    dx, dy_eq, dv, _ = h._direction(np.concatenate([s, lam]), r_d, r_e, r_g)
     assert h.kkt_refactorizations == before + 1
 
     Z = np.zeros
@@ -305,8 +334,8 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
     alpha = min(_max_step(s, ds), _max_step(lam, dlam))
     mu_now = np.mean(s * lam)
     sigma = (np.mean((s + alpha * ds) * (lam + alpha * dlam)) / mu_now) ** 3
-    want = direction(s * lam + ds * dlam - sigma * mu_now)
-    for a, b_ in zip(got, want):
+    dx_, dy_, dlam_, ds_ = direction(s * lam + ds * dlam - sigma * mu_now)
+    for a, b_ in zip((dx, dy_eq, dv), (dx_, dy_, np.concatenate([ds_, dlam_]))):
         assert np.linalg.norm(a - b_) <= 1e-6 * np.linalg.norm(b_)
 
 
@@ -324,6 +353,29 @@ def _assert_map_matches_sparse_products(h, P, A, terms, w, shift):
     expected = (P + A.T @ sp.diags(w) @ A).toarray() + shift * np.eye(h.n)
     got = _dense_from_band(h, h._map.band(terms, w, shift))
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _gathered_band(h, P, A, w, shift):
+    """The lower band of P + shift I + A' diag(w) A by gather, multiply and
+    bincount: (A_ki A_kj) w_k for every pair i >= j of entries in row k, the
+    rows in order, then P's lower entries, then shift on the diagonal."""
+    A, P = A.tocsr(), P.tocoo()
+    kb = h.half_bandwidth
+    rows, cols, terms = [], [], []
+    for k in range(A.shape[0]):
+        idx, val = A.indices[A.indptr[k]:A.indptr[k + 1]], A.data[A.indptr[k]:A.indptr[k + 1]]
+        i, j = np.triu_indices(idx.size)
+        i, j = np.where(idx[i] >= idx[j], i, j), np.where(idx[i] >= idx[j], j, i)
+        rows.append(idx[i])
+        cols.append(idx[j])
+        terms.append(val[i] * val[j] * w[k])
+    lower = P.row >= P.col
+    diagonal = np.arange(h.n)
+    r = np.concatenate(rows + [P.row[lower], diagonal]).astype(np.intp)
+    c = np.concatenate(cols + [P.col[lower], diagonal]).astype(np.intp)
+    t = np.concatenate(terms + [P.data[lower] * 1.0, np.full(h.n, shift)])
+    band = np.bincount(c * (kb + 1) + (r - c), t, minlength=h.n * (kb + 1))
+    return band.reshape(h.n, kb + 1).T
 
 
 def _no_constraint_qp():
@@ -372,6 +424,27 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
         _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, np.ones(m), _DELTA)
     # The chain's shuffled band is factored as it is, and still solves.
     assert setup(chain, validate=False).solve().solved
+
+
+def test_band_product_is_bitwise_the_gathered_assembly(trot_qps):
+    # The band is one product of the handle's term matrix with the weights
+    # [w, 1, shift]; it must equal a gather-multiply-bincount assembly bit
+    # for bit, on scaled and unscaled data and after a value update.
+    rng = np.random.default_rng(17)
+    qps = [trot_qps["force"], trot_qps["contact"]] + [_random_qp(rng)[0] for _ in range(5)]
+    for qp in qps:
+        h = InteriorPointSolver(qp, validate=False)
+        m = qp.m_c
+        for w, shift in ((rng.uniform(1e-3, 1e3, size=m), _DELTA),
+                         (np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0), _POLISH_DELTA)):
+            for P, A, terms in ((h._Ps, h._As, h._terms_s), (qp.P, qp.A, h._terms)):
+                band = h._map.band(terms, w, shift)
+                assert band.flags.f_contiguous
+                assert band.tobytes() == _gathered_band(h, P, A, w, shift).tobytes()
+        h.update_values(new_P_values=3.0 * qp.P.data, new_A_values=-0.5 * qp.A.data)
+        w = rng.uniform(1e-3, 1e3, size=m)
+        assert (h._map.band(h._terms_s, w, _DELTA).tobytes()
+                == _gathered_band(h, h._Ps, h._As, w, _DELTA).tobytes())
 
 
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
@@ -509,9 +582,10 @@ def _record_directions(monkeypatch, h):
     points = []
     direction = h._direction
 
-    def recording(s, lam, *args, **kwargs):
+    def recording(v, *args, **kwargs):
+        s, lam = np.split(v, 2)
         points.append((s.copy(), lam.copy()))
-        return direction(s, lam, *args, **kwargs)
+        return direction(v, *args, **kwargs)
 
     monkeypatch.setattr(h, "_direction", recording)
     return points
