@@ -23,7 +23,7 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp, extract_force_iterate
 from centroidal_bcd.gaits import shipped_scenarios
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, \
-    SparseQP, kkt_residuals, setup
+    SparseQP, kkt_residuals
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
 
@@ -38,7 +38,7 @@ lo = A @ x_feas - rng.uniform(0.1, 1.5, size=m)
 hi = A @ x_feas + rng.uniform(0.1, 1.5, size=m)
 
 qp = SparseQP(n=n, m_c=m, P=sp.csc_matrix(P), q=q, A=sp.csc_matrix(A), lo=lo, hi=hi)
-handle = setup(qp, SolverSettings())
+handle = InteriorPointSolver(qp, SolverSettings())
 sol = handle.solve()
 x_ref, y_ref, obj_ref = solve_active_set(qp, x0=x_feas)
 
@@ -60,7 +60,7 @@ for label, update, values in (("cost-only update", {"new_q": 0.5 * q}, {"q": 0.5
     factored = handle.kkt_refactorizations + handle.polish_factorizations - before
     again = handle.solve()
     current = replace(current, **values)
-    cold = setup(current).solve()
+    cold = InteriorPointSolver(current).solve()
     print(f"{label}: {factored} factorizations; re-solve {again.status} "
           f"({'warm' if again.warm_started else 'cold'}) in {again.iterations} iterations, "
           f"{again.factorizations} factorizations; a fresh handle takes "
@@ -71,7 +71,7 @@ p_nom = nominal_footholds(plan, refs)
 force_qp = build_force_qp(ForceQpInputs(
     plan=plan, ell_fixed=p_nom - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p_nom,
     references=refs, weights=weights))
-force_sol = setup(force_qp, validate=False).solve()
+force_sol = InteriorPointSolver(force_qp).solve()
 print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "
       f"{force_sol.iterations} iterations (Mehrotra's start step, then "
       f"{force_sol.iterations - 1} predictor-corrector steps)")
@@ -82,7 +82,7 @@ contact_qp = build_contact_qp(ContactQpInputs(
 print(f"trot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
       f"{int(np.sum(contact_qp.lo == contact_qp.hi))} of them equality rows")
 for name, solver in (("direct", BandedActiveSetSolver), ("IPM", InteriorPointSolver)):
-    handle = solver(contact_qp, validate=False)
+    handle = solver(contact_qp)
     sol = handle.solve()
     steps = "iterations" if solver is InteriorPointSolver else "active-set pass(es)"
     work = f"{sol.iterations} {steps}, {sol.factorizations} factorization(s)"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport
     verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
-from .qp.problem import SolverSettings
+from .qp.problem import QpSolution, SolverSettings
 from .references import ReferenceSet
 
 __all__ = [
@@ -135,25 +135,10 @@ class BcdIterationRecord:
     contact_band_solves: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "eps_f": self.eps_f_value,
-            "original_cost": self.original_cost,
-            "force_solver_iterations": self.force_solver_iterations,
-            "contact_solver_iterations": self.contact_solver_iterations,
-            "force_prox_weight": self.force_prox_weight,
-            "contact_prox_weight": self.contact_prox_weight,
-            "contact_fallback": self.contact_fallback,
-            "force_primal_residual": self.force_primal_residual,
-            "force_dual_residual": self.force_dual_residual,
-            "contact_primal_residual": self.contact_primal_residual,
-            "contact_dual_residual": self.contact_dual_residual,
-            "force_warm_started": self.force_warm_started,
-            "force_factorizations": self.force_factorizations,
-            "contact_factorizations": self.contact_factorizations,
-            "force_band_solves": self.force_band_solves,
-            "contact_band_solves": self.contact_band_solves,
-        }
+        """Every field but the two solve times, which differ from run to run
+        and are written to timing.csv; ``eps_f_value`` is named ``eps_f``."""
+        return {("eps_f" if f.name == "eps_f_value" else f.name): getattr(self, f.name)
+                for f in fields(self) if not f.name.endswith("_qp_time")}
 
 
 @dataclass(frozen=True)
@@ -182,16 +167,24 @@ class TrajectoryResult:
         return [r.eps_f_value for r in self.records]
 
     @property
+    def force_time(self) -> float:
+        """Pure solve time of every force solve, the final one included."""
+        return sum(r.force_qp_time for r in self.records) + self.final_record.force_qp_time
+
+    @property
+    def contact_time(self) -> float:
+        """Pure solve time of every contact solve."""
+        return sum(r.contact_qp_time for r in self.records)
+
+    @property
     def solve_time(self) -> float:
         """Total pure solve time over all subproblem solves."""
-        return sum(r.force_qp_time + r.contact_qp_time for r in self.records) \
-            + self.final_record.force_qp_time
+        return self.force_time + self.contact_time
 
     @property
     def force_time_share(self) -> float:
         total = self.solve_time
-        force = sum(r.force_qp_time for r in self.records) + self.final_record.force_qp_time
-        return force / total if total > 0 else float("nan")
+        return self.force_time / total if total > 0 else float("nan")
 
 
 def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
@@ -216,13 +209,29 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
                       tau=table.scatter(iterate.tau, table.flat))
 
 
+def _block_fields(block: str, sol: QpSolution) -> dict:
+    """The fields of a ``BcdIterationRecord`` that one block's solve fills,
+    named ``<block>_<field>``."""
+    values = {
+        "qp_time": sol.solve_time,
+        "solver_iterations": sol.iterations,
+        "primal_residual": sol.primal_residual,
+        "dual_residual": sol.dual_residual,
+        "factorizations": sol.factorizations,
+        "band_solves": sol.band_solves,
+    }
+    if block == "force":  # the contact block's direct solve starts no iterate
+        values["warm_started"] = sol.warm_started
+    return {f"{block}_{name}": value for name, value in values.items()}
+
+
 def _solve_block(handle: InteriorPointSolver | None, qp, settings: SolverSettings,
                  block: str, iteration: int):
     """Set up or value-update the block's solver handle and solve once; any
     status but ``solved``, the iteration cap included, raises
     ``BlockSolveError``."""
     if handle is None:
-        handle = InteriorPointSolver(qp, settings, validate=False)
+        handle = InteriorPointSolver(qp, settings)
     else:
         # Builders keep one pattern per plan, so the raw value arrays line up
         # with the handle's pattern without a per-call comparison.
@@ -242,7 +251,7 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
     through a handle created on the first fallback. Returns both handles,
     the solution (timed over both attempts) and whether it fell back."""
     if direct is None:
-        direct = BandedActiveSetSolver(qp, settings, validate=False)
+        direct = BandedActiveSetSolver(qp, settings)
     else:
         direct.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
                              new_P_values=qp.P.data, new_A_values=qp.A.data)
@@ -310,14 +319,14 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         iterate = extract_force_iterate(sol, qp.layout)
         if kept is not None:
             kept.append((iterate, ell, p_fixed))
-        return iterate, sol, sol.solve_time
+        return iterate, sol
 
     k = 0
     while k < settings.max_outer_iterations:
         k += 1
         L_force_used = L_force if h_reg is not None else 0.0
         L_contact_used = L_contact
-        force_iterate, force_sol, force_time = run_force(k, L_force)
+        force_iterate, force_sol = run_force(k, L_force)
         L_force = min(L_force * settings.alpha, L_PROX_CAP)
         if L_force == L_PROX_CAP:
             log.debug("force proximal weight capped at %.1e", L_PROX_CAP)
@@ -329,30 +338,17 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
             p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=L_contact))
         contact_handle, contact_fallback_handle, contact_sol, fell_back = _solve_contact(
             contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
-        contact_time = contact_sol.solve_time
-        setup_time += time.perf_counter() - t0 - contact_time
+        setup_time += time.perf_counter() - t0 - contact_sol.solve_time
         contact_iterate = extract_contact_iterate(contact_sol, qp_c.layout, plan)
         L_contact = min(L_contact * settings.alpha, L_PROX_CAP)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
         record = BcdIterationRecord(
-            iteration=k, force_qp_time=force_time, contact_qp_time=contact_time,
-            eps_f_value=eps_value,
+            iteration=k, eps_f_value=eps_value,
             original_cost=force_original_cost(force_iterate, references, weights, plan),
-            force_solver_iterations=force_sol.iterations,
-            contact_solver_iterations=contact_sol.iterations,
-            force_prox_weight=L_force_used,
-            contact_prox_weight=L_contact_used,
-            contact_fallback=fell_back,
-            force_primal_residual=force_sol.primal_residual,
-            force_dual_residual=force_sol.dual_residual,
-            contact_primal_residual=contact_sol.primal_residual,
-            contact_dual_residual=contact_sol.dual_residual,
-            force_warm_started=force_sol.warm_started,
-            force_factorizations=force_sol.factorizations,
-            contact_factorizations=contact_sol.factorizations,
-            force_band_solves=force_sol.band_solves,
-            contact_band_solves=contact_sol.band_solves)
+            force_prox_weight=L_force_used, contact_prox_weight=L_contact_used,
+            contact_fallback=fell_back, **_block_fields("force", force_sol),
+            **_block_fields("contact", contact_sol))
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -370,17 +366,12 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     # proximal pull: damping has done its job once the loop exits, and keeping
     # the grown weight would only bias the returned profiles away from the
     # task optimum at the settled lever geometry.
-    final_iterate, final_sol, final_time = run_force(k + 1, 0.0)
+    final_iterate, final_sol = run_force(k + 1, 0.0)
     final_record = BcdIterationRecord(
-        iteration=k + 1, force_qp_time=final_time, contact_qp_time=0.0,
+        iteration=k + 1, contact_qp_time=0.0, contact_solver_iterations=0,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
-        force_solver_iterations=final_sol.iterations, contact_solver_iterations=0,
-        force_primal_residual=final_sol.primal_residual,
-        force_dual_residual=final_sol.dual_residual,
-        force_warm_started=final_sol.warm_started,
-        force_factorizations=final_sol.factorizations,
-        force_band_solves=final_sol.band_solves)
+        **_block_fields("force", final_sol))
     if on_iteration is not None:
         on_iteration(final_record)
 

@@ -154,9 +154,7 @@ def run_bench(cfg: argparse.Namespace) -> int:
         plan, refs, settings, weights = materialize(doc)
         settings = _apply_overrides(settings, cfg)
         result = optimize(plan, refs, settings, weights)
-        force = sum(r.force_qp_time for r in result.records) \
-            + result.final_record.force_qp_time
-        contact = sum(r.contact_qp_time for r in result.records)
+        force, contact = result.force_time, result.contact_time
         rows.append((N, result.solve_time, force, contact, len(result.records),
                      result.converged))
         print(f"N={N}: solve={result.solve_time:.3f}s force={force:.3f}s "

@@ -1,7 +1,7 @@
 """Sparse QP canonical form and solvers."""
 
 from .banded import BandedActiveSetSolver
-from .ipm import InteriorPointSolver, setup
+from .ipm import InteriorPointSolver
 from .problem import (
     INFTY,
     QpSolution,
@@ -24,5 +24,4 @@ __all__ = [
     "VariableLayout",
     "kkt_residuals",
     "pattern_hash",
-    "setup",
 ]

@@ -33,8 +33,9 @@ weights, one sparse product, and a factorization adds LAPACK's ``dpbtrf``.
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
 weight w = 1/delta on the held rows and 0 elsewhere, refined against the
-unregularized system (:meth:`BandedKkt._held_rows_solve`). The
-interior-point polish and the direct active-set solve both call it.
+unregularized system, and judged on its unscaled residuals and the signs of
+its multipliers (:meth:`BandedKkt._held_set_pass`). The interior-point
+polish and each pass of the direct active-set solve are one such pass.
 
 :class:`BandedActiveSetSolver` is a primal active-set method on that solve
 (Nocedal and Wright, *Numerical Optimization*, section 16.5): each pass
@@ -71,7 +72,7 @@ _EQUALITY_GAP = 1e-12   # rows with hi - lo below this are equality rows
 # makes small: at 1e-10, three steps leave bound's third contact QP with
 # foothold copies 1.3e-8 apart; at 1e-11, 1.4e-11.
 _DIRECT_DELTA = 1e-11
-_DIRECT_REFINE_STEPS = 3
+_REFINE_STEPS = 3       # refinement steps of every held-set pass
 _MAX_PASSES = 10
 
 
@@ -175,11 +176,18 @@ class _BandMap:
         # these gathers run only when P or A values change.
         self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
 
-    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> sp.csc_matrix:
-        """The term matrix for the given values of the two patterns: each
-        unweighted term in its band slot's row and its weight's column."""
+    def term_values(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
+        """Every unweighted term for the given values of the two patterns,
+        in the order of the term matrix's ``data``."""
         values = np.concatenate([A_data, P_data, [1.0]])
-        return sp.csc_matrix((values[self.left] * values[self.right], self.slot, self.indptr),
+        return values[self.left] * values[self.right]
+
+    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> sp.csc_matrix:
+        """The term matrix: each unweighted term in its band slot's row and
+        its weight's column. It is built once per handle; a value update
+        assigns new :meth:`term_values` to its ``data``, which skips the
+        20-50 us of format checks that building a scipy matrix costs."""
+        return sp.csc_matrix((self.term_values(P_data, A_data), self.slot, self.indptr),
                              shape=self.shape)
 
     def band(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
@@ -193,16 +201,14 @@ class BandedKkt:
     their banded factorization.
 
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
-    the ``QpSolution`` convention). Single-threaded per handle.
+    the ``QpSolution`` convention). Non-finite matrix or q values and NaN
+    bounds raise ``ValueError`` naming the field; a QP of at most 200
+    variables is then checked by ``SparseQP.validate`` (symmetric,
+    positive semidefinite P). Single-threaded per handle.
     """
 
-    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
-                 validate: bool | None = None):
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
         self.settings = settings or SolverSettings()
-        if validate is None:
-            validate = qp.n <= 200
-        if validate:
-            qp.validate()
         self.n = qp.n
         self.m = qp.m_c
         self._P = qp.P.tocsc(copy=True)
@@ -216,6 +222,8 @@ class BandedKkt:
         self._q = _finite(qp.q, "q")
         self._lo = _bound(qp.lo, "lo")
         self._hi = _bound(qp.hi, "hi")
+        if qp.n <= 200:
+            qp.validate()
         self._P_cols = _entry_cols(self._P)
         self._A_cols = _entry_cols(self._A)
         # A's entries grouped by row, for the band map and the row maxima
@@ -243,30 +251,44 @@ class BandedKkt:
         self.band_solves += 1
         return dpbtrs(L, rhs, lower=1)[0]
 
-    def _held_rows_solve(self, held: np.ndarray, b: np.ndarray, delta: float,
-                         steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) of the QP with the rows ``held`` pinned to ``b`` and the
-        other rows dropped, from one factorization of the delta-regularized
-        KKT system and ``steps`` refinement steps against the unregularized
-        one. With the multipliers eliminated, x solves
+    def _held_set_pass(self, eq: np.ndarray, side: np.ndarray, delta: float):
+        """Solve the QP with the equality rows ``eq`` and the rows of
+        ``side`` (-1 held at lo, +1 at hi, 0 free) pinned, and judge the
+        result.
+
+        One factorization of the delta-regularized KKT system and
+        ``_REFINE_STEPS`` refinement steps against the unregularized one:
+        with the multipliers eliminated, x solves
         (P + delta I + A_h' A_h / delta) x = -q + A_h' b / delta, and
-        y_h = (A_h x - b) / delta; rows not held keep y = 0. Raises
+        y_h = (A_h x - b) / delta; rows not held keep y = 0. Returns x, y,
+        A x, the unscaled primal and dual residuals, their tolerances
+        (eps_abs + eps_rel times the norms of their terms) and the mask of
+        the held rows whose multipliers have the wrong sign. Raises
         ``ValueError`` when the matrix is not numerically positive
         definite."""
-        w = np.where(held, 1.0 / delta, 0.0)
+        P, A, AT, q, lo, hi = self._P, self._A, self._AT, self._q, self._lo, self._hi
+        st = self.settings
+        low, upp = side < 0, side > 0
+        b = np.where(eq | low, lo, hi)
+        w = np.where(eq | low | upp, 1.0 / delta, 0.0)
         L = self._band_factor(self._terms, w, delta)
         # Refinement from zero, whose residuals need no products: the first
         # step is the regularized solve itself.
         x, y = np.zeros(self.n), np.zeros(self.m)
-        r_x, r_y = -self._q, w * b
-        for step in range(1 + steps):
+        r_x, r_y = -q, w * b
+        for step in range(1 + _REFINE_STEPS):
             if step:
-                r_x = -self._q - self._P @ x - self._AT @ y
-                r_y = w * (b - self._A @ x)
-            dx = self._band_solve(L, r_x + self._AT @ r_y)
+                r_x = -q - P @ x - AT @ y
+                r_y = w * (b - A @ x)
+            dx = self._band_solve(L, r_x + AT @ r_y)
             x = x + dx
-            y = y + w * (self._A @ dx) - r_y
-        return x, y
+            y = y + w * (A @ dx) - r_y
+        Ax, Px, Aty = A @ x, P @ x, AT @ y
+        z = np.minimum(np.maximum(Ax, lo), hi)
+        pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
+        pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
+        dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
+        return x, y, Ax, pri, dua, pri_tol, dua_tol, _wrongly_signed(y, low, upp, st)
 
     # -- value updates ----------------------------------------------------
 
@@ -287,21 +309,18 @@ class BandedKkt:
             raise ValueError(f"{name} has {data.size} values, pattern holds {reference.nnz}")
         return data
 
-    def _set_values(self, new_q=None, new_lo=None, new_hi=None, new_P_values=None,
-                    new_A_values=None) -> bool:
+    def update_values(self, new_q=None, new_lo=None, new_hi=None, new_P_values=None,
+                      new_A_values=None) -> None:
         """Replace problem values without touching the sparsity pattern;
-        True when P or A values changed. Matrix values come as sparse
+        nothing is factored until a solve. Matrix values come as sparse
         matrices of the setup pattern or as raw ``data`` arrays of it.
         Non-finite matrix or q values and NaN bounds raise ``ValueError``;
         infinite bounds are legal."""
-        matrices = False
         if new_P_values is not None:
             self._P.data = self._extract_values(new_P_values, self._P, "P")
-            matrices = True
         if new_A_values is not None:
             self._A.data = self._extract_values(new_A_values, self._A, "A")
             self._AT = self._A.T
-            matrices = True
         if new_q is not None:
             q = _finite(new_q, "q")
             if q.shape != (self.n,):
@@ -315,9 +334,8 @@ class BandedKkt:
             raise ValueError("bound length mismatch")
         if np.any(self._lo > self._hi):
             raise ValueError("lo > hi after update")
-        if matrices:
-            self._terms = self._map.terms(self._P.data, self._A.data)
-        return matrices
+        if new_P_values is not None or new_A_values is not None:
+            self._terms.data = self._map.term_values(self._P.data, self._A.data)
 
 
 class BandedActiveSetSolver(BandedKkt):
@@ -329,18 +347,10 @@ class BandedActiveSetSolver(BandedKkt):
     leaves its own there. ``factorizations`` counts the passes that factored.
     """
 
-    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
-                 validate: bool | None = None):
-        super().__init__(qp, settings, validate)
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
+        super().__init__(qp, settings)
         self.working_set = np.zeros(self.m, dtype=np.int8)
         self.factorizations = 0
-
-    def update_values(self, new_q=None, new_lo=None, new_hi=None,
-                      new_P_values=None, new_A_values=None) -> None:
-        """Replace problem values without touching the sparsity pattern (see
-        ``InteriorPointSolver.update_values``); nothing is factored until a
-        solve."""
-        self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values)
 
     def solve(self) -> QpSolution:
         """Run active-set passes until one is accepted or ``_MAX_PASSES`` are
@@ -349,8 +359,7 @@ class BandedActiveSetSolver(BandedKkt):
         ``not_positive_definite`` (a factorization failed); ``iterations``
         counts the passes."""
         t0 = time.perf_counter()
-        st = self.settings
-        P, A, q, lo, hi = self._P, self._A, self._q, self._lo, self._hi
+        P, q, lo, hi = self._P, self._q, self._lo, self._hi
         eq = (hi - lo) < _EQUALITY_GAP
         side = np.where(eq, 0, self.working_set).astype(np.int8)
         x, y = np.zeros(self.n), np.zeros(self.m)
@@ -358,21 +367,13 @@ class BandedActiveSetSolver(BandedKkt):
         status, passes = "max_iter", 0
         factored_before, solved_before = self.factorizations, self.band_solves
         for passes in range(1, _MAX_PASSES + 1):
-            low, upp = side < 0, side > 0
             try:
-                x, y = self._held_rows_solve(eq | low | upp, np.where(eq | low, lo, hi),
-                                             _DIRECT_DELTA, _DIRECT_REFINE_STEPS)
+                x, y, Ax, pri, dua, pri_tol, dua_tol, wrong = self._held_set_pass(
+                    eq, side, _DIRECT_DELTA)
             except ValueError:
                 status = "not_positive_definite"
                 break
             self.factorizations += 1
-            Ax, Px, Aty = A @ x, P @ x, self._AT @ y
-            z = np.minimum(np.maximum(Ax, lo), hi)
-            # The unscaled primal and dual tests of the interior-point method.
-            pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
-            pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
-            dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
-            wrong = _wrongly_signed(y, low, upp, st)
             if pri <= pri_tol and dua <= dua_tol and not wrong.any():
                 status = "solved"
                 self.working_set = side

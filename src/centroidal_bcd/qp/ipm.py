@@ -65,11 +65,11 @@ test reads the step's own A dx, so the curvature product P v runs only on a
 step that passes it); a Newton matrix that fails to factor ends it as
 ``not_positive_definite``.
 
-Every solved call is polished on the detected active set: the held-rows
-solve of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7 with three
-refinement steps. The polished point is kept only if neither residual grows
-past the larger of its value and 1% of eps_abs, and every multiplier pushes
-from the bound its row is held at.
+Every solved call is polished on the detected active set: one held-set
+pass of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7. The polished
+point is kept only if neither residual exceeds the larger of the interior
+point's residual and 1% of eps_abs, and every multiplier pushes from the
+bound its row is held at.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ import time
 
 import numpy as np
 
-from .banded import _EQUALITY_GAP, BandedKkt, _max_abs, _wrongly_signed
+from .banded import _EQUALITY_GAP, BandedKkt, _max_abs
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
-__all__ = ["InteriorPointSolver", "setup"]
+__all__ = ["InteriorPointSolver"]
 
 _DELTA = 1e-8              # primal and dual regularization of the Newton matrix
 _TO_BOUNDARY = 0.99        # fraction of the step to the boundary of s, lam >= 0
@@ -90,7 +90,6 @@ _EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerances
 _EPS_DUAL_INF = 1e-6
 _RUIZ_ITERATIONS = 10
 _POLISH_DELTA = 1e-7
-_POLISH_REFINE_STEPS = 3
 
 
 def _groups(indptr: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -139,9 +138,8 @@ class InteriorPointSolver(BandedKkt):
     independent.
     """
 
-    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None,
-                 validate: bool | None = None):
-        super().__init__(qp, settings, validate)
+    def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
+        super().__init__(qp, settings)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
         # Scaled (x, y_eq, lam) of the last solved call, where the next
@@ -149,18 +147,17 @@ class InteriorPointSolver(BandedKkt):
         self._last = None
         self._scale()
         self._refresh_scaled_matrices()
+        self._terms_s = self._map.terms(self._Ps.data, self._As.data)
         self._refresh_scaled_vectors()
 
     def update_values(self, new_q=None, new_lo=None, new_hi=None,
                       new_P_values=None, new_A_values=None) -> None:
-        """Replace problem values without touching the sparsity pattern;
-        nothing is factored until a solve, and the setup's equilibration
-        scales the new values. Matrix values come as sparse matrices of the
-        setup pattern or as raw ``data`` arrays of it. Non-finite matrix or
-        q values and NaN bounds raise ``ValueError``; infinite bounds are
-        legal."""
-        if self._set_values(new_q, new_lo, new_hi, new_P_values, new_A_values):
+        """:meth:`BandedKkt.update_values`, then the setup's equilibration
+        scales the new values."""
+        super().update_values(new_q, new_lo, new_hi, new_P_values, new_A_values)
+        if new_P_values is not None or new_A_values is not None:
             self._refresh_scaled_matrices()
+            self._terms_s.data = self._map.term_values(self._Ps.data, self._As.data)
         self._refresh_scaled_vectors()
 
     # -- problem scaling -------------------------------------------------
@@ -197,8 +194,7 @@ class InteriorPointSolver(BandedKkt):
             self._c *= gamma
 
     def _refresh_scaled_matrices(self) -> None:
-        """Scale P and A by the setup's factors, and refresh the band map's
-        terms of the scaled data."""
+        """Scale P and A by the setup's factors."""
         d, e, c = self._d, self._e, self._c
         self._Ps = self._P.copy()
         self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
@@ -206,7 +202,6 @@ class InteriorPointSolver(BandedKkt):
         if self.m:
             self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
         self._AsT = self._As.T
-        self._terms_s = self._map.terms(self._Ps.data, self._As.data)
 
     def _refresh_scaled_vectors(self) -> None:
         """Scale q and the bounds, and sort the rows into equality rows and
@@ -430,23 +425,21 @@ class InteriorPointSolver(BandedKkt):
     # -- polish ------------------------------------------------------------
 
     def _polish(self, x, y_int, z, pri, dua):
-        """Solve the reduced KKT system on the detected active set; keep the
-        result only when it does not degrade the unscaled residuals ``pri``
-        and ``dua`` of (x, y_int) and its multipliers have the signs of the
+        """One held-set pass on the detected active set; keep its result
+        only when it does not degrade the unscaled residuals ``pri`` and
+        ``dua`` of (x, y_int) and its multipliers have the signs of the
         bounds they hold."""
         eq = (self._hi - self._lo) < _EQUALITY_GAP
-        low = (z - self._lo < -y_int) & ~eq
-        upp = (self._hi - z < y_int) & ~eq
-        act = eq | low | upp
-        b = np.where(eq | low, self._lo, self._hi)
+        # A row is held at the bound its multiplier outweighs its distance to.
+        side = np.zeros(self.m, dtype=np.int8)
+        side[(z - self._lo < -y_int) & ~eq] = -1
+        side[(self._hi - z < y_int) & ~eq] = 1
         try:
-            x_pol, y_pol = self._held_rows_solve(act, b, _POLISH_DELTA, _POLISH_REFINE_STEPS)
+            x_pol, y_pol, _, pri_pol, dua_pol, _, _, wrong = self._held_set_pass(
+                eq, side, _POLISH_DELTA)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1
-        z_pol = self._A @ x_pol
-        pri_pol = float(np.max(np.maximum(self._lo - z_pol, z_pol - self._hi), initial=0.0))
-        dua_pol = _max_abs(self._P @ x_pol + self._q + self._AT @ y_pol)
         # Both residuals must improve or stay below 1% of eps_abs; comparing
         # them jointly would let a mis-detected active set through whenever
         # the other residual is large. (Full Newton steps leave interior
@@ -454,13 +447,6 @@ class InteriorPointSolver(BandedKkt):
         # cannot match: trot's first force polish holds its equality rows to
         # 2.4e-10.)
         noise = 1e-2 * self.settings.eps_abs
-        if (pri_pol <= max(pri, noise) and dua_pol <= max(dua, noise)
-                and not _wrongly_signed(y_pol, low, upp, self.settings).any()):
+        if pri_pol <= max(pri, noise) and dua_pol <= max(dua, noise) and not wrong.any():
             return x_pol, y_pol, True
         return x, y_int, False
-
-
-def setup(qp: SparseQP, settings: SolverSettings | None = None,
-          validate: bool | None = None) -> InteriorPointSolver:
-    """Create a solver handle for ``qp``."""
-    return InteriorPointSolver(qp, settings, validate=validate)

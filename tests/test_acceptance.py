@@ -17,7 +17,7 @@ from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
 from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, skew, verify_trajectory
-from centroidal_bcd.qp import SolverSettings, kkt_residuals, pattern_hash, setup
+from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals, pattern_hash
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
 from centroidal_bcd.references import ReferenceSet
@@ -264,7 +264,7 @@ def test_criterion_5_qp_backend_against_active_set_oracle():
         from centroidal_bcd.qp import SparseQP
         qp = SparseQP(n=n, m_c=m, P=sp.csc_matrix(P), q=q, A=sp.csc_matrix(A),
                       lo=lo, hi=hi)
-        sol = setup(qp, SolverSettings(), validate=False).solve()
+        sol = InteriorPointSolver(qp, SolverSettings()).solve()
         assert sol.solved, trial
         x_ref, _, _ = solve_active_set(qp, x0=x0)
         gap = float(np.max(np.abs(sol.x - x_ref)))
@@ -351,7 +351,7 @@ def test_criterion_8_physics_unit_properties(suite):
         plan=plan_h, ell_fixed={p: np.zeros(3) for p in pairs},
         p_fixed={p: plan_h.phase_at(*p).foothold_hint for p in pairs},
         references=refs_h))
-    it = extract_force_iterate(setup(qp, validate=False).solve(), qp.layout)
+    it = extract_force_iterate(InteriorPointSolver(qp).solve(), qp.layout)
     for state in it.states:
         assert np.max(np.abs(state.k - plan_h.h0.k)) < 1e-9
     print(f"\n[ACCEPTANCE 8] PASS: cross-product identities, ballistic flight "

@@ -1,12 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import centroidal_bcd.bcd as bcd_module
 import centroidal_bcd.qp.banded as banded_module
-import centroidal_bcd.qp.ipm as ipm_module
 from centroidal_bcd.bcd import (
+    BcdIterationRecord,
     BcdSettings,
     BlockSolveError,
     consensus_metric,
@@ -257,6 +257,17 @@ def test_records_carry_each_blocks_exit_residuals(monkeypatch):
     assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]
 
 
+def test_record_dict_holds_every_field_but_the_solve_times():
+    # as_dict follows the record's fields, so a new field reaches
+    # convergence.json with no further code, and no solve time does.
+    names = [f.name for f in fields(BcdIterationRecord)]
+    record = BcdIterationRecord(**{name: float(i) for i, name in enumerate(names)})
+    expected = {("eps_f" if name == "eps_f_value" else name): float(i)
+                for i, name in enumerate(names)
+                if name not in ("force_qp_time", "contact_qp_time")}
+    assert record.as_dict() == expected
+
+
 def test_records_count_each_blocks_factorizations(monkeypatch):
     # A host-independent work count: a force solve factors the Newton matrix
     # once per iteration and its polish once; the contact block's direct
@@ -287,7 +298,7 @@ def test_records_count_each_blocks_band_solves(monkeypatch):
     final = result.final_record
     recorded = [n for r in result.records for n in (r.force_band_solves, r.contact_band_solves)]
     assert counts == recorded + [final.force_band_solves]
-    polish, direct = 1 + ipm_module._POLISH_REFINE_STEPS, 1 + banded_module._DIRECT_REFINE_STEPS
+    polish = direct = 1 + banded_module._REFINE_STEPS
     for r in (*result.records, final):
         start = 0 if r.force_warm_started else 1
         assert r.force_band_solves == 2 * r.force_solver_iterations - start + polish

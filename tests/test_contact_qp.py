@@ -19,7 +19,7 @@ from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
     polygon_to_halfspaces, skew
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
-    SolverSettings, VariableLayout, pattern_hash, setup
+    SolverSettings, VariableLayout, pattern_hash
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
@@ -48,7 +48,7 @@ def test_zero_forces_keep_angular_momentum_and_nominal_footholds():
     f0 = {pair: np.zeros(3) for pair in plan.active_pairs()}
     h_reg = tuple(refs.h_kin)
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, l_prox=100.0))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
     for k in it.h[:, 6:9]:
@@ -74,7 +74,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     weights = _zero_weights(foothold=w_p)
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, weights=weights,
                                           l_prox=L))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
     d_x = (it.h[0, 0:3] - it.p[0])[0]
@@ -94,7 +94,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     qp2 = build_contact_qp(_contact_inputs(
         plan, ReferenceSet(h_reg2), f0, h_reg2,
         weights=_zero_weights(foothold=1e-6), l_prox=1e6))
-    it2 = extract_contact_iterate(setup(qp2, validate=False).solve(), qp2.layout, plan)
+    it2 = extract_contact_iterate(InteriorPointSolver(qp2).solve(), qp2.layout, plan)
     d2 = (it2.h[0, 0:3] - it2.p[0])[0]
     assert d2 == pytest.approx(K2 / (dt * fz), abs=1e-3)
 
@@ -104,7 +104,7 @@ def test_point_contact_lever_is_foot_minus_com():
     refs = hover_references(plan)
     f0 = {pair: np.array([0.0, 0.0, plan.mass * 9.81 / 4]) for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, qp.layout, plan)
     for t, ell, p in zip(plan.pair_table.t, it.ell, it.p):
         assert np.allclose(ell, p - it.h[t, 0:3])
@@ -119,9 +119,9 @@ def test_hover_lever_arms_match_nominal_offsets():
     ell0 = geometry - refs.stacked[plan.pair_table.t, 0:3]
     fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell0, p_fixed=geometry,
                                        references=refs))
-    fit = extract_force_iterate(setup(fqp, validate=False).solve(), fqp.layout)
+    fit = extract_force_iterate(InteriorPointSolver(fqp).solve(), fqp.layout)
     cqp = build_contact_qp(_contact_inputs(plan, refs, fit.f, fit.h, l_prox=100.0))
-    cit = extract_contact_iterate(setup(cqp, validate=False).solve(), cqp.layout, plan)
+    cit = extract_contact_iterate(InteriorPointSolver(cqp).solve(), cqp.layout, plan)
     for (t, e), ell in zip(plan.active_pairs(), cit.ell):
         assert np.max(np.abs(ell - plan.nominal_offsets[e])) < 1e-3
 
@@ -193,7 +193,7 @@ def test_extracted_momentum_satisfies_transitions():
     f0 = {pair: np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)])
           for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, qp.layout, plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     prev_k = plan.h0.k
@@ -212,7 +212,7 @@ def test_footholds_constant_within_phase_and_inside_surface():
     refs = hover_references(plan)
     f0 = {pair: np.array([0.1, -0.2, 6.0]) for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
-    it = extract_contact_iterate(setup(qp, validate=False).solve(), qp.layout, plan)
+    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), qp.layout, plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     for e in plan.effector_ids:
         ps = [footholds[(t, e)] for t in range(plan.horizon)]
@@ -238,7 +238,7 @@ def test_phase_foothold_balances_every_timesteps_pulls():
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked,
                                           _zero_weights(foothold=w_p), l_prox=prox,
                                           p_reg=p_reg))
-    it = extract_contact_iterate(setup(qp, validate=False).solve(), qp.layout, plan)
+    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), qp.layout, plan)
     phase = plan.pair_table.phase
     for j in range(len(plan.phases)):
         pulls = (2.0 * w_p * nominal[phase == j] + prox * p_reg[phase == j]) / (2.0 * w_p + prox)
@@ -297,7 +297,7 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
     tau = {pair: rng.normal(0, 0.05, size=3) for pair in flat[1:]}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0,
                                           tau_fixed=tau))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, qp.layout, plan)
     assert list(plan.pair_table.flat_keys) == flat and len(it.z) == len(flat)
@@ -358,7 +358,7 @@ def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
         f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
         qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
                                               l_prox=100.0))
-        assert InteriorPointSolver(qp, validate=False).half_bandwidth <= 24, kind
+        assert InteriorPointSolver(qp).half_bandwidth <= 24, kind
 
 
 @pytest.fixture(scope="module")
@@ -439,7 +439,7 @@ def test_direct_contact_solve_matches_admm_on_the_shipped_suite(shipped_contact_
     tight = SolverSettings(eps_abs=1e-9, eps_rel=1e-9)
     for solve in solves:
         qp, sol = solve["qp"], solve["sol"]
-        ipm = setup(qp, tight, validate=False).solve()
+        ipm = InteriorPointSolver(qp, tight).solve()
         assert ipm.solved
         assert sol.objective <= ipm.objective + 1e-8 * abs(ipm.objective)
         ax = qp.A @ sol.x
@@ -449,7 +449,7 @@ def test_direct_contact_solve_matches_admm_on_the_shipped_suite(shipped_contact_
 
 
 def _direct_and_oracle(qp):
-    h = BandedActiveSetSolver(qp, validate=False)
+    h = BandedActiveSetSolver(qp)
     sol = h.solve()
     assert sol.solved
     x_ref, _, obj_ref = solve_active_set(qp)
@@ -498,12 +498,12 @@ def test_direct_solve_drops_a_row_held_with_the_wrong_sign():
     refs = hover_references(plan)
     f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
-    h = BandedActiveSetSolver(qp, validate=False)
+    h = BandedActiveSetSolver(qp)
     h.working_set[_kinematic_rows(qp, plan)[0]] = 1
     sol = h.solve()
     assert sol.solved and sol.iterations == 2
     assert not h.working_set.any()
-    clean = BandedActiveSetSolver(qp, validate=False).solve()
+    clean = BandedActiveSetSolver(qp).solve()
     assert clean.iterations == 1
     assert np.max(np.abs(sol.x - clean.x)) <= 1e-12
 

@@ -17,7 +17,7 @@ from centroidal_bcd.force_qp import (
 )
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, verify_trajectory
-from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings, pattern_hash, setup
+from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings, pattern_hash
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
@@ -63,7 +63,7 @@ def test_hover_equilibrium_force_distribution():
     plan = hover_plan(N=10)
     refs = hover_references(plan)
     qp = build_force_qp(_inputs(plan, refs))
-    sol = setup(qp, SolverSettings(), validate=False).solve()
+    sol = InteriorPointSolver(qp, SolverSettings()).solve()
     assert sol.solved
     it = extract_force_iterate(sol, qp.layout)
     forces = dict(zip(plan.active_pairs(), it.f))
@@ -82,7 +82,7 @@ def test_zero_lever_arms_freeze_angular_momentum():
     ell, p = _nominal_geometry(plan, refs)
     ell = {k: np.zeros(3) for k in ell}
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_force_iterate(sol, qp.layout)
     for state in it.states:
@@ -115,7 +115,7 @@ def test_infeasible_geometry_propagates_status():
     ell, p = _nominal_geometry(plan, refs)
     p = {k: np.array([0.0, 0.0, -2.0]) for k in p}
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.status == "primal_infeasible"
     with pytest.raises(QpNotSolved, match="primal_infeasible"):
         extract_force_iterate(sol, qp.layout)
@@ -164,7 +164,7 @@ def test_reduced_matrix_bands_at_24_in_the_builders_order():
     for kind, doc in docs.items():
         plan, refs, _, weights = materialize(doc)
         qp = build_force_qp(_inputs(plan, refs, weights))
-        assert InteriorPointSolver(qp, validate=False).half_bandwidth <= 24, kind
+        assert InteriorPointSolver(qp).half_bandwidth <= 24, kind
 
 
 def test_proximal_weight_pulls_monotonically_toward_target():
@@ -176,7 +176,7 @@ def test_proximal_weight_pulls_monotonically_toward_target():
     dists = []
     for L in (0.0, 1.0, 10.0, 100.0, 1e4, 1e6):
         qp = build_force_qp(_inputs(plan, refs, h_reg=target, l_prox=L))
-        sol = setup(qp, validate=False).solve()
+        sol = InteriorPointSolver(qp).solve()
         assert sol.solved
         it = extract_force_iterate(sol, qp.layout)
         d = sum(float(np.sum((s.stacked() - tg.stacked()) ** 2))
@@ -206,7 +206,7 @@ def test_original_cost_matches_quadratic_objective_when_unregularized():
     refs = hover_references(plan)
     w = CostWeights()
     qp = build_force_qp(_inputs(plan, refs, weights=w))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     it = extract_force_iterate(sol, qp.layout)
     const = 0.0
     for t in range(plan.horizon):
@@ -224,7 +224,7 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     refs = hover_references(plan)
     ell, p = _nominal_geometry(plan, refs)
     qp = build_force_qp(_inputs(plan, refs))
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_force_iterate(sol, qp.layout)
     flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}

@@ -14,7 +14,6 @@ from centroidal_bcd.qp import (
     VariableLayout,
     kkt_residuals,
     pattern_hash,
-    setup,
 )
 from centroidal_bcd.bcd import optimize
 from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
@@ -58,7 +57,7 @@ def _random_qp(rng, n=None, m=None, one_sided=0.3):
 
 
 def test_single_variable_unconstrained():
-    h = setup(_qp([[1.0]], [-1.0]))
+    h = InteriorPointSolver(_qp([[1.0]], [-1.0]))
     assert h.n == 1
     sol = h.solve()
     assert sol.solved
@@ -67,7 +66,7 @@ def test_single_variable_unconstrained():
 
 
 def test_active_lower_bound_dual_sign():
-    h = setup(_qp([[1.0]], [0.0], [[1.0]], [2.0], [np.inf]))
+    h = InteriorPointSolver(_qp([[1.0]], [0.0], [[1.0]], [2.0], [np.inf]))
     sol = h.solve()
     assert sol.solved
     assert sol.x[0] == pytest.approx(2.0, abs=1e-8)
@@ -77,7 +76,7 @@ def test_active_lower_bound_dual_sign():
 def test_negative_eigenvalue_rejected_in_validating_mode():
     qp = _qp([[-1.0]], [0.0])
     with pytest.raises(ValueError, match="eigenvalue"):
-        setup(qp, validate=True)
+        InteriorPointSolver(qp)
 
 
 def test_solution_matches_enumeration_oracle():
@@ -85,7 +84,7 @@ def test_solution_matches_enumeration_oracle():
     rng = np.random.default_rng(42)
     qp, x0 = _random_qp(rng, n=20, m=10, one_sided=0.0)
     x_enum, y_enum, obj_enum = solve_enumeration(qp)
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     assert np.max(np.abs(sol.x - x_enum)) < 1e-6
     assert sol.objective == pytest.approx(obj_enum, abs=1e-8)
@@ -107,7 +106,7 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
     # counted on its own.
     rng = np.random.default_rng(3)
     qp, _ = _random_qp(rng, n=10, m=12)
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
     newP = qp.P.copy()
     newP.data = newP.data * 1.5
@@ -130,7 +129,7 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
 def test_update_rejects_pattern_mismatch():
     rng = np.random.default_rng(4)
     qp, _ = _random_qp(rng, n=8, m=9)
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     other = sp.csc_matrix(np.eye(8))
     with pytest.raises(ValueError, match="pattern"):
         h.update_values(new_P_values=other)
@@ -149,8 +148,8 @@ def test_non_finite_data_is_named_not_solved(field):
               "hi": "new_hi"}[field]
     raw[0] = np.nan
     with pytest.raises(ValueError, match=f"^{field} "):
-        setup(replace(qp, **values), validate=False)
-    h = setup(qp, validate=False)
+        InteriorPointSolver(replace(qp, **values))
+    h = InteriorPointSolver(qp)
     with pytest.raises(ValueError, match=f"^{field} "):
         h.update_values(**{update: values[field]})
     raw[0] = -np.inf if field == "lo" else np.inf
@@ -235,7 +234,7 @@ def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
     qps = [_random_qp(rng)[0] for _ in range(5)]
     qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp()]
     for qp in qps:
-        h = InteriorPointSolver(qp, validate=False)
+        h = InteriorPointSolver(qp)
         d, e, c = _ruiz_reference(qp)
         assert h._d.tobytes() == d.tobytes()
         assert h._e.tobytes() == e.tobytes()
@@ -302,7 +301,7 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     rng = np.random.default_rng(14)
     eq, rows, sign, b = h._eq, h._rows, h._sign, h._b
     n, n_eq, n_in = qp.n, eq.size, b.size
@@ -404,7 +403,7 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
     qps += [trot_qps["force"], trot_qps["contact"], _guarded_scaling_qp(), _no_constraint_qp(),
             chain]
     for qp in qps:
-        h = InteriorPointSolver(qp, validate=False)
+        h = InteriorPointSolver(qp)
         m = qp.m_c
         pattern = (abs(qp.P) + abs(qp.A.T) @ abs(qp.A)).tocoo()
         assert h.half_bandwidth == max(pattern.row - pattern.col, default=0)
@@ -423,7 +422,7 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
         _assert_map_matches_sparse_products(h, P2, A2, h._terms, np.ones(m), 1.0)
         _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, np.ones(m), _DELTA)
     # The chain's shuffled band is factored as it is, and still solves.
-    assert setup(chain, validate=False).solve().solved
+    assert InteriorPointSolver(chain).solve().solved
 
 
 def test_band_product_is_bitwise_the_gathered_assembly(trot_qps):
@@ -433,7 +432,7 @@ def test_band_product_is_bitwise_the_gathered_assembly(trot_qps):
     rng = np.random.default_rng(17)
     qps = [trot_qps["force"], trot_qps["contact"]] + [_random_qp(rng)[0] for _ in range(5)]
     for qp in qps:
-        h = InteriorPointSolver(qp, validate=False)
+        h = InteriorPointSolver(qp)
         m = qp.m_c
         for w, shift in ((rng.uniform(1e-3, 1e3, size=m), _DELTA),
                          (np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0), _POLISH_DELTA)):
@@ -455,7 +454,7 @@ def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     rng = np.random.default_rng(15)
     w = rng.uniform(1e-3, 1e3, size=qp.m_c)
     As = h._As.toarray()
@@ -468,7 +467,7 @@ def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
 
 def test_solution_reports_the_last_checks_unscaled_residuals(trot_qps):
     qp = trot_qps["force"]
-    sol = setup(qp, SolverSettings(max_iterations=5), validate=False).solve()
+    sol = InteriorPointSolver(qp, SolverSettings(max_iterations=5)).solve()
     assert sol.status == "max_iter" and sol.iterations == 5
     # Unpolished: the dual residual is that of the returned pair, and the
     # primal one (against the projection of A x on the bounds) is its bound
@@ -477,7 +476,7 @@ def test_solution_reports_the_last_checks_unscaled_residuals(trot_qps):
     assert sol.dual_residual == pytest.approx(dual, rel=1e-9)
     assert sol.primal_residual >= primal * (1.0 - 1e-9) and sol.primal_residual > 0.0
     # A solved call reports the check that passed, before the polish.
-    solved = setup(qp, validate=False).solve()
+    solved = InteriorPointSolver(qp).solve()
     assert solved.solved and solved.polished
     assert np.isfinite([solved.primal_residual, solved.dual_residual]).all()
 
@@ -488,7 +487,7 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
         qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
     else:
         qp = trot_qps[name]
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     sol = h.solve()
     assert sol.solved and sol.polished
     assert h.polish_factorizations == 1
@@ -541,7 +540,7 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
         determined = np.ones(qp.n, dtype=bool)
         if name == "force":
             determined[qp.layout.columns("f")] = False
-        h = setup(qp, validate=False)
+        h = InteriorPointSolver(qp)
         first = h.solve()
         assert first.solved and not first.warm_started
         current = qp
@@ -553,7 +552,7 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
             h.update_values(**update)
             current = replace(current, **values)
             warm = h.solve()
-            fresh = setup(current, validate=False).solve()
+            fresh = InteriorPointSolver(current).solve()
             assert warm.solved and warm.warm_started
             assert fresh.solved and not fresh.warm_started
             tol = 1e-6 * max(1.0, np.abs(fresh.x).max())
@@ -564,7 +563,7 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
 
 
 def test_a_solve_after_an_unsolved_call_starts_cold(trot_qps):
-    h = setup(trot_qps["force"], validate=False)
+    h = InteriorPointSolver(trot_qps["force"])
     assert h.solve().solved
     h.update_values(new_q=trot_qps["force_next"].q)
     h.settings = SolverSettings(max_iterations=1)
@@ -596,12 +595,12 @@ def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, mo
     # neither x nor the equality multipliers from 0; it moves every slack and
     # multiplier to at least 1.
     qp = trot_qps["force"]
-    capped = setup(qp, SolverSettings(max_iterations=1), validate=False)
+    capped = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
     sol = capped.solve()
     assert (sol.status, sol.iterations, capped.kkt_refactorizations) == ("max_iter", 1, 1)
     assert sol.factorizations == 1
     assert not sol.x.any() and not sol.y[qp.lo == qp.hi].any()
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     points = _record_directions(monkeypatch, h)
     assert h.solve().solved
     (s0, lam0), (s, lam) = points[:2]
@@ -611,10 +610,10 @@ def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, mo
 
 def test_a_solve_after_a_failed_call_takes_the_same_start(trot_qps, monkeypatch):
     qp = trot_qps["force"]
-    fresh = setup(qp, validate=False)
+    fresh = InteriorPointSolver(qp)
     fresh_points = _record_directions(monkeypatch, fresh)
     expected = fresh.solve()
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     assert h.solve().solved
     band_factor = h._band_factor
 
@@ -636,7 +635,7 @@ def test_a_solve_after_a_failed_call_takes_the_same_start(trot_qps, monkeypatch)
 @pytest.mark.parametrize("change", ["equality row", "infinite side"])
 def test_a_bound_update_that_changes_the_row_partition_starts_cold(change):
     qp, x0 = _random_qp(np.random.default_rng(19), n=12, m=15)
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     assert h.solve().solved
     lo, hi = qp.lo.copy(), qp.hi.copy()
     h.update_values(new_lo=lo - 0.1, new_hi=hi + 0.1)  # the same partition
@@ -653,7 +652,7 @@ def test_a_bound_update_that_changes_the_row_partition_starts_cold(change):
 
 def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     band_factor = h._band_factor
 
     def fail_polish(terms, w, shift):
@@ -670,7 +669,7 @@ def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
 
 def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
     qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
 
     def fail(terms, w, shift):
         raise ValueError("reduced KKT matrix is not positive definite")
@@ -712,7 +711,7 @@ def test_direct_solve_is_exact_when_accepted_and_says_so_when_not():
     statuses = []
     for _ in range(20):
         qp, x0 = _random_qp(rng)
-        sol = BandedActiveSetSolver(qp, validate=False).solve()
+        sol = BandedActiveSetSolver(qp).solve()
         statuses.append(sol.status)
         if sol.solved:
             x_ref, _, _ = solve_active_set(qp, x0=x0)
@@ -734,7 +733,7 @@ def test_equality_constrained_matches_dense_kkt():
         b = rng.normal(size=m)
         K = np.block([[P, A.T], [A, np.zeros((m, m))]])
         ref = np.linalg.solve(K, np.concatenate([-q, b]))[:n]
-        sol = setup(_qp(P, q, A, b, b), validate=False).solve()
+        sol = InteriorPointSolver(_qp(P, q, A, b, b)).solve()
         assert sol.solved
         assert np.max(np.abs(sol.x - ref)) < 1e-8
 
@@ -744,7 +743,7 @@ def test_kkt_residuals_within_ten_tolerances():
     st = SolverSettings()
     for _ in range(5):
         qp, _ = _random_qp(rng)
-        sol = setup(qp, st, validate=False).solve()
+        sol = InteriorPointSolver(qp, st).solve()
         assert sol.solved
         pri, dua, comp = kkt_residuals(qp, sol.x, sol.y)
         assert pri <= 10 * st.eps_abs + 1e-12
@@ -767,14 +766,14 @@ def test_kkt_residuals_report_a_multiplier_against_an_infinite_bound(lo, hi, y):
 def test_primal_infeasible_certificate():
     # x >= 1 and x <= 0 cannot hold.
     qp = _qp([[1.0]], [0.0], [[1.0], [1.0]], [1.0, -np.inf], [np.inf, 0.0])
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.status == "primal_infeasible"
 
 
 def test_dual_infeasible_certificate():
     # Unbounded below: zero curvature along a descent direction.
     qp = _qp([[0.0]], [1.0])
-    sol = setup(qp, validate=False).solve()
+    sol = InteriorPointSolver(qp).solve()
     assert sol.status == "dual_infeasible"
 
 
@@ -785,7 +784,7 @@ def test_dual_infeasible_certificate():
 def test_dual_infeasibility_reads_the_bounds_recession_cone(q, lo, hi, status):
     # A linear cost on one variable whose one row 100 x is bounded on one
     # side: the step's own A dx decides whether it leaves the bounds.
-    sol = setup(_qp([[0.0]], [q], [[100.0]], [lo], [hi]), validate=False).solve()
+    sol = InteriorPointSolver(_qp([[0.0]], [q], [[100.0]], [lo], [hi])).solve()
     assert sol.status == status
     if sol.solved:
         assert sol.x[0] == pytest.approx(0.05, abs=1e-9)
@@ -798,7 +797,7 @@ def test_rows_below_the_equality_gap_get_the_equality_penalty():
     qp = _qp(np.eye(2), [1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [0.5, -1.0],
              [0.5 + 1e-13, 1.0])
     assert 0.0 < qp.hi[0] - qp.lo[0] < _EQUALITY_GAP
-    h = setup(qp, validate=False)
+    h = InteriorPointSolver(qp)
     assert h._eq.tolist() == [0]
     assert h._rows.tolist() == [1, 1]  # the lower and upper bound of row 1
     factored = []
@@ -816,7 +815,7 @@ def test_rows_below_the_equality_gap_get_the_equality_penalty():
 def test_max_iter_is_reported_not_silent():
     rng = np.random.default_rng(8)
     qp, _ = _random_qp(rng, n=20, m=30)
-    h = setup(qp, SolverSettings(max_iterations=1), validate=False)
+    h = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
     sol = h.solve()
     assert sol.status == "max_iter"
 
