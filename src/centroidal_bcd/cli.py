@@ -13,6 +13,7 @@ timings live in their own file (timing.csv).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -208,7 +209,10 @@ def _parse_horizons(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it is, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="centroidal-bcd",
         description="Biconvex trajectory optimization for centroidal momentum dynamics")
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, scenario_required=True):
         p.add_argument("--scenario", type=Path, required=scenario_required,
-                       help="scenario document (.scn YAML)")
+                       help="scenario document (.scn, JSON or YAML)")
         p.add_argument("--out", type=Path, help="output directory (or file for gait)")
         p.add_argument("--eps-f", type=float, dest="eps_f", help="consensus threshold")
         p.add_argument("--L0", type=float, dest="L0", help="initial proximal weight (both blocks)")

@@ -213,9 +213,9 @@ class BandedKkt:
         self.m = qp.m_c
         self._P = qp.P.tocsc(copy=True)
         self._A = qp.A.tocsc(copy=True)
-        # A' kept beside A (refreshed with its values): scipy builds a new
-        # matrix on every ``A.T``, which at trot N = 75 costs twice the
-        # product itself.
+        # A' kept beside A, built once: scipy builds a new matrix on every
+        # ``A.T``, which at trot N = 75 costs twice the product itself. A
+        # value update assigns A's new ``data`` to both.
         self._AT = self._A.T
         _finite(self._P.data, "P")
         _finite(self._A.data, "A")
@@ -319,8 +319,7 @@ class BandedKkt:
         if new_P_values is not None:
             self._P.data = self._extract_values(new_P_values, self._P, "P")
         if new_A_values is not None:
-            self._A.data = self._extract_values(new_A_values, self._A, "A")
-            self._AT = self._A.T
+            self._A.data = self._AT.data = self._extract_values(new_A_values, self._A, "A")
         if new_q is not None:
             q = _finite(new_q, "q")
             if q.shape != (self.n,):

@@ -146,6 +146,11 @@ class InteriorPointSolver(BandedKkt):
         # solve starts; None starts it cold.
         self._last = None
         self._scale()
+        # The scaled matrices share the patterns of P, A and A', and are
+        # built once (A' on A's index arrays); a value update assigns their
+        # ``data``.
+        self._Ps, self._As = self._P.copy(), self._A.copy()
+        self._AsT = self._As.T
         self._refresh_scaled_matrices()
         self._terms_s = self._map.terms(self._Ps.data, self._As.data)
         self._refresh_scaled_vectors()
@@ -196,12 +201,10 @@ class InteriorPointSolver(BandedKkt):
     def _refresh_scaled_matrices(self) -> None:
         """Scale P and A by the setup's factors."""
         d, e, c = self._d, self._e, self._c
-        self._Ps = self._P.copy()
         self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
-        self._As = self._A.copy()
         if self.m:
-            self._As.data = e[self._A.indices] * d[self._A_cols] * self._A.data
-        self._AsT = self._As.T
+            self._As.data = self._AsT.data = (
+                e[self._A.indices] * d[self._A_cols] * self._A.data)
 
     def _refresh_scaled_vectors(self) -> None:
         """Scale q and the bounds, and sort the rows into equality rows and

@@ -1,10 +1,13 @@
 """Scenario documents: the on-disk description of one optimization problem.
 
-A scenario is a YAML document (``schema_version: 1``) describing the robot,
+A scenario is a document (``schema_version: 1``) describing the robot,
 horizon, contact phases, tracking references, and optional weight/solver
-overrides, all in SI units. ``load_scenario`` validates a document and
-materializes the in-memory problem; ``emit_scenario`` writes one back out
-(round-tripping to structural equality).
+overrides, all in SI units. ``emit_scenario`` writes it as indented JSON;
+``parse_scenario`` reads JSON, and falls back to PyYAML for text that is not
+JSON, so hand-written YAML documents keep working. ``parse(emit(x)) == x``
+structurally. ``load_scenario`` validates a document and materializes the
+in-memory problem; numbers the problem cannot use (non-finite values,
+non-positive masses or timesteps) are rejected there with the field's path.
 
 Surfaces may be given as convex polygon vertices (converted to halfspaces
 here) or as halfspaces directly. References are waypoint lists interpolated
@@ -14,11 +17,12 @@ attached instead of explicit angular momentum waypoints.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import yaml
 
 from .bcd import BcdSettings
 from .force_qp import CostWeights
@@ -39,12 +43,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-# libyaml's C loader and dumper when PyYAML was built with it: they read and
-# write the same documents as the pure-Python classes, several times faster.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 
 class ScenarioError(ValueError):
     """Scenario document rejected; message carries the offending field path."""
@@ -117,21 +115,70 @@ class ScenarioFile:
         )
 
 
-def _vec(doc, path, size=3):
+def _number(value, path: str) -> float:
+    """``value`` as a finite float; anything else is a ScenarioError at ``path``."""
     try:
-        v = [float(x) for x in doc]
+        v = float(value)
     except (TypeError, ValueError):
-        raise ScenarioError(path, f"expected a {size}-vector") from None
+        raise ScenarioError(path, f"expected a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise ScenarioError(path, f"must be finite, got {value!r}")
+    return v
+
+
+def _positive(value, path: str) -> float:
+    v = _number(value, path)
+    if v <= 0.0:
+        raise ScenarioError(path, f"must be positive, got {value!r}")
+    return v
+
+
+def _integer(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(path, f"expected an integer, got {value!r}") from None
+
+
+def _numbers(values, path: str, size: int) -> list[float]:
+    """``values`` as a list of ``size`` finite floats."""
+    try:
+        v = [_number(x, path) for x in values]
+    except TypeError:  # not iterable; _number handles its own
+        raise ScenarioError(path, f"expected {size} numbers") from None
     if len(v) != size:
         raise ScenarioError(path, f"expected {size} components, got {len(v)}")
-    return np.array(v)
+    return v
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _vec(doc, path, size=3):
+    return np.array(_numbers(doc, path, size))
+
+
+def _finite_leaves(doc, path: str) -> None:
+    """Reject a NaN or infinite number anywhere in a nested override block."""
+    if isinstance(doc, Mapping):
+        for key, value in doc.items():
+            _finite_leaves(value, f"{path}.{key}")
+    elif isinstance(doc, (list, tuple)):
+        for i, value in enumerate(doc):
+            _finite_leaves(value, f"{path}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        raise ScenarioError(path, f"must be finite, got {doc!r}")
 
 
 def _surface(spec, path) -> Polytope:
     if not isinstance(spec, Mapping):
         raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
     if "vertices" in spec:
-        verts = [(float(v[0]), float(v[1]), float(v[2])) for v in spec["vertices"]]
+        verts = [tuple(_numbers(v, f"{path}.vertices[{i}]", 3))
+                 for i, v in enumerate(_list(spec["vertices"], path + ".vertices"))]
         try:
             return polygon_to_halfspaces(verts)
         except ValueError as exc:
@@ -140,7 +187,7 @@ def _surface(spec, path) -> Polytope:
         hs = spec["halfspaces"]
         try:
             return Polytope(np.array(hs["A"], dtype=float), np.array(hs["b"], dtype=float))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(path + ".halfspaces", str(exc)) from None
     raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
 
@@ -149,11 +196,8 @@ def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray
     """Piecewise-linear interpolation of [t, v...] rows onto timesteps 0..N-1."""
     if not waypoints:
         raise ScenarioError(path, "at least one waypoint required")
-    rows = []
-    for i, wp in enumerate(waypoints):
-        if len(wp) != dim + 1:
-            raise ScenarioError(f"{path}[{i}]", f"expected [t, {dim} values]")
-        rows.append([float(x) for x in wp])
+    rows = [_numbers(wp, f"{path}[{i}]", dim + 1)
+            for i, wp in enumerate(_list(waypoints, path))]
     rows.sort(key=lambda r: r[0])
     ts = np.array([r[0] for r in rows])
     vals = np.array([r[1:] for r in rows])
@@ -161,6 +205,50 @@ def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray
     for j in range(dim):
         out[:, j] = np.interp(np.arange(N), ts, vals[:, j])
     return out
+
+
+def _phase(c, path: str, offsets: Mapping, N: int) -> ContactPhase:
+    """The contact phase of document entry ``c`` (at ``path``), for the
+    effectors of ``offsets`` on a horizon of ``N`` steps."""
+    if not isinstance(c, Mapping) or "effector" not in c or "window" not in c:
+        raise ScenarioError(path, "needs 'effector' and 'window'")
+    eff = str(c["effector"])
+    if eff not in offsets:
+        raise ScenarioError(f"{path}.effector", f"undeclared effector {eff!r}")
+    window = _list(c["window"], f"{path}.window")
+    if len(window) != 2:
+        raise ScenarioError(f"{path}.window", "expected [t_start, t_end]")
+    t0, t1 = (_integer(t, f"{path}.window") for t in window)
+    if not (0 <= t0 < t1 <= N):
+        raise ScenarioError(f"{path}.window",
+                            f"[{t0}, {t1}) must be non-empty and within [0, {N})")
+    zmp = None
+    if c.get("flat_foot", False):
+        zb = c.get("zmp_bounds")
+        if not isinstance(zb, Mapping) or "min" not in zb or "max" not in zb:
+            raise ScenarioError(f"{path}.zmp_bounds",
+                                "flat-foot phases need {min: [x, y], max: [x, y]}")
+        lo = _numbers(zb["min"], f"{path}.zmp_bounds.min", 2)
+        hi = _numbers(zb["max"], f"{path}.zmp_bounds.max", 2)
+        zmp = ((lo[0], hi[0]), (lo[1], hi[1]))
+    rotation = np.eye(3)
+    if "rotation" in c:
+        try:
+            rotation = np.array(c["rotation"], dtype=float)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{path}.rotation", "expected a 3x3 matrix") from None
+        if not np.all(np.isfinite(rotation)):
+            raise ScenarioError(f"{path}.rotation", "must be finite")
+    surface = _surface(c.get("surface"), f"{path}.surface")
+    friction = _positive(c.get("friction", 0.7), f"{path}.friction")
+    hint = _vec(c["foothold_hint"], f"{path}.foothold_hint") if "foothold_hint" in c else None
+    try:
+        return ContactPhase(
+            end_effector_id=eff, t_start=t0, t_end=t1, surface=surface, rotation=rotation,
+            friction_coeff=friction, flat_foot=bool(c.get("flat_foot", False)),
+            zmp_bounds=zmp, foothold_hint=hint)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
 def build_plan(sf: ScenarioFile) -> ContactPlan:
@@ -171,62 +259,35 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
     for key in ("mass", "nominal_offsets", "L_max"):
         if key not in robot:
             raise ScenarioError(f"robot.{key}", "missing required field")
+    mass = _positive(robot["mass"], "robot.mass")
+    L_max = _positive(robot["L_max"], "robot.L_max")
+    if not isinstance(robot["nominal_offsets"], Mapping):
+        raise ScenarioError("robot.nominal_offsets", "expected a mapping of effector offsets")
     offsets = {str(e): _vec(v, f"robot.nominal_offsets.{e}")
                for e, v in robot["nominal_offsets"].items()}
     effector_ids = tuple(offsets.keys())
 
-    N = int(sf.horizon.get("N", 0))
+    N = _integer(sf.horizon.get("N", 0), "horizon.N")
     if N < 1:
         raise ScenarioError("horizon.N", f"must be >= 1, got {N}")
-    dt = float(sf.horizon.get("dt", 0.01))
+    dt = _positive(sf.horizon.get("dt", 0.01), "horizon.dt")
 
     h0 = CentroidalState(
         _vec(sf.initial_state.get("r", [0, 0, 0]), "initial_state.r"),
         _vec(sf.initial_state.get("l", [0, 0, 0]), "initial_state.l"),
         _vec(sf.initial_state.get("k", [0, 0, 0]), "initial_state.k"))
 
-    phases = []
-    for i, c in enumerate(sf.contacts):
-        path = f"contacts[{i}]"
-        if "effector" not in c or "window" not in c:
-            raise ScenarioError(path, "needs 'effector' and 'window'")
-        eff = str(c["effector"])
-        if eff not in offsets:
-            raise ScenarioError(f"{path}.effector", f"undeclared effector {eff!r}")
-        t0, t1 = int(c["window"][0]), int(c["window"][1])
-        if not (0 <= t0 < t1 <= N):
-            raise ScenarioError(f"{path}.window",
-                                f"[{t0}, {t1}) must be non-empty and within [0, {N})")
-        zmp = None
-        if c.get("flat_foot", False):
-            zb = c.get("zmp_bounds")
-            if zb is None:
-                raise ScenarioError(f"{path}.zmp_bounds", "required for flat-foot phases")
-            zmp = ((float(zb["min"][0]), float(zb["max"][0])),
-                   (float(zb["min"][1]), float(zb["max"][1])))
-        try:
-            phases.append(ContactPhase(
-                end_effector_id=eff, t_start=t0, t_end=t1,
-                surface=_surface(c.get("surface"), f"{path}.surface"),
-                rotation=np.array(c["rotation"], dtype=float) if "rotation" in c else np.eye(3),
-                friction_coeff=float(c.get("friction", 0.7)),
-                flat_foot=bool(c.get("flat_foot", False)),
-                zmp_bounds=zmp,
-                foothold_hint=_vec(c["foothold_hint"], f"{path}.foothold_hint")
-                if "foothold_hint" in c else None,
-            ))
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from None
-
+    gravity = _vec(sf.gravity, "gravity")
+    phases = tuple(_phase(c, f"contacts[{i}]", offsets, N)
+                   for i, c in enumerate(sf.contacts))
+    # What is left to fail is how the phases fit the effectors and each other.
     try:
-        plan = ContactPlan(
-            effector_ids=effector_ids, phases=tuple(phases), horizon=N, dt=dt,
-            mass=float(robot["mass"]), h0=h0,
-            kinematic_limit=float(robot["L_max"]), nominal_offsets=offsets,
-            gravity=_vec(sf.gravity, "gravity"))
+        return ContactPlan(
+            effector_ids=effector_ids, phases=phases, horizon=N, dt=dt,
+            mass=mass, h0=h0, kinematic_limit=L_max, nominal_offsets=offsets,
+            gravity=gravity)
     except ValueError as exc:
         raise ScenarioError("contacts", str(exc)) from None
-    return plan
 
 
 def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSettings, CostWeights]:
@@ -248,15 +309,23 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
         from .gaits import pitch_reference_to_momentum
 
         pp = refs["pitch_profile"]
-        amplitude = np.deg2rad(float(pp.get("amplitude_deg", 15.0)))
-        period = float(pp.get("period_s", 0.5))
-        scale = float(pp.get("inertia_scale", 0.05))
+        path = "references.pitch_profile"
+        if not isinstance(pp, Mapping):
+            raise ScenarioError(path, "expected a mapping")
+        amplitude = np.deg2rad(_number(pp.get("amplitude_deg", 15.0), f"{path}.amplitude_deg"))
+        period = _positive(pp.get("period_s", 0.5), f"{path}.period_s")
+        scale = _number(pp.get("inertia_scale", 0.05), f"{path}.inertia_scale")
         t_axis = np.arange(N) * dt
         pitch = amplitude * np.sin(2.0 * np.pi * t_axis / period)
         lk[:, 4] = lk[:, 4] + pitch_reference_to_momentum(pitch, scale, dt)
-    h_kin = tuple(CentroidalState(r_ref[t], lk[t, 0:3], lk[t, 3:6]) for t in range(N))
+    try:
+        h_kin = tuple(CentroidalState(r_ref[t], lk[t, 0:3], lk[t, 3:6]) for t in range(N))
+    except ValueError as exc:
+        raise ScenarioError("references", str(exc)) from None
     reference_set = ReferenceSet(h_kin)
 
+    _finite_leaves(sf.weights, "weights")
+    _finite_leaves(sf.bcd, "bcd")
     try:
         weights = CostWeights(**sf.weights) if sf.weights else CostWeights()
     except (TypeError, ValueError) as exc:
@@ -271,13 +340,28 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
     return plan, reference_set, settings, weights
 
 
-def parse_scenario(text: bytes | str) -> ScenarioFile:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+def _load_yaml(text: str):
+    """PyYAML's safe loader, libyaml's C class when PyYAML was built with it.
+    Imported on first use: only documents that are not JSON need it."""
+    import yaml
+
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
-        raise ScenarioError("$", f"not valid YAML: {exc}") from None
+        raise ScenarioError("$", f"neither JSON nor valid YAML: {exc}") from None
+
+
+def parse_scenario(text: bytes | str) -> ScenarioFile:
+    """Read a document: JSON as ``emit_scenario`` writes it, or YAML."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("$", f"not UTF-8 text: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = _load_yaml(text)
     return ScenarioFile.from_mapping(doc)
 
 
@@ -287,4 +371,9 @@ def load_scenario(text: bytes | str) -> tuple[ContactPlan, ReferenceSet, BcdSett
 
 
 def emit_scenario(sf: ScenarioFile) -> bytes:
-    return yaml.dump(sf.to_mapping(), Dumper=_Dumper, sort_keys=False).encode("utf-8")
+    """The document as indented JSON, keys in schema order. Floats are
+    written as ``repr`` writes them, so ``parse_scenario`` gives ``sf`` back.
+    The text is YAML 1.2 too, but not always YAML 1.1: PyYAML reads a float
+    written without a '.' (1e-05) as a string, so read emitted files with
+    ``parse_scenario``, which takes them as JSON."""
+    return (json.dumps(sf.to_mapping(), indent=2) + "\n").encode("utf-8")

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -6,9 +11,10 @@ import pytest
 import centroidal_bcd.cli as cli_module
 import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.cli import main
+from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, EffectorContact
 from centroidal_bcd.references import ReferenceSet
-from centroidal_bcd.scenarios import load_scenario
+from centroidal_bcd.scenarios import ScenarioFile, emit_scenario, load_scenario
 
 EXIT_FORMAT = 64
 
@@ -108,6 +114,72 @@ def test_invalid_scenario_exits_1(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("schema_version: 1\nname: broken\n")
     assert main(["solve", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("robot.mass", math.nan),
+    ("robot.mass", -1),
+    ("robot.L_max", math.inf),
+    ("horizon.dt", math.inf),
+])
+def test_unusable_robot_and_horizon_values_exit_1_naming_the_field(tmp_path, capsys,
+                                                                   field, value):
+    section, key = field.split(".")
+    doc = make_gait("stand", N=20).to_mapping()
+    doc[section] = {**doc[section], key: value}
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(doc)))
+    for subcommand in ("solve", "verify"):
+        assert main([subcommand, "--scenario", str(scn), "--out", str(tmp_path)]) == 1
+        assert f"scenario error: {field}: " in capsys.readouterr().err
+
+
+def test_non_finite_reference_waypoint_exits_1_naming_it(tmp_path, capsys):
+    doc = make_gait("stand", N=20).to_mapping()
+    waypoints = [list(wp) for wp in doc["references"]["com_waypoints"]]
+    waypoints[0][3] = math.nan
+    doc["references"] = {**doc["references"], "com_waypoints": waypoints}
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(doc)))
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path)]) == 1
+    assert "references.com_waypoints[0]: must be finite" in capsys.readouterr().err
+
+
+def test_text_that_is_neither_json_nor_yaml_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("{unbalanced")
+    assert main(["solve", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
+    assert "YAML" in capsys.readouterr().err
+
+
+def test_gait_calls_in_one_process_each_parse_their_own_arguments(tmp_path):
+    # The parser is built once per process and shared by every call.
+    with_param, without = tmp_path / "mu.scn", tmp_path / "default.scn"
+    assert main(["gait", "--kind", "stand", "--param", "mu=0.5", "--out", str(with_param)]) == 0
+    assert main(["gait", "--kind", "stand", "--out", str(without)]) == 0
+    assert with_param.read_bytes() == emit_scenario(make_gait("stand", mu=0.5))
+    assert without.read_bytes() == emit_scenario(make_gait("stand"))
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
+def test_gait_solve_verify_on_an_emitted_document_never_imports_yaml(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        from centroidal_bcd.cli import main
+        scn, out = sys.argv[1:]
+        assert main(["gait", "--kind", "stand", "--horizon", "20", "--out", scn]) == 0
+        assert main(["solve", "--scenario", scn, "--out", out]) == 0
+        assert main(["verify", "--scenario", scn, "--out", out]) == 0
+        print("yaml" in sys.modules)
+    """)
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "stand.scn"),
+                           str(tmp_path / "run")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_bench_reports_scaling(tmp_path, trot_scenario, capsys):

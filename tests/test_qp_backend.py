@@ -126,6 +126,25 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
     assert h.kkt_refactorizations == iterations
 
 
+def test_value_updates_keep_each_matrix_and_refresh_its_transpose():
+    # A handle builds its matrices (unscaled and scaled, and their
+    # transposes) once; an update assigns their values, and each transpose
+    # holds the same values as its matrix.
+    rng = np.random.default_rng(5)
+    qp, _ = _random_qp(rng, n=10, m=12)
+    h = InteriorPointSolver(qp)
+    names = ("_P", "_A", "_AT", "_Ps", "_As", "_AsT")
+    before = [getattr(h, name) for name in names]
+    h.update_values(new_P_values=1.5 * qp.P.data, new_A_values=-2.0 * qp.A.data)
+    assert all(getattr(h, name) is M for name, M in zip(names, before))
+    assert np.array_equal(h._A.toarray(), -2.0 * qp.A.toarray())
+    assert np.array_equal(h._AT.toarray(), h._A.toarray().T)
+    assert np.array_equal(h._AsT.toarray(), h._As.toarray().T)
+    d, e, c = h._d, h._e, h._c
+    assert np.array_equal(h._As.toarray(), e[:, None] * d[None, :] * h._A.toarray())
+    assert np.array_equal(h._Ps.toarray(), c * d[:, None] * d[None, :] * h._P.toarray())
+
+
 def test_update_rejects_pattern_mismatch():
     rng = np.random.default_rng(4)
     qp, _ = _random_qp(rng, n=8, m=9)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -89,17 +92,95 @@ def test_round_trip_all_shipped_scenarios():
 
 
 @pytest.mark.parametrize("kind", GAIT_KINDS)
-def test_libyaml_reads_and_writes_what_the_python_yaml_classes_do(kind):
+def test_yaml_documents_read_as_pyyaml_reads_them(kind):
+    # Text that is not JSON goes to PyYAML's loader (libyaml's when built).
     sf = make_gait(kind)
     text = yaml.safe_dump(sf.to_mapping(), sort_keys=False)
-    assert emit_scenario(sf) == text.encode("utf-8")
-    assert parse_scenario(text) == ScenarioFile.from_mapping(yaml.safe_load(text))
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
+    assert parse_scenario(text) == ScenarioFile.from_mapping(yaml.safe_load(text)) == sf
+
+
+@pytest.mark.parametrize("kind", GAIT_KINDS)
+def test_emitted_documents_are_json_in_schema_order(kind):
+    sf = make_gait(kind)
+    doc = json.loads(emit_scenario(sf))
+    assert doc == sf.to_mapping()
+    assert list(doc) == list(sf.to_mapping())
+    assert parse_scenario(emit_scenario(sf)) == sf
+
+
+def test_a_float_written_without_a_dot_round_trips():
+    # YAML 1.1 resolvers read 1e-05 as a string; the JSON reader does not.
+    sf = ScenarioFile.from_mapping({**make_gait("stand", N=20).to_mapping(),
+                                    "weights": {"force": 1e-05}})
+    blob = emit_scenario(sf)
+    assert b'"force": 1e-05' in blob
+    back = parse_scenario(blob)
+    assert back == sf
+    assert back.weights["force"] == 1e-05
 
 
 def test_malformed_yaml_is_a_scenario_error():
     for text in (b"{unbalanced", b"a: [1, 2\nb: 3", b"key: value\n  bad indent: 1\n"):
         with pytest.raises(ScenarioError, match="YAML"):
             parse_scenario(text)
+    with pytest.raises(ScenarioError, match="UTF-8"):
+        parse_scenario(b"name: \x80\n")
+
+
+def _stand_with(**changes):
+    """The mapping of a short stand scenario with ``changes`` applied, each
+    keyed by a dotted path of mappings."""
+    doc = make_gait("stand", N=20).to_mapping()
+    doc = json.loads(json.dumps(doc))  # a deep copy
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("robot.mass", math.nan),
+    ("robot.mass", -1.0),
+    ("robot.mass", "heavy"),
+    ("robot.L_max", math.inf),
+    ("horizon.dt", math.inf),
+    ("horizon.dt", 0.0),
+    ("horizon.N", math.nan),
+    ("initial_state.r", [0.0, math.nan, 0.22]),
+    ("gravity", [0.0, 0.0, -math.inf]),
+    ("weights", {"force": math.nan}),
+    ("bcd", {"solver": {"eps_abs": math.inf}}),
+])
+def test_non_finite_and_out_of_range_values_name_their_field(field, value):
+    doc = _stand_with(**{field: value})
+    for text in (emit_scenario(ScenarioFile.from_mapping(doc)),
+                 yaml.safe_dump(doc, sort_keys=False).encode()):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(text)
+        assert info.value.path.startswith(field), (field, info.value.path)
+
+
+def test_non_finite_waypoints_and_contact_values_name_their_field():
+    doc = _stand_with()
+    doc["references"]["com_waypoints"][1][2] = math.inf
+    with pytest.raises(ScenarioError) as info:
+        materialize(ScenarioFile.from_mapping(doc))
+    assert info.value.path == "references.com_waypoints[1]"
+    doc = _stand_with()
+    doc["contacts"][2]["friction"] = math.nan
+    with pytest.raises(ScenarioError) as info:
+        materialize(ScenarioFile.from_mapping(doc))
+    assert info.value.path == "contacts[2].friction"
+    doc = _stand_with()
+    doc["contacts"][0]["window"] = [0, "end"]
+    with pytest.raises(ScenarioError) as info:
+        materialize(ScenarioFile.from_mapping(doc))
+    assert info.value.path == "contacts[0].window"
 
 
 def test_hinted_phases_need_no_emptiness_lp(monkeypatch):
