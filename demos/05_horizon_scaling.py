@@ -6,7 +6,9 @@ solves scale close to linearly. This script fits the log-log slope over a
 range of horizons for the trot scenario, and the cost of one force-block
 interior-point iteration as a + b n over the force QP's n columns: each
 force solve's time divided by its iterations (its polish included). The
-fixed part a is what pulls the log-log slope below 1.
+fixed part a is what pulls the log-log slope below 1. Each horizon's line
+also gives the iterations of its cold force solve (the run's first, which
+starts from the force QP's start point); the warm ones follow it.
 """
 
 import numpy as np
@@ -22,6 +24,8 @@ for N in (75, 150, 300, 600):
     plan, refs, settings, weights = materialize(make_gait("trot", N=N))
     result = optimize(plan, refs, settings, weights)
     rows.append((N, result.solve_time, result.force_time_share, len(result.records)))
+    cold = [r.force_solver_iterations for r in (*result.records, result.final_record)
+            if not r.force_warm_started]
     # The force QP's column count, from the first QP optimize() builds.
     p = nominal_footholds(plan, refs)
     n = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3],
@@ -30,7 +34,8 @@ for N in (75, 150, 300, 600):
                       for r in (*result.records, result.final_record)]
     print(f"N={N:4d}: solve {result.solve_time:6.2f} s, "
           f"force share {result.force_time_share * 100:5.1f}%, "
-          f"{len(result.records)} outer iterations, force QP n = {n}")
+          f"{len(result.records)} outer iterations, force QP n = {n}, "
+          f"cold force solve {'+'.join(map(str, cold))} iterations")
 
 logs = np.log([[N, t] for N, t, _, _ in rows])
 slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]

@@ -335,8 +335,16 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
         q_state = q_state - inputs.l_prox * inputs.h_reg
     q = np.zeros(layout.n)
     q[s.state_cols] = q_state
+    # The interior-point method's cold start: the reference momentum, and
+    # each active pair carrying an equal share of the weight, -m g over the
+    # pairs active at its timestep; torques and offsets zero.
+    plan, table = inputs.plan, inputs.plan.pair_table
+    x0 = np.zeros(layout.n)
+    x0[s.state_cols] = inputs.references.stacked
+    x0[layout.columns("f")] = (-plan.mass * plan.gravity
+                               / np.diff(table.start)[table.t, None]).reshape(-1)
     return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
-                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
+                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout, x0=x0)
 
 
 @dataclass(frozen=True, eq=False)

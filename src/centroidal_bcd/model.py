@@ -62,6 +62,15 @@ def _as_vector(x, size: int, name: str) -> np.ndarray:
     return v
 
 
+def _positive(value: float, name: str) -> None:
+    """Reject a non-finite or nonpositive ``value``, naming ``name``: NaN
+    passes a plain ``<= 0`` test, and infinity passes it too."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
     x, y, z = np.asarray(v, dtype=float).reshape(3)
@@ -192,12 +201,13 @@ class ContactPhase:
             raise ValueError(
                 f"phase window [{self.t_start}, {self.t_end}) for {self.end_effector_id} is empty")
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
+        if not np.all(np.isfinite(R)):
+            raise ValueError(f"rotation for {self.end_effector_id} must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMAL_TOL:
             raise ValueError(f"rotation for {self.end_effector_id} is not orthonormal")
         R.setflags(write=False)
         object.__setattr__(self, "rotation", R)
-        if self.friction_coeff <= 0.0:
-            raise ValueError(f"friction coefficient must be positive, got {self.friction_coeff}")
+        _positive(self.friction_coeff, "friction_coeff")
         if self.flat_foot:
             if self.zmp_bounds is None:
                 raise ValueError("flat-foot phase requires zmp_bounds")
@@ -256,12 +266,8 @@ class ContactPlan:
         object.__setattr__(self, "nominal_offsets", offsets)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.kinematic_limit <= 0.0:
-            raise ValueError(f"kinematic limit must be positive, got {self.kinematic_limit}")
+        for name in ("dt", "mass", "kinematic_limit"):
+            _positive(getattr(self, name), name)
         known = set(self.effector_ids)
         for ph in self.phases:
             if ph.end_effector_id not in known:

@@ -139,22 +139,28 @@ class _BandMap:
     The terms are listed by weight (A's rows in order, then P, then the
     diagonal), which makes them the ``data`` of a CSC matrix with one column
     per weight and one row per band slot: the band is that matrix times the
-    weights.
+    weights. A must store each (row, column) once: the pairs are generated
+    in each row's column order, which a duplicate entry would break, so one
+    raises ``ValueError`` naming A.
     """
 
     def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, by_row: np.ndarray,
                  row_ptr: np.ndarray):
         n, m = P.shape[1], A.shape[0]
-        # A's entries grouped by row (``_entries_by_row(A)``); each entry
-        # pairs with every entry of its row (itself included), the lower
-        # orientation kept.
+        # A's entries grouped by row (``_entries_by_row(A)``): within a row
+        # they run in column order, since CSC positions grow with the column.
         rows = A.indices[by_row].astype(np.intp)
         cols = _entry_cols(A)[by_row]
-        reps = np.diff(row_ptr)[rows]
+        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if same.any():
+            k = int(np.argmax(same))
+            raise ValueError(f"A holds duplicate entries at ({rows[k]}, {cols[k]})")
+        # Without duplicates the columns rise strictly within a row, so each
+        # entry's lower-orientation partners are the entries of its row up to
+        # itself: entry a, the k-th of its row, pairs with the first k + 1.
+        reps = np.arange(rows.size) - row_ptr[rows] + 1
         a = np.repeat(np.arange(rows.size), reps)
         b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
-        lower = cols[a] >= cols[b]
-        a, b = a[lower], b[lower]
         p_rows, p_cols = P.indices, _entry_cols(P)
         p_lower = np.flatnonzero(p_rows >= p_cols)
         # Indices into [A.data, P.data, 1], and the column of each term's
@@ -201,8 +207,9 @@ class BandedKkt:
     their banded factorization.
 
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
-    the ``QpSolution`` convention). Non-finite matrix or q values and NaN
-    bounds raise ``ValueError`` naming the field; a QP of at most 200
+    the ``QpSolution`` convention). Non-finite matrix or q values, NaN
+    bounds and duplicate entries of A raise ``ValueError`` naming the
+    field; a QP of at most 200
     variables is then checked by ``SparseQP.validate`` (symmetric,
     positive semidefinite P). Single-threaded per handle.
     """

@@ -173,7 +173,15 @@ class VariableLayout:
 
 @dataclass(frozen=True)
 class SparseQP:
-    """Quadratic program in the canonical two-sided row-bound form."""
+    """Quadratic program in the canonical two-sided row-bound form.
+
+    ``x0`` is an optional start point: a finite n-vector that the
+    interior-point method starts its cold solves from, in place of x = 0.
+    The builder that knows the problem's physics supplies it (the force QP
+    starts at the reference momentum and static-equilibrium forces); it
+    need not be feasible, and it changes which point a solve reaches only
+    where the solution is not unique.
+    """
 
     n: int
     m_c: int
@@ -183,6 +191,7 @@ class SparseQP:
     lo: np.ndarray
     hi: np.ndarray
     layout: VariableLayout | None = None
+    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.P.shape != (self.n, self.n):
@@ -196,6 +205,13 @@ class SparseQP:
             raise ValueError("q has wrong length")
         if self.lo.shape != (self.m_c,) or self.hi.shape != (self.m_c,):
             raise ValueError("bound vectors have wrong length")
+        if self.x0 is not None:
+            x0 = np.asarray(self.x0, dtype=float)
+            if x0.shape != (self.n,):
+                raise ValueError(f"x0 has shape {x0.shape}, expected ({self.n},)")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("x0 holds non-finite values")
+            object.__setattr__(self, "x0", x0)
 
     def validate(self, psd_tol: float = 1e-8) -> None:
         """Invariant checks; the PSD eigenvalue estimate is meant for

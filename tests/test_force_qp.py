@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import centroidal_bcd.force_qp as force_qp_module
 
 from centroidal_bcd.bcd import force_trajectory
+from centroidal_bcd.contact_qp import nominal_footholds
 from centroidal_bcd.force_qp import (
     CostWeights,
     ForceQpInputs,
@@ -232,6 +234,48 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     assert it.tau.shape == (len(flat), 3) and it.z.shape == (len(flat), 2)
     report = verify_trajectory(force_trajectory(it, ell, p, plan), plan, tol=1e-6)
     assert report.feasible, report.as_dict()
+
+
+def test_start_point_is_the_reference_at_static_equilibrium():
+    # The state columns hold the reference, the pairs of each timestep share
+    # the weight -m g equally (flat_foot_plan has one to three pairs per
+    # timestep), and torques and offsets are zero.
+    plan = flat_foot_plan()
+    refs = hover_references(plan)
+    qp = build_force_qp(_inputs(plan, refs))
+    start = extract_force_iterate(QpSolution(x=qp.x0, y=np.zeros(qp.m_c), status="solved",
+                                             objective=0.0, iterations=0, solve_time=0.0),
+                                  qp.layout)
+    table = plan.pair_table
+    assert np.array_equal(start.h, refs.stacked)
+    pairs_at_t = np.diff(table.start)[table.t]
+    assert np.allclose(start.f * pairs_at_t[:, None], -plan.mass * plan.gravity, rtol=1e-15)
+    assert not start.tau.any() and not start.z.any()
+
+
+def test_cold_solves_from_the_start_point_reach_the_zero_start_objective_sooner():
+    # The first force QP optimize() builds, solved cold from its start point
+    # and from x = 0: the same objective to the solver's tolerance, and fewer
+    # iterations over the suite.
+    docs = {**shipped_scenarios(), "trot N=300": make_gait("trot", N=300)}
+    iterations = {"start point": 0, "zero": 0}
+    settings = SolverSettings()
+    for kind, doc in docs.items():
+        plan, refs, _, weights = materialize(doc)
+        p = nominal_footholds(plan, refs)
+        qp = build_force_qp(ForceQpInputs(
+            plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p,
+            references=refs, weights=weights))
+        assert qp.x0 is not None and qp.x0.any(), kind
+        from_start = InteriorPointSolver(qp, settings).solve()
+        from_zero = InteriorPointSolver(replace(qp, x0=None), settings).solve()
+        assert from_start.solved and from_zero.solved, kind
+        assert not from_start.warm_started, kind
+        tol = settings.eps_abs + settings.eps_rel * abs(from_zero.objective)
+        assert abs(from_start.objective - from_zero.objective) <= tol, kind
+        iterations["start point"] += from_start.iterations
+        iterations["zero"] += from_zero.iterations
+    assert iterations["start point"] < iterations["zero"], iterations
 
 
 def test_cached_structure_keeps_builds_independent():

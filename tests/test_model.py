@@ -173,6 +173,22 @@ def test_contact_phase_invariants():
         ContactPhase("F", 0, 5, empty)
 
 
+@pytest.mark.parametrize("field", ["dt", "mass", "kinematic_limit"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_contact_plan_rejects_non_finite_constants(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        replace(hover_plan(), **{field: value})
+
+
+def test_contact_phase_rejects_non_finite_friction_and_rotation():
+    surf = flat_patch(0, 0)
+    for mu in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^friction_coeff must be finite"):
+            ContactPhase("F", 0, 5, surf, friction_coeff=mu)
+    with pytest.raises(ValueError, match="^rotation for F must be finite"):
+        ContactPhase("F", 0, 5, surf, rotation=np.full((3, 3), np.nan))
+
+
 def test_contact_plan_rejects_overlapping_phases():
     surf = flat_patch(0.19, 0.11)
     phases = [ContactPhase("FL", 0, 6, surf), ContactPhase("FL", 4, 9, surf)]

@@ -20,7 +20,7 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.banded import _EQUALITY_GAP
+from centroidal_bcd.qp.banded import _EQUALITY_GAP, BandedKkt, _entries_by_row
 from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
 from centroidal_bcd.qp.problem import INFTY, Block, diagonal
@@ -465,6 +465,73 @@ def test_band_product_is_bitwise_the_gathered_assembly(trot_qps):
                 == _gathered_band(h, h._Ps, h._As, w, _DELTA).tobytes())
 
 
+def _filtered_pair_map(P, A):
+    """The band map's (slot, indptr, left, right) built by forming every
+    ordered pair of entries in each row of A and keeping the pairs whose
+    first column is the larger: the reference for the map's direct
+    generation of the kept pairs."""
+    P, A = P.tocsc(), A.tocsc()
+    n, m = P.shape[1], A.shape[0]
+    by_row, row_ptr = _entries_by_row(A)
+    rows = A.indices[by_row].astype(np.intp)
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))[by_row]
+    reps = np.diff(row_ptr)[rows]
+    a = np.repeat(np.arange(rows.size), reps)
+    b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
+    lower = cols[a] >= cols[b]
+    a, b = a[lower], b[lower]
+    p_rows, p_cols = P.indices, np.repeat(np.arange(n), np.diff(P.indptr))
+    p_lower = np.flatnonzero(p_rows >= p_cols)
+    one = A.nnz + P.nnz
+    left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
+    right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
+    weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
+    i = np.concatenate([cols[a], p_rows[p_lower], np.arange(n)])
+    j = np.concatenate([cols[b], p_cols[p_lower], np.arange(n)])
+    width = int(np.max(i - j, initial=0)) + 1
+    return j * width + (i - j), np.cumsum(np.bincount(weight, minlength=m + 2)), left, right
+
+
+def _first_qps(doc):
+    """The first force and contact QPs ``optimize`` would build for a
+    scenario, at nominal geometry."""
+    plan, refs, _, weights = materialize(doc)
+    p = nominal_footholds(plan, refs)
+    force = build_force_qp(ForceQpInputs(
+        plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p,
+        references=refs, weights=weights))
+    f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+    contact = build_contact_qp(ContactQpInputs(plan=plan, f_fixed=f0, h_reg=refs.stacked,
+                                               references=refs, weights=weights, l_prox=100.0))
+    return force, contact
+
+
+def test_band_map_keeps_exactly_the_pairs_the_all_pairs_filter_kept():
+    qps = [qp for doc in shipped_scenarios().values() for qp in _first_qps(doc)]
+    rng = np.random.default_rng(16)
+    qps += [_random_qp(rng)[0] for _ in range(20)]
+    qps += [_guarded_scaling_qp(), _no_constraint_qp(), _scrambled_chain_qp()]
+    for qp in qps:
+        band_map = BandedKkt(qp)._map
+        slot, indptr, left, right = _filtered_pair_map(qp.P, qp.A)
+        assert np.array_equal(band_map.slot, slot)
+        assert np.array_equal(band_map.indptr[1:], indptr) and band_map.indptr[0] == 0
+        assert np.array_equal(band_map.left, left)
+        assert np.array_equal(band_map.right, right)
+
+
+def test_duplicate_entries_of_a_are_named():
+    # Two stored entries at (0, 1): the band map pairs the entries of a row
+    # in column order, which needs each (row, column) stored once.
+    A = sp.csc_matrix((np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0]), np.array([0, 1, 3])),
+                      shape=(1, 2))
+    qp = SparseQP(n=2, m_c=1, P=diagonal(np.ones(2)), q=np.zeros(2), A=A,
+                  lo=np.zeros(1), hi=np.ones(1))
+    for handle in (InteriorPointSolver, BandedActiveSetSolver):
+        with pytest.raises(ValueError, match=r"^A holds duplicate entries at \(0, 1\)"):
+            handle(qp)
+
+
 @pytest.mark.parametrize("name", ["random", "force", "contact"])
 def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     # A forward sweep with the factor and a transposed one with the same
@@ -612,8 +679,8 @@ def _record_directions(monkeypatch, h):
 def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, monkeypatch):
     # The start step factors once and counts as an iteration, but moves
     # neither x nor the equality multipliers from 0; it moves every slack and
-    # multiplier to at least 1.
-    qp = trot_qps["force"]
+    # multiplier to at least 1. Here the QP has no start point of its own.
+    qp = replace(trot_qps["force"], x0=None)
     capped = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
     sol = capped.solve()
     assert (sol.status, sol.iterations, capped.kkt_refactorizations) == ("max_iter", 1, 1)
@@ -625,6 +692,32 @@ def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, mo
     (s0, lam0), (s, lam) = points[:2]
     assert s.min() >= 1.0 and lam.min() >= 1.0
     assert not np.array_equal(s, s0) and not np.array_equal(lam, lam0)
+
+
+def test_a_cold_solve_starts_at_the_qps_start_point(trot_qps, monkeypatch):
+    # With a start point, the start step keeps x there, and the first
+    # direction starts from the slacks of that point, floored at 1, and unit
+    # multipliers.
+    qp = trot_qps["force"]
+    capped = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
+    sol = capped.solve()
+    assert (sol.status, sol.iterations) == ("max_iter", 1)
+    assert np.allclose(sol.x, qp.x0, rtol=1e-15, atol=0.0)
+    h = InteriorPointSolver(qp)
+    points = _record_directions(monkeypatch, h)
+    assert h.solve().solved
+    gap = h._sign * (h._As @ (qp.x0 / h._d))[h._rows] - h._b
+    s0, lam0 = points[0]
+    assert np.allclose(s0, np.maximum(gap, 1.0), rtol=1e-14, atol=0.0)
+    assert np.array_equal(lam0, np.ones(lam0.size))
+
+
+@pytest.mark.parametrize("x0, error", [(np.zeros(3), "x0 has shape"),
+                                       (np.array([0.0, np.nan]), "x0 holds non-finite"),
+                                       (np.array([0.0, np.inf]), "x0 holds non-finite")])
+def test_a_malformed_start_point_is_named(x0, error):
+    with pytest.raises(ValueError, match=f"^{error}"):
+        replace(_qp(np.eye(2), np.zeros(2)), x0=x0)
 
 
 def test_a_solve_after_a_failed_call_takes_the_same_start(trot_qps, monkeypatch):
