@@ -75,7 +75,7 @@ force_sol = InteriorPointSolver(force_qp).solve()
 print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "
       f"{force_sol.iterations} iterations (Mehrotra's start step, then "
       f"{force_sol.iterations - 1} predictor-corrector steps)")
-force = extract_force_iterate(force_sol, force_qp.layout)
+force = extract_force_iterate(force_sol, plan)
 contact_qp = build_contact_qp(ContactQpInputs(
     plan=plan, f_fixed=force.f, h_reg=force.h, references=refs, weights=weights,
     tau_fixed=force.tau, l_prox=settings.L0_contact))

@@ -21,7 +21,7 @@ from .model import (
     skew,
     verify_trajectory,
 )
-from .qp import InteriorPointSolver, QpSolution, SolverSettings, SparseQP, VariableLayout
+from .qp import InteriorPointSolver, QpSolution, SolverSettings, SparseQP
 from .references import ReferenceSet
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ iteration and the status.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -83,6 +84,10 @@ class BcdSettings:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
+        # NaN passes every comparison below, and infinity some of them.
+        for name in ("L0_force", "L0_contact", "alpha", "eps_f", "max_outer_iterations"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 1.0:
             raise ValueError("alpha must be > 1")
         if self.eps_f < 0.0:
@@ -316,7 +321,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         # Assembly, setup, and factorization updates are accounted separately
         # from pure solve time.
         setup_time += time.perf_counter() - t0 - sol.solve_time
-        iterate = extract_force_iterate(sol, qp.layout)
+        iterate = extract_force_iterate(sol, plan)
         if kept is not None:
             kept.append((iterate, ell, p_fixed))
         return iterate, sol
@@ -339,7 +344,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
         contact_handle, contact_fallback_handle, contact_sol, fell_back = _solve_contact(
             contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
         setup_time += time.perf_counter() - t0 - contact_sol.solve_time
-        contact_iterate = extract_contact_iterate(contact_sol, qp_c.layout, plan)
+        contact_iterate = extract_contact_iterate(contact_sol, plan)
         L_contact = min(L_contact * settings.alpha, L_PROX_CAP)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)

@@ -1,10 +1,11 @@
 """Command-line interface: solve scenarios, verify trajectories, benchmark
 horizon scaling, and generate gait scenario files.
 
-Exit codes for ``solve``: 0 converged and feasible, 1 scenario error,
-2 subproblem infeasibility (block and iteration named), 3 non-convergence
-(outputs are still written). ``verify`` returns 0 when feasible at the
-tolerance, 1 when not, and 64 on malformed trajectory files.
+Exit codes for ``solve``: 0 converged and feasible, 1 scenario error or a
+flag value the run cannot use (the flag named), 2 subproblem infeasibility
+(block and iteration named), 3 non-convergence (outputs are still written).
+``verify`` returns 0 when feasible at the tolerance, 1 when not or on an
+unusable flag value, and 64 on malformed trajectory files.
 
 All machine outputs are byte-reproducible for identical inputs; wall-clock
 timings live in their own file (timing.csv).
@@ -16,6 +17,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,18 +42,28 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_FORMAT = 64
 
 
+class FlagError(ValueError):
+    """A flag value the run cannot use; the message names the flag."""
+
+
 def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSettings:
-    updates = {}
-    if cfg.eps_f is not None:
-        updates["eps_f"] = cfg.eps_f
-    if cfg.L0 is not None:
-        updates["L0_force"] = cfg.L0
-        updates["L0_contact"] = cfg.L0
-    if cfg.alpha is not None:
-        updates["alpha"] = cfg.alpha
-    if cfg.max_iters is not None:
-        updates["max_outer_iterations"] = cfg.max_iters
-    return replace(settings, **updates) if updates else settings
+    """``settings`` with the given flags applied; a value the settings reject
+    raises ``FlagError``."""
+    for flag, names in (("--eps-f", ("eps_f",)), ("--L0", ("L0_force", "L0_contact")),
+                        ("--alpha", ("alpha",)), ("--max-iters", ("max_outer_iterations",))):
+        value = getattr(cfg, flag[2:].replace("-", "_"))
+        if value is not None:
+            try:
+                settings = replace(settings, **dict.fromkeys(names, value))
+            except ValueError as exc:
+                raise FlagError(f"{flag}: {exc}") from None
+    return settings
+
+
+def _tolerance(cfg: argparse.Namespace) -> float:
+    if not math.isfinite(cfg.tol) or cfg.tol < 0.0:
+        raise FlagError(f"--tol: must be finite and >= 0, got {cfg.tol}")
+    return cfg.tol
 
 
 def _load(cfg: argparse.Namespace):
@@ -79,6 +91,7 @@ def _summary_lines(name: str, result, tol: float) -> list[str]:
 
 
 def run_solve(cfg: argparse.Namespace) -> int:
+    tol = _tolerance(cfg)
     try:
         sf, plan, refs, settings, weights = _load(cfg)
     except (ScenarioError, OSError) as exc:
@@ -97,7 +110,7 @@ def run_solve(cfg: argparse.Namespace) -> int:
 
     try:
         result = optimize(plan, refs, settings, weights, on_iteration=progress,
-                          residual_tol=cfg.tol)
+                          residual_tol=tol)
     except BlockSolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -108,7 +121,7 @@ def run_solve(cfg: argparse.Namespace) -> int:
         write_convergence_json(fh, result, sf.name)
     with open(out / "timing.csv", "w", newline="") as fh:
         write_timing_csv(fh, result)
-    summary = _summary_lines(sf.name, result, cfg.tol)
+    summary = _summary_lines(sf.name, result, tol)
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     if not result.converged:
@@ -117,6 +130,7 @@ def run_solve(cfg: argparse.Namespace) -> int:
 
 
 def run_verify(cfg: argparse.Namespace) -> int:
+    tol = _tolerance(cfg)
     try:
         plan = build_plan(parse_scenario(cfg.scenario.read_bytes()))
     except (ScenarioError, OSError) as exc:
@@ -126,7 +140,7 @@ def run_verify(cfg: argparse.Namespace) -> int:
     try:
         with open(path, newline="") as fh:
             traj = read_trajectory_csv(fh, plan)
-        report = verify_trajectory(traj, plan, tol=cfg.tol)
+        report = verify_trajectory(traj, plan, tol=tol)
     except (TrajectoryFormatError, OSError) as exc:
         print(f"trajectory format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -218,34 +232,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Biconvex trajectory optimization for centroidal momentum dynamics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", type=Path, required=scenario_required,
-                       help="scenario document (.scn, JSON or YAML)")
-        p.add_argument("--out", type=Path, help="output directory (or file for gait)")
-        p.add_argument("--eps-f", type=float, dest="eps_f", help="consensus threshold")
-        p.add_argument("--L0", type=float, dest="L0", help="initial proximal weight (both blocks)")
-        p.add_argument("--alpha", type=float, help="proximal growth factor")
-        p.add_argument("--max-iters", type=int, dest="max_iters", help="outer iteration cap")
-        p.add_argument("--tol", type=float, default=1e-5, help="feasibility tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
-        p.add_argument("--verbose", action="store_true")
-
-    common(sub.add_parser("solve", help="optimize a scenario"))
-    p_verify = sub.add_parser("verify", help="check a trajectory against a scenario")
-    common(p_verify)
-    p_verify.add_argument("trajectory", type=Path, nargs="?",
-                          help="trajectory CSV (default: <out>/trajectory.csv)")
-    p_bench = sub.add_parser("bench", help="horizon scaling benchmark")
-    common(p_bench)
-    p_bench.add_argument("--horizons", type=_parse_horizons, default=(),
-                         help="comma-separated horizon lengths")
-    p_gait = sub.add_parser("gait", help="generate a gait scenario document")
-    common(p_gait, scenario_required=False)
-    p_gait.add_argument("--kind", required=True, choices=GAIT_KINDS)
-    p_gait.add_argument("--horizon", type=int, help="horizon length N")
-    p_gait.add_argument("--dt", type=float, help="timestep in seconds")
-    p_gait.add_argument("--param", type=_parse_param, action="append", default=[],
-                        help="generator parameter as key=value (repeatable)")
+    # Each subcommand takes only the arguments it reads.
+    arguments = {
+        "--scenario": dict(type=Path, required=True,
+                           help="scenario document (.scn, JSON or YAML)"),
+        "--out": dict(type=Path, help="output directory (or file for gait)"),
+        "--eps-f": dict(type=float, help="consensus threshold"),
+        "--L0": dict(type=float, help="initial proximal weight (both blocks)"),
+        "--alpha": dict(type=float, help="proximal growth factor"),
+        "--max-iters": dict(type=int, help="outer iteration cap"),
+        "--tol": dict(type=float, default=1e-5, help="feasibility tolerance"),
+        "--seed": dict(type=int, default=0, help="seed recorded in bench.csv"),
+        "--verbose": dict(action="store_true"),
+        "trajectory": dict(type=Path, nargs="?",
+                           help="trajectory CSV (default: <out>/trajectory.csv)"),
+        "--horizons": dict(type=_parse_horizons, default=(),
+                           help="comma-separated horizon lengths"),
+        "--kind": dict(required=True, choices=GAIT_KINDS),
+        "--horizon": dict(type=int, help="horizon length N"),
+        "--dt": dict(type=float, help="timestep in seconds"),
+        "--param": dict(type=_parse_param, action="append", default=[],
+                        help="generator parameter as key=value (repeatable)"),
+    }
+    overrides = ("--eps-f", "--L0", "--alpha", "--max-iters")
+    for name, summary, names in (
+            ("solve", "optimize a scenario", ("--scenario", "--out", *overrides, "--tol")),
+            ("verify", "check a trajectory against a scenario",
+             ("--scenario", "--out", "--tol", "trajectory")),
+            ("bench", "horizon scaling benchmark",
+             ("--scenario", "--out", *overrides, "--seed", "--horizons")),
+            ("gait", "generate a gait scenario document",
+             ("--out", "--kind", "--horizon", "--dt", "--param"))):
+        p = sub.add_parser(name, help=summary)
+        for argument in (*names, "--verbose"):
+            p.add_argument(argument, **arguments[argument])
     return parser
 
 
@@ -254,7 +274,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if cfg.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     runners = {"solve": run_solve, "verify": run_verify, "bench": run_bench, "gait": run_gait}
-    return runners[cfg.subcommand](cfg)
+    try:
+        return runners[cfg.subcommand](cfg)
+    except FlagError as exc:
+        print(f"flag error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
 
 
 if __name__ == "__main__":

@@ -39,15 +39,14 @@ Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Mapping
 
 import numpy as np
 
 from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
-    recursion_rows, skew_entries, state_layout, timestep_blocks, zmp_rows
+    recursion_rows, skew_entries, timestep_blocks, zmp_rows
 from .model import CentroidalState, ContactPlan, Polytope, state_array
-from .qp.problem import Block, QpSolution, SparseQP, TripletPattern, VariableLayout, diagonal
+from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -116,18 +115,16 @@ class _Structure:
     """Plan-only part of the Contact-QP. Per-pair arrays follow
     ``plan.active_pairs()``; per-flat-pair arrays its flat-foot subset."""
 
-    layout: VariableLayout
+    n: int                    # columns
     pattern: TripletPattern
     a_data: np.ndarray        # constant entries; the skew slots hold zero
     lo: np.ndarray            # k rows hold only the initial state's term
     hi: np.ndarray
-    state_cols: np.ndarray    # (N, 9)
+    state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
     r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
     p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on the copy
     p_cols: np.ndarray        # (pairs, 3) phase foothold columns, shared within a phase
     copy_cols: np.ndarray     # (pairs, 3) the pair's own foothold copy (p at a phase start)
-    pair_t: np.ndarray        # (pairs,) timestep of each pair
-    flat: np.ndarray          # (flat pairs,) indices into pairs
     z_rotation: np.ndarray    # (flat pairs, 3, 2) R^{xy}
     z_pos: np.ndarray         # (flat pairs, 6) A.data positions of dt skew(f) R^{xy}
     k_rows: np.ndarray        # (flat pairs, 3) angular momentum rows
@@ -170,11 +167,6 @@ def _structure(plan: ContactPlan) -> _Structure:
     p_col = phase_p[table.phase]
     p_cols = p_col[:, None] + np.arange(3)
     z_cols = (pair_col + 3)[flat, None] + np.arange(2)
-    # One foothold per phase, resolved from every covered timestep; the later
-    # timesteps' copies are variables of their own.
-    layout = state_layout(table, t_col, n, p=Block(table.keys, p_col, 3),
-                          p_copy=Block(tuple(compress(table.keys, later)), pair_col[later], 3),
-                          z=Block(table.flat_keys, z_cols[:, 0], 2))
     # Rows: the r and k recursions of each timestep, then per pair the
     # kinematic box, the center-of-pressure box and, at the phase's first
     # timestep, the surface, or later, the tie to the previous copy.
@@ -216,17 +208,16 @@ def _structure(plan: ContactPlan) -> _Structure:
     e.lo[tie_rows] = e.hi[tie_rows] = 0.0
     pattern, a_data, lo, hi = e.build(n)
     return _Structure(
-        layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
+        n=n, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
         r_skew_pos=pattern.positions(r_skew), p_skew_pos=pattern.positions(p_skew),
-        p_cols=p_cols, copy_cols=copy_cols, pair_t=t, flat=np.flatnonzero(flat),
-        z_rotation=table.rotation[flat][:, :, :2], z_pos=pattern.positions(z_slots),
-        k_rows=k_rows[flat], z_cols=z_cols)
+        p_cols=p_cols, copy_cols=copy_cols, z_rotation=table.rotation[flat][:, :, :2],
+        z_pos=pattern.positions(z_slots), k_rows=k_rows[flat], z_cols=z_cols)
 
 
 def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     plan = inputs.plan
     s = _structure(plan)
-    w, layout, dt = inputs.weights, s.layout, plan.dt
+    w, dt = inputs.weights, plan.dt
     f = inputs.f_fixed
     a_data = s.a_data.copy()
     skew_f = dt * skew_entries(f)
@@ -234,7 +225,7 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     np.add.at(a_data, s.r_skew_pos, -skew_f)
     a_data[s.p_skew_pos] = skew_f
     # skew(f) R^{xy} column j is f x R[:, j].
-    z_block = np.cross(f[s.flat, None, :], s.z_rotation.transpose(0, 2, 1))
+    z_block = np.cross(f[plan.pair_table.flat, None, :], s.z_rotation.transpose(0, 2, 1))
     a_data[s.z_pos] = dt * z_block.transpose(0, 2, 1).reshape(-1, 6)
     tau = dt * inputs.tau_fixed
     lo, hi = s.lo.copy(), s.hi.copy()
@@ -245,18 +236,18 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     # toward the force solve. Each timestep's foothold terms sit on its own
     # copy; the ties make the sum over a phase's copies the phase's cost.
     p_prox = inputs.l_prox if inputs.p_reg is not None else 0.0
-    d = np.zeros(layout.n)
+    d = np.zeros(s.n)
     d[s.z_cols] = 2.0 * w.zmp
     d[s.copy_cols] = 2.0 * w.foothold + p_prox
     d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
-    q = np.zeros(layout.n)
+    q = np.zeros(s.n)
     q[s.state_cols] = (-2.0 * w.running_h * inputs.references.stacked
                        - inputs.l_prox * inputs.h_reg)
     q[s.copy_cols] = -2.0 * w.foothold * nominal_footholds(plan, inputs.references)
     if inputs.p_reg is not None:
         q[s.copy_cols] -= p_prox * inputs.p_reg
-    return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
-                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout)
+    return SparseQP(n=s.n, m_c=lo.size, P=diagonal(d), q=q,
+                    A=s.pattern.matrix(a_data), lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -271,13 +262,14 @@ class ContactIterate:
     ell: np.ndarray
 
 
-def extract_contact_iterate(sol: QpSolution, layout: VariableLayout,
-                            plan: ContactPlan) -> ContactIterate:
+def extract_contact_iterate(sol: QpSolution, plan: ContactPlan) -> ContactIterate:
+    """The iterate of a solved Contact-QP built on ``plan``."""
     if not sol.solved:
         raise QpNotSolved(sol.status)
     s = _structure(plan)
     p = sol.x[s.p_cols]
     z = sol.x[s.z_cols]
-    ell = p - sol.x[s.state_cols[s.pair_t, 0:3]]
-    ell[s.flat] = ell[s.flat] + (s.z_rotation @ z[:, :, None])[..., 0]
+    t, flat = plan.pair_table.t, plan.pair_table.flat
+    ell = p - sol.x[s.state_cols[t, 0:3]]
+    ell[flat] = ell[flat] + (s.z_rotation @ z[:, :, None])[..., 0]
     return ContactIterate(h=sol.x[s.state_cols], p=p, z=z, ell=ell)

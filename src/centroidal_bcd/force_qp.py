@@ -12,13 +12,15 @@ the whole trajectory problem over (h, f, tau, z) is one convex QP:
   - diagonal quadratic cost: running penalties, reference tracking, and the
     proximal pull toward the previous contact solve's momentum trajectory.
 
-The layout, sparsity pattern, constant entries and bounds depend only on the
-contact plan, so they are built once per plan, with array arithmetic over the
-timesteps and the plan's active pairs; each build copies them and fills in
-the lever-arm, foothold and cost values with numpy. Inputs and iterates are
-arrays with one row per active pair in ``plan.active_pairs()`` order, and an
-(N, 9) state array. The helpers both trajectory QPs share (column and row
-offsets, recursion and center-of-pressure rows) live here too.
+The columns of each quantity, the sparsity pattern, constant entries and
+bounds depend only on the contact plan, so they are built once per plan,
+with array arithmetic over the timesteps and the plan's active pairs; each
+build copies them and fills in the lever-arm, foothold and cost values with
+numpy, and extraction reads the iterate through the same columns. Inputs and
+iterates are arrays with one row per active pair in ``plan.active_pairs()``
+order, and an (N, 9) state array. The helpers both trajectory QPs share
+(column and row offsets, recursion and center-of-pressure rows) live here
+too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import CentroidalState, ContactPlan, PairTable, state_array
-from .qp.problem import Block, QpSolution, SparseQP, TripletPattern, VariableLayout, diagonal
+from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 from .references import ReferenceSet
 
 __all__ = [
@@ -59,8 +61,8 @@ def _weights9(x, name: str) -> np.ndarray:
         w = np.repeat(w, 3)
     if w.shape != (9,):
         raise ValueError(f"{name} must have 3 (per r/l/k) or 9 entries")
-    if np.any(w < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
+    if not np.all((w >= 0.0) & (w < np.inf)):
+        raise ValueError(f"{name} must be finite and nonnegative, got {w}")
     w.setflags(write=False)
     return w
 
@@ -91,8 +93,9 @@ class CostWeights:
         object.__setattr__(self, "running_h", _weights9(self.running_h, "running_h"))
         object.__setattr__(self, "terminal", _weights9(self.terminal, "terminal"))
         for name in ("force", "torque", "zmp", "foothold"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} weight must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} weight must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
 
     def state(self, references: ReferenceSet) -> np.ndarray:
         """(N, 9) weights on each state's deviation from its reference:
@@ -162,12 +165,6 @@ def per_plan(build):
     return cached
 
 
-def state_columns(layout: VariableLayout) -> np.ndarray:
-    """(N, 9) columns of the state at each timestep. Both trajectory layouts
-    place (r, l, k) of one timestep in nine consecutive columns."""
-    return layout.blocks["r"].start[:, None] + np.arange(9)
-
-
 def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.ndarray, int]:
     """First index of every timestep's head block and of every pair, and the
     total, when each timestep holds ``width[i]`` columns (or rows) for each of
@@ -181,14 +178,6 @@ def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.
     N = table.start.size - 1
     return (head * np.arange(N) + before[table.start[1:]], head * table.t + before[:-1],
             head * N + int(before[-1]))
-
-
-def state_layout(table: PairTable, t_col: np.ndarray, n: int, **pair_blocks) -> VariableLayout:
-    """Layout with (r, l, k) of timestep t from ``t_col[t]`` plus the given
-    per-pair blocks."""
-    keys = tuple((t, None) for t in range(t_col.size))
-    return VariableLayout(n=n, blocks={"r": Block(keys, t_col, 3), "l": Block(keys, t_col + 3, 3),
-                                       "k": Block(keys, t_col + 6, 3), **pair_blocks})
 
 
 class Entries:
@@ -256,15 +245,17 @@ class _Structure:
     """Plan-only part of the Force-QP. Per-pair arrays follow
     ``plan.active_pairs()``."""
 
-    layout: VariableLayout
+    n: int                    # columns
     pattern: TripletPattern
     a_data: np.ndarray        # constant entries; the skew slots hold zero
     lo: np.ndarray            # kinematic rows hold -L and +L; builds add p_fixed
     hi: np.ndarray
-    state_cols: np.ndarray    # (N, 9)
+    state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
+    f_cols: np.ndarray        # (pairs, 3)
+    tau_cols: np.ndarray      # (flat pairs, 3)
+    z_cols: np.ndarray        # (flat pairs, 2)
     skew_pos: np.ndarray      # (pairs, 6) A.data positions of -dt skew(ell)
     kin_rows: np.ndarray      # (pairs, 3)
-    weight_kind: np.ndarray   # (n,) scalar cost weight per column: 1 f, 2 tau, 3 z, 0 none
 
 
 @per_plan
@@ -278,9 +269,6 @@ def _structure(plan: ContactPlan) -> _Structure:
     f_cols = pair_col[:, None] + np.arange(3)
     tau_cols = f_cols[flat] + 3
     z_cols = pair_col[flat, None] + 6 + np.arange(2)
-    layout = state_layout(table, t_col, n, f=Block(table.keys, pair_col, 3),
-                          tau=Block(table.flat_keys, tau_cols[:, 0], 3),
-                          z=Block(table.flat_keys, z_cols[:, 0], 2))
     # Rows: the r, l and k recursions of each timestep, then per pair the
     # friction pyramid, the kinematic box and the center-of-pressure box.
     t_row, pair_row, m_c = timestep_blocks(table, 9, 7 + 2 * flat)
@@ -310,17 +298,14 @@ def _structure(plan: ContactPlan) -> _Structure:
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
     zmp_rows(e, plan, pair_row[flat, None] + 7 + np.arange(2), z_cols)
     pattern, a_data, lo, hi = e.build(n)
-    weight_kind = np.zeros(n, dtype=np.int64)
-    for kind, quantity_cols in enumerate((f_cols, tau_cols, z_cols), start=1):
-        weight_kind[quantity_cols] = kind
-    return _Structure(layout=layout, pattern=pattern, a_data=a_data, lo=lo, hi=hi,
-                      state_cols=cols, skew_pos=pattern.positions(skew_slots),
-                      kin_rows=kin_rows, weight_kind=weight_kind)
+    return _Structure(n=n, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
+                      f_cols=f_cols, tau_cols=tau_cols, z_cols=z_cols,
+                      skew_pos=pattern.positions(skew_slots), kin_rows=kin_rows)
 
 
 def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     s = _structure(inputs.plan)
-    w, layout = inputs.weights, s.layout
+    w = inputs.weights
     a_data = s.a_data.copy()
     a_data[s.skew_pos] = -inputs.plan.dt * skew_entries(inputs.ell_fixed)
     lo, hi = s.lo.copy(), s.hi.copy()
@@ -328,23 +313,25 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     hi[s.kin_rows] += inputs.p_fixed
 
     W = w.state(inputs.references)
-    d = 2.0 * np.array([0.0, w.force, w.torque, w.zmp])[s.weight_kind]
+    d = np.zeros(s.n)
+    d[s.f_cols] = 2.0 * w.force
+    d[s.tau_cols] = 2.0 * w.torque
+    d[s.z_cols] = 2.0 * w.zmp
     d[s.state_cols] = 2.0 * W + inputs.l_prox
     q_state = -2.0 * W * inputs.references.stacked
     if inputs.h_reg is not None and inputs.l_prox > 0.0:
         q_state = q_state - inputs.l_prox * inputs.h_reg
-    q = np.zeros(layout.n)
+    q = np.zeros(s.n)
     q[s.state_cols] = q_state
     # The interior-point method's cold start: the reference momentum, and
     # each active pair carrying an equal share of the weight, -m g over the
     # pairs active at its timestep; torques and offsets zero.
     plan, table = inputs.plan, inputs.plan.pair_table
-    x0 = np.zeros(layout.n)
+    x0 = np.zeros(s.n)
     x0[s.state_cols] = inputs.references.stacked
-    x0[layout.columns("f")] = (-plan.mass * plan.gravity
-                               / np.diff(table.start)[table.t, None]).reshape(-1)
-    return SparseQP(n=layout.n, m_c=lo.size, P=diagonal(d), q=q,
-                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, layout=layout, x0=x0)
+    x0[s.f_cols] = -plan.mass * plan.gravity / np.diff(table.start)[table.t, None]
+    return SparseQP(n=s.n, m_c=lo.size, P=diagonal(d), q=q,
+                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, x0=x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,13 +350,12 @@ class ForceIterate:
         return tuple(CentroidalState.from_stacked(h) for h in self.h)
 
 
-def extract_force_iterate(sol: QpSolution, layout: VariableLayout) -> ForceIterate:
+def extract_force_iterate(sol: QpSolution, plan: ContactPlan) -> ForceIterate:
+    """The iterate of a solved Force-QP built on ``plan``."""
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    x = sol.x
-    return ForceIterate(h=x[state_columns(layout)], f=x[layout.columns("f")].reshape(-1, 3),
-                        tau=x[layout.columns("tau")].reshape(-1, 3),
-                        z=x[layout.columns("z")].reshape(-1, 2))
+    s, x = _structure(plan), sol.x
+    return ForceIterate(h=x[s.state_cols], f=x[s.f_cols], tau=x[s.tau_cols], z=x[s.z_cols])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,9 +122,6 @@ class Polytope:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) <= self.b + tol))
-
     def violation(self, x) -> float:
         """Largest halfspace violation at x (<= 0 means inside)."""
         return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
@@ -212,6 +209,9 @@ class ContactPhase:
             if self.zmp_bounds is None:
                 raise ValueError("flat-foot phase requires zmp_bounds")
             (xlo, xhi), (ylo, yhi) = self.zmp_bounds
+            if not all(map(math.isfinite, (xlo, xhi, ylo, yhi))):
+                raise ValueError(f"zmp_bounds for {self.end_effector_id} must be finite, "
+                                 f"got {self.zmp_bounds}")
             if xlo > xhi or ylo > yhi:
                 raise ValueError(f"zmp bounds inverted: {self.zmp_bounds}")
         hint = self.foothold_hint

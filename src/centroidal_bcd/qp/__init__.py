@@ -8,7 +8,6 @@ from .problem import (
     SolverSettings,
     SparseQP,
     TripletPattern,
-    VariableLayout,
     kkt_residuals,
     pattern_hash,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "SolverSettings",
     "SparseQP",
     "TripletPattern",
-    "VariableLayout",
     "kkt_residuals",
     "pattern_hash",
 ]

@@ -12,9 +12,8 @@ factorization.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,8 +21,6 @@ import scipy.sparse as sp
 __all__ = [
     "INFTY",
     "SparseQP",
-    "Block",
-    "VariableLayout",
     "SolverSettings",
     "QpSolution",
     "TripletPattern",
@@ -103,74 +100,6 @@ def pattern_hash(M: sp.spmatrix) -> int:
     return hash((M.shape, M.indptr.tobytes(), M.indices.tobytes()))
 
 
-_NO_COLUMNS = np.zeros(0, dtype=np.int64)
-_NO_COLUMNS.setflags(write=False)
-
-
-class Block(NamedTuple):
-    """One quantity of a layout: its (timestep, end-effector) keys, the first
-    column of each key's range, and the width shared by those ranges."""
-
-    keys: tuple[tuple[int, str | None], ...]
-    start: np.ndarray
-    width: int
-
-
-@dataclass(frozen=True, eq=False)
-class VariableLayout:
-    """Maps (quantity, timestep, end-effector) to a column range, one
-    ``Block`` per quantity. The distinct ranges must be disjoint and cover
-    [0, n). Keys sharing one variable (a phase foothold) repeat its start:
-    the first of them owns the range."""
-
-    n: int
-    blocks: Mapping[str, Block]
-    # quantity -> (keys of the owned ranges, their columns), in key order
-    _owned: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        owned = {}
-        for quantity, (keys, start, width) in self.blocks.items():
-            if len(set(keys)) != len(keys) or len(keys) != len(start):
-                raise ValueError(f"{quantity}: need one start per key, and no duplicate keys")
-            owner = np.sort(np.unique(start, return_index=True)[1])
-            cols = (np.asarray(start, dtype=np.int64)[owner, None] + np.arange(width)).reshape(-1)
-            cols.setflags(write=False)
-            owned[quantity] = (tuple(keys[i] for i in owner), cols)
-        every = np.concatenate([_NO_COLUMNS] + [cols for _, cols in owned.values()])
-        if every.size and (every.min() < 0 or every.max() >= self.n):
-            raise ValueError(f"layout ranges leave [0, {self.n})")
-        counts = np.bincount(every, minlength=self.n)
-        if np.any(counts > 1):
-            raise ValueError(f"layout ranges overlap at column {int(np.argmax(counts > 1))}")
-        if not np.all(counts):
-            raise ValueError("layout ranges do not cover [0, n)")
-        object.__setattr__(self, "_owned", owned)
-
-    @functools.cached_property
-    def _lookup(self) -> dict:
-        return {(quantity, *key): (start, start + width)
-                for quantity, (keys, starts, width) in self.blocks.items()
-                for key, start in zip(keys, np.asarray(starts).tolist())}
-
-    def span(self, quantity: str, t: int, effector: str | None = None) -> slice:
-        try:
-            start, stop = self._lookup[(quantity, t, effector)]
-        except KeyError:
-            raise KeyError(f"no variable ({quantity}, t={t}, effector={effector})") from None
-        return slice(start, stop)
-
-    def columns(self, quantity: str) -> np.ndarray:
-        """Columns of every owned range of ``quantity``, in key order
-        (read-only)."""
-        return self._owned.get(quantity, ((), _NO_COLUMNS))[1]
-
-    def keys(self, quantity: str) -> tuple[tuple[int, str | None], ...]:
-        """(timestep, end-effector) of every owned range of ``quantity``, in
-        key order."""
-        return self._owned.get(quantity, ((), _NO_COLUMNS))[0]
-
-
 @dataclass(frozen=True)
 class SparseQP:
     """Quadratic program in the canonical two-sided row-bound form.
@@ -190,7 +119,6 @@ class SparseQP:
     A: sp.csc_matrix
     lo: np.ndarray
     hi: np.ndarray
-    layout: VariableLayout | None = None
     x0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -246,11 +174,10 @@ class SolverSettings:
     max_iterations: int = 100
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name in ("eps_abs", "eps_rel", "max_iterations"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ overrides, all in SI units. ``emit_scenario`` writes it as indented JSON;
 JSON, so hand-written YAML documents keep working. ``parse(emit(x)) == x``
 structurally. ``load_scenario`` validates a document and materializes the
 in-memory problem; numbers the problem cannot use (non-finite values,
-non-positive masses or timesteps) are rejected there with the field's path.
+non-positive masses or timesteps) are rejected there with the field's path,
+or in the ``weights`` and ``bcd`` blocks with the block's path and the
+field's name.
 
 Surfaces may be given as convex polygon vertices (converted to halfspaces
 here) or as halfspaces directly. References are waypoint lists interpolated
@@ -161,18 +163,6 @@ def _vec(doc, path, size=3):
     return np.array(_numbers(doc, path, size))
 
 
-def _finite_leaves(doc, path: str) -> None:
-    """Reject a NaN or infinite number anywhere in a nested override block."""
-    if isinstance(doc, Mapping):
-        for key, value in doc.items():
-            _finite_leaves(value, f"{path}.{key}")
-    elif isinstance(doc, (list, tuple)):
-        for i, value in enumerate(doc):
-            _finite_leaves(value, f"{path}[{i}]")
-    elif isinstance(doc, float) and not math.isfinite(doc):
-        raise ScenarioError(path, f"must be finite, got {doc!r}")
-
-
 def _surface(spec, path) -> Polytope:
     if not isinstance(spec, Mapping):
         raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
@@ -324,8 +314,6 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
         raise ScenarioError("references", str(exc)) from None
     reference_set = ReferenceSet(h_kin)
 
-    _finite_leaves(sf.weights, "weights")
-    _finite_leaves(sf.bcd, "bcd")
     try:
         weights = CostWeights(**sf.weights) if sf.weights else CostWeights()
     except (TypeError, ValueError) as exc:

@@ -351,7 +351,7 @@ def test_criterion_8_physics_unit_properties(suite):
         plan=plan_h, ell_fixed={p: np.zeros(3) for p in pairs},
         p_fixed={p: plan_h.phase_at(*p).foothold_hint for p in pairs},
         references=refs_h))
-    it = extract_force_iterate(InteriorPointSolver(qp).solve(), qp.layout)
+    it = extract_force_iterate(InteriorPointSolver(qp).solve(), plan_h)
     for state in it.states:
         assert np.max(np.abs(state.k - plan_h.h0.k)) < 1e-9
     print(f"\n[ACCEPTANCE 8] PASS: cross-product identities, ballistic flight "

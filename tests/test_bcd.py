@@ -13,12 +13,11 @@ from centroidal_bcd.bcd import (
     force_trajectory,
     optimize,
 )
-from centroidal_bcd.force_qp import CostWeights
+from centroidal_bcd.force_qp import CostWeights, Entries
 from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, \
     verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, \
-    VariableLayout
+from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings
 from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_patch, hover_plan, hover_references
@@ -208,18 +207,27 @@ def test_settings_validation():
         BcdSettings(L0_force=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["L0_force", "L0_contact", "alpha", "eps_f",
+                                   "max_outer_iterations"])
+def test_settings_reject_non_finite_values(field, value):
+    # NaN passes every comparison test, so each field is checked for it.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        BcdSettings(**{field: value})
+
+
 def test_each_block_builds_one_layout_per_optimize(monkeypatch):
-    # A block's structure, layout included, depends only on the plan: one
-    # optimize() builds it once per block, however many QPs it assembles.
+    # A block's structure, its columns included, depends only on the plan:
+    # one optimize() builds it once per block, however many QPs it assembles.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
     constructed = []
-    real_post_init = VariableLayout.__post_init__
+    real_build = Entries.build
 
-    def counting_post_init(self):
-        constructed.append(self.n)
-        real_post_init(self)
+    def counting_build(self, n):
+        constructed.append(n)
+        return real_build(self, n)
 
-    monkeypatch.setattr(VariableLayout, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Entries, "build", counting_build)
     result = optimize(plan, refs, settings, weights)
     assert len(result.records) >= 2  # at least three force and two contact builds
     assert len(constructed) == 2

@@ -195,6 +195,53 @@ def test_bench_reports_scaling(tmp_path, trot_scenario, capsys):
     assert lines[1].split(",")[0] == "40"
 
 
+@pytest.fixture(scope="module")
+def stand_scenario(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scn") / "stand.scn"
+    assert main(["gait", "--kind", "stand", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("subcommand, flag, value, message", [
+    ("solve", "--L0", "nan", "L0_force must be finite"),
+    ("solve", "--eps-f", "nan", "eps_f must be finite"),
+    ("solve", "--alpha", "inf", "alpha must be finite"),
+    ("solve", "--alpha", "1", "alpha must be > 1"),
+    ("solve", "--tol", "nan", "must be finite and >= 0"),
+    ("solve", "--tol", "-1e-5", "must be finite and >= 0"),
+    ("verify", "--tol", "nan", "must be finite and >= 0"),
+    ("bench", "--L0", "inf", "L0_force must be finite"),
+    ("bench", "--eps-f", "nan", "eps_f must be finite"),
+    ("bench", "--max-iters", "0", "at least one outer iteration"),
+])
+def test_unusable_flag_values_exit_1_naming_the_flag(stand_scenario, tmp_path, capsys,
+                                                      subcommand, flag, value, message):
+    # Before, --L0 nan died in the solver with a traceback, --eps-f nan ran to
+    # the iteration cap and --tol nan reported a feasible trajectory
+    # infeasible.
+    assert main([subcommand, "--scenario", str(stand_scenario), "--out", str(tmp_path),
+                 f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flag error: {flag}: ") and message in err, err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gait", "--kind", "stand", "--eps-f", "1"],
+    ["gait", "--kind", "stand", "--scenario", "stand.scn"],
+    ["gait", "--kind", "stand", "--seed", "1"],
+    ["verify", "--scenario", "stand.scn", "--L0", "1"],
+    ["verify", "--scenario", "stand.scn", "--max-iters", "1"],
+    ["solve", "--scenario", "stand.scn", "--seed", "1"],
+    ["bench", "--scenario", "stand.scn", "--tol", "1e-5"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_bench_single_horizon_reports_na(tmp_path, trot_scenario, capsys):
     out = tmp_path / "bench1"
     assert main(["bench", "--scenario", str(trot_scenario),

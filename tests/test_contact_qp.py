@@ -13,13 +13,13 @@ from centroidal_bcd.contact_qp import (
     extract_contact_iterate,
     nominal_footholds,
 )
-from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, build_force_qp, \
-    extract_force_iterate
+from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, _structure as force_structure, \
+    build_force_qp, extract_force_iterate
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
     polygon_to_halfspaces, skew
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
-    SolverSettings, VariableLayout, pattern_hash
+    SolverSettings, pattern_hash
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
@@ -50,7 +50,7 @@ def test_zero_forces_keep_angular_momentum_and_nominal_footholds():
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
-    it = extract_contact_iterate(sol, qp.layout, plan)
+    it = extract_contact_iterate(sol, plan)
     for k in it.h[:, 6:9]:
         assert np.max(np.abs(k - plan.h0.k)) < 1e-9
     for (t, e), p in zip(plan.active_pairs(), it.p):
@@ -76,7 +76,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
                                           l_prox=L))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
-    it = extract_contact_iterate(sol, qp.layout, plan)
+    it = extract_contact_iterate(sol, plan)
     d_x = (it.h[0, 0:3] - it.p[0])[0]
 
     # Oracle: J(a, b) = (L/2) ((c(a+b) - K)^2 + a^2 + (a/dt)^2) + w_p b^2 with
@@ -94,7 +94,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     qp2 = build_contact_qp(_contact_inputs(
         plan, ReferenceSet(h_reg2), f0, h_reg2,
         weights=_zero_weights(foothold=1e-6), l_prox=1e6))
-    it2 = extract_contact_iterate(InteriorPointSolver(qp2).solve(), qp2.layout, plan)
+    it2 = extract_contact_iterate(InteriorPointSolver(qp2).solve(), plan)
     d2 = (it2.h[0, 0:3] - it2.p[0])[0]
     assert d2 == pytest.approx(K2 / (dt * fz), abs=1e-3)
 
@@ -105,7 +105,7 @@ def test_point_contact_lever_is_foot_minus_com():
     f0 = {pair: np.array([0.0, 0.0, plan.mass * 9.81 / 4]) for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
-    it = extract_contact_iterate(sol, qp.layout, plan)
+    it = extract_contact_iterate(sol, plan)
     for t, ell, p in zip(plan.pair_table.t, it.ell, it.p):
         assert np.allclose(ell, p - it.h[t, 0:3])
 
@@ -119,9 +119,9 @@ def test_hover_lever_arms_match_nominal_offsets():
     ell0 = geometry - refs.stacked[plan.pair_table.t, 0:3]
     fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell0, p_fixed=geometry,
                                        references=refs))
-    fit = extract_force_iterate(InteriorPointSolver(fqp).solve(), fqp.layout)
+    fit = extract_force_iterate(InteriorPointSolver(fqp).solve(), plan)
     cqp = build_contact_qp(_contact_inputs(plan, refs, fit.f, fit.h, l_prox=100.0))
-    cit = extract_contact_iterate(InteriorPointSolver(cqp).solve(), cqp.layout, plan)
+    cit = extract_contact_iterate(InteriorPointSolver(cqp).solve(), plan)
     for (t, e), ell in zip(plan.active_pairs(), cit.ell):
         assert np.max(np.abs(ell - plan.nominal_offsets[e])) < 1e-3
 
@@ -134,7 +134,8 @@ def _assert_same_entries(got, expected):
 
 def test_extraction_gathers_what_a_per_entry_scan_reads():
     # Random solution vectors: extraction is pure indexing, so every value
-    # must equal the per-(t, effector) slice bit for bit, in the same order.
+    # must equal the per-(t, effector) slice of the structure's columns bit
+    # for bit, in the same order.
     plan = flat_foot_plan()
     cases = [(plan, hover_references(plan)), materialize(make_gait("walk"))[:2]]
     rng = np.random.default_rng(8)
@@ -145,12 +146,13 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
                                            references=refs))
         x = rng.normal(size=fqp.n)
         fit = extract_force_iterate(QpSolution(x, np.zeros(fqp.m_c), "solved", 0.0, 0, 0.0),
-                                    fqp.layout)
-        parts = {"f": {}, "tau": {}, "z": {}}
-        for quantity, entries in parts.items():
-            for t, e in fqp.layout.keys(quantity):
-                entries[(t, e)] = x[fqp.layout.span(quantity, t, e)].copy()
+                                    plan)
         pairs, flat = plan.active_pairs(), plan.pair_table.flat_keys
+        fs = force_structure(plan)
+        parts = {quantity: {key: x[cols].copy() for key, cols in zip(keys, quantity_cols)}
+                 for quantity, keys, quantity_cols in (("f", pairs, fs.f_cols),
+                                                       ("tau", flat, fs.tau_cols),
+                                                       ("z", flat, fs.z_cols))}
         _assert_same_entries(dict(zip(pairs, fit.f)), parts["f"])
         _assert_same_entries(dict(zip(flat, fit.tau)), parts["tau"])
         _assert_same_entries(dict(zip(flat, fit.z)), parts["z"])
@@ -159,14 +161,16 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
                                                l_prox=100.0))
         x = rng.normal(size=cqp.n)
         cit = extract_contact_iterate(QpSolution(x, np.zeros(cqp.m_c), "solved", 0.0, 0, 0.0),
-                                      cqp.layout, plan)
+                                      plan)
+        cs = _structure(plan)
+        z_cols = dict(zip(flat, cs.z_cols))
         footholds, zmps, ells = {}, {}, {}
-        for t, e in plan.active_pairs():
+        for (t, e), p_cols in zip(pairs, cs.p_cols):
             ph = plan.phase_at(t, e)
-            footholds[(t, e)] = x[cqp.layout.span("p", t, e)].copy()
+            footholds[(t, e)] = x[p_cols].copy()
             ells[(t, e)] = footholds[(t, e)] - cit.h[t, 0:3]
             if ph.flat_foot:
-                zmps[(t, e)] = x[cqp.layout.span("z", t, e)].copy()
+                zmps[(t, e)] = x[z_cols[(t, e)]].copy()
                 ells[(t, e)] = ells[(t, e)] + ph.rotation[:, :2] @ zmps[(t, e)]
         _assert_same_entries(dict(zip(pairs, cit.p)), footholds)
         _assert_same_entries(dict(zip(flat, cit.z)), zmps)
@@ -194,7 +198,7 @@ def test_extracted_momentum_satisfies_transitions():
           for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0))
     sol = InteriorPointSolver(qp).solve()
-    it = extract_contact_iterate(sol, qp.layout, plan)
+    it = extract_contact_iterate(sol, plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     prev_k = plan.h0.k
     for t in range(plan.horizon):
@@ -212,7 +216,7 @@ def test_footholds_constant_within_phase_and_inside_surface():
     refs = hover_references(plan)
     f0 = {pair: np.array([0.1, -0.2, 6.0]) for pair in plan.active_pairs()}
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
-    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), qp.layout, plan)
+    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     for e in plan.effector_ids:
         ps = [footholds[(t, e)] for t in range(plan.horizon)]
@@ -238,7 +242,7 @@ def test_phase_foothold_balances_every_timesteps_pulls():
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked,
                                           _zero_weights(foothold=w_p), l_prox=prox,
                                           p_reg=p_reg))
-    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), qp.layout, plan)
+    it = extract_contact_iterate(InteriorPointSolver(qp).solve(), plan)
     phase = plan.pair_table.phase
     for j in range(len(plan.phases)):
         pulls = (2.0 * w_p * nominal[phase == j] + prox * p_reg[phase == j]) / (2.0 * w_p + prox)
@@ -258,24 +262,20 @@ def test_pattern_stable_under_different_forces():
     assert pattern_hash(qp1.P) == pattern_hash(qp2.P)
 
 
-def test_layout_is_constructed_once_per_build(monkeypatch):
-    # A phase foothold is shared by every timestep of its phase. Registering
-    # those keys one layout copy at a time made each build quadratic in N.
-    plan, refs, *_ = materialize(make_gait("trot", N=60))
-    f0 = {pair: np.zeros(3) for pair in plan.active_pairs()}
-    constructed = []
-    real_post_init = VariableLayout.__post_init__
-
-    def counting_post_init(self):
-        constructed.append(self.n)
-        real_post_init(self)
-
-    monkeypatch.setattr(VariableLayout, "__post_init__", counting_post_init)
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin)))
-    assert constructed == [qp.n]
-    for t, e in plan.active_pairs():
-        t0 = plan.phase_at(t, e).t_start
-        assert qp.layout.span("p", t, e) == qp.layout.span("p", t0, e)
+def test_a_phase_reads_its_foothold_from_its_first_copy_and_columns_partition():
+    # One foothold per phase: every timestep of a phase reads it from the
+    # columns of the phase's first copy, and the state, copy and z columns
+    # cover [0, n) once each.
+    for plan in (materialize(make_gait("trot", N=60))[0], flat_foot_plan()):
+        s = _structure(plan)
+        first = {}
+        for (t, e), p_cols, copy_cols in zip(plan.active_pairs(), s.p_cols, s.copy_cols):
+            t0 = plan.phase_at(t, e).t_start
+            if t == t0:
+                first[(t0, e)] = copy_cols
+            assert np.array_equal(p_cols, first[(t0, e)])
+        cols = np.concatenate([c.reshape(-1) for c in (s.state_cols, s.copy_cols, s.z_cols)])
+        assert np.array_equal(np.sort(cols), np.arange(s.n))
 
 
 def test_missing_force_rejected():
@@ -299,7 +299,7 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
                                           tau_fixed=tau))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
-    it = extract_contact_iterate(sol, qp.layout, plan)
+    it = extract_contact_iterate(sol, plan)
     assert list(plan.pair_table.flat_keys) == flat and len(it.z) == len(flat)
     assert np.max(np.abs(it.z)) > 1e-4
     footholds, ells = (dict(zip(plan.active_pairs(), a)) for a in (it.p, it.ell))
@@ -384,9 +384,9 @@ def shipped_contact_solves():
         solves[-1]["factorizations"] = self.factorizations - before
         return sol
 
-    def extract(sol, layout, plan):
+    def extract(sol, plan):
         solves[-1].update(sol=sol, plan=plan)
-        return real_extract(sol, layout, plan)
+        return real_extract(sol, plan)
 
     def ipm(self, qp, *args, **kwargs):
         ipm_qps.append(qp)

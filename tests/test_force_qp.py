@@ -67,7 +67,7 @@ def test_hover_equilibrium_force_distribution():
     qp = build_force_qp(_inputs(plan, refs))
     sol = InteriorPointSolver(qp, SolverSettings()).solve()
     assert sol.solved
-    it = extract_force_iterate(sol, qp.layout)
+    it = extract_force_iterate(sol, plan)
     forces = dict(zip(plan.active_pairs(), it.f))
     mg = plan.mass * 9.81
     for t in range(plan.horizon):
@@ -86,28 +86,33 @@ def test_zero_lever_arms_freeze_angular_momentum():
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
-    it = extract_force_iterate(sol, qp.layout)
+    it = extract_force_iterate(sol, plan)
     for state in it.states:
         assert np.max(np.abs(state.k - plan.h0.k)) < 1e-9
 
 
 def test_extraction_round_trip_is_bijective():
-    plan = hover_plan(N=4)
-    refs = hover_references(plan)
-    qp = build_force_qp(_inputs(plan, refs))
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=qp.n)
-    sol = QpSolution(x=x, y=np.zeros(qp.m_c), status="solved", objective=0.0,
-                     iterations=1, solve_time=0.0)
-    it = extract_force_iterate(sol, qp.layout)
-    rebuilt = np.empty(qp.n)
-    for t in range(plan.horizon):
-        rebuilt[qp.layout.span("r", t)] = it.states[t].r
-        rebuilt[qp.layout.span("l", t)] = it.states[t].l
-        rebuilt[qp.layout.span("k", t)] = it.states[t].k
-    for (t, e), f in zip(plan.active_pairs(), it.f):
-        rebuilt[qp.layout.span("f", t, e)] = f
-    assert np.array_equal(rebuilt, x)
+    for plan in (hover_plan(N=4), flat_foot_plan()):
+        refs = hover_references(plan)
+        qp = build_force_qp(_inputs(plan, refs))
+        s = force_qp_module._structure(plan)
+        # The state, f, tau and z columns partition [0, n).
+        cols = np.concatenate([c.reshape(-1) for c in
+                               (s.state_cols, s.f_cols, s.tau_cols, s.z_cols)])
+        assert s.n == qp.n and np.array_equal(np.sort(cols), np.arange(qp.n))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=qp.n)
+        sol = QpSolution(x=x, y=np.zeros(qp.m_c), status="solved", objective=0.0,
+                         iterations=1, solve_time=0.0)
+        it = extract_force_iterate(sol, plan)
+        rebuilt = np.empty(qp.n)
+        for t in range(plan.horizon):
+            rebuilt[s.state_cols[t]] = np.concatenate([it.states[t].r, it.states[t].l,
+                                                       it.states[t].k])
+        for quantity in ("f", "tau", "z"):
+            for cols, value in zip(getattr(s, f"{quantity}_cols"), getattr(it, quantity)):
+                rebuilt[cols] = value
+        assert np.array_equal(rebuilt, x)
 
 
 def test_infeasible_geometry_propagates_status():
@@ -120,7 +125,7 @@ def test_infeasible_geometry_propagates_status():
     sol = InteriorPointSolver(qp).solve()
     assert sol.status == "primal_infeasible"
     with pytest.raises(QpNotSolved, match="primal_infeasible"):
-        extract_force_iterate(sol, qp.layout)
+        extract_force_iterate(sol, plan)
 
 
 def test_sparsity_pattern_invariant_to_lever_values():
@@ -144,7 +149,7 @@ def test_block_banded_rows_touch_adjacent_timesteps_only():
     qp = build_force_qp(_inputs(plan, refs))
     A = qp.A.tocoo()
     # Column block boundaries per timestep (entry_step is per stored entry).
-    starts = [qp.layout.span("r", t).start for t in range(plan.horizon)] + [qp.n]
+    starts = list(force_qp_module._structure(plan).state_cols[:, 0]) + [qp.n]
     entry_step = np.searchsorted(starts, A.col, side="right") - 1
     row_step = np.empty(qp.m_c, dtype=int)
     # Rows are emitted timestep-major; recover each row's timestep by the
@@ -180,11 +185,20 @@ def test_proximal_weight_pulls_monotonically_toward_target():
         qp = build_force_qp(_inputs(plan, refs, h_reg=target, l_prox=L))
         sol = InteriorPointSolver(qp).solve()
         assert sol.solved
-        it = extract_force_iterate(sol, qp.layout)
+        it = extract_force_iterate(sol, plan)
         d = sum(float(np.sum((s.stacked() - tg.stacked()) ** 2))
                 for s, tg in zip(it.states, target))
         dists.append(d)
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("force", np.nan), ("foothold", np.inf), ("tracking", [1.0, np.nan, 1.0]),
+    ("terminal", [np.inf] * 9),
+])
+def test_cost_weights_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} (weight )?must be finite"):
+        CostWeights(**{field: value})
 
 
 def test_input_validation():
@@ -209,7 +223,7 @@ def test_original_cost_matches_quadratic_objective_when_unregularized():
     w = CostWeights()
     qp = build_force_qp(_inputs(plan, refs, weights=w))
     sol = InteriorPointSolver(qp).solve()
-    it = extract_force_iterate(sol, qp.layout)
+    it = extract_force_iterate(sol, plan)
     const = 0.0
     for t in range(plan.horizon):
         track = refs.weight_at(t, w.tracking).copy()
@@ -228,7 +242,7 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     qp = build_force_qp(_inputs(plan, refs))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
-    it = extract_force_iterate(sol, qp.layout)
+    it = extract_force_iterate(sol, plan)
     flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}
     assert set(plan.pair_table.flat_keys) == flat
     assert it.tau.shape == (len(flat), 3) and it.z.shape == (len(flat), 2)
@@ -245,7 +259,7 @@ def test_start_point_is_the_reference_at_static_equilibrium():
     qp = build_force_qp(_inputs(plan, refs))
     start = extract_force_iterate(QpSolution(x=qp.x0, y=np.zeros(qp.m_c), status="solved",
                                              objective=0.0, iterations=0, solve_time=0.0),
-                                  qp.layout)
+                                  plan)
     table = plan.pair_table
     assert np.array_equal(start.h, refs.stacked)
     pairs_at_t = np.diff(table.start)[table.t]

@@ -143,9 +143,9 @@ def test_verify_rejects_length_and_activity_mismatch():
 
 def test_polygon_to_halfspaces_square():
     poly = polygon_to_halfspaces([(0, 0, 0.1), (1, 0, 0.1), (1, 1, 0.1), (0, 1, 0.1)])
-    assert poly.contains((0.5, 0.5, 0.1), tol=1e-9)
-    assert not poly.contains((0.5, 0.5, 0.2))   # off the plane
-    assert not poly.contains((1.5, 0.5, 0.1))   # outside an edge
+    assert poly.violation((0.5, 0.5, 0.1)) <= 1e-9
+    assert poly.violation((0.5, 0.5, 0.2)) > 0.0   # off the plane
+    assert poly.violation((1.5, 0.5, 0.1)) > 0.0   # outside an edge
     assert not poly.is_empty()
 
 
@@ -187,6 +187,16 @@ def test_contact_phase_rejects_non_finite_friction_and_rotation():
             ContactPhase("F", 0, 5, surf, friction_coeff=mu)
     with pytest.raises(ValueError, match="^rotation for F must be finite"):
         ContactPhase("F", 0, 5, surf, rotation=np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_contact_phase_rejects_non_finite_zmp_bounds(slot, value):
+    bounds = [-0.02, 0.02, -0.02, 0.02]
+    bounds[slot] = value
+    with pytest.raises(ValueError, match="^zmp_bounds for F must be finite"):
+        ContactPhase("F", 0, 5, flat_patch(0, 0), flat_foot=True,
+                     zmp_bounds=(tuple(bounds[:2]), tuple(bounds[2:])))
 
 
 def test_contact_plan_rejects_overlapping_phases():

@@ -11,19 +11,18 @@ from centroidal_bcd.qp import (
     SolverSettings,
     SparseQP,
     TripletPattern,
-    VariableLayout,
     kkt_residuals,
     pattern_hash,
 )
 from centroidal_bcd.bcd import optimize
 from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
-from centroidal_bcd.force_qp import ForceQpInputs, build_force_qp
+from centroidal_bcd.force_qp import ForceQpInputs, _structure as force_structure, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
 from centroidal_bcd.qp.banded import _EQUALITY_GAP, BandedKkt, _entries_by_row
 from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
-from centroidal_bcd.qp.problem import INFTY, Block, diagonal
+from centroidal_bcd.qp.problem import INFTY, diagonal
 from centroidal_bcd.scenarios import materialize
 
 
@@ -182,7 +181,8 @@ def test_non_finite_data_is_named_not_solved(field):
 
 @pytest.fixture(scope="module")
 def trot_qps():
-    """Force and contact QPs of a trot at nominal geometry."""
+    """Force and contact QPs of a trot at nominal geometry, and the force
+    QP's force columns."""
     plan, refs, _, weights = materialize(make_gait("trot", N=60))
     p = nominal_footholds(plan, refs)
     ell = p - refs.stacked[plan.pair_table.t, 0:3]
@@ -205,7 +205,7 @@ def trot_qps():
         plan=plan, f_fixed=f_next, h_reg=h_reg, references=refs, weights=weights,
         p_reg=p, l_prox=1e4))
     return {"force": force, "contact": contact, "force_next": force_next,
-            "contact_next": contact_next}
+            "contact_next": contact_next, "force_f_cols": force_structure(plan).f_cols}
 
 
 def _ruiz_reference(qp):
@@ -625,7 +625,7 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
         lo, hi = _widened(nxt)
         determined = np.ones(qp.n, dtype=bool)
         if name == "force":
-            determined[qp.layout.columns("f")] = False
+            determined[trot_qps["force_f_cols"]] = False
         h = InteriorPointSolver(qp)
         first = h.solve()
         assert first.solved and not first.warm_started
@@ -937,6 +937,13 @@ def test_bounds_validation():
         _qp([[1.0]], [0.0], [[1.0]], [1.0], [0.0]).validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["eps_abs", "eps_rel", "max_iterations"])
+def test_solver_settings_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SolverSettings(**{field: value})
+
+
 def test_triplet_pattern_sums_duplicates_and_keeps_zeros():
     pat = TripletPattern([0, 0, 1], [0, 0, 1], shape=(2, 2))
     M = pat.assemble([1.0, 2.0, 0.0])
@@ -946,26 +953,3 @@ def test_triplet_pattern_sums_duplicates_and_keeps_zeros():
     assert pattern_hash(M) == pattern_hash(M2)
     with pytest.raises(ValueError, match="slot"):
         pat.assemble([1.0])
-
-
-def test_variable_layout_contracts():
-    r = Block(((0, None),), [0], 3)
-    layout = VariableLayout(n=5, blocks={"r": r, "f": Block(((0, "FL"),), [3], 2)})
-    assert layout.span("r", 0) == slice(0, 3)
-    assert layout.span("f", 0, "FL") == slice(3, 5)
-    with pytest.raises(KeyError):
-        layout.span("f", 1, "FL")
-    with pytest.raises(ValueError, match="overlap"):
-        VariableLayout(n=4, blocks={"r": r, "f": Block(((0, "FL"),), [2], 2)})
-    with pytest.raises(ValueError, match="cover"):
-        VariableLayout(n=6, blocks={"r": r})
-    # A shared variable: a later key with an owned start resolves to that range.
-    shared = VariableLayout(n=5, blocks={"r": r, "p": Block(((0, "FL"), (1, "FL")), [3, 3], 2)})
-    assert shared.span("p", 1, "FL") == shared.span("p", 0, "FL") == slice(3, 5)
-    assert shared.keys("p") == ((0, "FL"),)
-    assert shared.columns("p").tolist() == [3, 4]
-    for n, bad, match in ((6, Block(((0, "FL"), (1, "FL")), [3, 4], 2), "overlap"),
-                          (5, Block(((0, "FL"),), [4], 2), "leave"),
-                          (5, Block(((0, "FL"), (0, "FL")), [3, 3], 2), "duplicate")):
-        with pytest.raises(ValueError, match=match):
-            VariableLayout(n=n, blocks={"r": r, "p": bad})

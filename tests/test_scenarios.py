@@ -155,6 +155,8 @@ def _stand_with(**changes):
     ("gravity", [0.0, 0.0, -math.inf]),
     ("weights", {"force": math.nan}),
     ("bcd", {"solver": {"eps_abs": math.inf}}),
+    ("weights", {"tracking": [1.0, math.nan, 1.0]}),
+    ("bcd", {"alpha": math.nan}),
 ])
 def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     doc = _stand_with(**{field: value})
