@@ -38,7 +38,7 @@ from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_itera
 from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
     extract_force_iterate, force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
-    verify_trajectory
+    _tolerance, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
 from .qp.problem import QpSolution, SolverSettings
@@ -285,6 +285,7 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     additionally carries every force iterate together with the lever geometry
     it was solved against, for anytime-feasibility audits.
     """
+    _tolerance(residual_tol, "residual_tol")
     settings = settings or BcdSettings()
     weights = weights or CostWeights()
     if len(references) != plan.horizon:

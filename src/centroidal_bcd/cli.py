@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bcd import BcdSettings, BlockSolveError, optimize
 from .gaits import GAIT_KINDS, make_gait
-from .model import verify_trajectory
+from .model import _tolerance as _check_tolerance, verify_trajectory
 from .scenarios import ScenarioError, build_plan, emit_scenario, materialize, parse_scenario
 from .trajectory_io import TrajectoryFormatError, read_trajectory_csv, \
     write_convergence_json, write_timing_csv, write_trajectory_csv
@@ -61,9 +60,10 @@ def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSetti
 
 
 def _tolerance(cfg: argparse.Namespace) -> float:
-    if not math.isfinite(cfg.tol) or cfg.tol < 0.0:
-        raise FlagError(f"--tol: must be finite and >= 0, got {cfg.tol}")
-    return cfg.tol
+    try:
+        return _check_tolerance(cfg.tol, "--tol")
+    except ValueError as exc:
+        raise FlagError(str(exc)) from None
 
 
 def _load(cfg: argparse.Namespace):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from typing import Mapping
 
@@ -60,6 +60,14 @@ def _as_vector(x, size: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite, got {v}")
     v.setflags(write=False)
     return v
+
+
+def _tolerance(value: float, name: str) -> float:
+    """``value`` as a feasibility tolerance, finite and >= 0, or a ValueError
+    naming ``name``: against NaN every trajectory would be infeasible."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name}: must be finite and >= 0, got {value}")
+    return value
 
 
 def _positive(value: float, name: str) -> None:
@@ -502,26 +510,18 @@ class ResidualReport:
 
     @property
     def feasible(self) -> bool:
-        return max(self.dynamics, self.friction, self.kinematic,
-                   self.surface, self.zmp) <= self.tol
+        return self.worst()[1] <= self.tol
 
     def worst(self) -> tuple[str, float]:
-        vals = {"dynamics": self.dynamics, "friction": self.friction,
-                "kinematic": self.kinematic, "surface": self.surface, "zmp": self.zmp}
+        """The largest violation of a constraint family, with its field."""
+        vals = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("lever_consistency", "tol")}
         name = max(vals, key=vals.get)
         return name, vals[name]
 
     def as_dict(self) -> dict:
-        return {
-            "dynamics": self.dynamics,
-            "friction": self.friction,
-            "kinematic": self.kinematic,
-            "surface": self.surface,
-            "zmp": self.zmp,
-            "lever_consistency": self.lever_consistency,
-            "tol": self.tol,
-            "feasible": self.feasible,
-        }
+        """Every field in order, then ``feasible``."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "feasible": self.feasible}
 
 
 def state_array(states, horizon: int, name: str) -> np.ndarray:
@@ -648,6 +648,7 @@ def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
     (see ``Trajectory.from_pairs``). States are the post-step values; the
     initial state comes from the plan.
     """
+    _tolerance(tol, "tol")
     if not (isinstance(traj, Trajectory) and traj.plan is plan):
         traj = Trajectory.from_pairs(plan, traj)
     table, states = plan.pair_table, traj.h

@@ -1,11 +1,11 @@
 """Dense active-set solver for strictly convex QPs.
 
-Independent reference implementation used to cross-check the operator
-splitting backend on desk-scale problems: a textbook primal active-set method
-working directly on dense KKT systems, plus a literal active-set enumeration
-for very small instances. Both speak the same canonical form as
-:class:`~centroidal_bcd.qp.problem.SparseQP` and use the same dual sign
-convention (P x + q = A' y).
+Independent reference implementation used to cross-check the banded
+interior-point and active-set backends on desk-scale problems: a textbook
+primal active-set method working directly on dense KKT systems, plus a
+literal active-set enumeration for very small instances. Both speak the same
+canonical form as :class:`~centroidal_bcd.qp.problem.SparseQP` and use the
+same dual sign convention (P x + q = A' y).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Reference trajectories tracked by the momentum optimizer.
 
 The tracking targets stand in for the output of a whole-body kinematic
-optimizer: a per-timestep momentum state plus optional per-timestep tracking
-weights that override the global cost weights (used e.g. to soften CoM
-tracking during flight phases).
+optimizer: a per-timestep momentum state, held as one (N, 9) array of the
+stacked (r, l, k) that both QP builders read, plus optional per-timestep
+tracking weights that override the global cost weights (used e.g. to soften
+CoM tracking during flight phases).
 """
 
 from __future__ import annotations
@@ -13,40 +14,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CentroidalState
+from .model import CentroidalState, state_array
 
 __all__ = ["ReferenceSet"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSet:
-    """Per-timestep tracking targets h_kin and optional per-timestep weights
-    (stacked 9-vectors over r, l, k)."""
+    """Per-timestep tracking targets and optional weights, both (N, 9) over
+    (r, l, k). The targets are given as that array or as CentroidalState
+    objects, and both are stored validated and read-only (see
+    ``state_array``). ``h_kin`` views the targets as objects, built when
+    first read."""
 
-    h_kin: tuple[CentroidalState, ...]
+    stacked: np.ndarray
     tracking_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "h_kin", tuple(self.h_kin))
+        h = state_array(self.stacked, len(self.stacked), "references")
+        object.__setattr__(self, "stacked", h)
         if self.tracking_weights is not None:
-            W = np.asarray(self.tracking_weights, dtype=float)
-            if W.shape != (len(self.h_kin), 9):
-                raise ValueError(
-                    f"tracking weights must be ({len(self.h_kin)}, 9), got {W.shape}")
+            W = state_array(np.asarray(self.tracking_weights, dtype=float), len(h),
+                            "tracking_weights")
             if np.any(W < 0.0):
-                raise ValueError("tracking weights must be nonnegative")
-            W.setflags(write=False)
+                raise ValueError("tracking_weights must be nonnegative")
             object.__setattr__(self, "tracking_weights", W)
 
     def __len__(self) -> int:
-        return len(self.h_kin)
+        return len(self.stacked)
 
     @functools.cached_property
-    def stacked(self) -> np.ndarray:
-        """(N, 9) stacked (r, l, k) of every target (read-only)."""
-        h = np.array([s.stacked() for s in self.h_kin], dtype=float).reshape(-1, 9)
-        h.setflags(write=False)
-        return h
+    def h_kin(self) -> tuple[CentroidalState, ...]:
+        return tuple(CentroidalState.from_stacked(h) for h in self.stacked)
 
     def weight_at(self, t: int, default: np.ndarray) -> np.ndarray:
         if self.tracking_weights is None:

@@ -56,7 +56,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Plain-data document model (shapes mirror the YAML schema).
+    """Plain-data document model (shapes mirror the document schema).
 
     Numeric content is kept as lists/floats so that parse(emit(x)) == x
     structurally; numerical types only appear after materialization.
@@ -285,17 +285,16 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
     plan = build_plan(sf)
     N, dt = plan.horizon, plan.dt
     refs = sf.references
-    r_ref = _interpolate_waypoints(refs.get("com_waypoints"), N, 3, "references.com_waypoints")
-    if "momentum_waypoints" in refs and refs["momentum_waypoints"]:
-        lk = _interpolate_waypoints(refs["momentum_waypoints"], N, 6,
-                                    "references.momentum_waypoints")
-    else:
-        lk = np.zeros((N, 6))
+    # The stacked (r, l, k) of every timestep, as the QP builders read it.
+    h = np.zeros((N, 9))
+    h[:, 0:3] = _interpolate_waypoints(refs.get("com_waypoints"), N, 3, "references.com_waypoints")
+    if refs.get("momentum_waypoints"):
+        h[:, 3:9] = _interpolate_waypoints(refs["momentum_waypoints"], N, 6,
+                                           "references.momentum_waypoints")
+    elif N > 1:
         # Default linear momentum from the CoM reference velocity.
-        if N > 1:
-            vel = np.gradient(r_ref, dt, axis=0)
-            lk[:, 0:3] = plan.mass * vel
-    if "pitch_profile" in refs and refs["pitch_profile"]:
+        h[:, 3:6] = plan.mass * np.gradient(h[:, 0:3], dt, axis=0)
+    if refs.get("pitch_profile"):
         from .gaits import pitch_reference_to_momentum
 
         pp = refs["pitch_profile"]
@@ -307,12 +306,11 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
         scale = _number(pp.get("inertia_scale", 0.05), f"{path}.inertia_scale")
         t_axis = np.arange(N) * dt
         pitch = amplitude * np.sin(2.0 * np.pi * t_axis / period)
-        lk[:, 4] = lk[:, 4] + pitch_reference_to_momentum(pitch, scale, dt)
+        h[:, 7] += pitch_reference_to_momentum(pitch, scale, dt)
     try:
-        h_kin = tuple(CentroidalState(r_ref[t], lk[t, 0:3], lk[t, 3:6]) for t in range(N))
+        reference_set = ReferenceSet(h)
     except ValueError as exc:
         raise ScenarioError("references", str(exc)) from None
-    reference_set = ReferenceSet(h_kin)
 
     try:
         weights = CostWeights(**sf.weights) if sf.weights else CostWeights()

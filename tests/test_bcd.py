@@ -190,6 +190,16 @@ def test_every_force_solve_takes_at_most_40_interior_point_iterations():
     assert max(worst_warm.values()) <= 15, worst_warm
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-5])
+def test_optimize_rejects_an_unusable_tolerance_before_any_solve(quad_hover, monkeypatch, tol):
+    plan, refs = quad_hover
+    built = []
+    monkeypatch.setattr(bcd_module, "build_force_qp", built.append)
+    with pytest.raises(ValueError, match="residual_tol: must be finite and >= 0"):
+        optimize(plan, refs, residual_tol=tol)
+    assert built == []
+
+
 def test_progress_callback_receives_all_records(quad_hover):
     plan, refs = quad_hover
     seen = []

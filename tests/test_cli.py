@@ -343,7 +343,7 @@ def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
     real_post_init = ReferenceSet.__post_init__
 
     def counting_post_init(self):
-        built.append(len(self.h_kin))
+        built.append(len(self.stacked))
         real_post_init(self)
 
     monkeypatch.setattr(ReferenceSet, "__post_init__", counting_post_init)

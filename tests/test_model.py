@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from centroidal_bcd.model import (
     ContactPlan,
     EffectorContact,
     Polytope,
+    ResidualReport,
     integrate_step,
     polygon_to_halfspaces,
     skew,
@@ -139,6 +140,24 @@ def test_verify_rejects_length_and_activity_mismatch():
     bad = [(h, {}) for _ in range(3)]  # plan expects four active effectors
     with pytest.raises(ValueError, match="do not match"):
         verify_trajectory(bad, plan)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-5])
+def test_verify_rejects_an_unusable_tolerance(tol):
+    plan = hover_plan(N=3)
+    with pytest.raises(ValueError, match="tol: must be finite and >= 0"):
+        verify_trajectory([], plan, tol=tol)
+
+
+def test_residual_report_dict_and_worst_follow_the_fields():
+    report = ResidualReport(dynamics=1e-9, friction=3e-6, kinematic=0.0, surface=2e-6,
+                            zmp=0.0, lever_consistency=0.5, tol=1e-5)
+    assert list(report.as_dict()) == [f.name for f in fields(ResidualReport)] + ["feasible"]
+    assert report.as_dict()["feasible"] is True
+    # The lever gap is diagnostic: it is neither the worst violation nor a
+    # reason to call the trajectory infeasible.
+    assert report.worst() == ("friction", 3e-6)
+    assert not replace(report, surface=2e-5).feasible
 
 
 def test_polygon_to_halfspaces_square():

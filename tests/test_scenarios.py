@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from centroidal_bcd.bcd import BcdSettings, optimize
-from centroidal_bcd.model import Polytope
+from centroidal_bcd.model import CentroidalState, Polytope
 from centroidal_bcd.gaits import (
     GAIT_KINDS,
     make_gait,
@@ -183,6 +184,33 @@ def test_non_finite_waypoints_and_contact_values_name_their_field():
     with pytest.raises(ScenarioError) as info:
         materialize(ScenarioFile.from_mapping(doc))
     assert info.value.path == "contacts[0].window"
+
+
+def test_an_overflowing_pitch_profile_is_a_reference_error():
+    sf = make_gait("bound")
+    pitch = {**sf.references["pitch_profile"], "inertia_scale": 1e308}
+    sf = dataclasses.replace(sf, references={**sf.references, "pitch_profile": pitch})
+    with np.errstate(over="ignore"), pytest.raises(ScenarioError) as info:
+        materialize(sf)
+    assert info.value.path == "references"
+
+
+def test_materialize_builds_no_per_timestep_state_objects(monkeypatch):
+    # The references go to the builders as one (N, 9) array; the only state
+    # object a scenario needs is the plan's initial state.
+    built = []
+    real_post_init = CentroidalState.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(CentroidalState, "__post_init__", counting_post_init)
+    for name, sf in shipped_scenarios().items():
+        built.clear()
+        plan, refs, _, _ = materialize(sf)
+        assert len(built) == 1 and built[0] is plan.h0, name
+        assert refs.stacked.shape == (plan.horizon, 9)
 
 
 def test_hinted_phases_need_no_emptiness_lp(monkeypatch):
