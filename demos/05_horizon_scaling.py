@@ -7,10 +7,12 @@ range of horizons for the trot scenario. It also splits each force solve's
 time, over the force QP's n columns, by least squares into a per-solve part
 and a per-iteration part: (c + d n) + iterations (a + b n). The per-solve
 part holds the polish, the one factorization a solve makes beyond its
-interior-point iterations. The fixed part a is what pulls the log-log slope
-below 1. Each horizon runs three times and keeps the best time of each
-solve. Its line also gives the iterations of its cold force solve (the run's
-first, which starts from the force QP's start point); the warm ones follow it.
+interior-point iterations, where a solve runs one: a force handle stops
+polishing after its first rejected polish. The fixed part a is what pulls
+the log-log slope below 1. Each horizon runs three times and keeps the best
+time of each solve. Its line also gives the iterations of its cold force
+solve (the run's first, which starts from the force QP's start point); the
+warm ones follow it.
 """
 
 import numpy as np

@@ -129,6 +129,11 @@ class BcdIterationRecord:
     # Whether the force solve started from the force handle's last solved
     # iterate (every force solve after a run's first, unless one failed).
     force_warm_started: bool = False
+    # Whether the force solve's polish was accepted. A force handle stops
+    # polishing after its first rejected polish, so with
+    # ``force_factorizations`` a record reads as polished, rejected
+    # (factorizations = iterations + 1) or skipped (= iterations).
+    force_polished: bool = False
     # Matrices each block's solve factored: the force block's Newton and
     # polish factorizations, the contact block's active-set passes plus its
     # fallback's factorizations. Host-independent work counts.
@@ -225,8 +230,8 @@ def _block_fields(block: str, sol: QpSolution) -> dict:
         "factorizations": sol.factorizations,
         "band_solves": sol.band_solves,
     }
-    if block == "force":  # the contact block's direct solve starts no iterate
-        values["warm_started"] = sol.warm_started
+    if block == "force":  # the contact block's direct solve starts no iterate, polishes none
+        values.update(warm_started=sol.warm_started, polished=sol.polished)
     return {f"{block}_{name}": value for name, value in values.items()}
 
 

@@ -9,7 +9,6 @@ from .problem import (
     SparseQP,
     TripletPattern,
     kkt_residuals,
-    pattern_hash,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "SparseQP",
     "TripletPattern",
     "kkt_residuals",
-    "pattern_hash",
 ]

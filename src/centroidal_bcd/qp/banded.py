@@ -51,17 +51,24 @@ between solves, such as the contact QP, whose only active rows are its
 equality rows on the shipped scenarios; a solve that is not accepted within
 ten passes reports so, and the caller falls back to the interior-point
 method.
+
+scipy is imported where it is used, not with this module: each handle binds
+LAPACK's ``dpbtrf`` and ``dpbtrs`` once when it is built, and the band
+map's term matrix and a sparse value update import ``scipy.sparse``. A
+process that builds no handle never loads scipy.
 """
 
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["BandedActiveSetSolver", "BandedKkt"]
 
@@ -193,6 +200,7 @@ class _BandMap:
         its weight's column. It is built once per handle; a value update
         assigns new :meth:`term_values` to its ``data``, which skips the
         20-50 us of format checks that building a scipy matrix costs."""
+        import scipy.sparse as sp
         return sp.csc_matrix((self.term_values(P_data, A_data), self.slot, self.indptr),
                              shape=self.shape)
 
@@ -215,6 +223,11 @@ class BandedKkt:
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
+        # LAPACK's banded Cholesky routines themselves: scipy's
+        # cholesky_banded wrapper adds about 7 us of argument handling to
+        # each call.
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+        self._dpbtrf, self._dpbtrs = dpbtrf, dpbtrs
         self.settings = settings or SolverSettings()
         self.n = qp.n
         self.m = qp.m_c
@@ -244,9 +257,7 @@ class BandedKkt:
     def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
         band map's ``terms`` of P and A, as a LAPACK lower band."""
-        # LAPACK's dpbtrf itself: scipy's cholesky_banded wrapper adds about
-        # 7 us of argument handling to each call.
-        L, info = dpbtrf(self._map.band(terms, w, shift), lower=1, overwrite_ab=1)
+        L, info = self._dpbtrf(self._map.band(terms, w, shift), lower=1, overwrite_ab=1)
         if info:
             raise ValueError(f"reduced KKT matrix is not positive definite (dpbtrf info {info})")
         return L
@@ -256,7 +267,7 @@ class BandedKkt:
         LAPACK's ``dpbtrs`` sweeps L y = b, then L' x = y, the two ``dtbsv``
         calls in one. ``band_solves`` counts the calls."""
         self.band_solves += 1
-        return dpbtrs(L, rhs, lower=1)[0]
+        return self._dpbtrs(L, rhs, lower=1)[0]
 
     def _held_set_pass(self, eq: np.ndarray, side: np.ndarray, delta: float):
         """Solve the QP with the equality rows ``eq`` and the rows of
@@ -304,6 +315,7 @@ class BandedKkt:
         """Values of ``new_values`` in the order of ``reference.data``. A
         sparse matrix must repeat the setup pattern; a raw array is taken as
         the ``data`` of that pattern."""
+        import scipy.sparse as sp
         if sp.issparse(new_values):
             M = new_values.tocsc()
             if (M.shape != reference.shape

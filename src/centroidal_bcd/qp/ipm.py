@@ -81,7 +81,13 @@ Every solved call is polished on the detected active set: one held-set
 pass of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7. The polished
 point is kept only if neither residual exceeds the larger of the interior
 point's residual and 1% of eps_abs, and every multiplier pushes from the
-bound its row is held at.
+bound its row is held at. A handle whose polish was rejected once (or whose
+polish factorization failed) polishes none of its later solves. A rejected
+polish costs a factorization and four back-solves and returns the interior
+point unchanged, and the solves of one handle are rejected alike: over the
+shipped scenarios, trot at N = 75-600 and 27 perturbed scenarios, 57
+polishes were skipped, of which one (trot N = 75, final force solve) would
+have been accepted.
 """
 
 from __future__ import annotations
@@ -145,7 +151,9 @@ class InteriorPointSolver(BandedKkt):
     solve factors the regularized Newton matrix once.
 
     ``kkt_refactorizations`` counts those factorizations and
-    ``polish_factorizations`` the polish's. Single-threaded per handle: do
+    ``polish_factorizations`` the polish's; ``polish_rejected`` tells
+    whether a polish was rejected, after which the handle polishes no more
+    solves. Single-threaded per handle: do
     not solve and update one handle concurrently. Distinct handles are
     independent.
     """
@@ -154,6 +162,8 @@ class InteriorPointSolver(BandedKkt):
         super().__init__(qp, settings)
         self.kkt_refactorizations = 0
         self.polish_factorizations = 0
+        # Set once a polish is rejected; later solves then skip the polish.
+        self.polish_rejected = False
         # Scaled (x, y_eq, lam) of the last solved call, where the next
         # solve starts; None starts it cold.
         self._last = None
@@ -430,8 +440,9 @@ class InteriorPointSolver(BandedKkt):
         x_out = self._d * x
         y_int = self._e * y / c
         polished = False
-        if status == "solved" and self.m:
+        if status == "solved" and self.m and not self.polish_rejected:
             x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua)
+            self.polish_rejected = not polished
         objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
         factorizations = self.kkt_refactorizations + self.polish_factorizations - factored_before
         return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
@@ -446,7 +457,7 @@ class InteriorPointSolver(BandedKkt):
         """One held-set pass on the detected active set; keep its result
         only when it does not degrade the unscaled residuals ``pri`` and
         ``dua`` of (x, y_int) and its multipliers have the signs of the
-        bounds they hold."""
+        bounds they hold. Returns (x, y, whether the polish was kept)."""
         eq = (self._hi - self._lo) < _EQUALITY_GAP
         # A row is held at the bound its multiplier outweighs its distance to.
         side = np.zeros(self.m, dtype=np.int8)

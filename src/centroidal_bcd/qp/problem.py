@@ -8,15 +8,25 @@ Problems are stated as
 with P sparse symmetric PSD and A sparse. Infinite bounds are passed as
 +-inf and replaced by a large finite sentinel before they reach any
 factorization.
+
+This module imports ``scipy.sparse`` only where it builds a matrix
+(:meth:`TripletPattern.matrix`, :func:`diagonal`), so that importing the
+package, and everything that generates, reads, writes or verifies a
+trajectory without solving one, runs on numpy alone. A fresh process loads
+scipy (0.3-0.4 s on a 2-core host) at its first QP build, inside the first
+``optimize()`` call's ``setup_time``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "INFTY",
@@ -25,7 +35,6 @@ __all__ = [
     "QpSolution",
     "TripletPattern",
     "diagonal",
-    "pattern_hash",
 ]
 
 # Sentinel standing in for infinity inside the solver; never fed to a
@@ -84,20 +93,16 @@ class TripletPattern:
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """CSC matrix of this pattern holding ``data`` (not copied)."""
+        import scipy.sparse as sp
         return sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
 
 
 def diagonal(d: np.ndarray) -> sp.csc_matrix:
     """Diagonal CSC matrix storing every diagonal entry, zeros included."""
+    import scipy.sparse as sp
     k = np.arange(d.size + 1, dtype=np.int32)
     return sp.csc_matrix((d, k[:-1], k), shape=(d.size, d.size))
-
-
-def pattern_hash(M: sp.spmatrix) -> int:
-    """Structural hash of a sparse matrix (shape and pattern, not values)."""
-    M = M.tocsc()
-    return hash((M.shape, M.indptr.tobytes(), M.indices.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,12 @@ def flat_foot_replay(plan: ContactPlan, lever: bool, seed: int = 4) -> list:
     return traj
 
 
+def pattern_hash(M) -> int:
+    """Structural hash of a sparse matrix (shape and pattern, not values)."""
+    M = M.tocsc()
+    return hash((M.shape, M.indptr.tobytes(), M.indices.tobytes()))
+
+
 def qp_arrays(qp) -> list[np.ndarray]:
     """Copies of every array of an assembled QP: P and A (indptr, indices,
     data), q, lo and hi."""

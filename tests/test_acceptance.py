@@ -17,12 +17,12 @@ from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
 from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, skew, verify_trajectory
-from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals, pattern_hash
+from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
 from centroidal_bcd.references import ReferenceSet
 
-from conftest import monopod_plan
+from conftest import monopod_plan, pattern_hash
 
 RESIDUAL_TOL = 1e-5          # criterion 1
 SUITE_BUDGET_S = 60.0        # criterion 1

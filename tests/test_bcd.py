@@ -288,8 +288,9 @@ def test_record_dict_holds_every_field_but_the_solve_times():
 
 def test_records_count_each_blocks_factorizations(monkeypatch):
     # A host-independent work count: a force solve factors the Newton matrix
-    # once per iteration and its polish once; the contact block's direct
-    # solve factors once per active-set pass. convergence.json carries both.
+    # once per iteration and its polish once, until a polish is rejected;
+    # the contact block's direct solve factors once per active-set pass.
+    # convergence.json carries both.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
     counts = _observe_block_solves(monkeypatch, lambda sol: sol.factorizations)
     result = optimize(plan, refs, settings, weights)
@@ -297,8 +298,11 @@ def test_records_count_each_blocks_factorizations(monkeypatch):
     recorded = [n for r in result.records
                 for n in (r.force_factorizations, r.contact_factorizations)]
     assert counts == recorded + [final.force_factorizations]
-    for r in (*result.records, final):
-        assert r.force_factorizations == r.force_solver_iterations + 1
+    force = (*result.records, final)
+    # Trot's first force polish lands, its second is rejected and its last
+    # is skipped: the handle stops polishing after a rejected polish.
+    assert [r.force_polished for r in force] == [True, False, False]
+    assert [r.force_factorizations - r.force_solver_iterations for r in force] == [1, 1, 0]
     assert all(r.contact_factorizations == r.contact_solver_iterations
                for r in result.records)
     assert final.contact_factorizations == 0
@@ -317,9 +321,12 @@ def test_records_count_each_blocks_band_solves(monkeypatch):
     recorded = [n for r in result.records for n in (r.force_band_solves, r.contact_band_solves)]
     assert counts == recorded + [final.force_band_solves]
     polish = direct = 1 + banded_module._REFINE_STEPS
-    for r in (*result.records, final):
+    force = (*result.records, final)
+    # Polished, rejected, skipped (see the factorization count above).
+    assert [r.force_polished for r in force] == [True, False, False]
+    for r, attempted in zip(force, (1, 1, 0)):
         start = 0 if r.force_warm_started else 1
-        assert r.force_band_solves == 2 * r.force_solver_iterations - start + polish
+        assert r.force_band_solves == 2 * r.force_solver_iterations - start + attempted * polish
     assert all(r.contact_band_solves == direct * r.contact_solver_iterations
                for r in result.records)
     row = final.as_dict()

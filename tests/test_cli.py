@@ -162,8 +162,20 @@ def test_gait_calls_in_one_process_each_parse_their_own_arguments(tmp_path):
     assert cli_module.build_parser() is cli_module.build_parser()
 
 
+def _fresh_interpreter(script: str, *argv) -> list[str]:
+    """Run ``script`` in a new interpreter that imports this checkout's
+    package; return its stdout's lines."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_gait_solve_verify_on_an_emitted_document_never_imports_yaml(tmp_path):
-    script = textwrap.dedent("""
+    lines = _fresh_interpreter("""
         import sys
         from centroidal_bcd.cli import main
         scn, out = sys.argv[1:]
@@ -171,15 +183,40 @@ def test_gait_solve_verify_on_an_emitted_document_never_imports_yaml(tmp_path):
         assert main(["solve", "--scenario", scn, "--out", out]) == 0
         assert main(["verify", "--scenario", scn, "--out", out]) == 0
         print("yaml" in sys.modules)
-    """)
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "stand.scn"),
-                           str(tmp_path / "run")], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    """, tmp_path / "stand.scn", tmp_path / "run")
+    assert lines[-1] == "False"
+
+
+def test_only_solving_imports_scipy(tmp_path, trot_scenario, solved):
+    # Generating, parsing and materializing scenarios, reading and verifying
+    # trajectories, and the gait and verify subcommands run on numpy alone;
+    # scipy loads with the first QP a solve builds.
+    lines = _fresh_interpreter("""
+        import json, sys
+        import centroidal_bcd, centroidal_bcd.cli
+        from centroidal_bcd import gaits, model, scenarios, trajectory_io
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        scn, run, fresh_scn, fresh_run = sys.argv[1:]
+        for doc in gaits.shipped_scenarios().values():
+            scenarios.materialize(scenarios.parse_scenario(scenarios.emit_scenario(doc)))
+        plan = scenarios.load_scenario(open(scn, "rb").read())[0]
+        with open(run + "/trajectory.csv", newline="") as fh:
+            assert model.verify_trajectory(trajectory_io.read_trajectory_csv(fh, plan),
+                                           plan).feasible
+        main = centroidal_bcd.cli.main
+        assert main(["gait", "--kind", "trot", "--horizon", "60", "--out", fresh_scn]) == 0
+        assert main(["verify", "--scenario", scn, "--out", run]) == 0
+        print("loaded", json.dumps(scipy_modules()))
+        assert main(["solve", "--scenario", fresh_scn, "--out", fresh_run]) == 0
+        print("loaded", json.dumps(scipy_modules()))
+    """, trot_scenario, solved, tmp_path / "trot.scn", tmp_path / "run")
+    before, after = (json.loads(line.removeprefix("loaded ")) for line in lines
+                     if line.startswith("loaded "))
+    assert before == []
+    assert {"scipy.sparse", "scipy.linalg"} <= set(after)
 
 
 def test_bench_reports_scaling(tmp_path, trot_scenario, capsys):

@@ -19,13 +19,13 @@ from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
     polygon_to_halfspaces, skew
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
-    SolverSettings, pattern_hash
+    SolverSettings
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
 from conftest import flat_foot_plan, flat_patch, hover_plan, hover_references, monopod_plan, \
-    qp_arrays
+    pattern_hash, qp_arrays
 
 vec3 = st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=3)
 

@@ -19,11 +19,12 @@ from centroidal_bcd.force_qp import (
 )
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import CentroidalState, verify_trajectory
-from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings, pattern_hash
+from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
-from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, qp_arrays
+from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, pattern_hash, \
+    qp_arrays
 
 
 def _nominal_geometry(plan, refs):

@@ -12,7 +12,6 @@ from centroidal_bcd.qp import (
     SparseQP,
     TripletPattern,
     kkt_residuals,
-    pattern_hash,
 )
 from centroidal_bcd.bcd import optimize
 from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal_footholds
@@ -24,6 +23,8 @@ from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
 from centroidal_bcd.qp.problem import INFTY, diagonal
 from centroidal_bcd.scenarios import materialize
+
+from conftest import pattern_hash
 
 
 def _qp(P, q, A=None, lo=None, hi=None):
@@ -777,6 +778,42 @@ def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     assert sol.solved and not sol.polished
     assert h.polish_factorizations == 0
     assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished interior point
+    # A failed polish counts as rejected: the next solve runs no polish.
+    assert h.polish_rejected
+    h.update_values(new_q=0.5 * qp.q)
+    again = h.solve()
+    assert again.solved and again.factorizations == again.iterations
+
+
+def test_a_handle_skips_the_polish_after_one_is_rejected():
+    # The polish of trot's first force QP at N = 150 is rejected; the
+    # handle's later solves then factor and back-solve only for their
+    # iterations.
+    plan, refs, _, weights = materialize(make_gait("trot", N=150))
+    p = nominal_footholds(plan, refs)
+    ell = p - refs.stacked[plan.pair_table.t, 0:3]
+    qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
+                                      references=refs, weights=weights))
+    h = InteriorPointSolver(qp)
+    first = h.solve()
+    assert first.solved and not first.polished and h.polish_rejected
+    assert first.factorizations == first.iterations + 1 and h.polish_factorizations == 1
+    h.update_values(new_q=0.5 * qp.q)
+    again = h.solve()
+    assert again.solved and again.warm_started and not again.polished
+    assert again.factorizations == again.iterations and h.polish_factorizations == 1
+    assert again.band_solves == 2 * again.iterations
+
+
+@pytest.mark.parametrize("kind", ["jump_in_place", "jump_forward", "jump_twist"])
+def test_jump_force_solves_keep_polishing(kind):
+    # Every force polish of a jump lands, so its force handle polishes each
+    # solve: the first and the final one.
+    result = optimize(*materialize(shipped_scenarios()[kind]))
+    force = (*result.records, result.final_record)
+    assert len(force) == 2
+    assert all(r.force_polished for r in force)
+    assert all(r.force_factorizations == r.force_solver_iterations + 1 for r in force)
 
 
 def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
@@ -793,9 +830,9 @@ def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
 
 def test_accepted_polish_keeps_multiplier_signs_on_bound(monkeypatch):
     # On bound the polish used to accept multipliers pushing from an
-    # infinite bound, up to 2.07e-3 against max|y| = 3.14e3. Bound's force
-    # polishes are now all rejected, and the jump's accepted: every returned
-    # multiplier is checked, polished or not.
+    # infinite bound, up to 2.07e-3 against max|y| = 3.14e3. Bound's first
+    # force polish is now rejected (and the later ones skipped), and the
+    # jump's accepted: every returned multiplier is checked, polished or not.
     checked = []
     real_solve = InteriorPointSolver.solve
 
