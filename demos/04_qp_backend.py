@@ -53,13 +53,12 @@ print(f"KKT residuals (primal, dual, complementarity): "
 newP = qp.P.copy()
 newP.data = newP.data * 2.0
 current = qp
-for label, update, values in (("cost-only update", {"new_q": 0.5 * q}, {"q": 0.5 * q}),
-                              ("matrix update", {"new_P_values": newP}, {"P": newP})):
+for label, values in (("cost-only update", {"q": 0.5 * q}), ("matrix update", {"P": newP})):
+    current = replace(current, **values)
     before = handle.kkt_refactorizations + handle.polish_factorizations
-    handle.update_values(**update)
+    handle.update_values(current)
     factored = handle.kkt_refactorizations + handle.polish_factorizations - before
     again = handle.solve()
-    current = replace(current, **values)
     cold = InteriorPointSolver(current).solve()
     print(f"{label}: {factored} factorizations; re-solve {again.status} "
           f"({'warm' if again.warm_started else 'cold'}) in {again.iterations} iterations, "

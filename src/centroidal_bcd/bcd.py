@@ -243,10 +243,7 @@ def _solve_block(handle: InteriorPointSolver | None, qp, settings: SolverSetting
     if handle is None:
         handle = InteriorPointSolver(qp, settings)
     else:
-        # Builders keep one pattern per plan, so the raw value arrays line up
-        # with the handle's pattern without a per-call comparison.
-        handle.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
-                             new_P_values=qp.P.data, new_A_values=qp.A.data)
+        handle.update_values(qp)
     sol = handle.solve()
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
@@ -263,8 +260,7 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
     if direct is None:
         direct = BandedActiveSetSolver(qp, settings)
     else:
-        direct.update_values(new_q=qp.q, new_lo=qp.lo, new_hi=qp.hi,
-                             new_P_values=qp.P.data, new_A_values=qp.A.data)
+        direct.update_values(qp)
     sol = direct.solve()
     if sol.solved:
         return direct, fallback, sol, False

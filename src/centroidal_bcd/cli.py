@@ -26,7 +26,8 @@ import numpy as np
 from .bcd import BcdSettings, BlockSolveError, optimize
 from .gaits import GAIT_KINDS, make_gait
 from .model import _tolerance as _check_tolerance, verify_trajectory
-from .scenarios import ScenarioError, build_plan, emit_scenario, materialize, parse_scenario
+from .scenarios import ScenarioError, _integer, build_plan, emit_scenario, materialize, \
+    parse_scenario
 from .trajectory_io import TrajectoryFormatError, read_trajectory_csv, \
     write_convergence_json, write_timing_csv, write_trajectory_csv
 
@@ -151,22 +152,34 @@ def run_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if report.feasible else 1
 
 
+def _regenerated(gait: dict, N: int):
+    """The document the ``gait`` block generates at horizon ``N``; a block
+    the generator cannot use raises ``ScenarioError`` naming its field."""
+    kind, params = gait.get("kind"), gait.get("params", {})
+    if kind not in GAIT_KINDS:
+        raise ScenarioError("gait.kind", f"expected one of {', '.join(GAIT_KINDS)}, got {kind!r}")
+    if not isinstance(params, dict):
+        raise ScenarioError("gait.params", f"expected a mapping, got {type(params).__name__}")
+    try:
+        return make_gait(kind, N=N, **params)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("gait.params", str(exc)) from None
+
+
 def run_bench(cfg: argparse.Namespace) -> int:
     try:
         sf = parse_scenario(cfg.scenario.read_bytes())
+        if sf.gait is None:
+            raise ScenarioError("gait", "bench needs a scenario with a generator block")
+        horizons = cfg.horizons or (_integer(sf.horizon.get("N"), "horizon.N"),)
+        problems = [(N, materialize(_regenerated(sf.gait, N))) for N in horizons]
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    if sf.gait is None:
-        print("bench needs a scenario with a 'gait' generator block", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
-    horizons = cfg.horizons or (int(sf.horizon["N"]),)
     out = cfg.out or Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for N in horizons:
-        doc = make_gait(sf.gait["kind"], N=N, **sf.gait.get("params", {}))
-        plan, refs, settings, weights = materialize(doc)
+    for N, (plan, refs, settings, weights) in problems:
         settings = _apply_overrides(settings, cfg)
         result = optimize(plan, refs, settings, weights)
         force, contact = result.force_time, result.contact_time

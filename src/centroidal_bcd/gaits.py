@@ -129,27 +129,15 @@ def _cyclic_contacts(N: int, dt: float, swing_groups: list[list[str]], slot_step
     return contacts
 
 
-def _com_waypoints(N: int, dt: float, speed: float,
-                   z_of_x: Callable[[float], float] | None = None,
-                   sample_every: int = 20) -> list[list[float]]:
-    wps = []
-    ts = sorted(set(list(range(0, N, sample_every)) + [N - 1]))
-    for t in ts:
-        x = speed * dt * t
-        z = _COM_HEIGHT + (z_of_x(x) if z_of_x is not None else 0.0)
-        wps.append([float(t), float(x), 0.0, float(z)])
-    return wps
-
-
-def _com_waypoints_through_support(contacts: list[dict], N: int, dt: float, speed: float,
-                                   z_of_x: Callable[[float], float] | None,
-                                   sway: float, smooth_steps: int,
-                                   sample_every: int) -> list[list[float]]:
+def _com_waypoints(contacts: list[dict], N: int, dt: float, speed: float,
+                   z_of_x: Callable[[float], float] | None = None, sway: float = 0.0,
+                   smooth_steps: int = 0, sample_every: int = 20) -> list[list[float]]:
     """CoM reference interpolated through the active-support centroids.
 
-    The raw straight-line progression is blended toward the per-timestep
-    centroid of the active foothold targets (the sway a crawling gait needs),
-    then smoothed so the momentum reference stays gentle.
+    The raw straight-line progression is blended by ``sway`` toward the
+    per-timestep centroid of the active foothold targets (the sway a
+    crawling gait needs), then smoothed so the momentum reference stays
+    gentle. At the default sway of 0 the waypoints lie on the line.
     """
     hints = np.zeros((N, 2))
     counts = np.zeros(N)
@@ -203,7 +191,7 @@ def _flat_patch_fn(terrain: Callable[[float], float] | None = None,
 
 def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> ScenarioFile:
     contacts = _cyclic_contacts(N, dt, [], 0, 0, 0.0, mu, _flat_patch_fn())
-    refs = {"com_waypoints": _com_waypoints(N, dt, 0.0)}
+    refs = {"com_waypoints": _com_waypoints(contacts, N, dt, 0.0)}
     return _base_document("stand", N, dt, contacts, refs,
                           {"kind": "stand", "params": {"dt": dt, "mu": mu}})
 
@@ -211,13 +199,15 @@ def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> ScenarioFile:
 def _make_walk(N: int = 160, dt: float = 0.01, stride: float = 0.08,
                swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7,
                name: str = "walk", terrain=None, snap=None, z_of_x=None,
-               extra_meta=None) -> ScenarioFile:
+               extra_meta=None, patch_fn=None) -> ScenarioFile:
+    """The walking cycle, on flat patches shaped by ``terrain`` and ``snap``
+    unless ``patch_fn`` places the patches itself."""
     groups = [["FL"], ["HR"], ["FR"], ["HL"]]
     cycle_time = 4 * swing_steps * dt
     speed = stride / cycle_time
     contacts = _cyclic_contacts(N, dt, groups, swing_steps, lead_steps, speed, mu,
-                                _flat_patch_fn(terrain=terrain, snap=snap))
-    refs = {"com_waypoints": _com_waypoints_through_support(
+                                patch_fn or _flat_patch_fn(terrain=terrain, snap=snap))
+    refs = {"com_waypoints": _com_waypoints(
         contacts, N, dt, speed, z_of_x, sway=0.35, smooth_steps=2 * swing_steps,
         sample_every=max(swing_steps // 2, 3))}
     meta = {"kind": name, "params": {"dt": dt, "stride": stride, "swing_steps": swing_steps,
@@ -234,7 +224,7 @@ def _make_trot(N: int = 160, dt: float = 0.01, stride: float = 0.06,
     speed = stride / cycle_time
     contacts = _cyclic_contacts(N, dt, groups, stance_steps, lead_steps, speed, mu,
                                 _flat_patch_fn())
-    refs = {"com_waypoints": _com_waypoints(N, dt, speed)}
+    refs = {"com_waypoints": _com_waypoints(contacts, N, dt, speed)}
     return _base_document("trot", N, dt, contacts, refs,
                           {"kind": "trot", "params": {"dt": dt, "stride": stride,
                                                       "stance_steps": stance_steps,
@@ -252,7 +242,7 @@ def _make_bound(N: int = 160, dt: float = 0.01, stride: float = 0.04,
     contacts = _cyclic_contacts(N, dt, groups, pair_steps, lead_steps, speed, mu,
                                 _flat_patch_fn(half=0.14))
     refs = {
-        "com_waypoints": _com_waypoints(N, dt, speed),
+        "com_waypoints": _com_waypoints(contacts, N, dt, speed),
         "pitch_profile": {"amplitude_deg": pitch_amplitude_deg,
                           "period_s": cycle_time, "inertia_scale": inertia_scale},
     }
@@ -371,18 +361,9 @@ def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
         surface, rotation = _tilted_patch(center, angle)
         return surface, rotation, center
 
-    groups = [["FL"], ["HR"], ["FR"], ["HL"]]
-    cycle_time = 4 * swing_steps * dt
-    speed = stride / cycle_time
-    contacts = _cyclic_contacts(N, dt, groups, swing_steps, lead_steps, speed, mu, patch_fn)
-    refs = {"com_waypoints": _com_waypoints_through_support(
-        contacts, N, dt, speed, None, sway=0.35, smooth_steps=2 * swing_steps,
-        sample_every=max(swing_steps // 2, 3))}
-    return _base_document("incline_stones", N, dt, contacts, refs,
-                          {"kind": "incline_stones",
-                           "params": {"dt": dt, "stride": stride, "swing_steps": swing_steps,
-                                      "lead_steps": lead_steps, "mu": mu,
-                                      "max_angle_deg": max_angle_deg}})
+    return _make_walk(N=N, dt=dt, stride=stride, swing_steps=swing_steps,
+                      lead_steps=lead_steps, mu=mu, name="incline_stones",
+                      extra_meta={"max_angle_deg": max_angle_deg}, patch_fn=patch_fn)
 
 
 _GENERATORS = {

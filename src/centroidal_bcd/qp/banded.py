@@ -26,9 +26,15 @@ A entries (one orientation, lower triangle) with its row and its slot in the
 Fortran-ordered band, together with P's lower entries and the diagonal.
 Listed row by row, then P, then the diagonal, the terms are already grouped
 by their weight in [w, 1, shift]: they are the ``data`` of a CSC matrix with
-one column per weight and one row per band slot. Its values are refreshed
-only when P or A values change; the band is then that matrix times the
-weights, one sparse product, and a factorization adds LAPACK's ``dpbtrf``.
+one column per weight and one row per band slot. The band is that matrix
+times the weights, one sparse product, and a factorization adds LAPACK's
+``dpbtrf``. A held-set pass computes the terms of the unscaled P and A when
+it runs, once per active-set solve or polish; the interior-point method
+keeps the terms of its scaled P and A, which every iteration factors.
+
+A handle takes new values in one form, ``update_values(qp)``: a QP of the
+setup's P and A patterns, whose values pass the same checks as the
+setup's. Nothing is factored until a solve.
 
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
@@ -54,8 +60,8 @@ method.
 
 scipy is imported where it is used, not with this module: each handle binds
 LAPACK's ``dpbtrf`` and ``dpbtrs`` once when it is built, and the band
-map's term matrix and a sparse value update import ``scipy.sparse``. A
-process that builds no handle never loads scipy.
+map's term matrix imports ``scipy.sparse``. A process that builds no handle
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -186,7 +192,7 @@ class _BandMap:
         self.indptr = np.zeros(m + 3, dtype=np.int32)
         np.cumsum(np.bincount(weight, minlength=m + 2), out=self.indptr[1:])
         # Half-width term indices: the map is most of a handle's memory, and
-        # these gathers run only when P or A values change.
+        # these gathers run once per held-set solve or scaled value update.
         self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
 
     def term_values(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
@@ -197,9 +203,10 @@ class _BandMap:
 
     def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> sp.csc_matrix:
         """The term matrix: each unweighted term in its band slot's row and
-        its weight's column. It is built once per handle; a value update
-        assigns new :meth:`term_values` to its ``data``, which skips the
-        20-50 us of format checks that building a scipy matrix costs."""
+        its weight's column. A matrix refreshed on every value update keeps
+        its structure and takes new :meth:`term_values` as its ``data``,
+        which skips the 20-50 us of format checks that building a scipy
+        matrix costs."""
         import scipy.sparse as sp
         return sp.csc_matrix((self.term_values(P_data, A_data), self.slot, self.indptr),
                              shape=self.shape)
@@ -215,11 +222,13 @@ class BandedKkt:
     their banded factorization.
 
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
-    the ``QpSolution`` convention). Non-finite matrix or q values, NaN
-    bounds and duplicate entries of A raise ``ValueError`` naming the
-    field; a QP of at most 200
-    variables is then checked by ``SparseQP.validate`` (symmetric,
-    positive semidefinite P). Single-threaded per handle.
+    the ``QpSolution`` convention). Setup and every value update take the
+    QP's values through one intake (:meth:`_take_values`): P and A must
+    keep the setup's patterns, and non-finite matrix or q values, NaN
+    bounds and lo > hi raise ``ValueError`` naming the field. Duplicate
+    entries of A raise at setup; a QP of at most 200 variables is then
+    checked by ``SparseQP.validate`` (symmetric, positive semidefinite P).
+    Single-threaded per handle.
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
@@ -231,17 +240,14 @@ class BandedKkt:
         self.settings = settings or SolverSettings()
         self.n = qp.n
         self.m = qp.m_c
+        # The setup's patterns, whose values every update replaces.
         self._P = qp.P.tocsc(copy=True)
         self._A = qp.A.tocsc(copy=True)
         # A' kept beside A, built once: scipy builds a new matrix on every
-        # ``A.T``, which at trot N = 75 costs twice the product itself. A
-        # value update assigns A's new ``data`` to both.
+        # ``A.T``, which at trot N = 75 costs twice the product itself. The
+        # intake assigns A's new ``data`` to both.
         self._AT = self._A.T
-        _finite(self._P.data, "P")
-        _finite(self._A.data, "A")
-        self._q = _finite(qp.q, "q")
-        self._lo = _bound(qp.lo, "lo")
-        self._hi = _bound(qp.hi, "hi")
+        self._take_values(qp)
         if qp.n <= 200:
             qp.validate()
         self._P_cols = _entry_cols(self._P)
@@ -250,9 +256,29 @@ class BandedKkt:
         # of the interior-point method's equilibration.
         self._A_by_row = _entries_by_row(self._A)
         self._map = _BandMap(self._P, self._A, *self._A_by_row)
-        self._terms = self._map.terms(self._P.data, self._A.data)
         self.half_bandwidth = self._map.half_bandwidth
         self.band_solves = 0
+
+    def _take_values(self, qp: SparseQP) -> None:
+        """Check ``qp``'s values and make them the handle's; a QP that fails
+        a check leaves the handle as it was."""
+        P, A = qp.P.tocsc(), qp.A.tocsc()
+        for name, M, setup in (("P", P, self._P), ("A", A, self._A)):
+            if (M.shape != setup.shape or not np.array_equal(M.indptr, setup.indptr)
+                    or not np.array_equal(M.indices, setup.indices)):
+                raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
+        P_data, A_data, q = _finite(P.data, "P"), _finite(A.data, "A"), _finite(qp.q, "q")
+        lo, hi = _bound(qp.lo, "lo"), _bound(qp.hi, "hi")
+        if np.any(lo > hi):
+            raise ValueError("lo > hi on some row")
+        self._P.data = P_data
+        self._A.data = self._AT.data = A_data
+        self._q, self._lo, self._hi = q, lo, hi
+
+    def update_values(self, qp: SparseQP) -> None:
+        """Take the values of ``qp``, a QP of the setup's P and A patterns;
+        nothing is factored until a solve. Infinite bounds are legal."""
+        self._take_values(qp)
 
     def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
@@ -269,10 +295,12 @@ class BandedKkt:
         self.band_solves += 1
         return self._dpbtrs(L, rhs, lower=1)[0]
 
-    def _held_set_pass(self, eq: np.ndarray, side: np.ndarray, delta: float):
+    def _held_set_pass(self, terms: sp.csc_matrix, eq: np.ndarray, side: np.ndarray,
+                       delta: float):
         """Solve the QP with the equality rows ``eq`` and the rows of
         ``side`` (-1 held at lo, +1 at hi, 0 free) pinned, and judge the
-        result.
+        result; ``terms`` is the band map's term matrix of the handle's P
+        and A.
 
         One factorization of the delta-regularized KKT system and
         ``_REFINE_STEPS`` refinement steps against the unregularized one:
@@ -289,7 +317,7 @@ class BandedKkt:
         low, upp = side < 0, side > 0
         b = np.where(eq | low, lo, hi)
         w = np.where(eq | low | upp, 1.0 / delta, 0.0)
-        L = self._band_factor(self._terms, w, delta)
+        L = self._band_factor(terms, w, delta)
         # Refinement from zero, whose residuals need no products: the first
         # step is the regularized solve itself.
         x, y = np.zeros(self.n), np.zeros(self.m)
@@ -307,53 +335,6 @@ class BandedKkt:
         pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
         dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
         return x, y, Ax, pri, dua, pri_tol, dua_tol, _wrongly_signed(y, low, upp, st)
-
-    # -- value updates ----------------------------------------------------
-
-    @staticmethod
-    def _extract_values(new_values, reference: sp.csc_matrix, name: str) -> np.ndarray:
-        """Values of ``new_values`` in the order of ``reference.data``. A
-        sparse matrix must repeat the setup pattern; a raw array is taken as
-        the ``data`` of that pattern."""
-        import scipy.sparse as sp
-        if sp.issparse(new_values):
-            M = new_values.tocsc()
-            if (M.shape != reference.shape
-                    or not np.array_equal(M.indptr, reference.indptr)
-                    or not np.array_equal(M.indices, reference.indices)):
-                raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
-            new_values = M.data
-        data = _finite(new_values, name)
-        if data.shape != reference.data.shape:
-            raise ValueError(f"{name} has {data.size} values, pattern holds {reference.nnz}")
-        return data
-
-    def update_values(self, new_q=None, new_lo=None, new_hi=None, new_P_values=None,
-                      new_A_values=None) -> None:
-        """Replace problem values without touching the sparsity pattern;
-        nothing is factored until a solve. Matrix values come as sparse
-        matrices of the setup pattern or as raw ``data`` arrays of it.
-        Non-finite matrix or q values and NaN bounds raise ``ValueError``;
-        infinite bounds are legal."""
-        if new_P_values is not None:
-            self._P.data = self._extract_values(new_P_values, self._P, "P")
-        if new_A_values is not None:
-            self._A.data = self._AT.data = self._extract_values(new_A_values, self._A, "A")
-        if new_q is not None:
-            q = _finite(new_q, "q")
-            if q.shape != (self.n,):
-                raise ValueError("q length mismatch")
-            self._q = q
-        if new_lo is not None:
-            self._lo = _bound(new_lo, "lo")
-        if new_hi is not None:
-            self._hi = _bound(new_hi, "hi")
-        if self._lo.shape != (self.m,) or self._hi.shape != (self.m,):
-            raise ValueError("bound length mismatch")
-        if np.any(self._lo > self._hi):
-            raise ValueError("lo > hi after update")
-        if new_P_values is not None or new_A_values is not None:
-            self._terms.data = self._map.term_values(self._P.data, self._A.data)
 
 
 class BandedActiveSetSolver(BandedKkt):
@@ -384,10 +365,11 @@ class BandedActiveSetSolver(BandedKkt):
         pri = dua = float("nan")
         status, passes = "max_iter", 0
         factored_before, solved_before = self.factorizations, self.band_solves
+        terms = self._map.terms(self._P.data, self._A.data)
         for passes in range(1, _MAX_PASSES + 1):
             try:
                 x, y, Ax, pri, dua, pri_tol, dua_tol, wrong = self._held_set_pass(
-                    eq, side, _DIRECT_DELTA)
+                    terms, eq, side, _DIRECT_DELTA)
             except ValueError:
                 status = "not_positive_definite"
                 break

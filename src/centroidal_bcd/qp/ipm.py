@@ -56,15 +56,16 @@ equality multipliers, and moves every slack and multiplier to the magnitude
 of the step's end, floored at 1. The force QP's start point (the reference
 momentum, the weight shared among the active contacts) brings its cold
 solves from 13-15 iterations to 10 at every trot horizon from N = 75 to
-600. A handle scales the start point once, at setup. Every later solve
-starts warm from the last solved call's scaled iterate (Yildirim and
-Wright, SIAM J. Optim. 2002): x and the equality multipliers as they were,
-the bound multipliers and the slacks (re-measured as G x - b on the new
-data) floored at 1e-2. A solve starts cold again after a call that did not
-end ``solved``, and after a bound update that moves a row between the
-equality and inequality sets or changes which of its bounds are finite. A
-problem without inequality bounds has no slacks to place and skips the
-start step.
+600. A handle scales the start point with the rest of a QP's values, at
+setup and on every value update, so a cold solve begins at the start point
+of the latest QP. Every later solve starts warm from the last solved call's
+scaled iterate (Yildirim and Wright, SIAM J. Optim. 2002): x and the
+equality multipliers as they were, the bound multipliers and the slacks
+(re-measured as G x - b on the new data) floored at 1e-2. A solve starts
+cold again after a call that did not end ``solved``, and after a bound
+update that moves a row between the equality and inequality sets or changes
+which of its bounds are finite. A problem without inequality bounds has no
+slacks to place and skips the start step.
 
 A point is accepted on unscaled residuals: the primal and dual infinity
 norms against eps_abs + eps_rel times the norms of their terms, and the
@@ -168,26 +169,21 @@ class InteriorPointSolver(BandedKkt):
         # solve starts; None starts it cold.
         self._last = None
         self._scale()
-        # The QP's start point in scaled coordinates, where cold solves begin.
-        self._x0 = np.zeros(self.n) if qp.x0 is None else qp.x0 / self._d
         # The scaled matrices share the patterns of P, A and A', and are
-        # built once (A' on A's index arrays); a value update assigns their
-        # ``data``.
+        # built once (A' on A's index arrays), as is the term matrix of the
+        # scaled P and A, which every iteration factors; a value update
+        # assigns their ``data``.
         self._Ps, self._As = self._P.copy(), self._A.copy()
         self._AsT = self._As.T
-        self._refresh_scaled_matrices()
+        self._scale_values(qp)
         self._terms_s = self._map.terms(self._Ps.data, self._As.data)
-        self._refresh_scaled_vectors()
 
-    def update_values(self, new_q=None, new_lo=None, new_hi=None,
-                      new_P_values=None, new_A_values=None) -> None:
+    def update_values(self, qp: SparseQP) -> None:
         """:meth:`BandedKkt.update_values`, then the setup's equilibration
-        scales the new values."""
-        super().update_values(new_q, new_lo, new_hi, new_P_values, new_A_values)
-        if new_P_values is not None or new_A_values is not None:
-            self._refresh_scaled_matrices()
-            self._terms_s.data = self._map.term_values(self._Ps.data, self._As.data)
-        self._refresh_scaled_vectors()
+        scales the new values and the band terms of the scaled P and A."""
+        super().update_values(qp)
+        self._scale_values(qp)
+        self._terms_s.data = self._map.term_values(self._Ps.data, self._As.data)
 
     # -- problem scaling -------------------------------------------------
 
@@ -222,20 +218,18 @@ class InteriorPointSolver(BandedKkt):
             qb = qb * gamma
             self._c *= gamma
 
-    def _refresh_scaled_matrices(self) -> None:
-        """Scale P and A by the setup's factors."""
-        d, e, c = self._d, self._e, self._c
+    def _scale_values(self, qp: SparseQP) -> None:
+        """Scale P, A, q, the bounds and ``qp``'s start point (x = 0
+        without one), where cold solves begin, by the setup's factors, and
+        sort the rows into equality rows and the one-sided constraints
+        g'x >= b of the finite inequality bounds. A new partition drops the
+        warm start, whose multipliers and slacks belong to the old one."""
+        d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
         self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
         if self.m:
             self._As.data = self._AsT.data = (
                 e[self._A.indices] * d[self._A_cols] * self._A.data)
-
-    def _refresh_scaled_vectors(self) -> None:
-        """Scale q and the bounds, and sort the rows into equality rows and
-        the one-sided constraints g'x >= b of the finite inequality bounds.
-        A new partition drops the warm start, whose multipliers and slacks
-        belong to the old one."""
-        d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
+        self._x0 = np.zeros(self.n) if qp.x0 is None else qp.x0 / d
         self._qs = c * d * self._q
         # The unscaled q'dx and A dx of a scaled step, for the
         # dual-infeasibility test.
@@ -465,7 +459,7 @@ class InteriorPointSolver(BandedKkt):
         side[(self._hi - z < y_int) & ~eq] = 1
         try:
             x_pol, y_pol, _, pri_pol, dua_pol, _, _, wrong = self._held_set_pass(
-                eq, side, _POLISH_DELTA)
+                self._map.terms(self._P.data, self._A.data), eq, side, _POLISH_DELTA)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1

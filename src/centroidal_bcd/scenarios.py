@@ -105,15 +105,15 @@ class ScenarioFile:
                 raise ScenarioError(key, "missing required field")
         return ScenarioFile(
             name=doc["name"],
-            robot=dict(doc["robot"]),
-            horizon=dict(doc["horizon"]),
-            initial_state=dict(doc["initial_state"]),
-            contacts=list(doc["contacts"]),
-            references=dict(doc["references"]),
-            gravity=list(doc.get("gravity", [0.0, 0.0, -9.81])),
-            weights=dict(doc.get("weights", {})),
-            bcd=dict(doc.get("bcd", {})),
-            gait=dict(doc["gait"]) if doc.get("gait") is not None else None,
+            robot=_mapping(doc["robot"], "robot"),
+            horizon=_mapping(doc["horizon"], "horizon"),
+            initial_state=_mapping(doc["initial_state"], "initial_state"),
+            contacts=list(_list(doc["contacts"], "contacts")),
+            references=_mapping(doc["references"], "references"),
+            gravity=list(_list(doc.get("gravity", [0.0, 0.0, -9.81]), "gravity")),
+            weights=_mapping(doc.get("weights", {}), "weights"),
+            bcd=_mapping(doc.get("bcd", {}), "bcd"),
+            gait=_mapping(doc["gait"], "gait") if doc.get("gait") is not None else None,
         )
 
 
@@ -157,6 +157,12 @@ def _list(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
     return value
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, Mapping):
+        raise ScenarioError(path, f"expected a mapping, got {type(value).__name__}")
+    return dict(value)
 
 
 def _vec(doc, path, size=3):

@@ -5,6 +5,17 @@ from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, Eff
     Polytope, integrate_step
 from centroidal_bcd.references import ReferenceSet
 
+# Top-level scenario blocks replaced by a value of the wrong JSON type, and
+# the type the block needs.
+WRONG_TYPE_BLOCKS = [
+    *((block, value, "mapping")
+      for block in ("robot", "horizon", "initial_state", "references", "weights", "bcd", "gait")
+      for value in (3, [1.0], "text")),
+    ("contacts", 3, "list"),
+    ("contacts", {"a": 1}, "list"),
+    ("gravity", 3, "list"),
+]
+
 QUAD_OFFSETS = {
     "FL": np.array([0.19, 0.11, -0.22]),
     "FR": np.array([0.19, -0.11, -0.22]),

@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import WRONG_TYPE_BLOCKS
 
 import centroidal_bcd.cli as cli_module
 import centroidal_bcd.qp.banded as banded_module
@@ -143,6 +144,20 @@ def test_non_finite_reference_waypoint_exits_1_naming_it(tmp_path, capsys):
     scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(doc)))
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path)]) == 1
     assert "references.com_waypoints[0]: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, value, expected", WRONG_TYPE_BLOCKS)
+def test_a_block_of_the_wrong_type_exits_1_naming_it(tmp_path, capsys, block, value,
+                                                     expected):
+    doc = make_gait("stand", N=20).to_mapping()
+    doc[block] = value
+    scn = tmp_path / "bad.scn"
+    scn.write_text(json.dumps(doc))
+    for subcommand in ("solve", "verify"):
+        assert main([subcommand, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {block}: expected a {expected}"), err
+        assert "Traceback" not in err
 
 
 def test_text_that_is_neither_json_nor_yaml_exits_1(tmp_path, capsys):
@@ -284,6 +299,27 @@ def test_bench_single_horizon_reports_na(tmp_path, trot_scenario, capsys):
     assert main(["bench", "--scenario", str(trot_scenario),
                  "--horizons", "40", "--out", str(out)]) == 0
     assert "n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gait, horizon, message", [
+    ({"params": {}}, {}, "gait.kind: expected one of stand, walk, "),
+    ({"kind": "gallop"}, {}, "gait.kind: expected one of stand, walk, "),
+    ({"kind": "stand", "params": {"stride": 0.1}}, {}, "gait.params: "),
+    ({"kind": "stand", "params": [0.1]}, {}, "gait.params: expected a mapping"),
+    ({"kind": "stand"}, {"N": None}, "horizon.N: expected an integer"),
+])
+def test_bench_names_a_generator_block_it_cannot_use(tmp_path, capsys, gait, horizon, message):
+    # Each used to end in a KeyError, ValueError or TypeError traceback.
+    doc = make_gait("stand", N=20).to_mapping()
+    doc["gait"] = gait
+    doc["horizon"] = {key: value for key, value in {**doc["horizon"], **horizon}.items()
+                      if value is not None}
+    scn = tmp_path / "bad.scn"
+    scn.write_text(json.dumps(doc))
+    assert main(["bench", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {message}"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gait_rejects_bad_params(tmp_path):

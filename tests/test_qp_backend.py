@@ -108,12 +108,9 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
     qp, _ = _random_qp(rng, n=10, m=12)
     h = InteriorPointSolver(qp)
     assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
-    newP = qp.P.copy()
-    newP.data = newP.data * 1.5
-    h.update_values(new_q=qp.q * 0.5)
-    h.update_values(new_P_values=newP)
-    # Raw data arrays of the setup pattern, as the BCD driver passes them.
-    h.update_values(new_P_values=qp.P.data, new_A_values=qp.A.data * 2.0)
+    h.update_values(replace(qp, q=qp.q * 0.5))
+    h.update_values(replace(qp, q=qp.q * 0.5, P=qp.P * 1.5))
+    h.update_values(replace(qp, q=qp.q * 0.5, A=qp.A * 2.0))
     assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
     iterations = 0
     for solves in (1, 2):
@@ -122,7 +119,7 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
         iterations += sol.iterations
         assert h.kkt_refactorizations == iterations
         assert h.polish_factorizations == solves
-    h.update_values(new_q=qp.q)
+    h.update_values(qp)
     assert h.kkt_refactorizations == iterations
 
 
@@ -135,7 +132,7 @@ def test_value_updates_keep_each_matrix_and_refresh_its_transpose():
     h = InteriorPointSolver(qp)
     names = ("_P", "_A", "_AT", "_Ps", "_As", "_AsT")
     before = [getattr(h, name) for name in names]
-    h.update_values(new_P_values=1.5 * qp.P.data, new_A_values=-2.0 * qp.A.data)
+    h.update_values(replace(qp, P=1.5 * qp.P, A=-2.0 * qp.A))
     assert all(getattr(h, name) is M for name, M in zip(names, before))
     assert np.array_equal(h._A.toarray(), -2.0 * qp.A.toarray())
     assert np.array_equal(h._AT.toarray(), h._A.toarray().T)
@@ -149,11 +146,77 @@ def test_update_rejects_pattern_mismatch():
     rng = np.random.default_rng(4)
     qp, _ = _random_qp(rng, n=8, m=9)
     h = InteriorPointSolver(qp)
-    other = sp.csc_matrix(np.eye(8))
-    with pytest.raises(ValueError, match="pattern"):
-        h.update_values(new_P_values=other)
-    with pytest.raises(ValueError, match="values"):
-        h.update_values(new_A_values=np.zeros(qp.A.nnz + 1))
+    with pytest.raises(ValueError, match="^P sparsity pattern"):
+        h.update_values(replace(qp, P=sp.csc_matrix(np.eye(8))))
+    A = qp.A.toarray()
+    A[0, 0] = 0.0  # one stored entry fewer
+    with pytest.raises(ValueError, match="^A sparsity pattern"):
+        h.update_values(replace(qp, A=sp.csc_matrix(A)))
+
+
+def _moved_entry(A):
+    """``A`` with its first stored entry moved to a free row of its column:
+    the same number of entries in another pattern."""
+    A = A.tocoo()
+    rows = A.row.copy()
+    stored = set(rows[A.col == A.col[0]])
+    rows[0] = next(r for r in range(A.shape[0]) if r not in stored)
+    return sp.csc_matrix((A.data, (rows, A.col)), shape=A.shape)
+
+
+@pytest.mark.parametrize("handle", [InteriorPointSolver, BandedActiveSetSolver])
+def test_an_update_with_the_setups_nnz_in_another_pattern_is_rejected(trot_qps, handle):
+    qp = trot_qps["contact"]
+    h = handle(qp)
+    other = _moved_entry(qp.A)
+    assert other.nnz == qp.A.nnz
+    with pytest.raises(ValueError, match="^A sparsity pattern does not match"):
+        h.update_values(replace(trot_qps["contact_next"], A=other))
+    # A rejected update leaves the handle's values as they were.
+    assert np.array_equal(h._A.data, qp.A.data) and np.array_equal(h._q, qp.q)
+
+
+def test_a_cold_solve_after_an_update_starts_at_the_new_start_point():
+    qp, x0 = _random_qp(np.random.default_rng(19), n=12, m=15)
+    h = InteriorPointSolver(replace(qp, x0=np.zeros(qp.n)))
+    assert h.solve().solved
+    # A bound update that changes the row partition, with a new start point.
+    lo = qp.lo.copy()
+    lo[int(np.flatnonzero(np.isfinite(lo))[0])] = -np.inf
+    h.update_values(replace(qp, lo=lo, x0=x0))
+    h.settings = SolverSettings(max_iterations=1)
+    sol = h.solve()
+    # The start step keeps x where the cold solve began.
+    assert sol.status == "max_iter" and not sol.warm_started
+    assert np.allclose(sol.x, x0, rtol=1e-14, atol=0.0) and x0.any()
+
+
+@pytest.mark.parametrize("handle", [InteriorPointSolver, BandedActiveSetSolver])
+def test_band_terms_are_computed_once_per_update_or_held_set_solve(trot_qps, handle,
+                                                                    monkeypatch):
+    # An interior-point update refreshes the terms of its scaled data, which
+    # its iterations factor; an active-set update refreshes none. The terms
+    # of the unscaled data are computed when a held-set pass runs: once per
+    # active-set solve, however many passes, and once per polish.
+    h = handle(trot_qps["contact"])
+    calls = []
+    term_values = h._map.term_values
+
+    def counting(P_data, A_data):
+        calls.append(P_data)
+        return term_values(P_data, A_data)
+
+    monkeypatch.setattr(h._map, "term_values", counting)
+    h.update_values(trot_qps["contact_next"])
+    scaled = handle is InteriorPointSolver
+    assert len(calls) == scaled
+    if scaled:
+        assert calls[0] is h._Ps.data
+    polishes = h.polish_factorizations if scaled else 0
+    sol = h.solve()
+    assert sol.solved
+    held_set_solves = h.polish_factorizations - polishes if scaled else 1
+    assert len(calls) == scaled + held_set_solves
 
 
 @pytest.mark.parametrize("field", ["P", "A", "q", "lo", "hi"])
@@ -163,21 +226,19 @@ def test_non_finite_data_is_named_not_solved(field):
     values = {"P": qp.P.copy(), "A": qp.A.copy(), "q": qp.q.copy(), "lo": qp.lo.copy(),
               "hi": qp.hi.copy()}
     raw = values[field].data if field in ("P", "A") else values[field]
-    update = {"P": "new_P_values", "A": "new_A_values", "q": "new_q", "lo": "new_lo",
-              "hi": "new_hi"}[field]
     raw[0] = np.nan
     with pytest.raises(ValueError, match=f"^{field} "):
         InteriorPointSolver(replace(qp, **values))
     h = InteriorPointSolver(qp)
     with pytest.raises(ValueError, match=f"^{field} "):
-        h.update_values(**{update: values[field]})
+        h.update_values(replace(qp, **values))
     raw[0] = -np.inf if field == "lo" else np.inf
     if field in ("lo", "hi"):
-        h.update_values(**{update: values[field]})  # infinite bounds stay legal
+        h.update_values(replace(qp, **values))  # infinite bounds stay legal
         assert h.solve().solved
     else:
         with pytest.raises(ValueError, match=f"^{field} "):
-            h.update_values(**{update: values[field]})
+            h.update_values(replace(qp, **values))
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +324,7 @@ def test_array_ruiz_scaling_matches_sparse_products_bitwise(trot_qps):
         # new data: every solve of a handle iterates in one scaling.
         new = replace(qp, P=qp.P * 3.0, A=qp.A * 0.25, q=2.0 * qp.q - 1.0,
                       lo=qp.lo - 0.5, hi=qp.hi + 0.5)
-        h.update_values(new_q=new.q, new_lo=new.lo, new_hi=new.hi,
-                        new_P_values=new.P.data, new_A_values=new.A.data)
+        h.update_values(new)
         assert h._d.tobytes() == d.tobytes()
         assert h._e.tobytes() == e.tobytes()
         assert h._c == c
@@ -434,12 +494,14 @@ def test_band_map_matches_sparse_product_assembly(trot_qps):
         # The polish matrix on unscaled data: weight 1/delta on a random
         # active set, 0 elsewhere.
         w = np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0)
-        _assert_map_matches_sparse_products(h, qp.P, qp.A, h._terms, w, _POLISH_DELTA)
-        # Value updates refresh the terms of both.
-        h.update_values(new_P_values=2.0 * qp.P.data, new_A_values=-0.5 * qp.A.data)
-        P2, A2 = qp.P.copy(), qp.A.copy()
-        P2.data, A2.data = 2.0 * qp.P.data, -0.5 * qp.A.data
-        _assert_map_matches_sparse_products(h, P2, A2, h._terms, np.ones(m), 1.0)
+        _assert_map_matches_sparse_products(h, qp.P, qp.A, h._map.terms(qp.P.data, qp.A.data),
+                                            w, _POLISH_DELTA)
+        # A value update gives the handle the new values, and refreshes the
+        # terms of the scaled ones.
+        P2, A2 = 2.0 * qp.P, -0.5 * qp.A
+        h.update_values(replace(qp, P=P2, A=A2))
+        _assert_map_matches_sparse_products(h, P2, A2, h._map.terms(h._P.data, h._A.data),
+                                            np.ones(m), 1.0)
         _assert_map_matches_sparse_products(h, h._Ps, h._As, h._terms_s, np.ones(m), _DELTA)
     # The chain's shuffled band is factored as it is, and still solves.
     assert InteriorPointSolver(chain).solve().solved
@@ -456,11 +518,12 @@ def test_band_product_is_bitwise_the_gathered_assembly(trot_qps):
         m = qp.m_c
         for w, shift in ((rng.uniform(1e-3, 1e3, size=m), _DELTA),
                          (np.where(rng.random(m) < 0.5, 1.0 / _POLISH_DELTA, 0.0), _POLISH_DELTA)):
-            for P, A, terms in ((h._Ps, h._As, h._terms_s), (qp.P, qp.A, h._terms)):
+            for P, A, terms in ((h._Ps, h._As, h._terms_s),
+                                (qp.P, qp.A, h._map.terms(qp.P.data, qp.A.data))):
                 band = h._map.band(terms, w, shift)
                 assert band.flags.f_contiguous
                 assert band.tobytes() == _gathered_band(h, P, A, w, shift).tobytes()
-        h.update_values(new_P_values=3.0 * qp.P.data, new_A_values=-0.5 * qp.A.data)
+        h.update_values(replace(qp, P=3.0 * qp.P, A=-0.5 * qp.A))
         w = rng.uniform(1e-3, 1e3, size=m)
         assert (h._map.band(h._terms_s, w, _DELTA).tobytes()
                 == _gathered_band(h, h._Ps, h._As, w, _DELTA).tobytes())
@@ -585,7 +648,7 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     # The polish factorization is counted on its own: the re-solve after a
     # q-only update adds one Newton factorization per iteration.
     base = h.kkt_refactorizations
-    h.update_values(new_q=0.5 * qp.q)
+    h.update_values(replace(qp, q=0.5 * qp.q))
     again = h.solve()
     assert again.solved
     assert h.kkt_refactorizations == base + again.iterations
@@ -631,13 +694,10 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
         first = h.solve()
         assert first.solved and not first.warm_started
         current = qp
-        for update, values in (
-                ({"new_q": 0.5 * qp.q}, {"q": 0.5 * qp.q}),
-                ({"new_q": nxt.q, "new_P_values": nxt.P.data, "new_A_values": nxt.A.data},
-                 {"q": nxt.q, "P": nxt.P, "A": nxt.A}),
-                ({"new_lo": lo, "new_hi": hi}, {"lo": lo, "hi": hi})):
-            h.update_values(**update)
+        for values in ({"q": 0.5 * qp.q}, {"q": nxt.q, "P": nxt.P, "A": nxt.A},
+                       {"lo": lo, "hi": hi}):
             current = replace(current, **values)
+            h.update_values(current)
             warm = h.solve()
             fresh = InteriorPointSolver(current).solve()
             assert warm.solved and warm.warm_started
@@ -652,7 +712,7 @@ def test_warm_re_solves_match_a_fresh_handle(trot_qps, name):
 def test_a_solve_after_an_unsolved_call_starts_cold(trot_qps):
     h = InteriorPointSolver(trot_qps["force"])
     assert h.solve().solved
-    h.update_values(new_q=trot_qps["force_next"].q)
+    h.update_values(replace(trot_qps["force"], q=trot_qps["force_next"].q))
     h.settings = SolverSettings(max_iterations=1)
     capped = h.solve()
     assert capped.status == "max_iter" and capped.warm_started
@@ -751,14 +811,14 @@ def test_a_bound_update_that_changes_the_row_partition_starts_cold(change):
     h = InteriorPointSolver(qp)
     assert h.solve().solved
     lo, hi = qp.lo.copy(), qp.hi.copy()
-    h.update_values(new_lo=lo - 0.1, new_hi=hi + 0.1)  # the same partition
+    h.update_values(replace(qp, lo=lo - 0.1, hi=hi + 0.1))  # the same partition
     assert h.solve().warm_started
     row = int(np.flatnonzero(np.isfinite(lo))[0])
     if change == "equality row":
         lo[row] = hi[row] = (qp.A @ x0)[row]
     else:
         lo[row] = -np.inf
-    h.update_values(new_lo=lo, new_hi=hi)
+    h.update_values(replace(qp, lo=lo, hi=hi))
     sol = h.solve()
     assert sol.solved and not sol.warm_started
 
@@ -780,7 +840,7 @@ def test_failed_polish_factorization_returns_the_admm_point(monkeypatch):
     assert max(kkt_residuals(qp, sol.x, sol.y)[:2]) > 1e-9  # an unpolished interior point
     # A failed polish counts as rejected: the next solve runs no polish.
     assert h.polish_rejected
-    h.update_values(new_q=0.5 * qp.q)
+    h.update_values(replace(qp, q=0.5 * qp.q))
     again = h.solve()
     assert again.solved and again.factorizations == again.iterations
 
@@ -798,7 +858,7 @@ def test_a_handle_skips_the_polish_after_one_is_rejected():
     first = h.solve()
     assert first.solved and not first.polished and h.polish_rejected
     assert first.factorizations == first.iterations + 1 and h.polish_factorizations == 1
-    h.update_values(new_q=0.5 * qp.q)
+    h.update_values(replace(qp, q=0.5 * qp.q))
     again = h.solve()
     assert again.solved and again.warm_started and not again.polished
     assert again.factorizations == again.iterations and h.polish_factorizations == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import yaml
+from conftest import WRONG_TYPE_BLOCKS
 
 from centroidal_bcd.bcd import BcdSettings, optimize
 from centroidal_bcd.model import CentroidalState, Polytope
@@ -85,6 +86,16 @@ def test_schema_version_and_missing_fields():
         parse_scenario(b"schema_version: 1\nname: x\n")
     with pytest.raises(ScenarioError, match="YAML"):
         parse_scenario(b"{unbalanced")
+
+
+@pytest.mark.parametrize("block, value, expected", WRONG_TYPE_BLOCKS)
+def test_a_block_of_the_wrong_type_is_named(block, value, expected):
+    # Each used to end in a TypeError or ValueError naming no field, and a
+    # mapping of contacts was read as the list of its keys.
+    doc = make_gait("stand", N=20).to_mapping()
+    doc[block] = value
+    with pytest.raises(ScenarioError, match=f"^{block}: expected a {expected}, got "):
+        parse_scenario(json.dumps(doc))
 
 
 def test_round_trip_all_shipped_scenarios():
