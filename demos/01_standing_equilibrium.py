@@ -39,8 +39,8 @@ plan = ContactPlan(
     h0=CentroidalState(r0, np.zeros(3), np.zeros(3)),
     kinematic_limit=0.35, nominal_offsets=OFFSETS)
 
-rest = CentroidalState(r0, np.zeros(3), np.zeros(3))
-references = ReferenceSet(tuple(rest for _ in range(N)))
+# Track the initial CoM at rest: one stacked (r, l, k) row per timestep.
+references = ReferenceSet(np.tile(np.concatenate([r0, np.zeros(6)]), (N, 1)))
 
 result = optimize(plan, references, BcdSettings())
 

@@ -211,8 +211,7 @@ def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
 
 def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan) -> Trajectory:
     """The trajectory of a force iterate with the lever geometry it was
-    solved against ((pairs, 3) arrays or (t, effector) mappings), ready for
-    verify_trajectory."""
+    solved against ((pairs, 3) arrays), ready for verify_trajectory."""
     table = plan.pair_table
     return Trajectory(plan, h=iterate.h, f=iterate.f, p=p_fixed, ell=ell_fixed,
                       z=table.scatter(iterate.z, table.flat),

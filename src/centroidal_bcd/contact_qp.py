@@ -39,13 +39,12 @@ Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
     recursion_rows, skew_entries, timestep_blocks, zmp_rows
-from .model import CentroidalState, ContactPlan, Polytope, state_array
+from .model import ContactPlan, Polytope, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 from .references import ReferenceSet
 
@@ -65,18 +64,20 @@ class ContactQpInputs:
     ``f_fixed`` (and ``tau_fixed`` for flat feet) come from the force solve of
     the same outer iteration; ``h_reg`` is its state trajectory (momentum
     included), ``p_reg`` the previous contact solve's footholds (absent on
-    the first outer iteration). Each is stored as a validated array (see
-    ``PairTable.rows``); ``tau_fixed`` has one row per flat-foot pair, zero
-    for pairs a mapping omits.
+    the first outer iteration). ``f_fixed`` and ``p_reg`` are (pairs, 3)
+    arrays in ``plan.active_pairs()`` order, ``tau_fixed`` has one row per
+    flat-foot pair (None means zeros) and ``h_reg`` is an (N, 9) state array;
+    each is stored validated and read-only (see ``PairTable.rows`` and
+    ``state_array``).
     """
 
     plan: ContactPlan
-    f_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
-    h_reg: np.ndarray | tuple[CentroidalState, ...]
+    f_fixed: np.ndarray
+    h_reg: np.ndarray
     references: ReferenceSet
     weights: CostWeights = field(default_factory=CostWeights)
-    p_reg: np.ndarray | Mapping[tuple[int, str], np.ndarray] | None = None
-    tau_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray] | None = None
+    p_reg: np.ndarray | None = None
+    tau_fixed: np.ndarray | None = None
     l_prox: float = 0.0
 
     def __post_init__(self):
@@ -89,9 +90,8 @@ class ContactQpInputs:
         object.__setattr__(self, "f_fixed", table.rows(self.f_fixed, "f_fixed"))
         if self.p_reg is not None:
             object.__setattr__(self, "p_reg", table.rows(self.p_reg, "p_reg"))
-        object.__setattr__(self, "tau_fixed", table.rows(
-            {} if self.tau_fixed is None else self.tau_fixed, "tau_fixed", fill=0.0,
-            flat_only=True))
+        tau = np.zeros((int(table.flat.sum()), 3)) if self.tau_fixed is None else self.tau_fixed
+        object.__setattr__(self, "tau_fixed", table.rows(tau, "tau_fixed", flat_only=True))
 
 
 def nominal_footholds(plan: ContactPlan, references: ReferenceSet) -> np.ndarray:

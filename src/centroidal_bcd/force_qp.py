@@ -28,11 +28,10 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
-from .model import CentroidalState, ContactPlan, PairTable, state_array
+from .model import ContactPlan, PairTable, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 from .references import ReferenceSet
 
@@ -112,16 +111,18 @@ class ForceQpInputs:
 
     ``ell_fixed`` and ``p_fixed`` come from the previous contact solve (or the
     nominal initialization) and ``h_reg`` is the proximal target, absent on
-    the first outer iteration, where ``l_prox`` must be zero. Each is stored
-    as a validated array (see ``PairTable.rows``).
+    the first outer iteration, where ``l_prox`` must be zero. ``ell_fixed``
+    and ``p_fixed`` are (pairs, 3) arrays in ``plan.active_pairs()`` order and
+    ``h_reg`` an (N, 9) state array; each is stored validated and read-only
+    (see ``PairTable.rows`` and ``state_array``).
     """
 
     plan: ContactPlan
-    ell_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
-    p_fixed: np.ndarray | Mapping[tuple[int, str], np.ndarray]
+    ell_fixed: np.ndarray
+    p_fixed: np.ndarray
     references: ReferenceSet
     weights: CostWeights = field(default_factory=CostWeights)
-    h_reg: np.ndarray | tuple[CentroidalState, ...] | None = None
+    h_reg: np.ndarray | None = None
     l_prox: float = 0.0
 
     def __post_init__(self):
@@ -338,16 +339,12 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
 class ForceIterate:
     """Solution of one Force-QP: states ``h`` (N, 9), forces ``f`` per active
     pair, torques ``tau`` and center-of-pressure offsets ``z`` per flat-foot
-    pair. ``states`` views ``h`` as objects, built when first read."""
+    pair."""
 
     h: np.ndarray
     f: np.ndarray
     tau: np.ndarray
     z: np.ndarray
-
-    @functools.cached_property
-    def states(self) -> tuple[CentroidalState, ...]:
-        return tuple(CentroidalState.from_stacked(h) for h in self.h)
 
 
 def extract_force_iterate(sol: QpSolution, plan: ContactPlan) -> ForceIterate:

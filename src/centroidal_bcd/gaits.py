@@ -15,6 +15,7 @@ regenerate the same scenario at other horizons.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -196,25 +197,26 @@ def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> ScenarioFile:
                           {"kind": "stand", "params": {"dt": dt, "mu": mu}})
 
 
-def _make_walk(N: int = 160, dt: float = 0.01, stride: float = 0.08,
-               swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7,
-               name: str = "walk", terrain=None, snap=None, z_of_x=None,
-               extra_meta=None, patch_fn=None) -> ScenarioFile:
-    """The walking cycle, on flat patches shaped by ``terrain`` and ``snap``
-    unless ``patch_fn`` places the patches itself."""
+def _walk_cycle(N: int, dt: float, stride: float, swing_steps: int, lead_steps: int,
+                mu: float, name: str, patch_fn, z_of_x=None, extra_meta=None) -> ScenarioFile:
+    """The walking cycle on the patches ``patch_fn`` places, the CoM
+    reference lifted by ``z_of_x``; ``extra_meta`` joins the ``gait``
+    parameters."""
     groups = [["FL"], ["HR"], ["FR"], ["HL"]]
     cycle_time = 4 * swing_steps * dt
     speed = stride / cycle_time
-    contacts = _cyclic_contacts(N, dt, groups, swing_steps, lead_steps, speed, mu,
-                                patch_fn or _flat_patch_fn(terrain=terrain, snap=snap))
+    contacts = _cyclic_contacts(N, dt, groups, swing_steps, lead_steps, speed, mu, patch_fn)
     refs = {"com_waypoints": _com_waypoints(
         contacts, N, dt, speed, z_of_x, sway=0.35, smooth_steps=2 * swing_steps,
         sample_every=max(swing_steps // 2, 3))}
     meta = {"kind": name, "params": {"dt": dt, "stride": stride, "swing_steps": swing_steps,
-                                     "lead_steps": lead_steps, "mu": mu}}
-    if extra_meta:
-        meta["params"].update(extra_meta)
+                                     "lead_steps": lead_steps, "mu": mu, **(extra_meta or {})}}
     return _base_document(name, N, dt, contacts, refs, meta)
+
+
+def _make_walk(N: int = 160, dt: float = 0.01, stride: float = 0.08,
+               swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7) -> ScenarioFile:
+    return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, "walk", _flat_patch_fn())
 
 
 def _make_trot(N: int = 160, dt: float = 0.01, stride: float = 0.06,
@@ -341,12 +343,9 @@ def _make_stairs(direction: int, N: int = 150, dt: float = 0.01, stride: float =
         return lo + 0.5 * step_depth
 
     name = "stairs_up" if direction > 0 else "stairs_down"
-    sf = _make_walk(N=N, dt=dt, stride=stride, swing_steps=swing_steps,
-                    lead_steps=lead_steps, mu=mu, name=name, terrain=terrain,
-                    snap=snap, z_of_x=terrain,
-                    extra_meta={"step_height": step_height, "step_depth": step_depth,
-                                "direction": direction})
-    return sf
+    return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, name,
+                       _flat_patch_fn(terrain=terrain, snap=snap), z_of_x=terrain,
+                       extra_meta={"step_height": step_height, "step_depth": step_depth})
 
 
 def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
@@ -361,9 +360,8 @@ def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
         surface, rotation = _tilted_patch(center, angle)
         return surface, rotation, center
 
-    return _make_walk(N=N, dt=dt, stride=stride, swing_steps=swing_steps,
-                      lead_steps=lead_steps, mu=mu, name="incline_stones",
-                      extra_meta={"max_angle_deg": max_angle_deg}, patch_fn=patch_fn)
+    return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, "incline_stones", patch_fn,
+                       extra_meta={"max_angle_deg": max_angle_deg})
 
 
 _GENERATORS = {
@@ -380,10 +378,34 @@ _GENERATORS = {
 }
 
 
+# The least value of each integer parameter: a horizon or a step count that
+# sets a gait's period is at least 1 (a zero period divides by zero).
+_LEAST = {"N": 1, "swing_steps": 1, "stance_steps": 1, "pair_steps": 1,
+          "lead_steps": 0, "ramp_steps": 0}
+
+
+def _check_params(params: dict) -> None:
+    """Reject a parameter value no generator can use, naming it: an integer
+    parameter below its least value or not an integer, a non-finite number,
+    or a ``dt`` or ``mu`` that is not positive."""
+    for name, value in params.items():
+        if name in _LEAST:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < _LEAST[name]:
+                raise ValueError(f"{name} must be an integer >= {_LEAST[name]}, got {value!r}")
+        elif not isinstance(value, numbers.Real):
+            continue  # the generator's own signature decides
+        elif not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        elif name in ("dt", "mu") and value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def make_gait(kind: str, **params) -> ScenarioFile:
     """Generate a scenario document for one of the built-in gait kinds."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown gait kind {kind!r}; choose from {GAIT_KINDS}")
+    _check_params(params)
     return _GENERATORS[kind](**params)
 
 

@@ -25,7 +25,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -60,6 +59,16 @@ def _as_vector(x, size: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite, got {v}")
     v.setflags(write=False)
     return v
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a new float array; a mapping or a sequence of objects is
+    a ValueError naming ``name``, where numpy raises a TypeError."""
+    try:
+        return np.array(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be an array of numbers, "
+                         f"got {type(values).__name__}") from None
 
 
 def _tolerance(value: float, name: str) -> float:
@@ -293,10 +302,6 @@ class ContactPlan:
             raise ValueError(f"effector {e!r} has overlapping phases at timestep {t}")
         object.__setattr__(self, "pair_table", table)
 
-    @property
-    def n_effectors(self) -> int:
-        return len(self.effector_ids)
-
     def phase_at(self, t: int, effector: str) -> ContactPhase | None:
         for ph in self.active_contacts(t):
             if ph.end_effector_id == effector:
@@ -354,35 +359,20 @@ class PairTable:
                 a.setflags(write=False)
         return table
 
-    @functools.cached_property
-    def flat_keys(self) -> tuple[tuple[int, str], ...]:
-        """Keys of the flat-foot pairs, in pair order."""
-        return tuple(compress(self.keys, self.flat))
-
-    def rows(self, values, name: str, width: int = 3, fill=None, flat_only: bool = False,
+    def rows(self, values, name: str, width: int = 3, flat_only: bool = False,
              optional: bool = False) -> np.ndarray:
-        """(pairs, width) read-only array of ``values``, validated once: an
-        array in pair order, or a mapping keyed by (timestep, effector) that
-        covers exactly the active pairs (with ``fill``, omitted pairs take
-        that value). With ``flat_only`` only the flat-foot pairs count; with
-        ``optional``, NaN rows mark absent values and None means all absent.
-        """
-        keys = self.flat_keys if flat_only else self.keys
+        """(pairs, width) read-only array of ``values`` in pair order,
+        validated once. With ``flat_only`` only the flat-foot pairs count;
+        with ``optional``, NaN rows mark absent values and None means all
+        absent."""
+        count = int(self.flat.sum()) if flat_only else self.t.size
         if values is None:
-            values = np.full((len(keys), width), np.nan)
-        elif isinstance(values, Mapping):
-            expected, given = set(keys), set(values)
-            if given - expected or (fill is None and expected - given):
-                raise ValueError(
-                    f"{name} must cover exactly the active pairs "
-                    f"(missing {sorted(expected - given)!r}, extra {sorted(given - expected)!r})")
-            default = np.full(width, np.nan if fill is None else fill)
-            values = [values.get(key, default) for key in keys]
-        a = np.array(values, dtype=float)
+            values = np.full((count, width), np.nan)
+        a = _float_array(values, name)
         if a.size == 0:
             a = a.reshape(0, width)
-        if a.shape != (len(keys), width):
-            raise ValueError(f"{name} must have shape ({len(keys)}, {width}), got {a.shape}")
+        if a.shape != (count, width):
+            raise ValueError(f"{name} must have shape ({count}, {width}), got {a.shape}")
         if not np.all(np.isfinite(a).all(axis=1) | (optional & np.isnan(a).all(axis=1))):
             raise ValueError(f"{name} must be finite" + (", or NaN if absent" * optional))
         a.setflags(write=False)
@@ -525,11 +515,8 @@ class ResidualReport:
 
 
 def state_array(states, horizon: int, name: str) -> np.ndarray:
-    """(N, 9) read-only stacked (r, l, k), validated: an array as it is, or
-    a sequence of CentroidalState stacked."""
-    if not isinstance(states, np.ndarray):
-        states = [s.stacked() for s in states]
-    h = np.array(states, dtype=float)
+    """(N, 9) read-only array of the stacked (r, l, k) ``states``, validated."""
+    h = _float_array(states, name)
     if h.shape != (horizon, 9):
         raise ValueError(f"{name} must cover the horizon: shape ({horizon}, 9), got {h.shape}")
     if not np.all(np.isfinite(h)):
@@ -583,7 +570,7 @@ class Trajectory:
                     f"timestep {t}: trajectory contacts {sorted(contacts)} do not match "
                     f"plan activity {sorted(active)}")
             rows += [contacts[e] for e in active]
-        return Trajectory(plan, [s for s, _ in traj],
+        return Trajectory(plan, [s.stacked() for s, _ in traj],
                           *(_rows(rows, name, width) for name, width in _CONTACT_FIELDS))
 
     def given(self, name: str) -> np.ndarray:

@@ -5,7 +5,7 @@ horizon, contact phases, tracking references, and optional weight/solver
 overrides, all in SI units. ``emit_scenario`` writes it as indented JSON;
 ``parse_scenario`` reads JSON, and falls back to PyYAML for text that is not
 JSON, so hand-written YAML documents keep working. ``parse(emit(x)) == x``
-structurally. ``load_scenario`` validates a document and materializes the
+structurally. ``materialize`` validates a parsed document and builds the
 in-memory problem; numbers the problem cannot use (non-finite values,
 non-positive masses or timesteps) are rejected there with the field's path,
 or in the ``weights`` and ``bcd`` blocks with the block's path and the
@@ -37,7 +37,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ScenarioError",
     "ScenarioFile",
-    "load_scenario",
     "parse_scenario",
     "emit_scenario",
     "build_plan",
@@ -355,11 +354,6 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
     except json.JSONDecodeError:
         doc = _load_yaml(text)
     return ScenarioFile.from_mapping(doc)
-
-
-def load_scenario(text: bytes | str) -> tuple[ContactPlan, ReferenceSet, BcdSettings, CostWeights]:
-    """Parse, validate, and materialize a scenario document."""
-    return materialize(parse_scenario(text))
 
 
 def emit_scenario(sf: ScenarioFile) -> bytes:

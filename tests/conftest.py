@@ -43,8 +43,9 @@ def hover_plan(N=10, mass=2.5, mu=0.7, offsets=QUAD_OFFSETS) -> ContactPlan:
 
 
 def hover_references(plan: ContactPlan) -> ReferenceSet:
-    rest = CentroidalState(plan.h0.r, np.zeros(3), np.zeros(3))
-    return ReferenceSet(tuple(rest for _ in range(plan.horizon)))
+    """The initial CoM at rest, held over the horizon."""
+    rest = np.concatenate([plan.h0.r, np.zeros(6)])
+    return ReferenceSet(np.tile(rest, (plan.horizon, 1)))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import centroidal_bcd.bcd as bcd_module
 from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
 from centroidal_bcd.force_qp import CostWeights
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.model import CentroidalState, skew, verify_trajectory
+from centroidal_bcd.model import skew, verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
@@ -120,6 +120,12 @@ def test_criterion_3_cost_behavior(suite):
           "consensus trace is non-increasing from iteration 2 on all scenarios")
 
 
+def _tracking(refs, weights, t):
+    """Tracking weight of timestep t: the references' own, else the global
+    one."""
+    return weights.tracking if refs.tracking_weights is None else refs.tracking_weights[t]
+
+
 def _dense_force_qp(plan, refs, weights, lever, foothold):
     """Independent dense assembly of the fixed-lever problem for the oracle."""
     import scipy.sparse as sp
@@ -175,13 +181,13 @@ def _dense_force_qp(plan, refs, weights, lever, foothold):
     P = np.zeros((n, n))
     q = np.zeros(n)
     for t in range(N):
-        wh = refs.weight_at(t, weights.tracking) + weights.running_h
+        wh = _tracking(refs, weights, t) + weights.running_h
         if t == N - 1:
             wh = wh + weights.terminal
-        h_kin = refs.h_kin[t].stacked()
+        h_ref = refs.stacked[t]
         for i in range(9):
             P[h_off(t) + i, h_off(t) + i] = 2.0 * wh[i]
-            q[h_off(t) + i] = -2.0 * wh[i] * h_kin[i]
+            q[h_off(t) + i] = -2.0 * wh[i] * h_ref[i]
         for i in range(3):
             P[f_off(t) + i, f_off(t) + i] = 2.0 * weights.force
     A = np.array(rows)
@@ -193,10 +199,10 @@ def _oracle_cost(x, plan, refs, weights):
     N = plan.horizon
     total = 0.0
     for t in range(N):
-        wh = refs.weight_at(t, weights.tracking) + weights.running_h
+        wh = _tracking(refs, weights, t) + weights.running_h
         if t == N - 1:
             wh = wh + weights.terminal
-        dh = x[9 * t: 9 * t + 9] - refs.h_kin[t].stacked()
+        dh = x[9 * t: 9 * t + 9] - refs.stacked[t]
         total += float(dh @ (wh * dh))
         f = x[9 * N + 3 * t: 9 * N + 3 * t + 3]
         total += weights.force * float(f @ f)
@@ -213,10 +219,10 @@ def test_criterion_4_small_instance_oracle():
     plan = monopod_plan(N=5)
     mg = plan.mass * 9.81
     kappa = 0.02 * mg
-    refs = ReferenceSet(tuple(
-        CentroidalState(plan.h0.r, np.zeros(3),
-                        np.array([0.0, kappa * plan.dt * (t + 1), 0.0]))
-        for t in range(plan.horizon)))
+    h_ref = np.zeros((plan.horizon, 9))
+    h_ref[:, 0:3] = plan.h0.r
+    h_ref[:, 7] = kappa * plan.dt * (np.arange(plan.horizon) + 1)
+    refs = ReferenceSet(h_ref)
     weights = CostWeights(foothold=1e-3)
     settings = BcdSettings(L0_force=1.0, L0_contact=1.0, alpha=1.3,
                            eps_f=1e-12, max_outer_iterations=40)
@@ -348,12 +354,12 @@ def test_criterion_8_physics_unit_properties(suite):
     refs_h = hover_references(plan_h)
     pairs = plan_h.active_pairs()
     qp = build_force_qp(ForceQpInputs(
-        plan=plan_h, ell_fixed={p: np.zeros(3) for p in pairs},
-        p_fixed={p: plan_h.phase_at(*p).foothold_hint for p in pairs},
+        plan=plan_h, ell_fixed=np.zeros((len(pairs), 3)),
+        p_fixed=np.array([plan_h.phase_at(*p).foothold_hint for p in pairs]),
         references=refs_h))
     it = extract_force_iterate(InteriorPointSolver(qp).solve(), plan_h)
-    for state in it.states:
-        assert np.max(np.abs(state.k - plan_h.h0.k)) < 1e-9
+    for k in it.h[:, 6:9]:
+        assert np.max(np.abs(k - plan_h.h0.k)) < 1e-9
     print(f"\n[ACCEPTANCE 8] PASS: cross-product identities, ballistic flight "
           f"momentum, standing equilibrium within {EQUILIBRIUM_TOL:g}, and "
           f"zero-lever angular momentum conservation all hold")

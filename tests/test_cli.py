@@ -15,7 +15,7 @@ from centroidal_bcd.cli import main
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, EffectorContact
 from centroidal_bcd.references import ReferenceSet
-from centroidal_bcd.scenarios import ScenarioFile, emit_scenario, load_scenario
+from centroidal_bcd.scenarios import ScenarioFile, emit_scenario, materialize, parse_scenario
 
 EXIT_FORMAT = 64
 
@@ -217,7 +217,7 @@ def test_only_solving_imports_scipy(tmp_path, trot_scenario, solved):
         scn, run, fresh_scn, fresh_run = sys.argv[1:]
         for doc in gaits.shipped_scenarios().values():
             scenarios.materialize(scenarios.parse_scenario(scenarios.emit_scenario(doc)))
-        plan = scenarios.load_scenario(open(scn, "rb").read())[0]
+        plan = scenarios.materialize(scenarios.parse_scenario(open(scn, "rb").read()))[0]
         with open(run + "/trajectory.csv", newline="") as fh:
             assert model.verify_trajectory(trajectory_io.read_trajectory_csv(fh, plan),
                                            plan).feasible
@@ -327,6 +327,30 @@ def test_gait_rejects_bad_params(tmp_path):
                  "--param", "stride=2.0"]) == 1
 
 
+@pytest.mark.parametrize("kind, args, message", [
+    ("stand", ["--horizon", "0"], "N must be an integer >= 1, got 0"),
+    ("stand", ["--dt", "0"], "dt must be positive, got 0.0"),
+    ("stand", ["--dt", "-0.01"], "dt must be positive, got -0.01"),
+    ("stand", ["--dt", "nan"], "dt must be finite, got nan"),
+    ("stand", ["--param", "mu=0"], "mu must be positive, got 0"),
+    ("trot", ["--param", "stance_steps=0"], "stance_steps must be an integer >= 1, got 0"),
+    ("walk", ["--param", "swing_steps=0"], "swing_steps must be an integer >= 1, got 0"),
+    ("bound", ["--param", "pair_steps=2.5"], "pair_steps must be an integer >= 1, got 2.5"),
+    ("walk", ["--param", "lead_steps=-1"], "lead_steps must be an integer >= 0, got -1"),
+    ("walk", ["--param", "stride=NaN"], "stride must be finite, got nan"),
+    # walk's internal hooks are not parameters.
+    ("walk", ["--param", "name=crawl"], "unexpected keyword argument 'name'"),
+    ("walk", ["--param", "patch_fn=3"], "unexpected keyword argument 'patch_fn'"),
+    ("stairs_up", ["--param", "direction=-1"], "multiple values for argument 'direction'"),
+])
+def test_gait_names_a_parameter_it_cannot_use(tmp_path, capsys, kind, args, message):
+    out = tmp_path / "g.scn"
+    assert main(["gait", "--kind", kind, "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gait error: ") and message in err, err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def jump_scenario(tmp_path_factory):
     path = tmp_path_factory.mktemp("scn") / "jump.scn"
@@ -338,7 +362,8 @@ def test_verify_rejects_force_on_a_foot_in_the_air(jump_scenario, tmp_path, caps
     out = tmp_path / "run"
     assert main(["solve", "--scenario", str(jump_scenario), "--out", str(out)]) == 0
     t = 60
-    assert load_scenario(jump_scenario.read_bytes())[0].phase_at(t, "FL") is None  # flight
+    plan = materialize(parse_scenario(jump_scenario.read_bytes()))[0]
+    assert plan.phase_at(t, "FL") is None  # flight
     lines = (out / "trajectory.csv").read_text().splitlines()
     col = lines[0].split(",").index("f_FL_z")
     fields = lines[t + 1].split(",")

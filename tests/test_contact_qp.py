@@ -16,8 +16,7 @@ from centroidal_bcd.contact_qp import (
 from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, _structure as force_structure, \
     build_force_qp, extract_force_iterate
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.model import CentroidalState, Polytope, integrate_step, \
-    polygon_to_halfspaces, skew
+from centroidal_bcd.model import Polytope, integrate_step, polygon_to_halfspaces, skew
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
     SolverSettings
 from centroidal_bcd.qp.active_set import solve_active_set
@@ -45,9 +44,8 @@ def _contact_inputs(plan, refs, f_fixed, h_reg, weights=None, **kw):
 def test_zero_forces_keep_angular_momentum_and_nominal_footholds():
     plan = hover_plan(N=6)
     refs = hover_references(plan)
-    f0 = {pair: np.zeros(3) for pair in plan.active_pairs()}
-    h_reg = tuple(refs.h_kin)
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, l_prox=100.0))
+    f0 = np.zeros((len(plan.active_pairs()), 3))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, plan)
@@ -68,8 +66,8 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     fz = 10.0
     K = -0.1  # target k_y after one step
     L, w_p = 10.0, 1.0
-    f0 = {(0, "FOOT"): np.array([0.0, 0.0, fz])}
-    h_reg = (CentroidalState(plan.h0.r, np.zeros(3), np.array([0.0, K, 0.0])),)
+    f0 = np.array([[0.0, 0.0, fz]])
+    h_reg = np.concatenate([plan.h0.r, np.zeros(3), [0.0, K, 0.0]])[None]
     refs = ReferenceSet(h_reg)
     weights = _zero_weights(foothold=w_p)
     qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, weights=weights,
@@ -90,7 +88,7 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     # With a stiff angular momentum pull (and a target small enough that no
     # box constraint activates) the lever approaches K / (dt fz).
     K2 = -0.02
-    h_reg2 = (CentroidalState(plan.h0.r, np.zeros(3), np.array([0.0, K2, 0.0])),)
+    h_reg2 = np.concatenate([plan.h0.r, np.zeros(3), [0.0, K2, 0.0]])[None]
     qp2 = build_contact_qp(_contact_inputs(
         plan, ReferenceSet(h_reg2), f0, h_reg2,
         weights=_zero_weights(foothold=1e-6), l_prox=1e6))
@@ -102,8 +100,8 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
 def test_point_contact_lever_is_foot_minus_com():
     plan = hover_plan(N=4)
     refs = hover_references(plan)
-    f0 = {pair: np.array([0.0, 0.0, plan.mass * 9.81 / 4]) for pair in plan.active_pairs()}
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
+    f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, plan)
     for t, ell, p in zip(plan.pair_table.t, it.ell, it.p):
@@ -147,7 +145,8 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
         x = rng.normal(size=fqp.n)
         fit = extract_force_iterate(QpSolution(x, np.zeros(fqp.m_c), "solved", 0.0, 0, 0.0),
                                     plan)
-        pairs, flat = plan.active_pairs(), plan.pair_table.flat_keys
+        pairs = plan.active_pairs()
+        flat = [pair for pair, is_flat in zip(pairs, plan.pair_table.flat) if is_flat]
         fs = force_structure(plan)
         parts = {quantity: {key: x[cols].copy() for key, cols in zip(keys, quantity_cols)}
                  for quantity, keys, quantity_cols in (("f", pairs, fs.f_cols),
@@ -194,18 +193,18 @@ def test_extracted_momentum_satisfies_transitions():
     plan = hover_plan(N=6)
     refs = hover_references(plan)
     rng = np.random.default_rng(2)
-    f0 = {pair: np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)])
-          for pair in plan.active_pairs()}
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0))
+    f0 = np.array([[rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)]
+                   for _ in plan.active_pairs()])
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=50.0))
     sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, plan)
-    footholds = dict(zip(plan.active_pairs(), it.p))
+    forces, footholds = (dict(zip(plan.active_pairs(), a)) for a in (f0, it.p))
     prev_k = plan.h0.k
     for t in range(plan.horizon):
         kappa = np.zeros(3)
         for ph in plan.active_contacts(t):
             e = ph.end_effector_id
-            kappa += np.cross(f0[(t, e)], it.h[t, 0:3] - footholds[(t, e)])
+            kappa += np.cross(forces[(t, e)], it.h[t, 0:3] - footholds[(t, e)])
         expected = prev_k + kappa * plan.dt
         assert np.max(np.abs(it.h[t, 6:9] - expected)) < 1e-7
         prev_k = it.h[t, 6:9]
@@ -214,8 +213,8 @@ def test_extracted_momentum_satisfies_transitions():
 def test_footholds_constant_within_phase_and_inside_surface():
     plan = hover_plan(N=7)
     refs = hover_references(plan)
-    f0 = {pair: np.array([0.1, -0.2, 6.0]) for pair in plan.active_pairs()}
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=100.0))
+    f0 = np.tile([0.1, -0.2, 6.0], (len(plan.active_pairs()), 1))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
     it = extract_contact_iterate(InteriorPointSolver(qp).solve(), plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     for e in plan.effector_ids:
@@ -252,11 +251,11 @@ def test_phase_foothold_balances_every_timesteps_pulls():
 def test_pattern_stable_under_different_forces():
     plan = hover_plan(N=5)
     refs = hover_references(plan)
-    pairs = plan.active_pairs()
-    f1 = {pair: np.zeros(3) for pair in pairs}
-    f2 = {pair: np.array([1.0, 2.0, 3.0]) for pair in pairs}
-    qp1 = build_contact_qp(_contact_inputs(plan, refs, f1, tuple(refs.h_kin), l_prox=1.0))
-    qp2 = build_contact_qp(_contact_inputs(plan, refs, f2, tuple(refs.h_kin),
+    pairs = len(plan.active_pairs())
+    f1 = np.zeros((pairs, 3))
+    f2 = np.tile([1.0, 2.0, 3.0], (pairs, 1))
+    qp1 = build_contact_qp(_contact_inputs(plan, refs, f1, refs.stacked, l_prox=1.0))
+    qp2 = build_contact_qp(_contact_inputs(plan, refs, f2, refs.stacked,
                                            l_prox=7.0, p_reg=nominal_footholds(plan, refs)))
     assert pattern_hash(qp1.A) == pattern_hash(qp2.A)
     assert pattern_hash(qp1.P) == pattern_hash(qp2.P)
@@ -281,9 +280,9 @@ def test_a_phase_reads_its_foothold_from_its_first_copy_and_columns_partition():
 def test_missing_force_rejected():
     plan = hover_plan(N=3)
     refs = hover_references(plan)
-    partial = {pair: np.zeros(3) for pair in plan.active_pairs()[:-1]}
-    with pytest.raises(ValueError, match="active"):
-        _contact_inputs(plan, refs, partial, tuple(refs.h_kin))
+    partial = np.zeros((len(plan.active_pairs()) - 1, 3))
+    with pytest.raises(ValueError, match=r"^f_fixed must have shape \(12, 3\), got \(11, 3\)"):
+        _contact_inputs(plan, refs, partial, refs.stacked)
 
 
 def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
@@ -291,19 +290,22 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
     plan = flat_foot_plan()
     refs = hover_references(plan)
     rng = np.random.default_rng(6)
-    f0 = {pair: np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)])
-          for pair in plan.active_pairs()}
+    f0 = np.array([[rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)]
+                   for _ in plan.active_pairs()])
     flat = [pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot]
-    tau = {pair: rng.normal(0, 0.05, size=3) for pair in flat[1:]}
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, tuple(refs.h_kin), l_prox=50.0,
+    # The first flat pair carries no torque.
+    tau = np.array([np.zeros(3)] + [rng.normal(0, 0.05, size=3) for _ in flat[1:]])
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=50.0,
                                           tau_fixed=tau))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, plan)
-    assert list(plan.pair_table.flat_keys) == flat and len(it.z) == len(flat)
+    assert np.array_equal(np.flatnonzero(plan.pair_table.flat),
+                          [plan.active_pairs().index(pair) for pair in flat])
+    assert len(it.z) == len(flat)
     assert np.max(np.abs(it.z)) > 1e-4
-    footholds, ells = (dict(zip(plan.active_pairs(), a)) for a in (it.p, it.ell))
-    zmps = dict(zip(flat, it.z))
+    forces, footholds, ells = (dict(zip(plan.active_pairs(), a)) for a in (f0, it.p, it.ell))
+    zmps, torques = dict(zip(flat, it.z)), dict(zip(flat, tau))
     prev_k = plan.h0.k
     for t in range(plan.horizon):
         kappa = np.zeros(3)
@@ -313,7 +315,7 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
             if ph.flat_foot:
                 ell = ell + ph.rotation[:, :2] @ zmps[pair]
             assert np.allclose(ell, ells[pair])
-            kappa += np.cross(ell, f0[pair]) + tau.get(pair, np.zeros(3))
+            kappa += np.cross(ell, forces[pair]) + torques.get(pair, np.zeros(3))
         assert np.max(np.abs(it.h[t, 6:9] - (prev_k + kappa * plan.dt))) < 1e-7
         prev_k = it.h[t, 6:9]
 
@@ -323,16 +325,15 @@ def test_cached_structure_keeps_builds_independent():
     # arrays, determined by its own inputs alone.
     plan_a, plan_b = flat_foot_plan(), hover_plan(N=4)
     refs_a, refs_b = hover_references(plan_a), hover_references(plan_b)
-    pairs = plan_a.active_pairs()
-    flat = [pair for pair in pairs if plan_a.phase_at(*pair).flat_foot]
-    x = _contact_inputs(plan_a, refs_a, {pair: np.array([0.1, -0.2, 6.0]) for pair in pairs},
-                        tuple(refs_a.h_kin), l_prox=10.0,
-                        tau_fixed={pair: np.array([0.01, 0.0, -0.02]) for pair in flat})
+    pairs, flat = len(plan_a.active_pairs()), int(plan_a.pair_table.flat.sum())
+    x = _contact_inputs(plan_a, refs_a, np.tile([0.1, -0.2, 6.0], (pairs, 1)),
+                        refs_a.stacked, l_prox=10.0,
+                        tau_fixed=np.tile([0.01, 0.0, -0.02], (flat, 1)))
     rng = np.random.default_rng(7)
-    y = _contact_inputs(plan_a, refs_a, {pair: rng.normal(size=3) for pair in pairs},
-                        tuple(refs_a.h_kin), l_prox=30.0,
+    y = _contact_inputs(plan_a, refs_a, np.array([rng.normal(size=3) for _ in range(pairs)]),
+                        refs_a.stacked, l_prox=30.0,
                         p_reg=nominal_footholds(plan_a, refs_a),
-                        tau_fixed={pair: rng.normal(size=3) for pair in flat})
+                        tau_fixed=np.array([rng.normal(size=3) for _ in range(flat)]))
     first = build_contact_qp(x)
     expected = qp_arrays(first)
     first.A.data[:] = 7.0
@@ -342,8 +343,8 @@ def test_cached_structure_keeps_builds_independent():
     assert not np.array_equal(second.lo, expected[7])
     second.A.data[:] = 5.0
     second.lo[:] = -5.0
-    f_b = {pair: np.zeros(3) for pair in plan_b.active_pairs()}
-    build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, tuple(refs_b.h_kin)))
+    f_b = np.zeros((len(plan_b.active_pairs()), 3))
+    build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, refs_b.stacked))
     for got, want in zip(qp_arrays(build_contact_qp(x)), expected):
         assert np.array_equal(got, want)
 

@@ -18,7 +18,7 @@ from centroidal_bcd.force_qp import (
     force_original_cost,
 )
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.model import CentroidalState, verify_trajectory
+from centroidal_bcd.model import verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings
 from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
@@ -28,13 +28,10 @@ from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan,
 
 
 def _nominal_geometry(plan, refs):
-    p_fixed = {}
-    ell_fixed = {}
-    for t, e in plan.active_pairs():
-        hint = plan.phase_at(t, e).foothold_hint
-        p_fixed[(t, e)] = hint
-        ell_fixed[(t, e)] = hint - refs.h_kin[t].r
-    return ell_fixed, p_fixed
+    """(pairs, 3) lever arms and footholds at the phases' foothold hints, in
+    ``plan.active_pairs()`` order."""
+    p_fixed = np.array([plan.phase_at(t, e).foothold_hint for t, e in plan.active_pairs()])
+    return p_fixed - refs.stacked[plan.pair_table.t, 0:3], p_fixed
 
 
 def _inputs(plan, refs, weights=None, **kw):
@@ -76,20 +73,20 @@ def test_hover_equilibrium_force_distribution():
         assert total == pytest.approx(mg, abs=1e-6)
         for e in plan.effector_ids:
             assert forces[(t, e)][2] == pytest.approx(mg / 4, abs=1e-4)
-        assert np.max(np.abs(it.states[t].l)) < 1e-6
+        assert np.max(np.abs(it.h[t, 3:6])) < 1e-6
 
 
 def test_zero_lever_arms_freeze_angular_momentum():
     plan = hover_plan(N=6)
     refs = hover_references(plan)
     ell, p = _nominal_geometry(plan, refs)
-    ell = {k: np.zeros(3) for k in ell}
+    ell = np.zeros_like(ell)
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_force_iterate(sol, plan)
-    for state in it.states:
-        assert np.max(np.abs(state.k - plan.h0.k)) < 1e-9
+    for k in it.h[:, 6:9]:
+        assert np.max(np.abs(k - plan.h0.k)) < 1e-9
 
 
 def test_extraction_round_trip_is_bijective():
@@ -108,8 +105,7 @@ def test_extraction_round_trip_is_bijective():
         it = extract_force_iterate(sol, plan)
         rebuilt = np.empty(qp.n)
         for t in range(plan.horizon):
-            rebuilt[s.state_cols[t]] = np.concatenate([it.states[t].r, it.states[t].l,
-                                                       it.states[t].k])
+            rebuilt[s.state_cols[t]] = it.h[t]
         for quantity in ("f", "tau", "z"):
             for cols, value in zip(getattr(s, f"{quantity}_cols"), getattr(it, quantity)):
                 rebuilt[cols] = value
@@ -121,7 +117,7 @@ def test_infeasible_geometry_propagates_status():
     plan = monopod_plan(N=2)
     refs = hover_references(plan)
     ell, p = _nominal_geometry(plan, refs)
-    p = {k: np.array([0.0, 0.0, -2.0]) for k in p}
+    p = np.tile([0.0, 0.0, -2.0], (len(p), 1))
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs))
     sol = InteriorPointSolver(qp).solve()
     assert sol.status == "primal_infeasible"
@@ -135,9 +131,9 @@ def test_sparsity_pattern_invariant_to_lever_values():
     qp1 = build_force_qp(_inputs(plan, refs))
     ell, p = _nominal_geometry(plan, refs)
     rng = np.random.default_rng(1)
-    ell2 = {k: v + rng.normal(scale=0.05, size=3) for k, v in ell.items()}
+    ell2 = np.array([v + rng.normal(scale=0.05, size=3) for v in ell])
     qp2 = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell2, p_fixed=p,
-                                       references=refs, h_reg=tuple(refs.h_kin),
+                                       references=refs, h_reg=refs.stacked,
                                        l_prox=123.0))
     assert pattern_hash(qp1.A) == pattern_hash(qp2.A)
     assert pattern_hash(qp1.P) == pattern_hash(qp2.P)
@@ -178,17 +174,15 @@ def test_reduced_matrix_bands_at_24_in_the_builders_order():
 def test_proximal_weight_pulls_monotonically_toward_target():
     plan = monopod_plan(N=2)
     refs = hover_references(plan)
-    target = tuple(CentroidalState(refs.h_kin[t].r + np.array([0.02, 0.0, 0.01]),
-                                   (0.1, 0, 0), (0, 0.01, 0))
-                   for t in range(plan.horizon))
+    target = np.hstack([refs.stacked[:, 0:3] + np.array([0.02, 0.0, 0.01]),
+                        np.tile([0.1, 0, 0, 0, 0.01, 0], (plan.horizon, 1))])
     dists = []
     for L in (0.0, 1.0, 10.0, 100.0, 1e4, 1e6):
         qp = build_force_qp(_inputs(plan, refs, h_reg=target, l_prox=L))
         sol = InteriorPointSolver(qp).solve()
         assert sol.solved
         it = extract_force_iterate(sol, plan)
-        d = sum(float(np.sum((s.stacked() - tg.stacked()) ** 2))
-                for s, tg in zip(it.states, target))
+        d = sum(float(np.sum((h - tg) ** 2)) for h, tg in zip(it.h, target))
         dists.append(d)
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
@@ -208,10 +202,8 @@ def test_input_validation():
     ell, p = _nominal_geometry(plan, refs)
     with pytest.raises(ValueError, match="nonnegative"):
         CostWeights(force=-1.0)
-    with pytest.raises(ValueError, match="cover exactly"):
-        missing = dict(ell)
-        missing.pop((0, "FL"))
-        ForceQpInputs(plan=plan, ell_fixed=missing, p_fixed=p, references=refs)
+    with pytest.raises(ValueError, match=r"^ell_fixed must have shape \(12, 3\), got \(11, 3\)"):
+        ForceQpInputs(plan=plan, ell_fixed=ell[1:], p_fixed=p, references=refs)
     with pytest.raises(ValueError, match="regularization target"):
         ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p, references=refs, l_prox=5.0)
 
@@ -227,11 +219,11 @@ def test_original_cost_matches_quadratic_objective_when_unregularized():
     it = extract_force_iterate(sol, plan)
     const = 0.0
     for t in range(plan.horizon):
-        track = refs.weight_at(t, w.tracking).copy()
+        track = w.tracking.copy()
         if t == plan.horizon - 1:
             track = track + w.terminal
-        h_kin = refs.h_kin[t].stacked()
-        const += float(h_kin @ ((track + w.running_h) * h_kin))
+        h_ref = refs.stacked[t]
+        const += float(h_ref @ ((track + w.running_h) * h_ref))
     assert force_original_cost(it, refs, w, plan) == pytest.approx(
         sol.objective + const, abs=1e-6)
 
@@ -245,7 +237,7 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     assert sol.solved
     it = extract_force_iterate(sol, plan)
     flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}
-    assert set(plan.pair_table.flat_keys) == flat
+    assert {plan.active_pairs()[i] for i in np.flatnonzero(plan.pair_table.flat)} == flat
     assert it.tau.shape == (len(flat), 3) and it.z.shape == (len(flat), 2)
     report = verify_trajectory(force_trajectory(it, ell, p, plan), plan, tol=1e-6)
     assert report.feasible, report.as_dict()
@@ -303,7 +295,7 @@ def test_cached_structure_keeps_builds_independent():
     y = ForceQpInputs(plan=plan_a,
                       ell_fixed=x.ell_fixed + rng.normal(scale=0.05, size=x.ell_fixed.shape),
                       p_fixed=x.p_fixed + 0.01,
-                      references=refs_a, h_reg=tuple(refs_a.h_kin), l_prox=3.0)
+                      references=refs_a, h_reg=refs_a.stacked, l_prox=3.0)
     first = build_force_qp(x)
     expected = qp_arrays(first)
     first.A.data[:] = 7.0

@@ -18,10 +18,14 @@ from centroidal_bcd.model import (
 )
 
 from centroidal_bcd.bcd import force_trajectory, optimize
+from centroidal_bcd.contact_qp import ContactQpInputs
+from centroidal_bcd.force_qp import ForceQpInputs
 from centroidal_bcd.gaits import shipped_scenarios
+from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
-from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan
+from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan, \
+    hover_references
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)
 
@@ -407,3 +411,25 @@ def test_inside_hint_skips_the_emptiness_lp(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
         ContactPhase("F", 0, 5, empty, foothold_hint=(0.0, 0.0, 0.0))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("form", ["mapping", "state objects"])
+@pytest.mark.parametrize("field", ["ell_fixed", "f_fixed", "h_reg", "references"])
+def test_inputs_other_than_arrays_are_rejected_naming_the_field(field, form):
+    # QP inputs and references are arrays; a (t, effector) mapping or a
+    # sequence of CentroidalState objects is an error that names the field.
+    plan = hover_plan(N=3)
+    refs = hover_references(plan)
+    zeros = np.zeros((len(plan.active_pairs()), 3))
+    bad = ({pair: np.zeros(3) for pair in plan.active_pairs()} if form == "mapping"
+           else tuple(CentroidalState.from_stacked(h) for h in refs.stacked))
+    build = {
+        "ell_fixed": lambda: ForceQpInputs(plan=plan, ell_fixed=bad, p_fixed=zeros,
+                                           references=refs),
+        "f_fixed": lambda: ContactQpInputs(plan=plan, f_fixed=bad, h_reg=refs.stacked,
+                                           references=refs),
+        "h_reg": lambda: ContactQpInputs(plan=plan, f_fixed=zeros, h_reg=bad, references=refs),
+        "references": lambda: ReferenceSet(bad),
+    }[field]
+    with pytest.raises(ValueError, match=f"^{field} must be an array of numbers, got "):
+        build()

@@ -1,16 +1,19 @@
-"""The benchmark's span recorder swaps package functions by name; these
-tests fail when a refactor removes or renames one of them, or stops calling
-a layer the benchmark reports. They only read ``perfbench/``."""
+"""The benchmark's span recorder swaps package functions by name, and its
+passes call the package the way a user does; these tests fail when a
+refactor removes or renames one of them, or stops calling a layer the
+benchmark reports. They only read ``perfbench/``."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -18,7 +21,7 @@ def _spans_module():
 
 
 def test_traced_cli_solve_and_verify_record_the_layer_spans(tmp_path):
-    spans = _spans_module()
+    spans = _load("spans")
     from centroidal_bcd import cli
 
     scn, out = tmp_path / "stand.scn", tmp_path / "run"
@@ -32,3 +35,13 @@ def test_traced_cli_solve_and_verify_record_the_layer_spans(tmp_path):
     assert {"force_qp.build", "qp.solve", "model.verify", "trajectory_io.read"} <= names
     # Leaving the context restores the package's own functions.
     assert not hasattr(cli.main, "__wrapped__")
+
+
+@pytest.mark.parametrize("workload", ["long_horizon", "incline_bound", "short_cli"])
+def test_one_benchmark_pass_solves_every_scenario(workload, tmp_path):
+    # One untimed pass at seed 0: every call the benchmark makes into the
+    # package (generation, materialize, optimize or the CLI, the CSV files
+    # and the checks on them) must still work and every solve come out ok.
+    run = _load("run")
+    solves = run.Workload(workload, 0, tmp_path).run_pass()
+    assert solves and all(solve.ok for solve in solves), [s.problems for s in solves]

@@ -251,9 +251,9 @@ def trot_qps():
     force = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
                                          references=refs, weights=weights))
     rng = np.random.default_rng(12)
-    f = {pair: np.array([0.0, 0.0, 0.5 * plan.mass * 9.81]) + rng.normal(size=3)
-         for pair in plan.active_pairs()}
-    h_reg = tuple(refs.h_kin)
+    f = np.array([np.array([0.0, 0.0, 0.5 * plan.mass * 9.81]) + rng.normal(size=3)
+                  for _ in plan.active_pairs()])
+    h_reg = refs.stacked
     contact = build_contact_qp(ContactQpInputs(
         plan=plan, f_fixed=f, h_reg=h_reg, references=refs, weights=weights, l_prox=100.0))
     # The same patterns with the values of a later outer iteration: moved
@@ -262,7 +262,7 @@ def trot_qps():
     force_next = build_force_qp(ForceQpInputs(
         plan=plan, ell_fixed=ell + 0.01 * rng.normal(size=ell.shape), p_fixed=p,
         references=refs, weights=weights, h_reg=h_reg, l_prox=100.0))
-    f_next = {pair: value + rng.normal(size=3) for pair, value in f.items()}
+    f_next = np.array([value + rng.normal(size=3) for value in f])
     contact_next = build_contact_qp(ContactQpInputs(
         plan=plan, f_fixed=f_next, h_reg=h_reg, references=refs, weights=weights,
         p_reg=p, l_prox=1e4))

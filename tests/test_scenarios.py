@@ -19,7 +19,6 @@ from centroidal_bcd.scenarios import (
     ScenarioError,
     ScenarioFile,
     emit_scenario,
-    load_scenario,
     materialize,
     parse_scenario,
 )
@@ -56,27 +55,27 @@ references:
 
 
 def test_minimal_hover_document_loads():
-    plan, refs, settings, weights = load_scenario(MINIMAL_HOVER.encode())
-    assert plan.n_effectors == 4
+    plan, refs, settings, weights = materialize(parse_scenario(MINIMAL_HOVER.encode()))
+    assert len(plan.effector_ids) == 4
     assert plan.horizon == 12
     assert plan.dt == 0.01  # default timestep
     assert len(plan.phases) == 4
     for ph in plan.phases:
         assert (ph.t_start, ph.t_end) == (0, 12)
     assert len(refs) == 12
-    assert np.allclose(refs.h_kin[5].r, [0, 0, 0.22])
+    assert np.allclose(refs.stacked[5, 0:3], [0, 0, 0.22])
 
 
 def test_inverted_window_rejected():
     bad = MINIMAL_HOVER.replace("window: [0, 12]", "window: [5, 3]", 1)
     with pytest.raises(ScenarioError, match="window"):
-        load_scenario(bad.encode())
+        materialize(parse_scenario(bad.encode()))
 
 
 def test_undeclared_effector_rejected():
     bad = MINIMAL_HOVER.replace("- effector: FL", "- effector: XX", 1)
     with pytest.raises(ScenarioError, match="undeclared"):
-        load_scenario(bad.encode())
+        materialize(parse_scenario(bad.encode()))
 
 
 def test_schema_version_and_missing_fields():
@@ -111,6 +110,15 @@ def test_yaml_documents_read_as_pyyaml_reads_them(kind):
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
     assert parse_scenario(text) == ScenarioFile.from_mapping(yaml.safe_load(text)) == sf
+
+
+@pytest.mark.parametrize("kind", GAIT_KINDS)
+def test_the_gait_block_regenerates_its_document(kind):
+    # bench regenerates a document from its gait block at other horizons.
+    for N in (None, 100):
+        doc = make_gait(kind) if N is None else make_gait(kind, N=N)
+        again = make_gait(kind, N=doc.horizon["N"], **doc.gait["params"])
+        assert emit_scenario(again) == emit_scenario(doc), (kind, N)
 
 
 @pytest.mark.parametrize("kind", GAIT_KINDS)
@@ -175,7 +183,7 @@ def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     for text in (emit_scenario(ScenarioFile.from_mapping(doc)),
                  yaml.safe_dump(doc, sort_keys=False).encode()):
         with pytest.raises(ScenarioError) as info:
-            load_scenario(text)
+            materialize(parse_scenario(text))
         assert info.value.path.startswith(field), (field, info.value.path)
 
 
