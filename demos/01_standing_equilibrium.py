@@ -8,9 +8,8 @@ the nominal stance offsets.
 
 import numpy as np
 
-from centroidal_bcd import CentroidalState, ContactPhase, ContactPlan, Polytope
+from centroidal_bcd import ContactPhase, ContactPlan, Polytope
 from centroidal_bcd.bcd import BcdSettings, optimize
-from centroidal_bcd.references import ReferenceSet
 
 OFFSETS = {
     "FL": np.array([0.19, 0.11, -0.22]),
@@ -29,6 +28,7 @@ def ground_patch(cx, cy, half=0.25):
 
 
 r0 = np.array([0.0, 0.0, 0.22])
+h0 = np.concatenate([r0, np.zeros(6)])  # the stacked initial (r, l, k): at rest
 phases = [
     ContactPhase(eff, 0, N, ground_patch(off[0], off[1]), friction_coeff=0.7,
                  foothold_hint=np.array([off[0], off[1], 0.0]))
@@ -36,11 +36,11 @@ phases = [
 ]
 plan = ContactPlan(
     effector_ids=tuple(OFFSETS), phases=tuple(phases), horizon=N, dt=0.01, mass=MASS,
-    h0=CentroidalState(r0, np.zeros(3), np.zeros(3)),
+    h0=h0,
     kinematic_limit=0.35, nominal_offsets=OFFSETS)
 
-# Track the initial CoM at rest: one stacked (r, l, k) row per timestep.
-references = ReferenceSet(np.tile(np.concatenate([r0, np.zeros(6)]), (N, 1)))
+# Track the initial state: one stacked (r, l, k) row per timestep.
+references = np.tile(h0, (N, 1))
 
 result = optimize(plan, references, BcdSettings())
 

@@ -28,5 +28,5 @@ drops = [result.states[t].l[2] - result.states[t - 1].l[2] for t in flight[1:]]
 print(f"  per-step momentum change in flight: {np.mean(drops):.6f} kg m/s "
       f"(ballistic m*g*dt = {m * g * dt:.6f})")
 apex = max(s.r[2] for s in result.states)
-print(f"  CoM apex {apex:.3f} m above ground (standing height {plan.h0.r[2]:.2f} m)")
+print(f"  CoM apex {apex:.3f} m above ground (standing height {plan.h0[2]:.2f} m)")
 print(f"  takeoff vertical momentum {max(s.l[2] for s in result.states):.3f} kg m/s")

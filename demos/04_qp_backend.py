@@ -68,7 +68,7 @@ for label, values in (("cost-only update", {"q": 0.5 * q}), ("matrix update", {"
 plan, refs, settings, weights = materialize(shipped_scenarios()["trot"])
 p_nom = nominal_footholds(plan, refs)
 force_qp = build_force_qp(ForceQpInputs(
-    plan=plan, ell_fixed=p_nom - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p_nom,
+    plan=plan, ell_fixed=p_nom - refs[plan.pair_table.t, 0:3], p_fixed=p_nom,
     references=refs, weights=weights))
 force_sol = InteriorPointSolver(force_qp).solve()
 print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "

@@ -39,7 +39,7 @@ for N in (75, 150, 300, 600):
     polishes = sum(r.force_factorizations - r.force_solver_iterations for r in records)
     # The force QP's column count, from the first QP optimize() builds.
     p = nominal_footholds(plan, refs)
-    n = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3],
+    n = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3],
                                      p_fixed=p, references=refs, weights=weights)).n
     force_solves += [(n, r.force_solver_iterations, t) for r, t in zip(records, best)]
     print(f"N={N:4d}: solve {result.solve_time * 1e3:7.1f} ms, "

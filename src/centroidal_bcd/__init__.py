@@ -22,6 +22,5 @@ from .model import (
     verify_trajectory,
 )
 from .qp import InteriorPointSolver, QpSolution, SolverSettings, SparseQP
-from .references import ReferenceSet
 
 __version__ = "0.1.0"

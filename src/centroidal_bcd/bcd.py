@@ -38,11 +38,10 @@ from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_itera
 from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
     extract_force_iterate, force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
-    _tolerance, verify_trajectory
+    _tolerance, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
 from .qp.problem import QpSolution, SolverSettings
-from .references import ReferenceSet
 
 __all__ = [
     "BcdSettings",
@@ -272,13 +271,14 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
                                      band_solves=sol.band_solves + ipm.band_solves), True
 
 
-def optimize(plan: ContactPlan, references: ReferenceSet,
+def optimize(plan: ContactPlan, references: np.ndarray,
              settings: BcdSettings | None = None,
              weights: CostWeights | None = None,
              on_iteration: Callable[[BcdIterationRecord], None] | None = None,
              keep_force_iterates: bool = False,
              residual_tol: float = 1e-5) -> TrajectoryResult:
-    """Run the block coordinate descent on one contact plan.
+    """Run the block coordinate descent on one contact plan, tracking the
+    (N, 9) ``references``, which are checked here (see ``state_array``).
 
     ``on_iteration`` receives each iteration record as it completes (the CLI
     uses this for progress reports). With ``keep_force_iterates`` the result
@@ -288,14 +288,13 @@ def optimize(plan: ContactPlan, references: ReferenceSet,
     _tolerance(residual_tol, "residual_tol")
     settings = settings or BcdSettings()
     weights = weights or CostWeights()
-    if len(references) != plan.horizon:
-        raise ValueError("references must cover the plan horizon")
+    references = state_array(references, plan.horizon, "references")
 
     # Lever-arm initialization: nominal footholds against the interpolated
     # CoM reference. The first force solve runs without momentum
     # regularization since no contact solve has happened yet.
     p_fixed = nominal_footholds(plan, references)
-    ell = p_fixed - references.stacked[plan.pair_table.t, 0:3]
+    ell = p_fixed - references[plan.pair_table.t, 0:3]
     h_reg = None
     p_reg = None
     L_force = settings.L0_force

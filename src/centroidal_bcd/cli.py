@@ -4,8 +4,10 @@ horizon scaling, and generate gait scenario files.
 Exit codes for ``solve``: 0 converged and feasible, 1 scenario error or a
 flag value the run cannot use (the flag named), 2 subproblem infeasibility
 (block and iteration named), 3 non-convergence (outputs are still written).
-``verify`` returns 0 when feasible at the tolerance, 1 when not or on an
-unusable flag value, and 64 on malformed trajectory files.
+``bench`` returns 1 and 2 as ``solve`` does, and 0 otherwise (converged or
+not, as bench.csv records). ``verify`` returns 0 when feasible at the
+tolerance, 1 when not or on an unusable flag value, and 64 on malformed
+trajectory files.
 
 All machine outputs are byte-reproducible for identical inputs; wall-clock
 timings live in their own file (timing.csv).
@@ -181,7 +183,11 @@ def run_bench(cfg: argparse.Namespace) -> int:
     rows = []
     for N, (plan, refs, settings, weights) in problems:
         settings = _apply_overrides(settings, cfg)
-        result = optimize(plan, refs, settings, weights)
+        try:
+            result = optimize(plan, refs, settings, weights)
+        except BlockSolveError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
         force, contact = result.force_time, result.contact_time
         rows.append((N, result.solve_time, force, contact, len(result.records),
                      result.converged))

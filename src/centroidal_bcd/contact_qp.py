@@ -46,7 +46,6 @@ from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_row
     recursion_rows, skew_entries, timestep_blocks, zmp_rows
 from .model import ContactPlan, Polytope, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
-from .references import ReferenceSet
 
 __all__ = [
     "ContactQpInputs",
@@ -66,15 +65,15 @@ class ContactQpInputs:
     included), ``p_reg`` the previous contact solve's footholds (absent on
     the first outer iteration). ``f_fixed`` and ``p_reg`` are (pairs, 3)
     arrays in ``plan.active_pairs()`` order, ``tau_fixed`` has one row per
-    flat-foot pair (None means zeros) and ``h_reg`` is an (N, 9) state array;
-    each is stored validated and read-only (see ``PairTable.rows`` and
-    ``state_array``).
+    flat-foot pair (None means zeros), and ``h_reg`` and ``references`` are
+    (N, 9) state arrays; each is stored validated and read-only (see
+    ``PairTable.rows`` and ``state_array``).
     """
 
     plan: ContactPlan
     f_fixed: np.ndarray
     h_reg: np.ndarray
-    references: ReferenceSet
+    references: np.ndarray
     weights: CostWeights = field(default_factory=CostWeights)
     p_reg: np.ndarray | None = None
     tau_fixed: np.ndarray | None = None
@@ -83,10 +82,9 @@ class ContactQpInputs:
     def __post_init__(self):
         if self.l_prox < 0.0:
             raise ValueError("proximal weight must be nonnegative")
-        if len(self.references) != self.plan.horizon:
-            raise ValueError("references must cover the horizon")
-        table = self.plan.pair_table
-        object.__setattr__(self, "h_reg", state_array(self.h_reg, self.plan.horizon, "h_reg"))
+        table, N = self.plan.pair_table, self.plan.horizon
+        object.__setattr__(self, "references", state_array(self.references, N, "references"))
+        object.__setattr__(self, "h_reg", state_array(self.h_reg, N, "h_reg"))
         object.__setattr__(self, "f_fixed", table.rows(self.f_fixed, "f_fixed"))
         if self.p_reg is not None:
             object.__setattr__(self, "p_reg", table.rows(self.p_reg, "p_reg"))
@@ -94,12 +92,12 @@ class ContactQpInputs:
         object.__setattr__(self, "tau_fixed", table.rows(tau, "tau_fixed", flat_only=True))
 
 
-def nominal_footholds(plan: ContactPlan, references: ReferenceSet) -> np.ndarray:
+def nominal_footholds(plan: ContactPlan, references: np.ndarray) -> np.ndarray:
     """(pairs, 3) nominal foothold target of each active pair, in
     ``plan.active_pairs()`` order: its phase's explicit hint, or else the
     phase-mean of reference CoM plus nominal offset."""
     target = np.empty((len(plan.phases), 3))
-    r = references.stacked[:, 0:3]
+    r = references[:, 0:3]
     for j, ph in enumerate(plan.phases):
         if ph.foothold_hint is not None:
             target[j] = ph.foothold_hint
@@ -241,7 +239,7 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     d[s.copy_cols] = 2.0 * w.foothold + p_prox
     d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
     q = np.zeros(s.n)
-    q[s.state_cols] = (-2.0 * w.running_h * inputs.references.stacked
+    q[s.state_cols] = (-2.0 * w.running_h * inputs.references
                        - inputs.l_prox * inputs.h_reg)
     q[s.copy_cols] = -2.0 * w.foothold * nominal_footholds(plan, inputs.references)
     if inputs.p_reg is not None:

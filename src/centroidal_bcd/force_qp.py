@@ -17,10 +17,10 @@ bounds depend only on the contact plan, so they are built once per plan,
 with array arithmetic over the timesteps and the plan's active pairs; each
 build copies them and fills in the lever-arm, foothold and cost values with
 numpy, and extraction reads the iterate through the same columns. Inputs and
-iterates are arrays with one row per active pair in ``plan.active_pairs()``
-order, and an (N, 9) state array. The helpers both trajectory QPs share
-(column and row offsets, recursion and center-of-pressure rows) live here
-too.
+iterates are arrays: one row per active pair in ``plan.active_pairs()``
+order, and (N, 9) state arrays, the references among them. The helpers
+both trajectory QPs share (column and row offsets, recursion and
+center-of-pressure rows) live here too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .model import ContactPlan, PairTable, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
-from .references import ReferenceSet
 
 __all__ = [
     "CostWeights",
@@ -96,11 +95,10 @@ class CostWeights:
                 raise ValueError(f"{name} weight must be finite and nonnegative, "
                                  f"got {getattr(self, name)}")
 
-    def state(self, references: ReferenceSet) -> np.ndarray:
+    def state(self, horizon: int) -> np.ndarray:
         """(N, 9) weights on each state's deviation from its reference:
         tracking, plus ``terminal`` on the last timestep, plus ``running_h``."""
-        W = np.tile(self.tracking, (len(references), 1)) \
-            if references.tracking_weights is None else np.array(references.tracking_weights)
+        W = np.tile(self.tracking, (horizon, 1))
         W[-1] += self.terminal
         return W + self.running_h
 
@@ -112,15 +110,15 @@ class ForceQpInputs:
     ``ell_fixed`` and ``p_fixed`` come from the previous contact solve (or the
     nominal initialization) and ``h_reg`` is the proximal target, absent on
     the first outer iteration, where ``l_prox`` must be zero. ``ell_fixed``
-    and ``p_fixed`` are (pairs, 3) arrays in ``plan.active_pairs()`` order and
-    ``h_reg`` an (N, 9) state array; each is stored validated and read-only
-    (see ``PairTable.rows`` and ``state_array``).
+    and ``p_fixed`` are (pairs, 3) arrays in ``plan.active_pairs()`` order,
+    ``references`` and ``h_reg`` (N, 9) state arrays; each is stored
+    validated and read-only (see ``PairTable.rows`` and ``state_array``).
     """
 
     plan: ContactPlan
     ell_fixed: np.ndarray
     p_fixed: np.ndarray
-    references: ReferenceSet
+    references: np.ndarray
     weights: CostWeights = field(default_factory=CostWeights)
     h_reg: np.ndarray | None = None
     l_prox: float = 0.0
@@ -130,8 +128,8 @@ class ForceQpInputs:
             raise ValueError("proximal weight must be nonnegative")
         if self.l_prox > 0.0 and self.h_reg is None:
             raise ValueError("proximal weight set but no regularization target")
-        if len(self.references) != self.plan.horizon:
-            raise ValueError("references must cover the horizon")
+        object.__setattr__(self, "references",
+                           state_array(self.references, self.plan.horizon, "references"))
         if self.h_reg is not None:
             object.__setattr__(self, "h_reg", state_array(self.h_reg, self.plan.horizon, "h_reg"))
         for name in ("ell_fixed", "p_fixed"):
@@ -220,7 +218,7 @@ def recursion_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndar
     e.add(rows, x, 1.0)
     e.add(rows[1:], x[:-1], -1.0)
     rhs = np.tile(rhs, (row.size, 1))
-    rhs[0] = rhs[0] + plan.h0.stacked()[c:c + 3]
+    rhs[0] = rhs[0] + plan.h0[c:c + 3]
     e.lo[rows] = e.hi[rows] = rhs
     return rows
 
@@ -313,13 +311,13 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     lo[s.kin_rows] += inputs.p_fixed
     hi[s.kin_rows] += inputs.p_fixed
 
-    W = w.state(inputs.references)
+    W = w.state(inputs.plan.horizon)
     d = np.zeros(s.n)
     d[s.f_cols] = 2.0 * w.force
     d[s.tau_cols] = 2.0 * w.torque
     d[s.z_cols] = 2.0 * w.zmp
     d[s.state_cols] = 2.0 * W + inputs.l_prox
-    q_state = -2.0 * W * inputs.references.stacked
+    q_state = -2.0 * W * inputs.references
     if inputs.h_reg is not None and inputs.l_prox > 0.0:
         q_state = q_state - inputs.l_prox * inputs.h_reg
     q = np.zeros(s.n)
@@ -329,7 +327,7 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     # pairs active at its timestep; torques and offsets zero.
     plan, table = inputs.plan, inputs.plan.pair_table
     x0 = np.zeros(s.n)
-    x0[s.state_cols] = inputs.references.stacked
+    x0[s.state_cols] = inputs.references
     x0[s.f_cols] = -plan.mass * plan.gravity / np.diff(table.start)[table.t, None]
     return SparseQP(n=s.n, m_c=lo.size, P=diagonal(d), q=q,
                     A=s.pattern.matrix(a_data), lo=lo, hi=hi, x0=x0)
@@ -360,12 +358,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
 
 
-def force_original_cost(iterate: ForceIterate, references: ReferenceSet,
+def force_original_cost(iterate: ForceIterate, references: np.ndarray,
                         weights: CostWeights, plan: ContactPlan) -> float:
     """Running plus tracking cost of a force iterate, without proximal terms.
     The terms are summed one at a time: states, forces, torques, offsets."""
-    dh = iterate.h - references.stacked
-    terms = np.concatenate([_row_dots(dh, weights.state(references) * dh),
+    dh = iterate.h - references
+    terms = np.concatenate([_row_dots(dh, weights.state(plan.horizon) * dh),
                             weights.force * _row_dots(iterate.f, iterate.f),
                             weights.torque * _row_dots(iterate.tau, iterate.tau),
                             weights.zmp * _row_dots(iterate.z, iterate.z)])

@@ -52,7 +52,7 @@ _ORTHONORMAL_TOL = 1e-10
 
 
 def _as_vector(x, size: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = _float_array(x, name).reshape(-1)
     if v.shape != (size,):
         raise ValueError(f"{name} must have {size} components, got shape {np.shape(x)}")
     if not np.all(np.isfinite(v)):
@@ -256,7 +256,8 @@ class ContactPhase:
 class ContactPlan:
     """Contact schedule plus the physical constants of one optimization problem.
 
-    ``horizon`` timesteps of length ``dt``; end-effector activity is defined by
+    ``horizon`` timesteps of length ``dt`` start from ``h0``, the stacked
+    (r, l, k) before the first step; end-effector activity is defined by
     ``phases``. ``nominal_offsets`` are per-effector foot positions relative to
     the CoM, used for reference generation and lever-arm initialization.
 
@@ -269,7 +270,7 @@ class ContactPlan:
     horizon: int
     dt: float
     mass: float
-    h0: CentroidalState
+    h0: np.ndarray  # (9,), read-only
     kinematic_limit: float
     nominal_offsets: Mapping[str, np.ndarray]
     gravity: np.ndarray = field(default_factory=lambda: np.array(GRAVITY_DEFAULT))
@@ -278,6 +279,7 @@ class ContactPlan:
         object.__setattr__(self, "effector_ids", tuple(self.effector_ids))
         object.__setattr__(self, "phases", tuple(self.phases))
         object.__setattr__(self, "gravity", _as_vector(self.gravity, 3, "gravity"))
+        object.__setattr__(self, "h0", _as_vector(self.h0, 9, "h0"))
         offsets = {e: _as_vector(v, 3, f"nominal_offsets[{e}]")
                    for e, v in dict(self.nominal_offsets).items()}
         object.__setattr__(self, "nominal_offsets", offsets)
@@ -639,7 +641,7 @@ def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
     if not (isinstance(traj, Trajectory) and traj.plan is plan):
         traj = Trajectory.from_pairs(plan, traj)
     table, states = plan.pair_table, traj.h
-    prev = np.vstack([plan.h0.stacked(), states[:-1]])
+    prev = np.vstack([plan.h0, states[:-1]])
     res_dyn = float(np.max(np.abs(_step(prev, plan, table.t, table.rotation, traj.f, traj.p,
                                         traj.ell, traj.z, traj.tau) - states)))
 

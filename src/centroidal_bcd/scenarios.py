@@ -28,10 +28,8 @@ import numpy as np
 
 from .bcd import BcdSettings
 from .force_qp import CostWeights
-from .model import CentroidalState, ContactPhase, ContactPlan, Polytope, \
-    polygon_to_halfspaces
+from .model import ContactPhase, ContactPlan, Polytope, polygon_to_halfspaces, state_array
 from .qp.problem import SolverSettings
-from .references import ReferenceSet
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -267,10 +265,8 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
         raise ScenarioError("horizon.N", f"must be >= 1, got {N}")
     dt = _positive(sf.horizon.get("dt", 0.01), "horizon.dt")
 
-    h0 = CentroidalState(
-        _vec(sf.initial_state.get("r", [0, 0, 0]), "initial_state.r"),
-        _vec(sf.initial_state.get("l", [0, 0, 0]), "initial_state.l"),
-        _vec(sf.initial_state.get("k", [0, 0, 0]), "initial_state.k"))
+    h0 = np.concatenate([_vec(sf.initial_state.get(x, [0, 0, 0]), f"initial_state.{x}")
+                         for x in "rlk"])
 
     gravity = _vec(sf.gravity, "gravity")
     phases = tuple(_phase(c, f"contacts[{i}]", offsets, N)
@@ -285,8 +281,9 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
         raise ScenarioError("contacts", str(exc)) from None
 
 
-def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSettings, CostWeights]:
-    """Turn a validated document into the numerical problem description."""
+def materialize(sf: ScenarioFile) -> tuple[ContactPlan, np.ndarray, BcdSettings, CostWeights]:
+    """Turn a validated document into the numerical problem description;
+    the references are a read-only (N, 9) state array."""
     plan = build_plan(sf)
     N, dt = plan.horizon, plan.dt
     refs = sf.references
@@ -313,7 +310,7 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
         pitch = amplitude * np.sin(2.0 * np.pi * t_axis / period)
         h[:, 7] += pitch_reference_to_momentum(pitch, scale, dt)
     try:
-        reference_set = ReferenceSet(h)
+        h = state_array(h, N, "references")
     except ValueError as exc:
         raise ScenarioError("references", str(exc)) from None
 
@@ -328,7 +325,7 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, ReferenceSet, BcdSetting
         settings = BcdSettings(solver=solver, **bcd_doc)
     except (TypeError, ValueError) as exc:
         raise ScenarioError("bcd", str(exc)) from None
-    return plan, reference_set, settings, weights
+    return plan, h, settings, weights
 
 
 def _load_yaml(text: str):

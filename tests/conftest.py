@@ -3,7 +3,6 @@ import pytest
 
 from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, EffectorContact, \
     Polytope, integrate_step
-from centroidal_bcd.references import ReferenceSet
 
 # Top-level scenario blocks replaced by a value of the wrong JSON type, and
 # the type the block needs.
@@ -38,14 +37,15 @@ def hover_plan(N=10, mass=2.5, mu=0.7, offsets=QUAD_OFFSETS) -> ContactPlan:
         for e, off in offsets.items()
     ]
     return ContactPlan(effector_ids=tuple(offsets), phases=tuple(phases), horizon=N,
-                       dt=0.01, mass=mass, h0=CentroidalState(r0, np.zeros(3), np.zeros(3)),
+                       dt=0.01, mass=mass, h0=np.concatenate([r0, np.zeros(6)]),
                        kinematic_limit=0.35, nominal_offsets=offsets)
 
 
-def hover_references(plan: ContactPlan) -> ReferenceSet:
-    """The initial CoM at rest, held over the horizon."""
-    rest = np.concatenate([plan.h0.r, np.zeros(6)])
-    return ReferenceSet(np.tile(rest, (plan.horizon, 1)))
+def hover_references(plan: ContactPlan) -> np.ndarray:
+    """The initial CoM at rest, held over the horizon: (N, 9) stacked
+    (r, l, k)."""
+    rest = np.concatenate([plan.h0[0:3], np.zeros(6)])
+    return np.tile(rest, (plan.horizon, 1))
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def monopod_plan(N=5, mass=2.0, mu=0.8, L_max=0.4) -> ContactPlan:
     phases = [ContactPhase("FOOT", 0, N, flat_patch(0.0, 0.0, half=0.25), friction_coeff=mu,
                            foothold_hint=np.zeros(3))]
     return ContactPlan(effector_ids=("FOOT",), phases=tuple(phases), horizon=N, dt=0.02,
-                       mass=mass, h0=CentroidalState(r0, np.zeros(3), np.zeros(3)),
+                       mass=mass, h0=np.concatenate([r0, np.zeros(6)]),
                        kinematic_limit=L_max, nominal_offsets=offsets)
 
 
@@ -83,8 +83,7 @@ def flat_foot_plan(N=8) -> ContactPlan:
                                foothold_hint=np.array([off[0], off[1], 0.0])))
     offsets = {e: QUAD_OFFSETS[e] for e in ("FL", "FR", "HL")}
     return ContactPlan(effector_ids=tuple(offsets), phases=tuple(phases), horizon=N, dt=0.01,
-                       mass=2.5, h0=CentroidalState((0.0, 0.0, 0.22), (0.0, 0.0, 0.0),
-                                                    (0.0, 0.01, 0.0)),
+                       mass=2.5, h0=(0.0, 0.0, 0.22, 0.0, 0.0, 0.0, 0.0, 0.01, 0.0),
                        kinematic_limit=0.35, nominal_offsets=offsets)
 
 
@@ -92,7 +91,7 @@ def flat_foot_replay(plan: ContactPlan, lever: bool, seed: int = 4) -> list:
     """Replayed trajectory with random forces, offsets and torques; lever
     arms given (from the previous CoM) or derived."""
     rng = np.random.default_rng(seed)
-    traj, h = [], plan.h0
+    traj, h = [], CentroidalState.from_stacked(plan.h0)
     for t in range(plan.horizon):
         contacts = {}
         for ph in plan.active_contacts(t):

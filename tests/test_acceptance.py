@@ -20,7 +20,6 @@ from centroidal_bcd.model import skew, verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
-from centroidal_bcd.references import ReferenceSet
 
 from conftest import monopod_plan, pattern_hash
 
@@ -120,12 +119,6 @@ def test_criterion_3_cost_behavior(suite):
           "consensus trace is non-increasing from iteration 2 on all scenarios")
 
 
-def _tracking(refs, weights, t):
-    """Tracking weight of timestep t: the references' own, else the global
-    one."""
-    return weights.tracking if refs.tracking_weights is None else refs.tracking_weights[t]
-
-
 def _dense_force_qp(plan, refs, weights, lever, foothold):
     """Independent dense assembly of the fixed-lever problem for the oracle."""
     import scipy.sparse as sp
@@ -152,20 +145,20 @@ def _dense_force_qp(plan, refs, weights, lever, foothold):
         hp = h_off(t - 1)
         for i in range(3):  # r
             ent = [(h + i, 1.0), (h + 3 + i, -dt / m)]
-            rhs = plan.h0.r[i] if t == 0 else 0.0
+            rhs = plan.h0[i] if t == 0 else 0.0
             if t > 0:
                 ent.append((hp + i, -1.0))
             row(ent, rhs, rhs)
         for i in range(3):  # l
             ent = [(h + 3 + i, 1.0), (f + i, -dt)]
-            rhs = m * g[i] * dt + (plan.h0.l[i] if t == 0 else 0.0)
+            rhs = m * g[i] * dt + (plan.h0[3 + i] if t == 0 else 0.0)
             if t > 0:
                 ent.append((hp + 3 + i, -1.0))
             row(ent, rhs, rhs)
         S = skew(lever)
         for i in range(3):  # k with kappa = lever x f
             ent = [(h + 6 + i, 1.0)] + [(f + j, -dt * S[i, j]) for j in range(3)]
-            rhs = plan.h0.k[i] if t == 0 else 0.0
+            rhs = plan.h0[6 + i] if t == 0 else 0.0
             if t > 0:
                 ent.append((hp + 6 + i, -1.0))
             row(ent, rhs, rhs)
@@ -181,10 +174,10 @@ def _dense_force_qp(plan, refs, weights, lever, foothold):
     P = np.zeros((n, n))
     q = np.zeros(n)
     for t in range(N):
-        wh = _tracking(refs, weights, t) + weights.running_h
+        wh = weights.tracking + weights.running_h
         if t == N - 1:
             wh = wh + weights.terminal
-        h_ref = refs.stacked[t]
+        h_ref = refs[t]
         for i in range(9):
             P[h_off(t) + i, h_off(t) + i] = 2.0 * wh[i]
             q[h_off(t) + i] = -2.0 * wh[i] * h_ref[i]
@@ -199,10 +192,10 @@ def _oracle_cost(x, plan, refs, weights):
     N = plan.horizon
     total = 0.0
     for t in range(N):
-        wh = _tracking(refs, weights, t) + weights.running_h
+        wh = weights.tracking + weights.running_h
         if t == N - 1:
             wh = wh + weights.terminal
-        dh = x[9 * t: 9 * t + 9] - refs.stacked[t]
+        dh = x[9 * t: 9 * t + 9] - refs[t]
         total += float(dh @ (wh * dh))
         f = x[9 * N + 3 * t: 9 * N + 3 * t + 3]
         total += weights.force * float(f @ f)
@@ -220,9 +213,9 @@ def test_criterion_4_small_instance_oracle():
     mg = plan.mass * 9.81
     kappa = 0.02 * mg
     h_ref = np.zeros((plan.horizon, 9))
-    h_ref[:, 0:3] = plan.h0.r
+    h_ref[:, 0:3] = plan.h0[0:3]
     h_ref[:, 7] = kappa * plan.dt * (np.arange(plan.horizon) + 1)
-    refs = ReferenceSet(h_ref)
+    refs = h_ref
     weights = CostWeights(foothold=1e-3)
     settings = BcdSettings(L0_force=1.0, L0_contact=1.0, alpha=1.3,
                            eps_f=1e-12, max_outer_iterations=40)
@@ -236,14 +229,13 @@ def test_criterion_4_small_instance_oracle():
     best = np.inf
     for lx in np.linspace(-0.12, 0.12, 13):
         for ly in np.linspace(-0.12, 0.12, 13):
-            lever = np.array([lx, ly, -plan.h0.r[2]])
-            foothold = plan.h0.r + lever
+            lever = np.array([lx, ly, -plan.h0[2]])
+            foothold = plan.h0[0:3] + lever
             qp = _dense_force_qp(plan, refs, weights, lever, foothold)
             x0 = np.zeros(qp.n)
-            h = plan.h0
             for t in range(plan.horizon):  # feasible start: static support
                 x0[9 * plan.horizon + 3 * t: 9 * plan.horizon + 3 * t + 3] = -m * g
-                x0[9 * t: 9 * t + 9] = h.stacked()
+                x0[9 * t: 9 * t + 9] = plan.h0
             x, _, _ = solve_active_set(qp, x0=x0)
             best = min(best, _oracle_cost(x, plan, refs, weights))
     assert abs(j_bcd - best) <= ORACLE_REL_TOL * best, (j_bcd, best)
@@ -359,7 +351,7 @@ def test_criterion_8_physics_unit_properties(suite):
         references=refs_h))
     it = extract_force_iterate(InteriorPointSolver(qp).solve(), plan_h)
     for k in it.h[:, 6:9]:
-        assert np.max(np.abs(k - plan_h.h0.k)) < 1e-9
+        assert np.max(np.abs(k - plan_h.h0[6:9])) < 1e-9
     print(f"\n[ACCEPTANCE 8] PASS: cross-product identities, ballistic flight "
           f"momentum, standing equilibrium within {EQUILIBRIUM_TOL:g}, and "
           f"zero-lever angular momentum conservation all hold")

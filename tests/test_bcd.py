@@ -14,8 +14,7 @@ from centroidal_bcd.bcd import (
     optimize,
 )
 from centroidal_bcd.force_qp import CostWeights, Entries
-from centroidal_bcd.model import CentroidalState, ContactPhase, ContactPlan, \
-    verify_trajectory
+from centroidal_bcd.model import ContactPhase, ContactPlan, verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings
 from centroidal_bcd.scenarios import materialize
@@ -131,7 +130,7 @@ def test_infeasible_block_is_identified():
     phases = [ContactPhase("FL", 0, 4, flat_patch(2.0, 0.0, half=0.05),
                            foothold_hint=np.array([2.0, 0.0, 0.0]))]
     plan = ContactPlan(effector_ids=("FL",), phases=tuple(phases), horizon=4, dt=0.01,
-                       mass=1.0, h0=CentroidalState((0, 0, 0.22), (0, 0, 0), (0, 0, 0)),
+                       mass=1.0, h0=(0, 0, 0.22, 0, 0, 0, 0, 0, 0),
                        kinematic_limit=0.3, nominal_offsets=offsets)
     refs = hover_references(plan)
     with pytest.raises(BlockSolveError) as err:
@@ -331,6 +330,22 @@ def test_records_count_each_blocks_band_solves(monkeypatch):
                for r in result.records)
     row = final.as_dict()
     assert (row["force_band_solves"], row["contact_band_solves"]) == (counts[-1], 0)
+
+
+def test_a_stairs_plan_near_its_kinematic_limit_reaches_the_contact_fallback(caplog):
+    # A plan, not a patched pass budget, that the direct solve does not
+    # settle: stairs_down with the kinematic limit cut to 0.245 m. Its first
+    # contact QP exhausts the active-set passes, the interior-point method
+    # solves it, and the descent still ends converged and feasible.
+    sf = make_gait("stairs_down", N=40)
+    plan, refs, settings, weights = materialize(
+        replace(sf, robot={**sf.robot, "L_max": 0.245}))
+    with caplog.at_level("WARNING", logger="centroidal_bcd.bcd"):
+        result = optimize(plan, refs, settings, weights)
+    first = result.records[0]
+    assert first.contact_fallback and first.contact_solver_iterations > 0
+    assert "at outer iteration 1 (max_iter after" in caplog.text
+    assert result.converged and result.residuals.feasible
 
 
 def test_contact_block_falls_back_to_the_ipm_when_the_direct_solve_is_not_accepted(

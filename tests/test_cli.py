@@ -14,7 +14,6 @@ import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.cli import main
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, EffectorContact
-from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import ScenarioFile, emit_scenario, materialize, parse_scenario
 
 EXIT_FORMAT = 64
@@ -301,6 +300,19 @@ def test_bench_single_horizon_reports_na(tmp_path, trot_scenario, capsys):
     assert "n/a" in capsys.readouterr().out
 
 
+def test_bench_names_a_failed_block_and_exits_2(tmp_path, capsys):
+    # A friction coefficient of 1e-6 leaves no force that carries the weight:
+    # the first force solve is infeasible, and bench reports it as solve does.
+    scn, out = tmp_path / "slippery.scn", tmp_path / "out"
+    assert main(["gait", "--kind", "trot", "--horizon", "100", "--param", "mu=1e-6",
+                 "--out", str(scn)]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("solver failure: force QP failed at outer iteration 1: "
+                                       "primal_infeasible\n")
+    assert not (out / "bench.csv").exists()
+
+
 @pytest.mark.parametrize("gait, horizon, message", [
     ({"params": {}}, {}, "gait.kind: expected one of stand, walk, "),
     ({"kind": "gallop"}, {}, "gait.kind: expected one of stand, walk, "),
@@ -377,36 +389,24 @@ def test_verify_rejects_force_on_a_foot_in_the_air(jump_scenario, tmp_path, caps
 
 
 def test_solve_and_verify_build_no_per_timestep_objects(tmp_path, monkeypatch):
-    # The trajectory travels as arrays from the QP solutions to the CSV and
-    # back into verification: the only states built are the scenario's own
-    # (initial state and references), and no contact objects at all.
+    # The problem and the trajectory travel as arrays, from the scenario's
+    # initial state and references through the QP solutions to the CSV and
+    # back into verification: no state or contact object is built.
     scn, out = tmp_path / "twist.scn", tmp_path / "run"
     assert main(["gait", "--kind", "jump_twist", "--out", str(scn)]) == 0
-    built, materializing = {"CentroidalState": 0, "EffectorContact": 0}, []
+    built = {"CentroidalState": 0, "EffectorContact": 0}
 
     def count(cls):
         real_post_init = cls.__post_init__
 
         def counting_post_init(self):
-            if not materializing:
-                built[cls.__name__] += 1
+            built[cls.__name__] += 1
             real_post_init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting_post_init)
 
-    def scenario_own(real):
-        def build(sf):
-            materializing.append(sf)
-            try:
-                return real(sf)
-            finally:
-                materializing.pop()
-        return build
-
     count(CentroidalState)
     count(EffectorContact)
-    monkeypatch.setattr(cli_module, "materialize", scenario_own(cli_module.materialize))
-    monkeypatch.setattr(cli_module, "build_plan", scenario_own(cli_module.build_plan))
     assert main(["solve", "--scenario", str(scn), "--out", str(out)]) == 0
     assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 0
     assert built == {"CentroidalState": 0, "EffectorContact": 0}
@@ -435,16 +435,11 @@ def test_verify_rejects_a_fractional_timestep(solved_twist, tmp_path, capsys):
 
 
 def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
-    # verify reads the contact plan; the reference states are never needed.
+    # verify reads the contact plan; the references, weights and settings
+    # that materialize builds are never needed.
     scn, csv = solved_twist
     built = []
-    real_post_init = ReferenceSet.__post_init__
-
-    def counting_post_init(self):
-        built.append(len(self.stacked))
-        real_post_init(self)
-
-    monkeypatch.setattr(ReferenceSet, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cli_module, "materialize", built.append)
     capsys.readouterr()
     assert main(["verify", "--scenario", str(scn), str(csv)]) == 0
     assert json.loads(capsys.readouterr().out)["feasible"] is True

@@ -20,7 +20,6 @@ from centroidal_bcd.model import Polytope, integrate_step, polygon_to_halfspaces
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
     SolverSettings
 from centroidal_bcd.qp.active_set import solve_active_set
-from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
 from conftest import flat_foot_plan, flat_patch, hover_plan, hover_references, monopod_plan, \
@@ -45,12 +44,12 @@ def test_zero_forces_keep_angular_momentum_and_nominal_footholds():
     plan = hover_plan(N=6)
     refs = hover_references(plan)
     f0 = np.zeros((len(plan.active_pairs()), 3))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
     it = extract_contact_iterate(sol, plan)
     for k in it.h[:, 6:9]:
-        assert np.max(np.abs(k - plan.h0.k)) < 1e-9
+        assert np.max(np.abs(k - plan.h0[6:9])) < 1e-9
     for (t, e), p in zip(plan.active_pairs(), it.p):
         hint = plan.phase_at(t, e).foothold_hint
         assert np.max(np.abs(p - hint)) < 1e-6
@@ -67,10 +66,9 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     K = -0.1  # target k_y after one step
     L, w_p = 10.0, 1.0
     f0 = np.array([[0.0, 0.0, fz]])
-    h_reg = np.concatenate([plan.h0.r, np.zeros(3), [0.0, K, 0.0]])[None]
-    refs = ReferenceSet(h_reg)
+    h_reg = np.concatenate([plan.h0[0:3], np.zeros(3), [0.0, K, 0.0]])[None]
     weights = _zero_weights(foothold=w_p)
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, h_reg, weights=weights,
+    qp = build_contact_qp(_contact_inputs(plan, h_reg, f0, h_reg, weights=weights,
                                           l_prox=L))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
@@ -88,9 +86,9 @@ def test_single_step_lever_matches_scalar_kkt_oracle():
     # With a stiff angular momentum pull (and a target small enough that no
     # box constraint activates) the lever approaches K / (dt fz).
     K2 = -0.02
-    h_reg2 = np.concatenate([plan.h0.r, np.zeros(3), [0.0, K2, 0.0]])[None]
+    h_reg2 = np.concatenate([plan.h0[0:3], np.zeros(3), [0.0, K2, 0.0]])[None]
     qp2 = build_contact_qp(_contact_inputs(
-        plan, ReferenceSet(h_reg2), f0, h_reg2,
+        plan, h_reg2, f0, h_reg2,
         weights=_zero_weights(foothold=1e-6), l_prox=1e6))
     it2 = extract_contact_iterate(InteriorPointSolver(qp2).solve(), plan)
     d2 = (it2.h[0, 0:3] - it2.p[0])[0]
@@ -101,7 +99,7 @@ def test_point_contact_lever_is_foot_minus_com():
     plan = hover_plan(N=4)
     refs = hover_references(plan)
     f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
     sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, plan)
     for t, ell, p in zip(plan.pair_table.t, it.ell, it.p):
@@ -114,7 +112,7 @@ def test_hover_lever_arms_match_nominal_offsets():
     plan = hover_plan(N=8)
     refs = hover_references(plan)
     geometry = nominal_footholds(plan, refs)
-    ell0 = geometry - refs.stacked[plan.pair_table.t, 0:3]
+    ell0 = geometry - refs[plan.pair_table.t, 0:3]
     fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell0, p_fixed=geometry,
                                        references=refs))
     fit = extract_force_iterate(InteriorPointSolver(fqp).solve(), plan)
@@ -139,7 +137,7 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
     rng = np.random.default_rng(8)
     for plan, refs in cases:
         p_nom = nominal_footholds(plan, refs)
-        ell = p_nom - refs.stacked[plan.pair_table.t, 0:3]
+        ell = p_nom - refs[plan.pair_table.t, 0:3]
         fqp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p_nom,
                                            references=refs))
         x = rng.normal(size=fqp.n)
@@ -195,11 +193,11 @@ def test_extracted_momentum_satisfies_transitions():
     rng = np.random.default_rng(2)
     f0 = np.array([[rng.normal(0, 1), rng.normal(0, 1), rng.uniform(4, 8)]
                    for _ in plan.active_pairs()])
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=50.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=50.0))
     sol = InteriorPointSolver(qp).solve()
     it = extract_contact_iterate(sol, plan)
     forces, footholds = (dict(zip(plan.active_pairs(), a)) for a in (f0, it.p))
-    prev_k = plan.h0.k
+    prev_k = plan.h0[6:9]
     for t in range(plan.horizon):
         kappa = np.zeros(3)
         for ph in plan.active_contacts(t):
@@ -214,7 +212,7 @@ def test_footholds_constant_within_phase_and_inside_surface():
     plan = hover_plan(N=7)
     refs = hover_references(plan)
     f0 = np.tile([0.1, -0.2, 6.0], (len(plan.active_pairs()), 1))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
     it = extract_contact_iterate(InteriorPointSolver(qp).solve(), plan)
     footholds = dict(zip(plan.active_pairs(), it.p))
     for e in plan.effector_ids:
@@ -238,7 +236,7 @@ def test_phase_foothold_balances_every_timesteps_pulls():
     rng = np.random.default_rng(9)
     p_reg = nominal + np.column_stack([rng.normal(0.0, 0.02, size=(len(nominal), 2)),
                                        np.zeros(len(nominal))])
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked,
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs,
                                           _zero_weights(foothold=w_p), l_prox=prox,
                                           p_reg=p_reg))
     it = extract_contact_iterate(InteriorPointSolver(qp).solve(), plan)
@@ -254,8 +252,8 @@ def test_pattern_stable_under_different_forces():
     pairs = len(plan.active_pairs())
     f1 = np.zeros((pairs, 3))
     f2 = np.tile([1.0, 2.0, 3.0], (pairs, 1))
-    qp1 = build_contact_qp(_contact_inputs(plan, refs, f1, refs.stacked, l_prox=1.0))
-    qp2 = build_contact_qp(_contact_inputs(plan, refs, f2, refs.stacked,
+    qp1 = build_contact_qp(_contact_inputs(plan, refs, f1, refs, l_prox=1.0))
+    qp2 = build_contact_qp(_contact_inputs(plan, refs, f2, refs,
                                            l_prox=7.0, p_reg=nominal_footholds(plan, refs)))
     assert pattern_hash(qp1.A) == pattern_hash(qp2.A)
     assert pattern_hash(qp1.P) == pattern_hash(qp2.P)
@@ -282,7 +280,7 @@ def test_missing_force_rejected():
     refs = hover_references(plan)
     partial = np.zeros((len(plan.active_pairs()) - 1, 3))
     with pytest.raises(ValueError, match=r"^f_fixed must have shape \(12, 3\), got \(11, 3\)"):
-        _contact_inputs(plan, refs, partial, refs.stacked)
+        _contact_inputs(plan, refs, partial, refs)
 
 
 def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
@@ -295,7 +293,7 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
     flat = [pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot]
     # The first flat pair carries no torque.
     tau = np.array([np.zeros(3)] + [rng.normal(0, 0.05, size=3) for _ in flat[1:]])
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=50.0,
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=50.0,
                                           tau_fixed=tau))
     sol = InteriorPointSolver(qp).solve()
     assert sol.solved
@@ -306,7 +304,7 @@ def test_flat_foot_momentum_includes_center_of_pressure_and_torque():
     assert np.max(np.abs(it.z)) > 1e-4
     forces, footholds, ells = (dict(zip(plan.active_pairs(), a)) for a in (f0, it.p, it.ell))
     zmps, torques = dict(zip(flat, it.z)), dict(zip(flat, tau))
-    prev_k = plan.h0.k
+    prev_k = plan.h0[6:9]
     for t in range(plan.horizon):
         kappa = np.zeros(3)
         for ph in plan.active_contacts(t):
@@ -327,11 +325,11 @@ def test_cached_structure_keeps_builds_independent():
     refs_a, refs_b = hover_references(plan_a), hover_references(plan_b)
     pairs, flat = len(plan_a.active_pairs()), int(plan_a.pair_table.flat.sum())
     x = _contact_inputs(plan_a, refs_a, np.tile([0.1, -0.2, 6.0], (pairs, 1)),
-                        refs_a.stacked, l_prox=10.0,
+                        refs_a, l_prox=10.0,
                         tau_fixed=np.tile([0.01, 0.0, -0.02], (flat, 1)))
     rng = np.random.default_rng(7)
     y = _contact_inputs(plan_a, refs_a, np.array([rng.normal(size=3) for _ in range(pairs)]),
-                        refs_a.stacked, l_prox=30.0,
+                        refs_a, l_prox=30.0,
                         p_reg=nominal_footholds(plan_a, refs_a),
                         tau_fixed=np.array([rng.normal(size=3) for _ in range(flat)]))
     first = build_contact_qp(x)
@@ -344,7 +342,7 @@ def test_cached_structure_keeps_builds_independent():
     second.A.data[:] = 5.0
     second.lo[:] = -5.0
     f_b = np.zeros((len(plan_b.active_pairs()), 3))
-    build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, refs_b.stacked))
+    build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, refs_b))
     for got, want in zip(qp_arrays(build_contact_qp(x)), expected):
         assert np.array_equal(got, want)
 
@@ -357,7 +355,7 @@ def test_reduced_matrix_bands_at_24_on_the_shipped_suite_and_a_long_trot():
     for kind, doc in docs.items():
         plan, refs, _, weights = materialize(doc)
         f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, weights,
+        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, weights,
                                               l_prox=100.0))
         assert InteriorPointSolver(qp).half_bandwidth <= 24, kind
 
@@ -464,7 +462,7 @@ def test_direct_contact_solve_matches_the_dense_active_set_oracle():
         rng = np.random.default_rng(3)
         f0 = np.column_stack([rng.normal(0.0, 1.0, size=(len(plan.active_pairs()), 2)),
                               rng.uniform(4.0, 8.0, size=len(plan.active_pairs()))])
-        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+        qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
         _, sol, x_ref, obj_ref = _direct_and_oracle(qp)
         assert np.max(np.abs(sol.x - x_ref)) <= 1e-8
         assert sol.objective == pytest.approx(obj_ref, rel=1e-9)
@@ -481,7 +479,7 @@ def test_direct_solve_adds_the_violated_kinematic_rows():
     plan = replace(hover_plan(N=4), kinematic_limit=0.2)
     refs = hover_references(plan)
     f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
     h, sol, x_ref, _ = _direct_and_oracle(qp)
     assert sol.iterations == h.factorizations == 2
     held = np.flatnonzero(h.working_set)
@@ -498,7 +496,7 @@ def test_direct_solve_drops_a_row_held_with_the_wrong_sign():
     plan = hover_plan(N=4)
     refs = hover_references(plan)
     f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked, l_prox=100.0))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs, l_prox=100.0))
     h = BandedActiveSetSolver(qp)
     h.working_set[_kinematic_rows(qp, plan)[0]] = 1
     sol = h.solve()
@@ -530,6 +528,6 @@ def test_plane_pins_become_equality_rows():
     plan = hover_plan(N=3)
     refs = hover_references(plan)
     f0 = np.zeros((len(plan.active_pairs()), 3))
-    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs.stacked))
+    qp = build_contact_qp(_contact_inputs(plan, refs, f0, refs))
     ties = 3 * int(np.sum(~plan.pair_table.first))
     assert np.sum(qp.lo == qp.hi) == 6 * plan.horizon + ties + len(plan.phases)

@@ -20,7 +20,6 @@ from centroidal_bcd.force_qp import (
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings
-from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
 from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, pattern_hash, \
@@ -31,7 +30,7 @@ def _nominal_geometry(plan, refs):
     """(pairs, 3) lever arms and footholds at the phases' foothold hints, in
     ``plan.active_pairs()`` order."""
     p_fixed = np.array([plan.phase_at(t, e).foothold_hint for t, e in plan.active_pairs()])
-    return p_fixed - refs.stacked[plan.pair_table.t, 0:3], p_fixed
+    return p_fixed - refs[plan.pair_table.t, 0:3], p_fixed
 
 
 def _inputs(plan, refs, weights=None, **kw):
@@ -86,7 +85,7 @@ def test_zero_lever_arms_freeze_angular_momentum():
     assert sol.solved
     it = extract_force_iterate(sol, plan)
     for k in it.h[:, 6:9]:
-        assert np.max(np.abs(k - plan.h0.k)) < 1e-9
+        assert np.max(np.abs(k - plan.h0[6:9])) < 1e-9
 
 
 def test_extraction_round_trip_is_bijective():
@@ -133,7 +132,7 @@ def test_sparsity_pattern_invariant_to_lever_values():
     rng = np.random.default_rng(1)
     ell2 = np.array([v + rng.normal(scale=0.05, size=3) for v in ell])
     qp2 = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell2, p_fixed=p,
-                                       references=refs, h_reg=refs.stacked,
+                                       references=refs, h_reg=refs,
                                        l_prox=123.0))
     assert pattern_hash(qp1.A) == pattern_hash(qp2.A)
     assert pattern_hash(qp1.P) == pattern_hash(qp2.P)
@@ -174,7 +173,7 @@ def test_reduced_matrix_bands_at_24_in_the_builders_order():
 def test_proximal_weight_pulls_monotonically_toward_target():
     plan = monopod_plan(N=2)
     refs = hover_references(plan)
-    target = np.hstack([refs.stacked[:, 0:3] + np.array([0.02, 0.0, 0.01]),
+    target = np.hstack([refs[:, 0:3] + np.array([0.02, 0.0, 0.01]),
                         np.tile([0.1, 0, 0, 0, 0.01, 0], (plan.horizon, 1))])
     dists = []
     for L in (0.0, 1.0, 10.0, 100.0, 1e4, 1e6):
@@ -222,7 +221,7 @@ def test_original_cost_matches_quadratic_objective_when_unregularized():
         track = w.tracking.copy()
         if t == plan.horizon - 1:
             track = track + w.terminal
-        h_ref = refs.stacked[t]
+        h_ref = refs[t]
         const += float(h_ref @ ((track + w.running_h) * h_ref))
     assert force_original_cost(it, refs, w, plan) == pytest.approx(
         sol.objective + const, abs=1e-6)
@@ -254,7 +253,7 @@ def test_start_point_is_the_reference_at_static_equilibrium():
                                              objective=0.0, iterations=0, solve_time=0.0),
                                   plan)
     table = plan.pair_table
-    assert np.array_equal(start.h, refs.stacked)
+    assert np.array_equal(start.h, refs)
     pairs_at_t = np.diff(table.start)[table.t]
     assert np.allclose(start.f * pairs_at_t[:, None], -plan.mass * plan.gravity, rtol=1e-15)
     assert not start.tau.any() and not start.z.any()
@@ -271,7 +270,7 @@ def test_cold_solves_from_the_start_point_reach_the_zero_start_objective_sooner(
         plan, refs, _, weights = materialize(doc)
         p = nominal_footholds(plan, refs)
         qp = build_force_qp(ForceQpInputs(
-            plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p,
+            plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3], p_fixed=p,
             references=refs, weights=weights))
         assert qp.x0 is not None and qp.x0.any(), kind
         from_start = InteriorPointSolver(qp, settings).solve()
@@ -295,7 +294,7 @@ def test_cached_structure_keeps_builds_independent():
     y = ForceQpInputs(plan=plan_a,
                       ell_fixed=x.ell_fixed + rng.normal(scale=0.05, size=x.ell_fixed.shape),
                       p_fixed=x.p_fixed + 0.01,
-                      references=refs_a, h_reg=refs_a.stacked, l_prox=3.0)
+                      references=refs_a, h_reg=refs_a, l_prox=3.0)
     first = build_force_qp(x)
     expected = qp_arrays(first)
     first.A.data[:] = 7.0

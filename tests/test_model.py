@@ -21,13 +21,17 @@ from centroidal_bcd.bcd import force_trajectory, optimize
 from centroidal_bcd.contact_qp import ContactQpInputs
 from centroidal_bcd.force_qp import ForceQpInputs
 from centroidal_bcd.gaits import shipped_scenarios
-from centroidal_bcd.references import ReferenceSet
 from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan, \
     hover_references
 
 vec3 = st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3)
+
+
+def _initial(plan) -> CentroidalState:
+    """The plan's initial state as the object ``integrate_step`` takes."""
+    return CentroidalState.from_stacked(plan.h0)
 
 
 def test_skew_zero_is_zero_matrix():
@@ -58,25 +62,26 @@ def test_skew_matches_cross_and_anticommutes(v, w):
     assert np.allclose(skew(v) @ w, -(skew(w) @ v), atol=1e-9)
 
 
-def _single_contact_plan(N=1, mass=1.0, dt=0.01, gravity=(0, 0, -9.81)):
+def _single_contact_plan(N=1, mass=1.0, dt=0.01, gravity=(0, 0, -9.81),
+                         h0=(0, 0, 0.3, 0, 0, 0, 0, 0, 0)):
     phases = [ContactPhase("F", 0, N, flat_patch(0.0, 0.0, half=1.0), friction_coeff=1.0)]
     return ContactPlan(effector_ids=("F",), phases=tuple(phases), horizon=N, dt=dt,
-                       mass=mass, h0=CentroidalState((0, 0, 0.3), (0, 0, 0), (0, 0, 0)),
+                       mass=mass, h0=h0,
                        kinematic_limit=2.0, nominal_offsets={"F": (0, 0, -0.3)},
                        gravity=np.array(gravity))
 
 
 def test_integrate_ballistic_step():
     plan = _single_contact_plan(mass=1.0)
-    h1 = integrate_step(plan.h0, {}, plan)
+    h1 = integrate_step(_initial(plan), {}, plan)
     assert np.allclose(h1.l, [0, 0, -0.0981])
-    assert np.allclose(h1.k, plan.h0.k)
+    assert np.allclose(h1.k, plan.h0[6:9])
 
 
 def test_integrate_static_equilibrium():
     plan = _single_contact_plan(mass=1.0)
     contacts = {"F": EffectorContact(f=(0, 0, 9.81), p=(0, 0, 0), ell=(0, 0, -0.3))}
-    h1 = integrate_step(plan.h0, contacts, plan, t=0)
+    h1 = integrate_step(_initial(plan), contacts, plan, t=0)
     assert np.allclose(h1.l, [0, 0, 0], atol=1e-12)
 
 
@@ -85,13 +90,13 @@ def test_integrate_hand_cross_product():
     plan = _single_contact_plan(mass=1.0, gravity=(0, 0, 0))
     lever = np.array([0.2, 0.0, -0.3])
     contacts = {"F": EffectorContact(f=(0, 0, 5.0), p=(1, 1, 1), ell=lever)}
-    h1 = integrate_step(plan.h0, contacts, plan, t=0)
+    h1 = integrate_step(_initial(plan), contacts, plan, t=0)
     assert np.allclose(h1.k, [0, -0.01, 0], atol=1e-15)
     # Same step through the geometric path: p placed so p - r_1 equals the lever.
     l1 = np.array([0, 0, 5.0]) * plan.dt
-    r1 = plan.h0.r + l1 * plan.dt / plan.mass
+    r1 = plan.h0[0:3] + l1 * plan.dt / plan.mass
     contacts_geom = {"F": EffectorContact(f=(0, 0, 5.0), p=r1 + lever)}
-    h1_geom = integrate_step(plan.h0, contacts_geom, plan, t=0)
+    h1_geom = integrate_step(_initial(plan), contacts_geom, plan, t=0)
     assert np.allclose(h1_geom.k, h1.k, atol=1e-15)
 
 
@@ -109,7 +114,7 @@ def test_verify_replay_has_zero_dynamics_residual():
     plan = hover_plan(N=8)
     rng = np.random.default_rng(3)
     traj = []
-    h = plan.h0
+    h = _initial(plan)
     for t in range(plan.horizon):
         contacts = {}
         for ph in plan.active_contacts(t):
@@ -130,7 +135,7 @@ def test_verify_friction_violation_magnitude():
                        mass=1.0, h0=plan.h0, kinematic_limit=2.0,
                        nominal_offsets={"F": (0, 0, -0.3)})
     contacts = {"F": EffectorContact(f=(10.0, 0, 1.0), p=(0, 0, 0))}
-    h1 = integrate_step(plan.h0, contacts, plan, t=0)
+    h1 = integrate_step(_initial(plan), contacts, plan, t=0)
     report = verify_trajectory([(h1, contacts)], plan, tol=1e-5)
     assert report.friction == pytest.approx(10.0 - 0.6 * 1.0)
     assert not report.feasible
@@ -140,8 +145,7 @@ def test_verify_rejects_length_and_activity_mismatch():
     plan = hover_plan(N=3)
     with pytest.raises(ValueError, match="length"):
         verify_trajectory([], plan)
-    h = plan.h0
-    bad = [(h, {}) for _ in range(3)]  # plan expects four active effectors
+    bad = [(_initial(plan), {}) for _ in range(3)]  # plan expects four active effectors
     with pytest.raises(ValueError, match="do not match"):
         verify_trajectory(bad, plan)
 
@@ -227,8 +231,27 @@ def test_contact_plan_rejects_overlapping_phases():
     phases = [ContactPhase("FL", 0, 6, surf), ContactPhase("FL", 4, 9, surf)]
     with pytest.raises(ValueError, match="overlapping"):
         ContactPlan(effector_ids=("FL",), phases=tuple(phases), horizon=10, dt=0.01,
-                    mass=1.0, h0=CentroidalState((0, 0, 0.2), (0, 0, 0), (0, 0, 0)),
+                    mass=1.0, h0=(0, 0, 0.2, 0, 0, 0, 0, 0, 0),
                     kinematic_limit=0.4, nominal_offsets={"FL": QUAD_OFFSETS["FL"]})
+
+
+def test_the_initial_state_is_a_read_only_nine_vector():
+    h0 = [0.0, 0.0, 0.3, 0.1, 0.0, 0.0, 0.0, 0.02, 0.0]
+    plan = _single_contact_plan(h0=h0)
+    assert plan.h0.shape == (9,) and plan.h0.tolist() == h0
+    assert not plan.h0.flags.writeable
+
+
+@pytest.mark.parametrize("h0, message", [
+    ((0, 0, np.nan, 0, 0, 0, 0, 0, 0), "h0 must be finite"),
+    ((0, 0, np.inf, 0, 0, 0, 0, 0, 0), "h0 must be finite"),
+    ((0, 0, 0.3), "h0 must have 9 components"),
+    (np.zeros(10), "h0 must have 9 components"),
+    (CentroidalState((0, 0, 0.3), (0, 0, 0), (0, 0, 0)), "h0 must be an array of numbers"),
+], ids=["nan", "inf", "3 components", "10 components", "state object"])
+def test_an_unusable_initial_state_is_rejected_naming_h0(h0, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _single_contact_plan(h0=h0)
 
 
 def test_centroidal_state_requires_finite_components():
@@ -291,7 +314,7 @@ def _scalar_step(h_prev, contacts, plan, t):
 def _verify_per_step(traj, plan) -> dict:
     """verify_trajectory's residuals, one timestep and one contact at a time."""
     res = dict.fromkeys(RESIDUALS, 0.0)
-    prev = plan.h0
+    prev = _initial(plan)
     for t, (state, contacts) in enumerate(traj):
         predicted = integrate_step(prev, contacts, plan, t=t)
         res["dynamics"] = max(res["dynamics"],
@@ -354,7 +377,7 @@ def test_integrate_step_matches_scalar_step(shipped_results):
     plan = flat_foot_plan()
     plans += [(plan, flat_foot_replay(plan, lever=False))]
     for plan, traj in plans:
-        prev = plan.h0
+        prev = _initial(plan)
         for t, (state, contacts) in enumerate(traj):
             step = integrate_step(prev, contacts, plan, t=t).stacked()
             assert step.tobytes() == _scalar_step(prev, contacts, plan, t).tobytes()
@@ -390,7 +413,7 @@ def test_verify_mismatch_messages():
     plan = hover_plan(N=3)
     with pytest.raises(ValueError, match=r"^trajectory length 0 != plan horizon 3$"):
         verify_trajectory([], plan)
-    bad = [(plan.h0, {}) for _ in range(3)]
+    bad = [(_initial(plan), {}) for _ in range(3)]
     with pytest.raises(ValueError, match=r"^timestep 0: trajectory contacts \[\] do not match "
                                          r"plan activity \['FL', 'FR', 'HL', 'HR'\]$"):
         verify_trajectory(bad, plan)
@@ -422,14 +445,14 @@ def test_inputs_other_than_arrays_are_rejected_naming_the_field(field, form):
     refs = hover_references(plan)
     zeros = np.zeros((len(plan.active_pairs()), 3))
     bad = ({pair: np.zeros(3) for pair in plan.active_pairs()} if form == "mapping"
-           else tuple(CentroidalState.from_stacked(h) for h in refs.stacked))
+           else tuple(CentroidalState.from_stacked(h) for h in refs))
     build = {
         "ell_fixed": lambda: ForceQpInputs(plan=plan, ell_fixed=bad, p_fixed=zeros,
                                            references=refs),
-        "f_fixed": lambda: ContactQpInputs(plan=plan, f_fixed=bad, h_reg=refs.stacked,
+        "f_fixed": lambda: ContactQpInputs(plan=plan, f_fixed=bad, h_reg=refs,
                                            references=refs),
         "h_reg": lambda: ContactQpInputs(plan=plan, f_fixed=zeros, h_reg=bad, references=refs),
-        "references": lambda: ReferenceSet(bad),
+        "references": lambda: optimize(plan, bad),
     }[field]
     with pytest.raises(ValueError, match=f"^{field} must be an array of numbers, got "):
         build()

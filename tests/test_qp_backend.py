@@ -247,13 +247,13 @@ def trot_qps():
     QP's force columns."""
     plan, refs, _, weights = materialize(make_gait("trot", N=60))
     p = nominal_footholds(plan, refs)
-    ell = p - refs.stacked[plan.pair_table.t, 0:3]
+    ell = p - refs[plan.pair_table.t, 0:3]
     force = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
                                          references=refs, weights=weights))
     rng = np.random.default_rng(12)
     f = np.array([np.array([0.0, 0.0, 0.5 * plan.mass * 9.81]) + rng.normal(size=3)
                   for _ in plan.active_pairs()])
-    h_reg = refs.stacked
+    h_reg = refs
     contact = build_contact_qp(ContactQpInputs(
         plan=plan, f_fixed=f, h_reg=h_reg, references=refs, weights=weights, l_prox=100.0))
     # The same patterns with the values of a later outer iteration: moved
@@ -562,10 +562,10 @@ def _first_qps(doc):
     plan, refs, _, weights = materialize(doc)
     p = nominal_footholds(plan, refs)
     force = build_force_qp(ForceQpInputs(
-        plan=plan, ell_fixed=p - refs.stacked[plan.pair_table.t, 0:3], p_fixed=p,
+        plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3], p_fixed=p,
         references=refs, weights=weights))
     f0 = np.tile([0.0, 0.0, plan.mass * 9.81 / 4], (len(plan.active_pairs()), 1))
-    contact = build_contact_qp(ContactQpInputs(plan=plan, f_fixed=f0, h_reg=refs.stacked,
+    contact = build_contact_qp(ContactQpInputs(plan=plan, f_fixed=f0, h_reg=refs,
                                                references=refs, weights=weights, l_prox=100.0))
     return force, contact
 
@@ -851,7 +851,7 @@ def test_a_handle_skips_the_polish_after_one_is_rejected():
     # iterations.
     plan, refs, _, weights = materialize(make_gait("trot", N=150))
     p = nominal_footholds(plan, refs)
-    ell = p - refs.stacked[plan.pair_table.t, 0:3]
+    ell = p - refs[plan.pair_table.t, 0:3]
     qp = build_force_qp(ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p,
                                       references=refs, weights=weights))
     h = InteriorPointSolver(qp)

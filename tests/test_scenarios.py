@@ -63,7 +63,7 @@ def test_minimal_hover_document_loads():
     for ph in plan.phases:
         assert (ph.t_start, ph.t_end) == (0, 12)
     assert len(refs) == 12
-    assert np.allclose(refs.stacked[5, 0:3], [0, 0, 0.22])
+    assert np.allclose(refs[5, 0:3], [0, 0, 0.22])
 
 
 def test_inverted_window_rejected():
@@ -215,8 +215,8 @@ def test_an_overflowing_pitch_profile_is_a_reference_error():
 
 
 def test_materialize_builds_no_per_timestep_state_objects(monkeypatch):
-    # The references go to the builders as one (N, 9) array; the only state
-    # object a scenario needs is the plan's initial state.
+    # The references go to the builders as one read-only (N, 9) array and
+    # the initial state is a 9-vector: a scenario builds no state object.
     built = []
     real_post_init = CentroidalState.__post_init__
 
@@ -228,8 +228,9 @@ def test_materialize_builds_no_per_timestep_state_objects(monkeypatch):
     for name, sf in shipped_scenarios().items():
         built.clear()
         plan, refs, _, _ = materialize(sf)
-        assert len(built) == 1 and built[0] is plan.h0, name
-        assert refs.stacked.shape == (plan.horizon, 9)
+        assert built == [], name
+        assert plan.h0.shape == (9,) and not plan.h0.flags.writeable, name
+        assert refs.shape == (plan.horizon, 9) and not refs.flags.writeable, name
 
 
 def test_hinted_phases_need_no_emptiness_lp(monkeypatch):
