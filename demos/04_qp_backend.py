@@ -77,7 +77,7 @@ print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "
 force = extract_force_iterate(force_sol, plan)
 contact_qp = build_contact_qp(ContactQpInputs(
     plan=plan, f_fixed=force.f, h_reg=force.h, references=refs, weights=weights,
-    tau_fixed=force.tau, l_prox=settings.L0_contact))
+    tau_fixed=force.tau, l_prox=settings.L0))
 print(f"trot contact QP: n={contact_qp.n}, {contact_qp.m_c} rows, "
       f"{int(np.sum(contact_qp.lo == contact_qp.hi))} of them equality rows")
 for name, solver in (("direct", BandedActiveSetSolver), ("IPM", InteriorPointSolver)):

@@ -2,13 +2,14 @@
 
 One outer iteration solves the Force-QP for the momentum trajectory and
 contact forces against the current lever arms, then the Contact-QP for the
-CoM, footholds, and recovered lever arms against those forces. Both solves
-carry proximal pulls toward the other block's latest trajectory whose weights
-grow geometrically, damping the alternation into consensus; the loop stops
-when the squared change of the stacked lever arms per horizon step falls
-below the consensus threshold (or the iteration cap is hit), after which one
-final Force-QP re-solves the dynamics against the settled geometry so the
-returned profiles are dynamically consistent.
+CoM, footholds, centers of pressure and recovered lever arms against those
+forces. Both solves carry proximal pulls toward the other block's latest
+trajectory, under one weight that grows geometrically, damping the
+alternation into consensus; the loop stops when the squared change of the
+stacked lever arms per horizon step falls below the consensus threshold (or
+the iteration cap is hit), after which one final Force-QP re-solves the
+dynamics against the settled geometry so the returned profiles are
+dynamically consistent.
 
 Every force solve, including intermediate ones, yields a trajectory that is
 feasible with respect to its own fixed lever geometry, which is what makes
@@ -41,7 +42,7 @@ from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport
     _tolerance, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
-from .qp.problem import QpSolution, SolverSettings
+from .qp.problem import QpSolution, SolverSettings, is_integer
 
 __all__ = [
     "BcdSettings",
@@ -72,11 +73,11 @@ class BlockSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BcdSettings:
-    """Outer loop configuration: initial proximal weights, their growth factor,
-    the consensus threshold on the lever arms, and the iteration cap."""
+    """Outer loop configuration: the initial proximal weight of both blocks,
+    its growth factor, the consensus threshold on the lever arms, and the
+    iteration cap."""
 
-    L0_force: float = 100.0
-    L0_contact: float = 100.0
+    L0: float = 100.0
     alpha: float = 100.0
     eps_f: float = 1e-7
     max_outer_iterations: int = 10
@@ -84,15 +85,18 @@ class BcdSettings:
 
     def __post_init__(self):
         # NaN passes every comparison below, and infinity some of them.
-        for name in ("L0_force", "L0_contact", "alpha", "eps_f", "max_outer_iterations"):
+        for name in ("L0", "alpha", "eps_f", "max_outer_iterations"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 1.0:
             raise ValueError("alpha must be > 1")
         if self.eps_f < 0.0:
             raise ValueError("eps_f must be >= 0 (0 forces the iteration cap)")
-        if self.L0_force < 0.0 or self.L0_contact < 0.0:
-            raise ValueError("initial proximal weights must be >= 0")
+        if self.L0 < 0.0:
+            raise ValueError("initial proximal weight must be >= 0")
+        if not is_integer(self.max_outer_iterations):
+            raise ValueError(f"max_outer_iterations must be an integer, "
+                             f"got {self.max_outer_iterations!r}")
         if self.max_outer_iterations < 1:
             raise ValueError("need at least one outer iteration")
 
@@ -208,12 +212,15 @@ def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
     return float(d @ d) / horizon
 
 
-def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan) -> Trajectory:
+def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan,
+                     z_fixed=None) -> Trajectory:
     """The trajectory of a force iterate with the lever geometry it was
-    solved against ((pairs, 3) arrays), ready for verify_trajectory."""
+    solved against ((pairs, 3) arrays), ready for verify_trajectory; it
+    carries offsets only given ``z_fixed``, the (flat pairs, 2) centers of
+    pressure of the contact solve that built ``ell_fixed``."""
     table = plan.pair_table
     return Trajectory(plan, h=iterate.h, f=iterate.f, p=p_fixed, ell=ell_fixed,
-                      z=table.scatter(iterate.z, table.flat),
+                      z=None if z_fixed is None else table.scatter(z_fixed, table.flat),
                       tau=table.scatter(iterate.tau, table.flat))
 
 
@@ -282,8 +289,10 @@ def optimize(plan: ContactPlan, references: np.ndarray,
 
     ``on_iteration`` receives each iteration record as it completes (the CLI
     uses this for progress reports). With ``keep_force_iterates`` the result
-    additionally carries every force iterate together with the lever geometry
-    it was solved against, for anytime-feasibility audits.
+    additionally carries every force iterate together with the lever arms and
+    footholds it was solved against, for anytime-feasibility audits. The
+    returned trajectory carries the lever arms, footholds and centers of
+    pressure of the last contact solve.
     """
     _tolerance(residual_tol, "residual_tol")
     settings = settings or BcdSettings()
@@ -297,8 +306,7 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     ell = p_fixed - references[plan.pair_table.t, 0:3]
     h_reg = None
     p_reg = None
-    L_force = settings.L0_force
-    L_contact = settings.L0_contact
+    l_prox = settings.L0
 
     force_handle: InteriorPointSolver | None = None
     contact_handle: BandedActiveSetSolver | None = None
@@ -329,34 +337,31 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     k = 0
     while k < settings.max_outer_iterations:
         k += 1
-        L_force_used = L_force if h_reg is not None else 0.0
-        L_contact_used = L_contact
-        force_iterate, force_sol = run_force(k, L_force)
-        L_force = min(L_force * settings.alpha, L_PROX_CAP)
-        if L_force == L_PROX_CAP:
-            log.debug("force proximal weight capped at %.1e", L_PROX_CAP)
+        force_iterate, force_sol = run_force(k, l_prox)
 
         t0 = time.perf_counter()
         qp_c = build_contact_qp(ContactQpInputs(
             plan=plan, f_fixed=force_iterate.f, h_reg=force_iterate.h,
             references=references, weights=weights,
-            p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=L_contact))
+            p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=l_prox))
         contact_handle, contact_fallback_handle, contact_sol, fell_back = _solve_contact(
             contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
         setup_time += time.perf_counter() - t0 - contact_sol.solve_time
         contact_iterate = extract_contact_iterate(contact_sol, plan)
-        L_contact = min(L_contact * settings.alpha, L_PROX_CAP)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
         record = BcdIterationRecord(
             iteration=k, eps_f_value=eps_value,
             original_cost=force_original_cost(force_iterate, references, weights, plan),
-            force_prox_weight=L_force_used, contact_prox_weight=L_contact_used,
+            force_prox_weight=l_prox if h_reg is not None else 0.0, contact_prox_weight=l_prox,
             contact_fallback=fell_back, **_block_fields("force", force_sol),
             **_block_fields("contact", contact_sol))
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
+        l_prox = min(l_prox * settings.alpha, L_PROX_CAP)
+        if l_prox == L_PROX_CAP:
+            log.debug("proximal weight capped at %.1e", L_PROX_CAP)
 
         ell = contact_iterate.ell
         p_fixed = p_reg = contact_iterate.p
@@ -380,7 +385,7 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     if on_iteration is not None:
         on_iteration(final_record)
 
-    traj = force_trajectory(final_iterate, ell, p_fixed, plan)
+    traj = force_trajectory(final_iterate, ell, p_fixed, plan, contact_iterate.z)
     residuals = verify_trajectory(traj, plan, tol=residual_tol)
     return TrajectoryResult(
         trajectory=traj,

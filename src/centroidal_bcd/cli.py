@@ -51,12 +51,12 @@ class FlagError(ValueError):
 def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSettings:
     """``settings`` with the given flags applied; a value the settings reject
     raises ``FlagError``."""
-    for flag, names in (("--eps-f", ("eps_f",)), ("--L0", ("L0_force", "L0_contact")),
-                        ("--alpha", ("alpha",)), ("--max-iters", ("max_outer_iterations",))):
+    for flag, name in (("--eps-f", "eps_f"), ("--L0", "L0"), ("--alpha", "alpha"),
+                       ("--max-iters", "max_outer_iterations")):
         value = getattr(cfg, flag[2:].replace("-", "_"))
         if value is not None:
             try:
-                settings = replace(settings, **dict.fromkeys(names, value))
+                settings = replace(settings, **{name: value})
             except ValueError as exc:
                 raise FlagError(f"{flag}: {exc}") from None
     return settings
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="scenario document (.scn, JSON or YAML)"),
         "--out": dict(type=Path, help="output directory (or file for gait)"),
         "--eps-f": dict(type=float, help="consensus threshold"),
-        "--L0": dict(type=float, help="initial proximal weight (both blocks)"),
+        "--L0": dict(type=float, help="initial proximal weight of both blocks"),
         "--alpha": dict(type=float, help="proximal growth factor"),
         "--max-iters": dict(type=int, help="outer iteration cap"),
         "--tol": dict(type=float, default=1e-5, help="feasibility tolerance"),

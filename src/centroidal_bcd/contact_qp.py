@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
-    recursion_rows, skew_entries, timestep_blocks, zmp_rows
-from .model import ContactPlan, Polytope, state_array
+    recursion_rows, skew_entries, timestep_blocks
+from .model import ContactPlan, Polytope, _lever_geometry, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 
 __all__ = [
@@ -80,8 +80,8 @@ class ContactQpInputs:
     l_prox: float = 0.0
 
     def __post_init__(self):
-        if self.l_prox < 0.0:
-            raise ValueError("proximal weight must be nonnegative")
+        if not 0.0 <= self.l_prox < np.inf:  # NaN fails it too
+            raise ValueError(f"l_prox must be finite and nonnegative, got {self.l_prox}")
         table, N = self.plan.pair_table, self.plan.horizon
         object.__setattr__(self, "references", state_array(self.references, N, "references"))
         object.__setattr__(self, "h_reg", state_array(self.h_reg, N, "h_reg"))
@@ -187,7 +187,12 @@ def _structure(plan: ContactPlan) -> _Structure:
     e.add(kin_rows, copy_cols, 1.0)
     e.add(kin_rows, cols[t, 0:3], -1.0)
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
-    zmp_rows(e, plan, pair_row[flat, None] + 3 + np.arange(2), z_cols)
+    # Center-of-pressure box of each flat-foot pair.
+    zmp_rows = pair_row[flat, None] + 3 + np.arange(2)
+    box = np.array([ph.zmp_lo_hi() if ph.flat_foot else np.zeros((2, 2))
+                    for ph in plan.phases]).reshape(-1, 2, 2)[table.phase[flat]]
+    e.add(zmp_rows, z_cols, 1.0)
+    e.lo[zmp_rows], e.hi[zmp_rows] = box[:, 0], box[:, 1]
     tail_row = pair_row + 3 + 2 * flat
     if surfaces:
         count = tail[first]
@@ -264,10 +269,7 @@ def extract_contact_iterate(sol: QpSolution, plan: ContactPlan) -> ContactIterat
     """The iterate of a solved Contact-QP built on ``plan``."""
     if not sol.solved:
         raise QpNotSolved(sol.status)
-    s = _structure(plan)
-    p = sol.x[s.p_cols]
-    z = sol.x[s.z_cols]
-    t, flat = plan.pair_table.t, plan.pair_table.flat
-    ell = p - sol.x[s.state_cols[t, 0:3]]
-    ell[flat] = ell[flat] + (s.z_rotation @ z[:, :, None])[..., 0]
-    return ContactIterate(h=sol.x[s.state_cols], p=p, z=z, ell=ell)
+    s, table = _structure(plan), plan.pair_table
+    h, p, z = sol.x[s.state_cols], sol.x[s.p_cols], sol.x[s.z_cols]
+    ell = _lever_geometry(p, h[table.t, 0:3], table.scatter(z, table.flat), table.rotation)
+    return ContactIterate(h=h, p=p, z=z, ell=ell)

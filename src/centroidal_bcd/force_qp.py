@@ -2,13 +2,15 @@
 
 With the lever arms frozen at the previous contact solve's values, the angular
 momentum rate kappa = ell x f + tau is linear in the forces and torques, so
-the whole trajectory problem over (h, f, tau, z) is one convex QP:
+the whole trajectory problem over the states h, the forces f and the flat
+feet's torques tau is one convex QP:
 
   - equality rows: the momentum transitions, timestep t touching only states
     at t-1 and t (block banded);
-  - inequality rows: friction pyramids in each contact frame, per-axis
-    kinematic boxes of the CoM around the fixed footholds, and
-    center-of-pressure bounds for flat feet;
+  - inequality rows: friction pyramids in each contact frame and per-axis
+    kinematic boxes of the CoM around the fixed footholds. A flat foot's
+    center-of-pressure offset z enters the dynamics only through its lever
+    arm, so it is a variable of the contact QP alone;
   - diagonal quadratic cost: running penalties, reference tracking, and the
     proximal pull toward the previous contact solve's momentum trajectory.
 
@@ -19,8 +21,8 @@ build copies them and fills in the lever-arm, foothold and cost values with
 numpy, and extraction reads the iterate through the same columns. Inputs and
 iterates are arrays: one row per active pair in ``plan.active_pairs()``
 order, and (N, 9) state arrays, the references among them. The helpers
-both trajectory QPs share (column and row offsets, recursion and
-center-of-pressure rows) live here too.
+both trajectory QPs share (column and row offsets, recursion rows) live
+here too.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ class CostWeights:
     (r, l, k); ``running_h`` is the extra running penalty on the same
     deviation (kept separate so the contact subproblem, which carries no
     tracking term, can still see the state). ``terminal`` is added on the last
-    timestep. Scalars weigh the squared magnitudes of forces, contact torques
-    and center-of-pressure offsets, and the pull of footholds toward their
-    nominal placement.
+    timestep. Scalars weigh the squared magnitudes of forces and contact
+    torques (force QP) and of the center-of-pressure offsets (``zmp``,
+    contact QP), and the pull of footholds toward their nominal placement.
     """
 
     tracking: np.ndarray = field(default_factory=lambda: np.array([1e2, 1e1, 1e3]))
@@ -124,8 +126,8 @@ class ForceQpInputs:
     l_prox: float = 0.0
 
     def __post_init__(self):
-        if self.l_prox < 0.0:
-            raise ValueError("proximal weight must be nonnegative")
+        if not 0.0 <= self.l_prox < np.inf:  # NaN fails it too
+            raise ValueError(f"l_prox must be finite and nonnegative, got {self.l_prox}")
         if self.l_prox > 0.0 and self.h_reg is None:
             raise ValueError("proximal weight set but no regularization target")
         object.__setattr__(self, "references",
@@ -229,16 +231,6 @@ def com_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray) -
     e.add(rows, cols[:, 3:6], -plan.dt / plan.mass)
 
 
-def zmp_rows(e: Entries, plan: ContactPlan, rows: np.ndarray, z_cols: np.ndarray) -> None:
-    """Center-of-pressure boxes of the flat-foot pairs: (flat pairs, 2) rows
-    and columns."""
-    table = plan.pair_table
-    box = np.array([ph.zmp_lo_hi() if ph.flat_foot else np.zeros((2, 2))
-                    for ph in plan.phases]).reshape(-1, 2, 2)[table.phase[table.flat]]
-    e.add(rows, z_cols, 1.0)
-    e.lo[rows], e.hi[rows] = box[:, 0], box[:, 1]
-
-
 @dataclass(frozen=True)
 class _Structure:
     """Plan-only part of the Force-QP. Per-pair arrays follow
@@ -252,7 +244,6 @@ class _Structure:
     state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
     f_cols: np.ndarray        # (pairs, 3)
     tau_cols: np.ndarray      # (flat pairs, 3)
-    z_cols: np.ndarray        # (flat pairs, 2)
     skew_pos: np.ndarray      # (pairs, 6) A.data positions of -dt skew(ell)
     kin_rows: np.ndarray      # (pairs, 3)
 
@@ -261,16 +252,15 @@ class _Structure:
 def _structure(plan: ContactPlan) -> _Structure:
     table, dt, m = plan.pair_table, plan.dt, plan.mass
     t, flat = table.t, table.flat
-    # Columns: (r, l, k) of each timestep, then per pair f, plus tau and z
-    # for flat feet.
-    t_col, pair_col, n = timestep_blocks(table, 9, 3 + 5 * flat)
+    # Columns: (r, l, k) of each timestep, then per pair f, plus tau for
+    # flat feet.
+    t_col, pair_col, n = timestep_blocks(table, 9, 3 + 3 * flat)
     cols = t_col[:, None] + np.arange(9)
     f_cols = pair_col[:, None] + np.arange(3)
     tau_cols = f_cols[flat] + 3
-    z_cols = pair_col[flat, None] + 6 + np.arange(2)
     # Rows: the r, l and k recursions of each timestep, then per pair the
-    # friction pyramid, the kinematic box and the center-of-pressure box.
-    t_row, pair_row, m_c = timestep_blocks(table, 9, 7 + 2 * flat)
+    # friction pyramid and the kinematic box.
+    t_row, pair_row, m_c = timestep_blocks(table, 9, 7)
     e = Entries(m_c)
     com_rows(e, plan, cols, t_row)
     # l_t - l_{t-1} - dt sum_e f = m g dt
@@ -295,10 +285,9 @@ def _structure(plan: ContactPlan) -> _Structure:
     kin_rows = pair_row[:, None] + 4 + np.arange(3)
     e.add(kin_rows, cols[t, 0:3], 1.0)
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
-    zmp_rows(e, plan, pair_row[flat, None] + 7 + np.arange(2), z_cols)
     pattern, a_data, lo, hi = e.build(n)
     return _Structure(n=n, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
-                      f_cols=f_cols, tau_cols=tau_cols, z_cols=z_cols,
+                      f_cols=f_cols, tau_cols=tau_cols,
                       skew_pos=pattern.positions(skew_slots), kin_rows=kin_rows)
 
 
@@ -315,7 +304,6 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     d = np.zeros(s.n)
     d[s.f_cols] = 2.0 * w.force
     d[s.tau_cols] = 2.0 * w.torque
-    d[s.z_cols] = 2.0 * w.zmp
     d[s.state_cols] = 2.0 * W + inputs.l_prox
     q_state = -2.0 * W * inputs.references
     if inputs.h_reg is not None and inputs.l_prox > 0.0:
@@ -324,7 +312,7 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     q[s.state_cols] = q_state
     # The interior-point method's cold start: the reference momentum, and
     # each active pair carrying an equal share of the weight, -m g over the
-    # pairs active at its timestep; torques and offsets zero.
+    # pairs active at its timestep; torques zero.
     plan, table = inputs.plan, inputs.plan.pair_table
     x0 = np.zeros(s.n)
     x0[s.state_cols] = inputs.references
@@ -336,13 +324,12 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
 @dataclass(frozen=True, eq=False)
 class ForceIterate:
     """Solution of one Force-QP: states ``h`` (N, 9), forces ``f`` per active
-    pair, torques ``tau`` and center-of-pressure offsets ``z`` per flat-foot
-    pair."""
+    pair and torques ``tau`` per flat-foot pair. The centers of pressure
+    belong to the contact QP's iterate."""
 
     h: np.ndarray
     f: np.ndarray
     tau: np.ndarray
-    z: np.ndarray
 
 
 def extract_force_iterate(sol: QpSolution, plan: ContactPlan) -> ForceIterate:
@@ -350,7 +337,7 @@ def extract_force_iterate(sol: QpSolution, plan: ContactPlan) -> ForceIterate:
     if not sol.solved:
         raise QpNotSolved(sol.status)
     s, x = _structure(plan), sol.x
-    return ForceIterate(h=x[s.state_cols], f=x[s.f_cols], tau=x[s.tau_cols], z=x[s.z_cols])
+    return ForceIterate(h=x[s.state_cols], f=x[s.f_cols], tau=x[s.tau_cols])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,12 +348,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def force_original_cost(iterate: ForceIterate, references: np.ndarray,
                         weights: CostWeights, plan: ContactPlan) -> float:
     """Running plus tracking cost of a force iterate, without proximal terms.
-    The terms are summed one at a time: states, forces, torques, offsets."""
+    The terms are summed one at a time: states, forces, torques."""
     dh = iterate.h - references
     terms = np.concatenate([_row_dots(dh, weights.state(plan.horizon) * dh),
                             weights.force * _row_dots(iterate.f, iterate.f),
-                            weights.torque * _row_dots(iterate.tau, iterate.tau),
-                            weights.zmp * _row_dots(iterate.z, iterate.z)])
+                            weights.torque * _row_dots(iterate.tau, iterate.tau)])
     total = 0.0
     for term in terms.tolist():
         total += term

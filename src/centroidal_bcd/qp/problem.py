@@ -20,6 +20,7 @@ scipy (0.3-0.4 s on a 2-core host) at its first QP build, inside the first
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -183,6 +184,13 @@ class SolverSettings:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails it too
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not is_integer(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def test_criterion_2_convergence_counts():
     for kind, bound in (("walk", 2), ("trot", 2), ("bound", 3)):
         plan, refs, settings, weights = materialize(make_gait(kind, N=300))
         for L0 in (1e2, 1e4, 1e6):
-            s = replace(settings, L0_force=L0, L0_contact=L0, alpha=100.0, eps_f=1e-7)
+            s = replace(settings, L0=L0, alpha=100.0, eps_f=1e-7)
             result = optimize(plan, refs, s, weights)
             iters = len(result.records)
             assert result.converged, (kind, L0)
@@ -217,8 +217,7 @@ def test_criterion_4_small_instance_oracle():
     h_ref[:, 7] = kappa * plan.dt * (np.arange(plan.horizon) + 1)
     refs = h_ref
     weights = CostWeights(foothold=1e-3)
-    settings = BcdSettings(L0_force=1.0, L0_contact=1.0, alpha=1.3,
-                           eps_f=1e-12, max_outer_iterations=40)
+    settings = BcdSettings(L0=1.0, alpha=1.3, eps_f=1e-12, max_outer_iterations=40)
     result = optimize(plan, refs, settings, weights)
     assert result.converged and result.residuals.feasible
     j_bcd = result.final_record.original_cost

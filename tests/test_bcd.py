@@ -1,3 +1,4 @@
+import io
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,8 +19,9 @@ from centroidal_bcd.model import ContactPhase, ContactPlan, verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings
 from centroidal_bcd.scenarios import materialize
+from centroidal_bcd.trajectory_io import read_trajectory_csv, write_trajectory_csv
 
-from conftest import QUAD_OFFSETS, flat_patch, hover_plan, hover_references
+from conftest import QUAD_OFFSETS, flat_foot_plan, flat_patch, hover_plan, hover_references
 
 
 def test_consensus_metric_zero_for_identical_levers():
@@ -63,8 +65,7 @@ def test_hover_converges_first_iteration_with_equilibrium_forces(quad_hover):
 
 def test_proximal_weights_grow_geometrically(quad_hover):
     plan, refs = quad_hover
-    settings = BcdSettings(L0_force=100.0, L0_contact=100.0, alpha=100.0,
-                           eps_f=0.0, max_outer_iterations=4)
+    settings = BcdSettings(L0=100.0, alpha=100.0, eps_f=0.0, max_outer_iterations=4)
     res = optimize(plan, refs, settings)
     assert not res.converged
     assert len(res.records) == 4
@@ -123,6 +124,21 @@ def test_every_force_iterate_is_feasible_for_its_geometry(quad_hover):
         assert report.feasible
 
 
+def test_flat_feet_return_the_offsets_their_lever_arms_were_built_from():
+    # The returned lever arms, footholds and centers of pressure come from
+    # one contact solve, so p - r + R^{xy} z rebuilds the lever arms up to
+    # the CoM's move in the final force solve. Offsets from elsewhere left a
+    # gap of 8.9e-5 m here.
+    plan = flat_foot_plan()
+    result = optimize(plan, hover_references(plan))
+    assert result.converged and result.residuals.feasible, result.residuals.as_dict()
+    assert result.residuals.lever_consistency <= 1e-6
+    fh = io.StringIO()
+    write_trajectory_csv(fh, result.states, result.contacts, plan)
+    traj = read_trajectory_csv(io.StringIO(fh.getvalue()), plan)
+    assert verify_trajectory(traj, plan).as_dict() == result.residuals.as_dict()
+
+
 def test_infeasible_block_is_identified():
     # Surfaces a full kinematic limit away from the reference CoM: the first
     # force solve cannot satisfy its kinematic box.
@@ -173,7 +189,7 @@ def test_every_force_solve_takes_at_most_40_interior_point_iterations():
         plan, refs, settings, weights = materialize(make_gait(kind, N=300))
         for L0 in (1e2, 1e4, 1e6):
             runs[f"{kind} N=300 L0={L0:g}"] = (plan, refs, replace(
-                settings, L0_force=L0, L0_contact=L0, alpha=100.0, eps_f=1e-7), weights)
+                settings, L0=L0, alpha=100.0, eps_f=1e-7), weights)
     worst, cold, worst_warm = {}, {}, {}
     for name, (plan, refs, settings, weights) in runs.items():
         result = optimize(plan, refs, settings, weights)
@@ -213,16 +229,27 @@ def test_settings_validation():
     with pytest.raises(ValueError, match="eps_f"):
         BcdSettings(eps_f=-1e-9)
     with pytest.raises(ValueError, match="proximal"):
-        BcdSettings(L0_force=-1.0)
+        BcdSettings(L0=-1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["L0_force", "L0_contact", "alpha", "eps_f",
-                                   "max_outer_iterations"])
+@pytest.mark.parametrize("field", ["L0", "alpha", "eps_f", "max_outer_iterations"])
 def test_settings_reject_non_finite_values(field, value):
     # NaN passes every comparison test, so each field is checked for it.
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         BcdSettings(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_iteration_budgets_must_be_integers(value):
+    # 10.5 solver iterations died in the solver with a TypeError, and 2.5 or
+    # True outer iterations ran without a word.
+    with pytest.raises(ValueError, match="^max_outer_iterations must be an integer"):
+        BcdSettings(max_outer_iterations=value)
+    with pytest.raises(ValueError, match="^max_iterations must be an integer"):
+        SolverSettings(max_iterations=value)
+    solver = SolverSettings(max_iterations=np.int64(3))
+    assert BcdSettings(max_outer_iterations=np.int64(2), solver=solver).solver is solver
 
 
 def test_each_block_builds_one_layout_per_optimize(monkeypatch):

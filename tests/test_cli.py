@@ -134,6 +134,18 @@ def test_unusable_robot_and_horizon_values_exit_1_naming_the_field(tmp_path, cap
         assert f"scenario error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bcd", [{"solver": {"max_iterations": 10.5}},
+                                 {"max_outer_iterations": 2.5}])
+def test_a_non_integer_iteration_budget_exits_1_naming_it(tmp_path, capsys, bcd):
+    # A fractional solver budget used to end in a TypeError traceback.
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(
+        {**make_gait("stand", N=20).to_mapping(), "bcd": bcd})))
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: bcd: ") and "must be an integer" in err, err
+
+
 def test_non_finite_reference_waypoint_exits_1_naming_it(tmp_path, capsys):
     doc = make_gait("stand", N=20).to_mapping()
     waypoints = [list(wp) for wp in doc["references"]["com_waypoints"]]
@@ -254,14 +266,14 @@ def stand_scenario(tmp_path_factory):
 
 
 @pytest.mark.parametrize("subcommand, flag, value, message", [
-    ("solve", "--L0", "nan", "L0_force must be finite"),
+    ("solve", "--L0", "nan", "L0 must be finite"),
     ("solve", "--eps-f", "nan", "eps_f must be finite"),
     ("solve", "--alpha", "inf", "alpha must be finite"),
     ("solve", "--alpha", "1", "alpha must be > 1"),
     ("solve", "--tol", "nan", "must be finite and >= 0"),
     ("solve", "--tol", "-1e-5", "must be finite and >= 0"),
     ("verify", "--tol", "nan", "must be finite and >= 0"),
-    ("bench", "--L0", "inf", "L0_force must be finite"),
+    ("bench", "--L0", "inf", "L0 must be finite"),
     ("bench", "--eps-f", "nan", "eps_f must be finite"),
     ("bench", "--max-iters", "0", "at least one outer iteration"),
 ])

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import centroidal_bcd.bcd as bcd_module
 from centroidal_bcd.contact_qp import (
@@ -148,11 +150,9 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
         fs = force_structure(plan)
         parts = {quantity: {key: x[cols].copy() for key, cols in zip(keys, quantity_cols)}
                  for quantity, keys, quantity_cols in (("f", pairs, fs.f_cols),
-                                                       ("tau", flat, fs.tau_cols),
-                                                       ("z", flat, fs.z_cols))}
+                                                       ("tau", flat, fs.tau_cols))}
         _assert_same_entries(dict(zip(pairs, fit.f)), parts["f"])
         _assert_same_entries(dict(zip(flat, fit.tau)), parts["tau"])
-        _assert_same_entries(dict(zip(flat, fit.z)), parts["z"])
 
         cqp = build_contact_qp(_contact_inputs(plan, refs, fit.f, fit.h, tau_fixed=fit.tau,
                                                l_prox=100.0))
@@ -173,6 +173,29 @@ def test_extraction_gathers_what_a_per_entry_scan_reads():
         _assert_same_entries(dict(zip(flat, cit.z)), zmps)
         _assert_same_entries(dict(zip(pairs, cit.ell)), ells)
         assert any(ph.flat_foot for ph in plan.phases) == bool(zmps)
+
+
+def test_every_column_reaches_a_state_through_the_constraints():
+    # A column whose constraint rows touch no state column is decoupled from
+    # the dynamics: nothing the trajectory depends on reads it. Each column,
+    # taken through A's rows, must reach some timestep's (r, l, k).
+    docs = {kind: materialize(doc)[:2] for kind, doc in shipped_scenarios().items()}
+    flat = flat_foot_plan()
+    docs["flat_foot_plan"] = (flat, hover_references(flat))
+    for kind, (plan, refs) in docs.items():
+        p = nominal_footholds(plan, refs)
+        f = np.tile([0.0, 0.0, 1.0], (p.shape[0], 1))
+        qps = {"force": (build_force_qp(ForceQpInputs(
+                   plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3], p_fixed=p,
+                   references=refs)), force_structure(plan)),
+               "contact": (build_contact_qp(_contact_inputs(plan, refs, f, refs)),
+                           _structure(plan))}
+        for block, (qp, s) in qps.items():
+            A = qp.A.tocsc()
+            pattern = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+            _, label = connected_components(pattern.T @ pattern, directed=False)
+            lonely = ~np.isin(label, label[s.state_cols.reshape(-1)])
+            assert not lonely.any(), (kind, block, np.flatnonzero(lonely))
 
 
 @given(vec3, vec3, vec3, vec3)
@@ -273,6 +296,22 @@ def test_a_phase_reads_its_foothold_from_its_first_copy_and_columns_partition():
             assert np.array_equal(p_cols, first[(t0, e)])
         cols = np.concatenate([c.reshape(-1) for c in (s.state_cols, s.copy_cols, s.z_cols)])
         assert np.array_equal(np.sort(cols), np.arange(s.n))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("block", ["force", "contact"])
+def test_an_unusable_proximal_weight_is_named(block, value):
+    # NaN passed, and the handle then reported non-finite P values without
+    # naming the field; infinity warned in the build's arithmetic first.
+    plan = hover_plan(N=3)
+    refs = hover_references(plan)
+    p = nominal_footholds(plan, refs)
+    with pytest.raises(ValueError, match="^l_prox must be finite and nonnegative"):
+        if block == "force":
+            ForceQpInputs(plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3], p_fixed=p,
+                          references=refs, h_reg=refs, l_prox=value)
+        else:
+            _contact_inputs(plan, refs, np.zeros_like(p), refs, l_prox=value)
 
 
 def test_missing_force_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 import centroidal_bcd.force_qp as force_qp_module
 
-from centroidal_bcd.bcd import force_trajectory
+from centroidal_bcd.bcd import force_trajectory, optimize
 from centroidal_bcd.contact_qp import nominal_footholds
 from centroidal_bcd.force_qp import (
     CostWeights,
@@ -93,9 +93,8 @@ def test_extraction_round_trip_is_bijective():
         refs = hover_references(plan)
         qp = build_force_qp(_inputs(plan, refs))
         s = force_qp_module._structure(plan)
-        # The state, f, tau and z columns partition [0, n).
-        cols = np.concatenate([c.reshape(-1) for c in
-                               (s.state_cols, s.f_cols, s.tau_cols, s.z_cols)])
+        # The state, f and tau columns partition [0, n).
+        cols = np.concatenate([c.reshape(-1) for c in (s.state_cols, s.f_cols, s.tau_cols)])
         assert s.n == qp.n and np.array_equal(np.sort(cols), np.arange(qp.n))
         rng = np.random.default_rng(0)
         x = rng.normal(size=qp.n)
@@ -105,7 +104,7 @@ def test_extraction_round_trip_is_bijective():
         rebuilt = np.empty(qp.n)
         for t in range(plan.horizon):
             rebuilt[s.state_cols[t]] = it.h[t]
-        for quantity in ("f", "tau", "z"):
+        for quantity in ("f", "tau"):
             for cols, value in zip(getattr(s, f"{quantity}_cols"), getattr(it, quantity)):
                 rebuilt[cols] = value
         assert np.array_equal(rebuilt, x)
@@ -237,15 +236,21 @@ def test_flat_feet_carry_torques_and_centers_of_pressure():
     it = extract_force_iterate(sol, plan)
     flat = {pair for pair in plan.active_pairs() if plan.phase_at(*pair).flat_foot}
     assert {plan.active_pairs()[i] for i in np.flatnonzero(plan.pair_table.flat)} == flat
-    assert it.tau.shape == (len(flat), 3) and it.z.shape == (len(flat), 2)
+    assert it.tau.shape == (len(flat), 3)
     report = verify_trajectory(force_trajectory(it, ell, p, plan), plan, tol=1e-6)
     assert report.feasible, report.as_dict()
+    # The centers of pressure come from the contact solve: optimize() returns
+    # them on the flat-foot pairs, inside their boxes.
+    traj = optimize(plan, refs).trajectory
+    assert np.array_equal(traj.given("z"), plan.pair_table.flat)
+    assert np.max(np.abs(traj.z[plan.pair_table.flat])) > 1e-5
+    assert verify_trajectory(traj, plan).zmp == 0.0
 
 
 def test_start_point_is_the_reference_at_static_equilibrium():
     # The state columns hold the reference, the pairs of each timestep share
     # the weight -m g equally (flat_foot_plan has one to three pairs per
-    # timestep), and torques and offsets are zero.
+    # timestep), and torques are zero.
     plan = flat_foot_plan()
     refs = hover_references(plan)
     qp = build_force_qp(_inputs(plan, refs))
@@ -256,7 +261,7 @@ def test_start_point_is_the_reference_at_static_equilibrium():
     assert np.array_equal(start.h, refs)
     pairs_at_t = np.diff(table.start)[table.t]
     assert np.allclose(start.f * pairs_at_t[:, None], -plan.mass * plan.gravity, rtol=1e-15)
-    assert not start.tau.any() and not start.z.any()
+    assert not start.tau.any()
 
 
 def test_cold_solves_from_the_start_point_reach_the_zero_start_objective_sooner():

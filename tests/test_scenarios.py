@@ -177,6 +177,9 @@ def _stand_with(**changes):
     ("bcd", {"solver": {"eps_abs": math.inf}}),
     ("weights", {"tracking": [1.0, math.nan, 1.0]}),
     ("bcd", {"alpha": math.nan}),
+    ("bcd", {"solver": {"max_iterations": 10.5}}),
+    ("bcd", {"max_outer_iterations": 2.5}),
+    ("bcd", {"max_outer_iterations": True}),
 ])
 def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     doc = _stand_with(**{field: value})
