@@ -27,7 +27,6 @@ iteration and the status.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -39,10 +38,10 @@ from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_itera
 from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
     extract_force_iterate, force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
-    _tolerance, state_array, verify_trajectory
+    _integer, _nonnegative, _real, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
-from .qp.problem import QpSolution, SolverSettings, is_integer
+from .qp.problem import QpSolution, SolverSettings
 
 __all__ = [
     "BcdSettings",
@@ -74,8 +73,8 @@ class BlockSolveError(RuntimeError):
 @dataclass(frozen=True)
 class BcdSettings:
     """Outer loop configuration: the initial proximal weight of both blocks,
-    its growth factor, the consensus threshold on the lever arms, and the
-    iteration cap."""
+    its growth factor, the consensus threshold on the lever arms (0 runs to
+    the cap), and the iteration cap."""
 
     L0: float = 100.0
     alpha: float = 100.0
@@ -84,21 +83,11 @@ class BcdSettings:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        # NaN passes every comparison below, and infinity some of them.
-        for name in ("L0", "alpha", "eps_f", "max_outer_iterations"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must be > 1")
-        if self.eps_f < 0.0:
-            raise ValueError("eps_f must be >= 0 (0 forces the iteration cap)")
-        if self.L0 < 0.0:
-            raise ValueError("initial proximal weight must be >= 0")
-        if not is_integer(self.max_outer_iterations):
-            raise ValueError(f"max_outer_iterations must be an integer, "
-                             f"got {self.max_outer_iterations!r}")
-        if self.max_outer_iterations < 1:
-            raise ValueError("need at least one outer iteration")
+        _nonnegative(self.L0, "L0")
+        if _real(self.alpha, "alpha") <= 1.0:
+            raise ValueError(f"alpha must be > 1, got {self.alpha!r}")
+        _nonnegative(self.eps_f, "eps_f")
+        _integer(self.max_outer_iterations, "max_outer_iterations", 1)
 
 
 @dataclass(frozen=True)
@@ -206,8 +195,7 @@ def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
     b = np.asarray(ell_prev, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"lever-arm stacks differ in length: {a.shape} vs {b.shape}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _integer(horizon, "horizon", 1)
     d = a - b
     return float(d @ d) / horizon
 
@@ -294,7 +282,7 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     returned trajectory carries the lever arms, footholds and centers of
     pressure of the last contact solve.
     """
-    _tolerance(residual_tol, "residual_tol")
+    _nonnegative(residual_tol, "residual_tol")
     settings = settings or BcdSettings()
     weights = weights or CostWeights()
     references = state_array(references, plan.horizon, "references")

@@ -27,8 +27,8 @@ import numpy as np
 
 from .bcd import BcdSettings, BlockSolveError, optimize
 from .gaits import GAIT_KINDS, make_gait
-from .model import _tolerance as _check_tolerance, verify_trajectory
-from .scenarios import ScenarioError, _integer, build_plan, emit_scenario, materialize, \
+from .model import _integer, _nonnegative, verify_trajectory
+from .scenarios import ScenarioError, _field, build_plan, emit_scenario, materialize, \
     parse_scenario
 from .trajectory_io import TrajectoryFormatError, read_trajectory_csv, \
     write_convergence_json, write_timing_csv, write_trajectory_csv
@@ -64,9 +64,9 @@ def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSetti
 
 def _tolerance(cfg: argparse.Namespace) -> float:
     try:
-        return _check_tolerance(cfg.tol, "--tol")
+        return _nonnegative(cfg.tol, "tol")
     except ValueError as exc:
-        raise FlagError(str(exc)) from None
+        raise FlagError(f"--tol: {exc}") from None
 
 
 def _load(cfg: argparse.Namespace):
@@ -173,7 +173,7 @@ def run_bench(cfg: argparse.Namespace) -> int:
         sf = parse_scenario(cfg.scenario.read_bytes())
         if sf.gait is None:
             raise ScenarioError("gait", "bench needs a scenario with a generator block")
-        horizons = cfg.horizons or (_integer(sf.horizon.get("N"), "horizon.N"),)
+        horizons = cfg.horizons or (_field(_integer, sf.horizon.get("N"), "horizon.N", 1),)
         problems = [(N, materialize(_regenerated(sf.gait, N))) for N in horizons]
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -195,9 +195,9 @@ def run_bench(cfg: argparse.Namespace) -> int:
               f"contact={contact:.3f}s iterations={len(result.records)}")
     with open(out / "bench.csv", "w", newline="") as fh:
         fh.write("N,total_solve_time_s,force_qp_time_s,contact_qp_time_s,"
-                 "outer_iterations,converged,seed\n")
+                 "outer_iterations,converged\n")
         for N, total, force, contact, iters, conv in rows:
-            fh.write(f"{N},{total!r},{force!r},{contact!r},{iters},{conv},{cfg.seed}\n")
+            fh.write(f"{N},{total!r},{force!r},{contact!r},{iters},{conv}\n")
     if len(rows) >= 2:
         logs = np.log([[r[0], r[1]] for r in rows])
         exponent = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha": dict(type=float, help="proximal growth factor"),
         "--max-iters": dict(type=int, help="outer iteration cap"),
         "--tol": dict(type=float, default=1e-5, help="feasibility tolerance"),
-        "--seed": dict(type=int, default=0, help="seed recorded in bench.csv"),
         "--verbose": dict(action="store_true"),
         "trajectory": dict(type=Path, nargs="?",
                            help="trajectory CSV (default: <out>/trajectory.csv)"),
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("verify", "check a trajectory against a scenario",
              ("--scenario", "--out", "--tol", "trajectory")),
             ("bench", "horizon scaling benchmark",
-             ("--scenario", "--out", *overrides, "--seed", "--horizons")),
+             ("--scenario", "--out", *overrides, "--horizons")),
             ("gait", "generate a gait scenario document",
              ("--out", "--kind", "--horizon", "--dt", "--param"))):
         p = sub.add_parser(name, help=summary)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
     recursion_rows, skew_entries, timestep_blocks
-from .model import ContactPlan, Polytope, _lever_geometry, state_array
+from .model import ContactPlan, Polytope, _lever_geometry, _nonnegative, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 
 __all__ = [
@@ -80,8 +80,7 @@ class ContactQpInputs:
     l_prox: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.l_prox < np.inf:  # NaN fails it too
-            raise ValueError(f"l_prox must be finite and nonnegative, got {self.l_prox}")
+        _nonnegative(self.l_prox, "l_prox")
         table, N = self.plan.pair_table, self.plan.horizon
         object.__setattr__(self, "references", state_array(self.references, N, "references"))
         object.__setattr__(self, "h_reg", state_array(self.h_reg, N, "h_reg"))

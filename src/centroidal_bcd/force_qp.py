@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ContactPlan, PairTable, state_array
+from .model import ContactPlan, PairTable, _float_array, _nonnegative, state_array
 from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
 
 __all__ = [
@@ -56,13 +56,13 @@ class QpNotSolved(RuntimeError):
 
 
 def _weights9(x, name: str) -> np.ndarray:
-    w = np.asarray(x, dtype=float).reshape(-1)
+    w = _float_array(x, name).reshape(-1)
     if w.size == 3:
         w = np.repeat(w, 3)
     if w.shape != (9,):
         raise ValueError(f"{name} must have 3 (per r/l/k) or 9 entries")
-    if not np.all((w >= 0.0) & (w < np.inf)):
-        raise ValueError(f"{name} must be finite and nonnegative, got {w}")
+    for v in w.tolist():
+        _nonnegative(v, name)
     w.setflags(write=False)
     return w
 
@@ -93,9 +93,7 @@ class CostWeights:
         object.__setattr__(self, "running_h", _weights9(self.running_h, "running_h"))
         object.__setattr__(self, "terminal", _weights9(self.terminal, "terminal"))
         for name in ("force", "torque", "zmp", "foothold"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} weight must be finite and nonnegative, "
-                                 f"got {getattr(self, name)}")
+            _nonnegative(getattr(self, name), name)
 
     def state(self, horizon: int) -> np.ndarray:
         """(N, 9) weights on each state's deviation from its reference:
@@ -126,9 +124,7 @@ class ForceQpInputs:
     l_prox: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.l_prox < np.inf:  # NaN fails it too
-            raise ValueError(f"l_prox must be finite and nonnegative, got {self.l_prox}")
-        if self.l_prox > 0.0 and self.h_reg is None:
+        if _nonnegative(self.l_prox, "l_prox") > 0.0 and self.h_reg is None:
             raise ValueError("proximal weight set but no regularization target")
         object.__setattr__(self, "references",
                            state_array(self.references, self.plan.horizon, "references"))

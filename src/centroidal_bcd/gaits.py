@@ -14,15 +14,16 @@ regenerate the same scenario at other horizons.
 
 from __future__ import annotations
 
+import inspect
 import math
-import numbers
 from typing import Callable
 
 import numpy as np
 
+from .model import _integer, _positive, _real
 from .scenarios import ScenarioFile
 
-__all__ = ["GAIT_KINDS", "make_gait", "pitch_reference_to_momentum", "shipped_scenarios"]
+__all__ = ["GAIT_KINDS", "make_gait", "shipped_scenarios"]
 
 # Default quadruped: mass and geometry in SI units.
 _MASS = 2.5
@@ -37,19 +38,6 @@ _L_MAX = 0.35
 
 GAIT_KINDS = ("stand", "walk", "trot", "bound", "jump_in_place", "jump_forward",
               "jump_twist", "stairs_up", "stairs_down", "incline_stones")
-
-
-def pitch_reference_to_momentum(pitch_profile, inertia_scale: float, dt: float) -> np.ndarray:
-    """Angular momentum (pitch axis) reference from a pitch angle profile.
-
-    Forward finite difference scaled by the lumped inertia; the last entry
-    repeats so the output length matches the input.
-    """
-    pitch = np.asarray(pitch_profile, dtype=float).reshape(-1)
-    if pitch.size < 2:
-        return np.zeros(pitch.size)
-    k = inertia_scale * np.diff(pitch) / dt
-    return np.append(k, k[-1])
 
 
 def _flat_patch(cx: float, cy: float, z: float, half: float = 0.12) -> dict:
@@ -386,27 +374,27 @@ _LEAST = {"N": 1, "swing_steps": 1, "stance_steps": 1, "pair_steps": 1,
 
 def _check_params(params: dict) -> None:
     """Reject a parameter value no generator can use, naming it: an integer
-    parameter below its least value or not an integer, a non-finite number,
-    or a ``dt`` or ``mu`` that is not positive."""
+    parameter that is not an integer of at least its least value, a number
+    that is not finite, or a ``dt`` or ``mu`` that is not positive."""
     for name, value in params.items():
         if name in _LEAST:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < _LEAST[name]:
-                raise ValueError(f"{name} must be an integer >= {_LEAST[name]}, got {value!r}")
-        elif not isinstance(value, numbers.Real):
-            continue  # the generator's own signature decides
-        elif not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        elif name in ("dt", "mu") and value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+            _integer(value, name, _LEAST[name])
+        elif name in ("dt", "mu"):
+            _positive(value, name)
+        else:
+            _real(value, name)
 
 
 def make_gait(kind: str, **params) -> ScenarioFile:
-    """Generate a scenario document for one of the built-in gait kinds."""
+    """Generate a scenario document for one of the built-in gait kinds. A
+    keyword that is no parameter of the generator is a TypeError naming it,
+    before any value is checked."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown gait kind {kind!r}; choose from {GAIT_KINDS}")
+    generator = _GENERATORS[kind]
+    inspect.signature(generator).bind(**params)
     _check_params(params)
-    return _GENERATORS[kind](**params)
+    return generator(**params)
 
 
 def shipped_scenarios() -> dict[str, ScenarioFile]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import Mapping
@@ -61,38 +62,72 @@ def _as_vector(x, size: int, name: str) -> np.ndarray:
     return v
 
 
+# The rules every layer checks its scalar and array inputs by. Each raises a
+# ValueError whose message starts with ``name``; the scenario reader turns it
+# into a ScenarioError at the field's path.
+
 def _float_array(values, name: str) -> np.ndarray:
-    """``values`` as a new float array; a mapping or a sequence of objects is
-    a ValueError naming ``name``, where numpy raises a TypeError."""
-    try:
-        return np.array(values, dtype=float)
-    except TypeError:
-        raise ValueError(f"{name} must be an array of numbers, "
-                         f"got {type(values).__name__}") from None
+    """``values`` as a new float array. Booleans, text, a mapping or a
+    sequence of objects are a ValueError naming ``name``: numpy would read
+    True as 1.0 and "0.7" as 0.7."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        got = {"b": "booleans", "U": "text", "S": "text"}.get(a.dtype.kind,
+                                                              type(values).__name__)
+        raise ValueError(f"{name} must be an array of numbers, got {got}")
+    return np.array(a, dtype=float)
 
 
-def _tolerance(value: float, name: str) -> float:
-    """``value`` as a feasibility tolerance, finite and >= 0, or a ValueError
-    naming ``name``: against NaN every trajectory would be infeasible."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name}: must be finite and >= 0, got {value}")
-    return value
-
-
-def _positive(value: float, name: str) -> None:
-    """Reject a non-finite or nonpositive ``value``, naming ``name``: NaN
-    passes a plain ``<= 0`` test, and infinity passes it too."""
+def _real(value, name: str, requirement: str = "finite") -> float:
+    """``value`` as a float if it is a finite real number, or a ValueError
+    naming ``name`` (and, for a non-finite value, ``requirement``). A bool or
+    a string is not a number, and NaN and infinity pass the plain
+    comparisons the other rules make."""
+    # float and int first: they decide without the slower ABC check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float if it is a finite number > 0 (see ``_real``)."""
+    v = _real(value, name)
+    if v <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return v
+
+
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float if it is a finite number >= 0 (see ``_real``)."""
+    v = _real(value, name, "finite and >= 0")
+    if v < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return v
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an integer >= ``least``, or a ValueError
+    naming ``name``. A bool is not an integer, nor is a float such as 20.0:
+    a count or a timestep is never rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    """``value`` if it is a bool, or a ValueError naming ``name``: "no" and
+    0 are not flags."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
 
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"skew requires finite input, got {v}")
+    x, y, z = _as_vector(v, 3, "skew input")
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -128,8 +163,8 @@ class Polytope:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+        A = np.atleast_2d(_float_array(self.A, "A"))
+        b = _float_array(self.b, "b").reshape(-1)
         if A.shape[0] != b.shape[0] or A.shape[1] != 3:
             raise ValueError(f"halfspace shapes inconsistent: A {A.shape}, b {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -211,10 +246,10 @@ class ContactPhase:
     foothold_hint: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.t_start >= self.t_end:
+        if _integer(self.t_start, "t_start", 0) >= _integer(self.t_end, "t_end", 0):
             raise ValueError(
                 f"phase window [{self.t_start}, {self.t_end}) for {self.end_effector_id} is empty")
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
+        R = _float_array(self.rotation, f"rotation for {self.end_effector_id}").reshape(3, 3)
         if not np.all(np.isfinite(R)):
             raise ValueError(f"rotation for {self.end_effector_id} must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMAL_TOL:
@@ -222,18 +257,17 @@ class ContactPhase:
         R.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         _positive(self.friction_coeff, "friction_coeff")
-        if self.flat_foot:
+        if _flag(self.flat_foot, "flat_foot"):
             if self.zmp_bounds is None:
                 raise ValueError("flat-foot phase requires zmp_bounds")
-            (xlo, xhi), (ylo, yhi) = self.zmp_bounds
-            if not all(map(math.isfinite, (xlo, xhi, ylo, yhi))):
-                raise ValueError(f"zmp_bounds for {self.end_effector_id} must be finite, "
-                                 f"got {self.zmp_bounds}")
+            name = f"zmp_bounds for {self.end_effector_id}"
+            (xlo, xhi), (ylo, yhi) = ((_real(lo, name), _real(hi, name))
+                                      for lo, hi in self.zmp_bounds)
             if xlo > xhi or ylo > yhi:
                 raise ValueError(f"zmp bounds inverted: {self.zmp_bounds}")
         hint = self.foothold_hint
         if hint is not None:
-            hint = np.asarray(hint, dtype=float).reshape(-1)
+            hint = _float_array(hint, "foothold_hint").reshape(-1)
         hint_inside = (hint is not None and hint.shape == (3,) and bool(np.all(np.isfinite(hint)))
                        and self.surface.violation(hint) <= 1e-9)
         # A hint inside the surface witnesses that it is non-empty; only
@@ -283,15 +317,14 @@ class ContactPlan:
         offsets = {e: _as_vector(v, 3, f"nominal_offsets[{e}]")
                    for e, v in dict(self.nominal_offsets).items()}
         object.__setattr__(self, "nominal_offsets", offsets)
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        _integer(self.horizon, "horizon", 1)
         for name in ("dt", "mass", "kinematic_limit"):
             _positive(getattr(self, name), name)
         known = set(self.effector_ids)
         for ph in self.phases:
             if ph.end_effector_id not in known:
                 raise ValueError(f"phase references undeclared effector {ph.end_effector_id!r}")
-            if ph.t_start < 0 or ph.t_end > self.horizon:
+            if ph.t_end > self.horizon:
                 raise ValueError(
                     f"phase window [{ph.t_start}, {ph.t_end}) outside horizon {self.horizon}")
             if ph.end_effector_id not in offsets:
@@ -637,7 +670,7 @@ def verify_trajectory(traj: Sequence[tuple[CentroidalState, TimestepContacts]],
     (see ``Trajectory.from_pairs``). States are the post-step values; the
     initial state comes from the plan.
     """
-    _tolerance(tol, "tol")
+    _nonnegative(tol, "tol")
     if not (isinstance(traj, Trajectory) and traj.plan is plan):
         traj = Trajectory.from_pairs(plan, traj)
     table, states = plan.pair_table, traj.h

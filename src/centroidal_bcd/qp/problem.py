@@ -19,12 +19,12 @@ scipy (0.3-0.4 s on a 2-core host) at its first QP build, inside the first
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..model import _integer, _positive
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -180,17 +180,9 @@ class SolverSettings:
     max_iterations: int = 100
 
     def __post_init__(self):
-        for name in ("eps_abs", "eps_rel", "max_iterations"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails it too
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not is_integer(self.max_iterations):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        _positive(self.eps_abs, "eps_abs")
+        _positive(self.eps_rel, "eps_rel")
+        _integer(self.max_iterations, "max_iterations", 1)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ overrides, all in SI units. ``emit_scenario`` writes it as indented JSON;
 ``parse_scenario`` reads JSON, and falls back to PyYAML for text that is not
 JSON, so hand-written YAML documents keep working. ``parse(emit(x)) == x``
 structurally. ``materialize`` validates a parsed document and builds the
-in-memory problem; numbers the problem cannot use (non-finite values,
-non-positive masses or timesteps) are rejected there with the field's path,
-or in the ``weights`` and ``bcd`` blocks with the block's path and the
+in-memory problem; a value the problem cannot use (text or a boolean for a
+number, a count that is no integer, a non-finite value, a non-positive mass
+or timestep) is rejected there, by the rules of ``model``, with the field's
+path, or in the ``weights`` and ``bcd`` blocks with the block's path and the
 field's name.
 
 Surfaces may be given as convex polygon vertices (converted to halfspaces
@@ -20,7 +21,6 @@ attached instead of explicit angular momentum waypoints.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .bcd import BcdSettings
 from .force_qp import CostWeights
-from .model import ContactPhase, ContactPlan, Polytope, polygon_to_halfspaces, state_array
+from .model import ContactPhase, ContactPlan, Polytope, _flag, _float_array, _integer, \
+    _positive, _real, polygon_to_halfspaces, state_array
 from .qp.problem import SolverSettings
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "emit_scenario",
     "build_plan",
     "materialize",
+    "pitch_reference_to_momentum",
 ]
 
 SCHEMA_VERSION = 1
@@ -94,7 +96,7 @@ class ScenarioFile:
     def from_mapping(doc: Mapping) -> "ScenarioFile":
         if not isinstance(doc, Mapping):
             raise ScenarioError("$", "document must be a mapping")
-        version = doc.get("schema_version")
+        version = _field(_integer, doc.get("schema_version"), "schema_version", 1)
         if version != SCHEMA_VERSION:
             raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
         for key in ("name", "robot", "horizon", "initial_state", "contacts", "references"):
@@ -114,36 +116,20 @@ class ScenarioFile:
         )
 
 
-def _number(value, path: str) -> float:
-    """``value`` as a finite float; anything else is a ScenarioError at ``path``."""
+def _field(rule, value, path: str, *args):
+    """``rule(value, path, *args)``, one of the rules of ``model``; the
+    ValueError it raises is a ScenarioError at ``path``."""
     try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(path, f"expected a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise ScenarioError(path, f"must be finite, got {value!r}")
-    return v
-
-
-def _positive(value, path: str) -> float:
-    v = _number(value, path)
-    if v <= 0.0:
-        raise ScenarioError(path, f"must be positive, got {value!r}")
-    return v
-
-
-def _integer(value, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(path, f"expected an integer, got {value!r}") from None
+        return rule(value, path, *args)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc).removeprefix(f"{path} ")) from None
 
 
 def _numbers(values, path: str, size: int) -> list[float]:
     """``values`` as a list of ``size`` finite floats."""
     try:
-        v = [_number(x, path) for x in values]
-    except TypeError:  # not iterable; _number handles its own
+        v = [_field(_real, x, path) for x in values]
+    except TypeError:  # not iterable; _field raises its own errors
         raise ScenarioError(path, f"expected {size} numbers") from None
     if len(v) != size:
         raise ScenarioError(path, f"expected {size} components, got {len(v)}")
@@ -177,11 +163,14 @@ def _surface(spec, path) -> Polytope:
         except ValueError as exc:
             raise ScenarioError(path + ".vertices", str(exc)) from None
     if "halfspaces" in spec:
-        hs = spec["halfspaces"]
+        hs, path = spec["halfspaces"], path + ".halfspaces"
+        if not isinstance(hs, Mapping) or "A" not in hs or "b" not in hs:
+            raise ScenarioError(path, "expected a mapping with 'A' and 'b'")
+        A, b = (_field(_float_array, hs[key], f"{path}.{key}") for key in "Ab")
         try:
-            return Polytope(np.array(hs["A"], dtype=float), np.array(hs["b"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(path + ".halfspaces", str(exc)) from None
+            return Polytope(A, b)
+        except ValueError as exc:
+            raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
 
 
@@ -211,12 +200,13 @@ def _phase(c, path: str, offsets: Mapping, N: int) -> ContactPhase:
     window = _list(c["window"], f"{path}.window")
     if len(window) != 2:
         raise ScenarioError(f"{path}.window", "expected [t_start, t_end]")
-    t0, t1 = (_integer(t, f"{path}.window") for t in window)
-    if not (0 <= t0 < t1 <= N):
+    t0, t1 = (_field(_integer, t, f"{path}.window", 0) for t in window)
+    if not (t0 < t1 <= N):
         raise ScenarioError(f"{path}.window",
                             f"[{t0}, {t1}) must be non-empty and within [0, {N})")
     zmp = None
-    if c.get("flat_foot", False):
+    flat_foot = _field(_flag, c.get("flat_foot", False), f"{path}.flat_foot")
+    if flat_foot:
         zb = c.get("zmp_bounds")
         if not isinstance(zb, Mapping) or "min" not in zb or "max" not in zb:
             raise ScenarioError(f"{path}.zmp_bounds",
@@ -226,19 +216,16 @@ def _phase(c, path: str, offsets: Mapping, N: int) -> ContactPhase:
         zmp = ((lo[0], hi[0]), (lo[1], hi[1]))
     rotation = np.eye(3)
     if "rotation" in c:
-        try:
-            rotation = np.array(c["rotation"], dtype=float)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{path}.rotation", "expected a 3x3 matrix") from None
+        rotation = _field(_float_array, c["rotation"], f"{path}.rotation")
         if not np.all(np.isfinite(rotation)):
             raise ScenarioError(f"{path}.rotation", "must be finite")
     surface = _surface(c.get("surface"), f"{path}.surface")
-    friction = _positive(c.get("friction", 0.7), f"{path}.friction")
+    friction = _field(_positive, c.get("friction", 0.7), f"{path}.friction")
     hint = _vec(c["foothold_hint"], f"{path}.foothold_hint") if "foothold_hint" in c else None
     try:
         return ContactPhase(
             end_effector_id=eff, t_start=t0, t_end=t1, surface=surface, rotation=rotation,
-            friction_coeff=friction, flat_foot=bool(c.get("flat_foot", False)),
+            friction_coeff=friction, flat_foot=flat_foot,
             zmp_bounds=zmp, foothold_hint=hint)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
@@ -252,18 +239,16 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
     for key in ("mass", "nominal_offsets", "L_max"):
         if key not in robot:
             raise ScenarioError(f"robot.{key}", "missing required field")
-    mass = _positive(robot["mass"], "robot.mass")
-    L_max = _positive(robot["L_max"], "robot.L_max")
+    mass = _field(_positive, robot["mass"], "robot.mass")
+    L_max = _field(_positive, robot["L_max"], "robot.L_max")
     if not isinstance(robot["nominal_offsets"], Mapping):
         raise ScenarioError("robot.nominal_offsets", "expected a mapping of effector offsets")
     offsets = {str(e): _vec(v, f"robot.nominal_offsets.{e}")
                for e, v in robot["nominal_offsets"].items()}
     effector_ids = tuple(offsets.keys())
 
-    N = _integer(sf.horizon.get("N", 0), "horizon.N")
-    if N < 1:
-        raise ScenarioError("horizon.N", f"must be >= 1, got {N}")
-    dt = _positive(sf.horizon.get("dt", 0.01), "horizon.dt")
+    N = _field(_integer, sf.horizon.get("N"), "horizon.N", 1)
+    dt = _field(_positive, sf.horizon.get("dt", 0.01), "horizon.dt")
 
     h0 = np.concatenate([_vec(sf.initial_state.get(x, [0, 0, 0]), f"initial_state.{x}")
                          for x in "rlk"])
@@ -279,6 +264,19 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
             gravity=gravity)
     except ValueError as exc:
         raise ScenarioError("contacts", str(exc)) from None
+
+
+def pitch_reference_to_momentum(pitch_profile, inertia_scale: float, dt: float) -> np.ndarray:
+    """Angular momentum (pitch axis) reference from a pitch angle profile.
+
+    Forward finite difference scaled by the lumped inertia; the last entry
+    repeats so the output length matches the input.
+    """
+    pitch = np.asarray(pitch_profile, dtype=float).reshape(-1)
+    if pitch.size < 2:
+        return np.zeros(pitch.size)
+    k = inertia_scale * np.diff(pitch) / dt
+    return np.append(k, k[-1])
 
 
 def materialize(sf: ScenarioFile) -> tuple[ContactPlan, np.ndarray, BcdSettings, CostWeights]:
@@ -297,15 +295,14 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, np.ndarray, BcdSettings,
         # Default linear momentum from the CoM reference velocity.
         h[:, 3:6] = plan.mass * np.gradient(h[:, 0:3], dt, axis=0)
     if refs.get("pitch_profile"):
-        from .gaits import pitch_reference_to_momentum
-
         pp = refs["pitch_profile"]
         path = "references.pitch_profile"
         if not isinstance(pp, Mapping):
             raise ScenarioError(path, "expected a mapping")
-        amplitude = np.deg2rad(_number(pp.get("amplitude_deg", 15.0), f"{path}.amplitude_deg"))
-        period = _positive(pp.get("period_s", 0.5), f"{path}.period_s")
-        scale = _number(pp.get("inertia_scale", 0.05), f"{path}.inertia_scale")
+        amplitude = np.deg2rad(_field(_real, pp.get("amplitude_deg", 15.0),
+                                      f"{path}.amplitude_deg"))
+        period = _field(_positive, pp.get("period_s", 0.5), f"{path}.period_s")
+        scale = _field(_real, pp.get("inertia_scale", 0.05), f"{path}.inertia_scale")
         t_axis = np.arange(N) * dt
         pitch = amplitude * np.sin(2.0 * np.pi * t_axis / period)
         h[:, 7] += pitch_reference_to_momentum(pitch, scale, dt)

@@ -210,7 +210,7 @@ def test_optimize_rejects_an_unusable_tolerance_before_any_solve(quad_hover, mon
     plan, refs = quad_hover
     built = []
     monkeypatch.setattr(bcd_module, "build_force_qp", built.append)
-    with pytest.raises(ValueError, match="residual_tol: must be finite and >= 0"):
+    with pytest.raises(ValueError, match="^residual_tol must be finite and >= 0, got "):
         optimize(plan, refs, residual_tol=tol)
     assert built == []
 
@@ -228,15 +228,17 @@ def test_settings_validation():
         BcdSettings(alpha=1.0)
     with pytest.raises(ValueError, match="eps_f"):
         BcdSettings(eps_f=-1e-9)
-    with pytest.raises(ValueError, match="proximal"):
+    with pytest.raises(ValueError, match="^L0 must be finite and >= 0"):
         BcdSettings(L0=-1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["L0", "alpha", "eps_f", "max_outer_iterations"])
 def test_settings_reject_non_finite_values(field, value):
-    # NaN passes every comparison test, so each field is checked for it.
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    # NaN passes every comparison test, so each field is checked for it; a
+    # float is no iteration budget.
+    expected = "an integer" if field == "max_outer_iterations" else "finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {expected}"):
         BcdSettings(**{field: value})
 
 

@@ -306,7 +306,7 @@ def test_an_unusable_proximal_weight_is_named(block, value):
     plan = hover_plan(N=3)
     refs = hover_references(plan)
     p = nominal_footholds(plan, refs)
-    with pytest.raises(ValueError, match="^l_prox must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="^l_prox must be finite and >= 0, got "):
         if block == "force":
             ForceQpInputs(plan=plan, ell_fixed=p - refs[plan.pair_table.t, 0:3], p_fixed=p,
                           references=refs, h_reg=refs, l_prox=value)

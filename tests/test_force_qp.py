@@ -198,7 +198,7 @@ def test_input_validation():
     plan = hover_plan(N=3)
     refs = hover_references(plan)
     ell, p = _nominal_geometry(plan, refs)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^force must be finite and >= 0"):
         CostWeights(force=-1.0)
     with pytest.raises(ValueError, match=r"^ell_fixed must have shape \(12, 3\), got \(11, 3\)"):
         ForceQpInputs(plan=plan, ell_fixed=ell[1:], p_fixed=p, references=refs)

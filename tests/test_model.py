@@ -17,10 +17,11 @@ from centroidal_bcd.model import (
     verify_trajectory,
 )
 
-from centroidal_bcd.bcd import force_trajectory, optimize
+from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
 from centroidal_bcd.contact_qp import ContactQpInputs
-from centroidal_bcd.force_qp import ForceQpInputs
-from centroidal_bcd.gaits import shipped_scenarios
+from centroidal_bcd.force_qp import CostWeights, ForceQpInputs
+from centroidal_bcd.gaits import make_gait, shipped_scenarios
+from centroidal_bcd.qp import SolverSettings
 from centroidal_bcd.scenarios import materialize
 
 from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan, \
@@ -63,8 +64,9 @@ def test_skew_matches_cross_and_anticommutes(v, w):
 
 
 def _single_contact_plan(N=1, mass=1.0, dt=0.01, gravity=(0, 0, -9.81),
-                         h0=(0, 0, 0.3, 0, 0, 0, 0, 0, 0)):
-    phases = [ContactPhase("F", 0, N, flat_patch(0.0, 0.0, half=1.0), friction_coeff=1.0)]
+                         h0=(0, 0, 0.3, 0, 0, 0, 0, 0, 0), t_end=None):
+    phases = [ContactPhase("F", 0, N if t_end is None else t_end,
+                           flat_patch(0.0, 0.0, half=1.0), friction_coeff=1.0)]
     return ContactPlan(effector_ids=("F",), phases=tuple(phases), horizon=N, dt=dt,
                        mass=mass, h0=h0,
                        kinematic_limit=2.0, nominal_offsets={"F": (0, 0, -0.3)},
@@ -153,7 +155,7 @@ def test_verify_rejects_length_and_activity_mismatch():
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-5])
 def test_verify_rejects_an_unusable_tolerance(tol):
     plan = hover_plan(N=3)
-    with pytest.raises(ValueError, match="tol: must be finite and >= 0"):
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0, got "):
         verify_trajectory([], plan, tol=tol)
 
 
@@ -224,6 +226,48 @@ def test_contact_phase_rejects_non_finite_zmp_bounds(slot, value):
     with pytest.raises(ValueError, match="^zmp_bounds for F must be finite"):
         ContactPhase("F", 0, 5, flat_patch(0, 0), flat_foot=True,
                      zmp_bounds=(tuple(bounds[:2]), tuple(bounds[2:])))
+
+
+def _with_l_prox(block, value):
+    plan = hover_plan(N=3)
+    refs = hover_references(plan)
+    zeros = np.zeros((len(plan.active_pairs()), 3))
+    if block == "force":
+        return ForceQpInputs(plan=plan, ell_fixed=zeros, p_fixed=zeros, references=refs,
+                             h_reg=refs, l_prox=value)
+    return ContactQpInputs(plan=plan, f_fixed=zeros, h_reg=refs, references=refs, l_prox=value)
+
+
+# Each was accepted, or failed naming no field: a fractional horizon built a
+# pair table, True read as 1 and "no" as a flat foot.
+UNUSABLE_API_VALUES = {
+    "plan horizon": (lambda: replace(hover_plan(N=20), horizon=20.5),
+                     "horizon must be an integer >= 1, got 20.5"),
+    "phase end": (lambda: _single_contact_plan(N=20, t_end=19.5),
+                  "t_end must be an integer >= 0, got 19.5"),
+    "flat-foot flag": (lambda: ContactPhase("F", 0, 5, flat_patch(0, 0), flat_foot="no",
+                                            zmp_bounds=((-0.01, 0.01), (-0.01, 0.01))),
+                       "flat_foot must be true or false, got 'no'"),
+    "solver tolerance": (lambda: SolverSettings(eps_abs=True),
+                         "eps_abs must be a number, got True"),
+    "proximal weight": (lambda: BcdSettings(L0="100"), "L0 must be a number, got '100'"),
+    "cost weight": (lambda: CostWeights(force=True), "force must be a number, got True"),
+    "state weights": (lambda: CostWeights(tracking=[True, False, True]),
+                      "tracking must be an array of numbers, got booleans"),
+    "force l_prox": (lambda: _with_l_prox("force", True), "l_prox must be a number, got True"),
+    "contact l_prox": (lambda: _with_l_prox("contact", "1"), "l_prox must be a number, got '1'"),
+    "gait mu": (lambda: make_gait("stand", mu=True), "mu must be a number, got True"),
+    "gait stride": (lambda: make_gait("walk", stride="0.1"),
+                    "stride must be a number, got '0.1'"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_API_VALUES)
+def test_unusable_api_values_are_rejected_naming_the_field(case):
+    build, message = UNUSABLE_API_VALUES[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_contact_plan_rejects_overlapping_phases():

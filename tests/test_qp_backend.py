@@ -1037,7 +1037,8 @@ def test_bounds_validation():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["eps_abs", "eps_rel", "max_iterations"])
 def test_solver_settings_reject_non_finite_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    expected = "an integer" if field == "max_iterations" else "finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {expected}"):
         SolverSettings(**{field: value})
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,18 +10,14 @@ from conftest import WRONG_TYPE_BLOCKS
 
 from centroidal_bcd.bcd import BcdSettings, optimize
 from centroidal_bcd.model import CentroidalState, Polytope
-from centroidal_bcd.gaits import (
-    GAIT_KINDS,
-    make_gait,
-    pitch_reference_to_momentum,
-    shipped_scenarios,
-)
+from centroidal_bcd.gaits import GAIT_KINDS, make_gait, shipped_scenarios
 from centroidal_bcd.scenarios import (
     ScenarioError,
     ScenarioFile,
     emit_scenario,
     materialize,
     parse_scenario,
+    pitch_reference_to_momentum,
 )
 
 MINIMAL_HOVER = """
@@ -151,16 +148,25 @@ def test_malformed_yaml_is_a_scenario_error():
 
 def _stand_with(**changes):
     """The mapping of a short stand scenario with ``changes`` applied, each
-    keyed by a dotted path of mappings."""
+    keyed by its path as a ScenarioError names it (``contacts[0].window``)."""
     doc = make_gait("stand", N=20).to_mapping()
     doc = json.loads(json.dumps(doc))  # a deep copy
     for path, value in changes.items():
-        *parents, leaf = path.split(".")
+        *parents, leaf = (int(key) if key.isdigit() else key
+                          for key in re.findall(r"\w+", path))
         node = doc
         for key in parents:
             node = node[key]
         node[leaf] = value
     return doc
+
+
+def _innermost_key(value):
+    """The key of the one value nested in a block override such as
+    ``{"solver": {"eps_abs": 1.0}}``."""
+    while isinstance(value, dict):
+        (key, value), = value.items()
+    return key
 
 
 @pytest.mark.parametrize("field, value", [
@@ -180,14 +186,34 @@ def _stand_with(**changes):
     ("bcd", {"solver": {"max_iterations": 10.5}}),
     ("bcd", {"max_outer_iterations": 2.5}),
     ("bcd", {"max_outer_iterations": True}),
+    # Counts are integers: 20.7 was truncated to 20, "20" and true read as 20 and 1.
+    ("horizon.N", 20.7),
+    ("horizon.N", "20"),
+    ("horizon.N", True),
+    ("contacts[0].window", [0.0, 20.0]),
+    # Numbers are numbers: text was parsed as one, true read as 1.0.
+    ("horizon.dt", "1e-2"),
+    ("robot.L_max", "0.35"),
+    ("robot.mass", True),
+    ("contacts[0].friction", "0.7"),
+    ("contacts[0].surface.halfspaces.b", ["0.0", "0.0", "0.31", "-0.07", "0.23", "0.01"]),
+    ("contacts[0].rotation", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    ("bcd", {"L0": "100"}),
+    ("weights", {"force": "1e-5"}),
+    ("weights", {"force": True}),
+    ("bcd", {"solver": {"eps_abs": True}}),
+    # Flags are booleans: "no" read as a flat foot.
+    ("contacts[0].flat_foot", "no"),
+    ("schema_version", True),
 ])
 def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     doc = _stand_with(**{field: value})
-    for text in (emit_scenario(ScenarioFile.from_mapping(doc)),
-                 yaml.safe_dump(doc, sort_keys=False).encode()):
+    for text in (json.dumps(doc).encode(), yaml.safe_dump(doc, sort_keys=False).encode()):
         with pytest.raises(ScenarioError) as info:
             materialize(parse_scenario(text))
         assert info.value.path.startswith(field), (field, info.value.path)
+        if isinstance(value, dict):  # a block's field is named in the message
+            assert str(info.value).startswith(f"{field}: {_innermost_key(value)} "), info.value
 
 
 def test_non_finite_waypoints_and_contact_values_name_their_field():
