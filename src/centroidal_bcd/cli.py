@@ -70,10 +70,9 @@ def _tolerance(cfg: argparse.Namespace) -> float:
 
 
 def _load(cfg: argparse.Namespace):
-    text = cfg.scenario.read_bytes()
-    sf = parse_scenario(text)
-    plan, refs, settings, weights = materialize(sf)
-    return sf, plan, refs, _apply_overrides(settings, cfg), weights
+    doc = parse_scenario(cfg.scenario.read_bytes())
+    plan, refs, settings, weights = materialize(doc)
+    return doc, plan, refs, _apply_overrides(settings, cfg), weights
 
 
 def _summary_lines(name: str, result, tol: float) -> list[str]:
@@ -96,7 +95,7 @@ def _summary_lines(name: str, result, tol: float) -> list[str]:
 def run_solve(cfg: argparse.Namespace) -> int:
     tol = _tolerance(cfg)
     try:
-        sf, plan, refs, settings, weights = _load(cfg)
+        doc, plan, refs, settings, weights = _load(cfg)
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
@@ -121,10 +120,10 @@ def run_solve(cfg: argparse.Namespace) -> int:
     with open(out / "trajectory.csv", "w", newline="") as fh:
         write_trajectory_csv(fh, result.states, result.contacts, plan)
     with open(out / "convergence.json", "w") as fh:
-        write_convergence_json(fh, result, sf.name)
+        write_convergence_json(fh, result, doc["name"])
     with open(out / "timing.csv", "w", newline="") as fh:
         write_timing_csv(fh, result)
-    summary = _summary_lines(sf.name, result, tol)
+    summary = _summary_lines(doc["name"], result, tol)
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     if not result.converged:
@@ -169,12 +168,17 @@ def _regenerated(gait: dict, N: int):
 
 
 def run_bench(cfg: argparse.Namespace) -> int:
+    for N in cfg.horizons:
+        try:
+            _integer(N, "N", 1)
+        except ValueError as exc:
+            raise FlagError(f"--horizons: {exc}") from None
     try:
-        sf = parse_scenario(cfg.scenario.read_bytes())
-        if sf.gait is None:
+        doc = parse_scenario(cfg.scenario.read_bytes())
+        if doc.get("gait") is None:
             raise ScenarioError("gait", "bench needs a scenario with a generator block")
-        horizons = cfg.horizons or (_field(_integer, sf.horizon.get("N"), "horizon.N", 1),)
-        problems = [(N, materialize(_regenerated(sf.gait, N))) for N in horizons]
+        horizons = cfg.horizons or (_field(_integer, doc["horizon"].get("N"), "horizon.N", 1),)
+        problems = [(N, materialize(_regenerated(doc["gait"], N))) for N in horizons]
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR

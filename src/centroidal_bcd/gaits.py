@@ -1,12 +1,13 @@
 """Gait and terrain scenario generators.
 
-Each generator returns a :class:`~centroidal_bcd.scenarios.ScenarioFile`
-describing a quadruped task: cyclic gaits (walk, trot, bound), jumps with a
-flight phase, and terrain variants (stairs, inclined stepping stones) built on
-the walking cycle. Contact surfaces are small convex patches around each
-planned foothold; references interpolate the CoM through the stance geometry
-with momentum targets derived from the motion (ballistic profiles for jumps,
-a pitch-derived angular momentum profile for bounding).
+Each generator returns a scenario document, the plain mapping that
+:mod:`~centroidal_bcd.scenarios` reads and writes, describing a quadruped
+task: cyclic gaits (walk, trot, bound), jumps with a flight phase, and terrain
+variants (stairs, inclined stepping stones) built on the walking cycle.
+Contact surfaces are small convex patches around each planned foothold;
+references interpolate the CoM through the stance geometry with momentum
+targets derived from the motion (ballistic profiles for jumps, a
+pitch-derived angular momentum profile for bounding).
 
 Generated documents carry a ``gait`` metadata block so benchmarks can
 regenerate the same scenario at other horizons.
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .model import _integer, _positive, _real
-from .scenarios import ScenarioFile
+from .scenarios import SCHEMA_VERSION
 
 __all__ = ["GAIT_KINDS", "make_gait", "shipped_scenarios"]
 
@@ -153,20 +154,22 @@ def _com_waypoints(contacts: list[dict], N: int, dt: float, speed: float,
     return wps
 
 
-def _base_document(name: str, N: int, dt: float, contacts, references, gait_meta,
-                   initial_r=None) -> ScenarioFile:
-    r0 = [0.0, 0.0, _COM_HEIGHT] if initial_r is None else list(map(float, initial_r))
-    return ScenarioFile(
-        name=name,
-        robot={"mass": _MASS,
-               "nominal_offsets": {e: list(map(float, v)) for e, v in _OFFSETS.items()},
-               "L_max": _L_MAX},
-        horizon={"N": int(N), "dt": float(dt)},
-        initial_state={"r": r0, "l": [0.0, 0.0, 0.0], "k": [0.0, 0.0, 0.0]},
-        contacts=contacts,
-        references=references,
-        gait=gait_meta,
-    )
+def _base_document(name: str, N: int, dt: float, contacts, references, gait_meta) -> dict:
+    """The document of one generated scenario, its keys in schema order."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "name": name,
+        "robot": {"mass": _MASS,
+                  "nominal_offsets": {e: list(map(float, v)) for e, v in _OFFSETS.items()},
+                  "L_max": _L_MAX},
+        "horizon": {"N": int(N), "dt": float(dt)},
+        "initial_state": {"r": [0.0, 0.0, _COM_HEIGHT], "l": [0.0, 0.0, 0.0],
+                          "k": [0.0, 0.0, 0.0]},
+        "gravity": [0.0, 0.0, -9.81],
+        "contacts": contacts,
+        "references": references,
+        "gait": gait_meta,
+    }
 
 
 def _flat_patch_fn(terrain: Callable[[float], float] | None = None,
@@ -178,7 +181,7 @@ def _flat_patch_fn(terrain: Callable[[float], float] | None = None,
     return fn
 
 
-def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> ScenarioFile:
+def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> dict:
     contacts = _cyclic_contacts(N, dt, [], 0, 0, 0.0, mu, _flat_patch_fn())
     refs = {"com_waypoints": _com_waypoints(contacts, N, dt, 0.0)}
     return _base_document("stand", N, dt, contacts, refs,
@@ -186,7 +189,7 @@ def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> ScenarioFile:
 
 
 def _walk_cycle(N: int, dt: float, stride: float, swing_steps: int, lead_steps: int,
-                mu: float, name: str, patch_fn, z_of_x=None, extra_meta=None) -> ScenarioFile:
+                mu: float, name: str, patch_fn, z_of_x=None, extra_meta=None) -> dict:
     """The walking cycle on the patches ``patch_fn`` places, the CoM
     reference lifted by ``z_of_x``; ``extra_meta`` joins the ``gait``
     parameters."""
@@ -203,12 +206,12 @@ def _walk_cycle(N: int, dt: float, stride: float, swing_steps: int, lead_steps: 
 
 
 def _make_walk(N: int = 160, dt: float = 0.01, stride: float = 0.08,
-               swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7) -> ScenarioFile:
+               swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7) -> dict:
     return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, "walk", _flat_patch_fn())
 
 
 def _make_trot(N: int = 160, dt: float = 0.01, stride: float = 0.06,
-               stance_steps: int = 14, lead_steps: int = 12, mu: float = 0.7) -> ScenarioFile:
+               stance_steps: int = 14, lead_steps: int = 12, mu: float = 0.7) -> dict:
     groups = [["FR", "HL"], ["FL", "HR"]]
     cycle_time = 2 * stance_steps * dt
     speed = stride / cycle_time
@@ -223,7 +226,7 @@ def _make_trot(N: int = 160, dt: float = 0.01, stride: float = 0.06,
 
 def _make_bound(N: int = 160, dt: float = 0.01, stride: float = 0.04,
                 pair_steps: int = 25, lead_steps: int = 12, mu: float = 0.7,
-                pitch_amplitude_deg: float = 15.0, inertia_scale: float = 0.05) -> ScenarioFile:
+                pitch_amplitude_deg: float = 15.0, inertia_scale: float = 0.05) -> dict:
     # Front and hind pairs alternate stance every pair_steps (0.25 s at the
     # default dt); the pitch oscillation is tracked through angular momentum.
     groups = [["HL", "HR"], ["FL", "FR"]]
@@ -246,7 +249,7 @@ def _make_bound(N: int = 160, dt: float = 0.01, stride: float = 0.04,
 
 def _make_jump(kind: str, N: int = 120, dt: float = 0.01, flight_time: float = 0.3,
                ramp_steps: int = 15, mu: float = 0.8, forward: float = 0.0,
-               twist_deg: float = 0.0, inertia_scale: float = 0.05) -> ScenarioFile:
+               twist_deg: float = 0.0, inertia_scale: float = 0.05) -> dict:
     flight_steps = int(round(flight_time / dt))
     t_to = max(ramp_steps + 20, (N - flight_steps) // 2)
     t_land = t_to + flight_steps
@@ -312,7 +315,7 @@ def _make_jump(kind: str, N: int = 120, dt: float = 0.01, flight_time: float = 0
 
 def _make_stairs(direction: int, N: int = 150, dt: float = 0.01, stride: float = 0.10,
                  swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7,
-                 step_height: float = 0.05, step_depth: float = 0.16) -> ScenarioFile:
+                 step_height: float = 0.05, step_depth: float = 0.16) -> dict:
     # Step height defaults to ~23% of the CoM height.
     first_edge = 0.24
 
@@ -338,7 +341,7 @@ def _make_stairs(direction: int, N: int = 150, dt: float = 0.01, stride: float =
 
 def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
                          swing_steps: int = 12, lead_steps: int = 12, mu: float = 0.7,
-                         max_angle_deg: float = 25.0) -> ScenarioFile:
+                         max_angle_deg: float = 25.0) -> dict:
     # Inclines alternate through 0 / +-60% / +-100% of the maximum angle.
     angles = [0.0, 0.6, -0.6, 1.0, -1.0]
 
@@ -385,7 +388,7 @@ def _check_params(params: dict) -> None:
             _real(value, name)
 
 
-def make_gait(kind: str, **params) -> ScenarioFile:
+def make_gait(kind: str, **params) -> dict:
     """Generate a scenario document for one of the built-in gait kinds. A
     keyword that is no parameter of the generator is a TypeError naming it,
     before any value is checked."""
@@ -397,6 +400,6 @@ def make_gait(kind: str, **params) -> ScenarioFile:
     return generator(**params)
 
 
-def shipped_scenarios() -> dict[str, ScenarioFile]:
+def shipped_scenarios() -> dict[str, dict]:
     """The bundled scenario suite at its default sizes."""
     return {kind: make_gait(kind) for kind in GAIT_KINDS}

@@ -69,11 +69,16 @@ def _as_vector(x, size: int, name: str) -> np.ndarray:
 def _float_array(values, name: str) -> np.ndarray:
     """``values`` as a new float array. Booleans, text, a mapping or a
     sequence of objects are a ValueError naming ``name``: numpy would read
-    True as 1.0 and "0.7" as 0.7."""
+    True as 1.0 and "0.7" as 0.7. A list or tuple is scanned for booleans
+    among its numbers, which numpy promotes before its type shows them; an
+    array is taken by its dtype alone."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
-        got = {"b": "booleans", "U": "text", "S": "text"}.get(a.dtype.kind,
-                                                              type(values).__name__)
+    kind = a.dtype.kind
+    if kind in "iuf" and isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        kind = "b"
+    if kind not in "iuf":
+        got = {"b": "booleans", "U": "text", "S": "text"}.get(kind, type(values).__name__)
         raise ValueError(f"{name} must be an array of numbers, got {got}")
     return np.array(a, dtype=float)
 

@@ -103,23 +103,6 @@ def _entries_by_row(M: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     return order, row_ptr
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a flat float array; NaN or inf raise, naming ``name``."""
-    v = np.array(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} holds non-finite values")
-    return v
-
-
-def _bound(values, name: str) -> np.ndarray:
-    """Row bounds as a flat float array with infinities clipped to the
-    sentinel; NaN raises, naming ``name``."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if np.any(np.isnan(v)):
-        raise ValueError(f"{name} holds NaN")
-    return np.clip(v, -INFTY, INFTY)
-
-
 def _max_abs(v: np.ndarray) -> float:
     # The array method skips np.max's Python wrapper: half the time per call
     # on the interior-point method's vectors.
@@ -224,8 +207,8 @@ class BandedKkt:
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
     the ``QpSolution`` convention). Setup and every value update take the
     QP's values through one intake (:meth:`_take_values`): P and A must
-    keep the setup's patterns, and non-finite matrix or q values, NaN
-    bounds and lo > hi raise ``ValueError`` naming the field. Duplicate
+    keep the setup's patterns (``SparseQP`` has rejected non-finite matrix
+    or q values, NaN bounds and lo > hi when the QP was made). Duplicate
     entries of A raise at setup; a QP of at most 200 variables is then
     checked by ``SparseQP.validate`` (symmetric, positive semidefinite P).
     Single-threaded per handle.
@@ -260,20 +243,20 @@ class BandedKkt:
         self.band_solves = 0
 
     def _take_values(self, qp: SparseQP) -> None:
-        """Check ``qp``'s values and make them the handle's; a QP that fails
-        a check leaves the handle as it was."""
+        """Make ``qp``'s values the handle's; a QP whose patterns differ
+        from the setup's leaves the handle as it was. ``SparseQP`` itself
+        has checked the values."""
         P, A = qp.P.tocsc(), qp.A.tocsc()
         for name, M, setup in (("P", P, self._P), ("A", A, self._A)):
             if (M.shape != setup.shape or not np.array_equal(M.indptr, setup.indptr)
                     or not np.array_equal(M.indices, setup.indices)):
                 raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
-        P_data, A_data, q = _finite(P.data, "P"), _finite(A.data, "A"), _finite(qp.q, "q")
-        lo, hi = _bound(qp.lo, "lo"), _bound(qp.hi, "hi")
-        if np.any(lo > hi):
-            raise ValueError("lo > hi on some row")
-        self._P.data = P_data
-        self._A.data = self._AT.data = A_data
-        self._q, self._lo, self._hi = q, lo, hi
+        # Copies, which the caller's later writes to its arrays cannot reach;
+        # infinite bounds become the sentinel.
+        self._P.data = np.array(P.data, dtype=float)
+        self._A.data = self._AT.data = np.array(A.data, dtype=float)
+        self._q = qp.q.copy()
+        self._lo, self._hi = np.clip(qp.lo, -INFTY, INFTY), np.clip(qp.hi, -INFTY, INFTY)
 
     def update_values(self, qp: SparseQP) -> None:
         """Take the values of ``qp``, a QP of the setup's P and A patterns;

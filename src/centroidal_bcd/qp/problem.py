@@ -139,6 +139,14 @@ class SparseQP:
             raise ValueError("q has wrong length")
         if self.lo.shape != (self.m_c,) or self.hi.shape != (self.m_c,):
             raise ValueError("bound vectors have wrong length")
+        for name, values in (("P", self.P.data), ("A", self.A.data), ("q", self.q)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} holds non-finite values")
+        for name in ("lo", "hi"):
+            if np.any(np.isnan(getattr(self, name))):
+                raise ValueError(f"{name} holds NaN")
+        if np.any(self.lo > self.hi):
+            raise ValueError("lo > hi on some row")
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float)
             if x0.shape != (self.n,):
@@ -148,14 +156,9 @@ class SparseQP:
             object.__setattr__(self, "x0", x0)
 
     def validate(self, psd_tol: float = 1e-8) -> None:
-        """Invariant checks; the PSD eigenvalue estimate is meant for
-        desk-scale problems and is O(n^3)."""
-        if not np.all(np.isfinite(self.q)):
-            raise ValueError("q must be finite")
-        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
-            raise ValueError("bounds must not be NaN")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lo > hi on some row")
+        """The checks too costly for every QP: P symmetric, and positive
+        semidefinite by an eigenvalue estimate meant for desk-scale problems
+        (O(n^3)). The values themselves are checked when the QP is made."""
         gap = abs(self.P - self.P.T)
         if gap.nnz and gap.max() > 1e-12:
             raise ValueError("P is not symmetric")

@@ -2,15 +2,18 @@
 
 A scenario is a document (``schema_version: 1``) describing the robot,
 horizon, contact phases, tracking references, and optional weight/solver
-overrides, all in SI units. ``emit_scenario`` writes it as indented JSON;
-``parse_scenario`` reads JSON, and falls back to PyYAML for text that is not
-JSON, so hand-written YAML documents keep working. ``parse(emit(x)) == x``
-structurally. ``materialize`` validates a parsed document and builds the
-in-memory problem; a value the problem cannot use (text or a boolean for a
-number, a count that is no integer, a non-finite value, a non-positive mass
-or timestep) is rejected there, by the rules of ``model``, with the field's
-path, or in the ``weights`` and ``bcd`` blocks with the block's path and the
-field's name.
+overrides, all in SI units. In memory a document is a plain mapping, the
+dict that JSON reads, and every function here takes and returns that form.
+``emit_scenario`` writes it as indented JSON; ``parse_scenario`` reads JSON,
+and falls back to PyYAML for text that is not JSON, so hand-written YAML
+documents keep working. ``parse(emit(x)) == x``. ``parse_scenario`` and
+``build_plan`` check a document's top level (its version, required keys, a
+string name and the type of each block); ``materialize`` builds the
+in-memory problem and checks what the blocks hold: a value the problem
+cannot use (text or a boolean for a number, a count that is no integer, a
+non-finite value, a non-positive mass or timestep) is rejected there, by the
+rules of ``model``, with the field's path, or in the ``weights`` and ``bcd``
+blocks with the block's path and the field's name.
 
 Surfaces may be given as convex polygon vertices (converted to halfspaces
 here) or as halfspaces directly. References are waypoint lists interpolated
@@ -21,7 +24,6 @@ attached instead of explicit angular momentum waypoints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -35,7 +37,6 @@ from .qp.problem import SolverSettings
 __all__ = [
     "SCHEMA_VERSION",
     "ScenarioError",
-    "ScenarioFile",
     "parse_scenario",
     "emit_scenario",
     "build_plan",
@@ -53,67 +54,40 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
-    """Plain-data document model (shapes mirror the document schema).
+# The top-level keys of a document in the order ``emit_scenario`` writes them.
+_KEYS = ("schema_version", "name", "robot", "horizon", "initial_state", "gravity",
+         "contacts", "references", "weights", "bcd", "gait")
+_REQUIRED = ("name", "robot", "horizon", "initial_state", "contacts", "references")
+_GRAVITY = (0.0, 0.0, -9.81)
+# The optional blocks and the value that leaves each out of an emitted document.
+_OMITTED = {"weights": {}, "bcd": {}, "gait": None}
 
-    Numeric content is kept as lists/floats so that parse(emit(x)) == x
-    structurally; numerical types only appear after materialization.
-    """
 
-    name: str
-    robot: dict
-    horizon: dict
-    initial_state: dict
-    contacts: list
-    references: dict
-    schema_version: int = SCHEMA_VERSION
-    gravity: list = field(default_factory=lambda: [0.0, 0.0, -9.81])
-    weights: dict = field(default_factory=dict)
-    bcd: dict = field(default_factory=dict)
-    gait: dict | None = None
-
-    def to_mapping(self) -> dict:
-        doc = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "robot": self.robot,
-            "horizon": self.horizon,
-            "initial_state": self.initial_state,
-            "gravity": self.gravity,
-            "contacts": self.contacts,
-            "references": self.references,
-        }
-        if self.weights:
-            doc["weights"] = self.weights
-        if self.bcd:
-            doc["bcd"] = self.bcd
-        if self.gait is not None:
-            doc["gait"] = self.gait
-        return doc
-
-    @staticmethod
-    def from_mapping(doc: Mapping) -> "ScenarioFile":
-        if not isinstance(doc, Mapping):
-            raise ScenarioError("$", "document must be a mapping")
-        version = _field(_integer, doc.get("schema_version"), "schema_version", 1)
-        if version != SCHEMA_VERSION:
-            raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-        for key in ("name", "robot", "horizon", "initial_state", "contacts", "references"):
-            if key not in doc:
-                raise ScenarioError(key, "missing required field")
-        return ScenarioFile(
-            name=doc["name"],
-            robot=_mapping(doc["robot"], "robot"),
-            horizon=_mapping(doc["horizon"], "horizon"),
-            initial_state=_mapping(doc["initial_state"], "initial_state"),
-            contacts=list(_list(doc["contacts"], "contacts")),
-            references=_mapping(doc["references"], "references"),
-            gravity=list(_list(doc.get("gravity", [0.0, 0.0, -9.81]), "gravity")),
-            weights=_mapping(doc.get("weights", {}), "weights"),
-            bcd=_mapping(doc.get("bcd", {}), "bcd"),
-            gait=_mapping(doc["gait"], "gait") if doc.get("gait") is not None else None,
-        )
+def _document(doc) -> dict:
+    """``doc`` if its top level is a document of this schema: a mapping with
+    an integer ``schema_version`` of 1, every required key, a string
+    ``name``, and each block a mapping or list as the schema has it (a
+    ``gait`` may be null). What the blocks hold is checked as it is read."""
+    if not isinstance(doc, Mapping):
+        raise ScenarioError("$", "document must be a mapping")
+    version = _field(_integer, doc.get("schema_version"), "schema_version", 1)
+    if version != SCHEMA_VERSION:
+        raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    for key in _REQUIRED:
+        if key not in doc:
+            raise ScenarioError(key, "missing required field")
+    if not isinstance(doc["name"], str):
+        raise ScenarioError("name", f"expected a string, got {type(doc['name']).__name__}")
+    for key in ("robot", "horizon", "initial_state"):
+        _mapping(doc[key], key)
+    _list(doc["contacts"], "contacts")
+    _mapping(doc["references"], "references")
+    _list(doc.get("gravity", _GRAVITY), "gravity")
+    for key in ("weights", "bcd"):
+        _mapping(doc.get(key, {}), key)
+    if doc.get("gait") is not None:
+        _mapping(doc["gait"], "gait")
+    return doc
 
 
 def _field(rule, value, path: str, *args):
@@ -142,10 +116,10 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _mapping(value, path: str) -> dict:
+def _mapping(value, path: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ScenarioError(path, f"expected a mapping, got {type(value).__name__}")
-    return dict(value)
+    return value
 
 
 def _vec(doc, path, size=3):
@@ -231,11 +205,10 @@ def _phase(c, path: str, offsets: Mapping, N: int) -> ContactPhase:
         raise ScenarioError(path, str(exc)) from None
 
 
-def build_plan(sf: ScenarioFile) -> ContactPlan:
-    """The contact plan of a validated document: robot, horizon, initial
-    state and contact phases, without the references, weights or solver
-    settings."""
-    robot = sf.robot
+def build_plan(doc: Mapping) -> ContactPlan:
+    """The contact plan of a document: robot, horizon, initial state and
+    contact phases, without the references, weights or solver settings."""
+    robot = _document(doc)["robot"]
     for key in ("mass", "nominal_offsets", "L_max"):
         if key not in robot:
             raise ScenarioError(f"robot.{key}", "missing required field")
@@ -247,15 +220,15 @@ def build_plan(sf: ScenarioFile) -> ContactPlan:
                for e, v in robot["nominal_offsets"].items()}
     effector_ids = tuple(offsets.keys())
 
-    N = _field(_integer, sf.horizon.get("N"), "horizon.N", 1)
-    dt = _field(_positive, sf.horizon.get("dt", 0.01), "horizon.dt")
+    N = _field(_integer, doc["horizon"].get("N"), "horizon.N", 1)
+    dt = _field(_positive, doc["horizon"].get("dt", 0.01), "horizon.dt")
 
-    h0 = np.concatenate([_vec(sf.initial_state.get(x, [0, 0, 0]), f"initial_state.{x}")
+    h0 = np.concatenate([_vec(doc["initial_state"].get(x, [0, 0, 0]), f"initial_state.{x}")
                          for x in "rlk"])
 
-    gravity = _vec(sf.gravity, "gravity")
+    gravity = _vec(doc.get("gravity", _GRAVITY), "gravity")
     phases = tuple(_phase(c, f"contacts[{i}]", offsets, N)
-                   for i, c in enumerate(sf.contacts))
+                   for i, c in enumerate(doc["contacts"]))
     # What is left to fail is how the phases fit the effectors and each other.
     try:
         return ContactPlan(
@@ -279,12 +252,12 @@ def pitch_reference_to_momentum(pitch_profile, inertia_scale: float, dt: float) 
     return np.append(k, k[-1])
 
 
-def materialize(sf: ScenarioFile) -> tuple[ContactPlan, np.ndarray, BcdSettings, CostWeights]:
-    """Turn a validated document into the numerical problem description;
-    the references are a read-only (N, 9) state array."""
-    plan = build_plan(sf)
+def materialize(doc: Mapping) -> tuple[ContactPlan, np.ndarray, BcdSettings, CostWeights]:
+    """Turn a document into the numerical problem description; the
+    references are a read-only (N, 9) state array."""
+    plan = build_plan(doc)
     N, dt = plan.horizon, plan.dt
-    refs = sf.references
+    refs = doc["references"]
     # The stacked (r, l, k) of every timestep, as the QP builders read it.
     h = np.zeros((N, 9))
     h[:, 0:3] = _interpolate_waypoints(refs.get("com_waypoints"), N, 3, "references.com_waypoints")
@@ -312,10 +285,10 @@ def materialize(sf: ScenarioFile) -> tuple[ContactPlan, np.ndarray, BcdSettings,
         raise ScenarioError("references", str(exc)) from None
 
     try:
-        weights = CostWeights(**sf.weights) if sf.weights else CostWeights()
+        weights = CostWeights(**doc.get("weights", {}))
     except (TypeError, ValueError) as exc:
         raise ScenarioError("weights", str(exc)) from None
-    bcd_doc = dict(sf.bcd)
+    bcd_doc = dict(doc.get("bcd", {}))
     solver_doc = bcd_doc.pop("solver", {})
     try:
         solver = SolverSettings(**solver_doc) if solver_doc else SolverSettings()
@@ -336,7 +309,7 @@ def _load_yaml(text: str):
         raise ScenarioError("$", f"neither JSON nor valid YAML: {exc}") from None
 
 
-def parse_scenario(text: bytes | str) -> ScenarioFile:
+def parse_scenario(text: bytes | str) -> dict:
     """Read a document: JSON as ``emit_scenario`` writes it, or YAML."""
     if isinstance(text, bytes):
         try:
@@ -347,13 +320,19 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = _load_yaml(text)
-    return ScenarioFile.from_mapping(doc)
+    return _document(doc)
 
 
-def emit_scenario(sf: ScenarioFile) -> bytes:
-    """The document as indented JSON, keys in schema order. Floats are
-    written as ``repr`` writes them, so ``parse_scenario`` gives ``sf`` back.
+def emit_scenario(doc: Mapping) -> bytes:
+    """The document as indented JSON, keys in schema order. A missing
+    ``schema_version`` or ``gravity`` is written with its default, empty
+    ``weights`` and ``bcd`` and a null ``gait`` are left out, and keys
+    outside the schema are dropped. Floats are written as ``repr`` writes
+    them, so ``parse_scenario`` gives ``doc`` back.
     The text is YAML 1.2 too, but not always YAML 1.1: PyYAML reads a float
     written without a '.' (1e-05) as a string, so read emitted files with
     ``parse_scenario``, which takes them as JSON."""
-    return (json.dumps(sf.to_mapping(), indent=2) + "\n").encode("utf-8")
+    doc = {"schema_version": SCHEMA_VERSION, "gravity": _GRAVITY, **doc}
+    written = {key: doc[key] for key in _KEYS
+               if key in doc and (key not in _OMITTED or doc[key] != _OMITTED[key])}
+    return (json.dumps(written, indent=2) + "\n").encode("utf-8")

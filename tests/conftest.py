@@ -13,6 +13,8 @@ WRONG_TYPE_BLOCKS = [
     ("contacts", 3, "list"),
     ("contacts", {"a": 1}, "list"),
     ("gravity", 3, "list"),
+    # A name of any type used to be accepted and written into summary.txt.
+    ("name", ["a", 1], "string"),
 ]
 
 QUAD_OFFSETS = {

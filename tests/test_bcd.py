@@ -366,9 +366,9 @@ def test_a_stairs_plan_near_its_kinematic_limit_reaches_the_contact_fallback(cap
     # settle: stairs_down with the kinematic limit cut to 0.245 m. Its first
     # contact QP exhausts the active-set passes, the interior-point method
     # solves it, and the descent still ends converged and feasible.
-    sf = make_gait("stairs_down", N=40)
+    doc = make_gait("stairs_down", N=40)
     plan, refs, settings, weights = materialize(
-        replace(sf, robot={**sf.robot, "L_max": 0.245}))
+        {**doc, "robot": {**doc["robot"], "L_max": 0.245}})
     with caplog.at_level("WARNING", logger="centroidal_bcd.bcd"):
         result = optimize(plan, refs, settings, weights)
     first = result.records[0]

@@ -14,7 +14,7 @@ import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.cli import main
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, EffectorContact
-from centroidal_bcd.scenarios import ScenarioFile, emit_scenario, materialize, parse_scenario
+from centroidal_bcd.scenarios import emit_scenario, materialize, parse_scenario
 
 EXIT_FORMAT = 64
 
@@ -125,10 +125,10 @@ def test_invalid_scenario_exits_1(tmp_path):
 def test_unusable_robot_and_horizon_values_exit_1_naming_the_field(tmp_path, capsys,
                                                                    field, value):
     section, key = field.split(".")
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     doc[section] = {**doc[section], key: value}
     scn = tmp_path / "bad.scn"
-    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(doc)))
+    scn.write_bytes(emit_scenario(doc))
     for subcommand in ("solve", "verify"):
         assert main([subcommand, "--scenario", str(scn), "--out", str(tmp_path)]) == 1
         assert f"scenario error: {field}: " in capsys.readouterr().err
@@ -139,20 +139,19 @@ def test_unusable_robot_and_horizon_values_exit_1_naming_the_field(tmp_path, cap
 def test_a_non_integer_iteration_budget_exits_1_naming_it(tmp_path, capsys, bcd):
     # A fractional solver budget used to end in a TypeError traceback.
     scn = tmp_path / "bad.scn"
-    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(
-        {**make_gait("stand", N=20).to_mapping(), "bcd": bcd})))
+    scn.write_bytes(emit_scenario({**make_gait("stand", N=20), "bcd": bcd}))
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: bcd: ") and "must be an integer" in err, err
 
 
 def test_non_finite_reference_waypoint_exits_1_naming_it(tmp_path, capsys):
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     waypoints = [list(wp) for wp in doc["references"]["com_waypoints"]]
     waypoints[0][3] = math.nan
     doc["references"] = {**doc["references"], "com_waypoints": waypoints}
     scn = tmp_path / "bad.scn"
-    scn.write_bytes(emit_scenario(ScenarioFile.from_mapping(doc)))
+    scn.write_bytes(emit_scenario(doc))
     assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path)]) == 1
     assert "references.com_waypoints[0]: must be finite" in capsys.readouterr().err
 
@@ -160,7 +159,7 @@ def test_non_finite_reference_waypoint_exits_1_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize("block, value, expected", WRONG_TYPE_BLOCKS)
 def test_a_block_of_the_wrong_type_exits_1_naming_it(tmp_path, capsys, block, value,
                                                      expected):
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     doc[block] = value
     scn = tmp_path / "bad.scn"
     scn.write_text(json.dumps(doc))
@@ -277,6 +276,9 @@ def stand_scenario(tmp_path_factory):
     ("bench", "--L0", "inf", "L0 must be finite"),
     ("bench", "--eps-f", "nan", "eps_f must be finite"),
     ("bench", "--max-iters", "0", "max_outer_iterations must be an integer >= 1, got 0"),
+    # A horizon used to be blamed on the document's gait block.
+    ("bench", "--horizons", "0", "N must be an integer >= 1, got 0"),
+    ("bench", "--horizons", "20,0", "N must be an integer >= 1, got 0"),
 ])
 def test_unusable_flag_values_exit_1_naming_the_flag(stand_scenario, tmp_path, capsys,
                                                       subcommand, flag, value, message):
@@ -336,7 +338,7 @@ def test_bench_names_a_failed_block_and_exits_2(tmp_path, capsys):
 ])
 def test_bench_names_a_generator_block_it_cannot_use(tmp_path, capsys, gait, horizon, message):
     # Each used to end in a KeyError, ValueError or TypeError traceback.
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     doc["gait"] = gait
     doc["horizon"] = {key: value for key, value in {**doc["horizon"], **horizon}.items()
                       if value is not None}

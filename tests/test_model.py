@@ -254,6 +254,9 @@ UNUSABLE_API_VALUES = {
     "cost weight": (lambda: CostWeights(force=True), "force must be a number, got True"),
     "state weights": (lambda: CostWeights(tracking=[True, False, True]),
                       "tracking must be an array of numbers, got booleans"),
+    # numpy promotes a boolean among numbers before the dtype shows it.
+    "halfspace row": (lambda: Polytope([[0.0, 0.0, 1.0], [True, 0.0, 0.0]], [0.0, 0.1]),
+                      "A must be an array of numbers, got booleans"),
     "force l_prox": (lambda: _with_l_prox("force", True), "l_prox must be a number, got True"),
     "contact l_prox": (lambda: _with_l_prox("contact", "1"), "l_prox must be a number, got '1'"),
     "gait mu": (lambda: make_gait("stand", mu=True), "mu must be a number, got True"),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -13,7 +12,6 @@ from centroidal_bcd.model import CentroidalState, Polytope
 from centroidal_bcd.gaits import GAIT_KINDS, make_gait, shipped_scenarios
 from centroidal_bcd.scenarios import (
     ScenarioError,
-    ScenarioFile,
     emit_scenario,
     materialize,
     parse_scenario,
@@ -88,25 +86,25 @@ def test_schema_version_and_missing_fields():
 def test_a_block_of_the_wrong_type_is_named(block, value, expected):
     # Each used to end in a TypeError or ValueError naming no field, and a
     # mapping of contacts was read as the list of its keys.
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     doc[block] = value
     with pytest.raises(ScenarioError, match=f"^{block}: expected a {expected}, got "):
         parse_scenario(json.dumps(doc))
 
 
 def test_round_trip_all_shipped_scenarios():
-    for name, sf in shipped_scenarios().items():
-        assert parse_scenario(emit_scenario(sf)) == sf, name
+    for name, doc in shipped_scenarios().items():
+        assert parse_scenario(emit_scenario(doc)) == doc, name
 
 
 @pytest.mark.parametrize("kind", GAIT_KINDS)
 def test_yaml_documents_read_as_pyyaml_reads_them(kind):
     # Text that is not JSON goes to PyYAML's loader (libyaml's when built).
-    sf = make_gait(kind)
-    text = yaml.safe_dump(sf.to_mapping(), sort_keys=False)
+    doc = make_gait(kind)
+    text = yaml.safe_dump(doc, sort_keys=False)
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
-    assert parse_scenario(text) == ScenarioFile.from_mapping(yaml.safe_load(text)) == sf
+    assert parse_scenario(text) == yaml.safe_load(text) == doc
 
 
 @pytest.mark.parametrize("kind", GAIT_KINDS)
@@ -114,28 +112,27 @@ def test_the_gait_block_regenerates_its_document(kind):
     # bench regenerates a document from its gait block at other horizons.
     for N in (None, 100):
         doc = make_gait(kind) if N is None else make_gait(kind, N=N)
-        again = make_gait(kind, N=doc.horizon["N"], **doc.gait["params"])
+        again = make_gait(kind, N=doc["horizon"]["N"], **doc["gait"]["params"])
         assert emit_scenario(again) == emit_scenario(doc), (kind, N)
 
 
 @pytest.mark.parametrize("kind", GAIT_KINDS)
 def test_emitted_documents_are_json_in_schema_order(kind):
-    sf = make_gait(kind)
-    doc = json.loads(emit_scenario(sf))
-    assert doc == sf.to_mapping()
-    assert list(doc) == list(sf.to_mapping())
-    assert parse_scenario(emit_scenario(sf)) == sf
+    doc = make_gait(kind)
+    emitted = json.loads(emit_scenario(doc))
+    assert emitted == doc
+    assert list(emitted) == list(doc)
+    assert parse_scenario(emit_scenario(doc)) == doc
 
 
 def test_a_float_written_without_a_dot_round_trips():
     # YAML 1.1 resolvers read 1e-05 as a string; the JSON reader does not.
-    sf = ScenarioFile.from_mapping({**make_gait("stand", N=20).to_mapping(),
-                                    "weights": {"force": 1e-05}})
-    blob = emit_scenario(sf)
+    doc = {**make_gait("stand", N=20), "weights": {"force": 1e-05}}
+    blob = emit_scenario(doc)
     assert b'"force": 1e-05' in blob
     back = parse_scenario(blob)
-    assert back == sf
-    assert back.weights["force"] == 1e-05
+    assert back == doc
+    assert back["weights"]["force"] == 1e-05
 
 
 def test_malformed_yaml_is_a_scenario_error():
@@ -149,7 +146,7 @@ def test_malformed_yaml_is_a_scenario_error():
 def _stand_with(**changes):
     """The mapping of a short stand scenario with ``changes`` applied, each
     keyed by its path as a ScenarioError names it (``contacts[0].window``)."""
-    doc = make_gait("stand", N=20).to_mapping()
+    doc = make_gait("stand", N=20)
     doc = json.loads(json.dumps(doc))  # a deep copy
     for path, value in changes.items():
         *parents, leaf = (int(key) if key.isdigit() else key
@@ -220,26 +217,37 @@ def test_non_finite_waypoints_and_contact_values_name_their_field():
     doc = _stand_with()
     doc["references"]["com_waypoints"][1][2] = math.inf
     with pytest.raises(ScenarioError) as info:
-        materialize(ScenarioFile.from_mapping(doc))
+        materialize(doc)
     assert info.value.path == "references.com_waypoints[1]"
     doc = _stand_with()
     doc["contacts"][2]["friction"] = math.nan
     with pytest.raises(ScenarioError) as info:
-        materialize(ScenarioFile.from_mapping(doc))
+        materialize(doc)
     assert info.value.path == "contacts[2].friction"
     doc = _stand_with()
     doc["contacts"][0]["window"] = [0, "end"]
     with pytest.raises(ScenarioError) as info:
-        materialize(ScenarioFile.from_mapping(doc))
+        materialize(doc)
     assert info.value.path == "contacts[0].window"
 
 
+def test_a_boolean_among_halfspace_numbers_names_its_field():
+    # numpy read [true, 0.0, 0.0] as [1.0, 0.0, 0.0], and the stand solved.
+    doc = _stand_with()
+    doc["contacts"][0]["surface"]["halfspaces"]["A"][2][0] = True
+    for text in (json.dumps(doc).encode(), yaml.safe_dump(doc, sort_keys=False).encode()):
+        with pytest.raises(ScenarioError) as info:
+            materialize(parse_scenario(text))
+        assert info.value.path == "contacts[0].surface.halfspaces.A"
+        assert str(info.value).endswith("must be an array of numbers, got booleans")
+
+
 def test_an_overflowing_pitch_profile_is_a_reference_error():
-    sf = make_gait("bound")
-    pitch = {**sf.references["pitch_profile"], "inertia_scale": 1e308}
-    sf = dataclasses.replace(sf, references={**sf.references, "pitch_profile": pitch})
+    doc = make_gait("bound")
+    pitch = {**doc["references"]["pitch_profile"], "inertia_scale": 1e308}
+    doc = {**doc, "references": {**doc["references"], "pitch_profile": pitch}}
     with np.errstate(over="ignore"), pytest.raises(ScenarioError) as info:
-        materialize(sf)
+        materialize(doc)
     assert info.value.path == "references"
 
 
@@ -254,9 +262,9 @@ def test_materialize_builds_no_per_timestep_state_objects(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(CentroidalState, "__post_init__", counting_post_init)
-    for name, sf in shipped_scenarios().items():
+    for name, doc in shipped_scenarios().items():
         built.clear()
-        plan, refs, _, _ = materialize(sf)
+        plan, refs, _, _ = materialize(doc)
         assert built == [], name
         assert plan.h0.shape == (9,) and not plan.h0.flags.writeable, name
         assert refs.shape == (plan.horizon, 9) and not refs.flags.writeable, name
@@ -265,8 +273,8 @@ def test_materialize_builds_no_per_timestep_state_objects(monkeypatch):
 def test_hinted_phases_need_no_emptiness_lp(monkeypatch):
     calls = []
     monkeypatch.setattr(Polytope, "is_empty", lambda self: calls.append(self) or False)
-    for sf in shipped_scenarios().values():
-        materialize(sf)
+    for doc in shipped_scenarios().values():
+        materialize(doc)
     assert calls == []
 
 
@@ -311,11 +319,11 @@ def test_walk_keeps_at_least_two_contacts():
 
 
 def test_stairs_heights_are_in_the_published_band():
-    sf = make_gait("stairs_up")
-    step = sf.gait["params"]["step_height"]
-    com_height = sf.initial_state["r"][2]
+    doc = make_gait("stairs_up")
+    step = doc["gait"]["params"]["step_height"]
+    com_height = doc["initial_state"]["r"][2]
     assert 0.125 <= step / com_height <= 0.35
-    plan, *_ = materialize(sf)
+    plan, *_ = materialize(doc)
     hints = sorted({round(float(ph.foothold_hint[2]), 4) for ph in plan.phases})
     assert len(hints) > 1  # footholds actually climb
     assert all(h >= 0 for h in hints)
@@ -339,8 +347,7 @@ def test_incline_rotations_are_orthonormal_and_bounded():
 
 
 def test_jump_has_flight_phase_with_ballistic_momentum():
-    sf = make_gait("jump_in_place", flight_time=0.3)
-    plan, refs, settings, weights = materialize(sf)
+    plan, refs, settings, weights = materialize(make_gait("jump_in_place", flight_time=0.3))
     flight = [t for t in range(plan.horizon) if not plan.active_contacts(t)]
     assert len(flight) == 30
     res = optimize(plan, refs, settings, weights)
@@ -388,25 +395,21 @@ def test_pitch_reference_sinusoid_leads_by_quarter_period():
 
 
 def test_weight_and_bcd_overrides_flow_through():
-    sf = make_gait("stand", N=20)
-    sf2 = ScenarioFile.from_mapping({**sf.to_mapping(),
-                                     "weights": {"force": 1e-7},
-                                     "bcd": {"eps_f": 1e-9,
-                                             "solver": {"eps_abs": 1e-8}}})
-    plan, refs, settings, weights = materialize(sf2)
+    doc = make_gait("stand", N=20)
+    plan, refs, settings, weights = materialize({**doc, "weights": {"force": 1e-7},
+                                                 "bcd": {"eps_f": 1e-9,
+                                                         "solver": {"eps_abs": 1e-8}}})
     assert weights.force == 1e-7
     assert settings.eps_f == 1e-9
     assert settings.solver.eps_abs == 1e-8
     with pytest.raises(ScenarioError, match="weights"):
-        materialize(ScenarioFile.from_mapping({**sf.to_mapping(),
-                                               "weights": {"bogus": 1.0}}))
+        materialize({**doc, "weights": {"bogus": 1.0}})
 
 
 @pytest.mark.parametrize("solver", [{"polish": False}, {"check_termination_every": 10}])
 def test_removed_solver_settings_are_rejected(solver):
     # The solver exposes only eps_abs, eps_rel and max_iterations.
-    sf = make_gait("stand", N=20)
-    doc = {**sf.to_mapping(), "bcd": {"solver": solver}}
+    doc = {**make_gait("stand", N=20), "bcd": {"solver": solver}}
     with pytest.raises(ScenarioError) as info:
-        materialize(ScenarioFile.from_mapping(doc))
+        materialize(doc)
     assert info.value.path == "bcd"
