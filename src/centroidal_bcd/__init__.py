@@ -10,7 +10,7 @@ reported (``residuals.lever_consistency``), not closed.
 """
 
 from .bcd import BcdIterationRecord, BcdSettings, TrajectoryResult, consensus_metric, optimize
-from .force_qp import CostWeights
+from .structure import CostWeights
 from .model import (
     CentroidalState,
     ContactPhase,

@@ -38,13 +38,14 @@ import numpy as np
 
 from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_iterate, \
     nominal_footholds
-from .force_qp import CostWeights, ForceIterate, ForceQpInputs, build_force_qp, \
-    extract_force_iterate, force_original_cost
+from .force_qp import ForceIterate, ForceQpInputs, build_force_qp, extract_force_iterate, \
+    force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
     _integer, _nonnegative, _real, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
 from .qp.problem import QpSolution, SolverSettings
+from .structure import CostWeights
 
 __all__ = [
     "BcdSettings",
@@ -96,7 +97,7 @@ class BcdSettings:
 @dataclass(frozen=True)
 class BcdIterationRecord:
     """Bookkeeping for one outer iteration (or the final force solve, which
-    carries a zero contact time and repeats the last consensus value)."""
+    carries zero contact times and repeats the last consensus value)."""
 
     iteration: int
     force_qp_time: float
@@ -138,12 +139,19 @@ class BcdIterationRecord:
     # one plus the refinement steps per polish or active-set pass.
     force_band_solves: int = 0
     contact_band_solves: int = 0
+    # Seconds each block spent before its solve: building its QP (the
+    # plan's structure included, on the plan's first build) and setting up
+    # its solver handle or updating its values (the contact block's
+    # fallback handle included).
+    force_setup_time: float = 0.0
+    contact_setup_time: float = 0.0
 
     def as_dict(self) -> dict:
-        """Every field but the two solve times, which differ from run to run
-        and are written to timing.csv; ``eps_f_value`` is named ``eps_f``."""
+        """Every field but the solve and setup times, which differ from run
+        to run and are written to timing.csv; ``eps_f_value`` is named
+        ``eps_f``."""
         return {("eps_f" if f.name == "eps_f_value" else f.name): getattr(self, f.name)
-                for f in fields(self) if not f.name.endswith("_qp_time")}
+                for f in fields(self) if not f.name.endswith(("_qp_time", "_setup_time"))}
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,8 @@ class TrajectoryResult:
     final_record: BcdIterationRecord
     converged: bool
     residuals: ResidualReport
+    # The records' setup times summed: every block's builds and handle
+    # setups or value updates.
     setup_time: float = 0.0
     force_iterates: tuple | None = None
 
@@ -215,11 +225,12 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
                       tau=table.scatter(iterate.tau, table.flat))
 
 
-def _block_fields(block: str, sol: QpSolution) -> dict:
+def _block_fields(block: str, sol: QpSolution, setup_time: float) -> dict:
     """The fields of a ``BcdIterationRecord`` that one block's solve fills,
     named ``<block>_<field>``."""
     values = {
         "qp_time": sol.solve_time,
+        "setup_time": setup_time,
         "solver_iterations": sol.iterations,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
@@ -231,19 +242,28 @@ def _block_fields(block: str, sol: QpSolution) -> dict:
     return {f"{block}_{name}": value for name, value in values.items()}
 
 
+def _set_up(handle, kind, qp, settings: SolverSettings):
+    """The block's handle of type ``kind``, set up on ``qp`` or given its
+    values, and the seconds that took."""
+    t0 = time.perf_counter()
+    if handle is None:
+        handle = kind(qp, settings)
+    else:
+        handle.update_values(qp)
+    return handle, time.perf_counter() - t0
+
+
 def _solve_block(handle: InteriorPointSolver | None, qp, settings: SolverSettings,
                  block: str, iteration: int):
     """Set up or value-update the block's solver handle and solve once; any
     status but ``solved``, the iteration cap included, raises
-    ``BlockSolveError``."""
-    if handle is None:
-        handle = InteriorPointSolver(qp, settings)
-    else:
-        handle.update_values(qp)
+    ``BlockSolveError``. Returns the handle, the solution and the setup
+    seconds."""
+    handle, setup = _set_up(handle, InteriorPointSolver, qp, settings)
     sol = handle.solve()
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
-    return handle, sol
+    return handle, sol, setup
 
 
 def _solve_contact(direct: BandedActiveSetSolver | None,
@@ -252,21 +272,20 @@ def _solve_contact(direct: BandedActiveSetSolver | None,
     """Solve the contact QP directly; when the active-set solve is not
     accepted, log why and solve it with the interior-point method instead,
     through a handle created on the first fallback. Returns both handles,
-    the solution (timed over both attempts) and whether it fell back."""
-    if direct is None:
-        direct = BandedActiveSetSolver(qp, settings)
-    else:
-        direct.update_values(qp)
+    the solution (timed over both attempts), whether it fell back and the
+    setup seconds of both handles."""
+    direct, setup = _set_up(direct, BandedActiveSetSolver, qp, settings)
     sol = direct.solve()
     if sol.solved:
-        return direct, fallback, sol, False
+        return direct, fallback, sol, False, setup
     log.warning("contact QP direct solve not accepted at outer iteration %d (%s after %d "
                 "passes); falling back to the interior-point method", iteration, sol.status,
                 sol.iterations)
-    fallback, ipm = _solve_block(fallback, qp, settings, "contact", iteration)
-    return direct, fallback, replace(ipm, solve_time=sol.solve_time + ipm.solve_time,
-                                     factorizations=sol.factorizations + ipm.factorizations,
-                                     band_solves=sol.band_solves + ipm.band_solves), True
+    fallback, ipm, fallback_setup = _solve_block(fallback, qp, settings, "contact", iteration)
+    sol = replace(ipm, solve_time=sol.solve_time + ipm.solve_time,
+                  factorizations=sol.factorizations + ipm.factorizations,
+                  band_solves=sol.band_solves + ipm.band_solves)
+    return direct, fallback, sol, True, setup + fallback_setup
 
 
 def optimize(plan: ContactPlan, references: np.ndarray,
@@ -307,37 +326,35 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     converged = False
     eps_value = float("inf")
 
-    setup_time = 0.0
-
     def run_force(iteration: int, l_prox: float):
-        nonlocal force_handle, setup_time
+        nonlocal force_handle
         t0 = time.perf_counter()
         qp = build_force_qp(ForceQpInputs(
             plan=plan, ell_fixed=ell, p_fixed=p_fixed, references=references,
             weights=weights, h_reg=h_reg, l_prox=l_prox if h_reg is not None else 0.0))
-        force_handle, sol = _solve_block(force_handle, qp, settings.solver,
-                                         "force", iteration)
-        # Assembly, setup, and factorization updates are accounted separately
-        # from pure solve time.
-        setup_time += time.perf_counter() - t0 - sol.solve_time
+        # The build and the handle's setup or value update are timed apart
+        # from the solve.
+        build = time.perf_counter() - t0
+        force_handle, sol, setup = _solve_block(force_handle, qp, settings.solver,
+                                                "force", iteration)
         iterate = extract_force_iterate(sol, plan)
         if kept is not None:
             kept.append((iterate, ell, p_fixed))
-        return iterate, sol
+        return iterate, sol, build + setup
 
     k = 0
     while k < settings.max_outer_iterations:
         k += 1
-        force_iterate, force_sol = run_force(k, l_prox)
+        force_iterate, force_sol, force_setup = run_force(k, l_prox)
 
         t0 = time.perf_counter()
         qp_c = build_contact_qp(ContactQpInputs(
             plan=plan, f_fixed=force_iterate.f, h_reg=force_iterate.h,
             references=references, weights=weights,
             p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=l_prox))
-        contact_handle, contact_fallback_handle, contact_sol, fell_back = _solve_contact(
-            contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
-        setup_time += time.perf_counter() - t0 - contact_sol.solve_time
+        build = time.perf_counter() - t0
+        contact_handle, contact_fallback_handle, contact_sol, fell_back, contact_setup = \
+            _solve_contact(contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
         contact_iterate = extract_contact_iterate(contact_sol, plan)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
@@ -345,8 +362,8 @@ def optimize(plan: ContactPlan, references: np.ndarray,
             iteration=k, eps_f_value=eps_value,
             original_cost=force_original_cost(force_iterate, references, weights, plan),
             force_prox_weight=l_prox if h_reg is not None else 0.0, contact_prox_weight=l_prox,
-            contact_fallback=fell_back, **_block_fields("force", force_sol),
-            **_block_fields("contact", contact_sol))
+            contact_fallback=fell_back, **_block_fields("force", force_sol, force_setup),
+            **_block_fields("contact", contact_sol, build + contact_setup))
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -368,12 +385,12 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     # proximal pull: damping has done its job once the loop exits, and keeping
     # the grown weight would only bias the returned profiles away from the
     # task optimum at the settled lever geometry.
-    final_iterate, final_sol = run_force(k + 1, 0.0)
+    final_iterate, final_sol, final_setup = run_force(k + 1, 0.0)
     final_record = BcdIterationRecord(
         iteration=k + 1, contact_qp_time=0.0, contact_solver_iterations=0,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
-        **_block_fields("force", final_sol))
+        **_block_fields("force", final_sol, final_setup))
     if on_iteration is not None:
         on_iteration(final_record)
 
@@ -385,5 +402,6 @@ def optimize(plan: ContactPlan, references: np.ndarray,
         final_record=final_record,
         converged=converged,
         residuals=residuals,
-        setup_time=setup_time,
+        setup_time=sum(r.force_setup_time + r.contact_setup_time for r in records)
+        + final_record.force_setup_time,
         force_iterates=tuple(kept) if kept is not None else None)

@@ -39,13 +39,17 @@ Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .force_qp import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
-    recursion_rows, skew_entries, timestep_blocks
 from .model import ContactPlan, Polytope, _lever_geometry, _nonnegative, state_array
-from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
+from .qp.problem import QpSolution, SparseQP
+from .structure import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
+    recursion_rows, skew_entries, timestep_blocks
+
+if TYPE_CHECKING:
+    from .qp.pattern import QpPattern
 
 __all__ = [
     "ContactQpInputs",
@@ -113,7 +117,7 @@ class _Structure:
     ``plan.active_pairs()``; per-flat-pair arrays its flat-foot subset."""
 
     n: int                    # columns
-    pattern: TripletPattern
+    pattern: QpPattern
     a_data: np.ndarray        # constant entries; the skew slots hold zero
     lo: np.ndarray            # k rows hold only the initial state's term
     hi: np.ndarray
@@ -128,20 +132,29 @@ class _Structure:
     z_cols: np.ndarray        # (flat pairs, 2) center-of-pressure columns
 
 
-def _surface_rows(surface: Polytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (A, lo, hi) of lo <= A p <= hi describing ``surface``. Each exact
-    opposite pair of halfspaces (A_j = -A_i and b_j = -b_i, i < j) becomes
-    the equality row A_i p = b_i in place of row i, and row j is dropped;
-    every other halfspace stays a row A_i p <= b_i. A slab (b_j != -b_i)
-    keeps both of its rows."""
-    A, b = surface.A, surface.b
-    opposite = np.all(A[:, None, :] == -A[None, :, :], axis=2) & (b[:, None] == -b[None, :])
-    keep, lo = np.ones(b.size, dtype=bool), np.full(b.size, -np.inf)
-    for i, j in zip(*np.nonzero(np.triu(opposite, 1))):
-        # Each row joins at most one pair.
-        if keep[i] and keep[j] and lo[i] == -np.inf:
-            keep[j], lo[i] = False, b[i]
-    return A[keep], lo[keep], b[keep]
+def _surface_rows(surfaces: list[Polytope]) -> tuple[np.ndarray, ...]:
+    """Rows (A, lo, hi) of lo <= A p <= hi describing each of ``surfaces``,
+    concatenated, and the number of rows of each. Each exact opposite pair
+    of halfspaces (A_j = -A_i and b_j = -b_i, i < j) becomes the equality
+    row A_i p = b_i in place of row i, and row j is dropped; every other
+    halfspace stays a row A_i p <= b_i. A slab (b_j != -b_i) keeps both of
+    its rows. All surfaces are compared at once, padded with NaN rows,
+    which match nothing."""
+    size = np.array([s.b.size for s in surfaces], dtype=np.intp)
+    rows = np.arange(size.max(initial=0)) < size[:, None]
+    A, b = np.full((*rows.shape, 3), np.nan), np.full(rows.shape, np.nan)
+    if surfaces:
+        A[rows] = np.concatenate([s.A for s in surfaces])
+        b[rows] = np.concatenate([s.b for s in surfaces])
+    above = np.triu(np.ones((rows.shape[1],) * 2, dtype=bool), 1)
+    opposite = (np.all(A[:, :, None, :] == -A[:, None, :, :], axis=3)
+                & (b[:, :, None] == -b[:, None, :]) & above)
+    keep, lo = rows.copy(), np.full(b.shape, -np.inf)
+    # Each row joins at most one pair, the first it meets in row order.
+    for k, i, j in zip(*np.nonzero(opposite)):
+        if keep[k, i] and keep[k, j] and lo[k, i] == -np.inf:
+            keep[k, j], lo[k, i] = False, b[k, i]
+    return keep.sum(axis=1), A[keep], lo[keep], b[keep]
 
 
 # Entries of a dense 3x2 block in row-major order.
@@ -167,11 +180,15 @@ def _structure(plan: ContactPlan) -> _Structure:
     # Rows: the r and k recursions of each timestep, then per pair the
     # kinematic box, the center-of-pressure box and, at the phase's first
     # timestep, the surface, or later, the tie to the previous copy.
-    surfaces = [_surface_rows(plan.phases[j].surface) for j in table.phase[first]]
+    # The surface rows of every phase, reordered to follow its first pair.
+    count, surf_A, surf_lo, surf_hi = _surface_rows([ph.surface for ph in plan.phases])
+    count, start = count[table.phase[first]], (np.cumsum(count) - count)[table.phase[first]]
+    offset, surf_row = np.cumsum(count) - count, np.arange(count.sum())
+    surf = np.repeat(start - offset, count) + surf_row
     tail = np.full(t.size, 3, dtype=np.int64)
-    tail[first] = [lo.size for _, lo, _ in surfaces]
+    tail[first] = count
     t_row, pair_row, m_c = timestep_blocks(table, 6, 3 + 2 * flat + tail)
-    e = Entries(m_c)
+    e = Entries((m_c, n))
     com_rows(e, plan, cols, t_row)
     # k_t - k_{t-1} - dt sum_e [skew(f) r_t - skew(f) p_e - skew(f) R z]
     #   = dt sum_e tau_fixed. The skew slots stay structural so the pattern
@@ -193,22 +210,18 @@ def _structure(plan: ContactPlan) -> _Structure:
     e.add(zmp_rows, z_cols, 1.0)
     e.lo[zmp_rows], e.hi[zmp_rows] = box[:, 0], box[:, 1]
     tail_row = pair_row + 3 + 2 * flat
-    if surfaces:
-        count = tail[first]
-        surf_rows = np.repeat(tail_row[first] - np.cumsum(count) + count, count) \
-            + np.arange(count.sum())
-        surf_A, surf_lo, surf_hi = (np.concatenate(part) for part in zip(*surfaces))
-        e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0), surf_A)
-        e.lo[surf_rows], e.hi[surf_rows] = surf_lo, surf_hi
-    # Copy ties: each later copy equals its phase's copy one timestep earlier.
-    by_phase = np.lexsort((t, table.phase))
-    previous = np.empty_like(by_phase)
-    previous[by_phase[1:]] = by_phase[:-1]
+    surf_rows = np.repeat(tail_row[first] - offset, count) + surf_row
+    e.add(surf_rows[:, None], np.repeat(p_cols[first], count, axis=0), surf_A[surf])
+    e.lo[surf_rows], e.hi[surf_rows] = surf_lo[surf], surf_hi[surf]
+    # Copy ties: each later copy equals its phase's copy one timestep
+    # earlier, the same effector's pair there.
+    pair_at = np.zeros((plan.horizon, len(plan.effector_ids)), dtype=np.intp)
+    pair_at[t, table.effector] = np.arange(t.size)
     tie_rows = tail_row[later, None] + np.arange(3)
     e.add(tie_rows, copy_cols[later], 1.0)
-    e.add(tie_rows, copy_cols[previous[later]], -1.0)
+    e.add(tie_rows, copy_cols[pair_at[t[later] - 1, table.effector[later]]], -1.0)
     e.lo[tie_rows] = e.hi[tie_rows] = 0.0
-    pattern, a_data, lo, hi = e.build(n)
+    pattern, a_data, lo, hi = e.build()
     return _Structure(
         n=n, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
         r_skew_pos=pattern.positions(r_skew), p_skew_pos=pattern.positions(p_skew),
@@ -248,8 +261,8 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     q[s.copy_cols] = -2.0 * w.foothold * nominal_footholds(plan, inputs.references)
     if inputs.p_reg is not None:
         q[s.copy_cols] -= p_prox * inputs.p_reg
-    return SparseQP(n=s.n, m_c=lo.size, P=diagonal(d), q=q,
-                    A=s.pattern.matrix(a_data), lo=lo, hi=hi)
+    return SparseQP(n=s.n, m_c=lo.size, P=s.pattern.p_matrix(d), q=q,
+                    A=s.pattern.a_matrix(a_data), lo=lo, hi=hi, pattern=s.pattern)
 
 
 @dataclass(frozen=True)

@@ -20,87 +20,33 @@ with array arithmetic over the timesteps and the plan's active pairs; each
 build copies them and fills in the lever-arm, foothold and cost values with
 numpy, and extraction reads the iterate through the same columns. Inputs and
 iterates are arrays: one row per active pair in ``plan.active_pairs()``
-order, and (N, 9) state arrays, the references among them. The helpers
-both trajectory QPs share (column and row offsets, recursion rows) live
-here too.
+order, and (N, 9) state arrays, the references among them. What both
+trajectory QPs share (cost weights, column and row offsets, recursion rows,
+entry placement) lives in :mod:`~centroidal_bcd.structure`.
 """
 
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ContactPlan, PairTable, _float_array, _nonnegative, state_array
-from .qp.problem import QpSolution, SparseQP, TripletPattern, diagonal
+from .model import ContactPlan, _nonnegative, state_array
+from .qp.problem import QpSolution, SparseQP
+from .structure import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
+    recursion_rows, skew_entries, timestep_blocks
+
+if TYPE_CHECKING:
+    from .qp.pattern import QpPattern
 
 __all__ = [
-    "CostWeights",
     "ForceQpInputs",
     "ForceIterate",
-    "QpNotSolved",
     "build_force_qp",
     "extract_force_iterate",
     "force_original_cost",
 ]
-
-
-class QpNotSolved(RuntimeError):
-    """Raised when extraction is attempted on a non-solved QP solution."""
-
-    def __init__(self, status: str):
-        super().__init__(f"QP did not solve: status={status}")
-        self.status = status
-
-
-def _weights9(x, name: str) -> np.ndarray:
-    w = _float_array(x, name).reshape(-1)
-    if w.size == 3:
-        w = np.repeat(w, 3)
-    if w.shape != (9,):
-        raise ValueError(f"{name} must have 3 (per r/l/k) or 9 entries")
-    for v in w.tolist():
-        _nonnegative(v, name)
-    w.setflags(write=False)
-    return w
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Diagonal cost weights shared by both trajectory subproblems.
-
-    ``tracking`` is the reference-tracking weight over the stacked state
-    (r, l, k); ``running_h`` is the extra running penalty on the same
-    deviation (kept separate so the contact subproblem, which carries no
-    tracking term, can still see the state). ``terminal`` is added on the last
-    timestep. Scalars weigh the squared magnitudes of forces and contact
-    torques (force QP) and of the center-of-pressure offsets (``zmp``,
-    contact QP), and the pull of footholds toward their nominal placement.
-    """
-
-    tracking: np.ndarray = field(default_factory=lambda: np.array([1e2, 1e1, 1e3]))
-    running_h: np.ndarray = field(default_factory=lambda: np.array([1e2, 1e1, 1e3]))
-    terminal: np.ndarray = field(default_factory=lambda: np.array([1e3, 1e4, 1e4]))
-    force: float = 1e-9
-    torque: float = 1e-4
-    zmp: float = 1e-2
-    foothold: float = 1e2
-
-    def __post_init__(self):
-        object.__setattr__(self, "tracking", _weights9(self.tracking, "tracking"))
-        object.__setattr__(self, "running_h", _weights9(self.running_h, "running_h"))
-        object.__setattr__(self, "terminal", _weights9(self.terminal, "terminal"))
-        for name in ("force", "torque", "zmp", "foothold"):
-            _nonnegative(getattr(self, name), name)
-
-    def state(self, horizon: int) -> np.ndarray:
-        """(N, 9) weights on each state's deviation from its reference:
-        tracking, plus ``terminal`` on the last timestep, plus ``running_h``."""
-        W = np.tile(self.tracking, (horizon, 1))
-        W[-1] += self.terminal
-        return W + self.running_h
 
 
 @dataclass(frozen=True)
@@ -134,106 +80,13 @@ class ForceQpInputs:
             object.__setattr__(self, name, self.plan.pair_table.rows(getattr(self, name), name))
 
 
-# Off-diagonal (i, j) entries of a 3x3 cross-product matrix, and the sign and
-# component of v giving skew(v)[i, j] for each.
-SKEW_I = np.array([0, 0, 1, 1, 2, 2])
-SKEW_J = np.array([1, 2, 0, 2, 0, 1])
-_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-_SKEW_COMPONENT = np.array([2, 1, 2, 0, 1, 0])
-
-
-def skew_entries(V: np.ndarray) -> np.ndarray:
-    """(k, 6) values of skew(v) at (``SKEW_I``, ``SKEW_J``) for each row v of
-    ``V``."""
-    return _SKEW_SIGN * V[:, _SKEW_COMPONENT]
-
-
-def per_plan(build):
-    """Cache ``build(plan)`` for as long as the plan lives. Plans hash by
-    identity; the cached value must not refer back to its plan."""
-    cache = weakref.WeakKeyDictionary()
-
-    @functools.wraps(build)
-    def cached(plan: ContactPlan):
-        if plan not in cache:
-            cache[plan] = build(plan)
-        return cache[plan]
-
-    return cached
-
-
-def timestep_blocks(table: PairTable, head: int, width) -> tuple[np.ndarray, np.ndarray, int]:
-    """First index of every timestep's head block and of every pair, and the
-    total, when each timestep holds ``width[i]`` columns (or rows) for each of
-    its pairs i, then ``head`` of its own, as both trajectory QPs order them.
-
-    Pairs first: the recursion rows of timestep t then touch one contiguous
-    run of columns, the state of t - 1, the pairs of t and the state of t, so
-    the reduced Newton matrix of either QP has a half-bandwidth of 24 in this
-    order."""
-    before = np.concatenate([[0], np.cumsum(np.broadcast_to(width, table.t.shape))])
-    N = table.start.size - 1
-    return (head * np.arange(N) + before[table.start[1:]], head * table.t + before[:-1],
-            head * N + int(before[-1]))
-
-
-class Entries:
-    """Constraint rows of a fixed sparsity pattern, placed as arrays; ``lo``
-    and ``hi`` are the row bounds. Entries on the same (row, column)
-    accumulate, and zeros stay structural."""
-
-    def __init__(self, m: int):
-        self.lo, self.hi, self._parts = np.full(m, np.nan), np.full(m, np.nan), []
-
-    def add(self, rows, cols, vals=0.0) -> np.ndarray:
-        """Place entries (rows, columns and values broadcast together) and
-        return their slots, which ``TripletPattern.positions`` maps into the
-        assembled ``data`` array."""
-        rows, cols, vals = np.broadcast_arrays(rows, cols, np.asarray(vals, dtype=float))
-        start = sum(part[0].size for part in self._parts)
-        self._parts.append((rows.reshape(-1), cols.reshape(-1), vals.reshape(-1)))
-        return start + np.arange(rows.size).reshape(rows.shape)
-
-    def build(self, n: int) -> tuple[TripletPattern, np.ndarray, np.ndarray, np.ndarray]:
-        """The pattern over ``n`` columns, its assembled ``data`` (reserved
-        slots zero) and the row bounds, read-only: builds fill copies."""
-        rows, cols, vals = map(np.concatenate, zip(*self._parts))
-        pattern = TripletPattern(rows, cols, (self.lo.size, n))
-        arrays = (pattern.assemble(vals).data, self.lo, self.hi)
-        for a in arrays:
-            a.setflags(write=False)
-        return (pattern, *arrays)
-
-
-def recursion_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray,
-                   quantity: str, rhs) -> np.ndarray:
-    """Rows x_t - x_{t-1} (+ terms placed by the caller) = rhs of the state
-    quantity "r", "l" or "k" from row ``row[t]`` of every timestep, with
-    x_{-1} the plan's initial state moved to the right-hand side. Returns
-    the (N, 3) rows."""
-    c = 3 * "rlk".index(quantity)
-    rows, x = row[:, None] + np.arange(3), cols[:, c:c + 3]
-    e.add(rows, x, 1.0)
-    e.add(rows[1:], x[:-1], -1.0)
-    rhs = np.tile(rhs, (row.size, 1))
-    rhs[0] = rhs[0] + plan.h0[c:c + 3]
-    e.lo[rows] = e.hi[rows] = rhs
-    return rows
-
-
-def com_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray) -> None:
-    """CoM recursion r_t - r_{t-1} - (dt/m) l_t = 0."""
-    rows = recursion_rows(e, plan, cols, row, "r", np.zeros(3))
-    e.add(rows, cols[:, 3:6], -plan.dt / plan.mass)
-
-
 @dataclass(frozen=True)
 class _Structure:
     """Plan-only part of the Force-QP. Per-pair arrays follow
     ``plan.active_pairs()``."""
 
     n: int                    # columns
-    pattern: TripletPattern
+    pattern: QpPattern
     a_data: np.ndarray        # constant entries; the skew slots hold zero
     lo: np.ndarray            # kinematic rows hold -L and +L; builds add p_fixed
     hi: np.ndarray
@@ -257,7 +110,7 @@ def _structure(plan: ContactPlan) -> _Structure:
     # Rows: the r, l and k recursions of each timestep, then per pair the
     # friction pyramid and the kinematic box.
     t_row, pair_row, m_c = timestep_blocks(table, 9, 7)
-    e = Entries(m_c)
+    e = Entries((m_c, n))
     com_rows(e, plan, cols, t_row)
     # l_t - l_{t-1} - dt sum_e f = m g dt
     l_rows = recursion_rows(e, plan, cols, t_row + 3, "l", m * plan.gravity * dt)
@@ -281,7 +134,7 @@ def _structure(plan: ContactPlan) -> _Structure:
     kin_rows = pair_row[:, None] + 4 + np.arange(3)
     e.add(kin_rows, cols[t, 0:3], 1.0)
     e.lo[kin_rows], e.hi[kin_rows] = -plan.kinematic_limit, plan.kinematic_limit
-    pattern, a_data, lo, hi = e.build(n)
+    pattern, a_data, lo, hi = e.build()
     return _Structure(n=n, pattern=pattern, a_data=a_data, lo=lo, hi=hi, state_cols=cols,
                       f_cols=f_cols, tau_cols=tau_cols,
                       skew_pos=pattern.positions(skew_slots), kin_rows=kin_rows)
@@ -313,8 +166,8 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     x0 = np.zeros(s.n)
     x0[s.state_cols] = inputs.references
     x0[s.f_cols] = -plan.mass * plan.gravity / np.diff(table.start)[table.t, None]
-    return SparseQP(n=s.n, m_c=lo.size, P=diagonal(d), q=q,
-                    A=s.pattern.matrix(a_data), lo=lo, hi=hi, x0=x0)
+    return SparseQP(n=s.n, m_c=lo.size, P=s.pattern.p_matrix(d), q=q,
+                    A=s.pattern.a_matrix(a_data), lo=lo, hi=hi, x0=x0, pattern=s.pattern)
 
 
 @dataclass(frozen=True, eq=False)

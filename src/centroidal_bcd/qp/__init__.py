@@ -7,7 +7,6 @@ from .problem import (
     QpSolution,
     SolverSettings,
     SparseQP,
-    TripletPattern,
     kkt_residuals,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "QpSolution",
     "SolverSettings",
     "SparseQP",
-    "TripletPattern",
     "kkt_residuals",
 ]

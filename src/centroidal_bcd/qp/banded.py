@@ -19,22 +19,27 @@ but ``dpbtrf`` then feeds its rank-one updates strided vectors, which
 OpenBLAS sends through its threaded path: with two BLAS threads one
 factorization at n = 9,072 took 13-15 ms instead of 1.2 ms.)
 
-The band is assembled through a map built once per handle from the patterns
-of P and A. Every lower-band entry of A' W A is a sum of products A_ki A_kj
-over the rows k that hold both columns, so the map lists each such pair of
-A entries (one orientation, lower triangle) with its row and its slot in the
-Fortran-ordered band, together with P's lower entries and the diagonal.
-Listed row by row, then P, then the diagonal, the terms are already grouped
-by their weight in [w, 1, shift]: they are the ``data`` of a CSC matrix with
-one column per weight and one row per band slot. The band is that matrix
-times the weights, one sparse product, and a factorization adds LAPACK's
-``dpbtrf``. A held-set pass computes the terms of the unscaled P and A when
-it runs, once per active-set solve or polish; the interior-point method
-keeps the terms of its scaled P and A, which every iteration factors.
+The band is assembled through the band map of the QP's symbolic record
+(:mod:`~centroidal_bcd.qp.pattern`), which a trajectory builder makes once
+per plan and a QP from anywhere else gets at setup. Every lower-band entry
+of A' W A is a sum of products A_ki A_kj over the rows k that hold both
+columns, so the map lists each such pair of A entries (one orientation,
+lower triangle) with its slot in the Fortran-ordered band, together with
+P's lower entries and the diagonal. Listed row by row, then P, then the
+diagonal, the terms are already grouped by their weight in [w, 1, shift]:
+they are the ``data`` of a CSC matrix with one column per weight and one
+row per band slot. The band is that matrix times the weights, one sparse
+product, and a factorization adds LAPACK's ``dpbtrf``. A held-set pass
+refreshes the handle's terms of the unscaled P and A when it runs, once per
+active-set solve or polish; the interior-point method keeps the terms of
+its scaled P and A, which every iteration factors.
 
-A handle takes new values in one form, ``update_values(qp)``: a QP of the
-setup's P and A patterns, whose values pass the same checks as the
-setup's. Nothing is factored until a solve.
+A handle holds references to the record's arrays and copies none. It takes
+new values in one form, ``update_values(qp)``: a QP of the setup's P and A
+patterns, whose values pass the same checks as the setup's. A builder's QP
+holds the record's own index arrays, which the update recognizes by
+identity; any other QP has its index arrays compared. Nothing is factored
+until a solve.
 
 A set of rows held at given values (equality rows plus inequality rows held
 at one of their bounds) is solved as the delta-regularized KKT system with
@@ -59,9 +64,9 @@ ten passes reports so, and the caller falls back to the interior-point
 method.
 
 scipy is imported where it is used, not with this module: each handle binds
-LAPACK's ``dpbtrf`` and ``dpbtrs`` once when it is built, and the band
-map's term matrix imports ``scipy.sparse``. A process that builds no handle
-never loads scipy.
+LAPACK's ``dpbtrf`` and ``dpbtrs`` once when it is built, and the record
+imports ``scipy.sparse`` where it makes a matrix. A process that builds no
+handle never loads scipy, nor the record's module.
 """
 
 from __future__ import annotations
@@ -89,18 +94,12 @@ _REFINE_STEPS = 3       # refinement steps of every held-set pass
 _MAX_PASSES = 10
 
 
-def _entry_cols(M: sp.csc_matrix) -> np.ndarray:
-    """Column index of every stored entry of a CSC matrix."""
-    return np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-
-
-def _entries_by_row(M: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of a CSC matrix's stored entries grouped by row (stable),
-    and the start of each row's group (with the total as a last element)."""
-    order = np.argsort(M.indices, kind="stable")
-    row_ptr = np.zeros(M.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(M.indices, minlength=M.shape[0]), out=row_ptr[1:])
-    return order, row_ptr
+def _check_pattern(name: str, M: sp.csc_matrix, setup: sp.csc_matrix) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``M`` has the pattern of
+    ``setup``."""
+    if (M.shape != setup.shape or not np.array_equal(M.indptr, setup.indptr)
+            or not np.array_equal(M.indices, setup.indices)):
+        raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -120,98 +119,19 @@ def _wrongly_signed(y: np.ndarray, low: np.ndarray, upp: np.ndarray,
     return (low & (y > tol)) | (upp & (y < -tol))
 
 
-class _BandMap:
-    """Where every term of P + shift I + A' diag(w) A lands in its lower
-    band, for fixed patterns of P and A, in the problem's own column order.
-
-    A term is the product of two stored values of ``[A.data, P.data, 1]``,
-    weighted by one of ``[w, 1, shift]``: a pair of A entries sharing a row
-    k of A (in the lower-triangle orientation only) with weight w_k, a lower
-    entry of P times 1 with weight 1, or 1 times 1 on the diagonal with
-    weight shift. The band is LAPACK lower storage in Fortran order, so band
-    entry (i - j, j) sits at flat position j (bandwidth + 1) + i - j, the
-    half-bandwidth being the largest i - j among the terms.
-
-    The terms are listed by weight (A's rows in order, then P, then the
-    diagonal), which makes them the ``data`` of a CSC matrix with one column
-    per weight and one row per band slot: the band is that matrix times the
-    weights. A must store each (row, column) once: the pairs are generated
-    in each row's column order, which a duplicate entry would break, so one
-    raises ``ValueError`` naming A.
-    """
-
-    def __init__(self, P: sp.csc_matrix, A: sp.csc_matrix, by_row: np.ndarray,
-                 row_ptr: np.ndarray):
-        n, m = P.shape[1], A.shape[0]
-        # A's entries grouped by row (``_entries_by_row(A)``): within a row
-        # they run in column order, since CSC positions grow with the column.
-        rows = A.indices[by_row].astype(np.intp)
-        cols = _entry_cols(A)[by_row]
-        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        if same.any():
-            k = int(np.argmax(same))
-            raise ValueError(f"A holds duplicate entries at ({rows[k]}, {cols[k]})")
-        # Without duplicates the columns rise strictly within a row, so each
-        # entry's lower-orientation partners are the entries of its row up to
-        # itself: entry a, the k-th of its row, pairs with the first k + 1.
-        reps = np.arange(rows.size) - row_ptr[rows] + 1
-        a = np.repeat(np.arange(rows.size), reps)
-        b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - row_ptr[rows], reps)
-        p_rows, p_cols = P.indices, _entry_cols(P)
-        p_lower = np.flatnonzero(p_rows >= p_cols)
-        # Indices into [A.data, P.data, 1], and the column of each term's
-        # weight in [w, 1, shift]: nondecreasing, since the A pairs run
-        # through A's rows in order.
-        one, diagonal = A.nnz + P.nnz, np.arange(n)
-        self.left = np.concatenate([by_row[a], A.nnz + p_lower, np.full(n, one)])
-        self.right = np.concatenate([by_row[b], np.full(p_lower.size + n, one)])
-        weight = np.concatenate([rows[a], np.full(p_lower.size, m), np.full(n, m + 1)])
-        i = np.concatenate([cols[a], p_rows[p_lower], diagonal])
-        j = np.concatenate([cols[b], p_cols[p_lower], diagonal])
-        self.half_bandwidth = int(np.max(i - j, initial=0))
-        width = self.half_bandwidth + 1
-        self.n, self.shape = n, (n * width, m + 2)
-        self.slot = (j * width + (i - j)).astype(np.int32)
-        self.indptr = np.zeros(m + 3, dtype=np.int32)
-        np.cumsum(np.bincount(weight, minlength=m + 2), out=self.indptr[1:])
-        # Half-width term indices: the map is most of a handle's memory, and
-        # these gathers run once per held-set solve or scaled value update.
-        self.left, self.right = (v.astype(np.int32) for v in (self.left, self.right))
-
-    def term_values(self, P_data: np.ndarray, A_data: np.ndarray) -> np.ndarray:
-        """Every unweighted term for the given values of the two patterns,
-        in the order of the term matrix's ``data``."""
-        values = np.concatenate([A_data, P_data, [1.0]])
-        return values[self.left] * values[self.right]
-
-    def terms(self, P_data: np.ndarray, A_data: np.ndarray) -> sp.csc_matrix:
-        """The term matrix: each unweighted term in its band slot's row and
-        its weight's column. A matrix refreshed on every value update keeps
-        its structure and takes new :meth:`term_values` as its ``data``,
-        which skips the 20-50 us of format checks that building a scipy
-        matrix costs."""
-        import scipy.sparse as sp
-        return sp.csc_matrix((self.term_values(P_data, A_data), self.slot, self.indptr),
-                             shape=self.shape)
-
-    def band(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
-        """The lower band of P + shift I + A' diag(w) A, Fortran-ordered."""
-        band = terms @ np.concatenate([w, [1.0, shift]])
-        return band.reshape(self.n, -1).T
-
-
 class BandedKkt:
     """One QP's unscaled data, the band map of its reduced KKT matrices and
     their banded factorization.
 
     Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
-    the ``QpSolution`` convention). Setup and every value update take the
-    QP's values through one intake (:meth:`_take_values`): P and A must
-    keep the setup's patterns (``SparseQP`` has rejected non-finite matrix
-    or q values, NaN bounds and lo > hi when the QP was made). Duplicate
-    entries of A raise at setup; a QP of at most 200 variables is then
-    checked by ``SparseQP.validate`` (symmetric, positive semidefinite P).
-    Single-threaded per handle.
+    the ``QpSolution`` convention). ``pattern`` is the QP's symbolic record
+    (``QpPattern``), the builder's or one made at setup. Setup and every
+    value update take the QP's values through one intake
+    (:meth:`_take_values`): P and A must keep the setup's patterns
+    (``SparseQP`` has rejected non-finite matrix or q values, NaN bounds and
+    lo > hi when the QP was made). Duplicate entries of A raise at setup; a
+    QP of at most 200 variables is then checked by ``SparseQP.validate``
+    (symmetric, positive semidefinite P). Single-threaded per handle.
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
@@ -219,42 +139,49 @@ class BandedKkt:
         # cholesky_banded wrapper adds about 7 us of argument handling to
         # each call.
         from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        from .pattern import QpPattern
         self._dpbtrf, self._dpbtrs = dpbtrf, dpbtrs
         self.settings = settings or SolverSettings()
         self.n = qp.n
         self.m = qp.m_c
-        # The setup's patterns, whose values every update replaces.
-        self._P = qp.P.tocsc(copy=True)
-        self._A = qp.A.tocsc(copy=True)
+        # The builder's record, or one built here from the QP's own
+        # matrices; the handle's matrices hold its index arrays, and every
+        # update replaces their values.
+        self.pattern = pattern = (qp.pattern if qp.pattern is not None and qp.pattern.holds(qp)
+                                  else QpPattern.of(qp))
+        self._P = pattern.p_matrix(np.zeros(pattern.p_indices.size))
+        self._A = pattern.a_matrix(np.zeros(pattern.nnz))
         # A' kept beside A, built once: scipy builds a new matrix on every
         # ``A.T``, which at trot N = 75 costs twice the product itself. The
-        # intake assigns A's new ``data`` to both.
+        # two share one ``data`` array, which the intake writes in place.
         self._AT = self._A.T
+        self._AT.data = self._A.data
         self._take_values(qp)
         if qp.n <= 200:
             qp.validate()
-        self._P_cols = _entry_cols(self._P)
-        self._A_cols = _entry_cols(self._A)
-        # A's entries grouped by row, for the band map and the row maxima
-        # of the interior-point method's equilibration.
-        self._A_by_row = _entries_by_row(self._A)
-        self._map = _BandMap(self._P, self._A, *self._A_by_row)
+        self._map = pattern.band_map
         self.half_bandwidth = self._map.half_bandwidth
         self.band_solves = 0
+        self._terms = None
 
     def _take_values(self, qp: SparseQP) -> None:
         """Make ``qp``'s values the handle's; a QP whose patterns differ
-        from the setup's leaves the handle as it was. ``SparseQP`` itself
-        has checked the values."""
-        P, A = qp.P.tocsc(), qp.A.tocsc()
-        for name, M, setup in (("P", P, self._P), ("A", A, self._A)):
-            if (M.shape != setup.shape or not np.array_equal(M.indptr, setup.indptr)
-                    or not np.array_equal(M.indices, setup.indices)):
-                raise ValueError(f"{name} sparsity pattern does not match the setup pattern")
-        # Copies, which the caller's later writes to its arrays cannot reach;
-        # infinite bounds become the sentinel.
-        self._P.data = np.array(P.data, dtype=float)
-        self._A.data = self._AT.data = np.array(A.data, dtype=float)
+        from the setup's leaves the handle as it was. A QP of the handle's
+        own record is recognized by identity (``QpPattern.holds``); any
+        other has its index arrays compared. ``SparseQP`` itself has checked
+        the values."""
+        if self.pattern.holds(qp):
+            P, A = qp.P, qp.A
+        else:
+            from .pattern import canonical
+            P, A = canonical(qp.P), canonical(qp.A)
+            _check_pattern("P", P, self._P)
+            _check_pattern("A", A, self._A)
+        # Copies into the handle's own arrays, which the caller's later
+        # writes cannot reach; infinite bounds become the sentinel.
+        np.copyto(self._P.data, P.data)
+        np.copyto(self._A.data, A.data)
         self._q = qp.q.copy()
         self._lo, self._hi = np.clip(qp.lo, -INFTY, INFTY), np.clip(qp.hi, -INFTY, INFTY)
 
@@ -262,6 +189,15 @@ class BandedKkt:
         """Take the values of ``qp``, a QP of the setup's P and A patterns;
         nothing is factored until a solve. Infinite bounds are legal."""
         self._take_values(qp)
+
+    def _unscaled_terms(self) -> sp.csc_matrix:
+        """The band map's term matrix of the handle's unscaled P and A, made
+        on first use and refreshed in place on later calls."""
+        if self._terms is None:
+            self._terms = self._map.terms(self._P.data, self._A.data)
+        else:
+            self._map.term_values(self._P.data, self._A.data, out=self._terms.data)
+        return self._terms
 
     def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
@@ -348,7 +284,7 @@ class BandedActiveSetSolver(BandedKkt):
         pri = dua = float("nan")
         status, passes = "max_iter", 0
         factored_before, solved_before = self.factorizations, self.band_solves
-        terms = self._map.terms(self._P.data, self._A.data)
+        terms = self._unscaled_terms()
         for passes in range(1, _MAX_PASSES + 1):
             try:
                 x, y, Ax, pri, dua, pri_tol, dua_tol, wrong = self._held_set_pass(

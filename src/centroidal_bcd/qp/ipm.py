@@ -35,8 +35,9 @@ reduction. Every one of these leaves the iterates bitwise as they were.
 
 The data are Ruiz-equilibrated (Ruiz, RAL-TR-2001-034, 2001) once per
 handle, on the stored entries of P and A at setup: column and row maxima are
-segment reductions over the entry arrays, and each round multiplies the
-entries by their row and column factors, so no scaled matrix is assembled.
+``np.maximum.at`` over each entry's column and row, and each round
+multiplies the entries by their row and column factors, so no scaled matrix
+is assembled.
 Two rounds are run. Further rounds buy no iterations: on the 27 scenarios
 of the benchmark's workloads at seeds 1-3 (one parameter perturbed by up to
 0.1%), starting from x = 0, 10 rounds took 662 force iterations in all, 4
@@ -111,20 +112,12 @@ _RUIZ_ITERATIONS = 2
 _POLISH_DELTA = 1e-7
 
 
-def _groups(indptr: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """The groups ``[indptr[i], indptr[i + 1])`` for :func:`_group_max`:
-    their count, which are nonempty, and where those start."""
-    nonempty = indptr[1:] > indptr[:-1]
-    return indptr.size - 1, nonempty, indptr[:-1][nonempty]
-
-
-def _group_max(values: np.ndarray, groups) -> np.ndarray:
-    """Largest of ``values`` over every group of :func:`_groups`; 0 for an
-    empty group. ``values`` are nonnegative."""
-    count, nonempty, starts = groups
+def _group_max(values: np.ndarray, group: np.ndarray, count: int) -> np.ndarray:
+    """Largest of ``values`` in each of ``count`` groups, ``group`` giving
+    the group of each value; 0 for an empty group. ``values`` are
+    nonnegative."""
     out = np.zeros(count)
-    if values.size:
-        out[nonempty] = np.maximum.reduceat(values, starts)
+    np.maximum.at(out, group, values)
     return out
 
 
@@ -169,12 +162,14 @@ class InteriorPointSolver(BandedKkt):
         # solve starts; None starts it cold.
         self._last = None
         self._scale()
-        # The scaled matrices share the patterns of P, A and A', and are
-        # built once (A' on A's index arrays), as is the term matrix of the
-        # scaled P and A, which every iteration factors; a value update
-        # assigns their ``data``.
-        self._Ps, self._As = self._P.copy(), self._A.copy()
+        # The scaled matrices hold the record's index arrays, and are built
+        # once (A' on A's ``data``), as is the term matrix of the scaled P
+        # and A, which every iteration factors; a value update writes their
+        # ``data`` in place.
+        self._Ps = self.pattern.p_matrix(np.empty(self._P.data.size))
+        self._As = self.pattern.a_matrix(np.empty(self._A.data.size))
         self._AsT = self._As.T
+        self._AsT.data = self._As.data
         self._scale_values(qp)
         self._terms_s = self._map.terms(self._Ps.data, self._As.data)
 
@@ -183,7 +178,7 @@ class InteriorPointSolver(BandedKkt):
         scales the new values and the band terms of the scaled P and A."""
         super().update_values(qp)
         self._scale_values(qp)
-        self._terms_s.data = self._map.term_values(self._Ps.data, self._As.data)
+        self._map.term_values(self._Ps.data, self._As.data, out=self._terms_s.data)
 
     # -- problem scaling -------------------------------------------------
 
@@ -194,29 +189,41 @@ class InteriorPointSolver(BandedKkt):
         Each round scales the columns by the largest entries of [P; A], the
         rows by the largest entries of A, then the cost by its magnitude.
         """
-        P, A = self._P, self._A
-        by_row, row_ptr = self._A_by_row
-        p_cols, a_cols, a_rows = _groups(P.indptr), _groups(A.indptr), _groups(row_ptr)
+        P, A, n, m = self._P, self._A, self.n, self.m
+        # The row and column of every stored entry, as gather indices.
+        p_rows, a_rows = P.indices.astype(np.intp), A.indices.astype(np.intp)
+        p_cols = np.repeat(np.arange(n), np.diff(P.indptr))
+        a_cols = np.repeat(np.arange(n), np.diff(A.indptr))
         self._d = np.ones(self.n)
         self._e = np.ones(self.m)
         self._c = 1.0
+        # A's entries are scaled in place, through two buffers of their size.
         p, a, qb = P.data.copy(), A.data.copy(), self._q.copy()
+        abs_a, scaled = np.empty_like(a), np.empty_like(a)
         for _ in range(_RUIZ_ITERATIONS):
-            abs_a = np.abs(a)
-            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), p_cols),
-                                              _group_max(abs_a, a_cols)))
-            dy = _guarded_inv_sqrt(_group_max(abs_a[by_row], a_rows))
-            p = dx[P.indices] * p * dx[self._P_cols]
+            np.abs(a, out=abs_a)
+            dx = _guarded_inv_sqrt(np.maximum(_group_max(np.abs(p), p_cols, n),
+                                              _group_max(abs_a, a_cols, n)))
+            dy = _guarded_inv_sqrt(_group_max(abs_a, a_rows, m))
+            p = dx[p_rows] * p * dx[p_cols]
             qb = dx * qb
-            a = dy[A.indices] * a * dx[self._A_cols]
+            np.take(dy, a_rows, out=scaled)
+            scaled *= a
+            scaled *= np.take(dx, a_cols, out=abs_a)
+            a, scaled = scaled, a
             self._d *= dx
             self._e *= dy
-            cost_norm = max(float(np.mean(_group_max(np.abs(p), p_cols))),
+            cost_norm = max(float(np.mean(_group_max(np.abs(p), p_cols, n))),
                             float(np.max(np.abs(qb), initial=0.0)))
             gamma = 1.0 / cost_norm if cost_norm > 1e-8 else 1.0
             p = p * gamma
             qb = qb * gamma
             self._c *= gamma
+        # The factors each stored entry of P and A is scaled by, fixed from
+        # here on.
+        d, e = self._d, self._e
+        self._p_factor = self._c * d[p_rows] * d[p_cols]
+        self._a_factor = e[a_rows] * d[a_cols]
 
     def _scale_values(self, qp: SparseQP) -> None:
         """Scale P, A, q, the bounds and ``qp``'s start point (x = 0
@@ -225,10 +232,8 @@ class InteriorPointSolver(BandedKkt):
         g'x >= b of the finite inequality bounds. A new partition drops the
         warm start, whose multipliers and slacks belong to the old one."""
         d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
-        self._Ps.data = c * d[self._P.indices] * d[self._P_cols] * self._P.data
-        if self.m:
-            self._As.data = self._AsT.data = (
-                e[self._A.indices] * d[self._A_cols] * self._A.data)
+        np.multiply(self._p_factor, self._P.data, out=self._Ps.data)
+        np.multiply(self._a_factor, self._A.data, out=self._As.data)
         self._x0 = np.zeros(self.n) if qp.x0 is None else qp.x0 / d
         self._qs = c * d * self._q
         # The unscaled q'dx and A dx of a scaled step, for the
@@ -459,7 +464,7 @@ class InteriorPointSolver(BandedKkt):
         side[(self._hi - z < y_int) & ~eq] = 1
         try:
             x_pol, y_pol, _, pri_pol, dua_pol, _, _, wrong = self._held_set_pass(
-                self._map.terms(self._P.data, self._A.data), eq, side, _POLISH_DELTA)
+                self._unscaled_terms(), eq, side, _POLISH_DELTA)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1

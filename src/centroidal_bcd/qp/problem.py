@@ -9,12 +9,12 @@ with P sparse symmetric PSD and A sparse. Infinite bounds are passed as
 +-inf and replaced by a large finite sentinel before they reach any
 factorization.
 
-This module imports ``scipy.sparse`` only where it builds a matrix
-(:meth:`TripletPattern.matrix`, :func:`diagonal`), so that importing the
-package, and everything that generates, reads, writes or verifies a
-trajectory without solving one, runs on numpy alone. A fresh process loads
-scipy (0.3-0.4 s on a 2-core host) at its first QP build, inside the first
-``optimize()`` call's ``setup_time``.
+No module of the package imports ``scipy.sparse`` at its top: matrices are
+made where they are needed (:mod:`~centroidal_bcd.qp.pattern`), so that
+importing the package, and everything that generates, reads, writes or
+verifies a trajectory without solving one, runs on numpy alone. A fresh
+process loads scipy (0.3-0.4 s on a 2-core host) at its first QP build,
+inside the first ``optimize()`` call's ``setup_time``.
 """
 
 from __future__ import annotations
@@ -29,81 +29,18 @@ from ..model import _integer, _positive
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+    from .pattern import QpPattern
+
 __all__ = [
     "INFTY",
     "SparseQP",
     "SolverSettings",
     "QpSolution",
-    "TripletPattern",
-    "diagonal",
 ]
 
 # Sentinel standing in for infinity inside the solver; never fed to a
 # factorization as literal inf.
 INFTY = 1e30
-
-
-class TripletPattern:
-    """Fixed COO slot list with a cached CSC structure.
-
-    Builders emit the same (row, col) slots on every call so that assembled
-    matrices share an identical sparsity pattern regardless of values;
-    duplicate slots accumulate and explicit zeros are kept structural.
-    """
-
-    def __init__(self, rows, cols, shape: tuple[int, int]):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.shape != cols.shape:
-            raise ValueError("triplet rows/cols length mismatch")
-        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
-                          or cols.min() < 0 or cols.max() >= shape[1]):
-            raise ValueError("triplet index out of range")
-        self.shape = shape
-        self.n_slots = rows.size
-        order = np.lexsort((rows, cols))
-        sr, sc = rows[order], cols[order]
-        # Unique (col, row) pairs in CSC order.
-        if rows.size:
-            new_entry = np.empty(sr.size, dtype=bool)
-            new_entry[0] = True
-            new_entry[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
-            entry_idx = np.cumsum(new_entry) - 1
-            self._slot_to_pos = np.empty(sr.size, dtype=np.int64)
-            self._slot_to_pos[order] = entry_idx
-            self.indices = sr[new_entry].astype(np.int32)
-            self.indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-            np.cumsum(np.bincount(sc[new_entry], minlength=shape[1]), out=self.indptr[1:])
-        else:
-            self._slot_to_pos = np.zeros(0, dtype=np.int64)
-            self.indices = np.zeros(0, dtype=np.int32)
-            self.indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-        self.nnz = self.indices.size
-
-    def assemble(self, values) -> sp.csc_matrix:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_slots,):
-            raise ValueError(f"expected {self.n_slots} slot values, got {values.shape}")
-        data = np.zeros(self.nnz)
-        np.add.at(data, self._slot_to_pos, values)
-        return self.matrix(data)
-
-    def positions(self, slots) -> np.ndarray:
-        """Positions in the assembled ``data`` array of the given slots."""
-        return self._slot_to_pos[slots]
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix of this pattern holding ``data`` (not copied)."""
-        import scipy.sparse as sp
-        return sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=self.shape)
-
-
-def diagonal(d: np.ndarray) -> sp.csc_matrix:
-    """Diagonal CSC matrix storing every diagonal entry, zeros included."""
-    import scipy.sparse as sp
-    k = np.arange(d.size + 1, dtype=np.int32)
-    return sp.csc_matrix((d, k[:-1], k), shape=(d.size, d.size))
 
 
 @dataclass(frozen=True)
@@ -116,6 +53,12 @@ class SparseQP:
     starts at the reference momentum and static-equilibrium forces); it
     need not be feasible, and it changes which point a solve reaches only
     where the solution is not unique.
+
+    ``pattern`` is the symbolic record the trajectory builders fill in: P
+    and A are then matrices of its own index arrays, and a solver handle
+    uses the record instead of deriving one from the matrices (see
+    :mod:`~centroidal_bcd.qp.pattern`). It is builder data, not an option;
+    a QP whose matrices are not the record's is treated as one without.
     """
 
     n: int
@@ -126,6 +69,7 @@ class SparseQP:
     lo: np.ndarray
     hi: np.ndarray
     x0: np.ndarray | None = None
+    pattern: QpPattern | None = None
 
     def __post_init__(self):
         if self.P.shape != (self.n, self.n):

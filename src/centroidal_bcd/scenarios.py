@@ -29,10 +29,10 @@ from typing import Mapping
 import numpy as np
 
 from .bcd import BcdSettings
-from .force_qp import CostWeights
 from .model import ContactPhase, ContactPlan, Polytope, _flag, _float_array, _integer, \
     _positive, _real, polygon_to_halfspaces, state_array
 from .qp.problem import SolverSettings
+from .structure import CostWeights
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -164,9 +164,10 @@ def write_convergence_json(stream, result: TrajectoryResult, scenario_name: str 
 
 def write_timing_csv(stream, result: TrajectoryResult) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["phase", "force_qp_time_s", "contact_qp_time_s"])
-    for r in result.records:
-        writer.writerow([f"iteration_{r.iteration}", repr(r.force_qp_time),
-                         repr(r.contact_qp_time)])
-    writer.writerow(["final", repr(result.final_record.force_qp_time), repr(0.0)])
-    writer.writerow(["setup", repr(result.setup_time), repr(0.0)])
+    writer.writerow(["phase", "force_qp_time_s", "contact_qp_time_s", "force_setup_time_s",
+                     "contact_setup_time_s"])
+    for r in (*result.records, result.final_record):
+        phase = "final" if r is result.final_record else f"iteration_{r.iteration}"
+        writer.writerow([phase, repr(r.force_qp_time), repr(r.contact_qp_time),
+                         repr(r.force_setup_time), repr(r.contact_setup_time)])
+    writer.writerow(["setup", repr(result.setup_time), repr(0.0), "", ""])

@@ -110,6 +110,13 @@ def flat_foot_replay(plan: ContactPlan, lever: bool, seed: int = 4) -> list:
     return traj
 
 
+def diagonal(d: np.ndarray):
+    """Diagonal CSC matrix storing every diagonal entry, zeros included."""
+    import scipy.sparse as sp
+    k = np.arange(d.size + 1, dtype=np.int32)
+    return sp.csc_matrix((d, k[:-1], k), shape=(d.size, d.size))
+
+
 def pattern_hash(M) -> int:
     """Structural hash of a sparse matrix (shape and pattern, not values)."""
     M = M.tocsc()

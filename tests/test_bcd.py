@@ -14,11 +14,12 @@ from centroidal_bcd.bcd import (
     force_trajectory,
     optimize,
 )
-from centroidal_bcd.force_qp import CostWeights, Entries
 from centroidal_bcd.model import ContactPhase, ContactPlan, verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings
+from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, banded
+from centroidal_bcd.qp.pattern import QpPattern
 from centroidal_bcd.scenarios import materialize
+from centroidal_bcd.structure import Entries
 from centroidal_bcd.trajectory_io import read_trajectory_csv, write_trajectory_csv
 
 from conftest import QUAD_OFFSETS, flat_foot_plan, flat_patch, hover_plan, hover_references
@@ -261,14 +262,50 @@ def test_each_block_builds_one_layout_per_optimize(monkeypatch):
     constructed = []
     real_build = Entries.build
 
-    def counting_build(self, n):
-        constructed.append(n)
-        return real_build(self, n)
+    def counting_build(self):
+        constructed.append(self)
+        return real_build(self)
 
     monkeypatch.setattr(Entries, "build", counting_build)
     result = optimize(plan, refs, settings, weights)
     assert len(result.records) >= 2  # at least three force and two contact builds
     assert len(constructed) == 2
+
+
+def test_a_second_optimize_builds_no_record_and_compares_no_patterns(monkeypatch):
+    # Each block's symbolic record is built with its structure, once per
+    # plan: a second optimize() on the same plan builds none. Every handle
+    # takes the builder's record, so no value update compares index arrays,
+    # and the handles' matrices hold the record's own arrays.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    records, compared, handles = [], [], []
+    real_from_entries = QpPattern.__dict__["from_entries"].__func__
+
+    def counting_from_entries(cls, *args, **kwargs):
+        records.append(real_from_entries(cls, *args, **kwargs))
+        return records[-1]
+
+    def counting_check(name, M, setup, _real=banded._check_pattern):
+        compared.append(name)
+        _real(name, M, setup)
+
+    for solver in (InteriorPointSolver, BandedActiveSetSolver):
+        def kept(self, qp, settings=None, _real=solver.__init__):
+            _real(self, qp, settings)
+            handles.append(self)
+
+        monkeypatch.setattr(solver, "__init__", kept)
+    monkeypatch.setattr(QpPattern, "from_entries", classmethod(counting_from_entries))
+    monkeypatch.setattr(banded, "_check_pattern", counting_check)
+    first = optimize(plan, refs, settings, weights)
+    assert len(records) == 2 and len(handles) == 2
+    assert len(first.records) >= 2  # every handle took at least one value update
+    second = optimize(plan, refs, settings, weights)
+    assert len(records) == 2 and len(handles) == 4 and compared == []
+    assert second.final_record.original_cost == first.final_record.original_cost
+    for h in handles:
+        assert h.pattern in records
+        assert h._A.indices is h.pattern.a_indices and h._P.indptr is h.pattern.p_indptr
 
 
 def _observe_block_solves(monkeypatch, field):
@@ -303,15 +340,40 @@ def test_records_carry_each_blocks_exit_residuals(monkeypatch):
     assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]
 
 
-def test_record_dict_holds_every_field_but_the_solve_times():
+def test_record_dict_holds_every_field_but_the_solve_and_setup_times():
     # as_dict follows the record's fields, so a new field reaches
-    # convergence.json with no further code, and no solve time does.
+    # convergence.json with no further code, and no solve or setup time does.
     names = [f.name for f in fields(BcdIterationRecord)]
     record = BcdIterationRecord(**{name: float(i) for i, name in enumerate(names)})
+    timings = ("force_qp_time", "contact_qp_time", "force_setup_time", "contact_setup_time")
     expected = {("eps_f" if name == "eps_f_value" else name): float(i)
-                for i, name in enumerate(names)
-                if name not in ("force_qp_time", "contact_qp_time")}
+                for i, name in enumerate(names) if name not in timings}
     assert record.as_dict() == expected
+
+
+def test_records_carry_each_blocks_setup_time(tmp_path):
+    # Each block's build plus handle setup or value update is timed on its
+    # record (the final force solve has no contact block); the result's
+    # setup time is their sum, and timing.csv carries them per row.
+    from centroidal_bcd.trajectory_io import write_timing_csv
+
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    result = optimize(plan, refs, settings, weights)
+    records = (*result.records, result.final_record)
+    assert all(r.force_setup_time > 0.0 for r in records)
+    assert all(r.contact_setup_time > 0.0 for r in result.records)
+    assert result.final_record.contact_setup_time == 0.0
+    assert result.setup_time == pytest.approx(
+        sum(r.force_setup_time + r.contact_setup_time for r in records))
+    path = tmp_path / "timing.csv"
+    with open(path, "w", newline="") as fh:
+        write_timing_csv(fh, result)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert header == ["phase", "force_qp_time_s", "contact_qp_time_s", "force_setup_time_s",
+                      "contact_setup_time_s"]
+    assert [float(v) for v in rows[0][3:]] == [result.records[0].force_setup_time,
+                                               result.records[0].contact_setup_time]
+    assert rows[-2][0] == "final" and rows[-1][0] == "setup"
 
 
 def test_records_count_each_blocks_factorizations(monkeypatch):

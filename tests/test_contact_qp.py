@@ -15,14 +15,15 @@ from centroidal_bcd.contact_qp import (
     extract_contact_iterate,
     nominal_footholds,
 )
-from centroidal_bcd.force_qp import CostWeights, ForceQpInputs, _structure as force_structure, \
-    build_force_qp, extract_force_iterate
+from centroidal_bcd.force_qp import ForceQpInputs, _structure as force_structure, build_force_qp, \
+    extract_force_iterate
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import Polytope, integrate_step, polygon_to_halfspaces, skew
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, QpSolution, \
     SolverSettings
 from centroidal_bcd.qp.active_set import solve_active_set
 from centroidal_bcd.scenarios import materialize
+from centroidal_bcd.structure import CostWeights
 
 from conftest import flat_foot_plan, flat_patch, hover_plan, hover_references, monopod_plan, \
     pattern_hash, qp_arrays
@@ -549,7 +550,8 @@ def test_direct_solve_drops_a_row_held_with_the_wrong_sign():
 def test_plane_pins_become_equality_rows():
     plane = polygon_to_halfspaces([[0.0, 0.0, 0.1], [0.3, 0.0, 0.1], [0.3, 0.2, 0.1],
                                    [0.0, 0.2, 0.1]])
-    A, lo, hi = _surface_rows(plane)
+    count, A, lo, hi = _surface_rows([plane])
+    assert np.array_equal(count, [5])
     assert A.shape == (5, 3) and np.sum(lo == hi) == 1
     assert lo[0] == hi[0] == plane.b[0] and np.array_equal(A[0], plane.A[0])
     assert np.array_equal(A[1:], plane.A[2:]) and np.array_equal(hi[1:], plane.b[2:])
@@ -557,12 +559,25 @@ def test_plane_pins_become_equality_rows():
     # A halfspace surface with an exact opposite pair merges it in place of
     # its first row; one whose pair bounds a slab keeps both rows.
     patch = flat_patch(0.1, -0.2, z=0.05)
-    A, lo, hi = _surface_rows(patch)
+    count, A, lo, hi = _surface_rows([patch])
     assert A.shape == (5, 3) and lo[0] == hi[0] == 0.05
     assert np.array_equal(A[1:], patch.A[2:]) and np.all(lo[1:] == -np.inf)
     slab = Polytope(patch.A, patch.b + np.array([0.01, 0, 0, 0, 0, 0]))
-    A, lo, hi = _surface_rows(slab)
+    count, A, lo, hi = _surface_rows([slab])
     assert np.array_equal(A, slab.A) and np.array_equal(hi, slab.b) and np.all(lo == -np.inf)
+    # All surfaces at once: each keeps its own rows, in order.
+    count, A, lo, hi = _surface_rows([plane, slab, patch])
+    assert np.array_equal(count, [5, 6, 5])
+    assert np.array_equal(A[5:11], slab.A) and np.all(lo[5:11] == -np.inf)
+    assert lo[11] == hi[11] == 0.05 and np.array_equal(A[12:], patch.A[2:])
+    # A row opposite two others (a repeated halfspace) joins only the first
+    # pair it meets; the repeat stays an inequality row.
+    up = np.array([0.0, 0.0, 1.0])
+    repeated = Polytope(np.array([up, -up, up]), np.array([0.1, -0.1, 0.1]))
+    count, A, lo, hi = _surface_rows([patch, repeated])
+    assert np.array_equal(count, [5, 2])
+    assert np.array_equal(A[5:], [up, up]) and np.array_equal(lo[5:], [0.1, -np.inf])
+    assert np.array_equal(hi[5:], [0.1, 0.1]) and lo[0] == hi[0] == 0.05
     # In the assembled QP each phase's surface adds one equality row.
     plan = hover_plan(N=3)
     refs = hover_references(plan)

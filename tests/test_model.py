@@ -19,10 +19,11 @@ from centroidal_bcd.model import (
 
 from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
 from centroidal_bcd.contact_qp import ContactQpInputs
-from centroidal_bcd.force_qp import CostWeights, ForceQpInputs
+from centroidal_bcd.force_qp import ForceQpInputs
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp import SolverSettings
 from centroidal_bcd.scenarios import materialize
+from centroidal_bcd.structure import CostWeights
 
 from conftest import QUAD_OFFSETS, flat_foot_plan, flat_foot_replay, flat_patch, hover_plan, \
     hover_references

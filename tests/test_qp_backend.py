@@ -10,7 +10,6 @@ from centroidal_bcd.qp import (
     InteriorPointSolver,
     SolverSettings,
     SparseQP,
-    TripletPattern,
     kkt_residuals,
 )
 from centroidal_bcd.bcd import optimize
@@ -18,13 +17,14 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, _structure as force_structure, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.banded import _EQUALITY_GAP, BandedKkt, _entries_by_row
+from centroidal_bcd.qp.banded import _EQUALITY_GAP, BandedKkt
 from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
-from centroidal_bcd.qp.problem import INFTY, diagonal
+from centroidal_bcd.qp.pattern import QpPattern
+from centroidal_bcd.qp.problem import INFTY
 from centroidal_bcd.scenarios import materialize
 
-from conftest import pattern_hash
+from conftest import diagonal, pattern_hash
 
 
 def _qp(P, q, A=None, lo=None, hi=None):
@@ -202,9 +202,9 @@ def test_band_terms_are_computed_once_per_update_or_held_set_solve(trot_qps, han
     calls = []
     term_values = h._map.term_values
 
-    def counting(P_data, A_data):
+    def counting(P_data, A_data, out=None):
         calls.append(P_data)
-        return term_values(P_data, A_data)
+        return term_values(P_data, A_data, out=out)
 
     monkeypatch.setattr(h._map, "term_values", counting)
     h.update_values(trot_qps["contact_next"])
@@ -536,7 +536,8 @@ def _filtered_pair_map(P, A):
     generation of the kept pairs."""
     P, A = P.tocsc(), A.tocsc()
     n, m = P.shape[1], A.shape[0]
-    by_row, row_ptr = _entries_by_row(A)
+    by_row = np.argsort(A.indices, kind="stable")
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(A.indices, minlength=m))])
     rows = A.indices[by_row].astype(np.intp)
     cols = np.repeat(np.arange(n), np.diff(A.indptr))[by_row]
     reps = np.diff(row_ptr)[rows]
@@ -1042,12 +1043,14 @@ def test_solver_settings_reject_non_finite_values(field, value):
         SolverSettings(**{field: value})
 
 
-def test_triplet_pattern_sums_duplicates_and_keeps_zeros():
-    pat = TripletPattern([0, 0, 1], [0, 0, 1], shape=(2, 2))
-    M = pat.assemble([1.0, 2.0, 0.0])
+def test_pattern_sums_duplicates_and_keeps_zeros():
+    pat = QpPattern.from_entries([0, 0, 1], [0, 0, 1], (2, 2))
+    M = pat.a_matrix(pat.assemble(np.array([1.0, 2.0, 0.0])))
     assert M[0, 0] == 3.0
     assert M.nnz == 2  # explicit zero at (1, 1) survives
-    M2 = pat.assemble([5.0, 0.0, 7.0])
+    M2 = pat.a_matrix(pat.assemble(np.array([5.0, 0.0, 7.0])))
     assert pattern_hash(M) == pattern_hash(M2)
-    with pytest.raises(ValueError, match="slot"):
-        pat.assemble([1.0])
+    with pytest.raises(ValueError, match="entry values"):
+        pat.assemble(np.array([1.0]))
+    with pytest.raises(ValueError, match="out of range"):
+        QpPattern.from_entries([0, 2], [0, 0], (2, 2))
