@@ -8,10 +8,10 @@ nothing, and every re-solve factors the Newton matrix once per iteration
 (and once more for the polish), starting warm from the handle's last
 solution. A fresh handle of the updated QP starts cold, for comparison.
 
-Last, the contact QP of the trot's first outer iteration is solved both
-ways: by the direct active-set solve the contact block uses, which holds the
-equality rows (plane pins included) and factors once per pass, and by the
-interior-point method, which the contact block keeps as its fallback.
+Last, the contact QP of the trot's first outer iteration is solved by the
+direct active-set solve the contact block uses, which holds the equality
+rows (plane pins included) and factors once per pass, and, as a
+cross-check, by the interior-point method.
 """
 
 from dataclasses import replace

@@ -20,8 +20,7 @@ the scheme usable anytime.
 
 The Force-QP is solved by the interior-point method of
 :mod:`~centroidal_bcd.qp.ipm`, the Contact-QP by the direct active-set solve
-of :mod:`~centroidal_bcd.qp.banded`, which falls back to the interior-point
-method when a solve is not accepted; each block keeps its handles for the
+of :mod:`~centroidal_bcd.qp.banded`; each block keeps its handle for the
 whole run. A solve that ends in any status but ``solved``, its iteration
 budget included, raises ``BlockSolveError`` naming the block, the outer
 iteration and the status.
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -105,17 +104,12 @@ class BcdIterationRecord:
     eps_f_value: float
     original_cost: float
     force_solver_iterations: int
-    # Active-set passes of the contact block's direct solve, or the
-    # interior-point iterations of its fallback when ``contact_fallback`` is
-    # set.
+    # Active-set passes of the contact block's direct solve.
     contact_solver_iterations: int
     # Proximal weights actually applied (the force weight is zero on the
     # first iteration, which has no contact solve to regularize toward).
     force_prox_weight: float = 0.0
     contact_prox_weight: float = 0.0
-    # Whether the contact block's direct solve was not accepted and the
-    # interior-point method solved the contact QP instead.
-    contact_fallback: bool = False
     # Unscaled primal and dual residuals of each block's last termination
     # check (the contact block's accepted active-set pass).
     force_primal_residual: float = 0.0
@@ -131,8 +125,8 @@ class BcdIterationRecord:
     # (factorizations = iterations + 1) or skipped (= iterations).
     force_polished: bool = False
     # Matrices each block's solve factored: the force block's Newton and
-    # polish factorizations, the contact block's active-set passes plus its
-    # fallback's factorizations. Host-independent work counts.
+    # polish factorizations, the contact block's active-set passes.
+    # Host-independent work counts.
     force_factorizations: int = 0
     contact_factorizations: int = 0
     # Back-solves with those factors: two per interior-point iteration, and
@@ -141,8 +135,7 @@ class BcdIterationRecord:
     contact_band_solves: int = 0
     # Seconds each block spent before its solve: building its QP (the
     # plan's structure included, on the plan's first build) and setting up
-    # its solver handle or updating its values (the contact block's
-    # fallback handle included).
+    # its solver handle or updating its values.
     force_setup_time: float = 0.0
     contact_setup_time: float = 0.0
 
@@ -242,50 +235,21 @@ def _block_fields(block: str, sol: QpSolution, setup_time: float) -> dict:
     return {f"{block}_{name}": value for name, value in values.items()}
 
 
-def _set_up(handle, kind, qp, settings: SolverSettings):
-    """The block's handle of type ``kind``, set up on ``qp`` or given its
-    values, and the seconds that took."""
+def _solve_block(handle, kind, qp, settings: SolverSettings, block: str, iteration: int):
+    """Set up the block's solver handle of type ``kind`` on ``qp`` or give it
+    ``qp``'s values, and solve once; any status but ``solved``, the
+    iteration cap included, raises ``BlockSolveError``. Returns the handle,
+    the solution and the setup seconds."""
     t0 = time.perf_counter()
     if handle is None:
         handle = kind(qp, settings)
     else:
         handle.update_values(qp)
-    return handle, time.perf_counter() - t0
-
-
-def _solve_block(handle: InteriorPointSolver | None, qp, settings: SolverSettings,
-                 block: str, iteration: int):
-    """Set up or value-update the block's solver handle and solve once; any
-    status but ``solved``, the iteration cap included, raises
-    ``BlockSolveError``. Returns the handle, the solution and the setup
-    seconds."""
-    handle, setup = _set_up(handle, InteriorPointSolver, qp, settings)
+    setup = time.perf_counter() - t0
     sol = handle.solve()
     if not sol.solved:
         raise BlockSolveError(block, iteration, sol.status)
     return handle, sol, setup
-
-
-def _solve_contact(direct: BandedActiveSetSolver | None,
-                   fallback: InteriorPointSolver | None, qp, settings: SolverSettings,
-                   iteration: int):
-    """Solve the contact QP directly; when the active-set solve is not
-    accepted, log why and solve it with the interior-point method instead,
-    through a handle created on the first fallback. Returns both handles,
-    the solution (timed over both attempts), whether it fell back and the
-    setup seconds of both handles."""
-    direct, setup = _set_up(direct, BandedActiveSetSolver, qp, settings)
-    sol = direct.solve()
-    if sol.solved:
-        return direct, fallback, sol, False, setup
-    log.warning("contact QP direct solve not accepted at outer iteration %d (%s after %d "
-                "passes); falling back to the interior-point method", iteration, sol.status,
-                sol.iterations)
-    fallback, ipm, fallback_setup = _solve_block(fallback, qp, settings, "contact", iteration)
-    sol = replace(ipm, solve_time=sol.solve_time + ipm.solve_time,
-                  factorizations=sol.factorizations + ipm.factorizations,
-                  band_solves=sol.band_solves + ipm.band_solves)
-    return direct, fallback, sol, True, setup + fallback_setup
 
 
 def optimize(plan: ContactPlan, references: np.ndarray,
@@ -320,7 +284,6 @@ def optimize(plan: ContactPlan, references: np.ndarray,
 
     force_handle: InteriorPointSolver | None = None
     contact_handle: BandedActiveSetSolver | None = None
-    contact_fallback_handle: InteriorPointSolver | None = None
     records: list[BcdIterationRecord] = []
     kept = [] if keep_force_iterates else None
     converged = False
@@ -335,8 +298,8 @@ def optimize(plan: ContactPlan, references: np.ndarray,
         # The build and the handle's setup or value update are timed apart
         # from the solve.
         build = time.perf_counter() - t0
-        force_handle, sol, setup = _solve_block(force_handle, qp, settings.solver,
-                                                "force", iteration)
+        force_handle, sol, setup = _solve_block(force_handle, InteriorPointSolver, qp,
+                                                settings.solver, "force", iteration)
         iterate = extract_force_iterate(sol, plan)
         if kept is not None:
             kept.append((iterate, ell, p_fixed))
@@ -353,8 +316,8 @@ def optimize(plan: ContactPlan, references: np.ndarray,
             references=references, weights=weights,
             p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=l_prox))
         build = time.perf_counter() - t0
-        contact_handle, contact_fallback_handle, contact_sol, fell_back, contact_setup = \
-            _solve_contact(contact_handle, contact_fallback_handle, qp_c, settings.solver, k)
+        contact_handle, contact_sol, contact_setup = _solve_block(
+            contact_handle, BandedActiveSetSolver, qp_c, settings.solver, "contact", k)
         contact_iterate = extract_contact_iterate(contact_sol, plan)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
@@ -362,7 +325,7 @@ def optimize(plan: ContactPlan, references: np.ndarray,
             iteration=k, eps_f_value=eps_value,
             original_cost=force_original_cost(force_iterate, references, weights, plan),
             force_prox_weight=l_prox if h_reg is not None else 0.0, contact_prox_weight=l_prox,
-            contact_fallback=fell_back, **_block_fields("force", force_sol, force_setup),
+            **_block_fields("force", force_sol, force_setup),
             **_block_fields("contact", contact_sol, build + contact_setup))
         records.append(record)
         if on_iteration is not None:

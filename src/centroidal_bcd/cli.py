@@ -105,10 +105,8 @@ def run_solve(cfg: argparse.Namespace) -> int:
     def progress(record):
         if cfg.verbose:
             print(f"[iteration {record.iteration}] eps_f={record.eps_f_value:.3e} "
-                  f"cost={record.original_cost:.6f} " + (
-                      f"contact_fallback_iterations={record.contact_solver_iterations}"
-                      if record.contact_fallback else
-                      f"contact_passes={record.contact_solver_iterations}"))
+                  f"cost={record.original_cost:.6f} "
+                  f"contact_passes={record.contact_solver_iterations}")
 
     try:
         result = optimize(plan, refs, settings, weights, on_iteration=progress,

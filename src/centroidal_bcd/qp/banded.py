@@ -46,7 +46,12 @@ at one of their bounds) is solved as the delta-regularized KKT system with
 weight w = 1/delta on the held rows and 0 elsewhere, refined against the
 unregularized system, and judged on its unscaled residuals and the signs of
 its multipliers (:meth:`BandedKkt._held_set_pass`). The interior-point
-polish and each pass of the direct active-set solve are one such pass.
+polish and each pass of the direct active-set solve are one such pass. The
+polish refines a fixed three steps; a direct pass refines until the held
+system's residual meets a target, with a cap and a stop once a step no
+longer lowers it, the usual rule of iterative refinement (Higham,
+"Iterative refinement for linear systems and LAPACK", IMA J. Numer. Anal.
+17, 1997).
 
 :class:`BandedActiveSetSolver` is a primal active-set method on that solve
 (Nocedal and Wright, *Numerical Optimization*, section 16.5): each pass
@@ -60,8 +65,7 @@ Math. Prog. Comp. 2014). It runs no scaling and keeps no factorization
 between passes. It suits QPs whose working set is small and changes little
 between solves, such as the contact QP, whose only active rows are its
 equality rows on the shipped scenarios; a solve that is not accepted within
-ten passes reports so, and the caller falls back to the interior-point
-method.
+``_MAX_PASSES`` passes reports its status, which the caller raises.
 
 scipy is imported where it is used, not with this module: each handle binds
 LAPACK's ``dpbtrf`` and ``dpbtrs`` once when it is built, and the record
@@ -85,13 +89,17 @@ __all__ = ["BandedActiveSetSolver", "BandedKkt"]
 
 _EQUALITY_GAP = 1e-12   # rows with hi - lo below this are equality rows
 # Regularization of the direct solve's KKT system. Each refinement step
-# shrinks the held rows' residual by about delta / (delta + mu), mu the
+# shrinks the held system's residual by about delta / (delta + mu), mu the
 # smallest eigenvalue of A_h P^-1 A_h', which a large proximal weight in P
-# makes small: at 1e-10, three steps leave bound's third contact QP with
-# foothold copies 1.3e-8 apart; at 1e-11, 1.4e-11.
+# makes small, so a direct pass refines until that residual is at most
+# _REFINE_TARGET times eps_abs (1e-10 at the default, which holds foothold
+# copies together to about 1e-11), until a step no longer lowers it, or
+# for _REFINE_CAP steps.
 _DIRECT_DELTA = 1e-11
-_REFINE_STEPS = 3       # refinement steps of every held-set pass
-_MAX_PASSES = 10
+_REFINE_TARGET = 1e-3
+_REFINE_CAP = 300       # about twice the most a pass has taken (142, at a weight of 1e8)
+_REFINE_STEPS = 3       # refinement steps of the interior-point polish
+_MAX_PASSES = 20
 
 
 def _check_pattern(name: str, M: sp.csc_matrix, setup: sp.csc_matrix) -> None:
@@ -215,20 +223,24 @@ class BandedKkt:
         return self._dpbtrs(L, rhs, lower=1)[0]
 
     def _held_set_pass(self, terms: sp.csc_matrix, eq: np.ndarray, side: np.ndarray,
-                       delta: float):
+                       delta: float, steps: int | None = None):
         """Solve the QP with the equality rows ``eq`` and the rows of
         ``side`` (-1 held at lo, +1 at hi, 0 free) pinned, and judge the
         result; ``terms`` is the band map's term matrix of the handle's P
         and A.
 
-        One factorization of the delta-regularized KKT system and
-        ``_REFINE_STEPS`` refinement steps against the unregularized one:
-        with the multipliers eliminated, x solves
+        One factorization of the delta-regularized KKT system and refinement
+        steps against the unregularized one: with the multipliers
+        eliminated, x solves
         (P + delta I + A_h' A_h / delta) x = -q + A_h' b / delta, and
-        y_h = (A_h x - b) / delta; rows not held keep y = 0. Returns x, y,
-        A x, the unscaled primal and dual residuals, their tolerances
-        (eps_abs + eps_rel times the norms of their terms) and the mask of
-        the held rows whose multipliers have the wrong sign. Raises
+        y_h = (A_h x - b) / delta; rows not held keep y = 0. It takes
+        ``steps`` refinement steps, or without them at least one and then
+        more until the held system's residual, the larger of
+        |P x + q + A_h' y| and |b - A_h x|, is at most ``_REFINE_TARGET``
+        times eps_abs, stops falling, or has taken ``_REFINE_CAP`` steps.
+        Returns x, y, A x, the unscaled primal and dual residuals, their
+        tolerances (eps_abs + eps_rel times the norms of their terms) and the
+        mask of the held rows whose multipliers have the wrong sign. Raises
         ``ValueError`` when the matrix is not numerically positive
         definite."""
         P, A, AT, q, lo, hi = self._P, self._A, self._AT, self._q, self._lo, self._hi
@@ -237,20 +249,27 @@ class BandedKkt:
         b = np.where(eq | low, lo, hi)
         w = np.where(eq | low | upp, 1.0 / delta, 0.0)
         L = self._band_factor(terms, w, delta)
+        target = _REFINE_TARGET * st.eps_abs
+        last = np.inf
         # Refinement from zero, whose residuals need no products: the first
         # step is the regularized solve itself.
         x, y = np.zeros(self.n), np.zeros(self.m)
         r_x, r_y = -q, w * b
-        for step in range(1 + _REFINE_STEPS):
-            if step:
-                r_x = -q - P @ x - AT @ y
-                r_y = w * (b - A @ x)
+        for step in range(1 + (_REFINE_CAP if steps is None else steps)):
             dx = self._band_solve(L, r_x + AT @ r_y)
             x = x + dx
             y = y + w * (A @ dx) - r_y
-        Ax, Px, Aty = A @ x, P @ x, AT @ y
+            Ax, Px, Aty = A @ x, P @ x, AT @ y
+            r_x = -q - Px - Aty
+            r_y = w * (b - Ax)
+            if steps is None:
+                # r_y is the held rows' residual times 1/delta.
+                residual = max(_max_abs(r_x), delta * _max_abs(r_y))
+                if step and (residual <= target or residual >= last):
+                    break
+                last = residual
         z = np.minimum(np.maximum(Ax, lo), hi)
-        pri, dua = _max_abs(Ax - z), _max_abs(Px + q + Aty)
+        pri, dua = _max_abs(Ax - z), _max_abs(r_x)
         pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
         dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
         return x, y, Ax, pri, dua, pri_tol, dua_tol, _wrongly_signed(y, low, upp, st)

@@ -80,16 +80,16 @@ step that passes it); a Newton matrix that fails to factor ends it as
 ``not_positive_definite``.
 
 Every solved call is polished on the detected active set: one held-set
-pass of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7. The polished
-point is kept only if neither residual exceeds the larger of the interior
-point's residual and 1% of eps_abs, and every multiplier pushes from the
-bound its row is held at. A handle whose polish was rejected once (or whose
-polish factorization failed) polishes none of its later solves. A rejected
-polish costs a factorization and four back-solves and returns the interior
-point unchanged, and the solves of one handle are rejected alike: over the
-shipped scenarios, trot at N = 75-600 and 27 perturbed scenarios, 57
-polishes were skipped, of which one (trot N = 75, final force solve) would
-have been accepted.
+pass of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7, refined three
+steps. The polished point is kept only if neither residual exceeds the
+larger of the interior point's residual and 1% of eps_abs, and every
+multiplier pushes from the bound its row is held at. A handle whose polish
+was rejected once (or whose polish factorization failed) polishes none of
+its later solves. A rejected polish costs a factorization and four
+back-solves and returns the interior point unchanged, and the solves of one
+handle are rejected alike: over the shipped scenarios, trot at N = 75-600
+and 27 perturbed scenarios, 57 polishes were skipped, of which one (trot
+N = 75, final force solve) would have been accepted.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ import time
 
 import numpy as np
 
-from .banded import _EQUALITY_GAP, BandedKkt, _max_abs
+from .banded import _EQUALITY_GAP, _REFINE_STEPS, BandedKkt, _max_abs
 from .problem import INFTY, QpSolution, SolverSettings, SparseQP
 
 __all__ = ["InteriorPointSolver"]
@@ -464,7 +464,7 @@ class InteriorPointSolver(BandedKkt):
         side[(self._hi - z < y_int) & ~eq] = 1
         try:
             x_pol, y_pol, _, pri_pol, dua_pol, _, _, wrong = self._held_set_pass(
-                self._unscaled_terms(), eq, side, _POLISH_DELTA)
+                self._unscaled_terms(), eq, side, _POLISH_DELTA, _REFINE_STEPS)
         except ValueError:
             return x, y_int, False
         self.polish_factorizations += 1

@@ -14,6 +14,7 @@ from centroidal_bcd.bcd import (
     force_trajectory,
     optimize,
 )
+from centroidal_bcd.cli import EXIT_INFEASIBLE, main
 from centroidal_bcd.model import ContactPhase, ContactPlan, verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, banded
@@ -403,74 +404,84 @@ def test_records_count_each_blocks_factorizations(monkeypatch):
 def test_records_count_each_blocks_band_solves(monkeypatch):
     # Back-solves, counted where they run: an interior-point iteration
     # back-solves twice (predictor and corrector; the cold start step once),
-    # and a polish or active-set pass once plus once per refinement step.
+    # and a polish or active-set pass once plus once per refinement step: a
+    # polish refines a fixed number of steps, a pass at least one and at
+    # most the cap.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
     counts = _observe_block_solves(monkeypatch, lambda sol: sol.band_solves)
     result = optimize(plan, refs, settings, weights)
     final = result.final_record
     recorded = [n for r in result.records for n in (r.force_band_solves, r.contact_band_solves)]
     assert counts == recorded + [final.force_band_solves]
-    polish = direct = 1 + banded_module._REFINE_STEPS
+    polish = 1 + banded_module._REFINE_STEPS
     force = (*result.records, final)
     # Polished, rejected, skipped (see the factorization count above).
     assert [r.force_polished for r in force] == [True, False, False]
     for r, attempted in zip(force, (1, 1, 0)):
         start = 0 if r.force_warm_started else 1
         assert r.force_band_solves == 2 * r.force_solver_iterations - start + attempted * polish
-    assert all(r.contact_band_solves == direct * r.contact_solver_iterations
+    assert all(2 * r.contact_solver_iterations <= r.contact_band_solves
+               <= (1 + banded_module._REFINE_CAP) * r.contact_solver_iterations
                for r in result.records)
     row = final.as_dict()
     assert (row["force_band_solves"], row["contact_band_solves"]) == (counts[-1], 0)
 
 
-def test_a_stairs_plan_near_its_kinematic_limit_reaches_the_contact_fallback(caplog):
-    # A plan, not a patched pass budget, that the direct solve does not
-    # settle: stairs_down with the kinematic limit cut to 0.245 m. Its first
-    # contact QP exhausts the active-set passes, the interior-point method
-    # solves it, and the descent still ends converged and feasible.
-    doc = make_gait("stairs_down", N=40)
-    plan, refs, settings, weights = materialize(
-        {**doc, "robot": {**doc["robot"], "L_max": 0.245}})
-    with caplog.at_level("WARNING", logger="centroidal_bcd.bcd"):
-        result = optimize(plan, refs, settings, weights)
-    first = result.records[0]
-    assert first.contact_fallback and first.contact_solver_iterations > 0
-    assert "at outer iteration 1 (max_iter after" in caplog.text
+@pytest.mark.parametrize("kind, N, mu, L_max", [
+    ("stairs_down", 40, None, 0.245),
+    ("trot", 60, 1e-6, None),
+    ("walk", 67, 1.11e-3, 0.2905),  # 0.83 of the default 0.35 m
+    ("bound", 90, 1.38e-3, None),
+])
+def test_plans_that_need_many_passes_or_refinement_steps_solve_directly(
+        kind, N, mu, L_max, monkeypatch):
+    # Plans the direct solve settled only with more than three refinement
+    # steps or ten passes: the stairs plan near its kinematic limit takes
+    # 11 passes on its first contact QP, and the low-friction plans reach a
+    # proximal weight of 1e8, whose held rows need more refinement steps.
+    # Every contact solve is accepted and the run ends converged and
+    # feasible.
+    doc = make_gait(kind, N=N, **({} if mu is None else {"mu": mu}))
+    if L_max is not None:
+        doc = {**doc, "robot": {**doc["robot"], "L_max": L_max}}
+    plan, refs, settings, weights = materialize(doc)
+    statuses = []
+    real_solve = BandedActiveSetSolver.solve
+
+    def recording(self):
+        sol = real_solve(self)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(BandedActiveSetSolver, "solve", recording)
+    result = optimize(plan, refs, settings, weights)
+    assert statuses == ["solved"] * len(result.records)
     assert result.converged and result.residuals.feasible
 
 
-def test_contact_block_falls_back_to_the_ipm_when_the_direct_solve_is_not_accepted(
-        quad_hover, monkeypatch, caplog):
+def test_a_contact_solve_that_is_not_accepted_is_a_named_failure(quad_hover, monkeypatch,
+                                                                  tmp_path, capsys):
     # With no active-set pass allowed the direct solve is never accepted:
-    # the interior-point method solves each contact QP through one handle,
-    # built on the first fallback, and every record counts the fallback and
-    # its iterations.
-    plan, refs = quad_hover
-    settings = BcdSettings(eps_f=0.0, max_outer_iterations=2)
-    direct = optimize(plan, refs, settings)
+    # the first contact solve raises, as a force solve does, and the CLI
+    # reports it with the solver-failure exit code.
     monkeypatch.setattr(banded_module, "_MAX_PASSES", 0)
-    built = []
-    real_init = InteriorPointSolver.__init__
+    solves = []
+    real_solve = BandedActiveSetSolver.solve
 
-    def counting_init(self, qp, *args, **kwargs):
-        built.append(qp.n)
-        real_init(self, qp, *args, **kwargs)
+    def counting(self):
+        solves.append(self)
+        return real_solve(self)
 
-    monkeypatch.setattr(InteriorPointSolver, "__init__", counting_init)
-    with caplog.at_level("WARNING", logger="centroidal_bcd.bcd"):
-        result = optimize(plan, refs, settings)
-    assert len(built) == 2  # the force handle and the contact fallback's
-    assert [r.contact_fallback for r in result.records] == [True, True]
-    cap = SolverSettings().max_iterations
-    assert all(0 < r.contact_solver_iterations < cap for r in result.records)
-    # No pass factors; the fallback factors once per iteration and polish.
-    assert all(r.contact_factorizations == r.contact_solver_iterations + 1
-               for r in result.records)
-    assert result.records[0].as_dict()["contact_fallback"] is True
-    assert not any(r.contact_fallback for r in direct.records)
-    assert sum("falling back to the interior-point method" in m
-               for m in caplog.messages) == 2
-    assert result.residuals.feasible
-    # Both solvers land on the same contact solutions, to the tolerance of
-    # the interior-point method.
-    assert np.max(np.abs(result.trajectory.h - direct.trajectory.h)) < 1e-6
+    monkeypatch.setattr(BandedActiveSetSolver, "solve", counting)
+    plan, refs = quad_hover
+    with pytest.raises(BlockSolveError) as err:
+        optimize(plan, refs)
+    assert (err.value.block, err.value.iteration, err.value.status) == ("contact", 1, "max_iter")
+    assert len(solves) == 1
+    scn = tmp_path / "stand.scn"
+    assert main(["gait", "--kind", "stand", "--horizon", "20", "--out", str(scn)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")]) \
+        == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == ("solver failure: contact QP failed at outer iteration 1: "
+                                       "max_iter\n")

@@ -10,7 +10,6 @@ import pytest
 from conftest import WRONG_TYPE_BLOCKS
 
 import centroidal_bcd.cli as cli_module
-import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.cli import main
 from centroidal_bcd.gaits import make_gait
 from centroidal_bcd.model import CentroidalState, EffectorContact
@@ -462,7 +461,7 @@ def test_verify_builds_the_plan_only(solved_twist, monkeypatch, capsys):
     assert built == []
 
 
-def _verbose_progress_matches_records(scenario, out, capsys, fallback: bool):
+def _verbose_progress_matches_records(scenario, out, capsys):
     code = main(["solve", "--scenario", str(scenario), "--out", str(out), "--verbose"])
     assert code == 0
     progress = [line for line in capsys.readouterr().out.splitlines()
@@ -470,22 +469,11 @@ def _verbose_progress_matches_records(scenario, out, capsys, fallback: bool):
     report = json.loads((out / "convergence.json").read_text())
     records = report["records"] + [report["final_record"]]
     assert len(progress) == len(records)
-    assert [r["contact_fallback"] for r in report["records"]] == [fallback] * len(report["records"])
     for line, record in zip(progress, records):
-        contact = (f"contact_fallback_iterations={record['contact_solver_iterations']}"
-                   if record["contact_fallback"] else
-                   f"contact_passes={record['contact_solver_iterations']}")
-        assert line.endswith(f"cost={record['original_cost']:.6f} {contact}")
+        assert line.endswith(f"cost={record['original_cost']:.6f} "
+                             f"contact_passes={record['contact_solver_iterations']}")
 
 
 def test_verbose_progress_reports_the_contact_passes(trot_scenario, tmp_path, capsys):
     # The contact block's direct active-set passes.
-    _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=False)
-
-
-def test_verbose_progress_reports_the_contact_fallback(trot_scenario, tmp_path, capsys,
-                                                      monkeypatch):
-    # With no pass allowed the direct solve is never accepted, and the line
-    # reports the iterations of the interior-point fallback instead.
-    monkeypatch.setattr(banded_module, "_MAX_PASSES", 0)
-    _verbose_progress_matches_records(trot_scenario, tmp_path, capsys, fallback=True)
+    _verbose_progress_matches_records(trot_scenario, tmp_path, capsys)

