@@ -40,7 +40,7 @@ from .contact_qp import ContactQpInputs, build_contact_qp, extract_contact_itera
 from .force_qp import ForceIterate, ForceQpInputs, build_force_qp, extract_force_iterate, \
     force_original_cost
 from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport, Trajectory, \
-    _integer, _nonnegative, _real, state_array, verify_trajectory
+    _array, _integer, _nonnegative, _real, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
 from .qp.problem import QpSolution, SolverSettings
@@ -197,13 +197,9 @@ class TrajectoryResult:
 
 def consensus_metric(ell_k, ell_prev, horizon: int) -> float:
     """Squared norm of the stacked lever-arm change divided by the horizon."""
-    a = np.asarray(ell_k, dtype=float).ravel()
-    b = np.asarray(ell_prev, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"lever-arm stacks differ in length: {a.shape} vs {b.shape}")
-    _integer(horizon, "horizon", 1)
-    d = a - b
-    return float(d @ d) / horizon
+    b = _array(ell_prev, "ell_prev", np.shape(ell_prev))
+    d = _array(ell_k, "ell_k", b.shape) - b
+    return float(np.vdot(d, d)) / _integer(horizon, "horizon", 1)
 
 
 def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPlan,

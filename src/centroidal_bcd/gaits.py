@@ -15,6 +15,7 @@ regenerate the same scenario at other horizons.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from typing import Callable
@@ -154,8 +155,9 @@ def _com_waypoints(contacts: list[dict], N: int, dt: float, speed: float,
     return wps
 
 
-def _base_document(name: str, N: int, dt: float, contacts, references, gait_meta) -> dict:
-    """The document of one generated scenario, its keys in schema order."""
+def _base_document(name: str, N: int, dt: float, contacts, references) -> dict:
+    """The document of one generated scenario, its keys in schema order;
+    ``make_gait`` adds the ``gait`` block."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
@@ -168,7 +170,6 @@ def _base_document(name: str, N: int, dt: float, contacts, references, gait_meta
         "gravity": [0.0, 0.0, -9.81],
         "contacts": contacts,
         "references": references,
-        "gait": gait_meta,
     }
 
 
@@ -184,15 +185,13 @@ def _flat_patch_fn(terrain: Callable[[float], float] | None = None,
 def _make_stand(N: int = 60, dt: float = 0.01, mu: float = 0.7) -> dict:
     contacts = _cyclic_contacts(N, dt, [], 0, 0, 0.0, mu, _flat_patch_fn())
     refs = {"com_waypoints": _com_waypoints(contacts, N, dt, 0.0)}
-    return _base_document("stand", N, dt, contacts, refs,
-                          {"kind": "stand", "params": {"dt": dt, "mu": mu}})
+    return _base_document("stand", N, dt, contacts, refs)
 
 
 def _walk_cycle(N: int, dt: float, stride: float, swing_steps: int, lead_steps: int,
-                mu: float, name: str, patch_fn, z_of_x=None, extra_meta=None) -> dict:
+                mu: float, name: str, patch_fn, z_of_x=None) -> dict:
     """The walking cycle on the patches ``patch_fn`` places, the CoM
-    reference lifted by ``z_of_x``; ``extra_meta`` joins the ``gait``
-    parameters."""
+    reference lifted by ``z_of_x``."""
     groups = [["FL"], ["HR"], ["FR"], ["HL"]]
     cycle_time = 4 * swing_steps * dt
     speed = stride / cycle_time
@@ -200,9 +199,7 @@ def _walk_cycle(N: int, dt: float, stride: float, swing_steps: int, lead_steps: 
     refs = {"com_waypoints": _com_waypoints(
         contacts, N, dt, speed, z_of_x, sway=0.35, smooth_steps=2 * swing_steps,
         sample_every=max(swing_steps // 2, 3))}
-    meta = {"kind": name, "params": {"dt": dt, "stride": stride, "swing_steps": swing_steps,
-                                     "lead_steps": lead_steps, "mu": mu, **(extra_meta or {})}}
-    return _base_document(name, N, dt, contacts, refs, meta)
+    return _base_document(name, N, dt, contacts, refs)
 
 
 def _make_walk(N: int = 160, dt: float = 0.01, stride: float = 0.08,
@@ -218,10 +215,7 @@ def _make_trot(N: int = 160, dt: float = 0.01, stride: float = 0.06,
     contacts = _cyclic_contacts(N, dt, groups, stance_steps, lead_steps, speed, mu,
                                 _flat_patch_fn())
     refs = {"com_waypoints": _com_waypoints(contacts, N, dt, speed)}
-    return _base_document("trot", N, dt, contacts, refs,
-                          {"kind": "trot", "params": {"dt": dt, "stride": stride,
-                                                      "stance_steps": stance_steps,
-                                                      "lead_steps": lead_steps, "mu": mu}})
+    return _base_document("trot", N, dt, contacts, refs)
 
 
 def _make_bound(N: int = 160, dt: float = 0.01, stride: float = 0.04,
@@ -239,12 +233,7 @@ def _make_bound(N: int = 160, dt: float = 0.01, stride: float = 0.04,
         "pitch_profile": {"amplitude_deg": pitch_amplitude_deg,
                           "period_s": cycle_time, "inertia_scale": inertia_scale},
     }
-    return _base_document("bound", N, dt, contacts, refs,
-                          {"kind": "bound", "params": {"dt": dt, "stride": stride,
-                                                       "pair_steps": pair_steps,
-                                                       "lead_steps": lead_steps, "mu": mu,
-                                                       "pitch_amplitude_deg": pitch_amplitude_deg,
-                                                       "inertia_scale": inertia_scale}})
+    return _base_document("bound", N, dt, contacts, refs)
 
 
 def _make_jump(kind: str, N: int = 120, dt: float = 0.01, flight_time: float = 0.3,
@@ -306,11 +295,7 @@ def _make_jump(kind: str, N: int = 120, dt: float = 0.01, flight_time: float = 0
     momentum = [[float(t), float(l_x[t]), 0.0, float(l_z[t]), 0.0, 0.0, float(k_z[t])]
                 for t in range(N)]
     refs = {"com_waypoints": com, "momentum_waypoints": momentum}
-    meta = {"kind": kind, "params": {"dt": dt, "flight_time": flight_time,
-                                     "ramp_steps": ramp_steps, "mu": mu,
-                                     "forward": forward, "twist_deg": twist_deg,
-                                     "inertia_scale": inertia_scale}}
-    return _base_document(kind, N, dt, contacts, refs, meta)
+    return _base_document(kind, N, dt, contacts, refs)
 
 
 def _make_stairs(direction: int, N: int = 150, dt: float = 0.01, stride: float = 0.10,
@@ -335,8 +320,7 @@ def _make_stairs(direction: int, N: int = 150, dt: float = 0.01, stride: float =
 
     name = "stairs_up" if direction > 0 else "stairs_down"
     return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, name,
-                       _flat_patch_fn(terrain=terrain, snap=snap), z_of_x=terrain,
-                       extra_meta={"step_height": step_height, "step_depth": step_depth})
+                       _flat_patch_fn(terrain=terrain, snap=snap), z_of_x=terrain)
 
 
 def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
@@ -351,8 +335,7 @@ def _make_incline_stones(N: int = 150, dt: float = 0.01, stride: float = 0.08,
         surface, rotation = _tilted_patch(center, angle)
         return surface, rotation, center
 
-    return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, "incline_stones", patch_fn,
-                       extra_meta={"max_angle_deg": max_angle_deg})
+    return _walk_cycle(N, dt, stride, swing_steps, lead_steps, mu, "incline_stones", patch_fn)
 
 
 _GENERATORS = {
@@ -360,11 +343,11 @@ _GENERATORS = {
     "walk": _make_walk,
     "trot": _make_trot,
     "bound": _make_bound,
-    "jump_in_place": lambda **kw: _make_jump("jump_in_place", **kw),
-    "jump_forward": lambda forward=0.12, **kw: _make_jump("jump_forward", forward=forward, **kw),
-    "jump_twist": lambda twist_deg=20.0, **kw: _make_jump("jump_twist", twist_deg=twist_deg, **kw),
-    "stairs_up": lambda **kw: _make_stairs(+1, **kw),
-    "stairs_down": lambda **kw: _make_stairs(-1, **kw),
+    "jump_in_place": functools.partial(_make_jump, "jump_in_place"),
+    "jump_forward": functools.partial(_make_jump, "jump_forward", forward=0.12),
+    "jump_twist": functools.partial(_make_jump, "jump_twist", twist_deg=20.0),
+    "stairs_up": functools.partial(_make_stairs, +1),
+    "stairs_down": functools.partial(_make_stairs, -1),
     "incline_stones": _make_incline_stones,
 }
 
@@ -391,13 +374,17 @@ def _check_params(params: dict) -> None:
 def make_gait(kind: str, **params) -> dict:
     """Generate a scenario document for one of the built-in gait kinds. A
     keyword that is no parameter of the generator is a TypeError naming it,
-    before any value is checked."""
+    before any value is checked. The ``gait`` block records every parameter
+    but ``N``, defaults included, so the document can be regenerated at
+    another horizon."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown gait kind {kind!r}; choose from {GAIT_KINDS}")
     generator = _GENERATORS[kind]
-    inspect.signature(generator).bind(**params)
+    bound = inspect.signature(generator).bind(**params)
     _check_params(params)
-    return generator(**params)
+    bound.apply_defaults()
+    gait = {"kind": kind, "params": {k: v for k, v in bound.arguments.items() if k != "N"}}
+    return {**generator(**params), "gait": gait}
 
 
 def shipped_scenarios() -> dict[str, dict]:

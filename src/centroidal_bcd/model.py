@@ -52,16 +52,6 @@ GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
 _ORTHONORMAL_TOL = 1e-10
 
 
-def _as_vector(x, size: int, name: str) -> np.ndarray:
-    v = _float_array(x, name).reshape(-1)
-    if v.shape != (size,):
-        raise ValueError(f"{name} must have {size} components, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v}")
-    v.setflags(write=False)
-    return v
-
-
 # The rules every layer checks its scalar and array inputs by. Each raises a
 # ValueError whose message starts with ``name``; the scenario reader turns it
 # into a ScenarioError at the field's path.
@@ -72,7 +62,10 @@ def _float_array(values, name: str) -> np.ndarray:
     True as 1.0 and "0.7" as 0.7. A list or tuple is scanned for booleans
     among its numbers, which numpy promotes before its type shows them; an
     array is taken by its dtype alone."""
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValueError(f"{name} must be an array of numbers, got a ragged sequence") from None
     kind = a.dtype.kind
     if kind in "iuf" and isinstance(values, (list, tuple)) and any(
             isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
@@ -81,6 +74,26 @@ def _float_array(values, name: str) -> np.ndarray:
         got = {"b": "booleans", "U": "text", "S": "text"}.get(kind, type(values).__name__)
         raise ValueError(f"{name} must be an array of numbers, got {got}")
     return np.array(a, dtype=float)
+
+
+def _array(values, name: str, shape: tuple, absent: bool = False,
+           infinite: bool = False) -> np.ndarray:
+    """``values`` as a new read-only float array (see ``_float_array``) of
+    exactly ``shape``, where a None dimension takes any length, and with
+    every entry finite. With ``absent``, whole rows of NaN mark absent
+    values; with ``infinite``, entries may be +-inf but not NaN. Nothing is
+    reshaped: a (3, 1) array is no 3-vector."""
+    a = _float_array(values, name)
+    if a.ndim != len(shape) or any(d not in (None, n) for d, n in zip(shape, a.shape)):
+        want = ", ".join("k" if d is None else str(d) for d in shape) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must have shape ({want}), got {a.shape}")
+    if infinite:
+        if np.isnan(a).any():
+            raise ValueError(f"{name} must not be NaN")
+    elif not (np.isfinite(a).all(axis=-1) | (absent and np.isnan(a).all(axis=-1))).all():
+        raise ValueError(f"{name} must be finite" + ", or NaN if absent" * absent)
+    a.setflags(write=False)
+    return a
 
 
 def _real(value, name: str, requirement: str = "finite") -> float:
@@ -132,7 +145,7 @@ def _flag(value, name: str) -> bool:
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
-    x, y, z = _as_vector(v, 3, "skew input")
+    x, y, z = _array(v, "skew input", (3,))
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -146,9 +159,8 @@ class CentroidalState:
     k: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _as_vector(self.r, 3, "r"))
-        object.__setattr__(self, "l", _as_vector(self.l, 3, "l"))
-        object.__setattr__(self, "k", _as_vector(self.k, 3, "k"))
+        for name in ("r", "l", "k"):
+            object.__setattr__(self, name, _array(getattr(self, name), name, (3,)))
 
     def stacked(self) -> np.ndarray:
         """(r, l, k) stacked into a 9-vector."""
@@ -156,7 +168,7 @@ class CentroidalState:
 
     @staticmethod
     def from_stacked(h) -> "CentroidalState":
-        h = np.asarray(h, dtype=float).reshape(9)
+        h = _array(h, "h", (9,))
         return CentroidalState(h[0:3], h[3:6], h[6:9])
 
 
@@ -168,20 +180,13 @@ class Polytope:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(_float_array(self.A, "A"))
-        b = _float_array(self.b, "b").reshape(-1)
-        if A.shape[0] != b.shape[0] or A.shape[1] != 3:
-            raise ValueError(f"halfspace shapes inconsistent: A {A.shape}, b {b.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("halfspace data must be finite")
-        A.setflags(write=False)
-        b.setflags(write=False)
+        A = _array(self.A, "A", (None, 3))
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _array(self.b, "b", (A.shape[0],)))
 
     def violation(self, x) -> float:
         """Largest halfspace violation at x (<= 0 means inside)."""
-        return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
+        return float(np.max(self.A @ x - self.b))
 
     def is_empty(self) -> bool:
         from scipy.optimize import linprog
@@ -197,9 +202,9 @@ def polygon_to_halfspaces(vertices) -> Polytope:
     Emits two rows pinning the supporting plane and one row per edge. Vertices
     need not be ordered; they are sorted by angle in the plane.
     """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if V.shape[0] < 3 or V.shape[1] != 3:
-        raise ValueError(f"need at least 3 vertices of dimension 3, got {V.shape}")
+    V = _array(vertices, "vertices", (None, 3))
+    if V.shape[0] < 3:
+        raise ValueError(f"need at least 3 vertices, got {V.shape[0]}")
     c = V.mean(axis=0)
     # Plane basis from the two dominant directions of the centered vertices.
     _, s, vt = np.linalg.svd(V - c)
@@ -245,7 +250,8 @@ class ContactPhase:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     friction_coeff: float = 0.7
     flat_foot: bool = False
-    zmp_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None
+    # ((x_lo, x_hi), (y_lo, y_hi)), stored as a (2, 2) array.
+    zmp_bounds: np.ndarray | None = None
     # Optional preferred foothold (world frame, inside the surface); scenario
     # generators use it to seat footholds on terrain patches.
     foothold_hint: np.ndarray | None = None
@@ -254,41 +260,33 @@ class ContactPhase:
         if _integer(self.t_start, "t_start", 0) >= _integer(self.t_end, "t_end", 0):
             raise ValueError(
                 f"phase window [{self.t_start}, {self.t_end}) for {self.end_effector_id} is empty")
-        R = _float_array(self.rotation, f"rotation for {self.end_effector_id}").reshape(3, 3)
-        if not np.all(np.isfinite(R)):
-            raise ValueError(f"rotation for {self.end_effector_id} must be finite")
+        R = _array(self.rotation, f"rotation for {self.end_effector_id}", (3, 3))
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMAL_TOL:
             raise ValueError(f"rotation for {self.end_effector_id} is not orthonormal")
-        R.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         _positive(self.friction_coeff, "friction_coeff")
         if _flag(self.flat_foot, "flat_foot"):
             if self.zmp_bounds is None:
                 raise ValueError("flat-foot phase requires zmp_bounds")
-            name = f"zmp_bounds for {self.end_effector_id}"
-            (xlo, xhi), (ylo, yhi) = ((_real(lo, name), _real(hi, name))
-                                      for lo, hi in self.zmp_bounds)
-            if xlo > xhi or ylo > yhi:
+            bounds = _array(self.zmp_bounds, f"zmp_bounds for {self.end_effector_id}", (2, 2))
+            if np.any(bounds[:, 0] > bounds[:, 1]):
                 raise ValueError(f"zmp bounds inverted: {self.zmp_bounds}")
+            object.__setattr__(self, "zmp_bounds", bounds)
         hint = self.foothold_hint
         if hint is not None:
-            hint = _float_array(hint, "foothold_hint").reshape(-1)
-        hint_inside = (hint is not None and hint.shape == (3,) and bool(np.all(np.isfinite(hint)))
-                       and self.surface.violation(hint) <= 1e-9)
+            hint = _array(hint, "foothold_hint", (3,))
+            object.__setattr__(self, "foothold_hint", hint)
+        hint_inside = hint is not None and self.surface.violation(hint) <= 1e-9
         # A hint inside the surface witnesses that it is non-empty; only
         # surfaces without one need the LP.
         if not hint_inside and self.surface.is_empty():
             raise ValueError(f"surface polytope for {self.end_effector_id} is empty")
-        if hint is not None:
-            object.__setattr__(self, "foothold_hint",
-                               _as_vector(self.foothold_hint, 3, "foothold_hint"))
-            if not hint_inside:
-                raise ValueError(
-                    f"foothold hint for {self.end_effector_id} lies outside its surface")
+        if hint is not None and not hint_inside:
+            raise ValueError(f"foothold hint for {self.end_effector_id} lies outside its surface")
 
     def zmp_lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
-        (xlo, xhi), (ylo, yhi) = self.zmp_bounds
-        return np.array([xlo, ylo]), np.array([xhi, yhi])
+        lo, hi = self.zmp_bounds.T
+        return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,9 +315,9 @@ class ContactPlan:
     def __post_init__(self):
         object.__setattr__(self, "effector_ids", tuple(self.effector_ids))
         object.__setattr__(self, "phases", tuple(self.phases))
-        object.__setattr__(self, "gravity", _as_vector(self.gravity, 3, "gravity"))
-        object.__setattr__(self, "h0", _as_vector(self.h0, 9, "h0"))
-        offsets = {e: _as_vector(v, 3, f"nominal_offsets[{e}]")
+        object.__setattr__(self, "gravity", _array(self.gravity, "gravity", (3,)))
+        object.__setattr__(self, "h0", _array(self.h0, "h0", (9,)))
+        offsets = {e: _array(v, f"nominal_offsets[{e}]", (3,))
                    for e, v in dict(self.nominal_offsets).items()}
         object.__setattr__(self, "nominal_offsets", offsets)
         _integer(self.horizon, "horizon", 1)
@@ -392,7 +390,7 @@ class PairTable:
             t=t, start=np.searchsorted(t, np.arange(plan.horizon + 1)), effector=effector,
             phase=phase, first=t == t0[phase],
             flat=np.array([ph.flat_foot for ph in phases], dtype=bool)[phase],
-            rotation=np.array([ph.rotation for ph in phases]).reshape(-1, 3, 3)[phase],
+            rotation=np.reshape([ph.rotation for ph in phases], (len(phases), 3, 3))[phase],
             friction=np.array([ph.friction_coeff for ph in phases], dtype=float)[phase])
         for a in vars(table).values():
             if isinstance(a, np.ndarray):
@@ -408,21 +406,17 @@ class PairTable:
         count = int(self.flat.sum()) if flat_only else self.t.size
         if values is None:
             values = np.full((count, width), np.nan)
-        a = _float_array(values, name)
-        if a.size == 0:
-            a = a.reshape(0, width)
-        if a.shape != (count, width):
-            raise ValueError(f"{name} must have shape ({count}, {width}), got {a.shape}")
-        if not np.all(np.isfinite(a).all(axis=1) | (optional & np.isnan(a).all(axis=1))):
-            raise ValueError(f"{name} must be finite" + (", or NaN if absent" * optional))
-        a.setflags(write=False)
-        return a
+        return _array(values, name, (count, width), absent=optional)
 
     def scatter(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Pair-sized rows holding ``values`` at ``mask`` and NaN elsewhere."""
         out = np.full((self.t.size, values.shape[1]), np.nan)
         out[mask] = values
         return out
+
+
+# EffectorContact fields and their widths, in the order the arrays go.
+_CONTACT_FIELDS = (("f", 3), ("p", 3), ("ell", 3), ("z", 2), ("tau", 3))
 
 
 @dataclass(frozen=True)
@@ -442,14 +436,9 @@ class EffectorContact:
     tau: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_vector(self.f, 3, "f"))
-        object.__setattr__(self, "p", _as_vector(self.p, 3, "p"))
-        if self.ell is not None:
-            object.__setattr__(self, "ell", _as_vector(self.ell, 3, "ell"))
-        if self.z is not None:
-            object.__setattr__(self, "z", _as_vector(self.z, 2, "z"))
-        if self.tau is not None:
-            object.__setattr__(self, "tau", _as_vector(self.tau, 3, "tau"))
+        for name, width in _CONTACT_FIELDS:
+            if getattr(self, name) is not None or name in ("f", "p"):
+                object.__setattr__(self, name, _array(getattr(self, name), name, (width,)))
 
 
 # Active contacts at one timestep, keyed by end-effector id. Inactive
@@ -457,16 +446,12 @@ class EffectorContact:
 TimestepContacts = Mapping[str, EffectorContact]
 
 
-# EffectorContact fields and their widths, in the order the arrays go.
-_CONTACT_FIELDS = (("f", 3), ("p", 3), ("ell", 3), ("z", 2), ("tau", 3))
-
-
 def _rows(contacts, name: str, width: int) -> np.ndarray:
     """(len(contacts), width) rows of one EffectorContact field; NaN where
     absent."""
     absent = np.full(width, np.nan)
-    return np.array([absent if getattr(c, name) is None else getattr(c, name)
-                     for c in contacts]).reshape(-1, width)
+    return np.reshape([absent if getattr(c, name) is None else getattr(c, name)
+                       for c in contacts], (len(contacts), width))
 
 
 def _lever_geometry(p, r, z, R) -> np.ndarray:
@@ -513,7 +498,8 @@ def integrate_step(h_prev: CentroidalState, contacts: TimestepContacts,
     plan when ``t`` is given.
     """
     phases = [plan.phase_at(t, eff) if t is not None else None for eff in contacts]
-    R = np.array([np.eye(3) if ph is None else ph.rotation for ph in phases]).reshape(-1, 3, 3)
+    R = np.reshape([np.eye(3) if ph is None else ph.rotation for ph in phases],
+                   (len(phases), 3, 3))
     h = _step(h_prev.stacked()[None], plan, np.zeros(len(phases), dtype=np.intp), R,
               *(_rows(contacts.values(), name, width) for name, width in _CONTACT_FIELDS))
     return CentroidalState.from_stacked(h[0])
@@ -556,13 +542,7 @@ class ResidualReport:
 
 def state_array(states, horizon: int, name: str) -> np.ndarray:
     """(N, 9) read-only array of the stacked (r, l, k) ``states``, validated."""
-    h = _float_array(states, name)
-    if h.shape != (horizon, 9):
-        raise ValueError(f"{name} must cover the horizon: shape ({horizon}, 9), got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError(f"{name} must be finite")
-    h.setflags(write=False)
-    return h
+    return _array(states, name, (horizon, 9))
 
 
 @dataclass(frozen=True, eq=False)

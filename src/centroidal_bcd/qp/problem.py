@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..model import _integer, _positive
+from ..model import _array, _integer, _positive
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -76,28 +76,18 @@ class SparseQP:
             raise ValueError(f"P shape {self.P.shape} != ({self.n}, {self.n})")
         if self.A.shape != (self.m_c, self.n):
             raise ValueError(f"A shape {self.A.shape} != ({self.m_c}, {self.n})")
-        for name in ("q", "lo", "hi"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, v)
-        if self.q.shape != (self.n,):
-            raise ValueError("q has wrong length")
-        if self.lo.shape != (self.m_c,) or self.hi.shape != (self.m_c,):
-            raise ValueError("bound vectors have wrong length")
-        for name, values in (("P", self.P.data), ("A", self.A.data), ("q", self.q)):
+        for name, values in (("P", self.P.data), ("A", self.A.data)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} holds non-finite values")
+        object.__setattr__(self, "q", _array(self.q, "q", (self.n,)))
+        # Bounds may be infinite: +-inf leaves a row's side open.
         for name in ("lo", "hi"):
-            if np.any(np.isnan(getattr(self, name))):
-                raise ValueError(f"{name} holds NaN")
+            object.__setattr__(self, name, _array(getattr(self, name), name, (self.m_c,),
+                                                  infinite=True))
         if np.any(self.lo > self.hi):
             raise ValueError("lo > hi on some row")
         if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=float)
-            if x0.shape != (self.n,):
-                raise ValueError(f"x0 has shape {x0.shape}, expected ({self.n},)")
-            if not np.all(np.isfinite(x0)):
-                raise ValueError("x0 holds non-finite values")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _array(self.x0, "x0", (self.n,)))
 
     def validate(self, psd_tol: float = 1e-8) -> None:
         """The checks too costly for every QP: P symmetric, and positive
@@ -177,8 +167,7 @@ def kkt_residuals(qp: SparseQP, x, y) -> tuple[float, float, float]:
     bound its multiplier pushes from (y > 0: lo, y < 0: hi); where that bound
     is infinite, the multiplier has the wrong sign and counts as |y_i|.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _array(x, "x", (qp.n,)), _array(y, "y", (qp.m_c,))
     ax = qp.A @ x
     primal = float(np.max(np.maximum(qp.lo - ax, ax - qp.hi), initial=0.0))
     dual = float(np.max(np.abs(qp.P @ x + qp.q - qp.A.T @ y), initial=0.0))

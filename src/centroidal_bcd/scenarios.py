@@ -29,8 +29,8 @@ from typing import Mapping
 import numpy as np
 
 from .bcd import BcdSettings
-from .model import ContactPhase, ContactPlan, Polytope, _flag, _float_array, _integer, \
-    _positive, _real, polygon_to_halfspaces, state_array
+from .model import ContactPhase, ContactPlan, Polytope, _array, _flag, _integer, _positive, \
+    _real, polygon_to_halfspaces, state_array
 from .qp.problem import SolverSettings
 from .structure import CostWeights
 
@@ -99,17 +99,6 @@ def _field(rule, value, path: str, *args):
         raise ScenarioError(path, str(exc).removeprefix(f"{path} ")) from None
 
 
-def _numbers(values, path: str, size: int) -> list[float]:
-    """``values`` as a list of ``size`` finite floats."""
-    try:
-        v = [_field(_real, x, path) for x in values]
-    except TypeError:  # not iterable; _field raises its own errors
-        raise ScenarioError(path, f"expected {size} numbers") from None
-    if len(v) != size:
-        raise ScenarioError(path, f"expected {size} components, got {len(v)}")
-    return v
-
-
 def _list(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
@@ -122,15 +111,11 @@ def _mapping(value, path: str) -> Mapping:
     return value
 
 
-def _vec(doc, path, size=3):
-    return np.array(_numbers(doc, path, size))
-
-
 def _surface(spec, path) -> Polytope:
     if not isinstance(spec, Mapping):
         raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
     if "vertices" in spec:
-        verts = [tuple(_numbers(v, f"{path}.vertices[{i}]", 3))
+        verts = [_field(_array, v, f"{path}.vertices[{i}]", (3,))
                  for i, v in enumerate(_list(spec["vertices"], path + ".vertices"))]
         try:
             return polygon_to_halfspaces(verts)
@@ -140,11 +125,8 @@ def _surface(spec, path) -> Polytope:
         hs, path = spec["halfspaces"], path + ".halfspaces"
         if not isinstance(hs, Mapping) or "A" not in hs or "b" not in hs:
             raise ScenarioError(path, "expected a mapping with 'A' and 'b'")
-        A, b = (_field(_float_array, hs[key], f"{path}.{key}") for key in "Ab")
-        try:
-            return Polytope(A, b)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from None
+        A = _field(_array, hs["A"], f"{path}.A", (None, 3))
+        return Polytope(A, _field(_array, hs["b"], f"{path}.b", (A.shape[0],)))
     raise ScenarioError(path, "surface must carry 'vertices' or 'halfspaces'")
 
 
@@ -152,14 +134,12 @@ def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray
     """Piecewise-linear interpolation of [t, v...] rows onto timesteps 0..N-1."""
     if not waypoints:
         raise ScenarioError(path, "at least one waypoint required")
-    rows = [_numbers(wp, f"{path}[{i}]", dim + 1)
-            for i, wp in enumerate(_list(waypoints, path))]
-    rows.sort(key=lambda r: r[0])
-    ts = np.array([r[0] for r in rows])
-    vals = np.array([r[1:] for r in rows])
+    rows = np.array([_field(_array, wp, f"{path}[{i}]", (dim + 1,))
+                     for i, wp in enumerate(_list(waypoints, path))])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
     out = np.empty((N, dim))
     for j in range(dim):
-        out[:, j] = np.interp(np.arange(N), ts, vals[:, j])
+        out[:, j] = np.interp(np.arange(N), rows[:, 0], rows[:, j + 1])
     return out
 
 
@@ -185,17 +165,16 @@ def _phase(c, path: str, offsets: Mapping, N: int) -> ContactPhase:
         if not isinstance(zb, Mapping) or "min" not in zb or "max" not in zb:
             raise ScenarioError(f"{path}.zmp_bounds",
                                 "flat-foot phases need {min: [x, y], max: [x, y]}")
-        lo = _numbers(zb["min"], f"{path}.zmp_bounds.min", 2)
-        hi = _numbers(zb["max"], f"{path}.zmp_bounds.max", 2)
-        zmp = ((lo[0], hi[0]), (lo[1], hi[1]))
+        zmp = np.column_stack([_field(_array, zb[key], f"{path}.zmp_bounds.{key}", (2,))
+                               for key in ("min", "max")])
     rotation = np.eye(3)
     if "rotation" in c:
-        rotation = _field(_float_array, c["rotation"], f"{path}.rotation")
-        if not np.all(np.isfinite(rotation)):
-            raise ScenarioError(f"{path}.rotation", "must be finite")
+        rotation = _field(_array, c["rotation"], f"{path}.rotation", (3, 3))
     surface = _surface(c.get("surface"), f"{path}.surface")
     friction = _field(_positive, c.get("friction", 0.7), f"{path}.friction")
-    hint = _vec(c["foothold_hint"], f"{path}.foothold_hint") if "foothold_hint" in c else None
+    hint = None
+    if "foothold_hint" in c:
+        hint = _field(_array, c["foothold_hint"], f"{path}.foothold_hint", (3,))
     try:
         return ContactPhase(
             end_effector_id=eff, t_start=t0, t_end=t1, surface=surface, rotation=rotation,
@@ -216,17 +195,17 @@ def build_plan(doc: Mapping) -> ContactPlan:
     L_max = _field(_positive, robot["L_max"], "robot.L_max")
     if not isinstance(robot["nominal_offsets"], Mapping):
         raise ScenarioError("robot.nominal_offsets", "expected a mapping of effector offsets")
-    offsets = {str(e): _vec(v, f"robot.nominal_offsets.{e}")
+    offsets = {str(e): _field(_array, v, f"robot.nominal_offsets.{e}", (3,))
                for e, v in robot["nominal_offsets"].items()}
     effector_ids = tuple(offsets.keys())
 
     N = _field(_integer, doc["horizon"].get("N"), "horizon.N", 1)
     dt = _field(_positive, doc["horizon"].get("dt", 0.01), "horizon.dt")
 
-    h0 = np.concatenate([_vec(doc["initial_state"].get(x, [0, 0, 0]), f"initial_state.{x}")
-                         for x in "rlk"])
+    h0 = np.concatenate([_field(_array, doc["initial_state"].get(x, [0, 0, 0]),
+                                f"initial_state.{x}", (3,)) for x in "rlk"])
 
-    gravity = _vec(doc.get("gravity", _GRAVITY), "gravity")
+    gravity = _field(_array, doc.get("gravity", _GRAVITY), "gravity", (3,))
     phases = tuple(_phase(c, f"contacts[{i}]", offsets, N)
                    for i, c in enumerate(doc["contacts"]))
     # What is left to fail is how the phases fit the effectors and each other.
@@ -245,7 +224,7 @@ def pitch_reference_to_momentum(pitch_profile, inertia_scale: float, dt: float) 
     Forward finite difference scaled by the lumped inertia; the last entry
     repeats so the output length matches the input.
     """
-    pitch = np.asarray(pitch_profile, dtype=float).reshape(-1)
+    pitch = _array(pitch_profile, "pitch_profile", (None,))
     if pitch.size < 2:
         return np.zeros(pitch.size)
     k = inertia_scale * np.diff(pitch) / dt

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ContactPlan, PairTable, _float_array, _nonnegative
+from .model import ContactPlan, PairTable, _array, _float_array, _nonnegative
 
 if TYPE_CHECKING:
     from .qp.pattern import QpPattern
@@ -37,13 +37,12 @@ class QpNotSolved(RuntimeError):
 
 
 def _weights9(x, name: str) -> np.ndarray:
-    w = _float_array(x, name).reshape(-1)
-    if w.size == 3:
-        w = np.repeat(w, 3)
-    if w.shape != (9,):
-        raise ValueError(f"{name} must have 3 (per r/l/k) or 9 entries")
+    """Nine state weights from 9 entries or 3 (one each for r, l and k)."""
+    w = _float_array(x, name)
+    w = _array(w, name, (9,) if w.size == 9 else (3,))
     for v in w.tolist():
         _nonnegative(v, name)
+    w = np.repeat(w, 9 // w.size)
     w.setflags(write=False)
     return w
 

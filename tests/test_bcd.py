@@ -47,7 +47,7 @@ def test_consensus_metric_threshold_semantics():
 
 
 def test_consensus_metric_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^ell_k must have shape \(6,\), got \(3,\)$"):
         consensus_metric(np.zeros(3), np.zeros(6), 2)
     with pytest.raises(ValueError, match="horizon"):
         consensus_metric(np.zeros(3), np.zeros(3), 0)

@@ -375,12 +375,14 @@ def test_cached_structure_keeps_builds_independent():
     first = build_contact_qp(x)
     expected = qp_arrays(first)
     first.A.data[:] = 7.0
-    first.lo[:] = -7.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.lo[:] = -7.0
     second = build_contact_qp(y)
     assert not np.array_equal(second.A.data, expected[5])
     assert not np.array_equal(second.lo, expected[7])
     second.A.data[:] = 5.0
-    second.lo[:] = -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        second.lo[:] = -5.0
     f_b = np.zeros((len(plan_b.active_pairs()), 3))
     build_contact_qp(_contact_inputs(plan_b, refs_b, f_b, refs_b))
     for got, want in zip(qp_arrays(build_contact_qp(x)), expected):

@@ -303,11 +303,13 @@ def test_cached_structure_keeps_builds_independent():
     first = build_force_qp(x)
     expected = qp_arrays(first)
     first.A.data[:] = 7.0
-    first.lo[:] = -7.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.lo[:] = -7.0
     second = build_force_qp(y)
     assert not np.array_equal(second.A.data, expected[5])
     second.A.data[:] = 5.0
-    second.lo[:] = -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        second.lo[:] = -5.0
     build_force_qp(_inputs(plan_b, hover_references(plan_b)))
     for got, want in zip(qp_arrays(build_force_qp(x)), expected):
         assert np.array_equal(got, want)

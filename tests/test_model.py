@@ -2,6 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from centroidal_bcd.model import (
@@ -17,11 +18,11 @@ from centroidal_bcd.model import (
     verify_trajectory,
 )
 
-from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
+from centroidal_bcd.bcd import BcdSettings, consensus_metric, force_trajectory, optimize
 from centroidal_bcd.contact_qp import ContactQpInputs
 from centroidal_bcd.force_qp import ForceQpInputs
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.qp import SolverSettings
+from centroidal_bcd.qp import SolverSettings, SparseQP
 from centroidal_bcd.scenarios import materialize
 from centroidal_bcd.structure import CostWeights
 
@@ -263,6 +264,33 @@ UNUSABLE_API_VALUES = {
     "gait mu": (lambda: make_gait("stand", mu=True), "mu must be a number, got True"),
     "gait stride": (lambda: make_gait("walk", stride="0.1"),
                     "stride must be a number, got '0.1'"),
+    # Arrays have one shape each and are never reshaped to fit it.
+    "flat rotation": (lambda: ContactPhase("F", 0, 5, flat_patch(0, 0),
+                                           rotation=[1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]),
+                      "rotation for F must have shape (3, 3), got (9,)"),
+    "2x2 rotation": (lambda: ContactPhase("F", 0, 5, flat_patch(0, 0), rotation=np.eye(2)),
+                     "rotation for F must have shape (3, 3), got (2, 2)"),
+    "column hint": (lambda: ContactPhase("F", 0, 5, flat_patch(0, 0),
+                                         foothold_hint=[[0.0], [0.0], [0.0]]),
+                    "foothold_hint must have shape (3,), got (3, 1)"),
+    "matrix h0": (lambda: _single_contact_plan(h0=np.eye(3)),
+                  "h0 must have shape (9,), got (3, 3)"),
+    "matrix weights": (lambda: CostWeights(tracking=np.ones((3, 3))),
+                       "tracking must have shape (9,), got (3, 3)"),
+    "text vertices": (lambda: polygon_to_halfspaces(
+        [["0", "0", "0"], ["1", "0", "0"], ["1", "1", "0"], ["0", "1", "0"]]),
+                      "vertices must be an array of numbers, got text"),
+    "boolean vertices": (lambda: polygon_to_halfspaces(
+        [[False, False, False], [True, False, False], [True, True, False]]),
+                         "vertices must be an array of numbers, got booleans"),
+    "text q": (lambda: SparseQP(n=1, m_c=1, P=sp.csc_matrix([[1.0]]), q=["1.5"],
+                                A=sp.csc_matrix([[1.0]]), lo=[0.0], hi=[1.0]),
+               "q must be an array of numbers, got text"),
+    "boolean bound": (lambda: SparseQP(n=1, m_c=1, P=sp.csc_matrix([[1.0]]), q=[0.0],
+                                       A=sp.csc_matrix([[1.0]]), lo=[False], hi=[1.0]),
+                      "lo must be an array of numbers, got booleans"),
+    "lever stacks": (lambda: consensus_metric(np.zeros(6), np.zeros((2, 3)), 2),
+                     "ell_k must have shape (2, 3), got (6,)"),
 }
 
 
@@ -293,8 +321,8 @@ def test_the_initial_state_is_a_read_only_nine_vector():
 @pytest.mark.parametrize("h0, message", [
     ((0, 0, np.nan, 0, 0, 0, 0, 0, 0), "h0 must be finite"),
     ((0, 0, np.inf, 0, 0, 0, 0, 0, 0), "h0 must be finite"),
-    ((0, 0, 0.3), "h0 must have 9 components"),
-    (np.zeros(10), "h0 must have 9 components"),
+    ((0, 0, 0.3), r"h0 must have shape \(9,\), got \(3,\)"),
+    (np.zeros(10), r"h0 must have shape \(9,\), got \(10,\)"),
     (CentroidalState((0, 0, 0.3), (0, 0, 0), (0, 0, 0)), "h0 must be an array of numbers"),
 ], ids=["nan", "inf", "3 components", "10 components", "state object"])
 def test_an_unusable_initial_state_is_rejected_naming_h0(h0, message):

@@ -774,11 +774,12 @@ def test_a_cold_solve_starts_at_the_qps_start_point(trot_qps, monkeypatch):
     assert np.array_equal(lam0, np.ones(lam0.size))
 
 
-@pytest.mark.parametrize("x0, error", [(np.zeros(3), "x0 has shape"),
-                                       (np.array([0.0, np.nan]), "x0 holds non-finite"),
-                                       (np.array([0.0, np.inf]), "x0 holds non-finite")])
+@pytest.mark.parametrize("x0, error", [(np.zeros(3), r"x0 must have shape \(2,\), got \(3,\)"),
+                                       (np.array([0.0, np.nan]), "x0 must be finite"),
+                                       (np.array([0.0, np.inf]), "x0 must be finite")],
+                         ids=["shape", "nan", "inf"])
 def test_a_malformed_start_point_is_named(x0, error):
-    with pytest.raises(ValueError, match=f"^{error}"):
+    with pytest.raises(ValueError, match=f"^{error}$"):
         replace(_qp(np.eye(2), np.zeros(2)), x0=x0)
 
 

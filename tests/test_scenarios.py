@@ -202,6 +202,11 @@ def _innermost_key(value):
     # Flags are booleans: "no" read as a flat foot.
     ("contacts[0].flat_foot", "no"),
     ("schema_version", True),
+    # Arrays have one shape each: a flat or a 2x2 rotation was reshaped (or
+    # failed in numpy), a column of hint entries flattened.
+    ("contacts[0].rotation", [[1.0, 0.0], [0.0, 1.0]]),
+    ("contacts[0].rotation", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
+    ("contacts[0].foothold_hint", [[0.19], [0.11], [0.0]]),
 ])
 def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     doc = _stand_with(**{field: value})
@@ -211,6 +216,17 @@ def test_non_finite_and_out_of_range_values_name_their_field(field, value):
         assert info.value.path.startswith(field), (field, info.value.path)
         if isinstance(value, dict):  # a block's field is named in the message
             assert str(info.value).startswith(f"{field}: {_innermost_key(value)} "), info.value
+
+
+@pytest.mark.parametrize("field, value, shape", [
+    ("contacts[0].rotation", [[1.0, 0.0], [0.0, 1.0]], "(3, 3), got (2, 2)"),
+    ("contacts[0].rotation", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "(3, 3), got (9,)"),
+    ("contacts[0].foothold_hint", [[0.19], [0.11], [0.0]], "(3,), got (3, 1)"),
+])
+def test_a_mis_shaped_array_names_its_field_and_shape(field, value, shape):
+    with pytest.raises(ScenarioError) as info:
+        materialize(_stand_with(**{field: value}))
+    assert str(info.value) == f"{field}: must have shape {shape}"
 
 
 def test_non_finite_waypoints_and_contact_values_name_their_field():
