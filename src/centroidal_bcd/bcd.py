@@ -21,9 +21,10 @@ the scheme usable anytime.
 The Force-QP is solved by the interior-point method of
 :mod:`~centroidal_bcd.qp.ipm`, the Contact-QP by the direct active-set solve
 of :mod:`~centroidal_bcd.qp.banded`; each block keeps its handle for the
-whole run. A solve that ends in any status but ``solved``, its iteration
-budget included, raises ``BlockSolveError`` naming the block, the outer
-iteration and the status.
+whole run, and every solve of either block is one step: build, set up or
+update the handle, solve, extract. A solve that ends in any status but
+``solved``, its iteration budget included, raises ``BlockSolveError``
+naming the block, the outer iteration and the status.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model import CentroidalState, ContactPlan, EffectorContact, ResidualReport
     _array, _integer, _nonnegative, _real, state_array, verify_trajectory
 from .qp.banded import BandedActiveSetSolver
 from .qp.ipm import InteriorPointSolver
-from .qp.problem import QpSolution, SolverSettings
+from .qp.problem import SolverSettings
 from .structure import CostWeights
 
 __all__ = [
@@ -157,9 +158,6 @@ class TrajectoryResult:
     final_record: BcdIterationRecord
     converged: bool
     residuals: ResidualReport
-    # The records' setup times summed: every block's builds and handle
-    # setups or value updates.
-    setup_time: float = 0.0
     force_iterates: tuple | None = None
 
     @property
@@ -173,6 +171,13 @@ class TrajectoryResult:
     @property
     def eps_trace(self) -> list[float]:
         return [r.eps_f_value for r in self.records]
+
+    @property
+    def setup_time(self) -> float:
+        """The records' setup times summed: every block's builds and handle
+        setups or value updates."""
+        return (sum(r.force_setup_time + r.contact_setup_time for r in self.records)
+                + self.final_record.force_setup_time)
 
     @property
     def force_time(self) -> float:
@@ -214,40 +219,6 @@ def force_trajectory(iterate: ForceIterate, ell_fixed, p_fixed, plan: ContactPla
                       tau=table.scatter(iterate.tau, table.flat))
 
 
-def _block_fields(block: str, sol: QpSolution, setup_time: float) -> dict:
-    """The fields of a ``BcdIterationRecord`` that one block's solve fills,
-    named ``<block>_<field>``."""
-    values = {
-        "qp_time": sol.solve_time,
-        "setup_time": setup_time,
-        "solver_iterations": sol.iterations,
-        "primal_residual": sol.primal_residual,
-        "dual_residual": sol.dual_residual,
-        "factorizations": sol.factorizations,
-        "band_solves": sol.band_solves,
-    }
-    if block == "force":  # the contact block's direct solve starts no iterate, polishes none
-        values.update(warm_started=sol.warm_started, polished=sol.polished)
-    return {f"{block}_{name}": value for name, value in values.items()}
-
-
-def _solve_block(handle, kind, qp, settings: SolverSettings, block: str, iteration: int):
-    """Set up the block's solver handle of type ``kind`` on ``qp`` or give it
-    ``qp``'s values, and solve once; any status but ``solved``, the
-    iteration cap included, raises ``BlockSolveError``. Returns the handle,
-    the solution and the setup seconds."""
-    t0 = time.perf_counter()
-    if handle is None:
-        handle = kind(qp, settings)
-    else:
-        handle.update_values(qp)
-    setup = time.perf_counter() - t0
-    sol = handle.solve()
-    if not sol.solved:
-        raise BlockSolveError(block, iteration, sol.status)
-    return handle, sol, setup
-
-
 def optimize(plan: ContactPlan, references: np.ndarray,
              settings: BcdSettings | None = None,
              weights: CostWeights | None = None,
@@ -278,51 +249,61 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     p_reg = None
     l_prox = settings.L0
 
-    force_handle: InteriorPointSolver | None = None
-    contact_handle: BandedActiveSetSolver | None = None
+    handles: dict[str, InteriorPointSolver | BandedActiveSetSolver] = {}  # kept for the run
     records: list[BcdIterationRecord] = []
     kept = [] if keep_force_iterates else None
     converged = False
     eps_value = float("inf")
 
-    def run_force(iteration: int, l_prox: float):
-        nonlocal force_handle
+    def step(block: str, inputs: ForceQpInputs | ContactQpInputs, iteration: int):
+        """Solve one block on ``inputs``: returns the iterate and the record
+        fields the solve fills. Builders and extractors are looked up in this
+        module at each call, so wrappers swapped in (tracing, QP capture)
+        see every solve."""
+        force = block == "force"
         t0 = time.perf_counter()
-        qp = build_force_qp(ForceQpInputs(
-            plan=plan, ell_fixed=ell, p_fixed=p_fixed, references=references,
-            weights=weights, h_reg=h_reg, l_prox=l_prox if h_reg is not None else 0.0))
-        # The build and the handle's setup or value update are timed apart
-        # from the solve.
-        build = time.perf_counter() - t0
-        force_handle, sol, setup = _solve_block(force_handle, InteriorPointSolver, qp,
-                                                settings.solver, "force", iteration)
-        iterate = extract_force_iterate(sol, plan)
-        if kept is not None:
-            kept.append((iterate, ell, p_fixed))
-        return iterate, sol, build + setup
+        qp = (build_force_qp if force else build_contact_qp)(inputs)
+        if block in handles:
+            handles[block].update_values(qp)
+        else:
+            handles[block] = (InteriorPointSolver if force else BandedActiveSetSolver)(
+                qp, settings.solver)
+        # The build and the handle's setup or value update are timed apart.
+        setup = time.perf_counter() - t0
+        sol = handles[block].solve()
+        if not sol.solved:
+            raise BlockSolveError(block, iteration, sol.status)
+        iterate = (extract_force_iterate if force else extract_contact_iterate)(sol, plan)
+        if force and kept is not None:
+            kept.append((iterate, inputs.ell_fixed, inputs.p_fixed))
+        values = dict(qp_time=sol.solve_time, setup_time=setup, solver_iterations=sol.iterations,
+                      primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
+                      factorizations=sol.factorizations, band_solves=sol.band_solves,
+                      prox_weight=inputs.l_prox)
+        if force:  # the contact block's direct solve starts no iterate, polishes none
+            values.update(warm_started=sol.warm_started, polished=sol.polished)
+        return iterate, {f"{block}_{name}": value for name, value in values.items()}
+
+    def force_inputs(l_prox: float) -> ForceQpInputs:
+        # No proximal pull before a contact solve has given it a target.
+        return ForceQpInputs(plan=plan, ell_fixed=ell, p_fixed=p_fixed, references=references,
+                             weights=weights, h_reg=h_reg,
+                             l_prox=l_prox if h_reg is not None else 0.0)
 
     k = 0
     while k < settings.max_outer_iterations:
         k += 1
-        force_iterate, force_sol, force_setup = run_force(k, l_prox)
-
-        t0 = time.perf_counter()
-        qp_c = build_contact_qp(ContactQpInputs(
+        force_iterate, force_values = step("force", force_inputs(l_prox), k)
+        contact_iterate, contact_values = step("contact", ContactQpInputs(
             plan=plan, f_fixed=force_iterate.f, h_reg=force_iterate.h,
             references=references, weights=weights,
-            p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=l_prox))
-        build = time.perf_counter() - t0
-        contact_handle, contact_sol, contact_setup = _solve_block(
-            contact_handle, BandedActiveSetSolver, qp_c, settings.solver, "contact", k)
-        contact_iterate = extract_contact_iterate(contact_sol, plan)
+            p_reg=p_reg, tau_fixed=force_iterate.tau, l_prox=l_prox), k)
 
         eps_value = consensus_metric(contact_iterate.ell, ell, plan.horizon)
         record = BcdIterationRecord(
             iteration=k, eps_f_value=eps_value,
             original_cost=force_original_cost(force_iterate, references, weights, plan),
-            force_prox_weight=l_prox if h_reg is not None else 0.0, contact_prox_weight=l_prox,
-            **_block_fields("force", force_sol, force_setup),
-            **_block_fields("contact", contact_sol, build + contact_setup))
+            **force_values, **contact_values)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -344,23 +325,17 @@ def optimize(plan: ContactPlan, references: np.ndarray,
     # proximal pull: damping has done its job once the loop exits, and keeping
     # the grown weight would only bias the returned profiles away from the
     # task optimum at the settled lever geometry.
-    final_iterate, final_sol, final_setup = run_force(k + 1, 0.0)
+    final_iterate, final_values = step("force", force_inputs(0.0), k + 1)
     final_record = BcdIterationRecord(
         iteration=k + 1, contact_qp_time=0.0, contact_solver_iterations=0,
         eps_f_value=eps_value,
         original_cost=force_original_cost(final_iterate, references, weights, plan),
-        **_block_fields("force", final_sol, final_setup))
+        **final_values)
     if on_iteration is not None:
         on_iteration(final_record)
 
     traj = force_trajectory(final_iterate, ell, p_fixed, plan, contact_iterate.z)
     residuals = verify_trajectory(traj, plan, tol=residual_tol)
-    return TrajectoryResult(
-        trajectory=traj,
-        records=tuple(records),
-        final_record=final_record,
-        converged=converged,
-        residuals=residuals,
-        setup_time=sum(r.force_setup_time + r.contact_setup_time for r in records)
-        + final_record.force_setup_time,
-        force_iterates=tuple(kept) if kept is not None else None)
+    return TrajectoryResult(trajectory=traj, records=tuple(records), final_record=final_record,
+                            converged=converged, residuals=residuals,
+                            force_iterates=tuple(kept) if kept is not None else None)

@@ -2,12 +2,13 @@
 horizon scaling, and generate gait scenario files.
 
 Exit codes for ``solve``: 0 converged and feasible, 1 scenario error or a
-flag value the run cannot use (the flag named), 2 subproblem infeasibility
-(block and iteration named), 3 non-convergence (outputs are still written).
-``bench`` returns 1 and 2 as ``solve`` does, and 0 otherwise (converged or
-not, as bench.csv records). ``verify`` returns 0 when feasible at the
-tolerance, 1 when not or on an unusable flag value, and 64 on malformed
-trajectory files.
+flag value the run cannot use (the flag named, an unusable ``--out``
+included), 2 subproblem infeasibility (block and iteration named), 3
+non-convergence (outputs are still written). ``bench`` returns 1 and 2 as
+``solve`` does, and 0 otherwise (converged or not, as bench.csv records).
+``verify`` returns 0 when feasible at the tolerance, 1 when not or on an
+unusable flag value, and 64 on malformed trajectory files. A flag argparse
+cannot parse, or does not know, exits 2 with argparse's usage message.
 
 All machine outputs are byte-reproducible for identical inputs; wall-clock
 timings live in their own file (timing.csv).
@@ -16,6 +17,7 @@ timings live in their own file (timing.csv).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -46,6 +48,15 @@ EXIT_FORMAT = 64
 
 class FlagError(ValueError):
     """A flag value the run cannot use; the message names the flag."""
+
+
+@contextlib.contextmanager
+def _out_flag():
+    """An ``OSError`` from creating or writing into ``--out`` as a ``FlagError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise FlagError(f"--out: {exc}") from None
 
 
 def _apply_overrides(settings: BcdSettings, cfg: argparse.Namespace) -> BcdSettings:
@@ -100,7 +111,8 @@ def run_solve(cfg: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     out = cfg.out or Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+    with _out_flag():
+        out.mkdir(parents=True, exist_ok=True)
 
     def progress(record):
         if cfg.verbose:
@@ -108,21 +120,16 @@ def run_solve(cfg: argparse.Namespace) -> int:
                   f"cost={record.original_cost:.6f} "
                   f"contact_passes={record.contact_solver_iterations}")
 
-    try:
-        result = optimize(plan, refs, settings, weights, on_iteration=progress,
-                          residual_tol=tol)
-    except BlockSolveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        write_trajectory_csv(fh, result.states, result.contacts, plan)
-    with open(out / "convergence.json", "w") as fh:
-        write_convergence_json(fh, result, doc["name"])
-    with open(out / "timing.csv", "w", newline="") as fh:
-        write_timing_csv(fh, result)
+    result = optimize(plan, refs, settings, weights, on_iteration=progress, residual_tol=tol)
     summary = _summary_lines(doc["name"], result, tol)
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    with _out_flag():
+        with open(out / "trajectory.csv", "w", newline="") as fh:
+            write_trajectory_csv(fh, result.states, result.contacts, plan)
+        with open(out / "convergence.json", "w") as fh:
+            write_convergence_json(fh, result, doc["name"])
+        with open(out / "timing.csv", "w", newline="") as fh:
+            write_timing_csv(fh, result)
+        (out / "summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     if not result.converged:
         return EXIT_NO_CONVERGENCE
@@ -181,21 +188,18 @@ def run_bench(cfg: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     out = cfg.out or Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+    with _out_flag():
+        out.mkdir(parents=True, exist_ok=True)
     rows = []
     for N, (plan, refs, settings, weights) in problems:
         settings = _apply_overrides(settings, cfg)
-        try:
-            result = optimize(plan, refs, settings, weights)
-        except BlockSolveError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        result = optimize(plan, refs, settings, weights)
         force, contact = result.force_time, result.contact_time
         rows.append((N, result.solve_time, force, contact, len(result.records),
                      result.converged))
         print(f"N={N}: solve={result.solve_time:.3f}s force={force:.3f}s "
               f"contact={contact:.3f}s iterations={len(result.records)}")
-    with open(out / "bench.csv", "w", newline="") as fh:
+    with _out_flag(), open(out / "bench.csv", "w", newline="") as fh:
         fh.write("N,total_solve_time_s,force_qp_time_s,contact_qp_time_s,"
                  "outer_iterations,converged\n")
         for N, total, force, contact, iters, conv in rows:
@@ -224,7 +228,8 @@ def run_gait(cfg: argparse.Namespace) -> int:
     if cfg.out is None:
         sys.stdout.write(blob.decode("utf-8"))
     else:
-        cfg.out.write_bytes(blob)
+        with _out_flag():
+            cfg.out.write_bytes(blob)
         print(f"wrote {cfg.out}")
     return EXIT_OK
 
@@ -299,6 +304,9 @@ def main(argv=None) -> int:
     except FlagError as exc:
         print(f"flag error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
+    except BlockSolveError as exc:  # solve and bench write nothing further
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ As on the force side, the structure depends only on the plan and is built
 once per plan with array arithmetic: the fixed forces fill dedicated skew
 slots that exist even when zero, and each build copies the cached structure
 and fills in the force, torque, reference and proximal values with numpy.
+The block record of :mod:`~centroidal_bcd.structure` writes the state terms,
+assembles the QP and guards extraction, as it does for the force side.
 Inputs and iterates are per-pair arrays in ``plan.active_pairs()`` order.
 """
 
@@ -44,12 +46,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import ContactPlan, Polytope, _lever_geometry, _nonnegative, state_array
-from .qp.problem import QpSolution, SparseQP
-from .structure import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
-    recursion_rows, skew_entries, timestep_blocks
+from .structure import SKEW_I, SKEW_J, BlockStructure, CostWeights, Entries, com_rows, \
+    per_plan, recursion_rows, skew_entries, timestep_blocks
 
 if TYPE_CHECKING:
-    from .qp.pattern import QpPattern
+    from .qp.problem import QpSolution, SparseQP
 
 __all__ = [
     "ContactQpInputs",
@@ -112,16 +113,11 @@ def nominal_footholds(plan: ContactPlan, references: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Structure:
-    """Plan-only part of the Contact-QP. Per-pair arrays follow
+class _Structure(BlockStructure):
+    """Plan-only part of the Contact-QP: the skew slots of A hold zero, and
+    the k rows' bounds only the initial state's term. Per-pair arrays follow
     ``plan.active_pairs()``; per-flat-pair arrays its flat-foot subset."""
 
-    n: int                    # columns
-    pattern: QpPattern
-    a_data: np.ndarray        # constant entries; the skew slots hold zero
-    lo: np.ndarray            # k rows hold only the initial state's term
-    hi: np.ndarray
-    state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
     r_skew_pos: np.ndarray    # (pairs, 6) A.data positions of -dt skew(f) on r_t
     p_skew_pos: np.ndarray    # (pairs, 6) A.data positions of dt skew(f) on the copy
     p_cols: np.ndarray        # (pairs, 3) phase foothold columns, shared within a phase
@@ -234,7 +230,9 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     s = _structure(plan)
     w, dt = inputs.weights, plan.dt
     f = inputs.f_fixed
-    a_data = s.a_data.copy()
+    # No tracking term here: the state is anchored through the proximal pull
+    # toward the force solve.
+    a_data, lo, hi, d, q = s.fill(w.running_h, inputs)
     skew_f = dt * skew_entries(f)
     # Several contacts at one timestep share the r_t slots: accumulate.
     np.add.at(a_data, s.r_skew_pos, -skew_f)
@@ -243,26 +241,18 @@ def build_contact_qp(inputs: ContactQpInputs) -> SparseQP:
     z_block = np.cross(f[plan.pair_table.flat, None, :], s.z_rotation.transpose(0, 2, 1))
     a_data[s.z_pos] = dt * z_block.transpose(0, 2, 1).reshape(-1, 6)
     tau = dt * inputs.tau_fixed
-    lo, hi = s.lo.copy(), s.hi.copy()
     np.add.at(lo, s.k_rows, tau)
     np.add.at(hi, s.k_rows, tau)
 
-    # No tracking term here: the state is anchored through the proximal pull
-    # toward the force solve. Each timestep's foothold terms sit on its own
-    # copy; the ties make the sum over a phase's copies the phase's cost.
+    # Each timestep's foothold terms sit on its own copy; the ties make the
+    # sum over a phase's copies the phase's cost.
     p_prox = inputs.l_prox if inputs.p_reg is not None else 0.0
-    d = np.zeros(s.n)
     d[s.z_cols] = 2.0 * w.zmp
     d[s.copy_cols] = 2.0 * w.foothold + p_prox
-    d[s.state_cols] = 2.0 * w.running_h + inputs.l_prox
-    q = np.zeros(s.n)
-    q[s.state_cols] = (-2.0 * w.running_h * inputs.references
-                       - inputs.l_prox * inputs.h_reg)
     q[s.copy_cols] = -2.0 * w.foothold * nominal_footholds(plan, inputs.references)
     if inputs.p_reg is not None:
         q[s.copy_cols] -= p_prox * inputs.p_reg
-    return SparseQP(n=s.n, m_c=lo.size, P=s.pattern.p_matrix(d), q=q,
-                    A=s.pattern.a_matrix(a_data), lo=lo, hi=hi, pattern=s.pattern)
+    return s.qp(a_data, lo, hi, d, q)
 
 
 @dataclass(frozen=True)
@@ -279,9 +269,8 @@ class ContactIterate:
 
 def extract_contact_iterate(sol: QpSolution, plan: ContactPlan) -> ContactIterate:
     """The iterate of a solved Contact-QP built on ``plan``."""
-    if not sol.solved:
-        raise QpNotSolved(sol.status)
     s, table = _structure(plan), plan.pair_table
-    h, p, z = sol.x[s.state_cols], sol.x[s.p_cols], sol.x[s.z_cols]
+    x = s.solution(sol)
+    h, p, z = x[s.state_cols], x[s.p_cols], x[s.z_cols]
     ell = _lever_geometry(p, h[table.t, 0:3], table.scatter(z, table.flat), table.rotation)
     return ContactIterate(h=h, p=p, z=z, ell=ell)

@@ -22,7 +22,8 @@ numpy, and extraction reads the iterate through the same columns. Inputs and
 iterates are arrays: one row per active pair in ``plan.active_pairs()``
 order, and (N, 9) state arrays, the references among them. What both
 trajectory QPs share (cost weights, column and row offsets, recursion rows,
-entry placement) lives in :mod:`~centroidal_bcd.structure`.
+entry placement, and the block record that fills, assembles and reads back
+each build) lives in :mod:`~centroidal_bcd.structure`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import ContactPlan, _nonnegative, state_array
-from .qp.problem import QpSolution, SparseQP
-from .structure import SKEW_I, SKEW_J, CostWeights, Entries, QpNotSolved, com_rows, per_plan, \
-    recursion_rows, skew_entries, timestep_blocks
+from .structure import SKEW_I, SKEW_J, BlockStructure, CostWeights, Entries, com_rows, \
+    per_plan, recursion_rows, skew_entries, timestep_blocks
 
 if TYPE_CHECKING:
-    from .qp.pattern import QpPattern
+    from .qp.problem import QpSolution, SparseQP
 
 __all__ = [
     "ForceQpInputs",
@@ -81,16 +81,11 @@ class ForceQpInputs:
 
 
 @dataclass(frozen=True)
-class _Structure:
-    """Plan-only part of the Force-QP. Per-pair arrays follow
-    ``plan.active_pairs()``."""
+class _Structure(BlockStructure):
+    """Plan-only part of the Force-QP: the skew slots of A hold zero, and the
+    kinematic rows' bounds -L and +L, to which builds add p_fixed. Per-pair
+    arrays follow ``plan.active_pairs()``."""
 
-    n: int                    # columns
-    pattern: QpPattern
-    a_data: np.ndarray        # constant entries; the skew slots hold zero
-    lo: np.ndarray            # kinematic rows hold -L and +L; builds add p_fixed
-    hi: np.ndarray
-    state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
     f_cols: np.ndarray        # (pairs, 3)
     tau_cols: np.ndarray      # (flat pairs, 3)
     skew_pos: np.ndarray      # (pairs, 6) A.data positions of -dt skew(ell)
@@ -143,22 +138,12 @@ def _structure(plan: ContactPlan) -> _Structure:
 def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     s = _structure(inputs.plan)
     w = inputs.weights
-    a_data = s.a_data.copy()
+    a_data, lo, hi, d, q = s.fill(w.state(inputs.plan.horizon), inputs)
     a_data[s.skew_pos] = -inputs.plan.dt * skew_entries(inputs.ell_fixed)
-    lo, hi = s.lo.copy(), s.hi.copy()
     lo[s.kin_rows] += inputs.p_fixed
     hi[s.kin_rows] += inputs.p_fixed
-
-    W = w.state(inputs.plan.horizon)
-    d = np.zeros(s.n)
     d[s.f_cols] = 2.0 * w.force
     d[s.tau_cols] = 2.0 * w.torque
-    d[s.state_cols] = 2.0 * W + inputs.l_prox
-    q_state = -2.0 * W * inputs.references
-    if inputs.h_reg is not None and inputs.l_prox > 0.0:
-        q_state = q_state - inputs.l_prox * inputs.h_reg
-    q = np.zeros(s.n)
-    q[s.state_cols] = q_state
     # The interior-point method's cold start: the reference momentum, and
     # each active pair carrying an equal share of the weight, -m g over the
     # pairs active at its timestep; torques zero.
@@ -166,8 +151,7 @@ def build_force_qp(inputs: ForceQpInputs) -> SparseQP:
     x0 = np.zeros(s.n)
     x0[s.state_cols] = inputs.references
     x0[s.f_cols] = -plan.mass * plan.gravity / np.diff(table.start)[table.t, None]
-    return SparseQP(n=s.n, m_c=lo.size, P=s.pattern.p_matrix(d), q=q,
-                    A=s.pattern.a_matrix(a_data), lo=lo, hi=hi, x0=x0, pattern=s.pattern)
+    return s.qp(a_data, lo, hi, d, q, x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +167,8 @@ class ForceIterate:
 
 def extract_force_iterate(sol: QpSolution, plan: ContactPlan) -> ForceIterate:
     """The iterate of a solved Force-QP built on ``plan``."""
-    if not sol.solved:
-        raise QpNotSolved(sol.status)
-    s, x = _structure(plan), sol.x
+    s = _structure(plan)
+    x = s.solution(sol)
     return ForceIterate(h=x[s.state_cols], f=x[s.f_cols], tau=x[s.tau_cols])
 
 

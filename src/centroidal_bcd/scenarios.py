@@ -131,12 +131,16 @@ def _surface(spec, path) -> Polytope:
 
 
 def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray:
-    """Piecewise-linear interpolation of [t, v...] rows onto timesteps 0..N-1."""
+    """Piecewise-linear interpolation of [t, v...] rows onto timesteps 0..N-1;
+    two rows at one timestep would make the reference depend on their order."""
     if not waypoints:
         raise ScenarioError(path, "at least one waypoint required")
     rows = np.array([_field(_array, wp, f"{path}[{i}]", (dim + 1,))
                      for i, wp in enumerate(_list(waypoints, path))])
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    for i, t in enumerate(rows[:, 0].tolist()):
+        if t in rows[:i, 0]:
+            raise ScenarioError(f"{path}[{i}]", f"repeats the timestep {t:g} of an earlier row")
+    rows = rows[np.argsort(rows[:, 0])]
     out = np.empty((N, dim))
     for j in range(dim):
         out[:, j] = np.interp(np.arange(N), rows[:, 0], rows[:, j + 1])

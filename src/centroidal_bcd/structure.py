@@ -1,13 +1,14 @@
 """What both trajectory QPs share: cost weights, the column and row layout of
 the timesteps, the recursion rows, the skew-symmetric slots, the per-plan
-cache and the placement of constraint entries.
+cache, the placement of constraint entries and the plan-only block record.
 
 Both QPs order their columns and rows timestep by timestep (each
 timestep's pairs, then its own state), and every constraint row couples at
 most two consecutive timesteps. :class:`Entries` places a QP's entries as
 arrays over the whole horizon and hands them to
-:meth:`QpPattern.from_entries`; the record lives in each QP's per-plan
-structure, and every build of that QP reuses it.
+:meth:`QpPattern.from_entries`. Each QP's per-plan structure extends
+:class:`BlockStructure`, which fills a build's copies of A's data and the
+bounds and its state terms, assembles its ``SparseQP`` and guards extraction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import ContactPlan, PairTable, _array, _float_array, _nonnegative
+from .qp.problem import QpSolution, SparseQP
 
 if TYPE_CHECKING:
     from .qp.pattern import QpPattern
@@ -183,3 +185,39 @@ def com_rows(e: Entries, plan: ContactPlan, cols: np.ndarray, row: np.ndarray) -
     """CoM recursion r_t - r_{t-1} - (dt/m) l_t = 0."""
     rows = recursion_rows(e, plan, cols, row, "r", np.zeros(3))
     e.add(rows, cols[:, 3:6], -plan.dt / plan.mass)
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """Plan-only part of one trajectory QP, which each QP's ``_Structure``
+    extends with the columns, rows and A.data positions its builds fill."""
+
+    n: int                    # columns
+    pattern: QpPattern
+    a_data: np.ndarray        # constant entries; slots that builds fill hold zero
+    lo: np.ndarray            # row bounds before a build's additions
+    hi: np.ndarray
+    state_cols: np.ndarray    # (N, 9) (r, l, k) of each timestep
+
+    def fill(self, W, inputs):
+        """Copies of A's data, ``lo`` and ``hi``, and P's diagonal and q with
+        the state terms: the weight ``W`` on the deviation from the inputs'
+        ``references``, and their ``l_prox`` toward their ``h_reg``."""
+        d, q = np.zeros(self.n), np.zeros(self.n)
+        d[self.state_cols] = 2.0 * W + inputs.l_prox
+        q[self.state_cols] = -2.0 * W * inputs.references
+        if inputs.h_reg is not None and inputs.l_prox > 0.0:
+            q[self.state_cols] -= inputs.l_prox * inputs.h_reg
+        return self.a_data.copy(), self.lo.copy(), self.hi.copy(), d, q
+
+    def qp(self, a_data, lo, hi, d, q, x0=None) -> SparseQP:
+        """The QP of a build's arrays, its matrices on the record's pattern."""
+        return SparseQP(n=self.n, m_c=lo.size, P=self.pattern.p_matrix(d), q=q,
+                        A=self.pattern.a_matrix(a_data), lo=lo, hi=hi, x0=x0, pattern=self.pattern)
+
+    @staticmethod
+    def solution(sol: QpSolution) -> np.ndarray:
+        """A solved QP's x; any other status raises ``QpNotSolved``."""
+        if not sol.solved:
+            raise QpNotSolved(sol.status)
+        return sol.x

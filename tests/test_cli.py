@@ -308,6 +308,33 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, out", [
+    ("solve", "file"),
+    ("bench", "file"),
+    ("gait", "missing/stand.scn"),
+])
+def test_an_out_that_cannot_be_made_exits_1_naming_it(stand_scenario, tmp_path, capsys,
+                                                      monkeypatch, subcommand, out):
+    # Each ended in a FileExistsError or FileNotFoundError traceback.
+    (tmp_path / "file").write_text("")
+    solves = []
+    monkeypatch.setattr(cli_module, "optimize", lambda *args, **kwargs: solves.append(args))
+    args = ["--kind", "stand"] if subcommand == "gait" else ["--scenario", str(stand_scenario)]
+    assert main([subcommand, *args, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("flag error: --out: ")
+    assert not solves  # it fails before it optimizes
+
+
+@pytest.mark.parametrize("subcommand, blocked", [("solve", "trajectory.csv"),
+                                                 ("bench", "bench.csv")])
+def test_an_out_that_cannot_be_written_exits_1_naming_it(stand_scenario, tmp_path, capsys,
+                                                         subcommand, blocked):
+    # A directory where the file goes ended in an IsADirectoryError traceback.
+    (tmp_path / blocked).mkdir()
+    assert main([subcommand, "--scenario", str(stand_scenario), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("flag error: --out: ")
+
+
 def test_bench_single_horizon_reports_na(tmp_path, trot_scenario, capsys):
     out = tmp_path / "bench1"
     assert main(["bench", "--scenario", str(trot_scenario),

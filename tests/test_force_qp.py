@@ -12,7 +12,6 @@ from centroidal_bcd.contact_qp import nominal_footholds
 from centroidal_bcd.force_qp import (
     CostWeights,
     ForceQpInputs,
-    QpNotSolved,
     build_force_qp,
     extract_force_iterate,
     force_original_cost,
@@ -21,6 +20,7 @@ from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, QpSolution, SolverSettings
 from centroidal_bcd.scenarios import materialize
+from centroidal_bcd.structure import QpNotSolved
 
 from conftest import flat_foot_plan, hover_plan, hover_references, monopod_plan, pattern_hash, \
     qp_arrays

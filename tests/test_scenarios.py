@@ -207,6 +207,11 @@ def _innermost_key(value):
     ("contacts[0].rotation", [[1.0, 0.0], [0.0, 1.0]]),
     ("contacts[0].rotation", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
     ("contacts[0].foothold_hint", [[0.19], [0.11], [0.0]]),
+    # A timestep holds one waypoint: a second one made the reference depend
+    # on the order of the two.
+    ("references.com_waypoints[1]", [0.0, 0.1, 0.0, 0.22]),
+    ("references.momentum_waypoints", [[3.0, *[0.0] * 6], [0.0, *[0.0] * 6],
+                                       [3.0, 0.1, *[0.0] * 5]]),
 ])
 def test_non_finite_and_out_of_range_values_name_their_field(field, value):
     doc = _stand_with(**{field: value})
@@ -227,6 +232,15 @@ def test_a_mis_shaped_array_names_its_field_and_shape(field, value, shape):
     with pytest.raises(ScenarioError) as info:
         materialize(_stand_with(**{field: value}))
     assert str(info.value) == f"{field}: must have shape {shape}"
+
+
+def test_a_repeated_waypoint_timestep_names_its_row_and_timestep():
+    doc = _stand_with(**{"references.com_waypoints": [[0.0, 0.0, 0.0, 0.22], [5.0, 0.1, 0.0, 0.22],
+                                                       [19.0, 0.0, 0.0, 0.22], [5.0, -0.1, 0.0, 0.22]]})
+    with pytest.raises(ScenarioError) as info:
+        materialize(doc)
+    assert str(info.value) == ("references.com_waypoints[3]: repeats the timestep 5 of an "
+                               "earlier row")
 
 
 def test_non_finite_waypoints_and_contact_values_name_their_field():
