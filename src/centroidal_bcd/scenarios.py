@@ -135,12 +135,22 @@ def _interpolate_waypoints(waypoints, N: int, dim: int, path: str) -> np.ndarray
     two rows at one timestep would make the reference depend on their order."""
     if not waypoints:
         raise ScenarioError(path, "at least one waypoint required")
-    rows = np.array([_field(_array, wp, f"{path}[{i}]", (dim + 1,))
-                     for i, wp in enumerate(_list(waypoints, path))])
-    for i, t in enumerate(rows[:, 0].tolist()):
-        if t in rows[:i, 0]:
-            raise ScenarioError(f"{path}[{i}]", f"repeats the timestep {t:g} of an earlier row")
-    rows = rows[np.argsort(rows[:, 0])]
+    _list(waypoints, path)
+    try:  # all rows at once; a failure is checked row by row, to name the row
+        rows = _array(waypoints, path, (None, dim + 1))
+    except ValueError:
+        rows = np.array([_field(_array, wp, f"{path}[{i}]", (dim + 1,))
+                         for i, wp in enumerate(waypoints)])
+    # A stable sort keeps the rows of one timestep in document order: each
+    # row after the first of its timestep repeats it.
+    order = np.argsort(rows[:, 0], kind="stable")
+    t = rows[order, 0]
+    repeats = order[1:][t[1:] == t[:-1]]
+    if repeats.size:
+        i = repeats.min()
+        raise ScenarioError(f"{path}[{i}]",
+                            f"repeats the timestep {rows[i, 0]:g} of an earlier row")
+    rows = rows[order]
     out = np.empty((N, dim))
     for j in range(dim):
         out[:, j] = np.interp(np.arange(N), rows[:, 0], rows[:, j + 1])

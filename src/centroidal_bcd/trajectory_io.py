@@ -86,10 +86,11 @@ def write_trajectory_csv(stream, states: Sequence[CentroidalState],
     values = np.zeros((plan.horizon, len(header)))
     values[:, 1:10] = traj.h
     values[np.broadcast_to(plan.pair_table.t[:, None], cols.shape)[at], cols[at]] = data[at]
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for t, row in enumerate(values[:, 1:].tolist()):
-        writer.writerow([t, *map(repr, row)])
+    # The header goes through csv, which quotes an effector id as it needs;
+    # the body is numbers only, so its rows are joined as they are.
+    csv.writer(stream, lineterminator="\n").writerow(header)
+    stream.write("".join(f"{t},{','.join(map(repr, row))}\n"
+                         for t, row in enumerate(values[:, 1:].tolist())))
 
 
 def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
@@ -108,14 +109,18 @@ def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
             f"header mismatch: expected {len(expected)} columns for this plan, "
             f"got {len(header)} ({header[:4]}...)")
     rows = list(reader)
-    values = np.empty((len(rows), len(expected)))
-    for t, row in enumerate(rows):
-        if len(row) != len(expected):
-            raise TrajectoryFormatError(f"row {t}: expected {len(expected)} fields, got {len(row)}")
-        try:
-            values[t] = [float(x) for x in row]
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"row {t}: {exc}") from None
+    try:  # one conversion; numpy reads text as float() does
+        values = np.array(rows, dtype=float).reshape(len(rows), len(expected))
+    except ValueError:  # a ragged or mis-sized table, or text: name the first bad row
+        values = np.empty((len(rows), len(expected)))
+        for t, row in enumerate(rows):
+            if len(row) != len(expected):
+                raise TrajectoryFormatError(
+                    f"row {t}: expected {len(expected)} fields, got {len(row)}") from None
+            try:
+                values[t] = [float(x) for x in row]
+            except ValueError as exc:
+                raise TrajectoryFormatError(f"row {t}: {exc}") from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         t, col = bad[0]
@@ -166,8 +171,11 @@ def write_timing_csv(stream, result: TrajectoryResult) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["phase", "force_qp_time_s", "contact_qp_time_s", "force_setup_time_s",
                      "contact_setup_time_s"])
-    for r in (*result.records, result.final_record):
+    records = (*result.records, result.final_record)
+    for r in records:
         phase = "final" if r is result.final_record else f"iteration_{r.iteration}"
         writer.writerow([phase, repr(r.force_qp_time), repr(r.contact_qp_time),
                          repr(r.force_setup_time), repr(r.contact_setup_time)])
-    writer.writerow(["setup", repr(result.setup_time), repr(0.0), "", ""])
+    # The run's setup time, per block, under the setup columns.
+    writer.writerow(["setup", "", "", repr(sum(r.force_setup_time for r in records)),
+                     repr(sum(r.contact_setup_time for r in records))])

@@ -375,6 +375,13 @@ def test_records_carry_each_blocks_setup_time(tmp_path):
     assert [float(v) for v in rows[0][3:]] == [result.records[0].force_setup_time,
                                                result.records[0].contact_setup_time]
     assert rows[-2][0] == "final" and rows[-1][0] == "setup"
+    # The setup row holds the run's setup time under the setup columns, per
+    # block and the final record included, and no solve time.
+    assert rows[-1][1:3] == ["", ""]
+    force, contact = (float(v) for v in rows[-1][3:])
+    assert force == sum(r.force_setup_time for r in records)
+    assert contact == sum(r.contact_setup_time for r in records)
+    assert force + contact == pytest.approx(result.setup_time)
 
 
 def test_records_count_each_blocks_factorizations(monkeypatch):

@@ -243,6 +243,60 @@ def test_a_repeated_waypoint_timestep_names_its_row_and_timestep():
                                "earlier row")
 
 
+def _many_waypoints(k):
+    """``k`` CoM waypoint rows at distinct timesteps, spread over a 20-step
+    horizon."""
+    return [[float(t), 0.0, 0.0, 0.22] for t in np.linspace(0.0, 19.0, k)]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([7.0, 0.0, 0.22], "must have shape (4,), got (3,)"),
+    ([7.0, 0.0, "high", 0.22], "must be an array of numbers, got text"),
+    ([7.0, 0.0, True, 0.22], "must be an array of numbers, got booleans"),
+    ([7.0, 0.0, math.inf, 0.22], "must be finite"),
+], ids=["width", "text", "boolean", "inf"])
+def test_a_bad_waypoint_among_many_names_its_row(row, message):
+    rows = _many_waypoints(40)
+    rows[23] = row
+    with pytest.raises(ScenarioError) as info:
+        materialize(_stand_with(**{"references.com_waypoints": rows}))
+    assert str(info.value) == f"references.com_waypoints[23]: {message}"
+
+
+def test_the_first_repeating_waypoint_in_document_order_is_named():
+    # Sorted by time, the repeat of timestep 3 comes first; in the document
+    # the repeat of timestep 9 does.
+    rows = [[t, 0.0, 0.0, 0.22] for t in (9.0, 3.0, 7.0, 9.0, 1.0, 3.0)]
+    with pytest.raises(ScenarioError) as info:
+        materialize(_stand_with(**{"references.com_waypoints": rows}))
+    assert str(info.value) == ("references.com_waypoints[3]: repeats the timestep 9 of an "
+                               "earlier row")
+
+
+def test_waypoint_rows_are_checked_as_one_array(monkeypatch):
+    # A work count that does not depend on the host: the array checks of a
+    # document do not grow with its number of waypoint rows.
+    import centroidal_bcd.model as model
+    import centroidal_bcd.scenarios as scenarios
+
+    calls = []
+
+    def counting_array(*args, **kwargs):
+        calls.append(args[1])
+        return real_array(*args, **kwargs)
+
+    real_array = model._array
+    monkeypatch.setattr(model, "_array", counting_array)
+    monkeypatch.setattr(scenarios, "_array", counting_array)
+    counts = []
+    for k in (10, 1000):
+        calls.clear()
+        materialize(_stand_with(**{"references.com_waypoints": _many_waypoints(k)}))
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+    assert calls.count("references.com_waypoints") == 1
+
+
 def test_non_finite_waypoints_and_contact_values_name_their_field():
     doc = _stand_with()
     doc["references"]["com_waypoints"][1][2] = math.inf
