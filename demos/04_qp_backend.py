@@ -3,10 +3,14 @@
 A random strictly convex QP is solved by the interior-point backend and
 cross-checked against the dense active-set reference. Its first solve starts
 cold: the first iteration only moves the slacks and multipliers to
-Mehrotra's starting point. Then the handle is reused: value updates factor
-nothing, and every re-solve factors the Newton matrix once per iteration
-(and once more for the polish), starting warm from the handle's last
-solution. A fresh handle of the updated QP starts cold, for comparison.
+Mehrotra's starting point, and the polish holds the detected active set.
+Then the handle is reused: value updates factor nothing, and every re-solve
+first tries the last accepted polish's held set. Here that set is still the
+active set after both updates, so each re-solve is that one held-set pass:
+no iteration and one factorization. A re-solve whose set misses factors the
+Newton matrix once per iteration (and once more for its polish), starting
+warm from the handle's last interior-point iterate. A fresh handle of the
+updated QP starts cold, for comparison.
 
 Last, the contact QP of the trot's first outer iteration is solved by the
 direct active-set solve the contact block uses, which holds the equality
@@ -60,8 +64,10 @@ for label, values in (("cost-only update", {"q": 0.5 * q}), ("matrix update", {"
     factored = handle.kkt_refactorizations + handle.polish_factorizations - before
     again = handle.solve()
     cold = InteriorPointSolver(current).solve()
+    how = ("on the last polish's held set" if again.iterations == 0
+           else "warm" if again.warm_started else "cold")
     print(f"{label}: {factored} factorizations; re-solve {again.status} "
-          f"({'warm' if again.warm_started else 'cold'}) in {again.iterations} iterations, "
+          f"({how}) in {again.iterations} iterations, "
           f"{again.factorizations} factorizations; a fresh handle takes "
           f"{cold.iterations} (cold), max |x gap| {np.max(np.abs(again.x - cold.x)):.1e}")
 

@@ -123,7 +123,11 @@ class BcdIterationRecord:
     # Whether the force solve's polish was accepted. A force handle stops
     # polishing after its first rejected polish, so with
     # ``force_factorizations`` a record reads as polished, rejected
-    # (factorizations = iterations + 1) or skipped (= iterations).
+    # (factorizations = iterations + 1) or skipped (= iterations). A solve
+    # after an accepted polish first tries that polish's held set, which
+    # counts as its polish: one that lands there takes no iteration, and a
+    # missed set detected again is not factored twice (one detected
+    # elsewhere adds a factorization).
     force_polished: bool = False
     # Matrices each block's solve factored: the force block's Newton and
     # polish factorizations, the contact block's active-set passes.

@@ -59,14 +59,14 @@ momentum, the weight shared among the active contacts) brings its cold
 solves from 13-15 iterations to 10 at every trot horizon from N = 75 to
 600. A handle scales the start point with the rest of a QP's values, at
 setup and on every value update, so a cold solve begins at the start point
-of the latest QP. Every later solve starts warm from the last solved call's
-scaled iterate (Yildirim and Wright, SIAM J. Optim. 2002): x and the
-equality multipliers as they were, the bound multipliers and the slacks
-(re-measured as G x - b on the new data) floored at 1e-2. A solve starts
-cold again after a call that did not end ``solved``, and after a bound
-update that moves a row between the equality and inequality sets or changes
-which of its bounds are finite. A problem without inequality bounds has no
-slacks to place and skips the start step.
+of the latest QP. Every later solve starts warm from the last interior-point
+iterate of a solved call, in scaled units (Yildirim and Wright, SIAM J.
+Optim. 2002): x and the equality multipliers as they were, the bound
+multipliers and the slacks (re-measured as G x - b on the new data) floored
+at 1e-2. A solve starts cold again after a call that did not end
+``solved``, and after a bound update that moves a row between the equality
+and inequality sets or changes which of its bounds are finite. A problem
+without inequality bounds has no slacks to place and skips the start step.
 
 A point is accepted on unscaled residuals: the primal and dual infinity
 norms against eps_abs + eps_rel times the norms of their terms, and the
@@ -90,6 +90,22 @@ back-solves and returns the interior point unchanged, and the solves of one
 handle are rejected alike: over the shipped scenarios, trot at N = 75-600
 and 27 perturbed scenarios, 57 polishes were skipped, of which one (trot
 N = 75, final force solve) would have been accepted.
+
+A solve after an accepted polish first runs the polish's pass on that
+polish's held set, the hot start of active-set methods (Ferreau et al.,
+qpOASES, Math. Prog. Comp. 2014). When both of its unscaled residuals are
+at most 1% of eps_abs, the floor the polish rule holds polished points to,
+and every held multiplier pushes from its bound, the solve returns the pass
+after no iteration: one factorization and four back-solves. Otherwise the
+interior point runs from the last iterate as above, and when it detects the
+set just tried, the pass, which depends only on the set and the data, is
+judged as its polish and not factored again. Stand and the jumps land their
+final force solve this way; trot's second force solve at N = 60 and 75
+misses (primal residual about 1e-6) and detects the same set. The tried set
+is dropped with the warm start and after a rejected polish. Judging the
+pass on the solve's own tolerances, as the direct solve does, took trot
+N=300's warm solves to no iteration but raised its final cost by 2.2e-4
+relative and its dynamics residual from 6e-15 to 7.5e-9.
 """
 
 from __future__ import annotations
@@ -145,9 +161,9 @@ class InteriorPointSolver(BandedKkt):
     solve factors the regularized Newton matrix once.
 
     ``kkt_refactorizations`` counts those factorizations and
-    ``polish_factorizations`` the polish's; ``polish_rejected`` tells
-    whether a polish was rejected, after which the handle polishes no more
-    solves. Single-threaded per handle: do
+    ``polish_factorizations`` the polish passes', the tried held-set passes
+    included; ``polish_rejected`` tells whether a polish was rejected, after
+    which the handle polishes no more solves. Single-threaded per handle: do
     not solve and update one handle concurrently. Distinct handles are
     independent.
     """
@@ -161,6 +177,9 @@ class InteriorPointSolver(BandedKkt):
         # Scaled (x, y_eq, lam) of the last solved call, where the next
         # solve starts; None starts it cold.
         self._last = None
+        # The held rows (-1 lo, +1 hi, 0 free) of the last accepted polish,
+        # which the next solve tries first; None tries nothing.
+        self._held = None
         self._scale()
         # The scaled matrices hold the record's index arrays, and are built
         # once (A' on A's ``data``), as is the term matrix of the scaled P
@@ -250,8 +269,8 @@ class InteriorPointSolver(BandedKkt):
         if self._last is not None and not (np.array_equal(eq, self._eq)
                                            and np.array_equal(rows, self._rows)
                                            and np.array_equal(sign, self._sign)):
-            self._last = None
-        self._eq, self._rows, self._sign = eq, rows, sign
+            self._last = self._held = None
+        self._is_eq, self._eq, self._rows, self._sign = is_eq, eq, rows, sign
         self._b_eq = e[eq] * lo[eq]
         self._b = sign * e[rows] * np.concatenate([lo[low], hi[upp]])
 
@@ -358,10 +377,24 @@ class InteriorPointSolver(BandedKkt):
     def solve(self) -> QpSolution:
         """Run predictor-corrector iterations to the configured tolerances
         within the configured iteration budget, starting from the last
-        solved call's iterate when there is one. ``iterations`` counts the
-        steps taken, a cold solve's start step included; exhaustion of the
-        budget is reported through ``status``, never as a silent success."""
+        solved call's iterate when there is one; a handle whose last polish
+        was accepted first tries that polish's held set, and returns its
+        pass without iterating when the pass lands. ``iterations`` counts
+        the steps taken, a cold solve's start step included; exhaustion of
+        the budget is reported through ``status``, never as a silent
+        success."""
         t0 = time.perf_counter()
+        factored_before = self.kkt_refactorizations + self.polish_factorizations
+        solved_before = self.band_solves
+        tried = None
+        if self._held is not None:
+            tried = self._held, self._polish_pass(self._held)
+            # Judged as a polish of an interior point with zero residuals:
+            # both of its own at most 1% of eps_abs.
+            if self._keeps(tried[1], 0.0, 0.0):
+                x, y_int, pri, dua, _ = tried[1]
+                return self._solution(x, y_int, "solved", 0, t0, True, pri, dua,
+                                      factored_before, solved_before, warm=True)
         st = self.settings
         rows, sign, eq = self._rows, self._sign, self._eq
         e_inv, d_inv, c = 1.0 / self._e, 1.0 / self._d, self._c
@@ -384,8 +417,6 @@ class InteriorPointSolver(BandedKkt):
             v = np.concatenate([np.maximum(sign * (self._As @ x)[rows] - self._b, 1.0),
                                 np.ones(p)])
         start = not warm and p > 0
-        factored_before = self.kkt_refactorizations + self.polish_factorizations
-        solved_before = self.band_solves
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
             s, lam = v[:p], v[p:]
@@ -440,11 +471,21 @@ class InteriorPointSolver(BandedKkt):
         y_int = self._e * y / c
         polished = False
         if status == "solved" and self.m and not self.polish_rejected:
-            x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua)
+            x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua, tried)
             self.polish_rejected = not polished
-        objective = float(0.5 * x_out @ (self._P @ x_out) + self._q @ x_out)
+        if not polished:
+            self._held = None
+        return self._solution(x_out, y_int, status, iterations, t0, polished, pri, dua,
+                              factored_before, solved_before, warm=warm)
+
+    def _solution(self, x, y_int, status, iterations, t0, polished, pri, dua,
+                  factored_before, solved_before, *, warm) -> QpSolution:
+        """The solve's result for (x, y_int) in the handle's convention, with
+        the work done since the counts ``factored_before`` and
+        ``solved_before``."""
+        objective = float(0.5 * x @ (self._P @ x) + self._q @ x)
         factorizations = self.kkt_refactorizations + self.polish_factorizations - factored_before
-        return QpSolution(x=x_out, y=-y_int, status=status, objective=objective,
+        return QpSolution(x=x, y=-y_int, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
                           polished=polished, primal_residual=pri, dual_residual=dua,
                           warm_started=warm, factorizations=factorizations,
@@ -452,22 +493,48 @@ class InteriorPointSolver(BandedKkt):
 
     # -- polish ------------------------------------------------------------
 
-    def _polish(self, x, y_int, z, pri, dua):
+    def _polish_pass(self, side):
+        """The polish's held-set pass with the equality rows and the rows
+        of ``side`` held: (x, y, pri, dua, mask of wrongly signed rows), or
+        None when its matrix does not factor."""
+        try:
+            x, y, _, pri, dua, _, _, wrong = self._held_set_pass(
+                self._unscaled_terms(), self._is_eq, side, _POLISH_DELTA, _REFINE_STEPS)
+        except ValueError:
+            return None
+        self.polish_factorizations += 1
+        return x, y, pri, dua, wrong
+
+    def _polish(self, x, y_int, z, pri, dua, tried):
         """One held-set pass on the detected active set; keep its result
         only when it does not degrade the unscaled residuals ``pri`` and
         ``dua`` of (x, y_int) and its multipliers have the signs of the
-        bounds they hold. Returns (x, y, whether the polish was kept)."""
-        eq = (self._hi - self._lo) < _EQUALITY_GAP
+        bounds they hold. ``tried`` is the held set this solve tried first
+        and its pass, or None: the pass depends only on the set and the
+        data, so a detected set equal to it reuses it unfactored. Returns
+        (x, y, whether the polish was kept); a kept polish's held set is
+        the one the next solve tries first."""
+        eq = self._is_eq
         # A row is held at the bound its multiplier outweighs its distance to.
         side = np.zeros(self.m, dtype=np.int8)
         side[(z - self._lo < -y_int) & ~eq] = -1
         side[(self._hi - z < y_int) & ~eq] = 1
-        try:
-            x_pol, y_pol, _, pri_pol, dua_pol, _, _, wrong = self._held_set_pass(
-                self._unscaled_terms(), eq, side, _POLISH_DELTA, _REFINE_STEPS)
-        except ValueError:
+        if tried is not None and np.array_equal(side, tried[0]):
+            result = tried[1]
+        else:
+            result = self._polish_pass(side)
+        if not self._keeps(result, pri, dua):
             return x, y_int, False
-        self.polish_factorizations += 1
+        self._held = side
+        return result[0], result[1], True
+
+    def _keeps(self, result, pri, dua) -> bool:
+        """Whether the polish pass ``result`` (None when it did not factor)
+        is kept over an interior point of unscaled residuals ``pri`` and
+        ``dua``."""
+        if result is None:
+            return False
+        _, _, pri_pol, dua_pol, wrong = result
         # Both residuals must improve or stay below 1% of eps_abs; comparing
         # them jointly would let a mis-detected active set through whenever
         # the other residual is large. (Full Newton steps leave interior
@@ -475,6 +542,4 @@ class InteriorPointSolver(BandedKkt):
         # cannot match: trot's first force polish holds its equality rows to
         # 2.4e-10.)
         noise = 1e-2 * self.settings.eps_abs
-        if pri_pol <= max(pri, noise) and dua_pol <= max(dua, noise) and not wrong.any():
-            return x_pol, y_pol, True
-        return x, y_int, False
+        return pri_pol <= max(pri, noise) and dua_pol <= max(dua, noise) and not wrong.any()

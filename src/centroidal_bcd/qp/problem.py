@@ -128,11 +128,12 @@ class QpSolution:
     their lower bound carry y >= 0 and rows at their upper bound y <= 0.
     ``primal_residual`` and ``dual_residual`` are the unscaled
     infinity-norm residuals of the solver's last termination check, before
-    any polish (for the direct active-set solve, of its last pass).
-    ``warm_started`` tells whether an interior-point solve started from its
-    handle's last solved iterate. ``factorizations`` counts the matrices
-    the solve factored: an interior-point solve's Newton and polish
-    factorizations, or the direct active-set solve's factored passes.
+    any polish (for the direct active-set solve, of its last pass; for an
+    interior-point solve that returns its tried held-set pass, of that
+    pass). ``warm_started`` tells whether an interior-point solve started
+    from its handle's last solved call. ``factorizations`` counts the
+    matrices the solve factored: an interior-point solve's Newton and
+    polish factorizations, or the direct active-set solve's factored passes.
     ``band_solves`` counts the back-solves with those factors: two per
     interior-point iteration (predictor and corrector; one on the start
     step), and one plus the refinement steps per polish or active-set

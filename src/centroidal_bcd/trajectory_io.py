@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bcd import TrajectoryResult
-from .model import CentroidalState, ContactPlan, EffectorContact, Trajectory
+from .model import CentroidalState, ContactPlan, EffectorContact, Trajectory, _lever_geometry
 
 __all__ = [
     "TrajectoryFormatError",
@@ -81,7 +81,11 @@ def write_trajectory_csv(stream, states: Sequence[CentroidalState],
     header = trajectory_header(plan)
     cols = _pair_columns(plan, header)
     at = cols >= 0
-    ell = np.where(np.isnan(traj.ell), traj.lever_geometry(), traj.ell)
+    # Lever arms are derived for the pairs that carry none, and only there.
+    table, absent = plan.pair_table, ~traj.given("ell")
+    ell = traj.ell.copy()
+    ell[absent] = _lever_geometry(traj.p[absent], traj.h[table.t[absent], 0:3], traj.z[absent],
+                                  table.rotation[absent])
     data = np.nan_to_num(np.hstack([traj.f, traj.p, ell, traj.tau, traj.z]), nan=0.0)
     values = np.zeros((plan.horizon, len(header)))
     values[:, 1:10] = traj.h
@@ -99,16 +103,18 @@ def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
     pairs. A malformed file, including a non-zero value in a column of an
     effector out of contact, raises ``TrajectoryFormatError``."""
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TrajectoryFormatError("empty trajectory file") from None
     expected = trajectory_header(plan)
-    if header != expected:
-        raise TrajectoryFormatError(
-            f"header mismatch: expected {len(expected)} columns for this plan, "
-            f"got {len(header)} ({header[:4]}...)")
-    rows = list(reader)
+    try:  # csv's own errors (a field over its size limit, say) name their line
+        header = next(reader, None)
+        if header is None:
+            raise TrajectoryFormatError("empty trajectory file")
+        if header != expected:
+            raise TrajectoryFormatError(
+                f"header mismatch: expected {len(expected)} columns for this plan, "
+                f"got {len(header)} ({header[:4]}...)")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise TrajectoryFormatError(f"line {reader.line_num}: {exc}") from None
     try:  # one conversion; numpy reads text as float() does
         values = np.array(rows, dtype=float).reshape(len(rows), len(expected))
     except ValueError:  # a ragged or mis-sized table, or text: name the first bad row
@@ -124,7 +130,7 @@ def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         t, col = bad[0]
-        raise TrajectoryFormatError(f"row {t}: {expected[col]} is {values[t, col]!r}")
+        raise TrajectoryFormatError(f"row {t}: {expected[col]} is {float(values[t, col])!r}")
     bad = np.flatnonzero(values[:, 0] != np.arange(len(rows)))
     if bad.size:
         raise TrajectoryFormatError(f"row {bad[0]}: timestep column says {values[bad[0], 0]}")
@@ -143,7 +149,7 @@ def read_trajectory_csv(stream, plan: ContactPlan) -> Trajectory:
     if bad.size:
         t, col = bad[0]
         raise TrajectoryFormatError(
-            f"row {t}: {expected[col]} is {values[t, col]!r}, but that effector is not in "
+            f"row {t}: {expected[col]} is {float(values[t, col])!r}, but that effector is not in "
             f"contact")
     f, p, ell, tau, z = np.split(data, [3, 6, 9, 12], axis=1)
     return Trajectory(plan, values[:, 1:10], f, p, ell, z, tau)

@@ -388,7 +388,10 @@ def test_records_count_each_blocks_factorizations(monkeypatch):
     # A host-independent work count: a force solve factors the Newton matrix
     # once per iteration and its polish once, until a polish is rejected;
     # the contact block's direct solve factors once per active-set pass.
-    # convergence.json carries both.
+    # convergence.json carries both. A solve after an accepted polish first
+    # tries that polish's held set; on trot the pass is not accepted, and
+    # the interior point detects the same set, whose pass is then judged as
+    # its polish, not factored twice.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
     counts = _observe_block_solves(monkeypatch, lambda sol: sol.factorizations)
     result = optimize(plan, refs, settings, weights)
@@ -397,8 +400,9 @@ def test_records_count_each_blocks_factorizations(monkeypatch):
                 for n in (r.force_factorizations, r.contact_factorizations)]
     assert counts == recorded + [final.force_factorizations]
     force = (*result.records, final)
-    # Trot's first force polish lands, its second is rejected and its last
-    # is skipped: the handle stops polishing after a rejected polish.
+    # Trot's first force polish lands, its second (the tried pass) is
+    # rejected and its last is skipped: the handle stops polishing after a
+    # rejected polish.
     assert [r.force_polished for r in force] == [True, False, False]
     assert [r.force_factorizations - r.force_solver_iterations for r in force] == [1, 1, 0]
     assert all(r.contact_factorizations == r.contact_solver_iterations
@@ -422,7 +426,8 @@ def test_records_count_each_blocks_band_solves(monkeypatch):
     assert counts == recorded + [final.force_band_solves]
     polish = 1 + banded_module._REFINE_STEPS
     force = (*result.records, final)
-    # Polished, rejected, skipped (see the factorization count above).
+    # Polished, rejected, skipped (see the factorization count above): the
+    # second solve's tried pass back-solves once, as its polish.
     assert [r.force_polished for r in force] == [True, False, False]
     for r, attempted in zip(force, (1, 1, 0)):
         start = 0 if r.force_warm_started else 1
@@ -432,6 +437,44 @@ def test_records_count_each_blocks_band_solves(monkeypatch):
                for r in result.records)
     row = final.as_dict()
     assert (row["force_band_solves"], row["contact_band_solves"]) == (counts[-1], 0)
+
+
+@pytest.mark.parametrize("kind", ["stand", "jump_in_place", "jump_forward", "jump_twist"])
+def test_final_force_solve_is_one_pass_on_the_last_polishs_held_set(kind, monkeypatch):
+    # Each force polish of stand and the jumps holds the equality rows and
+    # no inequality row, and that set still lands on the final force QP:
+    # the final solve is one held-set pass with no interior-point iteration,
+    # and returns what a fresh handle's solve and polish of that QP return,
+    # bit for bit.
+    qps = []
+    build = bcd_module.build_force_qp
+    monkeypatch.setattr(bcd_module, "build_force_qp",
+                        lambda inputs: qps.append(build(inputs)) or qps[-1])
+    solutions = _observe_block_solves(monkeypatch, lambda sol: sol)
+    plan, refs, settings, weights = materialize(shipped_scenarios()[kind])
+    final = optimize(plan, refs, settings, weights).final_record
+    assert (final.force_solver_iterations, final.force_factorizations,
+            final.force_band_solves) == (0, 1, 1 + banded_module._REFINE_STEPS)
+    assert final.force_polished and final.force_warm_started
+    fresh = InteriorPointSolver(qps[-1], settings.solver).solve()
+    assert fresh.polished and not fresh.warm_started and fresh.iterations > 0
+    assert np.array_equal(solutions[-1].x, fresh.x)
+
+
+@pytest.mark.parametrize("N", [60, 75])
+def test_trot_force_solves_factor_no_more_than_before_the_held_set_is_tried(N):
+    # Trot's first force polish holds 12 inequality rows. The second solve's
+    # pass on them is not accepted (primal residual about 1e-6), and the
+    # interior point detects the same set, so the pass serves as its polish
+    # without a second factorization. Per solve, the factorizations of the
+    # force and contact blocks are at most these counts, pinned before the
+    # held set was tried.
+    result = optimize(*materialize(make_gait("trot", N=N)))
+    force = (*result.records, result.final_record)
+    assert len(force) == 3
+    assert all(r.force_factorizations <= pinned for r, pinned in zip(force, (11, 6, 5)))
+    assert all(r.contact_factorizations <= 1 for r in result.records)
+    assert [r.force_solver_iterations for r in force] == [10, 5, 5]
 
 
 @pytest.mark.parametrize("kind, N, mu, L_max", [

@@ -83,6 +83,19 @@ def test_verify_rejects_truncated_csv(trot_scenario, solved, tmp_path):
     assert main(["verify", "--scenario", str(trot_scenario), str(bad)]) == EXIT_FORMAT
 
 
+def test_verify_rejects_a_field_past_csvs_size_limit(trot_scenario, solved, tmp_path, capsys):
+    lines = (solved / "trajectory.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "0" * 200_000
+    lines[3] = ",".join(fields)
+    bad = tmp_path / "oversized.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(trot_scenario), str(bad)]) == EXIT_FORMAT
+    assert capsys.readouterr().err == ("trajectory format error: line 4: field larger than "
+                                       "field limit (131072)\n")
+
+
 def test_solve_outputs_are_reproducible(tmp_path, trot_scenario):
     outs = []
     for name in ("a", "b"):

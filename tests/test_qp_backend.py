@@ -17,7 +17,7 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, _structure as force_structure, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.banded import _EQUALITY_GAP, BandedKkt
+from centroidal_bcd.qp.banded import _EQUALITY_GAP, _REFINE_STEPS, BandedKkt
 from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
 from centroidal_bcd.qp.pattern import QpPattern
@@ -103,7 +103,8 @@ def test_enumeration_agrees_with_iterative_active_set():
 def test_updates_factor_nothing_and_each_iteration_factors_once():
     # Setup and value updates only store and scale data. A solve factors the
     # Newton matrix once per iteration; the polish of each solved call is
-    # counted on its own.
+    # counted on its own. A re-solve of unchanged data lands on the first
+    # polish's held set at once: one polish factorization, no iteration.
     rng = np.random.default_rng(3)
     qp, _ = _random_qp(rng, n=10, m=12)
     h = InteriorPointSolver(qp)
@@ -112,15 +113,15 @@ def test_updates_factor_nothing_and_each_iteration_factors_once():
     h.update_values(replace(qp, q=qp.q * 0.5, P=qp.P * 1.5))
     h.update_values(replace(qp, q=qp.q * 0.5, A=qp.A * 2.0))
     assert (h.kkt_refactorizations, h.polish_factorizations) == (0, 0)
-    iterations = 0
-    for solves in (1, 2):
-        sol = h.solve()
-        assert sol.solved and sol.iterations > 0
-        iterations += sol.iterations
-        assert h.kkt_refactorizations == iterations
-        assert h.polish_factorizations == solves
+    first = h.solve()
+    assert first.solved and first.polished and first.iterations > 0
+    assert (h.kkt_refactorizations, h.polish_factorizations) == (first.iterations, 1)
+    again = h.solve()
+    assert again.solved and again.polished and again.iterations == 0
+    assert (again.factorizations, again.band_solves) == (1, 1 + _REFINE_STEPS)
+    assert (h.kkt_refactorizations, h.polish_factorizations) == (first.iterations, 2)
     h.update_values(qp)
-    assert h.kkt_refactorizations == iterations
+    assert (h.kkt_refactorizations, h.polish_factorizations) == (first.iterations, 2)
 
 
 def test_value_updates_keep_each_matrix_and_refresh_its_transpose():
@@ -646,14 +647,21 @@ def test_polish_lands_on_the_active_set_solution(trot_qps, name):
     assert max(pri, dua) <= 1e-9
     # On an equality row the product is |y| times that row's primal residual.
     assert comp <= 1e-9 * max(1.0, np.abs(sol.y).max())
-    # The polish factorization is counted on its own: the re-solve after a
-    # q-only update adds one Newton factorization per iteration.
+    # The polish factorizations are counted on their own: the re-solve after
+    # a q-only update adds one Newton factorization per iteration. On the
+    # random QP the first polish's held set lands at once, with no
+    # iteration. On the force QP, halving q moves the active set: the pass
+    # on the first polish's held set is tried and rejected, the interior
+    # point detects another set, and its polish factors once more.
     base = h.kkt_refactorizations
     h.update_values(replace(qp, q=0.5 * qp.q))
     again = h.solve()
-    assert again.solved
+    assert again.solved and again.warm_started
     assert h.kkt_refactorizations == base + again.iterations
-    assert h.polish_factorizations == 2
+    passes = {"random": 1, "force": 2}[name]
+    assert (again.iterations == 0) == (name == "random")
+    assert h.polish_factorizations == 1 + passes
+    assert again.factorizations == again.iterations + passes
 
 
 def _widened(qp):
@@ -876,6 +884,71 @@ def test_jump_force_solves_keep_polishing(kind):
     assert len(force) == 2
     assert all(r.force_polished for r in force)
     assert all(r.force_factorizations == r.force_solver_iterations + 1 for r in force)
+
+
+def _held_set_qp():
+    """A random QP whose polish lands holding inequality rows at both
+    bounds, its solved handle and the held rows (-1 lo, +1 hi, 0 free)."""
+    qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    h = InteriorPointSolver(qp)
+    sol = h.solve()
+    assert sol.solved and sol.polished
+    held = h._held
+    assert (held < 0).any() and (held > 0).any()
+    return qp, h, sol, held
+
+
+def _invalidated(qp, sol, held, change):
+    """``qp`` with bounds under which the pass on ``held`` is no longer
+    accepted, in the same row partition: a held row's bound relaxed, so
+    that its multiplier pulls against it, or a free two-sided row's lower
+    bound raised past the polished point."""
+    lo, hi = qp.lo.copy(), qp.hi.copy()
+    if change == "held row relaxed":
+        row = np.flatnonzero(held)[0]
+        if held[row] < 0:
+            lo[row] -= 1.0
+        else:
+            hi[row] += 1.0
+    else:
+        row = np.flatnonzero((held == 0) & np.isfinite(qp.lo))[0]
+        lo[row] = (qp.A @ sol.x)[row] + 0.1
+        hi[row] = max(hi[row], lo[row] + 1.0)
+    return replace(qp, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("change", ["held row relaxed", "free row tightened"])
+def test_a_held_set_that_no_longer_lands_falls_through_to_the_interior_point(change):
+    # The tried pass factors once; the interior point then runs warm and
+    # polishes on the set it detects, and lands on a fresh handle's
+    # solution.
+    qp, h, sol, held = _held_set_qp()
+    new = _invalidated(qp, sol, held, change)
+    h.update_values(new)
+    warm = h.solve()
+    fresh = InteriorPointSolver(new).solve()
+    assert warm.solved and warm.warm_started and warm.polished and warm.iterations > 0
+    assert warm.factorizations == warm.iterations + 2
+    assert fresh.solved and not fresh.warm_started
+    assert np.max(np.abs(warm.x - fresh.x)) <= 1e-6 * max(1.0, np.abs(fresh.x).max())
+    assert max(kkt_residuals(new, warm.x, warm.y)) <= 1e-6
+
+
+def test_a_failed_solve_clears_the_held_set():
+    # After a call that ends unsolved, the handle neither starts warm nor
+    # tries the held set it had: a re-solve of the first QP, which that set
+    # would solve with no iteration, starts cold.
+    qp, h, sol, held = _held_set_qp()
+    h.update_values(_invalidated(qp, sol, held, "held row relaxed"))
+    h.settings = SolverSettings(max_iterations=1)
+    capped = h.solve()
+    assert capped.status == "max_iter" and capped.factorizations == 2
+    h.settings = SolverSettings()
+    h.update_values(qp)
+    again = h.solve()
+    assert again.solved and again.polished and not again.warm_started
+    assert again.iterations == sol.iterations and again.factorizations == sol.iterations + 1
+    assert np.array_equal(again.x, sol.x)
 
 
 def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
