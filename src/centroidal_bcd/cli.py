@@ -178,6 +178,11 @@ def run_bench(cfg: argparse.Namespace) -> int:
             _integer(N, "N", 1)
         except ValueError as exc:
             raise FlagError(f"--horizons: {exc}") from None
+    # The exponent is fitted over distinct horizons; a repeated one would
+    # leave a single-horizon fit looking like a scaling result.
+    repeated = {N for N in cfg.horizons if cfg.horizons.count(N) > 1}
+    if repeated:
+        raise FlagError(f"--horizons: N={min(repeated)} is repeated")
     try:
         doc = parse_scenario(cfg.scenario.read_bytes())
         if doc.get("gait") is None:

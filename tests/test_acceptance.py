@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion; criterion 6 has a second,
+host-independent test on the work the records count.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion. The scenario suite (criteria 1, 3, 7, 8) is solved once in a
@@ -14,7 +15,8 @@ import pytest
 
 import centroidal_bcd.bcd as bcd_module
 from centroidal_bcd.bcd import BcdSettings, force_trajectory, optimize
-from centroidal_bcd.force_qp import CostWeights
+from centroidal_bcd.contact_qp import _structure as contact_structure
+from centroidal_bcd.force_qp import CostWeights, _structure as force_structure
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.model import skew, verify_trajectory
 from centroidal_bcd.qp import InteriorPointSolver, SolverSettings, kkt_residuals
@@ -287,6 +289,43 @@ def test_criterion_6_horizon_scaling_and_time_split():
     assert SCALING_BAND[0] <= exponent <= SCALING_BAND[1], (exponent, rows)
     assert min(shares) > FORCE_SHARE_MIN, shares
     print(f"\n[ACCEPTANCE 6] PASS: solve-time exponent {exponent:.2f} in "
+          f"[{SCALING_BAND[0]}, {SCALING_BAND[1]}]; force-QP share "
+          f"{min(shares) * 100:.1f}%..{max(shares) * 100:.1f}% > 80%")
+
+
+def _modeled_work(plan, result) -> dict[str, int]:
+    """Per block, the flops a run's records count: n b^2 per banded Cholesky
+    factorization and 4 n b per back-solve with it (Golub and Van Loan,
+    Matrix Computations, section 4.3), n and the half-bandwidth b read from
+    the block's plan structure."""
+    records = (*result.records, result.final_record)
+    work = {}
+    for block, structure in (("force", force_structure(plan)),
+                             ("contact", contact_structure(plan))):
+        n, b = structure.n, structure.pattern.band_map.half_bandwidth
+        factorizations = sum(getattr(r, f"{block}_factorizations") for r in records)
+        band_solves = sum(getattr(r, f"{block}_band_solves") for r in records)
+        work[block] = n * b * b * factorizations + 4 * n * b * band_solves
+    return work
+
+
+def test_criterion_6_modeled_work_scaling_and_split():
+    # Criterion 6's band and share on the work the records count instead
+    # of on timings: the same counts on every run and every host.
+    rows = []
+    for N in (75, 150, 300, 600):
+        plan, refs, settings, weights = materialize(make_gait("trot", N=N))
+        result = optimize(plan, refs, settings, weights)
+        assert result.converged, N
+        work = _modeled_work(plan, result)
+        total = work["force"] + work["contact"]
+        rows.append((N, total, work["force"] / total))
+    logs = np.log([[N, w] for N, w, _ in rows])
+    exponent = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
+    shares = [s for _, _, s in rows]
+    assert SCALING_BAND[0] <= exponent <= SCALING_BAND[1], (exponent, rows)
+    assert min(shares) > FORCE_SHARE_MIN, shares
+    print(f"\n[ACCEPTANCE 6, modeled work] PASS: work exponent {exponent:.2f} in "
           f"[{SCALING_BAND[0]}, {SCALING_BAND[1]}]; force-QP share "
           f"{min(shares) * 100:.1f}%..{max(shares) * 100:.1f}% > 80%")
 

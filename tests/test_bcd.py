@@ -17,7 +17,8 @@ from centroidal_bcd.bcd import (
 from centroidal_bcd.cli import EXIT_INFEASIBLE, main
 from centroidal_bcd.model import ContactPhase, ContactPlan, verify_trajectory
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
-from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, banded
+from centroidal_bcd.qp import BandedActiveSetSolver, InteriorPointSolver, SolverSettings, banded, \
+    kkt_residuals
 from centroidal_bcd.qp.pattern import QpPattern
 from centroidal_bcd.scenarios import materialize
 from centroidal_bcd.structure import Entries
@@ -324,21 +325,112 @@ def _observe_block_solves(monkeypatch, field):
     return seen
 
 
+def _optimality_scale(qp, sol) -> float:
+    """The largest of the unscaled |P x|, |A'y| and |q| at a solution, which
+    the interior point's dual and complementarity tolerances scale with."""
+    return max(np.abs(qp.P @ sol.x).max(), np.abs(qp.A.T @ sol.y).max(), np.abs(qp.q).max())
+
+
+def _primal_tolerance(qp, sol, st) -> float:
+    """The default primal tolerance of ``st`` at a solution: eps_abs plus
+    eps_rel times the larger of the unscaled |A x| and its projection on the
+    bounds."""
+    ax = qp.A @ sol.x
+    return st.eps_abs + st.eps_rel * max(np.abs(ax).max(),
+                                         np.abs(np.clip(ax, qp.lo, qp.hi)).max())
+
+
+def _capture_force_qps(monkeypatch) -> list:
+    """Every force QP ``optimize`` builds, in call order."""
+    qps = []
+    build = bcd_module.build_force_qp
+    monkeypatch.setattr(bcd_module, "build_force_qp",
+                        lambda inputs: qps.append(build(inputs)) or qps[-1])
+    return qps
+
+
 def test_records_carry_each_blocks_exit_residuals(monkeypatch):
     # Each record carries the unscaled residuals of its block's last
     # termination check, in call order: force, contact, ..., final force.
+    # Every exact solve ends below 1e-2 on both; a force solve with a
+    # proximal pull (trot N=60's middle one ends with a dual residual of
+    # 0.128) keeps its primal residual there and its dual residual within
+    # its own loose tolerance.
     plan, refs, settings, weights = materialize(make_gait("trot", N=60))
-    residuals = _observe_block_solves(
-        monkeypatch, lambda sol: (sol.primal_residual, sol.dual_residual))
+    qps = _capture_force_qps(monkeypatch)
+    solutions = _observe_block_solves(monkeypatch, lambda sol: sol)
     result = optimize(plan, refs, settings, weights)
+    residuals = [(sol.primal_residual, sol.dual_residual) for sol in solutions]
     recorded = [pair for r in result.records
                 for pair in ((r.force_primal_residual, r.force_dual_residual),
                              (r.contact_primal_residual, r.contact_dual_residual))]
     final = result.final_record
     assert residuals == recorded + [(final.force_primal_residual, final.force_dual_residual)]
-    assert all(0.0 < value < 1e-2 for pair in residuals for value in pair)
+    force = (*result.records, final)
+    assert [r.force_prox_weight > 0.0 for r in force] == [False, True, False]
+    assert all(0.0 < value < 1e-2 for pair in residuals[:2] + residuals[3:] for value in pair)
+    pri, dua = residuals[2]
+    loose = settings.solver.eps_abs + bcd_module.PROX_OPTIMALITY_REL * _optimality_scale(
+        qps[1], solutions[2])
+    assert 0.0 < pri <= _primal_tolerance(qps[1], solutions[2], settings.solver)
+    assert 1e-2 < dua <= loose
     row = result.records[0].as_dict()
     assert (row["contact_primal_residual"], row["contact_dual_residual"]) == residuals[1]
+
+
+def test_a_loose_solve_of_a_proximal_force_qp_stays_primal_exact(monkeypatch):
+    # Trot N=60's second force QP carries a proximal pull. A loose solve of
+    # it ends solved with its primal residual inside the default tolerance,
+    # in fewer iterations than a default solve; a default solve that follows
+    # on the same handle, from the loose iterate, lands where a fresh
+    # handle's does within criterion 5's 1e-6 (on the momentum columns: how
+    # the forces split among the feet is not determined to 1e-6, see
+    # test_qp_backend's warm re-solves).
+    from centroidal_bcd.force_qp import _structure as force_structure
+
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    qps = _capture_force_qps(monkeypatch)
+    optimize(plan, refs, settings, weights)
+    qp, st = qps[1], settings.solver
+    handle = InteriorPointSolver(qp, st)
+    loose = handle.solve(bcd_module.PROX_OPTIMALITY_REL)
+    pri_tol = _primal_tolerance(qp, loose, st)
+    assert loose.solved and loose.primal_residual <= pri_tol
+    assert kkt_residuals(qp, loose.x, loose.y)[0] <= pri_tol
+    exact = handle.solve()
+    fresh = InteriorPointSolver(qp, st).solve()
+    assert exact.solved and exact.warm_started and fresh.solved
+    assert loose.iterations < fresh.iterations
+    momentum = np.ones(qp.n, dtype=bool)
+    momentum[force_structure(plan).f_cols] = False
+    assert np.abs(exact.x - fresh.x)[momentum].max() <= 1e-6 * max(1.0, np.abs(fresh.x).max())
+    assert exact.objective == pytest.approx(fresh.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("L0, loose", [(100.0, [False, True, False]), (0.0, [False] * 4)])
+def test_only_force_solves_with_a_proximal_pull_are_loose(L0, loose, monkeypatch):
+    # The first force solve has no pull yet and the final one drops it: both
+    # keep the default rule and end within its dual tolerance. With L0 = 0
+    # no solve carries a pull, so every solve keeps the default rule.
+    plan, refs, settings, weights = materialize(make_gait("trot", N=60))
+    qps = _capture_force_qps(monkeypatch)
+    solutions, rels = [], []
+    real_solve = InteriorPointSolver.solve
+
+    def recording(self, optimality_rel=None):
+        rels.append(optimality_rel)
+        solutions.append(real_solve(self, optimality_rel))
+        return solutions[-1]
+
+    monkeypatch.setattr(InteriorPointSolver, "solve", recording)
+    result = optimize(plan, refs, replace(settings, L0=L0), weights)
+    force = (*result.records, result.final_record)
+    assert [r.force_prox_weight > 0.0 for r in force] == loose
+    assert rels == [bcd_module.PROX_OPTIMALITY_REL if pull else None for pull in loose]
+    st = settings.solver
+    for qp, sol, pull in zip(qps, solutions, loose):
+        if not pull:
+            assert sol.dual_residual <= st.eps_abs + st.eps_rel * _optimality_scale(qp, sol)
 
 
 def test_record_dict_holds_every_field_but_the_solve_and_setup_times():
@@ -468,13 +560,16 @@ def test_trot_force_solves_factor_no_more_than_before_the_held_set_is_tried(N):
     # interior point detects the same set, so the pass serves as its polish
     # without a second factorization. Per solve, the factorizations of the
     # force and contact blocks are at most these counts, pinned before the
-    # held set was tried.
+    # held set was tried. The second solve carries a proximal pull and ends
+    # at the loose optimality tolerance, after 2 iterations where an exact
+    # solve takes 5.
     result = optimize(*materialize(make_gait("trot", N=N)))
     force = (*result.records, result.final_record)
     assert len(force) == 3
     assert all(r.force_factorizations <= pinned for r, pinned in zip(force, (11, 6, 5)))
     assert all(r.contact_factorizations <= 1 for r in result.records)
-    assert [r.force_solver_iterations for r in force] == [10, 5, 5]
+    assert [r.force_solver_iterations for r in force] == [10, 2, 5]
+    assert [r.force_factorizations for r in force] == [11, 3, 5]
 
 
 @pytest.mark.parametrize("kind, N, mu, L_max", [

@@ -291,6 +291,8 @@ def stand_scenario(tmp_path_factory):
     # A horizon used to be blamed on the document's gait block.
     ("bench", "--horizons", "0", "N must be an integer >= 1, got 0"),
     ("bench", "--horizons", "20,0", "N must be an integer >= 1, got 0"),
+    # A repeated horizon used to fit the exponent over one distinct N.
+    ("bench", "--horizons", "2,2", "N=2 is repeated"),
 ])
 def test_unusable_flag_values_exit_1_naming_the_flag(stand_scenario, tmp_path, capsys,
                                                       subcommand, flag, value, message):
