@@ -2,8 +2,8 @@
 
 A random strictly convex QP is solved by the interior-point backend and
 cross-checked against the dense active-set reference. Its first solve starts
-cold: the first iteration only moves the slacks and multipliers to
-Mehrotra's starting point, and the polish holds the detected active set.
+cold, at x = 0 with zero multipliers and the slacks measured there, floored
+as a warm start's are, and the polish holds the detected active set.
 Then the handle is reused: value updates factor nothing, and every re-solve
 first tries the last accepted polish's held set. Here that set is still the
 active set after both updates, so each re-solve is that one held-set pass:
@@ -46,7 +46,7 @@ handle = InteriorPointSolver(qp, SolverSettings())
 sol = handle.solve()
 x_ref, y_ref, obj_ref = solve_active_set(qp, x0=x_feas)
 
-print(f"status: {sol.status} in {sol.iterations} iterations (cold, start step included), "
+print(f"status: {sol.status} in {sol.iterations} iterations (cold), "
       f"{sol.factorizations} factorizations, {sol.solve_time * 1e3:.1f} ms "
       f"(polished: {sol.polished})")
 print(f"objective {sol.objective:.8f} vs active-set reference {obj_ref:.8f}")
@@ -78,8 +78,7 @@ force_qp = build_force_qp(ForceQpInputs(
     references=refs, weights=weights))
 force_sol = InteriorPointSolver(force_qp).solve()
 print(f"\ntrot force QP: n={force_qp.n}, cold solve {force_sol.status} in "
-      f"{force_sol.iterations} iterations (Mehrotra's start step, then "
-      f"{force_sol.iterations - 1} predictor-corrector steps)")
+      f"{force_sol.iterations} predictor-corrector iterations from its start point")
 force = extract_force_iterate(force_sol, plan)
 contact_qp = build_contact_qp(ContactQpInputs(
     plan=plan, f_fixed=force.f, h_reg=force.h, references=refs, weights=weights,

@@ -22,10 +22,10 @@ has no pull yet, and its final one, which drops it) stop at a loose
 optimality tolerance, ``PROX_OPTIMALITY_REL``, with the primal test kept
 exact: inexact block coordinate descent with controlled block errors
 (Tappenden, Richtarik and Gondzio, JOTA 170, 2016). Over the shipped
-scenarios and trot N=300 the force solves take 181 interior-point
-iterations where exact ones took 223, with the same outer iterations;
-loosening the first solve as well took 152 but raised trot N=300's
-returned lever gap from 9.0e-5 to 6.2e-3 m. The first and final force
+scenarios and trot N=300 the force solves take 151 interior-point
+iterations where exact ones take 193, with the same outer iterations;
+loosening the first solve as well takes 126 but raises trot N=300's
+returned lever gap from 9.1e-5 to 3.8e-3 m. The first and final force
 solves and every contact solve stay exact.
 
 The Force-QP is solved by the interior-point method of

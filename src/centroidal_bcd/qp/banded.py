@@ -34,6 +34,12 @@ refreshes the handle's terms of the unscaled P and A when it runs, once per
 active-set solve or polish; the interior-point method keeps the terms of
 its scaled P and A, which every iteration factors.
 
+A factorization that ``dpbtrf`` rejects is retried with the shift 100 times
+larger, up to ``_MAX_SHIFT``, and w as it is; each attempt counts as a
+factorization. The larger shift makes a step or pass inexact, not wrong:
+both are judged on residuals of the unshifted data. No shipped solve needs
+a retry; low-friction plans' late force solves can.
+
 A handle holds references to the record's arrays and copies none. It takes
 new values in one form, ``update_values(qp)``: a QP of the setup's P and A
 patterns, whose values pass the same checks as the setup's. A builder's QP
@@ -99,6 +105,7 @@ _DIRECT_DELTA = 1e-11
 _REFINE_TARGET = 1e-3
 _REFINE_CAP = 300       # about twice the most a pass has taken (142, at a weight of 1e8)
 _REFINE_STEPS = 3       # refinement steps of the interior-point polish
+_MAX_SHIFT = 1e-2       # the largest shift a failed factorization is retried with
 _MAX_PASSES = 20
 
 
@@ -207,13 +214,22 @@ class BandedKkt:
             self._map.term_values(self._P.data, self._A.data, out=self._terms.data)
         return self._terms
 
-    def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray, shift: float) -> np.ndarray:
+    def _band_factor(self, terms: sp.csc_matrix, w: np.ndarray,
+                     shift: float) -> tuple[np.ndarray, int]:
         """Banded Cholesky factor L of P + shift I + A' diag(w) A from the
-        band map's ``terms`` of P and A, as a LAPACK lower band."""
-        L, info = self._dpbtrf(self._map.band(terms, w, shift), lower=1, overwrite_ab=1)
-        if info:
-            raise ValueError(f"reduced KKT matrix is not positive definite (dpbtrf info {info})")
-        return L
+        band map's ``terms`` of P and A, as a LAPACK lower band, and the
+        number of factorizations it took: one that fails is retried with the
+        shift 100 times larger, up to ``_MAX_SHIFT``, and w as it is."""
+        attempts = 1
+        while True:
+            L, info = self._dpbtrf(self._map.band(terms, w, shift), lower=1, overwrite_ab=1)
+            if not info:
+                return L, attempts
+            shift *= 100.0
+            if shift > _MAX_SHIFT:
+                raise ValueError(
+                    f"reduced KKT matrix is not positive definite (dpbtrf info {info})")
+            attempts += 1
 
     def _band_solve(self, L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve with a factor of :meth:`_band_factor`, on a copy of ``rhs``:
@@ -239,16 +255,17 @@ class BandedKkt:
         |P x + q + A_h' y| and |b - A_h x|, is at most ``_REFINE_TARGET``
         times eps_abs, stops falling, or has taken ``_REFINE_CAP`` steps.
         Returns x, y, A x, the unscaled primal and dual residuals, their
-        tolerances (eps_abs + eps_rel times the norms of their terms) and the
-        mask of the held rows whose multipliers have the wrong sign. Raises
-        ``ValueError`` when the matrix is not numerically positive
-        definite."""
+        tolerances (eps_abs + eps_rel times the norms of their terms), the
+        mask of the held rows whose multipliers have the wrong sign and the
+        factorizations taken (:meth:`_band_factor`). Raises ``ValueError``
+        when the matrix is not numerically positive definite at the largest
+        shift."""
         P, A, AT, q, lo, hi = self._P, self._A, self._AT, self._q, self._lo, self._hi
         st = self.settings
         low, upp = side < 0, side > 0
         b = np.where(eq | low, lo, hi)
         w = np.where(eq | low | upp, 1.0 / delta, 0.0)
-        L = self._band_factor(terms, w, delta)
+        L, attempts = self._band_factor(terms, w, delta)
         target = _REFINE_TARGET * st.eps_abs
         last = np.inf
         # Refinement from zero, whose residuals need no products: the first
@@ -272,7 +289,7 @@ class BandedKkt:
         pri, dua = _max_abs(Ax - z), _max_abs(r_x)
         pri_tol = st.eps_abs + st.eps_rel * max(_max_abs(Ax), _max_abs(z))
         dua_tol = st.eps_abs + st.eps_rel * max(_max_abs(Px), _max_abs(Aty), _max_abs(q))
-        return x, y, Ax, pri, dua, pri_tol, dua_tol, _wrongly_signed(y, low, upp, st)
+        return x, y, Ax, pri, dua, pri_tol, dua_tol, _wrongly_signed(y, low, upp, st), attempts
 
 
 class BandedActiveSetSolver(BandedKkt):
@@ -281,7 +298,8 @@ class BandedActiveSetSolver(BandedKkt):
 
     ``working_set`` holds, per row, the bound an inequality row is held at
     (-1 lo, +1 hi, 0 free); each solve starts from it and an accepted solve
-    leaves its own there. ``factorizations`` counts the passes that factored.
+    leaves its own there. ``factorizations`` counts the passes'
+    factorizations, retried ones once per attempt.
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
@@ -306,12 +324,12 @@ class BandedActiveSetSolver(BandedKkt):
         terms = self._unscaled_terms()
         for passes in range(1, _MAX_PASSES + 1):
             try:
-                x, y, Ax, pri, dua, pri_tol, dua_tol, wrong = self._held_set_pass(
+                x, y, Ax, pri, dua, pri_tol, dua_tol, wrong, attempts = self._held_set_pass(
                     terms, eq, side, _DIRECT_DELTA)
             except ValueError:
                 status = "not_positive_definite"
                 break
-            self.factorizations += 1
+            self.factorizations += attempts
             if pri <= pri_tol and dua <= dua_tol and not wrong.any():
                 status = "solved"
                 self.working_set = side

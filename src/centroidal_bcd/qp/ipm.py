@@ -48,25 +48,25 @@ value update applies the setup's factors to the new data and does not
 equilibrate again, so every solve of a handle iterates in the same scaled
 coordinates.
 
-A handle's first solve starts from Mehrotra's heuristic (Nocedal and
-Wright, section 16.6), begun at the QP's start point ``SparseQP.x0``, or at
-x = 0 when it has none: with every slack at that point's distance to its
-bound, floored at 1, and unit multipliers, its first iteration factors
-the Newton matrix, takes the affine-scaling direction, keeps x and the
-equality multipliers, and moves every slack and multiplier to the magnitude
-of the step's end, floored at 1. The force QP's start point (the reference
-momentum, the weight shared among the active contacts) brings its cold
-solves from 13-15 iterations to 10 at every trot horizon from N = 75 to
-600. A handle scales the start point with the rest of a QP's values, at
-setup and on every value update, so a cold solve begins at the start point
-of the latest QP. Every later solve starts warm from the last interior-point
-iterate of a solved call, in scaled units (Yildirim and Wright, SIAM J.
-Optim. 2002): x and the equality multipliers as they were, the bound
-multipliers and the slacks (re-measured as G x - b on the new data) floored
-at 1e-2. A solve starts cold again after a call that did not end
-``solved``, and after a bound update that moves a row between the equality
-and inequality sets or changes which of its bounds are finite. A problem
-without inequality bounds has no slacks to place and skips the start step.
+Every solve starts by one rule, at a point (x, y_e, lam) in scaled units
+(Yildirim and Wright, SIAM J. Optim. 2002): the slacks are measured as
+G x - b on the current data, and the slacks and multipliers are floored at
+1e-2. A warm solve starts at the last interior-point iterate of a solved
+call, a cold one at the QP's start point ``SparseQP.x0`` (x = 0 when it has
+none) with zero multipliers; no start step precedes the first iteration, so
+``iterations`` counts predictor-corrector steps only. The force QP's start
+point (the reference momentum, the weight shared among the active contacts)
+brings its cold solves to 8 iterations at every trot horizon from N = 75 to
+600, and to 4-11 over the shipped scenarios; from x = 0 the same solves take
+15-46. (Mehrotra's heuristic, Nocedal and Wright section 16.6, which spent a
+cold solve's first iteration on an affine-scaling step that raised every
+slack and multiplier to at least 1, took 10 on trot and 6-13 over the
+scenarios, and 181 force iterations over the scenarios and trot N=300 where
+this rule takes 151.) A handle scales the start point with the rest of a
+QP's values, at setup and on every value update, so a cold solve begins at
+the start point of the latest QP. A solve starts cold after a call that did
+not end ``solved``, and after a bound update that moves a row between the
+equality and inequality sets or changes which of its bounds are finite.
 
 A point is accepted on unscaled residuals: the primal and dual infinity
 norms against eps_abs + eps_rel times the norms of their terms, and the
@@ -129,7 +129,7 @@ __all__ = ["InteriorPointSolver"]
 
 _DELTA = 1e-8              # primal and dual regularization of the Newton matrix
 _TO_BOUNDARY = 0.99        # fraction of the step to the boundary of s, lam >= 0
-_WARM_FLOOR = 1e-2         # floor of a warm start's slacks and multipliers (scaled)
+_START_FLOOR = 1e-2        # floor of a start's slacks and multipliers (scaled)
 _EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerances
 _EPS_DUAL_INF = 1e-6
 _RUIZ_ITERATIONS = 2
@@ -170,10 +170,10 @@ class InteriorPointSolver(BandedKkt):
 
     ``kkt_refactorizations`` counts those factorizations and
     ``polish_factorizations`` the polish passes', the tried held-set passes
-    included; ``polish_rejected`` tells whether a polish was rejected, after
-    which the handle polishes no more solves. Single-threaded per handle: do
-    not solve and update one handle concurrently. Distinct handles are
-    independent.
+    included, a retried factorization once per attempt; ``polish_rejected``
+    tells whether a polish was rejected, after which the handle polishes no
+    more solves. Single-threaded per handle: do not solve and update one
+    handle concurrently. Distinct handles are independent.
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
@@ -183,7 +183,7 @@ class InteriorPointSolver(BandedKkt):
         # Set once a polish is rejected; later solves then skip the polish.
         self.polish_rejected = False
         # Scaled (x, y_eq, lam) of the last solved call, where the next
-        # solve starts; None starts it cold.
+        # solve starts; None starts it cold, at the QP's start point.
         self._last = None
         # The held rows (-1 lo, +1 hi, 0 free) of the last accepted polish,
         # which the next solve tries first; None tries nothing.
@@ -314,22 +314,21 @@ class InteriorPointSolver(BandedKkt):
         np.negative(ds, out=ds)
         return dx, dv, a_dx
 
-    def _direction(self, v, r_d, r_e, r_g, corrector=True):
+    def _direction(self, v, r_d, r_e, r_g):
         """Mehrotra's predictor-corrector direction (dx, dy_e, dv), and A dx,
         from one factorization of the reduced Newton matrix, where v and dv
-        stack the slacks over the multipliers; without ``corrector``, the
-        affine-scaling (predictor) direction alone."""
+        stack the slacks over the multipliers."""
         p = v.size // 2
         s, lam = v[:p], v[p:]
         W = lam / (s + _DELTA * lam)
         w = self._row_sums(W)
         w[self._eq] = 1.0 / _DELTA
-        factor = self._band_factor(self._terms_s, w, _DELTA)
-        self.kkt_refactorizations += 1
+        factor, attempts = self._band_factor(self._terms_s, w, _DELTA)
+        self.kkt_refactorizations += attempts
         # Shared by the predictor and the corrector.
         sign_W, s_lam, neg_r_d, u_eq = self._sign * W, s * lam, -r_d, r_e / _DELTA
         dx, dv, a_dx = self._newton(factor, W, sign_W, v, neg_r_d, u_eq, r_g, s_lam)
-        if corrector and p:
+        if p:
             alpha = min(1.0, _max_step(v, dv))
             mu = float(s_lam.sum()) / p
             end = v + alpha * dv
@@ -388,9 +387,8 @@ class InteriorPointSolver(BandedKkt):
         solved call's iterate when there is one; a handle whose last polish
         was accepted first tries that polish's held set, and returns its
         pass without iterating when the pass lands. ``iterations`` counts
-        the steps taken, a cold solve's start step included; exhaustion of
-        the budget is reported through ``status``, never as a silent
-        success.
+        the predictor-corrector steps taken; exhaustion of the budget is
+        reported through ``status``, never as a silent success.
 
         ``optimality_rel`` loosens this solve's optimality test: the dual
         residual and the complementarity are each held to eps_abs +
@@ -414,22 +412,15 @@ class InteriorPointSolver(BandedKkt):
         q_norm = _max_abs(d_inv * self._qs) / c
         p = self._b.size
         warm = self._last is not None
-        # The slacks and multipliers share one array v = [s; lam], so that
+        # Every solve starts at (x, y_eq, lam): the last solved iterate, or
+        # cold at the QP's start point with zero multipliers. The slacks are
+        # measured there on the current data, and the slacks and multipliers
+        # share one array v = [s; lam], floored off their boundary, so that
         # one step length and one update serve both.
-        if warm:
-            # The last solved iterate, with the slacks measured on the new
-            # data and both slacks and multipliers kept off their boundary.
-            x, y_eq = self._last[0].copy(), self._last[1].copy()
-            v = np.concatenate([sign * (self._As @ x)[rows] - self._b, self._last[2]])
-            np.maximum(v, _WARM_FLOOR, out=v)
-        else:
-            # The QP's start point (x = 0 without one) with every slack at
-            # its bound distance there, floored at 1, and unit multipliers;
-            # the start step moves the slacks and multipliers on from there.
-            x, y_eq = self._x0.copy(), np.zeros(eq.size)
-            v = np.concatenate([np.maximum(sign * (self._As @ x)[rows] - self._b, 1.0),
-                                np.ones(p)])
-        start = not warm and p > 0
+        x, y_eq, lam = (self._last if warm else (self._x0, np.zeros(eq.size), np.zeros(p)))
+        x, y_eq = x.copy(), y_eq.copy()
+        v = np.concatenate([sign * (self._As @ x)[rows] - self._b, lam])
+        np.maximum(v, _START_FLOOR, out=v)
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
             s, lam = v[:p], v[p:]
@@ -463,22 +454,13 @@ class InteriorPointSolver(BandedKkt):
             if iterations == st.max_iterations:
                 break
             try:
-                dx, dy_eq, dv, a_dx = self._direction(v, r_d, r_e, gap - s, corrector=not start)
+                dx, dy_eq, dv, a_dx = self._direction(v, r_d, r_e, gap - s)
             except ValueError:
                 status = "not_positive_definite"
                 break
             if self._is_dual_infeasible(dx, a_dx):
                 status = "dual_infeasible"
                 break
-            if start:
-                # Mehrotra's start: x and y_eq stay, and the slacks and
-                # multipliers take the magnitudes of their affine-scaling
-                # step's end, floored at 1.
-                v += dv
-                np.abs(v, out=v)
-                np.maximum(v, 1.0, out=v)
-                start = False
-                continue
             alpha = _TO_BOUNDARY * _max_step(v, dv)
             x += alpha * dx
             y_eq += alpha * dy_eq
@@ -515,11 +497,11 @@ class InteriorPointSolver(BandedKkt):
         of ``side`` held: (x, y, pri, dua, mask of wrongly signed rows), or
         None when its matrix does not factor."""
         try:
-            x, y, _, pri, dua, _, _, wrong = self._held_set_pass(
+            x, y, _, pri, dua, _, _, wrong, attempts = self._held_set_pass(
                 self._unscaled_terms(), self._is_eq, side, _POLISH_DELTA, _REFINE_STEPS)
         except ValueError:
             return None
-        self.polish_factorizations += 1
+        self.polish_factorizations += attempts
         return x, y, pri, dua, wrong
 
     def _polish(self, x, y_int, z, pri, dua, tried):

@@ -133,11 +133,11 @@ class QpSolution:
     pass). ``warm_started`` tells whether an interior-point solve started
     from its handle's last solved call. ``factorizations`` counts the
     matrices the solve factored: an interior-point solve's Newton and
-    polish factorizations, or the direct active-set solve's factored passes.
-    ``band_solves`` counts the back-solves with those factors: two per
-    interior-point iteration (predictor and corrector; one on the start
-    step), and one plus the refinement steps per polish or active-set
-    pass."""
+    polish factorizations, or the direct active-set solve's factored passes,
+    a retried factorization once per attempt. ``band_solves`` counts the
+    back-solves with those factors: two per interior-point iteration
+    (predictor and corrector), and one plus the refinement steps per polish
+    or active-set pass."""
 
     x: np.ndarray
     y: np.ndarray

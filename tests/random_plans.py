@@ -8,7 +8,9 @@ log-uniform in 1e-6-1, and with probability 1/2 a kinematic limit scaled by
 feasible), ``infeasible`` (converged, the returned trajectory infeasible),
 ``not_converged``, or ``<block>: <status>`` for a ``BlockSolveError``.
 
-Run as a script to count the classes of a search, one BLAS thread advised:
+Run as a script to count the classes of a search, and the force block's
+interior-point iterations and factorizations summed over the plans that end
+``ok``, a work count that no host speed moves; one BLAS thread advised:
 
     PYTHONPATH=src python tests/random_plans.py --seed 61 --count 400
 """
@@ -41,16 +43,21 @@ def random_plan(seed: int, i: int) -> dict:
     return doc
 
 
-def outcome(doc: dict) -> tuple[str, int | None]:
-    """The outcome class of solving ``doc``, and the outer iteration of a
-    block failure (None otherwise)."""
+def outcome(doc: dict) -> tuple[str, int | None, tuple[int, int]]:
+    """The outcome class of solving ``doc``, the outer iteration of a block
+    failure (None otherwise), and the interior-point iterations and
+    factorizations of the run's force solves ((0, 0) after a block
+    failure)."""
     try:
         result = optimize(*materialize(doc))
     except BlockSolveError as exc:
-        return f"{exc.block}: {exc.status}", exc.iteration
+        return f"{exc.block}: {exc.status}", exc.iteration, (0, 0)
+    force = (*result.records, result.final_record)
+    work = (sum(r.force_solver_iterations for r in force),
+            sum(r.force_factorizations for r in force))
     if not result.converged:
-        return "not_converged", None
-    return ("ok" if result.residuals.feasible else "infeasible"), None
+        return "not_converged", None, work
+    return ("ok" if result.residuals.feasible else "infeasible"), None, work
 
 
 def main(argv=None) -> None:
@@ -60,15 +67,21 @@ def main(argv=None) -> None:
     parser.add_argument("--list", action="store_true", help="print each plan that does not end ok")
     cfg = parser.parse_args(argv)
     classes = collections.Counter()
+    iterations = factorizations = 0
     for i in range(cfg.count):
         doc = random_plan(cfg.seed, i)
-        name, iteration = outcome(doc)
+        name, iteration, work = outcome(doc)
         classes[name] += 1
+        if name == "ok":
+            iterations += work[0]
+            factorizations += work[1]
         if cfg.list and name != "ok":
             print(f"plan {i}: {doc['gait']['kind']} N={doc['horizon']['N']} -> {name}"
                   + ("" if iteration is None else f" at outer iteration {iteration}"))
     for name, count in sorted(classes.items()):
         print(f"{name}: {count}")
+    print(f"force solves of the ok plans: {iterations} interior-point iterations, "
+          f"{factorizations} factorizations")
 
 
 if __name__ == "__main__":

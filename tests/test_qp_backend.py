@@ -17,9 +17,10 @@ from centroidal_bcd.contact_qp import ContactQpInputs, build_contact_qp, nominal
 from centroidal_bcd.force_qp import ForceQpInputs, _structure as force_structure, build_force_qp
 from centroidal_bcd.gaits import make_gait, shipped_scenarios
 from centroidal_bcd.qp.active_set import solve_active_set, solve_enumeration
-from centroidal_bcd.qp.banded import _EQUALITY_GAP, _REFINE_STEPS, BandedKkt
+from centroidal_bcd.qp.banded import _EQUALITY_GAP, _MAX_SHIFT, _REFINE_STEPS, BandedKkt
 from centroidal_bcd.qp import ipm
-from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _guarded_inv_sqrt
+from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _START_FLOOR, \
+    _guarded_inv_sqrt
 from centroidal_bcd.qp.pattern import QpPattern
 from centroidal_bcd.qp.problem import INFTY
 from centroidal_bcd.scenarios import materialize
@@ -177,19 +178,25 @@ def test_an_update_with_the_setups_nnz_in_another_pattern_is_rejected(trot_qps, 
     assert np.array_equal(h._A.data, qp.A.data) and np.array_equal(h._q, qp.q)
 
 
-def test_a_cold_solve_after_an_update_starts_at_the_new_start_point():
+def test_a_cold_solve_after_an_update_starts_at_the_new_start_point(monkeypatch):
     qp, x0 = _random_qp(np.random.default_rng(19), n=12, m=15)
     h = InteriorPointSolver(replace(qp, x0=np.zeros(qp.n)))
     assert h.solve().solved
     # A bound update that changes the row partition, with a new start point.
     lo = qp.lo.copy()
     lo[int(np.flatnonzero(np.isfinite(lo))[0])] = -np.inf
-    h.update_values(replace(qp, lo=lo, x0=x0))
+    updated = replace(qp, lo=lo, x0=x0)
+    h.update_values(updated)
     h.settings = SolverSettings(max_iterations=1)
+    points = _record_directions(monkeypatch, h)
     sol = h.solve()
-    # The start step keeps x where the cold solve began.
-    assert sol.status == "max_iter" and not sol.warm_started
-    assert np.allclose(sol.x, x0, rtol=1e-14, atol=0.0) and x0.any()
+    assert sol.status == "max_iter" and not sol.warm_started and x0.any()
+    # The first direction starts from the slacks at the new start point,
+    # and its step is a fresh handle's first step on the updated QP.
+    gap = h._sign * (h._As @ (x0 / h._d))[h._rows] - h._b
+    assert np.array_equal(points[0][0], np.maximum(gap, _START_FLOOR))
+    fresh = InteriorPointSolver(updated, SolverSettings(max_iterations=1)).solve()
+    assert np.array_equal(sol.x, fresh.x)
 
 
 @pytest.mark.parametrize("handle", [InteriorPointSolver, BandedActiveSetSolver])
@@ -613,7 +620,7 @@ def test_band_solve_matches_dense_reduced_solve(trot_qps, name):
     S = h._Ps.toarray() + _DELTA * np.eye(qp.n) + As.T @ (w[:, None] * As)
     rhs = rng.normal(size=qp.n)
     expected = np.linalg.solve(S, rhs)
-    got = h._band_solve(h._band_factor(h._terms_s, w, _DELTA), rhs)
+    got = h._band_solve(h._band_factor(h._terms_s, w, _DELTA)[0], rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -746,40 +753,43 @@ def _record_directions(monkeypatch, h):
     return points
 
 
-def test_a_cold_solve_spends_its_first_iteration_on_mehrotras_start(trot_qps, monkeypatch):
-    # The start step factors once and counts as an iteration, but moves
-    # neither x nor the equality multipliers from 0; it moves every slack and
-    # multiplier to at least 1. Here the QP has no start point of its own.
-    qp = replace(trot_qps["force"], x0=None)
+@pytest.mark.parametrize("start", ["x0", "zero"])
+def test_a_cold_solve_takes_the_first_newton_point_of_a_warm_start_at_x0(
+        trot_qps, monkeypatch, start):
+    # One start rule serves every solve: a cold solve's first iteration is
+    # the one of a solve started warm from (x0, y_eq = 0, lam = 0), x0 the
+    # QP's start point or 0 without one. Both factor once and take one
+    # predictor-corrector step from the same point, which moves x.
+    qp = trot_qps["force"] if start == "x0" else replace(trot_qps["force"], x0=None)
     capped = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
-    sol = capped.solve()
-    assert (sol.status, sol.iterations, capped.kkt_refactorizations) == ("max_iter", 1, 1)
-    assert sol.factorizations == 1
-    assert not sol.x.any() and not sol.y[qp.lo == qp.hi].any()
-    h = InteriorPointSolver(qp)
-    points = _record_directions(monkeypatch, h)
-    assert h.solve().solved
-    (s0, lam0), (s, lam) = points[:2]
-    assert s.min() >= 1.0 and lam.min() >= 1.0
-    assert not np.array_equal(s, s0) and not np.array_equal(lam, lam0)
+    cold_points = _record_directions(monkeypatch, capped)
+    cold = capped.solve()
+    assert (cold.status, cold.iterations, capped.kkt_refactorizations) == ("max_iter", 1, 1)
+    assert cold.factorizations == 1 and not cold.warm_started
+    warm_handle = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
+    warm_handle._last = (warm_handle._x0.copy(), np.zeros(warm_handle._eq.size),
+                         np.zeros(warm_handle._b.size))
+    warm_points = _record_directions(monkeypatch, warm_handle)
+    warm = warm_handle.solve()
+    assert warm.warm_started and warm.iterations == 1
+    for (s, lam), (s_warm, lam_warm) in zip(cold_points, warm_points, strict=True):
+        assert np.array_equal(s, s_warm) and np.array_equal(lam, lam_warm)
+    assert np.array_equal(cold.x, warm.x) and np.array_equal(cold.y, warm.y)
+    x0 = np.zeros(qp.n) if qp.x0 is None else qp.x0
+    assert not np.allclose(cold.x, x0, rtol=1e-6, atol=0.0)
 
 
 def test_a_cold_solve_starts_at_the_qps_start_point(trot_qps, monkeypatch):
-    # With a start point, the start step keeps x there, and the first
-    # direction starts from the slacks of that point, floored at 1, and unit
-    # multipliers.
+    # With a start point, the first direction starts from the slacks of that
+    # point and zero multipliers, all floored at the start floor.
     qp = trot_qps["force"]
-    capped = InteriorPointSolver(qp, SolverSettings(max_iterations=1))
-    sol = capped.solve()
-    assert (sol.status, sol.iterations) == ("max_iter", 1)
-    assert np.allclose(sol.x, qp.x0, rtol=1e-15, atol=0.0)
     h = InteriorPointSolver(qp)
     points = _record_directions(monkeypatch, h)
     assert h.solve().solved
     gap = h._sign * (h._As @ (qp.x0 / h._d))[h._rows] - h._b
     s0, lam0 = points[0]
-    assert np.allclose(s0, np.maximum(gap, 1.0), rtol=1e-14, atol=0.0)
-    assert np.array_equal(lam0, np.ones(lam0.size))
+    assert np.array_equal(s0, np.maximum(gap, _START_FLOOR))
+    assert np.array_equal(lam0, np.full(lam0.size, _START_FLOOR))
 
 
 @pytest.mark.parametrize("x0, error", [(np.zeros(3), r"x0 must have shape \(2,\), got \(3,\)"),
@@ -811,7 +821,8 @@ def test_a_solve_after_a_failed_call_takes_the_same_start(trot_qps, monkeypatch)
     assert sol.solved and not sol.warm_started and sol.iterations == expected.iterations
     for (s, lam), (s_fresh, lam_fresh) in zip(points[:2], fresh_points[:2]):
         assert np.array_equal(s, s_fresh) and np.array_equal(lam, lam_fresh)
-    assert min(s.min(), lam.min()) >= 1.0  # after the start step
+    # The cold start's multipliers: zero, floored.
+    assert np.array_equal(points[0][1], np.full(lam.size, _START_FLOOR))
     assert np.array_equal(sol.x, expected.x)
 
 
@@ -961,6 +972,58 @@ def test_failed_newton_factorization_is_named_not_raised(monkeypatch):
     monkeypatch.setattr(h, "_band_factor", fail)
     sol = h.solve()
     assert (sol.status, sol.iterations, h.kkt_refactorizations) == ("not_positive_definite", 0, 0)
+
+
+@pytest.mark.parametrize("handle", [InteriorPointSolver, BandedActiveSetSolver])
+def test_a_failed_factorization_is_retried_with_a_larger_shift(trot_qps, handle, monkeypatch):
+    # dpbtrf reports a pivot that is not positive once: the band is factored
+    # again with the shift 100 times larger and the same weights, the solve
+    # still succeeds, and the extra attempt counts as a factorization.
+    qp = _random_qp(np.random.default_rng(13), n=30, m=40)[0] if handle is InteriorPointSolver \
+        else trot_qps["contact"]
+    h = handle(qp)
+    dpbtrf, band, calls = h._dpbtrf, h._map.band, []
+
+    def failing_once(ab, **kwargs):
+        L, info = dpbtrf(ab, **kwargs)
+        return (L, 1) if len(calls) == 1 else (L, info)
+
+    def recording(terms, w, shift):
+        calls.append((w.copy(), shift))
+        return band(terms, w, shift)
+
+    h._dpbtrf = failing_once
+    monkeypatch.setattr(h._map, "band", recording)
+    sol = h.solve()
+    assert sol.solved
+    (w0, shift0), (w1, shift1) = calls[:2]
+    assert shift1 == 100.0 * shift0 and np.array_equal(w0, w1)
+    if handle is InteriorPointSolver:
+        assert shift0 == _DELTA
+        assert h.kkt_refactorizations == sol.iterations + 1
+        assert sol.factorizations == sol.iterations + 1 + h.polish_factorizations
+    else:
+        assert sol.factorizations == h.factorizations == sol.iterations + 1
+    assert sol.factorizations == len(calls)
+
+
+def test_a_factorization_that_fails_at_the_largest_shift_is_named(monkeypatch):
+    # Every retry fails too: the shift climbs 100-fold to _MAX_SHIFT and the
+    # solve ends not_positive_definite, with no factorization counted.
+    qp, _ = _random_qp(np.random.default_rng(13), n=30, m=40)
+    h = InteriorPointSolver(qp)
+    dpbtrf, shifts = h._dpbtrf, []
+    band = h._map.band
+
+    def recording(terms, w, shift):
+        shifts.append(shift)
+        return band(terms, w, shift)
+
+    h._dpbtrf = lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1)
+    monkeypatch.setattr(h._map, "band", recording)
+    sol = h.solve()
+    assert (sol.status, sol.iterations, h.kkt_refactorizations) == ("not_positive_definite", 0, 0)
+    assert shifts == pytest.approx([_DELTA, 1e-6, 1e-4, _MAX_SHIFT], rel=1e-12)
 
 
 def test_accepted_polish_keeps_multiplier_signs_on_bound(monkeypatch):
