@@ -69,9 +69,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Growing the proximal weights geometrically overflows useful double range
-# after a handful of iterations; growth is capped here.
-L_PROX_CAP = 1e12
+# The proximal weights grow geometrically and stop at this cap. Above it the
+# force block's Newton matrices lose their conditioning: at 1e12, 10 of 400
+# random low-friction plans (``tests/random_plans.py``, seed 61) spent a
+# proximal force solve's iteration budget, 4 at 1e6. The shipped scenarios
+# end within 3 outer iterations, so at the default L0 and growth (100 each)
+# their weights never pass the cap.
+L_PROX_CAP = 1e6
 # Relative optimality tolerance of the force solves that carry a proximal
 # pull (see ``InteriorPointSolver.solve``); their primal test stays exact.
 # At 1e-2 bound's final cost rose 0.11%; 1e-4 saves 36 of the 42 iterations

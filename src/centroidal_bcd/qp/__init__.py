@@ -2,16 +2,9 @@
 
 from .banded import BandedActiveSetSolver
 from .ipm import InteriorPointSolver
-from .problem import (
-    INFTY,
-    QpSolution,
-    SolverSettings,
-    SparseQP,
-    kkt_residuals,
-)
+from .problem import QpSolution, SolverSettings, SparseQP, kkt_residuals
 
 __all__ = [
-    "INFTY",
     "BandedActiveSetSolver",
     "InteriorPointSolver",
     "QpSolution",

@@ -4,8 +4,8 @@ Independent reference implementation used to cross-check the banded
 interior-point and active-set backends on desk-scale problems: a textbook
 primal active-set method working directly on dense KKT systems, plus a
 literal active-set enumeration for very small instances. Both speak the same
-canonical form as :class:`~centroidal_bcd.qp.problem.SparseQP` and use the
-same dual sign convention (P x + q = A' y).
+canonical form as :class:`~centroidal_bcd.qp.problem.SparseQP`, +-inf bounds
+included, and use the same dual sign convention (P x + q = A' y).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .problem import INFTY, SparseQP
+from .problem import SparseQP
 
 __all__ = ["solve_active_set", "solve_enumeration"]
 
@@ -25,9 +25,7 @@ _ZERO_STEP = 1e-11
 def _dense(qp: SparseQP):
     P = qp.P.toarray()
     A = qp.A.toarray() if qp.m_c else np.zeros((0, qp.n))
-    lo = np.clip(qp.lo, -INFTY, INFTY)
-    hi = np.clip(qp.hi, -INFTY, INFTY)
-    return P, np.asarray(qp.q, dtype=float), A, lo, hi
+    return P, np.asarray(qp.q, dtype=float), A, qp.lo, qp.hi
 
 
 def _feasible_point(A, lo, hi):
@@ -39,10 +37,10 @@ def _feasible_point(A, lo, hi):
         return np.zeros(n)
     rows, rhs = [], []
     for i in range(m):
-        if hi[i] < INFTY:
+        if hi[i] < np.inf:
             rows.append(np.append(A[i], -1.0))
             rhs.append(hi[i])
-        if lo[i] > -INFTY:
+        if lo[i] > -np.inf:
             rows.append(np.append(-A[i], -1.0))
             rhs.append(-lo[i])
     c = np.zeros(n + 1)
@@ -109,11 +107,11 @@ def solve_active_set(qp: SparseQP, x0=None, max_iter: int = 500):
         for i in range(m):
             if eq[i]:
                 continue
-            if Ad[i] > _ZERO_STEP and hi[i] < INFTY and (i, 1) not in work:
+            if Ad[i] > _ZERO_STEP and hi[i] < np.inf and (i, 1) not in work:
                 a = (hi[i] - Ax[i]) / Ad[i]
                 if a < alpha - 1e-14:
                     alpha, blocking = a, (i, 1)
-            elif Ad[i] < -_ZERO_STEP and lo[i] > -INFTY and (i, -1) not in work:
+            elif Ad[i] < -_ZERO_STEP and lo[i] > -np.inf and (i, -1) not in work:
                 a = (lo[i] - Ax[i]) / Ad[i]
                 if a < alpha - 1e-14:
                     alpha, blocking = a, (i, -1)
@@ -141,7 +139,7 @@ def solve_enumeration(qp: SparseQP, max_rows: int = 12):
             continue
         skip = False
         for i, s in zip(ineq_idx, assignment):
-            if (s == 1 and hi[i] >= INFTY) or (s == -1 and lo[i] <= -INFTY):
+            if (s == 1 and hi[i] == np.inf) or (s == -1 and lo[i] == -np.inf):
                 skip = True
                 break
         if skip:

@@ -86,7 +86,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problem import INFTY, QpSolution, SolverSettings, SparseQP
+from .problem import QpSolution, SolverSettings, SparseQP
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -125,28 +125,28 @@ def _max_abs(v: np.ndarray) -> float:
 
 def _wrongly_signed(y: np.ndarray, low: np.ndarray, upp: np.ndarray,
                     settings: SolverSettings) -> np.ndarray:
-    """Mask of the held rows whose multiplier pulls against their bound: in
-    the handles' sign convention a row held at its lower bound needs
-    y <= 0, one at its upper bound y >= 0, to within eps_abs + eps_rel
-    max |y|. A wrongly signed row means the held set is not the solution's
-    active set."""
+    """Mask of the held rows whose multiplier pulls against their bound: a
+    row held at its lower bound needs y >= 0, one at its upper bound
+    y <= 0, to within eps_abs + eps_rel max |y|. A wrongly signed row means
+    the held set is not the solution's active set."""
     tol = settings.eps_abs + settings.eps_rel * _max_abs(y)
-    return (low & (y > tol)) | (upp & (y < -tol))
+    return (low & (y < -tol)) | (upp & (y > tol))
 
 
 class BandedKkt:
     """One QP's unscaled data, the band map of its reduced KKT matrices and
     their banded factorization.
 
-    Multipliers inside a handle follow P x + q + A' y = 0 (the negative of
-    the ``QpSolution`` convention). ``pattern`` is the QP's symbolic record
-    (``QpPattern``), the builder's or one made at setup. Setup and every
-    value update take the QP's values through one intake
+    Multipliers follow the ``QpSolution`` convention, P x + q = A' y, inside
+    a handle too, and infinite bounds stay +-inf. ``pattern`` is the QP's
+    symbolic record (``QpPattern``), the builder's or one made at setup.
+    Setup and every value update take the QP's values through one intake
     (:meth:`_take_values`): P and A must keep the setup's patterns
     (``SparseQP`` has rejected non-finite matrix or q values, NaN bounds and
-    lo > hi when the QP was made). Duplicate entries of A raise at setup; a
-    QP of at most 200 variables is then checked by ``SparseQP.validate``
-    (symmetric, positive semidefinite P). Single-threaded per handle.
+    rows no x meets when the QP was made). Duplicate entries of A raise at
+    setup; a QP of at most 200 variables is then checked by
+    ``SparseQP.validate`` (symmetric, positive semidefinite P).
+    Single-threaded per handle.
     """
 
     def __init__(self, qp: SparseQP, settings: SolverSettings | None = None):
@@ -194,11 +194,13 @@ class BandedKkt:
             _check_pattern("P", P, self._P)
             _check_pattern("A", A, self._A)
         # Copies into the handle's own arrays, which the caller's later
-        # writes cannot reach; infinite bounds become the sentinel.
+        # writes cannot reach.
         np.copyto(self._P.data, P.data)
         np.copyto(self._A.data, A.data)
-        self._q = qp.q.copy()
-        self._lo, self._hi = np.clip(qp.lo, -INFTY, INFTY), np.clip(qp.hi, -INFTY, INFTY)
+        self._q, self._lo, self._hi = qp.q.copy(), qp.lo.copy(), qp.hi.copy()
+        # One equality test for every solver: SparseQP leaves no row with
+        # one infinity on both sides, so hi - lo is never inf - inf.
+        self._is_eq = (self._hi - self._lo) < _EQUALITY_GAP
 
     def update_values(self, qp: SparseQP) -> None:
         """Take the values of ``qp``, a QP of the setup's P and A patterns;
@@ -249,10 +251,10 @@ class BandedKkt:
         steps against the unregularized one: with the multipliers
         eliminated, x solves
         (P + delta I + A_h' A_h / delta) x = -q + A_h' b / delta, and
-        y_h = (A_h x - b) / delta; rows not held keep y = 0. It takes
-        ``steps`` refinement steps, or without them at least one and then
-        more until the held system's residual, the larger of
-        |P x + q + A_h' y| and |b - A_h x|, is at most ``_REFINE_TARGET``
+        y_h = (b - A_h x) / delta; rows not held keep y = 0 and b = 0. It
+        takes ``steps`` refinement steps, or without them at least one and
+        then more until the held system's residual, the larger of
+        |P x + q - A_h' y| and |b - A_h x|, is at most ``_REFINE_TARGET``
         times eps_abs, stops falling, or has taken ``_REFINE_CAP`` steps.
         Returns x, y, A x, the unscaled primal and dual residuals, their
         tolerances (eps_abs + eps_rel times the norms of their terms), the
@@ -263,7 +265,7 @@ class BandedKkt:
         P, A, AT, q, lo, hi = self._P, self._A, self._AT, self._q, self._lo, self._hi
         st = self.settings
         low, upp = side < 0, side > 0
-        b = np.where(eq | low, lo, hi)
+        b = np.where(eq | low, lo, np.where(upp, hi, 0.0))
         w = np.where(eq | low | upp, 1.0 / delta, 0.0)
         L, attempts = self._band_factor(terms, w, delta)
         target = _REFINE_TARGET * st.eps_abs
@@ -275,9 +277,9 @@ class BandedKkt:
         for step in range(1 + (_REFINE_CAP if steps is None else steps)):
             dx = self._band_solve(L, r_x + AT @ r_y)
             x = x + dx
-            y = y + w * (A @ dx) - r_y
+            y = y - w * (A @ dx) + r_y
             Ax, Px, Aty = A @ x, P @ x, AT @ y
-            r_x = -q - Px - Aty
+            r_x = -q - Px + Aty
             r_y = w * (b - Ax)
             if steps is None:
                 # r_y is the held rows' residual times 1/delta.
@@ -314,8 +316,7 @@ class BandedActiveSetSolver(BandedKkt):
         ``not_positive_definite`` (a factorization failed); ``iterations``
         counts the passes."""
         t0 = time.perf_counter()
-        P, q, lo, hi = self._P, self._q, self._lo, self._hi
-        eq = (hi - lo) < _EQUALITY_GAP
+        P, q, lo, hi, eq = self._P, self._q, self._lo, self._hi, self._is_eq
         side = np.where(eq, 0, self.working_set).astype(np.int8)
         x, y = np.zeros(self.n), np.zeros(self.m)
         pri = dua = float("nan")
@@ -343,7 +344,7 @@ class BandedActiveSetSolver(BandedKkt):
                 break
             side = update
         objective = float(0.5 * x @ (P @ x) + q @ x)
-        return QpSolution(x=x, y=-y, status=status, objective=objective, iterations=passes,
+        return QpSolution(x=x, y=y, status=status, objective=objective, iterations=passes,
                           solve_time=time.perf_counter() - t0, primal_residual=pri,
                           dual_residual=dua, factorizations=self.factorizations - factored_before,
                           band_solves=self.band_solves - solved_before)

@@ -5,11 +5,13 @@ Mehrotra's predictor-corrector method (Nocedal and Wright, *Numerical
 Optimization*, section 16.6). Every finite bound of an inequality row is one
 constraint g'x >= b with slack s >= 0 and multiplier lam >= 0 (g = a_i at a
 lower bound, -a_i at an upper one); equality rows A_e x = b_e keep free
-multipliers y_e. A step solves the primal-dual regularized Newton system
-(Friedlander and Orban, Math. Prog. Comp. 2012)
+multipliers y_e. Multipliers follow the ``QpSolution`` convention
+P x + q = A' y throughout: a row's y is lam at its lower bound, -lam at
+its upper one, and y_e on an equality row. A step solves the primal-dual
+regularized Newton system (Friedlander and Orban, Math. Prog. Comp. 2012)
 
-    (P + delta I) dx + A_e' dy_e - G' dlam = -r_d
-    A_e dx - delta dy_e                   = -r_e
+    (P + delta I) dx - A_e' dy_e - G' dlam = -r_d
+    A_e dx + delta dy_e                   = -r_e
     G dx + delta dlam - ds                = -r_g
     S dlam + Lam ds                       = -r_c
 
@@ -79,13 +81,12 @@ descent solves its proximal force QPs so (1e-3): their iterates feed the
 next contact solve and must be feasible, not optimal, and trot's middle
 force solve then takes 2 iterations instead of 5. Such a solve's polish is
 judged against its own residuals, and the next solve starts warm from its
-iterate. Diverging multipliers that certify A'v = 0 against
-bounds with a negative support function end the solve as
-``primal_infeasible``; a step that is a descent direction of zero curvature
-within the bounds' recession cone ends it as ``dual_infeasible`` (the cone
-test reads the step's own A dx, so the curvature product P v runs only on a
-step that passes it); a Newton matrix that fails to factor ends it as
-``not_positive_definite``.
+iterate. Diverging multipliers that certify A'v = 0 with
+lo'max(v, 0) + hi'min(v, 0) > 0, which no x within the bounds allows, end
+the solve as ``primal_infeasible``; a Newton matrix that fails to factor
+ends it as ``not_positive_definite``. There is no unboundedness
+certificate: every QP the block descent builds is strictly convex, and a QP
+that is unbounded below ends ``max_iter`` when its budget is spent.
 
 Every solved call is polished on the detected active set: one held-set
 pass of :mod:`~centroidal_bcd.qp.banded` at delta = 1e-7, refined three
@@ -122,16 +123,15 @@ import time
 
 import numpy as np
 
-from .banded import _EQUALITY_GAP, _REFINE_STEPS, BandedKkt, _max_abs
-from .problem import INFTY, QpSolution, SolverSettings, SparseQP
+from .banded import _REFINE_STEPS, BandedKkt, _max_abs
+from .problem import QpSolution, SolverSettings, SparseQP
 
 __all__ = ["InteriorPointSolver"]
 
 _DELTA = 1e-8              # primal and dual regularization of the Newton matrix
 _TO_BOUNDARY = 0.99        # fraction of the step to the boundary of s, lam >= 0
 _START_FLOOR = 1e-2        # floor of a start's slacks and multipliers (scaled)
-_EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerances
-_EPS_DUAL_INF = 1e-6
+_EPS_PRIM_INF = 1e-6       # infeasibility certificate tolerance
 _RUIZ_ITERATIONS = 2
 _POLISH_DELTA = 1e-7
 
@@ -258,19 +258,13 @@ class InteriorPointSolver(BandedKkt):
         sort the rows into equality rows and the one-sided constraints
         g'x >= b of the finite inequality bounds. A new partition drops the
         warm start, whose multipliers and slacks belong to the old one."""
-        d, e, c, lo, hi = self._d, self._e, self._c, self._lo, self._hi
+        d, e, lo, hi, is_eq = self._d, self._e, self._lo, self._hi, self._is_eq
         np.multiply(self._p_factor, self._P.data, out=self._Ps.data)
         np.multiply(self._a_factor, self._A.data, out=self._As.data)
         self._x0 = np.zeros(self.n) if qp.x0 is None else qp.x0 / d
-        self._qs = c * d * self._q
-        # The unscaled q'dx and A dx of a scaled step, for the
-        # dual-infeasibility test.
-        self._q_d = d * self._q
-        self._e_inv_hi = np.where(hi < INFTY, 1.0 / e, 0.0)
-        self._e_inv_lo = np.where(lo > -INFTY, 1.0 / e, 0.0)
-        is_eq = (hi - lo) < _EQUALITY_GAP
-        low = np.flatnonzero(~is_eq & (lo > -INFTY))
-        upp = np.flatnonzero(~is_eq & (hi < INFTY))
+        self._qs = self._c * d * self._q
+        low = np.flatnonzero(~is_eq & np.isfinite(lo))
+        upp = np.flatnonzero(~is_eq & np.isfinite(hi))
         eq = np.flatnonzero(is_eq)
         rows = np.concatenate([low, upp])
         sign = np.repeat([1.0, -1.0], [low.size, upp.size])
@@ -278,7 +272,7 @@ class InteriorPointSolver(BandedKkt):
                                            and np.array_equal(rows, self._rows)
                                            and np.array_equal(sign, self._sign)):
             self._last = self._held = None
-        self._is_eq, self._eq, self._rows, self._sign = is_eq, eq, rows, sign
+        self._eq, self._rows, self._sign = eq, rows, sign
         self._b_eq = e[eq] * lo[eq]
         self._b = sign * e[rows] * np.concatenate([lo[low], hi[upp]])
 
@@ -337,14 +331,15 @@ class InteriorPointSolver(BandedKkt):
             r_c += s_lam
             r_c -= sigma * mu
             dx, dv, a_dx = self._newton(factor, W, sign_W, v, neg_r_d, u_eq, r_g, r_c)
-        return dx, (a_dx[self._eq] + r_e) / _DELTA, dv, a_dx
+        return dx, -(a_dx[self._eq] + r_e) / _DELTA, dv, a_dx
 
     # -- certificates ------------------------------------------------------
 
     def _is_primal_infeasible(self, y_scaled, aty_norm: float) -> bool:
         """Whether v = y / |y| certifies infeasibility: A'v = 0 (``aty_norm``
-        is the unscaled |A'y|) and a negative support function of the
-        bounds at v."""
+        is the unscaled |A'y|), although every x within the bounds has
+        v'A x >= lo'max(v, 0) + hi'min(v, 0) > 0. That bound needs v <= 0 on
+        rows open below and v >= 0 on rows open above."""
         eps = _EPS_PRIM_INF
         y = self._e * y_scaled
         norm = _max_abs(y) / self._c
@@ -352,32 +347,11 @@ class InteriorPointSolver(BandedKkt):
             return False
         v = y / self._c / norm
         pos, neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
-        hi_inf = self._hi >= INFTY
-        lo_inf = self._lo <= -INFTY
-        if np.any(pos[hi_inf] > eps) or np.any(neg[lo_inf] < -eps):
+        lo_inf, hi_inf = np.isinf(self._lo), np.isinf(self._hi)
+        if np.any(pos[lo_inf] > eps) or np.any(neg[hi_inf] < -eps):
             return False
-        support = float(self._hi[~hi_inf] @ pos[~hi_inf] + self._lo[~lo_inf] @ neg[~lo_inf])
-        return support < -eps
-
-    def _is_dual_infeasible(self, dx_scaled, a_dx_scaled) -> bool:
-        """Whether v = dx / |dx| certifies unboundedness: q'v < 0, A v in the
-        recession cone of the bounds and P v = 0. A v comes from the step's
-        own scaled A dx, so the product P v runs only when the cheaper tests
-        pass."""
-        eps = _EPS_DUAL_INF
-        q_dx = float(self._q_d @ dx_scaled)
-        if q_dx >= 0.0:
-            return False
-        dx = self._d * dx_scaled
-        norm = _max_abs(dx)
-        if norm <= eps or q_dx / norm >= -eps:
-            return False
-        # A v <= eps on rows with a finite upper bound, >= -eps on rows with
-        # a finite lower one: 1/e_i there, 0 elsewhere, unscales A dx.
-        if ((a_dx_scaled * self._e_inv_hi).max(initial=0.0) > eps * norm
-                or (a_dx_scaled * self._e_inv_lo).min(initial=0.0) < -eps * norm):
-            return False
-        return _max_abs(self._P @ (dx / norm)) < eps
+        support = float(self._lo[~lo_inf] @ pos[~lo_inf] + self._hi[~hi_inf] @ neg[~hi_inf])
+        return support > eps
 
     # -- main solve --------------------------------------------------------
 
@@ -403,8 +377,8 @@ class InteriorPointSolver(BandedKkt):
             # Judged as a polish of an interior point with zero residuals:
             # both of its own at most 1% of eps_abs.
             if self._keeps(tried[1], 0.0, 0.0):
-                x, y_int, pri, dua, _ = tried[1]
-                return self._solution(x, y_int, "solved", 0, t0, True, pri, dua,
+                x, y, pri, dua, _ = tried[1]
+                return self._solution(x, y, "solved", 0, t0, True, pri, dua,
                                       factored_before, solved_before, warm=True)
         st = self.settings
         rows, sign, eq = self._rows, self._sign, self._eq
@@ -424,12 +398,11 @@ class InteriorPointSolver(BandedKkt):
         status = "max_iter"
         for iterations in range(st.max_iterations + 1):
             s, lam = v[:p], v[p:]
-            # Row multipliers in the handle's P x + q + A' y = 0 convention:
-            # -lam at lower bounds, +lam at upper ones.
-            y = self._row_sums(-sign * lam)
+            # Row multipliers: lam at lower bounds, -lam at upper ones.
+            y = self._row_sums(sign * lam)
             y[eq] = y_eq
             ax_s, px_s, aty_s = self._As @ x, self._Ps @ x, self._AsT @ y
-            r_d = px_s + self._qs + aty_s
+            r_d = px_s + self._qs - aty_s
             r_e = ax_s[eq] - self._b_eq
             gap = sign * ax_s[rows] - self._b
             # Termination on the unscaled residuals; the norms of each side
@@ -458,33 +431,29 @@ class InteriorPointSolver(BandedKkt):
             except ValueError:
                 status = "not_positive_definite"
                 break
-            if self._is_dual_infeasible(dx, a_dx):
-                status = "dual_infeasible"
-                break
             alpha = _TO_BOUNDARY * _max_step(v, dv)
             x += alpha * dx
             y_eq += alpha * dy_eq
             v += alpha * dv
         self._last = (x, y_eq, lam) if status == "solved" else None
         x_out = self._d * x
-        y_int = self._e * y / c
+        y_out = self._e * y / c
         polished = False
         if status == "solved" and self.m and not self.polish_rejected:
-            x_out, y_int, polished = self._polish(x_out, y_int, z, pri, dua, tried)
+            x_out, y_out, polished = self._polish(x_out, y_out, z, pri, dua, tried)
             self.polish_rejected = not polished
         if not polished:
             self._held = None
-        return self._solution(x_out, y_int, status, iterations, t0, polished, pri, dua,
+        return self._solution(x_out, y_out, status, iterations, t0, polished, pri, dua,
                               factored_before, solved_before, warm=warm)
 
-    def _solution(self, x, y_int, status, iterations, t0, polished, pri, dua,
+    def _solution(self, x, y, status, iterations, t0, polished, pri, dua,
                   factored_before, solved_before, *, warm) -> QpSolution:
-        """The solve's result for (x, y_int) in the handle's convention, with
-        the work done since the counts ``factored_before`` and
-        ``solved_before``."""
+        """The solve's result for (x, y), with the work done since the counts
+        ``factored_before`` and ``solved_before``."""
         objective = float(0.5 * x @ (self._P @ x) + self._q @ x)
         factorizations = self.kkt_refactorizations + self.polish_factorizations - factored_before
-        return QpSolution(x=x, y=-y_int, status=status, objective=objective,
+        return QpSolution(x=x, y=y, status=status, objective=objective,
                           iterations=iterations, solve_time=time.perf_counter() - t0,
                           polished=polished, primal_residual=pri, dual_residual=dua,
                           warm_started=warm, factorizations=factorizations,
@@ -504,10 +473,10 @@ class InteriorPointSolver(BandedKkt):
         self.polish_factorizations += attempts
         return x, y, pri, dua, wrong
 
-    def _polish(self, x, y_int, z, pri, dua, tried):
+    def _polish(self, x, y, z, pri, dua, tried):
         """One held-set pass on the detected active set; keep its result
         only when it does not degrade the unscaled residuals ``pri`` and
-        ``dua`` of (x, y_int) and its multipliers have the signs of the
+        ``dua`` of (x, y) and its multipliers have the signs of the
         bounds they hold. ``tried`` is the held set this solve tried first
         and its pass, or None: the pass depends only on the set and the
         data, so a detected set equal to it reuses it unfactored. Returns
@@ -516,14 +485,14 @@ class InteriorPointSolver(BandedKkt):
         eq = self._is_eq
         # A row is held at the bound its multiplier outweighs its distance to.
         side = np.zeros(self.m, dtype=np.int8)
-        side[(z - self._lo < -y_int) & ~eq] = -1
-        side[(self._hi - z < y_int) & ~eq] = 1
+        side[(z - self._lo < y) & ~eq] = -1
+        side[(self._hi - z < -y) & ~eq] = 1
         if tried is not None and np.array_equal(side, tried[0]):
             result = tried[1]
         else:
             result = self._polish_pass(side)
         if not self._keeps(result, pri, dua):
-            return x, y_int, False
+            return x, y, False
         self._held = side
         return result[0], result[1], True
 

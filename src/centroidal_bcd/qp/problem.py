@@ -5,9 +5,9 @@ Problems are stated as
     minimize   1/2 x' P x + q' x
     subject to lo <= A x <= hi        (equalities encoded as lo == hi)
 
-with P sparse symmetric PSD and A sparse. Infinite bounds are passed as
-+-inf and replaced by a large finite sentinel before they reach any
-factorization.
+with P sparse symmetric PSD and A sparse. Infinite bounds are +-inf, and
+the solvers read them as they are: a bound enters right-hand sides and
+residuals, never a factorized matrix.
 
 No module of the package imports ``scipy.sparse`` at its top: matrices are
 made where they are needed (:mod:`~centroidal_bcd.qp.pattern`), so that
@@ -32,15 +32,10 @@ if TYPE_CHECKING:
     from .pattern import QpPattern
 
 __all__ = [
-    "INFTY",
     "SparseQP",
     "SolverSettings",
     "QpSolution",
 ]
-
-# Sentinel standing in for infinity inside the solver; never fed to a
-# factorization as literal inf.
-INFTY = 1e30
 
 
 @dataclass(frozen=True)
@@ -80,12 +75,14 @@ class SparseQP:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} holds non-finite values")
         object.__setattr__(self, "q", _array(self.q, "q", (self.n,)))
-        # Bounds may be infinite: +-inf leaves a row's side open.
+        # Bounds may be infinite: -inf below or +inf above leaves a row's
+        # side open. A row no x meets, lo > hi, lo = +inf or hi = -inf, is
+        # rejected, so no row has one infinity on both sides.
         for name in ("lo", "hi"):
             object.__setattr__(self, name, _array(getattr(self, name), name, (self.m_c,),
                                                   infinite=True))
-        if np.any(self.lo > self.hi):
-            raise ValueError("lo > hi on some row")
+        if np.any((self.lo > self.hi) | (self.lo == np.inf) | (self.hi == -np.inf)):
+            raise ValueError("lo > hi, lo = +inf or hi = -inf on some row")
         if self.x0 is not None:
             object.__setattr__(self, "x0", _array(self.x0, "x0", (self.n,)))
 
@@ -141,9 +138,8 @@ class QpSolution:
 
     x: np.ndarray
     y: np.ndarray
-    # solved | max_iter | primal_infeasible | dual_infeasible |
-    # not_positive_definite; the direct active-set solve may also report
-    # stalled.
+    # solved | max_iter | primal_infeasible | not_positive_definite; the
+    # direct active-set solve may also report stalled.
     status: str
     objective: float
     iterations: int

@@ -7,6 +7,7 @@ import pytest
 import centroidal_bcd.bcd as bcd_module
 import centroidal_bcd.qp.banded as banded_module
 from centroidal_bcd.bcd import (
+    L_PROX_CAP,
     BcdIterationRecord,
     BcdSettings,
     BlockSolveError,
@@ -73,10 +74,13 @@ def test_proximal_weights_grow_geometrically(quad_hover):
     assert not res.converged
     assert len(res.records) == 4
     assert res.records[0].force_prox_weight == 0.0  # no contact solve yet
+    # 1e2, 1e4, 1e6, and then the cap (1e6) in place of 1e8.
     for i, rec in enumerate(res.records):
-        assert rec.contact_prox_weight == pytest.approx(100.0 * 100.0 ** i)
+        weight = min(100.0 * 100.0 ** i, L_PROX_CAP)
+        assert rec.contact_prox_weight == pytest.approx(weight)
         if i > 0:
-            assert rec.force_prox_weight == pytest.approx(100.0 * 100.0 ** i)
+            assert rec.force_prox_weight == pytest.approx(weight)
+    assert res.records[-1].contact_prox_weight == L_PROX_CAP < 100.0 * 100.0 ** 3
 
 
 def test_forced_non_convergence_still_returns_final_solve(quad_hover):

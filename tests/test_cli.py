@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import output_hashes
 import pytest
 from conftest import WRONG_TYPE_BLOCKS
 
@@ -519,3 +520,16 @@ def _verbose_progress_matches_records(scenario, out, capsys):
 def test_verbose_progress_reports_the_contact_passes(trot_scenario, tmp_path, capsys):
     # The contact block's direct active-set passes.
     _verbose_progress_matches_records(trot_scenario, tmp_path, capsys)
+
+
+def test_output_hashes_prints_one_line_per_reproducible_output_of_stand(capsys):
+    # tests/output_hashes.py runs gait, solve and verify and hashes what they
+    # write; two runs print the same lines.
+    output_hashes.main(["stand"])
+    output_hashes.main(["stand"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == lines[4:]
+    assert [line.split()[:2] for line in lines[:4]] == [
+        ["stand", "trajectory.csv"], ["stand", "convergence.json"], ["stand", "summary.txt"],
+        ["stand", "verify.stdout"]]
+    assert all(len(line.split()[2]) == 64 for line in lines)

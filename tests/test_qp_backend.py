@@ -22,7 +22,6 @@ from centroidal_bcd.qp import ipm
 from centroidal_bcd.qp.ipm import _DELTA, _POLISH_DELTA, _RUIZ_ITERATIONS, _START_FLOOR, \
     _guarded_inv_sqrt
 from centroidal_bcd.qp.pattern import QpPattern
-from centroidal_bcd.qp.problem import INFTY
 from centroidal_bcd.scenarios import materialize
 
 from conftest import diagonal, pattern_hash
@@ -399,7 +398,7 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
 
     Ps, As = h._Ps.toarray(), h._As.toarray()
     A_eq, G = As[eq], sign[:, None] * As[rows]
-    r_d = Ps @ x + h._qs + A_eq.T @ y_eq - G.T @ lam
+    r_d = Ps @ x + h._qs - A_eq.T @ y_eq - G.T @ lam
     r_e = A_eq @ x - h._b_eq
     r_g = G @ x - b - s
     before = h.kkt_refactorizations
@@ -408,8 +407,8 @@ def test_one_step_matches_dense_quasi_definite_kkt_solve(trot_qps, name, mu):
 
     Z = np.zeros
     kkt = np.block([
-        [Ps + _DELTA * np.eye(n), A_eq.T, -G.T, Z((n, n_in))],
-        [A_eq, -_DELTA * np.eye(n_eq), Z((n_eq, 2 * n_in))],
+        [Ps + _DELTA * np.eye(n), -A_eq.T, -G.T, Z((n, n_in))],
+        [A_eq, _DELTA * np.eye(n_eq), Z((n_eq, 2 * n_in))],
         [G, Z((n_in, n_eq)), _DELTA * np.eye(n_in), -np.eye(n_in)],
         [Z((n_in, n + n_eq)), np.diag(s), np.diag(lam)]])
 
@@ -1036,8 +1035,8 @@ def test_accepted_polish_keeps_multiplier_signs_on_bound(monkeypatch):
 
     def checking_solve(self, *args, **kwargs):
         sol = real_solve(self, *args, **kwargs)
-        wrong = np.maximum(np.where(self._lo <= -INFTY, sol.y, 0.0),
-                           np.where(self._hi >= INFTY, -sol.y, 0.0))
+        wrong = np.maximum(np.where(self._lo == -np.inf, sol.y, 0.0),
+                           np.where(self._hi == np.inf, -sol.y, 0.0))
         tol = self.settings.eps_abs + self.settings.eps_rel * np.abs(sol.y).max()
         checked.append((sol.polished, wrong.max(), tol))
         return sol
@@ -1117,24 +1116,23 @@ def test_primal_infeasible_certificate():
     assert sol.status == "primal_infeasible"
 
 
-def test_dual_infeasible_certificate():
-    # Unbounded below: zero curvature along a descent direction.
-    qp = _qp([[0.0]], [1.0])
-    sol = InteriorPointSolver(qp).solve()
-    assert sol.status == "dual_infeasible"
-
-
-@pytest.mark.parametrize("q, lo, hi, status", [
-    (-1.0, 1.0, np.inf, "dual_infeasible"),   # unbounded as x grows
-    (1.0, -np.inf, 5.0, "dual_infeasible"),   # unbounded as x falls
-    (-1.0, -np.inf, 5.0, "solved")])          # x grows until 100 x = 5
-def test_dual_infeasibility_reads_the_bounds_recession_cone(q, lo, hi, status):
-    # A linear cost on one variable whose one row 100 x is bounded on one
-    # side: the step's own A dx decides whether it leaves the bounds.
-    sol = InteriorPointSolver(_qp([[0.0]], [q], [[100.0]], [lo], [hi])).solve()
-    assert sol.status == status
-    if sol.solved:
-        assert sol.x[0] == pytest.approx(0.05, abs=1e-9)
+@pytest.mark.parametrize("q, lo, hi", [
+    (1.0, None, None),        # no rows: zero curvature, q pulls x down
+    (-1.0, 1.0, np.inf),      # 100 x >= 1: unbounded as x grows
+    (1.0, -np.inf, 5.0),      # 100 x <= 5: unbounded as x falls
+    (-1.0, -np.inf, 5.0)],    # x grows until 100 x = 5
+    ids=["no_rows", "open_above", "open_below", "bounded"])
+def test_unbounded_qps_end_max_iter_and_a_bounded_one_solves(q, lo, hi):
+    # A linear cost on one variable. No QP the block descent builds is
+    # unbounded, and no certificate detects one: an unbounded QP spends its
+    # whole iteration budget and is never reported solved.
+    qp = _qp([[0.0]], [q]) if lo is None else _qp([[0.0]], [q], [[100.0]], [lo], [hi])
+    settings = SolverSettings()
+    sol = InteriorPointSolver(qp, settings).solve()
+    if q < 0.0 and hi == 5.0:
+        assert sol.solved and sol.x[0] == pytest.approx(0.05, abs=1e-9)
+    else:
+        assert (sol.status, sol.iterations) == ("max_iter", settings.max_iterations)
 
 
 def test_rows_below_the_equality_gap_get_the_equality_penalty():
@@ -1170,6 +1168,14 @@ def test_max_iter_is_reported_not_silent():
 def test_bounds_validation():
     with pytest.raises(ValueError, match="lo > hi"):
         _qp([[1.0]], [0.0], [[1.0]], [1.0], [0.0]).validate()
+
+
+@pytest.mark.parametrize("bound", [np.inf, -np.inf])
+def test_a_row_with_one_infinity_on_both_sides_is_rejected(bound):
+    # No x meets A x >= +inf or A x <= -inf; such a row is rejected when the QP
+    # is made, so no solver computes inf - inf in its equality test.
+    with pytest.raises(ValueError, match=r"lo = \+inf or hi = -inf"):
+        _qp([[1.0]], [0.0], [[1.0]], [bound], [bound])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
